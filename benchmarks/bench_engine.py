@@ -1,4 +1,4 @@
-"""Benchmark: the staged analysis engine (serial vs parallel, cold vs warm).
+"""Benchmark: the analysis engine (serial vs parallel, cold vs warm).
 
 Runs the Table 1 workload list *plus* the synthetic ``stress`` (hundreds of
 distinct harmless races in one trace), ``stress_deep`` (many primary paths
@@ -7,40 +7,26 @@ evidence-heavy classification path) workloads through the engine three
 ways:
 
 1. serially at race granularity (the reference),
-2. over a process pool at ``(race, primary-path)`` granularity,
+2. over a process pool at the default ``auto`` granularity,
 3. twice against a shared cache directory (cold, then warm -- the warm run
    must classify nothing).
 
-Three A/B comparisons quantify the hot-path optimizations:
+A/B comparisons quantify the hot-path optimizations:
 
 * **path mode** -- shipped primaries vs ``explore_primary`` re-derivation
   at path granularity (wall time plus the shipped/re-explored counters;
   shipped mode must perform **zero** re-explorations),
 * **solver cache** -- the memoizing solver on vs off on ``stress_deep``
   (wall time plus enumerated-assignment counts; the memo must cut
-  enumeration by at least 30%), and
-* **dispatch** -- the streaming engine (one persistent pool, plan→path
-  overlap, worker-lifetime solver caches) vs the legacy barrier engine on
-  ``stress_deep`` (wall time, pool constructions, plan→path overlap
-  seconds, worker-cache hit rate; streaming must build exactly one pool,
-  measure overlap > 0, hit the worker cache, and not lose to barrier), and
-* **full stream** -- the run-wide scheduler (record, classify, plan and
-  path futures in one ``wait`` loop) vs the ``staged`` record-barrier
-  engine it replaced, on a *skewed* mixed batch (``stress_harmful`` +
-  ``SQLite`` + ``stress_deep``): the slow recording anchors the staged
-  barrier while the fast workloads' classifications could already run.
-  Full stream must keep verdicts bit-identical to serial, measure
-  record↔classify overlap > 0, and not lose to staged, and
+  enumeration by at least 30%),
 * **warm tier** -- the persistent solver warm tier cold vs warm on the
   solver-heavy pair (``stress_deep`` + ``stress_harmful``): the second
   run against the same cache directory (classification entries deleted
   in between, so every verdict is recomputed) rehydrates the hottest
   worker-cache entries from ``solver_warm/`` sidecars and must
   enumerate strictly fewer assignments than the cold run without
-  changing a verdict; a third, pooled run with ``--speculate`` replays
-  the same batch against the warmed primary-count history and must
-  confirm speculative path submissions, and
-* **fault recovery** -- the streaming engine under a deterministic fault
+  changing a verdict,
+* **fault recovery** -- the pooled engine under a deterministic fault
   plan (one worker crash, one hang, one malformed result) vs the same
   fault-free run on the mixed ``stress_harmful`` + ``stress_deep`` batch:
   the supervised pool must absorb every fault (respawn >= 1, at most one
@@ -109,24 +95,13 @@ def run_comparison(names=None):
     serial_runs = AnalysisEngine().analyze(names)
     serial_seconds = time.perf_counter() - started
 
+    # The default "auto" grain, as the pooled_registry benchmark runs it:
+    # forced path grain pays a plan + per-path round trip for every race.
     started = time.perf_counter()
     parallel_runs = AnalysisEngine(
-        options=EngineOptions(parallel=WORKERS, granularity="path" if WORKERS > 1 else "auto")
+        options=EngineOptions(parallel=WORKERS, granularity="auto")
     ).analyze(names)
     parallel_seconds = time.perf_counter() - started
-
-    # The same pooled batch under the legacy barrier dispatch: the full-list
-    # equivalence gate below asserts streaming ≡ barrier ≡ serial on every
-    # registered workload, not just the dispatch A/B subset.
-    started = time.perf_counter()
-    barrier_runs = AnalysisEngine(
-        options=EngineOptions(
-            parallel=WORKERS,
-            granularity="path" if WORKERS > 1 else "auto",
-            dispatch="barrier",
-        )
-    ).analyze(names)
-    barrier_seconds = time.perf_counter() - started
 
     with tempfile.TemporaryDirectory() as cache_dir:
         options = EngineOptions(cache_dir=cache_dir)
@@ -144,8 +119,6 @@ def run_comparison(names=None):
         "serial_seconds": serial_seconds,
         "parallel_runs": parallel_runs,
         "parallel_seconds": parallel_seconds,
-        "barrier_runs": barrier_runs,
-        "barrier_seconds": barrier_seconds,
         "cold_seconds": cold_seconds,
         "warm_runs": warm_runs,
         "warm_seconds": warm_seconds,
@@ -153,8 +126,6 @@ def run_comparison(names=None):
     }
     outcome["path_mode"] = run_path_mode_comparison()
     outcome["solver_cache"] = run_solver_cache_comparison()
-    outcome["dispatch"] = run_dispatch_comparison()
-    outcome["full_stream"] = run_full_stream_comparison()
     outcome["solver_backends"] = run_solver_backend_comparison()
     outcome["events"] = run_events_check()
     outcome["warm_tier"] = run_warm_tier_comparison()
@@ -177,79 +148,59 @@ def _drop_classifications(cache_dir):
 
 
 def run_warm_tier_comparison(names=("stress_deep", "stress_harmful")):
-    """Persistent solver warm tier: cold vs warm, plus speculation.
+    """Persistent solver warm tier: cold vs warm.
 
-    Three legs against one shared cache directory, with the classification
+    Two legs against one shared cache directory, with the classification
     entries deleted between legs so every verdict is recomputed:
 
     1. **cold** -- serial path-granularity run on an empty directory; the
        engine persists the hottest worker-cache entries to ``solver_warm/``
-       sidecars and the per-race primary counts to ``costmodel.json``,
+       sidecars,
     2. **warm** -- the identical run again; fresh solver caches rehydrate
        from the sidecars, so enumeration must drop strictly below cold
-       while every verdict stays bit-identical,
-    3. **speculate** -- the same batch over a pool at path granularity with
-       speculative path submission on: the warmed primary-count history
-       predicts each race's fan-out, path tasks are pre-submitted before
-       their plan lands, and the confirmed speculations are counted.
+       while every verdict stays bit-identical.
 
-    The warm tier and speculation are both advisory: a no-warm-tier
-    reference run pins the signature all three legs must reproduce.
+    The warm tier is advisory: a no-warm-tier reference run pins the
+    signature both legs must reproduce.  The cold/warm pair runs twice, each
+    time in a fresh directory, and each leg keeps its best wall clock: the
+    legs take ~2 s each and this host's speed drifts by more than the 10%
+    the timing gate allows within that window.  The counters are
+    deterministic and come from the last pair.
     """
     serial = dict(parallel=0, granularity="path")
     baseline_runs = AnalysisEngine(
-        options=EngineOptions(warm_tier=False, speculate=False, **serial)
+        options=EngineOptions(warm_tier=False, **serial)
     ).analyze(list(names))
     reference = _signature(baseline_runs)
 
-    with tempfile.TemporaryDirectory() as cache_dir:
-        options = EngineOptions(
-            cache_dir=cache_dir, warm_tier=True, speculate=False, **serial
-        )
-        legs = {}
-        signatures = {}
-        for label in ("cold", "warm"):
-            GLOBAL_STATS.reset()
-            started = time.perf_counter()
-            runs = AnalysisEngine(options=options).analyze(list(names))
-            legs[label] = {
-                "seconds": time.perf_counter() - started,
-                "solver_enumerated": GLOBAL_STATS.solver_assignments_enumerated,
-                "worker_cache_hits": GLOBAL_STATS.worker_cache_hits,
-                "classifications_computed": GLOBAL_STATS.classifications_computed,
-            }
-            signatures[label] = _signature(runs)
-            _drop_classifications(cache_dir)
-        warm_dir = os.path.join(cache_dir, "solver_warm")
-        sidecars = len(os.listdir(warm_dir)) if os.path.isdir(warm_dir) else 0
-
-        GLOBAL_STATS.reset()
-        started = time.perf_counter()
-        spec_runs = AnalysisEngine(
-            options=EngineOptions(
-                parallel=WORKERS,
-                granularity="path" if WORKERS > 1 else "auto",
-                cache_dir=cache_dir,
-                warm_tier=True,
-                speculate=True,
-            )
-        ).analyze(list(names))
-        speculation = {
-            "seconds": time.perf_counter() - started,
-            "hits": GLOBAL_STATS.speculation_hits,
-            "wasted": GLOBAL_STATS.speculation_wasted,
-        }
-        signatures["speculate"] = _signature(spec_runs)
+    legs = {}
+    signatures = {}
+    for _repetition in range(2):
+        with tempfile.TemporaryDirectory() as cache_dir:
+            options = EngineOptions(cache_dir=cache_dir, warm_tier=True, **serial)
+            for label in ("cold", "warm"):
+                GLOBAL_STATS.reset()
+                started = time.perf_counter()
+                runs = AnalysisEngine(options=options).analyze(list(names))
+                elapsed = time.perf_counter() - started
+                legs[label] = {
+                    "seconds": min(elapsed, legs.get(label, {}).get("seconds", elapsed)),
+                    "solver_enumerated": GLOBAL_STATS.solver_assignments_enumerated,
+                    "worker_cache_hits": GLOBAL_STATS.worker_cache_hits,
+                    "classifications_computed": GLOBAL_STATS.classifications_computed,
+                }
+                signatures[label] = _signature(runs)
+                _drop_classifications(cache_dir)
+            warm_dir = os.path.join(cache_dir, "solver_warm")
+            sidecars = len(os.listdir(warm_dir)) if os.path.isdir(warm_dir) else 0
 
     cold_enumerated = legs["cold"]["solver_enumerated"]
     warm_enumerated = legs["warm"]["solver_enumerated"]
     return {
         "workloads": list(names),
-        "workers": WORKERS,
         "cold": legs["cold"],
         "warm": legs["warm"],
         "warm_sidecars": sidecars,
-        "speculation": speculation,
         "identical": all(
             signature == reference for signature in signatures.values()
         ),
@@ -282,9 +233,7 @@ def run_fault_recovery_comparison(names=("stress_harmful", "stress_deep")):
     ).analyze(list(names))
     reference = _signature(serial_runs)
 
-    pool_options = dict(
-        parallel=WORKERS, granularity="auto", dispatch="streaming"
-    )
+    pool_options = dict(parallel=WORKERS, granularity="auto")
     started = time.perf_counter()
     clean_runs = AnalysisEngine(options=EngineOptions(**pool_options)).analyze(
         list(names)
@@ -409,120 +358,6 @@ def run_events_check(names=("stress_deep",)):
         "solver_query_events": by_kind.get("solver_query", 0),
         "identical": _signature(plain_runs) == _signature(logged_runs),
         "fold_matches": fold_events(events) == engine.last_run_stats,
-    }
-
-
-def run_dispatch_comparison(names=("stress_deep",)):
-    """Streaming vs barrier dispatch over a pool at path granularity.
-
-    ``stress_deep`` is the shape streaming exists for: every race plans,
-    then fans out into many path tasks, so the legacy barrier between the
-    plan queue and the path queue leaves the pool idling behind the slowest
-    plan, and every stage pays a fresh pool spin-up.  Streaming runs the
-    same tasks through one persistent pool and overlaps the two queues.
-    """
-    modes = {}
-    signatures = {}
-    for label in ("barrier", "streaming"):
-        # Best-of-2 wall clock: the throughput gate in verify() compares
-        # single-digit-millisecond margins, so one noisy scheduler hiccup
-        # must not decide it.  The counters are deterministic per run
-        # (overlap aside) and come from the last repetition.
-        best_seconds = None
-        for _repetition in range(2):
-            GLOBAL_STATS.reset()
-            started = time.perf_counter()
-            runs = AnalysisEngine(
-                options=EngineOptions(
-                    parallel=WORKERS,
-                    granularity="path" if WORKERS > 1 else "auto",
-                    dispatch=label,
-                )
-            ).analyze(list(names))
-            elapsed = time.perf_counter() - started
-            best_seconds = elapsed if best_seconds is None else min(best_seconds, elapsed)
-        queries = GLOBAL_STATS.solver_queries
-        modes[label] = {
-            "seconds": best_seconds,
-            "pools_created": GLOBAL_STATS.pools_created,
-            "pool_reuses": GLOBAL_STATS.pool_reuses,
-            "stage_overlap_seconds": GLOBAL_STATS.stage_overlap_seconds,
-            "worker_cache_hits": GLOBAL_STATS.worker_cache_hits,
-            "solver_queries": queries,
-            "worker_cache_hit_rate": (
-                GLOBAL_STATS.worker_cache_hits / queries if queries else 0.0
-            ),
-        }
-        signatures[label] = _signature(runs)
-    return {
-        "workloads": list(names),
-        "workers": WORKERS,
-        "barrier": modes["barrier"],
-        "streaming": modes["streaming"],
-        "identical": signatures["barrier"] == signatures["streaming"],
-        "speedup": (
-            modes["barrier"]["seconds"] / modes["streaming"]["seconds"]
-            if modes["streaming"]["seconds"]
-            else 0.0
-        ),
-    }
-
-
-def run_full_stream_comparison(names=("stress_harmful", "SQLite", "stress_deep")):
-    """Full-stream vs staged dispatch on a skewed mixed batch.
-
-    The batch is deliberately lopsided: ``stress_harmful`` records for far
-    longer than ``SQLite``, so the staged engine's record barrier parks the
-    whole pool behind the slowest recording while the fast workloads'
-    stage-3 queues sit ready.  The full-stream scheduler starts classifying
-    ``SQLite`` the moment its recording lands -- the record↔classify overlap
-    channel measures exactly that window.  Verdicts must stay bit-identical
-    to the serial reference under both modes.
-    """
-    serial_runs = AnalysisEngine(
-        options=EngineOptions(parallel=0, granularity="race")
-    ).analyze(list(names))
-    reference = _signature(serial_runs)
-    modes = {}
-    signatures = {}
-    for label in ("staged", "streaming"):
-        # Best-of-2 wall clock, same reasoning as the dispatch gate: the
-        # margin between two pooled runs is small and must not be decided
-        # by one scheduler hiccup on a shared runner.
-        best_seconds = None
-        for _repetition in range(2):
-            GLOBAL_STATS.reset()
-            started = time.perf_counter()
-            runs = AnalysisEngine(
-                options=EngineOptions(
-                    parallel=WORKERS, granularity="auto", dispatch=label
-                )
-            ).analyze(list(names))
-            elapsed = time.perf_counter() - started
-            best_seconds = elapsed if best_seconds is None else min(best_seconds, elapsed)
-        modes[label] = {
-            "seconds": best_seconds,
-            "pools_created": GLOBAL_STATS.pools_created,
-            "pool_reuses": GLOBAL_STATS.pool_reuses,
-            "stage_overlap_seconds": GLOBAL_STATS.stage_overlap_seconds,
-            "record_classify_overlap_seconds": (
-                GLOBAL_STATS.record_classify_overlap_seconds
-            ),
-        }
-        signatures[label] = _signature(runs)
-    return {
-        "workloads": list(names),
-        "workers": WORKERS,
-        "staged": modes["staged"],
-        "streaming": modes["streaming"],
-        "identical": all(
-            signature == reference for signature in signatures.values()
-        ),
-        "speedup": (
-            modes["staged"]["seconds"] / modes["streaming"]["seconds"]
-            if modes["streaming"]["seconds"]
-            else 0.0
-        ),
     }
 
 
@@ -764,8 +599,6 @@ def render(outcome):
     )
     path_mode = outcome["path_mode"]
     solver_cache = outcome["solver_cache"]
-    dispatch = outcome["dispatch"]
-    full_stream = outcome["full_stream"]
     backends = outcome["solver_backends"]
     events = outcome["events"]
     warm_tier = outcome["warm_tier"]
@@ -775,15 +608,14 @@ def render(outcome):
     compiled_tp = interpreter["throughput"]["compiled"]
     fork_cost = interpreter["fork_cost"]
     lines = [
-        "Engine benchmark: staged pipeline, serial vs parallel vs warm cache",
+        "Engine benchmark: serial vs parallel vs warm cache",
         f"{'workloads':<26} {len(serial_runs)}",
         f"{'distinct races':<26} {races}",
         f"{'worker processes':<26} {WORKERS} (host cpus: {os.cpu_count()})",
         f"{'serial wall-clock':<26} {outcome['serial_seconds']:.2f}s  (race granularity)",
         f"{'parallel wall-clock':<26} {outcome['parallel_seconds']:.2f}s  "
-        f"({'path' if WORKERS > 1 else 'race'} granularity)",
+        "(auto granularity)",
         f"{'parallel speedup':<26} {speedup:.2f}x",
-        f"{'barrier wall-clock':<26} {outcome['barrier_seconds']:.2f}s  (legacy dispatch)",
         f"{'cold cached run':<26} {outcome['cold_seconds']:.2f}s",
         f"{'warm cached run':<26} {outcome['warm_seconds']:.2f}s  "
         f"({outcome['warm_classifications']} classifications computed)",
@@ -804,30 +636,6 @@ def render(outcome):
         f"({solver_cache['on']['solver_enumerated']} assignments enumerated, "
         f"{solver_cache['on']['solver_cache_hits']} hits)",
         f"{'enumeration drop':<26} {solver_cache['enumeration_drop']:.1%}",
-        "",
-        f"Dispatch ({', '.join(dispatch['workloads'])}, {dispatch['workers']} workers):",
-        f"{'barrier':<26} {dispatch['barrier']['seconds']:.2f}s  "
-        f"({dispatch['barrier']['pools_created']} pools created)",
-        f"{'streaming':<26} {dispatch['streaming']['seconds']:.2f}s  "
-        f"({dispatch['streaming']['pools_created']} pool created, "
-        f"{dispatch['streaming']['pool_reuses']} reuses, "
-        f"{dispatch['streaming']['stage_overlap_seconds']:.2f}s plan/path overlap)",
-        f"{'worker-cache hit rate':<26} "
-        f"{dispatch['streaming']['worker_cache_hit_rate']:.1%} "
-        f"({dispatch['streaming']['worker_cache_hits']} of "
-        f"{dispatch['streaming']['solver_queries']} queries)",
-        f"{'streaming speedup':<26} {dispatch['speedup']:.2f}x",
-        "",
-        f"Full stream ({', '.join(full_stream['workloads'])}, "
-        f"{full_stream['workers']} workers):",
-        f"{'staged (record barrier)':<26} {full_stream['staged']['seconds']:.2f}s  "
-        f"({full_stream['staged']['stage_overlap_seconds']:.2f}s plan/path overlap)",
-        f"{'full stream':<26} {full_stream['streaming']['seconds']:.2f}s  "
-        f"({full_stream['streaming']['stage_overlap_seconds']:.2f}s plan/path, "
-        f"{full_stream['streaming']['record_classify_overlap_seconds']:.2f}s "
-        f"record/classify overlap)",
-        f"{'full-stream speedup':<26} {full_stream['speedup']:.2f}x",
-        f"{'verdicts identical':<26} {full_stream['identical']}",
         "",
         f"Solver backends ({', '.join(backends['workloads'])}):",
     ]
@@ -856,9 +664,6 @@ def render(outcome):
         f"({warm_tier['warm']['solver_enumerated']} assignments enumerated, "
         f"{warm_tier['warm']['worker_cache_hits']} worker-cache hits)",
         f"{'enumeration drop':<26} {warm_tier['enumeration_drop']:.1%}",
-        f"{'speculative run':<26} {warm_tier['speculation']['seconds']:.2f}s  "
-        f"({warm_tier['speculation']['hits']} speculation hits, "
-        f"{warm_tier['speculation']['wasted']} wasted)",
         f"{'verdicts identical':<26} {warm_tier['identical']}",
         "",
         f"Fault recovery ({', '.join(fault_recovery['workloads'])}, "
@@ -902,14 +707,11 @@ def to_artifact(outcome):
         ),
         "serial_seconds": outcome["serial_seconds"],
         "parallel_seconds": outcome["parallel_seconds"],
-        "barrier_seconds": outcome["barrier_seconds"],
         "cold_seconds": outcome["cold_seconds"],
         "warm_seconds": outcome["warm_seconds"],
         "warm_classifications": outcome["warm_classifications"],
         "path_mode": outcome["path_mode"],
         "solver_cache": outcome["solver_cache"],
-        "dispatch": outcome["dispatch"],
-        "full_stream": outcome["full_stream"],
         "solver_backends": outcome["solver_backends"],
         "events": outcome["events"],
         "warm_tier": outcome["warm_tier"],
@@ -927,7 +729,6 @@ def verify(outcome):
     solver memo stops earning its keep.
     """
     assert _signature(outcome["serial_runs"]) == _signature(outcome["parallel_runs"])
-    assert _signature(outcome["serial_runs"]) == _signature(outcome["barrier_runs"])
     assert _signature(outcome["serial_runs"]) == _signature(outcome["warm_runs"])
     # Per-workload ground truth: the default list totals 93 (the paper's
     # Table 3) plus the stress slots; a names subset checks its own subset.
@@ -950,17 +751,6 @@ def verify(outcome):
     solver_cache = outcome["solver_cache"]
     assert solver_cache["identical"]
     assert solver_cache["enumeration_drop"] >= 0.30, solver_cache
-    # Streaming vs barrier dispatch: bit-identical verdicts, and the
-    # worker-lifetime solver cache must actually be hit (identical
-    # constraint-set queries recur across the races/paths of one workload
-    # whichever process runs the tasks).
-    dispatch = outcome["dispatch"]
-    assert dispatch["identical"]
-    assert dispatch["streaming"]["worker_cache_hits"] > 0, dispatch
-    # The full-stream scheduler must stay bit-identical to serial on the
-    # skewed mixed batch whichever mode dispatched it.
-    full_stream = outcome["full_stream"]
-    assert full_stream["identical"], full_stream
     # Every solver backend must produce bit-identical verdicts, and the
     # portfolio fast path must both fire and never enumerate more than the
     # default backend does.
@@ -1025,46 +815,9 @@ def verify(outcome):
     fork_cost = interpreter["fork_cost"]
     assert fork_cost["cow_seconds"] < fork_cost["eager_seconds"], fork_cost
     if (os.cpu_count() or 1) > 1 and WORKERS > 1:
-        # Speculative path submission needs a pool at path granularity to
-        # engage; with the warmed primary-count history it must confirm at
-        # least one speculation on this batch.
-        assert warm_tier["speculation"]["hits"] > 0, warm_tier
         # Real parallel hardware must beat the serial pipeline on a
         # multi-race batch (hundreds of independent tasks).
         assert outcome["parallel_seconds"] < outcome["serial_seconds"]
-        # The streaming engine builds exactly one pool per run and reuses
-        # it for every later stage, overlaps the plan and path queues for a
-        # measurable amount of time, and must not lose to the barrier
-        # engine it replaces (it runs the same tasks minus the pool churn
-        # and the inter-stage idling).
-        assert dispatch["streaming"]["pools_created"] == 1, dispatch
-        assert dispatch["streaming"]["pool_reuses"] >= 1, dispatch
-        assert dispatch["streaming"]["stage_overlap_seconds"] > 0.0, dispatch
-        assert dispatch["barrier"]["pools_created"] > 1, dispatch
-        # Best-of-2 wall clocks with a 15% noise allowance: the comparison
-        # is between pooled runs whose structural margin (pool spin-ups +
-        # inter-stage idling) is small on this workload, and a shared CI
-        # runner's scheduler jitter must not fail the gate when the
-        # deterministic counters above already prove the mechanism works.
-        assert (
-            dispatch["streaming"]["seconds"] <= 1.15 * dispatch["barrier"]["seconds"]
-        ), dispatch
-        # The full-stream run-wide scheduler on the skewed batch: one
-        # persistent pool, measurable record↔classify overlap (stage 3 of
-        # the fast workloads ran while the slow recording was in flight),
-        # and no regression against the staged record-barrier engine (same
-        # noise allowance as the dispatch gate above).
-        assert full_stream["streaming"]["pools_created"] == 1, full_stream
-        assert (
-            full_stream["streaming"]["record_classify_overlap_seconds"] > 0.0
-        ), full_stream
-        assert (
-            full_stream["staged"]["record_classify_overlap_seconds"] == 0.0
-        ), full_stream
-        assert (
-            full_stream["streaming"]["seconds"]
-            <= 1.15 * full_stream["staged"]["seconds"]
-        ), full_stream
         # The supervised pool under injected faults: every fault fired and
         # was absorbed on the pool -- the crash respawned the (single) pool,
         # at most one task was quarantined, and the run never downgraded to

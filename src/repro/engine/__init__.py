@@ -1,17 +1,15 @@
-"""Staged parallel analysis engine (record→detect→classify + two caches).
+"""Parallel analysis engine (record→detect→classify + two caches).
 
-* :mod:`repro.engine.engine` -- :class:`AnalysisEngine`, the staged
-  record→detect→classify pipeline over ``concurrent.futures`` process pools
-  with a serial fallback, a streaming plan→path scheduler and a
-  deterministic per-path merge,
+* :mod:`repro.engine.engine` -- :class:`AnalysisEngine`, the
+  record→detect→classify pipeline as one full-stream drain over a
+  ``concurrent.futures`` process pool (or, serially, the driving process)
+  with a deterministic per-path merge,
 * :mod:`repro.engine.dispatch` -- :class:`PoolDispatcher`, the run-lifetime
-  persistent pool (streaming/staged modes) and the legacy per-dispatch pool
-  (barrier mode),
+  persistent pool, and :class:`PoolSupervisor`, the retry / respawn /
+  quarantine layer every drain runs under,
 * :mod:`repro.engine.costmodel` -- :class:`CostModel`, the online EWMA
   task-cost estimates behind adaptive chunk sizing, cost-aware
-  race-vs-path granularity, speculative path submission (its
-  per-(workload, race) primary-count history), and
-  longest-expected-first submission,
+  race-vs-path granularity, and longest-expected-first submission,
 * :mod:`repro.engine.tasks` -- the work items (``RecordTask``,
   ``ClassificationTask``, ``PlanTask``, ``PathTask``), their picklable
   worker entry points, and the pool initializer that installs each worker's
@@ -30,11 +28,7 @@
 
 from repro.engine.cache import ClassificationCache, TraceCache, collect_cache_info
 from repro.engine.costmodel import CostModel
-from repro.engine.dispatch import (
-    DISPATCH_MODES,
-    PoolDispatcher,
-    validate_worker_output,
-)
+from repro.engine.dispatch import PoolDispatcher, validate_worker_output
 from repro.engine.errors import EngineError, FaultPlanError
 from repro.engine.engine import (
     AnalysisEngine,
@@ -79,7 +73,6 @@ __all__ = [
     "resolve_fault_plan",
     "validate_worker_output",
     "CostModel",
-    "DISPATCH_MODES",
     "PoolDispatcher",
     "TraceCache",
     "ClassificationCache",

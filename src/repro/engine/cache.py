@@ -335,8 +335,7 @@ def _sidecar_info(cache_dir) -> List[Dict]:
                 payload = json.load(handle)
             observations = sum(
                 int(entry.get("count", 0))
-                for table in ("entries", "primaries")
-                for entry in (payload.get(table) or {}).values()
+                for entry in (payload.get("entries") or {}).values()
                 if isinstance(entry, dict)
             )
             rows.append(

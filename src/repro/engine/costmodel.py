@@ -20,15 +20,9 @@ Estimates are advisory only -- they change *where and in what batch* a task
 runs, never what it computes -- so a cold, empty, or wildly wrong model
 cannot affect verdicts, only wall-clock.
 
-Beyond latency, the model keeps **primary-count history**: every landed
-plan's ``path_count`` is folded into an EWMA keyed by
-``(workload fingerprint, race id)`` with a per-workload aggregate fallback.
-The scheduler uses it twice -- ``choose_granularity`` weighs the expected
-cost of splitting a race against classifying it whole, and the streaming
-engine pre-submits *speculative* PathTasks for the predicted K primaries
-before the plan lands (see ``docs/engine.md``).  Predictions, like latency
-estimates, are advisory: a wrong prediction wastes scheduling, never
-changes a verdict.
+The same estimates feed ``choose_granularity``, which weighs the expected
+cost of splitting a race into plan + path tasks against classifying it
+whole (:meth:`CostModel.split_costs`).
 
 **Sidecar warm start.**  When the engine runs with a cache directory, the
 model persists its table to ``<cache_dir>/costmodel.json`` next to the
@@ -36,17 +30,16 @@ classification cache, and repeat runs schedule well from the first task
 instead of re-learning the batch.  Format (version 1)::
 
     {"version": 1, "alpha": 0.3,
-     "entries": {"<kind>|<fingerprint>": {"ewma": 0.012, "count": 7}, ...},
-     "primaries": {"<fingerprint>#<race_id>": {"ewma": 3.0, "count": 2},
-                   "<fingerprint>": {"ewma": 3.0, "count": 2}, ...}}
+     "entries": {"<kind>|<fingerprint>": {"ewma": 0.012, "count": 7}, ...}}
 
-The ``primaries`` block is optional (older sidecars lack it and simply
-start with cold predictions).  The sidecar is best-effort in both
+Other top-level keys are ignored, so older sidecars that still carry a
+``primaries`` block load their ``entries`` unchanged.  The sidecar is
+best-effort in both
 directions: an unreadable or version-mismatched file is ignored (cold
 start), and a failed save is swallowed (the run's results are already
 safe).
 
-**Capped eviction.**  ``save`` prunes both tables to
+**Capped eviction.**  ``save`` prunes the table to
 :data:`SIDECAR_MAX_ENTRIES` highest-observation-count keys via
 :func:`prune_scored` -- the same helper the engine uses to cap the warm
 tier's sidecar directory -- so a long-lived cache directory that has seen
@@ -133,9 +126,6 @@ class CostModel:
         self._entries: Dict[str, List[float]] = {}
         #: per-kind aggregate, the fallback for unseen fingerprints
         self._kinds: Dict[str, List[float]] = {}
-        #: primary-count history: "<fingerprint>#<race_id>" (and the bare
-        #: "<fingerprint>" aggregate) -> [ewma_path_count, observation_count]
-        self._primaries: Dict[str, List[float]] = {}
         #: entries loaded from the sidecar (diagnostics / tests)
         self.warm_entries = 0
         if sidecar_path:
@@ -175,47 +165,6 @@ class CostModel:
         if seconds is not None:
             self.observe(kind, fingerprint, seconds)
         return seconds
-
-    @staticmethod
-    def _primary_key(fingerprint: str, race_id: int) -> str:
-        return f"{fingerprint}#{int(race_id)}"
-
-    def observe_plan(self, fingerprint: str, race_id: int, path_count: int) -> None:
-        """Fold one landed plan's primary count into the history.
-
-        Conclusive races observe 0 paths, so the predictor also learns
-        *not* to speculate on races whose single-stage analysis keeps
-        settling them.
-        """
-        if not fingerprint or path_count < 0:
-            return
-        self._fold(self._primaries, self._primary_key(fingerprint, race_id), float(path_count))
-        self._fold(self._primaries, fingerprint, float(path_count))
-
-    def predict_primaries(
-        self,
-        fingerprint: str,
-        race_id: int,
-        table: Optional[Mapping[str, List[float]]] = None,
-    ) -> int:
-        """Predicted primary-path count for one race (0 when cold).
-
-        ``table`` lets the streaming scheduler pass a snapshot frozen at
-        drain start, so predictions do not drift with the completion order
-        of the very plans they race against (that would make speculation
-        non-deterministic across interleavings).
-        """
-        table = self._primaries if table is None else table
-        entry = table.get(self._primary_key(fingerprint, race_id))
-        if entry is None:
-            entry = table.get(fingerprint)
-        if not entry:
-            return 0
-        return max(0, int(round(entry[0])))
-
-    def primaries_snapshot(self) -> Dict[str, List[float]]:
-        """Copy of the primary-count table (freeze before a streaming drain)."""
-        return {key: list(entry) for key, entry in self._primaries.items()}
 
     def split_costs(self, fingerprint: str) -> Tuple[float, float]:
         """(whole-race cost, split critical-path cost) for one workload.
@@ -350,41 +299,28 @@ class CostModel:
             aggregate[0] = (aggregate[0] * aggregate[1] + ewma) / (aggregate[1] + 1)
             aggregate[1] += 1
             loaded += 1
-        for key, entry in (data.get("primaries") or {}).items():
-            try:
-                ewma = float(entry["ewma"])
-                count = int(entry["count"])
-            except (KeyError, TypeError, ValueError):
-                continue
-            if ewma < 0 or count <= 0:
-                continue
-            self._primaries[key] = [ewma, count]
         self.warm_entries = loaded
         return loaded
 
     def save(self, path: Optional[str] = None) -> bool:
-        """Persist the tables next to the caches (atomic, best-effort).
+        """Persist the table next to the caches (atomic, best-effort).
 
-        Both tables are pruned to :data:`SIDECAR_MAX_ENTRIES` keys by
+        The table is pruned to :data:`SIDECAR_MAX_ENTRIES` keys by
         observation count first, so stale program fingerprints age out of
         the sidecar instead of accumulating forever.
         """
         path = path or self.sidecar_path
         if not path:
             return False
-        by_count = lambda _key, entry: float(entry[1])
-        self._entries = prune_scored(self._entries, SIDECAR_MAX_ENTRIES, by_count)
-        self._primaries = prune_scored(self._primaries, SIDECAR_MAX_ENTRIES, by_count)
+        self._entries = prune_scored(
+            self._entries, SIDECAR_MAX_ENTRIES, lambda _key, entry: float(entry[1])
+        )
         data = {
             "version": SIDECAR_VERSION,
             "alpha": self.alpha,
             "entries": {
                 key: {"ewma": entry[0], "count": int(entry[1])}
                 for key, entry in sorted(self._entries.items())
-            },
-            "primaries": {
-                key: {"ewma": entry[0], "count": int(entry[1])}
-                for key, entry in sorted(self._primaries.items())
             },
         }
         try:

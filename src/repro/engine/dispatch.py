@@ -1,29 +1,19 @@
-"""Pool lifecycle, dispatch strategies, and supervision for the engine.
+"""Pool lifecycle and supervision for the engine's one scheduler.
 
-The engine used to build a fresh ``ProcessPoolExecutor`` inside every stage
-dispatch and block on ``pool.map`` -- a hard barrier per stage, plus one
-pool spin-up/tear-down (and one cold worker-process state) per queue.
-:class:`PoolDispatcher` replaces that with three selectable strategies:
-
-* **streaming** (the default) -- one persistent pool per engine run, fed by
-  the engine's *full-stream scheduler*: records, classifications, plans and
-  paths all live in one ``wait(FIRST_COMPLETED)`` loop, so stage-3 work of
-  one workload runs while another workload is still recording (see
-  ``AnalysisEngine._stream_pipeline``).  The pool is created lazily on the
-  first pooled dispatch (or eagerly by :meth:`warm`) with
-  :func:`~repro.engine.tasks.pool_worker_initializer` installed, reused by
-  every subsequent dispatch (both sides emit ``pool`` events into the run's
-  :class:`~repro.engine.events.EventLogger`, which fold into the
-  ``pools_created``/``pool_reuses`` counters), and shut down by the engine
-  when the run finishes.
-* **staged** -- the same persistent pool, but with a barrier after the
-  record stage: stage 3 only starts once every recording has landed, and
-  only the plan→path queues overlap.  This was the previous default; it is
-  kept selectable as the A/B baseline the benchmark's full-stream gate
-  compares against.
-* **barrier** -- the legacy strategy: a fresh pool per dispatch,
-  ``pool.map`` with a chunksize, full teardown afterwards (with one bounded
-  fresh-pool retry if that pool breaks mid-map).
+:class:`PoolDispatcher` owns one persistent process pool per engine run,
+fed by the engine's full-stream drain: records, classifications, plans and
+paths all live in one ``wait(FIRST_COMPLETED)`` loop, so stage-3 work of
+one workload runs while another workload is still recording (see
+``AnalysisEngine._stream_pipeline``).  The pool is created eagerly by
+:meth:`PoolDispatcher.warm` (or lazily on first use) with
+:func:`~repro.engine.tasks.pool_worker_initializer` installed, reused by
+every dispatch of the run (both sides emit ``pool`` events into the run's
+:class:`~repro.engine.events.EventLogger`, which fold into the
+``pools_created``/``pool_reuses`` counters), and shut down by the engine
+when the run finishes.  Without a pool -- a serial run, a pool that cannot
+be built, payloads that do not pickle -- the same drain runs over a
+:class:`PoolSupervisor` whose pool is None, which executes every submitted
+chunk in the driving process.
 
 Chunking is **cost-aware**: wide queues are packed by the run's
 :class:`~repro.engine.costmodel.CostModel` into chunks targeting roughly
@@ -68,15 +58,10 @@ and replayed as ``task_retry`` / ``pool_respawn`` / ``task_quarantined`` /
 ``deadline_exceeded`` events *after* the drain (like ``scheduler_decision``),
 so the event stream stays canonical-order deterministic.
 
-All strategies preserve the serial fallback: payloads that cannot pickle
-(custom predicate closures) or a pool that cannot spawn (restricted
-environments) downgrade the dispatch to in-process execution of the same
-task code, and :attr:`PoolDispatcher.pool_unavailable` records that it
-happened so ``auto`` granularity stops fanning out per-path work no pool
-will run.  Results are bit-identical either way -- every task is
-deterministic, supervision only re-runs deterministic tasks, the cost model
-only influences batching and ordering, and callers merge in task order,
-never completion order.
+In-driver execution runs the same task code as a worker, so results are
+bit-identical either way -- every task is deterministic, supervision only
+re-runs deterministic tasks, the cost model only influences batching and
+ordering, and callers merge in task order, never completion order.
 """
 
 from __future__ import annotations
@@ -102,12 +87,6 @@ from repro.engine.tasks import (
     execute_task,
     pool_worker_initializer,
 )
-
-#: dispatch strategies (see EngineOptions.dispatch)
-DISPATCH_MODES = ("streaming", "staged", "barrier")
-
-#: strategies that keep one persistent pool for the whole run
-_PERSISTENT_MODES = ("streaming", "staged")
 
 #: cost-model task kind per worker entry point (anything else is "task")
 _WORKER_KINDS = {
@@ -197,10 +176,8 @@ def validate_worker_output(kind: str, payload: Mapping, output) -> None:
         need("seconds", _is_number, "must be a number")
     elif kind == "path":
         need("path_index", _is_int, "must be an int")
-        if not output.get("missing"):
-            need("verdict", lambda v: isinstance(v, Mapping),
-                 "must be a verdict dict")
-            need("seconds", _is_number, "must be a number")
+        need("verdict", lambda v: isinstance(v, Mapping), "must be a verdict dict")
+        need("seconds", _is_number, "must be a number")
     # other kinds ("task", e.g. warm-up no-ops) only need to be a Mapping
 
 
@@ -246,7 +223,10 @@ class PoolSupervisor:
     Callers :meth:`submit` tagged chunks and repeatedly call
     :meth:`wait_some` until :attr:`done`; each tag's outputs are delivered
     exactly once, in assembled payload order, no matter how many crashes,
-    hangs, retries, or respawns happened along the way.  The supervisor only
+    hangs, retries, or respawns happened along the way.  With ``pool`` None
+    (or a chunk submitted ``inline``) the chunk runs in the driving process
+    at submit time and its outputs come back from the next
+    :meth:`wait_some`.  The supervisor only
     ever calls ``pool.submit`` (so the test suite's deferred fake pools work
     unchanged) and waits via the injected ``wait_fn`` (so the engine's
     monkeypatchable module-global ``wait`` stays the seam it is today);
@@ -272,8 +252,18 @@ class PoolSupervisor:
     def done(self) -> bool:
         return not self._assembly and not self._completed
 
-    def submit(self, worker, payloads: Sequence[Mapping], tag, estimate: float = 0.0):
-        """Queue one chunk; its assembled outputs come back under ``tag``."""
+    def submit(
+        self,
+        worker,
+        payloads: Sequence[Mapping],
+        tag,
+        estimate: float = 0.0,
+        inline: bool = False,
+    ):
+        """Queue one chunk; its assembled outputs come back under ``tag``.
+
+        ``inline`` runs the chunk in the driving process even when a pool is
+        up (its payloads do not pickle)."""
         key = self._next_key
         self._next_key += 1
         self._tags[key] = tag
@@ -285,7 +275,7 @@ class PoolSupervisor:
             key, worker, worker_kind(worker), list(payloads),
             list(range(len(payloads))), estimate,
         )
-        if self.pool is None:
+        if self.pool is None or inline:
             self._run_in_driver(flight)
         elif self.probation:
             self.backlog.append(flight)
@@ -594,7 +584,6 @@ class PoolDispatcher:
     def __init__(
         self,
         workers: Optional[int],
-        mode: str = "streaming",
         events: Optional[EventLogger] = None,
         cost_model: Optional[CostModel] = None,
         warm_tier_root: Optional[str] = None,
@@ -604,13 +593,7 @@ class PoolDispatcher:
         fault_spec: Optional[Mapping] = None,
         retry_backoff_s: float = 0.05,
     ) -> None:
-        if mode not in DISPATCH_MODES:
-            raise ValueError(
-                f"unknown dispatch mode {mode!r}; "
-                f"expected one of {', '.join(DISPATCH_MODES)}"
-            )
         self.workers = int(workers or 0)
-        self.mode = mode
         #: cache root whose ``solver_warm/`` sidecars every fresh pool worker
         #: should rehydrate (None = warm tier off); forwarded as the pool
         #: initializer's argument so cold processes start warm
@@ -636,9 +619,6 @@ class PoolDispatcher:
         #: buffered recovery records, replayed post-drain as events (never
         #: mid-drain: completion order must not leak into the stream)
         self.recovery: List[Dict] = []
-        #: a dispatch had to fall back to serial execution (advisory; the
-        #: engine's "auto" granularity reads it)
-        self.pool_unavailable = False
         #: the persistent pool is gone for good: stop pooling for this run
         self._broken = False
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -651,14 +631,13 @@ class PoolDispatcher:
         return self.workers > 1
 
     def acquire(self) -> Optional[ProcessPoolExecutor]:
-        """The run's persistent pool (streaming/staged mode), or None serially.
+        """The run's persistent pool, or None serially.
 
         Created once per run on first use; every later acquisition reuses it
-        and counts a ``pool reuse``.  Callers that see the returned pool
-        raise :class:`BrokenProcessPool`/``OSError`` must report it via
-        :meth:`mark_broken` and fall back to serial execution.
+        and counts a ``pool reuse``.  A pool that breaks mid-drain is
+        respawned by the :class:`PoolSupervisor` driving it.
         """
-        if self.mode not in _PERSISTENT_MODES or not self.parallel or self._broken:
+        if not self.parallel or self._broken:
             return None
         if self._pool is None:
             try:
@@ -668,7 +647,7 @@ class PoolDispatcher:
                     initargs=(self.warm_tier_root, self.fault_spec),
                 )
             except OSError:
-                self.mark_broken()
+                self._broken = True
                 return None
             self.events.emit("pool", action="created")
         else:
@@ -677,12 +656,9 @@ class PoolDispatcher:
 
     def acquire_for(self, payloads: Sequence[Dict]) -> Optional[ProcessPoolExecutor]:
         """:meth:`acquire` gated on the payloads actually being poolable."""
-        if not payloads:
+        if not payloads or not self.parallel or self._broken:
             return None
-        if not payloads_picklable(payloads):
-            self.pool_unavailable = True
-            return None
-        return self.acquire()
+        return self.acquire() if payloads_picklable(payloads) else None
 
     def warm(self) -> None:
         """Eagerly build the persistent pool and spin up its workers.
@@ -718,7 +694,8 @@ class PoolDispatcher:
         Reaps any outstanding warm-up futures first; a warm-up death
         respawns the pool here, before the first real chunk is submitted.
         """
-        pool = self._reap_warm_futures(pool)
+        if pool is not None:
+            pool = self._reap_warm_futures(pool)
         return PoolSupervisor(self, pool, wait_fn)
 
     def _reap_warm_futures(self, pool):
@@ -753,7 +730,6 @@ class PoolDispatcher:
         if charge:
             self.respawns += 1
             if self.respawns > self.max_pool_respawns:
-                self.pool_unavailable = True
                 self._broken = True
                 self.recovery.append(
                     {"kind": "pool", "action": "downgraded", "reason": reason}
@@ -766,7 +742,6 @@ class PoolDispatcher:
                 initargs=(self.warm_tier_root, self.fault_spec),
             )
         except OSError:
-            self.pool_unavailable = True
             self._broken = True
             self.recovery.append(
                 {"kind": "pool", "action": "downgraded", "reason": reason}
@@ -791,12 +766,6 @@ class PoolDispatcher:
             kind = record.pop("kind")
             self.events.emit(kind, **record)
 
-    def mark_broken(self) -> None:
-        """A pooled dispatch failed terminally: the rest of the run is serial."""
-        self.pool_unavailable = True
-        self._broken = True
-        self.shutdown()
-
     def shutdown(self) -> None:
         """Tear the persistent pool down (end of the engine run)."""
         pool, self._pool = self._pool, None
@@ -807,50 +776,21 @@ class PoolDispatcher:
     # ------------------------------------------------------------- dispatch
 
     def map(self, payloads: Sequence[Dict], worker: Callable) -> List[Dict]:
-        """Run one homogeneous work queue; results in payload order."""
-        if not payloads:
-            return []
-        if self.parallel and len(payloads) > 1:
-            if self.mode in _PERSISTENT_MODES:
-                pool = self.acquire_for(payloads)
-                if pool is not None:
-                    try:
-                        return self._map_streaming(pool, payloads, worker)
-                    except (BrokenProcessPool, OSError):
-                        self.mark_broken()
-            elif payloads_picklable(payloads):
-                try:
-                    return self._map_barrier(payloads, worker)
-                except (BrokenProcessPool, OSError, EngineError):
-                    self.pool_unavailable = True
-            else:
-                self.pool_unavailable = True
-        # Serial fallback: run the same task code in-process -- and still
-        # feed the cost model, so a serial (or cold-pool) run warms the
-        # sidecar that later parallel runs schedule from.
-        kind = worker_kind(worker)
-        outputs = []
-        for payload in payloads:
-            output = worker(payload)
-            validate_worker_output(kind, payload, output)
-            self.cost_model.observe_output(kind, payload_fingerprint(payload), output)
-            outputs.append(output)
-        return outputs
+        """Run one homogeneous work queue as a supervised drain.
 
-    def _map_streaming(
-        self, pool: ProcessPoolExecutor, payloads: Sequence[Dict], worker: Callable
-    ) -> List[Dict]:
-        """Cost-packed, supervised futures on the persistent pool.
-
-        The cost model plans the queue into chunks of roughly
+        The cost model packs the queue into chunks of roughly
         ``target_seconds`` of estimated work, ordered longest-expected-first
         so stragglers start early; each drained chunk's measured latency is
         folded back into the model and reported as a ``scheduler_decision``
         event after the drain (never during it -- completion order must not
-        leak into the event stream).  The supervisor absorbs crashes, hangs
-        and malformed results along the way (see the module docstring).
+        leak into the event stream).  Without a usable pool the same drain
+        runs every chunk in the driving process.  Results come back in
+        payload order.
         """
+        if not payloads:
+            return []
         kind = worker_kind(worker)
+        pool = self.acquire_for(payloads) if len(payloads) > 1 else None
         chunks = self.cost_model.pack_chunks(kind, payloads, self.workers)
         supervisor = self.supervise(pool)
         for position, (indices, estimate) in enumerate(chunks):
@@ -880,44 +820,6 @@ class PoolDispatcher:
             )
         self.drain_recovery()
         return outputs
-
-    def _map_barrier(self, payloads: Sequence[Dict], worker: Callable) -> List[Dict]:
-        """The legacy strategy: fresh pool, blocking map, teardown.
-
-        One bounded fresh-pool retry per respawn budget if the pool breaks
-        or a result fails validation; past that the failure propagates and
-        :meth:`map` falls back to serial.
-        """
-        kind = worker_kind(worker)
-        failures = 0
-        while True:
-            try:
-                kwargs = {}
-                if self.fault_spec:
-                    kwargs = dict(
-                        initializer=pool_worker_initializer,
-                        initargs=(None, self.fault_spec),
-                    )
-                with ProcessPoolExecutor(max_workers=self.workers, **kwargs) as pool:
-                    self.events.emit("pool", action="created")
-                    chunksize = max(1, len(payloads) // (self.workers * 4))
-                    outputs = list(pool.map(worker, payloads, chunksize=chunksize))
-                for payload, output in zip(payloads, outputs):
-                    validate_worker_output(kind, payload, output)
-                self.drain_recovery()
-                return outputs
-            except (BrokenProcessPool, OSError, EngineError):
-                failures += 1
-                if failures > self.max_pool_respawns:
-                    self.drain_recovery()
-                    raise
-                self.recovery.append(
-                    {
-                        "kind": "pool_respawn",
-                        "reason": "barrier dispatch failed",
-                        "respawns": failures,
-                    }
-                )
 
 
 def payloads_picklable(payloads: Sequence[Dict]) -> bool:

@@ -1,4 +1,4 @@
-"""The staged batch analysis engine: record → detect → classify as a pipeline.
+"""The batch analysis engine: record → detect → classify in one scheduler.
 
 Portend's cost is dominated by per-race alternate-schedule exploration
 (§3.3-§3.4), and every unit of that cost is independent of every other: the
@@ -6,7 +6,7 @@ workload recordings are independent programs, the races of one trace are
 independent classifications, and the Mp primary paths of one race are
 independent explorations.  The engine exploits all three levels:
 
-* **Stage 1 -- record.** Each workload's recording is a pooled
+* **Stage 1 -- record.** Each workload's recording is a
   :class:`~repro.engine.tasks.RecordTask`, with the on-disk
   :class:`~repro.engine.cache.TraceCache` as the stage's backing store.
 * **Stage 2 -- detect.** Race detection runs inline with the recording (the
@@ -23,26 +23,23 @@ independent explorations.  The engine exploits all three levels:
   :class:`~repro.engine.cache.ClassificationCache` is this stage's backing
   store: warm re-runs skip classification entirely.
 
-Dispatch is futures-based and **streaming** by default: one persistent
-process pool serves the whole batch run (``EngineOptions.dispatch``;
-see :mod:`repro.engine.dispatch`), driven by a *run-wide scheduler*
-(:meth:`AnalysisEngine._stream_pipeline`) in which record, classify, plan
-and path futures all share one ``wait(FIRST_COMPLETED)`` loop: a landed
-recording immediately submits its workload's stage-3 work, and a landed
-plan immediately fans out its :class:`~repro.engine.tasks.PathTask`
-chunks, so stage 3 of one workload overlaps stage 1 of the next and the
-pool never idles at a stage boundary.  Chunk sizes and submission order
-come from an online cost model (:mod:`repro.engine.costmodel`).  The
-``staged`` dispatch mode keeps the record-stage barrier (the previous
-default, retained as the benchmark's A/B baseline), and ``barrier`` is
-the legacy fresh-pool-per-stage strategy.
+Every batch runs through one scheduler, the full-stream drain
+(:meth:`AnalysisEngine._stream_drain`): record, classify, plan and path
+chunks all share one ``wait(FIRST_COMPLETED)`` loop over a
+:class:`~repro.engine.dispatch.PoolSupervisor`.  A landed recording
+immediately submits its workload's stage-3 work, and a landed plan
+immediately fans out its :class:`~repro.engine.tasks.PathTask` chunks, so
+stage 3 of one workload overlaps stage 1 of the next and the pool never
+idles at a stage boundary.  Chunk sizes and submission order come from an
+online cost model (:mod:`repro.engine.costmodel`).  A serial run is the same
+drain with no pool: the supervisor executes each submitted chunk in the
+driving process.
 
 Determinism: every random decision during classification derives from
 ``PortendConfig.race_seed(race_id, path_index)``, and partial results are
 keyed by ``(recording index, race_id, path_index)`` and merged in path
 order, so the engine produces classifications bit-identical to the serial
-path regardless of worker count, task granularity, dispatch strategy, or
-completion order.
+run regardless of worker count, task granularity, or completion order.
 """
 
 from __future__ import annotations
@@ -50,10 +47,9 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.categories import ClassifiedRace
 from repro.core.classifier import (
@@ -65,7 +61,7 @@ from repro.core.config import PortendConfig
 from repro.core.multi_path import PathVerdict, merge_path_verdicts
 from repro.engine.cache import ClassificationCache, TraceCache
 from repro.engine.costmodel import CostModel, prune_scored
-from repro.engine.dispatch import DISPATCH_MODES, PoolDispatcher, picklable
+from repro.engine.dispatch import PoolDispatcher, picklable
 from repro.engine.events import EventLogger, write_events
 from repro.engine.faults import FaultPlan, resolve_fault_plan
 from repro.engine.stats import GLOBAL_STATS, EngineStats
@@ -91,14 +87,9 @@ from repro.workloads import Workload, all_workloads, load_workload
 #: stage-3 task granularities (see EngineOptions.granularity)
 GRANULARITIES = ("auto", "race", "path")
 
-#: monotonic source of trace tokens -- process-unique, never reused, so the
-#: in-process serial fallback can never be served a stale memoized trace
+#: monotonic source of trace tokens -- process-unique, never reused, so
+#: in-driver task execution can never be served a stale memoized trace
 _TRACE_TOKENS = itertools.count()
-
-#: upper bound on speculative PathTasks pre-submitted per race, independent
-#: of what the cost model's primary-count history predicts -- speculation is
-#: a scheduling hint, and a wild prediction must not flood the pool
-_SPECULATION_CAP = 16
 
 #: per-fingerprint sidecar files kept in ``<cache_dir>/solver_warm/`` after a
 #: run finishes; oldest files beyond the cap are deleted (mirrors the capped
@@ -120,20 +111,12 @@ def _default_parallel() -> int:
     return _env_int("REPRO_PARALLEL", 0)
 
 
-def _default_dispatch() -> str:
-    return os.environ.get("REPRO_DISPATCH", "").strip() or "streaming"
-
-
 def _default_chunk_target_ms() -> int:
     return _env_int("REPRO_CHUNK_TARGET_MS", 500)
 
 
 def _default_warm_tier() -> bool:
     return _env_int("REPRO_WARM_TIER", 1) != 0
-
-
-def _default_speculate() -> bool:
-    return _env_int("REPRO_SPECULATE", 0) != 0
 
 
 def _default_fault_plan() -> Optional[str]:
@@ -156,16 +139,16 @@ def _default_task_deadline_ms() -> int:
 class EngineOptions:
     """Batch-level knobs, orthogonal to the per-race :class:`PortendConfig`.
 
-    ``parallel``, ``dispatch`` and ``chunk_target_ms`` read their defaults
-    from the ``REPRO_PARALLEL``/``REPRO_DISPATCH``/``REPRO_CHUNK_TARGET_MS``
-    environment variables (mirroring ``REPRO_SOLVER`` for the solver
-    backend), so whole test suites can run under the full-stream scheduler
-    with multiple workers without touching each call site -- the CI
+    ``parallel`` and ``chunk_target_ms`` read their defaults from the
+    ``REPRO_PARALLEL``/``REPRO_CHUNK_TARGET_MS`` environment variables
+    (mirroring ``REPRO_SOLVER`` for the solver backend), so whole test
+    suites can run on a pool without touching each call site -- the CI
     full-stream job sets ``REPRO_PARALLEL=2``.  Explicit constructor
     arguments always win over the environment.
     """
 
-    #: worker processes for the pipeline queues; 0 or 1 means serial
+    #: worker processes for the pool; 0 or 1 means serial (the same drain,
+    #: every chunk executed in the driving process)
     parallel: int = field(default_factory=_default_parallel)
     #: directory for the on-disk trace + classification caches; None disables
     cache_dir: Optional[str] = None
@@ -184,14 +167,10 @@ class EngineOptions:
     #: on-disk entry bound for each cache layer (LRU-evicted beyond it);
     #: None means unbounded
     cache_max_entries: Optional[int] = None
-    #: pool dispatch strategy: "streaming" (the default) keeps one
-    #: persistent pool for the whole run and schedules *every* stage --
-    #: record, classify, plan, path -- in one run-wide futures loop, so
-    #: classification of one workload overlaps the recording of the next;
-    #: "staged" is the same persistent pool with a barrier after the record
-    #: stage (only plan→path overlap), kept as the A/B baseline; "barrier"
-    #: is the legacy fresh-pool-per-stage behaviour
-    dispatch: str = field(default_factory=_default_dispatch)
+    #: pinned to "streaming", the only scheduler; any other value raises.
+    #: Kept only because the benchmark harness passes every field by
+    #: keyword -- a benchmark change will remove it.
+    dispatch: str = "streaming"
     #: the cost-aware scheduler's per-chunk wall-clock target, in
     #: milliseconds: chunks are sized so each runs for roughly this long
     #: (see :mod:`repro.engine.costmodel`)
@@ -208,13 +187,10 @@ class EngineOptions:
     #: would produce, so verdicts cannot change.  No-op without a cache
     #: directory.  Default from ``REPRO_WARM_TIER`` (on).
     warm_tier: bool = field(default_factory=_default_warm_tier)
-    #: speculative path submission: when a recording lands and the cost
-    #: model's primary-count history predicts K primaries for a race, the
-    #: full-stream scheduler pre-submits up to K PathTasks *before* the
-    #: race's plan returns.  Confirmed speculations merge normally;
-    #: mispredictions are discarded and recounted.  Changes scheduling only,
-    #: never verdicts.  Default from ``REPRO_SPECULATE`` (off).
-    speculate: bool = field(default_factory=_default_speculate)
+    #: pinned to False (speculative path submission was removed); True
+    #: raises.  Kept only because the benchmark harness passes every field
+    #: by keyword -- a benchmark change will remove it.
+    speculate: bool = False
     #: deterministic fault-injection plan: inline JSON or a path to a JSON
     #: file (see :mod:`repro.engine.faults`); installed only in pool workers,
     #: so recovery -- retries, respawns, quarantine -- runs fault-free.
@@ -233,6 +209,15 @@ class EngineOptions:
     #: (with a generous floor, see ``REPRO_DEADLINE_FLOOR_MS``).  Default
     #: from ``REPRO_TASK_DEADLINE_MS`` (0 = cost-model auto).
     task_deadline_ms: int = field(default_factory=_default_task_deadline_ms)
+
+    def __post_init__(self) -> None:
+        if self.dispatch != "streaming":
+            raise ValueError(
+                f"unknown dispatch mode {self.dispatch!r}; the only scheduler "
+                "is 'streaming'"
+            )
+        if self.speculate is not False:
+            raise ValueError("speculative path submission was removed")
 
 
 def choose_granularity(
@@ -326,8 +311,8 @@ class _Recording:
     trace: ExecutionTrace
     detection_seconds: float
     cached: bool
-    #: program content hash, computed once per workload when caching is on
-    #: and reused by the classification-cache keys
+    #: program content hash, computed once per workload and reused by the
+    #: classification-cache keys and the cost model
     program_fingerprint: str = ""
 
 
@@ -376,13 +361,11 @@ class AnalysisEngine:
         #: once here so a malformed plan fails loudly at construction, and
         #: shipped to pool workers through the dispatcher's initializer args
         self._fault_spec = resolve_fault_plan(self.options.fault_plan)
-        #: owns the run's persistent pool, the supervision layer (respawn /
-        #: retry / quarantine / deadlines) and the serial fallback (validates
-        #: options.dispatch against DISPATCH_MODES); pool-lifecycle events
-        #: land on the engine's logger
+        #: owns the run's persistent pool and the supervision layer (respawn
+        #: / retry / quarantine / deadlines); pool-lifecycle events land on
+        #: the engine's logger
         self._dispatcher = PoolDispatcher(
             self.options.parallel,
-            self.options.dispatch,
             self.events,
             cost_model=self.cost_model,
             warm_tier_root=self._warm_tier_root,
@@ -403,11 +386,6 @@ class AnalysisEngine:
             if self.options.cache_dir
             else None
         )
-    @property
-    def _pool_unavailable(self) -> bool:
-        """A dispatch had to fall back to serial execution; lets "auto"
-        granularity stop fanning out per-path work no pool will run."""
-        return self._dispatcher.pool_unavailable
 
     # ------------------------------------------------------------ run context
 
@@ -417,7 +395,7 @@ class AnalysisEngine:
         bleed counters or warm solver state into each other."""
         reset_worker_caches()
         # Arm the persistent warm tier for this process: the driver's own
-        # worker-lifetime caches (serial runs, serial fallbacks) rehydrate
+        # worker-lifetime caches (serial runs, in-driver chunks) rehydrate
         # from the sidecars exactly like a fresh pool worker would.
         set_warm_tier_dir(self._warm_tier_root)
         # Apply any driver-side sidecar corruption up front (the fuzzing
@@ -432,7 +410,6 @@ class AnalysisEngine:
         self.events.emit(
             "run_start",
             workloads=[workload.name for workload in workloads],
-            dispatch=self.options.dispatch,
             parallel=self.options.parallel,
             granularity=self.options.granularity,
             solver=self.config.solver_backend,
@@ -475,7 +452,7 @@ class AnalysisEngine:
         # Harvest the driving process's worker-lifetime solver caches into
         # the persistent warm tier (pool workers load the tier at spawn but
         # their in-process entries die with the pool, so the driver's caches
-        # -- populated by serial runs and serial fallbacks, and by loading
+        # -- populated by serial runs and in-driver chunks, and by loading
         # the previous sidecar -- are the harvest source).  Then cap the
         # sidecar directory so stale fingerprints age out.
         if self._warm_tier_root:
@@ -487,74 +464,6 @@ class AnalysisEngine:
         set_warm_tier_dir(None)
         return self.last_run_stats
 
-    # --------------------------------------------------------------- recording
-
-    def record_trace(self, workload: Workload) -> Tuple[ExecutionTrace, float, bool]:
-        """Record (or load from cache) one execution trace.
-
-        Returns ``(trace, detection_seconds, was_cached)``.
-        """
-        self._begin_run([workload])
-        try:
-            recording = self._record_stage([workload])[0]
-        finally:
-            self._dispatcher.shutdown()
-            self._finish_run()
-        return recording.trace, recording.detection_seconds, recording.cached
-
-    def _record_stage(self, workloads: Sequence[Workload]) -> List[_Recording]:
-        """Stage 1+2: record every workload (and detect its races) as a queue."""
-        results: List[Optional[_Recording]] = [None] * len(workloads)
-        config_data = self.config.to_dict()
-        payloads: List[Dict] = []
-        indices: List[int] = []
-        fingerprints: Dict[int, str] = {}
-        for index, workload in enumerate(workloads):
-            # Hashed for every workload (not just cached runs): the
-            # fingerprint keys the classification/solver caches *and* the
-            # cost model's per-workload latency estimates.
-            fingerprint = TraceCache.program_fingerprint(workload.program)
-            fingerprints[index] = fingerprint
-            if self.cache is not None:
-                cached = self.cache.load(
-                    workload.name, workload.inputs, self.config, fingerprint
-                )
-                if cached is not None:
-                    self.events.emit("cache", tier="trace", hit=True)
-                    results[index] = _Recording(workload, cached, 0.0, True, fingerprint)
-                    continue
-                self.events.emit("cache", tier="trace", hit=False)
-            self.events.emit("task_submit", stage="record", workload=workload.name)
-            payloads.append(
-                RecordTask(
-                    workload=workload.name,
-                    inputs=dict(workload.inputs),
-                    config=config_data,
-                    # Attach the actual program: the batch may contain
-                    # what-if variants that differ from the registry build.
-                    program=workload.program,
-                    program_fingerprint=fingerprint,
-                ).to_payload()
-            )
-            indices.append(index)
-
-        for index, output in zip(indices, self._dispatch(payloads, execute_record_task)):
-            workload = workloads[index]
-            trace = ExecutionTrace.from_dict(output["trace"])
-            self.events.absorb(output.get("events"))
-            self.events.emit("trace_recorded", workload=workload.name)
-            if self.cache is not None:
-                self.cache.store(
-                    workload.name, workload.inputs, self.config, trace, fingerprints[index]
-                )
-            results[index] = _Recording(
-                workload,
-                trace,
-                output["detection_seconds"],
-                False,
-                fingerprints.get(index, ""),
-            )
-        return results
 
     # ---------------------------------------------------------------- pipeline
 
@@ -563,7 +472,7 @@ class AnalysisEngine:
         names: Optional[Sequence[str]] = None,
         include_micro: bool = True,
     ) -> List[EngineRun]:
-        """Run the staged pipeline over named workloads (default: Table 1)."""
+        """Run the pipeline over named workloads (default: Table 1)."""
         if names is None:
             workloads = all_workloads(include_micro=include_micro)
         else:
@@ -573,16 +482,13 @@ class AnalysisEngine:
     def analyze_workloads(self, workloads: Sequence[Workload]) -> List[EngineRun]:
         """Analyze every workload: record, detect, classify -- one scheduler.
 
-        One batch run: the dispatcher's persistent pool (streaming/staged
-        mode) is warmed eagerly when the run starts, reused by every
-        dispatch, and torn down when the run finishes.  Under the default
-        ``streaming`` dispatch the whole pipeline runs in a single run-wide
-        futures loop (:meth:`_stream_pipeline`): a workload's classification
-        work is submitted the moment its recording lands, so stage 3 of one
-        workload overlaps stage 1 of the next.  ``staged`` keeps the
-        record-stage barrier (the previous default, the A/B baseline), and
-        any full-stream fallback -- no pool, unpicklable record payloads, a
-        pool that dies mid-run -- lands on the same staged path.
+        One batch run: the dispatcher's persistent pool is warmed eagerly
+        when the run starts, reused by every submission, and torn down when
+        the run finishes.  The whole pipeline runs in a single run-wide
+        drain (:meth:`_stream_pipeline`): a workload's classification work
+        is submitted the moment its recording lands, so stage 3 of one
+        workload overlaps stage 1 of the next.  Serial runs go through the
+        same drain with no pool.
 
         The driving process's worker-lifetime solver caches start fresh per
         run (pool workers get the same via the pool initializer), so runs
@@ -596,12 +502,7 @@ class AnalysisEngine:
             # Eager warm-up: pool construction + worker spin-up overlap the
             # cache probes below instead of delaying the first real task.
             self._dispatcher.warm()
-            runs = None
-            if self.options.dispatch == "streaming" and self._dispatcher.parallel:
-                runs = self._stream_pipeline(workloads)
-            if runs is None:
-                recordings = self._record_stage(workloads)
-                runs = self._classification_stage(recordings)
+            runs = self._stream_pipeline(workloads)
         finally:
             self._dispatcher.shutdown()
             stats = self._finish_run()
@@ -612,74 +513,65 @@ class AnalysisEngine:
     # ------------------------------------------------------------ full stream
 
     def _workload_granularity(
-        self, distinct_races: int, costs: Optional[Tuple[float, float]] = None
+        self, distinct_races: int, costs: Tuple[float, float], workers: int
     ) -> str:
-        """The per-workload stage-3 grain under the full-stream scheduler.
+        """The per-workload stage-3 grain.
 
-        Same decision `_partition_misses` makes on the staged path, minus
-        the ``pool_unavailable`` downgrade -- the full-stream scheduler only
-        runs while the pool is alive.  ``costs`` is the workload's
-        ``(race_cost, split_cost)`` estimate pair, frozen at drain start so
-        mid-drain cost-model updates cannot make the choice depend on
-        completion order.
+        ``costs`` is the workload's ``(race_cost, split_cost)`` estimate
+        pair and ``workers`` the width of the pool its tasks will run on (1
+        in the driver), both frozen at drain start so mid-drain cost-model
+        updates cannot make the choice depend on completion order.
         """
         if self.options.granularity != "auto":
             return self.options.granularity
-        race_cost, split_cost = costs if costs is not None else (0.0, 0.0)
+        race_cost, split_cost = costs
         return choose_granularity(
-            distinct_races,
-            self.options.parallel or 0,
-            race_cost=race_cost,
-            split_cost=split_cost,
+            distinct_races, workers, race_cost=race_cost, split_cost=split_cost
         )
 
-    def _stream_pipeline(self, workloads: Sequence[Workload]) -> Optional[List[EngineRun]]:
-        """The run-wide scheduler: record, classify, plan and path futures in
+    def _stream_pipeline(self, workloads: Sequence[Workload]) -> List[EngineRun]:
+        """The run-wide scheduler: record, classify, plan and path chunks in
         one ``wait(FIRST_COMPLETED)`` loop.
 
         Stage 1 and stage 3 overlap across workloads: the moment a
-        RecordTask future lands, its workload's classification work (cache
-        probes, then ClassificationTask chunks or PlanTask futures) is
-        submitted onto the same pool, and each finished PlanTask immediately
-        fans out its PathTask chunks -- so classification of workload A runs
-        while workload B is still recording.  Chunk sizes and submission
-        order come from the run's :class:`~repro.engine.costmodel.CostModel`.
+        RecordTask lands, its workload's classification work (cache probes,
+        then ClassificationTask chunks or PlanTasks) is submitted to the
+        same supervisor, and each finished PlanTask immediately fans out its
+        PathTask chunks -- so classification of workload A runs while
+        workload B is still recording.  Chunk sizes and submission order
+        come from the run's :class:`~repro.engine.costmodel.CostModel`.
 
-        Returns None when full-stream cannot run (no record work, no usable
-        pool, or the pool died mid-drain): the caller falls back to the
-        staged path, which re-runs from scratch.  Nothing is emitted into
-        the event stream until the drain fully succeeds, and the replay
-        below walks workloads in batch order (path partials sorted by path
+        Without a pool -- a serial run, a pool that cannot be built, record
+        payloads that do not pickle -- the drain runs over a supervisor with
+        no pool, which executes every chunk in the driving process.  Nothing
+        is emitted into the event stream until the drain finishes, and the
+        replay walks workloads in batch order (path partials sorted by path
         index), so the merged stream is structurally bit-identical across
-        completion interleavings -- and verdicts are bit-identical to the
-        serial engine because every task is deterministic and the merge
+        completion interleavings -- and verdicts are bit-identical to a
+        serial run because every task is deterministic and the merge
         consumes results keyed by ``(index, race_id, path_index)`` in path
         order, never in completion order.
         """
         config_data = self.config.to_dict()
-        count = len(workloads)
         fingerprints = [
             TraceCache.program_fingerprint(workload.program) for workload in workloads
         ]
-        # Acquire the pool *before* probing any cache: a fallback decision
-        # made here costs nothing, whereas bailing after the probes would
-        # make the staged path re-probe and double-count every cache hit.
         record_payloads: Dict[int, Dict] = {
             index: RecordTask(
                 workload=workload.name,
                 inputs=dict(workload.inputs),
                 config=config_data,
+                # Attach the actual program: the batch may contain what-if
+                # variants that differ from the registry build.
                 program=workload.program,
                 program_fingerprint=fingerprints[index],
             ).to_payload()
             for index, workload in enumerate(workloads)
         }
         pool = self._dispatcher.acquire_for(list(record_payloads.values()))
-        if pool is None:
-            return None
-        recordings: List[Optional[_Recording]] = [None] * count
+        recordings: List[Optional[_Recording]] = [None] * len(workloads)
         #: per-workload trace-cache probe result; None = cache disabled
-        trace_hits: List[Optional[bool]] = [None] * count
+        trace_hits: List[Optional[bool]] = [None] * len(workloads)
         if self.cache is not None:
             for index, workload in enumerate(workloads):
                 cached = self.cache.load(
@@ -691,23 +583,15 @@ class AnalysisEngine:
                         workload, cached, 0.0, True, fingerprints[index]
                     )
                     del record_payloads[index]
-        try:
-            return self._stream_drain(
-                pool,
-                workloads,
-                fingerprints,
-                recordings,
-                trace_hits,
-                record_payloads,
-                config_data,
-            )
-        except (BrokenProcessPool, OSError):
-            # Pool died mid-drain: no events were emitted and nothing was
-            # merged or stored in the classification cache yet, so the
-            # staged fallback re-runs the batch from scratch (traces already
-            # recorded were stored in the trace cache and will be reloaded).
-            self._dispatcher.mark_broken()
-            return None
+        return self._stream_drain(
+            pool,
+            workloads,
+            fingerprints,
+            recordings,
+            trace_hits,
+            record_payloads,
+            config_data,
+        )
 
     def _stream_drain(
         self,
@@ -722,7 +606,9 @@ class AnalysisEngine:
         """Drive the full-stream drain loop, then replay the canonical event
         stream and merge (see :meth:`_stream_pipeline`)."""
         model = self.cost_model
-        workers = max(1, self.options.parallel or 1)
+        # Pool width at drain start: grain choices and chunk sizes must not
+        # depend on whether the pool dies (and downgrades) mid-drain.
+        workers = max(1, self.options.parallel or 1) if pool is not None else 1
         count = len(workloads)
 
         slots: List[Dict[int, ClassifiedRace]] = [{} for _ in range(count)]
@@ -732,37 +618,26 @@ class AnalysisEngine:
         cls_hits: List[Set[int]] = [set() for _ in range(count)]
         race_misses: List[List[Tuple[int, int, str]]] = [[] for _ in range(count)]
         path_misses: List[List[Tuple[int, int, str]]] = [[] for _ in range(count)]
-        #: unpicklable workloads' misses, deferred to the in-driver serial
-        #: fallback during replay, keyed by the grain they would have used
-        serial_race: List[Tuple[int, int, str]] = []
-        serial_path: List[Tuple[int, int, str]] = []
+        #: workloads whose stage-3 payloads run in the driver (no pool, or
+        #: they do not pickle)
+        inline: Set[int] = set()
 
         record_outputs: Dict[int, Dict] = {}
         race_outputs: Dict[Tuple[int, int], Dict] = {}
         plans: Dict[Tuple[int, int], Dict] = {}
         partials: Dict[Tuple[int, int], List[Dict]] = {}
         decisions: List[Dict] = []
-        in_flight = {"record": 0, "classify": 0, "plan": 0, "path": 0, "spec": 0}
+        in_flight = {"record": 0, "classify": 0, "plan": 0, "path": 0}
         # Scheduling inputs are frozen *before* the drain starts: the cost
-        # model keeps learning mid-drain (observe_output/observe_plan), and
-        # reading live estimates inside the loop would make grain choices and
-        # speculation depend on completion order -- breaking the structural
-        # bit-identity the shuffled-completion harness enforces.
+        # model keeps learning mid-drain (observe_output), and reading live
+        # estimates inside the loop would make grain choices depend on
+        # completion order -- breaking the structural bit-identity the
+        # shuffled-completion harness enforces.
         cost_frozen = [model.split_costs(fingerprint) for fingerprint in fingerprints]
-        primary_history = (
-            model.primaries_snapshot() if self.options.speculate else None
-        )
-        #: speculative path outputs, quarantined until their plan lands
-        spec_partials: Dict[Tuple[int, int], List[Dict]] = {}
-        #: path indices speculatively submitted per (workload, race)
-        speculated: Dict[Tuple[int, int], Set[int]] = {}
-        #: (hits, wasted) per speculated race, filled by reconciliation
-        spec_counts: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        #: logical dispatch batches riding the already-acquired pool; the
-        #: replay emits one ``pool reused`` per batch, independent of how
-        #: many chunk futures the cost model happened to pack
-        classify_batches = 0
-        path_batches = 0
+        #: logical dispatch batches riding the already-acquired pool (inline
+        #: batches do not count); the replay emits one ``pool reused`` per
+        #: batch, independent of how many chunks the cost model packed
+        pooled_batches = 0
         record_clock = _OverlapClock()
         plan_clock = _OverlapClock()
         # Every submission rides the run's supervisor: a crash, hang or
@@ -772,10 +647,18 @@ class AnalysisEngine:
         # injected so it stays the test suite's monkeypatch seam.
         supervisor = self._dispatcher.supervise(pool, wait_fn=wait)
 
-        def submit_chunks(kind, stage_misses, payloads, fingerprint, index):
-            """Submit one logical batch as cost-sized chunk futures."""
-            size = model.chunk_size(kind, fingerprint, len(payloads), workers)
-            estimate = model.estimate(kind, fingerprint)
+        def update_clocks():
+            stage3 = in_flight["classify"] + in_flight["plan"] + in_flight["path"]
+            record_clock.update(in_flight["record"], stage3)
+            plan_clock.update(in_flight["plan"], in_flight["path"])
+
+        def submit_chunks(kind, stage_misses, payloads, index):
+            """Submit one logical batch as cost-sized chunks."""
+            nonlocal pooled_batches
+            if index not in inline:
+                pooled_batches += 1
+            size = model.chunk_size(kind, fingerprints[index], len(payloads), workers)
+            estimate = model.estimate(kind, fingerprints[index])
             worker_fn = execute_task if kind == "classify" else execute_path_task
             for start in range(0, len(payloads), size):
                 chunk_payloads = payloads[start : start + size]
@@ -792,13 +675,13 @@ class AnalysisEngine:
                         (ref, estimate * len(chunk_payloads), fingerprints[index]),
                     ),
                     estimate=estimate * len(chunk_payloads),
+                    inline=index in inline,
                 )
                 in_flight[kind] += 1
 
         def open_classification(index):
             """Probe the classification cache for one landed recording and
             submit its stage-3 work."""
-            nonlocal classify_batches
             recording = recordings[index]
             workload = recording.workload
             predicates = list(workload.predicates)
@@ -836,20 +719,22 @@ class AnalysisEngine:
                 misses.append((index, race.race_id, key))
             if not misses:
                 return
+            # Serialize traces lazily: only workloads with at least one
+            # cache miss pay for the wire format.  The token lets task
+            # executors share one deserialization per trace.
             context["trace_data"] = recording.trace.to_dict()
             context["trace_token"] = f"{os.getpid()}:{next(_TRACE_TOKENS)}"
+            # Record payloads carry no predicates, so a closure-bearing
+            # workload is only found unpicklable here; its stage 3 runs in
+            # the driver, at race grain under "auto" (path fan-out would
+            # buy no concurrency there).
+            width = workers
+            if pool is None or not picklable(workload.program, context["predicates"]):
+                inline.add(index)
+                width = 1
             grain = self._workload_granularity(
-                len(recording.trace.races), cost_frozen[index]
+                len(recording.trace.races), cost_frozen[index], width
             )
-            if not picklable(workload.program, context["predicates"]):
-                # The pool cannot run this workload's stage 3; defer it to
-                # the in-driver serial fallback during replay, at the grain
-                # the staged path would have used (auto downgrades to race).
-                if grain == "path" and self.options.granularity == "path":
-                    serial_path.extend(misses)
-                else:
-                    serial_race.extend(misses)
-                return
             if grain == "race":
                 race_misses[index] = misses
                 payloads = [
@@ -863,8 +748,7 @@ class AnalysisEngine:
                     )
                     for miss_index, race_id, _key in misses
                 ]
-                classify_batches += 1
-                submit_chunks("classify", misses, payloads, fingerprints[index], index)
+                submit_chunks("classify", misses, payloads, index)
             else:
                 path_misses[index] = misses
                 for miss in misses:
@@ -876,69 +760,9 @@ class AnalysisEngine:
                         [payload],
                         tag=("plan", miss),
                         estimate=model.estimate("plan", fingerprints[index]),
+                        inline=index in inline,
                     )
                     in_flight["plan"] += 1
-                    if primary_history is not None:
-                        submit_speculative(miss)
-
-        def submit_speculative(miss):
-            """Pre-submit PathTasks for the primaries history predicts.
-
-            Runs the moment the race's PlanTask is submitted -- before any
-            plan has landed -- so predicted path work overlaps the plan
-            itself.  Payloads carry no shipped primary (the plan that would
-            supply one doesn't exist yet): workers take the deterministic
-            ``explore_primary`` fallback, and an out-of-range prediction
-            comes back as a ``missing`` marker instead of an error.  Results
-            are quarantined in ``spec_partials`` until reconciliation.
-            """
-            index, race_id = miss[0], miss[1]
-            predicted = model.predict_primaries(
-                fingerprints[index], race_id, table=primary_history
-            )
-            predicted = min(predicted, _SPECULATION_CAP)
-            if predicted <= 0:
-                return
-            payloads = [
-                self._task_payload(
-                    PathTask,
-                    recordings,
-                    contexts,
-                    config_data,
-                    index,
-                    race_id,
-                    path_index=path_index,
-                    speculative=True,
-                )
-                for path_index in range(predicted)
-            ]
-            speculated[(index, race_id)] = set(range(predicted))
-            size = model.chunk_size("path", fingerprints[index], len(payloads), workers)
-            estimate = model.estimate("path", fingerprints[index])
-            for start in range(0, len(payloads), size):
-                chunk_payloads = payloads[start : start + size]
-                supervisor.submit(
-                    execute_path_task,
-                    chunk_payloads,
-                    tag=("spec", (index, race_id)),
-                    estimate=estimate * len(chunk_payloads),
-                )
-                in_flight["spec"] += 1
-
-        def submit_paths(index, race_id, plan):
-            nonlocal path_batches
-            skip = speculated.get((index, race_id), ())
-            payloads = [
-                payload
-                for payload in self._path_payloads(
-                    recordings, contexts, config_data, index, race_id, plan
-                )
-                if payload["path_index"] not in skip
-            ]
-            if not payloads:
-                return
-            path_batches += 1
-            submit_chunks("path", (index, race_id), payloads, fingerprints[index], index)
 
         # Submit the record queue longest-expected-first so the straggler
         # workload starts recording before its faster siblings fill the pool.
@@ -959,20 +783,13 @@ class AnalysisEngine:
         for index in range(count):
             if recordings[index] is not None:
                 open_classification(index)
-        record_clock.update(
-            in_flight["record"],
-            in_flight["classify"]
-            + in_flight["plan"]
-            + in_flight["path"]
-            + in_flight["spec"],
-        )
-        plan_clock.update(in_flight["plan"], in_flight["path"] + in_flight["spec"])
+        update_clocks()
 
         while not supervisor.done:
             for tag, chunk_outputs in supervisor.wait_some():
                 kind, ref = tag
+                in_flight[kind] -= 1
                 if kind == "record":
-                    in_flight["record"] -= 1
                     output = chunk_outputs[0]
                     index = ref
                     workload = workloads[index]
@@ -995,98 +812,43 @@ class AnalysisEngine:
                     record_outputs[index] = output
                     model.observe_output("record", fingerprints[index], output)
                     open_classification(index)
-                elif kind == "classify":
-                    in_flight["classify"] -= 1
-                    chunk_misses, estimate, fingerprint = ref
-                    actual = 0.0
-                    for miss, item in zip(chunk_misses, chunk_outputs):
-                        race_outputs[(miss[0], miss[1])] = item
-                        seconds = model.observe_output("classify", fingerprint, item)
-                        actual += seconds or 0.0
-                    decisions.append(
-                        {
-                            "stage": "classify",
-                            "chunk_size": len(chunk_misses),
-                            "estimated_seconds": estimate,
-                            "actual_seconds": actual,
-                        }
-                    )
                 elif kind == "plan":
-                    in_flight["plan"] -= 1
                     output = chunk_outputs[0]
                     index, race_id, _key = ref
                     plans[(index, race_id)] = output
                     model.observe_output("plan", fingerprints[index], output)
-                    model.observe_plan(
-                        fingerprints[index],
-                        race_id,
-                        output["path_count"] if output["needs_paths"] else 0,
+                    payloads = list(
+                        self._path_payloads(
+                            recordings, contexts, config_data, index, race_id, output
+                        )
                     )
-                    submit_paths(index, race_id, output)
-                elif kind == "path":
-                    in_flight["path"] -= 1
-                    (index, race_id), estimate, fingerprint = ref
-                    partials.setdefault((index, race_id), []).extend(chunk_outputs)
+                    if payloads:
+                        submit_chunks("path", (index, race_id), payloads, index)
+                else:
+                    # classify: ``target`` is the chunk's misses; path: the
+                    # chunk's (index, race_id)
+                    target, estimate, fingerprint = ref
+                    if kind == "classify":
+                        for miss, item in zip(target, chunk_outputs):
+                            race_outputs[(miss[0], miss[1])] = item
+                    else:
+                        partials.setdefault(target, []).extend(chunk_outputs)
                     actual = 0.0
                     for item in chunk_outputs:
-                        seconds = model.observe_output("path", fingerprint, item)
+                        seconds = model.observe_output(kind, fingerprint, item)
                         actual += seconds or 0.0
                     decisions.append(
                         {
-                            "stage": "path",
+                            "stage": kind,
                             "chunk_size": len(chunk_outputs),
                             "estimated_seconds": estimate,
                             "actual_seconds": actual,
                         }
                     )
-                else:  # speculative path chunk: quarantine until its plan lands
-                    in_flight["spec"] -= 1
-                    spec_partials.setdefault(ref, []).extend(chunk_outputs)
-                record_clock.update(
-                    in_flight["record"],
-                    in_flight["classify"]
-                    + in_flight["plan"]
-                    + in_flight["path"]
-                    + in_flight["spec"],
-                )
-                plan_clock.update(
-                    in_flight["plan"], in_flight["path"] + in_flight["spec"]
-                )
-
-        # --------------------------------------------- reconcile speculation
-        # Every plan has landed: speculative outputs whose predicted index
-        # the plan confirmed merge into the regular partials; the rest are
-        # discarded wholesale (outputs, events, cost observations -- nothing
-        # of a wasted speculation reaches the canonical stream or the model,
-        # so speculation can only change scheduling, never results).
-        for key in sorted(speculated):
-            indices = speculated[key]
-            plan = plans.get(key)
-            valid = (
-                {i for i in indices if i < plan["path_count"]}
-                if plan is not None and plan["needs_paths"]
-                else set()
-            )
-            confirmed = [
-                item
-                for item in spec_partials.get(key, ())
-                if not item.get("missing") and item["path_index"] in valid
-            ]
-            if {item["path_index"] for item in confirmed} != valid:
-                # A confirmed index must have produced a verdict: the plan
-                # counted path_count primaries and exploration is
-                # deterministic, so a hole here is a real engine bug -- fail
-                # loudly rather than merge an incomplete verdict set.
-                raise RuntimeError(
-                    f"speculative path outputs incomplete for {key}: "
-                    f"expected indices {sorted(valid)}"
-                )
-            if confirmed:
-                partials.setdefault(key, []).extend(confirmed)
-            spec_counts[key] = (len(confirmed), len(indices) - len(confirmed))
+                update_clocks()
 
         # ------------------------------------------------- canonical replay
-        # The drain succeeded; emit the run's events in batch order, exactly
+        # The drain finished; emit the run's events in batch order, exactly
         # once, independent of the completion interleaving above.
         for index in range(count):
             if trace_hits[index] is not None:
@@ -1125,12 +887,15 @@ class AnalysisEngine:
                     ClassifiedRace.from_dict(item["classified"]),
                     slots,
                 )
-        self.events.emit("stage_overlap", seconds=plan_clock.total())
-        self.events.emit(
-            "stage_overlap", channel="record_classify", seconds=record_clock.total()
-        )
-        for _ in range(classify_batches + path_batches):
-            self.events.emit("pool", action="reused")
+        # Pool bookkeeping only exists when a pool ran: a serial run keeps
+        # pools_created == pool_reuses == 0 and reports no overlap.
+        if pool is not None:
+            self.events.emit("stage_overlap", seconds=plan_clock.total())
+            self.events.emit(
+                "stage_overlap", channel="record_classify", seconds=record_clock.total()
+            )
+            for _ in range(pooled_batches):
+                self.events.emit("pool", action="reused")
         for decision in decisions:
             self.events.emit("scheduler_decision", **decision)
         # Recovery records (retries, respawns, quarantines, deadline hits)
@@ -1160,118 +925,16 @@ class AnalysisEngine:
                 partials.get((index, race_id), ()), key=lambda o: o["path_index"]
             ):
                 self.events.absorb(item.get("events"))
-        for index, race_id, _key in all_path_misses:
-            counts = spec_counts.get((index, race_id))
-            if counts is not None:
-                self.events.emit(
-                    "speculation",
-                    workload=workloads[index].name,
-                    race=race_id,
-                    predicted=len(speculated[(index, race_id)]),
-                    hits=counts[0],
-                    wasted=counts[1],
-                )
         self._merge_path_results(recordings, all_path_misses, plan_list, partials, slots)
-        # Unpicklable workloads run their stage 3 in the driver, through the
-        # same serial fallback (and event emission) as the staged path.
-        self._classify_whole_races(recordings, contexts, serial_race, slots, config_data)
-        self._classify_per_path(recordings, contexts, serial_path, slots, config_data)
         return self._finalize_runs(recordings, slots, cached_counts)
 
     # ---------------------------------------------------------------- stage 3
-
-    def effective_granularity(self) -> str:
-        """The batch-independent stage-3 granularity for this engine.
-
-        ``auto`` resolves to per-path tasks only when a pool is in use; the
-        classification stage then refines the choice *per workload* from the
-        batch shape (see :func:`choose_granularity`), so one batch can mix
-        path-granularity SQLite with race-granularity stress.  When an
-        earlier stage's dispatch already found the pool unusable (spawn
-        failure, unpicklable payloads), auto downgrades to race granularity
-        rather than paying the per-path overhead on the serial fallback --
-        best-effort, since a fully trace-cached run dispatches nothing
-        before classification.
-        """
-        if self.options.granularity != "auto":
-            return self.options.granularity
-        if self._pool_unavailable:
-            return "race"
-        return "path" if self.options.parallel and self.options.parallel > 1 else "race"
-
-    def _classification_stage(self, recordings: Sequence[_Recording]) -> List[EngineRun]:
-        """Stage 3: classify every race of every recording."""
-        from repro.core.portend import PortendResult
-
-        config_data = self.config.to_dict()
-
-        # One classification slot per (workload, race), trace order.
-        slots: List[Dict[int, ClassifiedRace]] = [{} for _ in recordings]
-        cached_counts: List[int] = [0] * len(recordings)
-        contexts: List[Dict] = []
-        misses: List[Tuple[int, int, str]] = []  # (recording idx, race_id, cache key)
-
-        for index, recording in enumerate(recordings):
-            workload = recording.workload
-            predicates = list(workload.predicates)
-            if self.options.use_semantic_predicates:
-                predicates += list(workload.semantic_predicates)
-            # The record stage already hashed this program; only compute when
-            # the recording predates fingerprinting (no trace cache).  The
-            # fingerprint keys the classification cache *and* the workers'
-            # worker-lifetime solver caches, so it is computed regardless of
-            # whether an on-disk cache is configured.
-            program_fingerprint = recording.program_fingerprint or (
-                TraceCache.program_fingerprint(workload.program)
-            )
-            contexts.append(
-                {
-                    "predicates": tuple(predicates),
-                    "program_fingerprint": program_fingerprint,
-                }
-            )
-            predicate_fingerprint = ""
-            if self.classification_cache is not None:
-                predicate_fingerprint = ClassificationCache.predicate_fingerprint(predicates)
-            for race in recording.trace.races:
-                key = ""
-                if self.classification_cache is not None:
-                    key = ClassificationCache.key(
-                        workload.name,
-                        workload.inputs,
-                        self.config,
-                        race.race_id,
-                        program_fingerprint=program_fingerprint,
-                        use_semantic_predicates=self.options.use_semantic_predicates,
-                        predicate_fingerprint=predicate_fingerprint,
-                    )
-                    cached = self.classification_cache.load(workload.name, key)
-                    if cached is not None:
-                        self.events.emit("cache", tier="classification", hit=True)
-                        cached_counts[index] += 1
-                        slots[index][race.race_id] = cached
-                        continue
-                    self.events.emit("cache", tier="classification", hit=False)
-                misses.append((index, race.race_id, key))
-
-        # Serialize traces lazily: only workloads with at least one cache
-        # miss pay for the wire format.  A fully warm run serializes nothing.
-        # The token lets task executors share one deserialization per trace.
-        for index in {index for index, _race_id, _key in misses}:
-            contexts[index]["trace_data"] = recordings[index].trace.to_dict()
-            contexts[index]["trace_token"] = f"{os.getpid()}:{next(_TRACE_TOKENS)}"
-
-        race_misses, path_misses = self._partition_misses(recordings, contexts, misses)
-        self._classify_whole_races(recordings, contexts, race_misses, slots, config_data)
-        self._classify_per_path(recordings, contexts, path_misses, slots, config_data)
-
-        return self._finalize_runs(recordings, slots, cached_counts)
 
     def _finalize_runs(
         self, recordings, slots, cached_counts
     ) -> List[EngineRun]:
         """Assemble the batch's EngineRuns from the filled classification
-        slots (shared by the staged path and the full-stream scheduler)."""
+        slots."""
         from repro.core.portend import PortendResult
 
         runs: List[EngineRun] = []
@@ -1293,53 +956,6 @@ class AnalysisEngine:
                 )
             )
         return runs
-
-    def _partition_misses(
-        self, recordings, contexts, misses
-    ) -> Tuple[List[Tuple[int, int, str]], List[Tuple[int, int, str]]]:
-        """Split the cache misses into (race-granularity, path-granularity).
-
-        Forced granularities send everything one way.  ``auto`` with a pool
-        picks per workload from the batch shape (:func:`choose_granularity`);
-        workloads whose classification payloads cannot pickle (custom
-        predicate closures) are kept at race granularity, since the path
-        fan-out they would buy cannot reach the pool anyway.  Record
-        payloads carry no predicates, so the record stage cannot have
-        probed the closure-bearing classification payloads -- the probe
-        happens here, once per candidate workload.
-        """
-        granularity = self.effective_granularity()
-        if granularity == "race":
-            return list(misses), []
-        if self.options.granularity != "auto":
-            return [], list(misses)
-        race_misses: List[Tuple[int, int, str]] = []
-        path_misses: List[Tuple[int, int, str]] = []
-        workers = self.options.parallel or 0
-        shippable: Dict[int, bool] = {}
-        costs: Dict[int, Tuple[float, float]] = {}
-        for miss in misses:
-            index = miss[0]
-            races = len(recordings[index].trace.races)
-            if index not in costs:
-                costs[index] = self.cost_model.split_costs(
-                    contexts[index]["program_fingerprint"]
-                )
-            race_cost, split_cost = costs[index]
-            if (
-                choose_granularity(
-                    races, workers, race_cost=race_cost, split_cost=split_cost
-                )
-                == "race"
-            ):
-                race_misses.append(miss)
-                continue
-            if index not in shippable:
-                shippable[index] = picklable(
-                    recordings[index].workload.program, contexts[index]["predicates"]
-                )
-            (path_misses if shippable[index] else race_misses).append(miss)
-        return race_misses, path_misses
 
     def _task_payload(
         self, task_cls, recordings, contexts, config_data, index: int, race_id: int,
@@ -1372,77 +988,6 @@ class AnalysisEngine:
             self.classification_cache.store(name, key, classified)
         slots[index][race_id] = classified
 
-    def _classify_whole_races(
-        self, recordings, contexts, misses, slots, config_data
-    ) -> None:
-        """Stage 3 at race granularity: one ClassificationTask per race."""
-        payloads = [
-            self._task_payload(
-                ClassificationTask, recordings, contexts, config_data, index, race_id
-            )
-            for index, race_id, _key in misses
-        ]
-        for index, race_id, _key in misses:
-            self.events.emit(
-                "task_submit",
-                stage="classify",
-                workload=recordings[index].workload.name,
-                race=race_id,
-            )
-        for (index, race_id, key), data in zip(
-            misses, self._dispatch(payloads, execute_task)
-        ):
-            self.events.absorb(data.get("events"))
-            self._store_classification(
-                recordings[index].workload.name,
-                index,
-                race_id,
-                key,
-                ClassifiedRace.from_dict(data["classified"]),
-                slots,
-            )
-
-    def _classify_per_path(
-        self, recordings, contexts, misses, slots, config_data
-    ) -> None:
-        """Stage 3 at (race, primary-path) granularity: plan → paths → merge."""
-        if not misses:
-            return
-        plan_payloads = [
-            self._task_payload(
-                PlanTask, recordings, contexts, config_data, index, race_id
-            )
-            for index, race_id, _key in misses
-        ]
-        plans: Optional[List[Dict]] = None
-        partials: Dict[Tuple[int, int], List[Dict]] = {}
-        pool = self._dispatcher.acquire_for(plan_payloads)
-        if pool is not None:
-            try:
-                plans, partials = self._stream_plan_paths(
-                    pool, recordings, contexts, misses, config_data, plan_payloads
-                )
-            except (BrokenProcessPool, OSError):
-                # Pool died mid-stream: nothing was merged or stored yet (and
-                # no stats were absorbed), so the barrier path below can
-                # re-run the whole miss set serially from scratch.
-                self._dispatcher.mark_broken()
-                plans = None
-        if plans is None:
-            plans, partials = self._barrier_plan_paths(
-                recordings, contexts, misses, config_data, plan_payloads
-            )
-        # Feed the primary-count history regardless of which scheduler ran:
-        # the speculation predictor learns per-(workload, race) path counts
-        # (0 for conclusive races, so it learns *not* to speculate on them).
-        for (index, race_id, _key), plan in zip(misses, plans):
-            self.cost_model.observe_plan(
-                contexts[index]["program_fingerprint"],
-                race_id,
-                plan["path_count"] if plan["needs_paths"] else 0,
-            )
-        self._merge_path_results(recordings, misses, plans, partials, slots)
-
     def _path_payloads(
         self, recordings, contexts, config_data, index: int, race_id: int, plan: Dict
     ) -> Iterator[Dict]:
@@ -1463,145 +1008,12 @@ class AnalysisEngine:
                 PathTask, recordings, contexts, config_data, index, race_id, **extra
             )
 
-    def _stream_plan_paths(
-        self, pool, recordings, contexts, misses, config_data, plan_payloads
-    ) -> Tuple[List[Dict], Dict[Tuple[int, int], List[Dict]]]:
-        """The streaming scheduler: dispatch paths the moment their plan lands.
-
-        Every plan is submitted up front as its own future; the drain loop
-        then reacts to whichever future completes first.  A finished plan
-        immediately submits its race's path tasks onto the same pool, so the
-        path queue of an early race runs while later races are still
-        planning -- the plan and path stages *overlap* instead of
-        barriering, and the pool never idles behind the slowest plan.
-        Completion order is free to vary: results are keyed by
-        ``(recording index, race_id, path_index)`` and the merge consumes
-        them in deterministic path order.
-        """
-        plans: List[Optional[Dict]] = [None] * len(misses)
-        partials: Dict[Tuple[int, int], List[Dict]] = {}
-        for index, race_id, _key in misses:
-            self.events.emit(
-                "task_submit",
-                stage="plan",
-                workload=recordings[index].workload.name,
-                race=race_id,
-            )
-        # Supervised drain: crashes, hangs and malformed results recover per
-        # the dispatch module's degradation ladder instead of aborting the
-        # stream; ``wait`` is injected as the test suite's monkeypatch seam.
-        supervisor = self._dispatcher.supervise(pool, wait_fn=wait)
-        for position, payload in enumerate(plan_payloads):
-            supervisor.submit(execute_plan_task, [payload], tag=("plan", position))
-        plans_in_flight = len(plan_payloads)
-        paths_in_flight = 0
-        path_batches = 0
-        workers = max(1, self.options.parallel or 1)
-        overlap = _OverlapClock()
-        while not supervisor.done:
-            for tag, chunk_outputs in supervisor.wait_some():
-                kind, ref = tag
-                if kind == "plan":
-                    plans_in_flight -= 1
-                    output = chunk_outputs[0]
-                    plans[ref] = output
-                    index, race_id, _key = misses[ref]
-                    payloads = list(
-                        self._path_payloads(
-                            recordings, contexts, config_data, index, race_id, output
-                        )
-                    )
-                    if payloads:
-                        # The race's path batch goes out the moment its plan
-                        # lands, split into at most ``workers`` chunks: wide
-                        # enough to spread one race across the whole pool,
-                        # chunked enough that the shared trace dict pickles
-                        # once per chunk instead of once per path.
-                        path_batches += 1
-                        step = -(-len(payloads) // workers)  # ceil division
-                        for start in range(0, len(payloads), step):
-                            supervisor.submit(
-                                execute_path_task,
-                                payloads[start : start + step],
-                                tag=("paths", (index, race_id)),
-                            )
-                            paths_in_flight += 1
-                else:
-                    paths_in_flight -= 1
-                    partials.setdefault(ref, []).extend(chunk_outputs)
-                overlap.update(plans_in_flight, paths_in_flight)
-        # Emit and absorb events only after the full drain succeeded: a
-        # mid-stream pool failure discards these results and re-runs, and
-        # must not leave events for dispatches that produced nothing.
-        # Nothing is emitted *during* the drain and the absorption below
-        # walks misses in order (path partials sorted by path index), so the
-        # merged stream is bit-identical across completion interleavings.
-        self.events.emit("stage_overlap", seconds=overlap.total())
-        for _ in range(path_batches):
-            self.events.emit("pool", action="reused")
-        for (index, race_id, _key), plan in zip(misses, plans):
-            self.events.absorb(plan.get("events"))
-            workload = recordings[index].workload.name
-            for path_index in range(plan["path_count"] if plan["needs_paths"] else 0):
-                self.events.emit(
-                    "task_submit",
-                    stage="path",
-                    workload=workload,
-                    race=race_id,
-                    path=path_index,
-                )
-            for output in sorted(
-                partials.get((index, race_id), ()), key=lambda o: o["path_index"]
-            ):
-                self.events.absorb(output.get("events"))
-        self._dispatcher.drain_recovery()
-        return plans, partials
-
-    def _barrier_plan_paths(
-        self, recordings, contexts, misses, config_data, plan_payloads
-    ) -> Tuple[List[Dict], Dict[Tuple[int, int], List[Dict]]]:
-        """The barrier scheduler: all plans, then all paths, as two queues.
-
-        Also the serial fallback -- with no pool, ``_dispatch`` runs the
-        identical task code in-process, and interleaving would buy nothing.
-        """
-        for index, race_id, _key in misses:
-            self.events.emit(
-                "task_submit",
-                stage="plan",
-                workload=recordings[index].workload.name,
-                race=race_id,
-            )
-        plans = list(self._dispatch(plan_payloads, execute_plan_task))
-        for plan in plans:
-            self.events.absorb(plan.get("events"))
-        path_payloads: List[Dict] = []
-        path_refs: List[Tuple[int, int]] = []
-        for (index, race_id, _key), plan in zip(misses, plans):
-            for payload in self._path_payloads(
-                recordings, contexts, config_data, index, race_id, plan
-            ):
-                self.events.emit(
-                    "task_submit",
-                    stage="path",
-                    workload=recordings[index].workload.name,
-                    race=race_id,
-                    path=payload["path_index"],
-                )
-                path_payloads.append(payload)
-                path_refs.append((index, race_id))
-        partials: Dict[Tuple[int, int], List[Dict]] = {}
-        for ref, output in zip(path_refs, self._dispatch(path_payloads, execute_path_task)):
-            self.events.absorb(output.get("events"))
-            partials.setdefault(ref, []).append(output)
-        return plans, partials
-
     def _merge_path_results(self, recordings, misses, plans, partials, slots) -> None:
         """Deterministic merge: recombine partial verdicts in path order.
 
-        Pure function of the (plan, partial-verdict) data, so both schedulers
-        -- and any completion order within the streaming one -- produce
-        bit-identical ``ClassifiedRace`` results.
+        Pure function of the (plan, partial-verdict) data, so any completion
+        order -- pooled or in-driver -- produces bit-identical
+        ``ClassifiedRace`` results.
         """
         races_by_id = {
             index: recordings[index].trace.races_by_id()
@@ -1628,18 +1040,6 @@ class AnalysisEngine:
             self._store_classification(
                 recordings[index].workload.name, index, race_id, key, classified, slots
             )
-
-    # ---------------------------------------------------------------- dispatch
-
-    def _dispatch(self, payloads: Sequence[Dict], worker: Callable) -> List[Dict]:
-        """Run one stage's work queue, in a process pool or serially in-process.
-
-        Streaming mode reuses the run's persistent pool; barrier mode builds
-        a fresh pool per call; both fall back to executing the same task
-        code serially when no pool can be used (see
-        :class:`~repro.engine.dispatch.PoolDispatcher`).
-        """
-        return self._dispatcher.map(payloads, worker)
 
 
 class _OverlapClock:
@@ -1668,6 +1068,8 @@ class _OverlapClock:
         return self._total
 
 
+
+
 def classify_races_parallel(
     program,
     trace: ExecutionTrace,
@@ -1675,18 +1077,17 @@ def classify_races_parallel(
     config: PortendConfig,
     predicates: Sequence = (),
     workers: int = 2,
-    dispatch: str = "streaming",
 ) -> List[ClassifiedRace]:
     """Classify the races of one (possibly unregistered) program in parallel.
 
     Backs ``Portend.classify_trace(parallel=N)``: the program and predicates
     ship to the workers by pickle, the trace as its JSON wire format.  Runs
     on the same :class:`~repro.engine.dispatch.PoolDispatcher` as the batch
-    engine -- chunked task payloads, the worker-lifetime solver cache keyed
-    by the program's content fingerprint, serial in-process fallback when
-    the pool cannot be used (e.g. predicates that do not pickle) -- and
-    feeds the tasks' solver snapshots into ``GLOBAL_STATS`` exactly as an
-    engine run would.
+    engine -- cost-packed chunks, the worker-lifetime solver cache keyed by
+    the program's content fingerprint, in-driver execution when the pool
+    cannot be used (e.g. predicates that do not pickle) -- and feeds the
+    tasks' solver snapshots into ``GLOBAL_STATS`` exactly as an engine run
+    would.
     """
     trace_data = trace.to_dict()
     config_data = config.to_dict()
@@ -1706,7 +1107,7 @@ def classify_races_parallel(
         for race in races
     ]
     events = EventLogger()
-    dispatcher = PoolDispatcher(workers, dispatch, events)
+    dispatcher = PoolDispatcher(workers, events)
     try:
         outputs = dispatcher.map(payloads, execute_task)
     finally:

@@ -16,7 +16,7 @@ Event schema -- every event is a flat JSON object with a ``kind`` from
 ===========================  ====================================================
 kind                         fields
 ===========================  ====================================================
-``run_start``                ``workloads`` (names), ``dispatch``, ``parallel``,
+``run_start``                ``workloads`` (names), ``parallel``,
                              ``granularity``, ``solver``
 ``run_finish``               ``seconds``
 ``task_submit``              ``stage`` (record/classify/plan/path), ``workload``,
@@ -45,10 +45,6 @@ kind                         fields
                              ``actual_seconds`` -- one per chunk the
                              cost-aware scheduler packed, so mispredictions
                              are observable post-hoc via ``events-info``
-``speculation``              ``workload``, ``race``, ``predicted``, ``hits``,
-                             ``wasted`` -- one per race the streaming
-                             scheduler pre-submitted path tasks for before
-                             the plan landed
 ``task_retry``               ``stage``, ``workload``, ``race``/``path``,
                              ``attempt``, ``reason`` (crash/deadline/
                              malformed) -- supervision re-submitted the task
@@ -115,7 +111,6 @@ EVENT_KINDS = (
     "pool",
     "stage_overlap",
     "scheduler_decision",
-    "speculation",
     "task_retry",
     "pool_respawn",
     "task_quarantined",
@@ -267,9 +262,6 @@ def fold_events(events: Iterable[Event]) -> EngineStats:
                 stats.record_classify_overlap_seconds += seconds
             else:
                 stats.stage_overlap_seconds += seconds
-        elif kind == "speculation":
-            stats.speculation_hits += int(event.get("hits", 0))
-            stats.speculation_wasted += int(event.get("wasted", 0))
         elif kind == "task_retry":
             stats.task_retries += 1
         elif kind == "pool_respawn":
@@ -356,7 +348,6 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
     backends: Dict[str, Dict[str, float]] = {}
     interpreters: Dict[str, Dict[str, int]] = {}
     decisions: Dict[str, Dict[str, float]] = {}
-    speculation = {"races": 0, "predicted": 0, "hits": 0, "wasted": 0}
     recovery: Dict[str, object] = {
         "retries": 0,
         "respawns": 0,
@@ -401,11 +392,6 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
             tier = str(event.get("tier", "?"))
             entry = cache_totals.setdefault(tier, {"hits": 0, "misses": 0})
             entry["hits" if event.get("hit") else "misses"] += 1
-        elif kind == "speculation":
-            speculation["races"] += 1
-            speculation["predicted"] += int(event.get("predicted", 0))
-            speculation["hits"] += int(event.get("hits", 0))
-            speculation["wasted"] += int(event.get("wasted", 0))
         elif kind == "solver_stats":
             backend = str(event.get("backend", "default"))
             entry = backends.setdefault(
@@ -467,8 +453,6 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
         }
         for tier, entry in sorted(cache_totals.items())
     }
-    attempts = speculation["hits"] + speculation["wasted"]
-    speculation["waste_ratio"] = speculation["wasted"] / attempts if attempts else 0.0
     return {
         "events": len(events),
         "by_kind": dict(sorted(by_kind.items())),
@@ -478,7 +462,6 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
         "solver_backends": dict(sorted(backends.items())),
         "interpreters": dict(sorted(interpreters.items())),
         "scheduler_decisions": dict(sorted(decisions.items())),
-        "speculation": speculation,
         "recovery": recovery,
     }
 
@@ -516,17 +499,6 @@ def render_events_info(events: Sequence[Event]) -> str:
         )
     if not summary["scheduler_decisions"]:
         lines.append("  (no scheduler_decision events)")
-    lines.append("")
-    lines.append("speculation:")
-    speculation = summary["speculation"]
-    if speculation["races"]:
-        lines.append(
-            f"  races={speculation['races']} predicted={speculation['predicted']} "
-            f"hits={speculation['hits']} wasted={speculation['wasted']} "
-            f"waste_ratio={speculation['waste_ratio']:.1%}"
-        )
-    else:
-        lines.append("  (no speculation events)")
     lines.append("")
     lines.append("recovery:")
     recovery = summary["recovery"]

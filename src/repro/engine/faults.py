@@ -50,7 +50,7 @@ so the seed carries no additional randomness today.
 
 Faults are installed only by :func:`repro.engine.tasks.pool_worker_initializer`
 -- the driving process never injects, which is what keeps the quarantine /
-serial-fallback path fault-free and verdicts bit-identical to serial.
+in-driver path fault-free and verdicts bit-identical to serial.
 """
 
 from __future__ import annotations

@@ -67,11 +67,6 @@ class EngineStats:
     #: (classify/plan/path) futures were simultaneously in flight -- the
     #: full-stream scheduler's record↔classify overlap channel
     record_classify_overlap_seconds: float = 0.0
-    #: speculative path tasks whose predicted index the landed plan
-    #: confirmed (their results merged normally)
-    speculation_hits: int = 0
-    #: speculative path tasks the landed plan disavowed (discarded)
-    speculation_wasted: int = 0
     #: interpreter statements executed by dispatched tasks (aggregated)
     interp_statements: int = 0
     #: symbolic-branch state forks taken by the interpreter
@@ -115,8 +110,6 @@ class EngineStats:
         self.pool_reuses = 0
         self.stage_overlap_seconds = 0.0
         self.record_classify_overlap_seconds = 0.0
-        self.speculation_hits = 0
-        self.speculation_wasted = 0
         self.interp_statements = 0
         self.interp_forks = 0
         self.interp_cow_copies = 0
@@ -147,8 +140,6 @@ class EngineStats:
         self.pool_reuses += other.pool_reuses
         self.stage_overlap_seconds += other.stage_overlap_seconds
         self.record_classify_overlap_seconds += other.record_classify_overlap_seconds
-        self.speculation_hits += other.speculation_hits
-        self.speculation_wasted += other.speculation_wasted
         self.interp_statements += other.interp_statements
         self.interp_forks += other.interp_forks
         self.interp_cow_copies += other.interp_cow_copies
@@ -210,8 +201,6 @@ class EngineStats:
             f"stage overlap seconds={self.stage_overlap_seconds:.2f}, "
             f"record/classify overlap seconds="
             f"{self.record_classify_overlap_seconds:.2f}, "
-            f"speculation hits={self.speculation_hits}, "
-            f"speculation wasted={self.speculation_wasted}, "
             f"interp statements={self.interp_statements}, "
             f"interp forks={self.interp_forks}, "
             f"interp cow copies={self.interp_cow_copies}, "

@@ -1,4 +1,4 @@
-"""Work items for the staged parallel analysis engine.
+"""Work items for the parallel analysis engine.
 
 Each pipeline stage has its own task granularity:
 
@@ -102,7 +102,7 @@ class ClassificationTask:
 #: Classification reads traces but never mutates them (the serial facade
 #: already shares one ExecutionTrace across every race it classifies), so
 #: the (race, path) tasks of one workload can share a single parse.  Bounded
-#: because the serial fallback runs tasks in the long-lived driving process.
+#: because serial runs execute tasks in the long-lived driving process.
 _TRACE_MEMO: Dict[str, ExecutionTrace] = {}
 _TRACE_MEMO_LIMIT = 4
 
@@ -465,20 +465,12 @@ class PathTask(ClassificationTask):
 
     path_index: int = 0
     primary: Optional[Dict] = None
-    #: True for tasks the streaming scheduler pre-submitted before the
-    #: race's plan landed.  A speculative task has no shipped primary (the
-    #: plan that would ship one hasn't returned), and its ``path_index``
-    #: may turn out not to exist -- it then returns a ``missing`` marker
-    #: instead of raising, and the driver discards it as a misprediction.
-    speculative: bool = False
 
     def to_payload(self) -> Dict:
         payload = super().to_payload()
         payload["path_index"] = self.path_index
         if self.primary is not None:
             payload["primary"] = self.primary
-        if self.speculative:
-            payload["speculative"] = True
         return payload
 
     @classmethod
@@ -488,7 +480,6 @@ class PathTask(ClassificationTask):
             base,
             path_index=payload["path_index"],
             primary=payload.get("primary"),
-            speculative=bool(payload.get("speculative", False)),
         )
 
 
@@ -530,30 +521,6 @@ def execute_path_task(payload: Mapping) -> Dict:
             portend.executor, portend.program, trace, race, config, task.path_index
         )
         if path is None:
-            if task.speculative:
-                # A speculative index beyond the race's actual path count is
-                # an expected misprediction, not a correctness bug: report it
-                # as missing and let the driver discard and recount it.
-                seconds = time.perf_counter() - started
-                snapshot, event_list = _finish_task(
-                    events,
-                    "path",
-                    task.workload,
-                    started,
-                    portend,
-                    race=task.race_id,
-                    path=task.path_index,
-                )
-                return {
-                    "race_id": task.race_id,
-                    "path_index": task.path_index,
-                    "missing": True,
-                    "verdict": None,
-                    "reexplored": True,
-                    "seconds": seconds,
-                    "solver": snapshot,
-                    "events": event_list,
-                }
             # Deterministic exploration makes the plan's path count binding; a
             # disagreement means non-determinism crept in -- fail loudly rather
             # than silently dropping a primary path from the verdict.

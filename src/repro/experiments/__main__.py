@@ -87,16 +87,6 @@ def main(argv=None) -> int:
         "ones) and stays at 'race' serially",
     )
     parser.add_argument(
-        "--dispatch",
-        default="streaming",
-        choices=["streaming", "staged", "barrier"],
-        help="pool dispatch strategy under --parallel: 'streaming' runs the "
-        "whole record→classify→plan→path pipeline as one run-wide scheduler "
-        "on a persistent worker pool; 'staged' keeps the persistent pool but "
-        "barriers after the record stage (the previous default, kept for A/B "
-        "comparison); 'barrier' is the legacy fresh-pool-per-stage behaviour",
-    )
-    parser.add_argument(
         "--chunk-target-ms",
         type=int,
         default=500,
@@ -115,15 +105,6 @@ def main(argv=None) -> int:
         "worker processes, so cold processes start warm (advisory: verdicts "
         "are bit-identical either way).  Default: the REPRO_WARM_TIER "
         "environment variable, else on; requires --cache-dir to take effect",
-    )
-    parser.add_argument(
-        "--speculate",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="pre-submit path tasks for the primary count the cost model's "
-        "history predicts, before each race's plan lands (full-stream "
-        "scheduler only; changes scheduling, never verdicts).  Default: the "
-        "REPRO_SPECULATE environment variable, else off",
     )
     parser.add_argument(
         "--solver",
@@ -286,12 +267,10 @@ def main(argv=None) -> int:
             cache_dir=args.cache_dir,
             granularity=args.granularity,
             cache_max_entries=args.cache_max_entries,
-            dispatch=args.dispatch,
             solver=args.solver,
             events=args.events,
             chunk_target_ms=args.chunk_target_ms,
             warm_tier=args.warm_tier,
-            speculate=args.speculate,
             interp=args.interp,
             fault_plan=args.fault_plan,
             max_pool_respawns=args.max_pool_respawns,
@@ -308,12 +287,10 @@ def main(argv=None) -> int:
                 parallel=args.parallel,
                 cache_dir=args.cache_dir,
                 granularity=args.granularity,
-                dispatch=args.dispatch,
                 solver=args.solver,
                 events=args.events,
                 chunk_target_ms=args.chunk_target_ms,
                 warm_tier=args.warm_tier,
-                speculate=args.speculate,
                 interp=args.interp,
                 **kwargs,
             )

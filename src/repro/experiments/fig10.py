@@ -27,12 +27,10 @@ def run(
     parallel: int = 0,
     cache_dir: Optional[str] = None,
     granularity: str = "auto",
-    dispatch: str = "streaming",
     solver: Optional[str] = None,
     events: Optional[str] = None,
     chunk_target_ms: int = 500,
     warm_tier: Optional[bool] = None,
-    speculate: Optional[bool] = None,
     interp: Optional[str] = None,
 ) -> Fig10Result:
     base = base_config or PortendConfig()
@@ -48,12 +46,10 @@ def run(
                 parallel=parallel,
                 cache_dir=cache_dir,
                 granularity=granularity,
-                dispatch=dispatch,
                 solver=solver,
                 events=events,
                 chunk_target_ms=chunk_target_ms,
                 warm_tier=warm_tier,
-                speculate=speculate,
                 interp=interp,
             )
             score = score_workload(workload, run_.result.classified)

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.config import PortendConfig
 from repro.core.portend import Portend, PortendResult
 from repro.engine import AnalysisEngine, EngineOptions
-from repro.runtime.executor import Executor
+from repro.runtime.compile import create_executor
 from repro.workloads import Workload, all_workloads, load_workload
 
 
@@ -34,14 +34,15 @@ class WorkloadRun:
         return self.workload.name
 
 
-def plain_interpretation_time(workload: Workload) -> float:
+def plain_interpretation_time(workload: Workload, interp: str = "tree") -> float:
     """Time to interpret the program concretely, without detection/classification.
 
     This reproduces Table 4's "Cloud9 running time" column: the baseline cost
     of running the program in the interpreter with both race detection and
-    classification disabled.
+    classification disabled.  ``interp`` picks the same kernel the analysis
+    ran on, so the overhead ratio compares like with like.
     """
-    executor = Executor(workload.program)
+    executor = create_executor(workload.program, interp=interp)
     state = executor.initial_state(concrete_inputs=workload.inputs)
     started = time.perf_counter()
     executor.run(state)
@@ -55,12 +56,10 @@ def _engine(
     cache_dir: Optional[str],
     granularity: str,
     cache_max_entries: Optional[int] = None,
-    dispatch: str = "streaming",
     solver: Optional[str] = None,
     events: Optional[str] = None,
     chunk_target_ms: int = 500,
     warm_tier: Optional[bool] = None,
-    speculate: Optional[bool] = None,
     interp: Optional[str] = None,
     fault_plan: Optional[str] = None,
     max_pool_respawns: Optional[int] = None,
@@ -71,17 +70,15 @@ def _engine(
         config = replace(config or PortendConfig(), solver_backend=solver)
     if interp is not None:
         config = replace(config or PortendConfig(), interp=interp)
-    # warm_tier/speculate -- and the fault-tolerance knobs below -- stay
-    # tri-state: None defers to the EngineOptions environment defaults
-    # (REPRO_WARM_TIER / REPRO_SPECULATE / REPRO_FAULT_PLAN /
+    # warm_tier -- and the fault-tolerance knobs below -- stay tri-state:
+    # None defers to the EngineOptions environment defaults
+    # (REPRO_WARM_TIER / REPRO_FAULT_PLAN /
     # REPRO_MAX_POOL_RESPAWNS / REPRO_MAX_TASK_RETRIES /
     # REPRO_TASK_DEADLINE_MS), an explicit value (e.g. from the CLI flags)
     # wins over them.
     extra = {}
     if warm_tier is not None:
         extra["warm_tier"] = warm_tier
-    if speculate is not None:
-        extra["speculate"] = speculate
     if fault_plan is not None:
         extra["fault_plan"] = fault_plan
     if max_pool_respawns is not None:
@@ -98,7 +95,6 @@ def _engine(
             use_semantic_predicates=use_semantic_predicates,
             granularity=granularity,
             cache_max_entries=cache_max_entries,
-            dispatch=dispatch,
             events_path=events,
             chunk_target_ms=chunk_target_ms,
             **extra,
@@ -115,7 +111,9 @@ def _wrap_runs(
     runs: List[WorkloadRun] = []
     for engine_run in engine_runs:
         plain = (
-            plain_interpretation_time(engine_run.workload) if measure_plain_time else 0.0
+            plain_interpretation_time(engine_run.workload, interp=engine.config.interp)
+            if measure_plain_time
+            else 0.0
         )
         runs.append(
             WorkloadRun(
@@ -138,12 +136,10 @@ def analyze_workload(
     cache_dir: Optional[str] = None,
     granularity: str = "auto",
     cache_max_entries: Optional[int] = None,
-    dispatch: str = "streaming",
     solver: Optional[str] = None,
     events: Optional[str] = None,
     chunk_target_ms: int = 500,
     warm_tier: Optional[bool] = None,
-    speculate: Optional[bool] = None,
     interp: Optional[str] = None,
     fault_plan: Optional[str] = None,
     max_pool_respawns: Optional[int] = None,
@@ -153,8 +149,7 @@ def analyze_workload(
     """Run detection + classification for one workload."""
     engine = _engine(
         config, use_semantic_predicates, parallel, cache_dir, granularity,
-        cache_max_entries, dispatch, solver, events, chunk_target_ms,
-        warm_tier, speculate, interp,
+        cache_max_entries, solver, events, chunk_target_ms, warm_tier, interp,
         fault_plan, max_pool_respawns, max_task_retries, task_deadline_ms,
     )
     engine_runs = engine.analyze_workloads([workload])
@@ -171,12 +166,10 @@ def analyze_all(
     cache_dir: Optional[str] = None,
     granularity: str = "auto",
     cache_max_entries: Optional[int] = None,
-    dispatch: str = "streaming",
     solver: Optional[str] = None,
     events: Optional[str] = None,
     chunk_target_ms: int = 500,
     warm_tier: Optional[bool] = None,
-    speculate: Optional[bool] = None,
     interp: Optional[str] = None,
     fault_plan: Optional[str] = None,
     max_pool_respawns: Optional[int] = None,
@@ -188,16 +181,12 @@ def analyze_all(
     ``parallel`` dispatches the pipeline queues over a process pool;
     ``cache_dir`` reuses recorded traces *and* classifications across
     invocations; ``granularity`` picks the stage-3 task grain ("race",
-    "path", or "auto"); ``dispatch`` picks the pool strategy ("streaming"
-    full-stream run-wide scheduler, "staged" persistent pool with a
-    record-stage barrier, or the legacy "barrier" -- see
-    :class:`repro.engine.EngineOptions`); ``solver`` overrides the
+    "path", or "auto"); ``solver`` overrides the
     config's solver backend (see :mod:`repro.symex.factory`); ``events``
     appends the run's structured event stream to a JSON-lines file;
     ``chunk_target_ms`` sets the cost-aware scheduler's per-chunk
-    wall-clock target; ``warm_tier``/``speculate`` toggle the persistent
-    solver warm tier and speculative path submission (None defers to the
-    ``REPRO_WARM_TIER``/``REPRO_SPECULATE`` environment defaults);
+    wall-clock target; ``warm_tier`` toggles the persistent solver warm
+    tier (None defers to the ``REPRO_WARM_TIER`` environment default);
     ``interp`` overrides the config's interpreter kernel (see
     :mod:`repro.runtime.compile`; kernels are bit-identical by contract);
     ``fault_plan`` installs a deterministic fault-injection plan in the pool
@@ -213,8 +202,7 @@ def analyze_all(
         workloads = [load_workload(name) for name in names]
     engine = _engine(
         config, use_semantic_predicates, parallel, cache_dir, granularity,
-        cache_max_entries, dispatch, solver, events, chunk_target_ms,
-        warm_tier, speculate, interp,
+        cache_max_entries, solver, events, chunk_target_ms, warm_tier, interp,
         fault_plan, max_pool_respawns, max_task_retries, task_deadline_ms,
     )
     engine_runs = engine.analyze_workloads(workloads)

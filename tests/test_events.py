@@ -282,11 +282,6 @@ class TestEngineEventStream:
                 PoolDispatcher, "acquire_for", lambda self, payloads: pool
             )
             monkeypatch.setattr(
-                PoolDispatcher,
-                "map",
-                lambda self, payloads, worker: [worker(p) for p in payloads],
-            )
-            monkeypatch.setattr(
                 "repro.engine.engine.wait", _shuffled_wait(pool, rng)
             )
             engine = AnalysisEngine(

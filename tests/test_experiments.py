@@ -32,6 +32,27 @@ def test_table3_and_table4_from_shared_runs():
     assert "Avg (s)" in table4.render(rows4)
 
 
+def test_plain_interpretation_time_uses_the_configured_kernel(monkeypatch):
+    # Table 4's baseline must run on the kernel the analysis ran on, so
+    # the overhead ratio compares like with like.
+    from repro.runtime.compile import CompiledExecutor
+
+    timed = []
+    original = runner.create_executor
+
+    def spy(program, interp="tree", **kwargs):
+        executor = original(program, interp=interp, **kwargs)
+        timed.append(type(executor))
+        return executor
+
+    monkeypatch.setattr(runner, "create_executor", spy)
+    run = runner.analyze_workload(
+        load_workload("RW"), measure_plain_time=True, interp="compiled"
+    )
+    assert timed == [CompiledExecutor]
+    assert run.plain_interpretation_seconds > 0
+
+
 def test_score_workload_counts_mismatches():
     workload = load_workload("RW")
     run = runner.analyze_workload(workload)

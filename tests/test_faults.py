@@ -228,7 +228,7 @@ class TestValidateWorkerOutput:
         )
         validate_worker_output("classify", {"workload": "w"}, {"classified": {}})
         validate_worker_output(
-            "path", {"workload": "w"}, {"path_index": 2, "missing": True}
+            "path", {"workload": "w"}, {"path_index": 2, "verdict": {}, "seconds": 0.1}
         )
 
     def test_serial_dispatch_validates_at_the_boundary(self):
@@ -252,7 +252,7 @@ class TestFaultRecovery:
         )
         runs = AnalysisEngine(
             options=EngineOptions(
-                parallel=2, dispatch="streaming", granularity="race",
+                parallel=2, granularity="race",
                 fault_plan=plan,
             )
         ).analyze(NAMES)
@@ -271,7 +271,7 @@ class TestFaultRecovery:
         )
         runs = AnalysisEngine(
             options=EngineOptions(
-                parallel=2, dispatch="streaming", granularity="path",
+                parallel=2, granularity="path",
                 fault_plan=plan,
             )
         ).analyze(NAMES)
@@ -295,7 +295,7 @@ class TestFaultRecovery:
         )
         runs = AnalysisEngine(
             options=EngineOptions(
-                parallel=2, dispatch="streaming", granularity="race",
+                parallel=2, granularity="race",
                 fault_plan=plan, task_deadline_ms=1200,
             )
         ).analyze(NAMES)
@@ -321,7 +321,7 @@ class TestFaultRecovery:
         )
         runs = AnalysisEngine(
             options=EngineOptions(
-                parallel=2, dispatch="streaming", granularity="race",
+                parallel=2, granularity="race",
                 fault_plan=plan,
             )
         ).analyze(NAMES)
@@ -336,7 +336,7 @@ class TestFaultRecovery:
         plan = json.dumps({"faults": [{"op": "crash", "stage": "noop"}]})
         runs = AnalysisEngine(
             options=EngineOptions(
-                parallel=2, dispatch="streaming", granularity="race",
+                parallel=2, granularity="race",
                 fault_plan=plan,
             )
         ).analyze(NAMES)
@@ -355,7 +355,7 @@ class TestFaultRecovery:
         )
         runs = AnalysisEngine(
             options=EngineOptions(
-                parallel=2, dispatch="streaming", granularity="race",
+                parallel=2, granularity="race",
                 fault_plan=plan, max_pool_respawns=0,
             )
         ).analyze(["bbuf"])
@@ -424,7 +424,7 @@ class TestRecoveryEvents:
         )
         AnalysisEngine(
             options=EngineOptions(
-                parallel=2, dispatch="streaming", granularity="path",
+                parallel=2, granularity="path",
                 fault_plan=plan, events_path=str(events_path),
             )
         ).analyze(NAMES)

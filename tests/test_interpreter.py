@@ -106,15 +106,10 @@ class TestCompiledEquivalence:
         pool = _DeferredPool()
         monkeypatch.setattr(PoolDispatcher, "warm", lambda self: None)
         monkeypatch.setattr(PoolDispatcher, "acquire_for", lambda self, payloads: pool)
-        monkeypatch.setattr(
-            PoolDispatcher,
-            "map",
-            lambda self, payloads, worker: [worker(p) for p in payloads],
-        )
         monkeypatch.setattr("repro.engine.engine.wait", _shuffled_wait(pool, rng))
         shuffled = AnalysisEngine(
             config=PortendConfig(interp="compiled"),
-            options=EngineOptions(parallel=2, granularity="path", dispatch="streaming"),
+            options=EngineOptions(parallel=2, granularity="path"),
         ).analyze(NAMES)
         assert not pool.pending
         assert _full_signature(reference) == _full_signature(shuffled)

@@ -1,4 +1,4 @@
-"""Tests for the staged pipeline: per-path tasks, merge, and the caches."""
+"""Tests for the engine pipeline: per-path tasks, merge, and the caches."""
 
 import json
 
@@ -66,20 +66,15 @@ class TestPerPathEquivalence:
     def test_auto_granularity_resolution(self):
         # parallel=0 pinned: the option's default honors REPRO_PARALLEL,
         # and this case asserts the specifically-serial resolution.
-        assert (
-            AnalysisEngine(options=EngineOptions(parallel=0)).effective_granularity()
-            == "race"
-        )
-        assert (
-            AnalysisEngine(options=EngineOptions(parallel=4)).effective_granularity()
-            == "path"
-        )
-        assert (
-            AnalysisEngine(
-                options=EngineOptions(parallel=4, granularity="race")
-            ).effective_granularity()
-            == "race"
-        )
+        # A one-race workload: path fan-out pays only on a pool, and a
+        # forced grain always wins.
+        cold = (0.0, 0.0)
+        serial = AnalysisEngine(options=EngineOptions(parallel=0))
+        assert serial._workload_granularity(1, cold, workers=1) == "race"
+        pooled = AnalysisEngine(options=EngineOptions(parallel=4))
+        assert pooled._workload_granularity(1, cold, workers=4) == "path"
+        forced = AnalysisEngine(options=EngineOptions(parallel=4, granularity="race"))
+        assert forced._workload_granularity(1, cold, workers=4) == "race"
         with pytest.raises(ValueError):
             AnalysisEngine(options=EngineOptions(granularity="bogus"))
 

@@ -2,7 +2,8 @@
 
 Covers the whole-pipeline streaming redesign: bit-identical verdicts and a
 structurally deterministic event stream under adversarially shuffled
-record/classify/plan/path completion orders, the EWMA cost model (estimates,
+record/classify/plan/path completion orders (shared by serial runs, which
+drain the same loop with no pool), the EWMA cost model (estimates,
 chunk-size invariants -- including the wide-queue fallback fix -- and the
 sidecar warm start), the eager pool warm-up accounting, the
 ``scheduler_decision`` observability hooks, and the environment-variable
@@ -159,9 +160,6 @@ class TestWarmPool:
         serial = PoolDispatcher(0)
         serial.warm()
         assert serial._pool is None
-        barrier = PoolDispatcher(2, "barrier")
-        barrier.warm()
-        assert barrier._pool is None
 
 
 class TestFullStreamDeterminism:
@@ -205,11 +203,6 @@ class TestFullStreamDeterminism:
                 PoolDispatcher, "acquire_for", lambda self, payloads: pool
             )
             monkeypatch.setattr(
-                PoolDispatcher,
-                "map",
-                lambda self, payloads, worker: [worker(p) for p in payloads],
-            )
-            monkeypatch.setattr(
                 "repro.engine.engine.wait", _shuffled_wait(pool, rng)
             )
             engine = AnalysisEngine(
@@ -221,6 +214,32 @@ class TestFullStreamDeterminism:
             assert fold_events(engine.last_run_events) == engine.last_run_stats
             streams.append(self._structural(engine.last_run_events))
         assert all(stream == streams[0] for stream in streams[1:])
+
+    @pytest.mark.parametrize("granularity", ["race", "path"])
+    def test_serial_run_emits_the_pooled_event_stream(self, monkeypatch, granularity):
+        # A serial run is the same drain with no pool, so it replays the
+        # same canonical event stream as a pooled run whose futures land in
+        # shuffled order -- only pool bookkeeping differs.
+        serial = AnalysisEngine(
+            options=EngineOptions(parallel=0, granularity=granularity)
+        )
+        serial.analyze(NAMES)
+        pool = _DeferredPool()
+        monkeypatch.setattr(PoolDispatcher, "warm", lambda self: None)
+        monkeypatch.setattr(PoolDispatcher, "acquire_for", lambda self, payloads: pool)
+        monkeypatch.setattr(
+            "repro.engine.engine.wait", _shuffled_wait(pool, random.Random(5))
+        )
+        pooled = AnalysisEngine(
+            options=EngineOptions(parallel=2, granularity=granularity)
+        )
+        pooled.analyze(NAMES)
+        assert not pool.pending
+        assert self._structural(serial.last_run_events) == self._structural(
+            pooled.last_run_events
+        )
+        assert serial.last_run_stats.pools_created == 0
+        assert serial.last_run_stats.pool_reuses == 0
 
     def test_shuffled_full_stream_with_caches(self, monkeypatch, tmp_path):
         # Same shuffle with both on-disk caches in play: the cold run's
@@ -236,11 +255,6 @@ class TestFullStreamDeterminism:
             monkeypatch.setattr(PoolDispatcher, "warm", lambda self: None)
             monkeypatch.setattr(
                 PoolDispatcher, "acquire_for", lambda self, payloads: pool
-            )
-            monkeypatch.setattr(
-                PoolDispatcher,
-                "map",
-                lambda self, payloads, worker: [worker(p) for p in payloads],
             )
             monkeypatch.setattr(
                 "repro.engine.engine.wait", _shuffled_wait(pool, rng)
@@ -306,11 +320,10 @@ class TestSchedulerObservability:
 class TestEnvironmentDefaults:
     def test_parallel_dispatch_and_chunk_target(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "3")
-        monkeypatch.setenv("REPRO_DISPATCH", "staged")
         monkeypatch.setenv("REPRO_CHUNK_TARGET_MS", "250")
         options = EngineOptions()
         assert options.parallel == 3
-        assert options.dispatch == "staged"
+        assert options.dispatch == "streaming"  # pinned: not an env knob
         assert options.chunk_target_ms == 250
         # Explicit constructor arguments always win over the environment.
         pinned = EngineOptions(parallel=0, dispatch="streaming", chunk_target_ms=500)
@@ -320,7 +333,6 @@ class TestEnvironmentDefaults:
 
     def test_defaults_without_environment(self, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        monkeypatch.delenv("REPRO_DISPATCH", raising=False)
         monkeypatch.delenv("REPRO_CHUNK_TARGET_MS", raising=False)
         options = EngineOptions()
         assert options.parallel == 0

@@ -1,10 +1,9 @@
 """Tests for the streaming futures-based engine.
 
-Covers the dispatch redesign of the streaming engine: bit-equivalence of
-streaming, barrier and serial dispatch (including under adversarially
-shuffled future-completion order), the persistent-pool lifecycle counters,
-worker-lifetime solver-cache accounting, and the ``stress_harmful``
-workload.
+Covers the one scheduler: bit-equivalence of pooled and serial runs
+(including under adversarially shuffled future-completion order), the
+persistent-pool lifecycle counters, worker-lifetime solver-cache
+accounting, and the ``stress_harmful`` workload.
 """
 
 import random
@@ -13,12 +12,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.engine import (
-    DISPATCH_MODES,
-    AnalysisEngine,
-    EngineOptions,
-    PoolDispatcher,
-)
+from repro.engine import AnalysisEngine, EngineOptions, PoolDispatcher
 from repro.engine.engine import _OverlapClock
 from repro.engine.stats import GLOBAL_STATS
 from repro.symex.expr import SymVar, make_binary, Op
@@ -74,27 +68,26 @@ def _shuffled_wait(pool, rng):
 
 
 class TestDispatchEquivalence:
-    def test_streaming_barrier_and_serial_are_bit_identical(self):
-        reference = AnalysisEngine(options=EngineOptions(granularity="race")).analyze(NAMES)
-        streaming = AnalysisEngine(
-            options=EngineOptions(parallel=2, granularity="path", dispatch="streaming")
+    def test_streaming_and_serial_are_bit_identical(self):
+        reference = AnalysisEngine(
+            options=EngineOptions(parallel=0, granularity="race")
         ).analyze(NAMES)
-        barrier = AnalysisEngine(
-            options=EngineOptions(parallel=2, granularity="path", dispatch="barrier")
+        streaming = AnalysisEngine(
+            options=EngineOptions(parallel=2, granularity="path")
         ).analyze(NAMES)
         assert _full_signature(reference) == _full_signature(streaming)
-        assert _full_signature(reference) == _full_signature(barrier)
 
     def test_serial_fallback_parity(self):
-        # parallel=0 must run the identical task code in-process for both
-        # dispatch modes and produce bit-identical classifications.
+        # parallel=0 runs the drain with no pool: the identical task code
+        # in-process, bit-identical at either grain.
         names = ["bbuf", "RW"]
-        reference = AnalysisEngine(options=EngineOptions(granularity="race")).analyze(names)
-        for mode in DISPATCH_MODES:
-            runs = AnalysisEngine(
-                options=EngineOptions(parallel=0, granularity="path", dispatch=mode)
-            ).analyze(names)
-            assert _full_signature(reference) == _full_signature(runs), mode
+        reference = AnalysisEngine(
+            options=EngineOptions(parallel=0, granularity="race")
+        ).analyze(names)
+        runs = AnalysisEngine(
+            options=EngineOptions(parallel=0, granularity="path")
+        ).analyze(names)
+        assert _full_signature(reference) == _full_signature(runs)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_shuffled_completion_order_is_bit_identical(self, monkeypatch, seed):
@@ -109,14 +102,9 @@ class TestDispatchEquivalence:
         monkeypatch.setattr(
             PoolDispatcher, "acquire_for", lambda self, payloads: pool
         )
-        monkeypatch.setattr(
-            PoolDispatcher,
-            "map",
-            lambda self, payloads, worker: [worker(p) for p in payloads],
-        )
         monkeypatch.setattr("repro.engine.engine.wait", _shuffled_wait(pool, rng))
         shuffled = AnalysisEngine(
-            options=EngineOptions(parallel=2, granularity="path", dispatch="streaming")
+            options=EngineOptions(parallel=2, granularity="path")
         ).analyze(NAMES)
         assert not pool.pending  # the scheduler drained everything
         assert _full_signature(reference) == _full_signature(shuffled)
@@ -125,25 +113,26 @@ class TestDispatchEquivalence:
         with pytest.raises(ValueError):
             AnalysisEngine(options=EngineOptions(dispatch="bogus"))
 
+    def test_removed_modes_are_rejected(self):
+        # The fields stay only at their pinned values.
+        with pytest.raises(ValueError):
+            EngineOptions(dispatch="staged")
+        with pytest.raises(ValueError):
+            EngineOptions(speculate=True)
+        pinned = EngineOptions(dispatch="streaming", speculate=False)
+        assert (pinned.dispatch, pinned.speculate) == ("streaming", False)
+
 
 class TestPoolLifecycle:
     def test_streaming_builds_one_pool_per_run_and_reuses_it(self):
         GLOBAL_STATS.reset()
         AnalysisEngine(
-            options=EngineOptions(parallel=2, granularity="path", dispatch="streaming")
+            options=EngineOptions(parallel=2, granularity="path")
         ).analyze(["RW", "bbuf"])
         # One ProcessPoolExecutor construction for the whole run (record,
         # plan and path queues included); every later dispatch reuses it.
         assert GLOBAL_STATS.pools_created == 1
         assert GLOBAL_STATS.pool_reuses >= 1
-
-    def test_barrier_builds_a_pool_per_dispatch(self):
-        GLOBAL_STATS.reset()
-        AnalysisEngine(
-            options=EngineOptions(parallel=2, granularity="path", dispatch="barrier")
-        ).analyze(["RW", "bbuf"])
-        assert GLOBAL_STATS.pools_created >= 2
-        assert GLOBAL_STATS.pool_reuses == 0
 
     def test_serial_run_builds_no_pool(self):
         GLOBAL_STATS.reset()

@@ -1,30 +1,22 @@
-"""Tests for the persistent solver warm tier, cost-aware granularity, and
-speculative path submission.
+"""Tests for the persistent solver warm tier and cost-aware granularity.
 
 Covers the cold-start work: sidecar round-trip/versioning/corruption units
 for ``solver_warm/<fingerprint>.json``, warm-load bit-equivalence of a
-second engine run, the cost model's primary-count history and capped
-eviction, the cost-aware ``choose_granularity`` refinement, and hit/miss
-determinism of speculative path submission under the shuffled-completion
-fake-pool harness.
+second engine run, the cost-model sidecar's capped eviction and its
+backward compatibility, and the cost-aware ``choose_granularity``
+refinement.
 """
 
 import glob
 import json
 import os
-import random
 
 import pytest
 
-from repro.engine import AnalysisEngine, EngineOptions, PoolDispatcher
+from repro.engine import AnalysisEngine, EngineOptions
 from repro.engine.cache import collect_cache_info, render_cache_info
-from repro.engine.engine import (
-    _SPECULATION_CAP,
-    _prune_warm_tier_dir,
-    choose_granularity,
-)
+from repro.engine.engine import _prune_warm_tier_dir, choose_granularity
 from repro.engine.costmodel import SIDECAR_MAX_ENTRIES, CostModel, prune_scored
-from repro.engine.events import fold_events, make_event, render_events_info
 from repro.symex.expr import Op, SymVar, make_binary
 from repro.symex.solver import (
     WARM_TIER_VERSION,
@@ -38,7 +30,7 @@ from repro.symex.solver import (
     worker_solver_cache,
 )
 
-from test_streaming import _DeferredPool, _full_signature, _shuffled_wait
+from test_streaming import _full_signature
 
 
 def _constraints(seed: int):
@@ -196,13 +188,9 @@ class TestWarmTierEngine:
 
     def test_env_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_WARM_TIER", raising=False)
-        monkeypatch.delenv("REPRO_SPECULATE", raising=False)
         assert EngineOptions().warm_tier is True
-        assert EngineOptions().speculate is False
         monkeypatch.setenv("REPRO_WARM_TIER", "0")
-        monkeypatch.setenv("REPRO_SPECULATE", "1")
         assert EngineOptions().warm_tier is False
-        assert EngineOptions().speculate is True
 
     def test_cache_info_reports_sidecar_tiers(self, tmp_path):
         cache_dir = str(tmp_path)
@@ -249,50 +237,42 @@ class TestCostAwareGranularity:
 
 
 class TestPrimariesHistory:
-    def test_predict_prefers_race_key_then_fingerprint(self):
-        model = CostModel()
-        assert model.predict_primaries("fp", 1) == 0
-        model.observe_plan("fp", 1, 4)
-        model.observe_plan("fp", 2, 8)
-        assert model.predict_primaries("fp", 1) == 4
-        assert model.predict_primaries("fp", 2) == 8
-        # Unseen race falls back to the per-fingerprint aggregate.
-        assert model.predict_primaries("fp", 3) > 0
+    """What the removed primary-count history leaves behind: sidecars that
+    still carry its block load their entries, and the capped eviction it
+    shared with the entries table."""
 
-    def test_conclusive_races_learn_zero(self):
-        model = CostModel()
-        for _ in range(5):
-            model.observe_plan("fp", 7, 0)
-        assert model.predict_primaries("fp", 7) == 0
-
-    def test_snapshot_is_frozen(self):
-        model = CostModel()
-        model.observe_plan("fp", 1, 4)
-        snapshot = model.primaries_snapshot()
-        model.observe_plan("fp", 1, 40)
-        model.observe_plan("fp", 1, 40)
-        assert model.predict_primaries("fp", 1, table=snapshot) == 4
-        assert model.predict_primaries("fp", 1) > 4
-
-    def test_sidecar_round_trip_includes_primaries(self, tmp_path):
-        path = str(tmp_path / "costmodel.json")
-        model = CostModel(sidecar_path=path)
-        model.observe("classify", "fp", 0.2)
-        model.observe_plan("fp", 3, 6)
+    def test_old_sidecar_with_primaries_block_loads_entries(self, tmp_path):
+        # Sidecars written before the primary-count history was removed
+        # carry a "primaries" block; it is ignored and "entries" still load.
+        path = tmp_path / "costmodel.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "alpha": 0.3,
+                    "entries": {"classify|fp": {"ewma": 0.2, "count": 3}},
+                    "primaries": {
+                        "fp#3": {"ewma": 6.0, "count": 1},
+                        "fp": {"ewma": 6.0, "count": 1},
+                    },
+                }
+            )
+        )
+        model = CostModel(sidecar_path=str(path))
+        assert model.warm_entries == 1
+        assert model.estimate("classify", "fp") == pytest.approx(0.2)
         assert model.save()
-        reloaded = CostModel(sidecar_path=path)
-        assert reloaded.predict_primaries("fp", 3) == 6
-        assert reloaded.estimate("classify", "fp") == pytest.approx(0.2)
+        assert "primaries" not in json.loads(path.read_text())
 
     def test_save_applies_capped_eviction(self, tmp_path):
         path = str(tmp_path / "costmodel.json")
         model = CostModel(sidecar_path=path)
         for index in range(SIDECAR_MAX_ENTRIES + 40):
-            model.observe_plan(f"fp{index}", 1, 2)
+            model.observe("classify", f"fp{index}", 0.1)
         assert model.save()
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-        assert len(payload["primaries"]) <= SIDECAR_MAX_ENTRIES
+        assert len(payload["entries"]) <= SIDECAR_MAX_ENTRIES
 
     def test_prune_scored_keeps_top_by_score(self):
         items = {"a": 1, "b": 5, "c": 3}
@@ -300,125 +280,3 @@ class TestPrimariesHistory:
         assert kept == {"b": 5, "c": 3}
         assert prune_scored(items, 0, lambda _key, value: 0.0) == {}
         assert prune_scored(items, 9, lambda _key, value: 0.0) == items
-
-
-def _shuffled_engine_run(monkeypatch, seed, options, names):
-    """One streaming engine run under the shuffled fake-pool harness."""
-    rng = random.Random(seed)
-    pool = _DeferredPool()
-    monkeypatch.setattr(PoolDispatcher, "warm", lambda self: None)
-    monkeypatch.setattr(PoolDispatcher, "acquire_for", lambda self, payloads: pool)
-    monkeypatch.setattr(
-        PoolDispatcher,
-        "map",
-        lambda self, payloads, worker: [worker(p) for p in payloads],
-    )
-    monkeypatch.setattr("repro.engine.engine.wait", _shuffled_wait(pool, rng))
-    engine = AnalysisEngine(options=options)
-    runs = engine.analyze(names=names)
-    return _full_signature(runs), engine.last_run_stats
-
-
-class TestSpeculation:
-    def _warm_history(self, cache_dir, names):
-        """Serial path-granularity run: records traces, learns the per-race
-        primary counts into costmodel.json, and fills the caches."""
-        engine = AnalysisEngine(
-            options=EngineOptions(parallel=0, cache_dir=cache_dir, granularity="path")
-        )
-        runs = engine.analyze(names=names)
-        return _full_signature(runs)
-
-    def _drop_classifications(self, cache_dir):
-        for path in glob.glob(os.path.join(cache_dir, "*-cls-*.json")):
-            os.unlink(path)
-
-    def test_speculation_is_deterministic_under_shuffled_completion(
-        self, monkeypatch, tmp_path
-    ):
-        # Each seed runs against an identical starting state (its own warm
-        # cache directory): the prediction inputs are frozen at drain start,
-        # so hit/waste counts cannot depend on the completion interleaving
-        # -- every seed must land on the same counters and verdicts.
-        names = ["bbuf", "RW"]
-        counters = set()
-        for seed in (0, 1, 7):
-            cache_dir = str(tmp_path / f"seed{seed}")
-            reference = self._warm_history(cache_dir, names)
-            self._drop_classifications(cache_dir)
-            signature, stats = _shuffled_engine_run(
-                monkeypatch,
-                seed,
-                EngineOptions(
-                    parallel=2,
-                    cache_dir=cache_dir,
-                    granularity="path",
-                    dispatch="streaming",
-                    speculate=True,
-                ),
-                names,
-            )
-            assert signature == reference
-            assert stats.speculation_hits > 0
-            counters.add((stats.speculation_hits, stats.speculation_wasted))
-        assert len(counters) == 1
-
-    def test_misprediction_is_discarded_not_merged(self, monkeypatch, tmp_path):
-        cache_dir = str(tmp_path)
-        names = ["bbuf"]
-        reference = self._warm_history(cache_dir, names)
-        # Inflate every recorded primary count so each race predicts more
-        # primaries than its plan will confirm: the overshoot must be
-        # discarded (counted as waste) without touching the verdicts.
-        model = CostModel(sidecar_path=os.path.join(cache_dir, "costmodel.json"))
-        assert model.primaries_snapshot()  # the warm run recorded history
-        for key in model.primaries_snapshot():
-            model._primaries[key] = [float(_SPECULATION_CAP), 8]
-        assert model.save()
-        self._drop_classifications(cache_dir)
-        signature, stats = _shuffled_engine_run(
-            monkeypatch,
-            3,
-            EngineOptions(
-                parallel=2,
-                cache_dir=cache_dir,
-                granularity="path",
-                dispatch="streaming",
-                speculate=True,
-            ),
-            names,
-        )
-        assert signature == reference
-        assert stats.speculation_wasted > 0
-
-    def test_speculation_off_by_default(self, monkeypatch, tmp_path):
-        cache_dir = str(tmp_path)
-        names = ["bbuf"]
-        reference = self._warm_history(cache_dir, names)
-        self._drop_classifications(cache_dir)
-        signature, stats = _shuffled_engine_run(
-            monkeypatch,
-            0,
-            EngineOptions(
-                parallel=2,
-                cache_dir=cache_dir,
-                granularity="path",
-                dispatch="streaming",
-            ),
-            names,
-        )
-        assert signature == reference
-        assert stats.speculation_hits == 0
-        assert stats.speculation_wasted == 0
-
-    def test_speculation_event_folds_into_stats(self):
-        events = [
-            make_event("speculation", workload="w", race=1, predicted=4, hits=3, wasted=1),
-            make_event("speculation", workload="w", race=2, predicted=2, hits=2, wasted=0),
-        ]
-        stats = fold_events(events)
-        assert stats.speculation_hits == 5
-        assert stats.speculation_wasted == 1
-        rendered = render_events_info(events)
-        assert "speculation:" in rendered
-        assert "hits=5" in rendered and "wasted=1" in rendered
