@@ -3,10 +3,19 @@
 This module is the record/replay choreography shared by every analysis
 stage:
 
-* :func:`replay_primary` replays the recorded trace (optionally with
-  different concrete inputs), stopping at the pre-race point, the post-race
-  point, and completion, and captures the corresponding checkpoints --
-  lines 1-4 of Algorithm 1.
+* :func:`replay_primary` returns the recorded trace's replay (optionally with
+  different concrete inputs) with the checkpoints of one race: the state at
+  its pre-race point, the memory right after its post-race point, and the
+  completed execution -- lines 1-4 of Algorithm 1.  Only those checkpoints
+  differ between the races of a trace, so the trace is replayed *once* per
+  (trace, effective inputs, race-point locator mode, step budget,
+  predicates, kernel): one :class:`ReplayPolicy` run stops at every race's
+  pre-race and post-race points, and the completed primary is shared by all
+  races and by both classifier stages.  A small per-process memo keeps the
+  last few such passes.  A pass that does not complete within the step
+  budget falls back, for that key, to :func:`replay_primary_per_race`, the
+  per-race replay with its exact per-phase budget; that function is also
+  the test oracle the shared pass is checked against.
 * :func:`run_alternate` primes a new execution with the pre-race checkpoint
   and enforces the alternate ordering of the racing accesses by preempting
   the thread that performed the first access and forcing the other racing
@@ -19,15 +28,17 @@ stage:
 from __future__ import annotations
 
 import enum
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.spec import SemanticPredicate, SpecChecker, diagnose_timeout
 from repro.detection.race_report import RaceReport
+from repro.lang import ast
 from repro.lang.program import Program
 from repro.record_replay.trace import ExecutionTrace
 from repro.runtime.errors import ExecutionOutcome, OutcomeKind
-from repro.runtime.executor import Executor, RunResult, RunStatus
+from repro.runtime.executor import Executor, RunStatus
 from repro.runtime.listeners import ExecutionListener, MemoryAccess
 from repro.runtime.scheduler import (
     ControlledPolicy,
@@ -107,14 +118,17 @@ class _RaceAccessWatcher(ExecutionListener):
 
 @dataclass
 class PrimaryReplay:
-    """The primary execution, replayed to completion with checkpoints."""
+    """The primary execution, replayed to completion with checkpoints.
+
+    ``final_state`` and ``pre_race_checkpoint`` may be shared with other
+    races of the same trace (see :func:`replay_primary`): read them or clone
+    them, never mutate them.
+    """
 
     final_state: ExecutionState
     pre_race_checkpoint: Optional[ExecutionState]
-    post_race_checkpoint: Optional[ExecutionState]
     post_race_snapshot: Optional[Tuple]
     reached_race: bool
-    run_result: RunResult
     diverged: bool
     steps: int
 
@@ -158,7 +172,16 @@ def _spec_listeners(predicates: Sequence[SemanticPredicate]) -> List[ExecutionLi
     return [SpecChecker(predicates)] if predicates else []
 
 
-def replay_primary(
+def _effective_inputs(
+    trace: ExecutionTrace, concrete_inputs: Optional[Dict[str, int]]
+) -> Dict[str, int]:
+    inputs = dict(trace.concrete_inputs)
+    if concrete_inputs:
+        inputs.update(concrete_inputs)
+    return inputs
+
+
+def replay_primary_per_race(
     executor: Executor,
     program: Program,
     trace: ExecutionTrace,
@@ -168,10 +191,14 @@ def replay_primary(
     max_steps: Optional[int] = None,
     use_steps: bool = True,
 ) -> PrimaryReplay:
-    """Replay the primary execution, taking pre-race and post-race checkpoints."""
-    inputs = dict(trace.concrete_inputs)
-    if concrete_inputs:
-        inputs.update(concrete_inputs)
+    """Replay the primary for one race alone, from the initial state.
+
+    Each of the three phases (to the pre-race point, to the post-race
+    point, to completion) gets the full step budget.  This is the fallback
+    of :func:`replay_primary` and the oracle its shared pass is tested
+    against.
+    """
+    inputs = _effective_inputs(trace, concrete_inputs)
     locator = RacePointLocator(race, use_steps=use_steps)
     policy = ReplayPolicy(trace.decisions)
     state = executor.initial_state(concrete_inputs=inputs)
@@ -191,7 +218,6 @@ def replay_primary(
     pre_race = state.clone() if result.status is RunStatus.STOPPED_BEFORE else None
     reached_race = pre_race is not None
 
-    post_race = None
     snapshot = None
     if reached_race:
         # Phase 2: up to and including the second racing access.
@@ -204,12 +230,11 @@ def replay_primary(
             stop_after=locator.stop_after_second_access(),
         )
         if result.status is RunStatus.STOPPED_AFTER:
-            post_race = state.clone()
             snapshot = state.memory.snapshot()
 
     # Phase 3: run to completion.
     if state.outcome is None:
-        result = executor.run(
+        executor.run(
             state,
             policy=policy,
             listeners=listeners,
@@ -219,12 +244,201 @@ def replay_primary(
     return PrimaryReplay(
         final_state=state,
         pre_race_checkpoint=pre_race,
-        post_race_checkpoint=post_race,
         post_race_snapshot=snapshot,
         reached_race=reached_race,
-        run_result=result,
         diverged=policy.diverged,
         steps=state.step_count,
+    )
+
+
+#: A race's stop points as the locator sees them:
+#: ``(first.tid, first.pc, first.step, second.tid, second.pc, second.step)``.
+_RacePoints = Tuple[int, int, int, int, int, int]
+
+
+def _race_points(race: RaceReport) -> _RacePoints:
+    first, second = race.first, race.second
+    return (first.tid, first.pc, first.step, second.tid, second.pc, second.step)
+
+
+@dataclass
+class _ReplayBook:
+    """One replay pass of a trace: the shared primary plus every race's
+    ``(pre-race checkpoint, post-race snapshot)``.
+
+    ``final_state`` is None when the pass did not complete within the step
+    budget; every race of the key then takes the per-race fallback.  Races
+    missing from ``points`` (not among ``trace.races``, or whose first
+    access is a synchronisation statement) take it too.
+    """
+
+    #: held so the ``id(trace)`` in the memo key cannot be reused
+    trace: ExecutionTrace
+    final_state: Optional[ExecutionState]
+    diverged: bool
+    steps: int
+    points: Dict[_RacePoints, List]
+
+
+def _replay_book(
+    executor: Executor,
+    trace: ExecutionTrace,
+    inputs: Dict[str, int],
+    predicates: Sequence[SemanticPredicate],
+    budget: int,
+    use_steps: bool,
+) -> _ReplayBook:
+    """Replay ``trace`` once, stopping at every race's pre- and post-race point.
+
+    Stops are transparent: the executor re-enters the scheduler on resume,
+    and at a watched (non-synchronisation) point :class:`ReplayPolicy` keeps
+    the current thread, so the schedule is the one each per-race replay
+    follows.  A stop *before* a synchronisation statement would consume a
+    second recorded decision on resume, so races whose first access is one
+    are left to the per-race fallback.
+    """
+    points: Dict[_RacePoints, List] = {}
+    for race in trace.races:
+        if not isinstance(executor.program.statement_at(race.first.pc), ast.SYNC_STMTS):
+            points.setdefault(_race_points(race), [None, None])
+    # Pending stop points, indexed by (tid, pc): one dict lookup per
+    # statement however many races the trace has.  A race's post-race point
+    # is armed only once its pre-race point has been reached.
+    pre: Dict[Tuple[int, int], List[_RacePoints]] = {}
+    for key in points:
+        pre.setdefault((key[0], key[1]), []).append(key)
+    post: Dict[Tuple[int, int], List[_RacePoints]] = {}
+    watched = frozenset(pc for key in points for pc in (key[1], key[4]))
+    hits: List[_RacePoints] = []
+
+    def stop_before(state: ExecutionState, tid: int, stmt) -> bool:
+        waiting = pre.get((tid, stmt.pc))
+        if not waiting:
+            return False
+        hits[:] = [
+            key for key in waiting if not use_steps or state.step_count + 1 >= key[2]
+        ]
+        return bool(hits)
+
+    def stop_after(state: ExecutionState, tid: int, stmt) -> bool:
+        armed = post.get((tid, stmt.pc))
+        if not armed:
+            return False
+        hits[:] = [key for key in armed if not use_steps or state.step_count >= key[5]]
+        return bool(hits)
+
+    def settle(index: Dict[Tuple[int, int], List[_RacePoints]], where: Tuple[int, int]) -> None:
+        remaining = [key for key in index[where] if key not in hits]
+        if remaining:
+            index[where] = remaining
+        else:
+            del index[where]
+
+    policy = ReplayPolicy(trace.decisions)
+    state = executor.initial_state(concrete_inputs=inputs)
+    listeners = _spec_listeners(predicates)
+    used = 0
+    while state.outcome is None:
+        result = executor.run(
+            state,
+            policy=policy,
+            listeners=listeners,
+            max_steps=budget - used,
+            watched_pcs=watched,
+            stop_before=stop_before if pre else None,
+            stop_after=stop_after if post else None,
+        )
+        used += result.steps_executed
+        if result.status is RunStatus.STOPPED_BEFORE:
+            checkpoint = state.clone()
+            settle(pre, (hits[0][0], hits[0][1]))
+            for key in hits:
+                points[key][0] = checkpoint
+                post.setdefault((key[3], key[4]), []).append(key)
+        elif result.status is RunStatus.STOPPED_AFTER:
+            snapshot = state.memory.snapshot()
+            settle(post, (hits[0][3], hits[0][4]))
+            for key in hits:
+                points[key][1] = snapshot
+        else:
+            break
+    return _ReplayBook(
+        trace=trace,
+        final_state=state if state.outcome is not None else None,
+        diverged=policy.diverged,
+        steps=state.step_count,
+        points=points,
+    )
+
+
+#: executing-process memo of replay passes, most recently used last.  Serial
+#: runs, engine tasks (which share one ExecutionTrace per trace token) and
+#: the baselines all hit it without plumbing; bounded because serial runs
+#: execute in the long-lived driving process.
+_REPLAY_MEMO: "OrderedDict[tuple, _ReplayBook]" = OrderedDict()
+_REPLAY_MEMO_LIMIT = 4
+
+
+def reset_replay_memo() -> None:
+    """Forget every replay pass (pool workers and each engine run start empty)."""
+    _REPLAY_MEMO.clear()
+
+
+def replay_primary(
+    executor: Executor,
+    program: Program,
+    trace: ExecutionTrace,
+    race: RaceReport,
+    concrete_inputs: Optional[Dict[str, int]] = None,
+    predicates: Sequence[SemanticPredicate] = (),
+    max_steps: Optional[int] = None,
+    use_steps: bool = True,
+) -> PrimaryReplay:
+    """Replay the primary execution, taking pre-race and post-race checkpoints.
+
+    The replay pass is shared with every other race of ``trace`` replayed
+    under the same inputs, locator mode, budget, predicates and kernel; the
+    result equals :func:`replay_primary_per_race`'s.
+    """
+    inputs = _effective_inputs(trace, concrete_inputs)
+    budget = max_steps or executor.config.max_steps
+    key = (
+        id(trace),
+        tuple(sorted(inputs.items())),
+        use_steps,
+        budget,
+        tuple(predicate.name for predicate in predicates),
+        type(executor),
+        executor.config.max_loop_iterations,
+    )
+    book = _REPLAY_MEMO.get(key)
+    if book is None or book.trace is not trace:
+        book = _replay_book(executor, trace, inputs, predicates, budget, use_steps)
+        if len(_REPLAY_MEMO) >= _REPLAY_MEMO_LIMIT:
+            _REPLAY_MEMO.popitem(last=False)
+        _REPLAY_MEMO[key] = book
+    else:
+        _REPLAY_MEMO.move_to_end(key)
+    found = book.points.get(_race_points(race)) if book.final_state is not None else None
+    if found is None:
+        return replay_primary_per_race(
+            executor,
+            program,
+            trace,
+            race,
+            concrete_inputs=concrete_inputs,
+            predicates=predicates,
+            max_steps=max_steps,
+            use_steps=use_steps,
+        )
+    checkpoint, snapshot = found
+    return PrimaryReplay(
+        final_state=book.final_state,
+        pre_race_checkpoint=checkpoint,
+        post_race_snapshot=snapshot,
+        reached_race=checkpoint is not None,
+        diverged=book.diverged,
+        steps=book.steps,
     )
 
 
@@ -255,6 +469,9 @@ def run_alternate(
 
     first, second = race.first, race.second
     state = primary.pre_race_checkpoint.clone()
+    # The checkpoint may come from a replay pass another task's executor
+    # ran: count this alternate's statements on the executor running it.
+    state.attach_counters(executor.counters)
     budget = timeout_steps if timeout_steps is not None else max(1000, 5 * primary.steps)
     listeners = _spec_listeners(predicates)
     watcher = _RaceAccessWatcher(race, second.tid)

@@ -51,6 +51,7 @@ from concurrent.futures import wait
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.core.alternate import reset_replay_memo
 from repro.core.categories import ClassifiedRace
 from repro.core.classifier import (
     SingleStageOutcome,
@@ -394,6 +395,7 @@ class AnalysisEngine:
         stream.  Enforced here so back-to-back runs in one process can never
         bleed counters or warm solver state into each other."""
         reset_worker_caches()
+        reset_replay_memo()
         # Arm the persistent warm tier for this process: the driver's own
         # worker-lifetime caches (serial runs, in-driver chunks) rehydrate
         # from the sidecars exactly like a fresh pool worker would.

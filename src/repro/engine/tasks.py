@@ -223,7 +223,8 @@ def pool_worker_initializer(
     """Runs once in each fresh pool worker process.
 
     Installs clean worker-lifetime state: the solver memos of
-    :mod:`repro.symex.solver` and this module's trace memo both start empty,
+    :mod:`repro.symex.solver`, this module's trace memo and the replay-pass
+    memo of :mod:`repro.core.alternate` all start empty,
     so nothing leaks between engine runs that happen to recycle a worker
     (``fork`` start methods inherit the parent's module state).
 
@@ -238,6 +239,7 @@ def pool_worker_initializer(
     faults fire in pool workers and never in the driving process -- the
     quarantine / serial paths stay fault-free by construction.
     """
+    from repro.core.alternate import reset_replay_memo
     from repro.engine.faults import install_fault_plan
     from repro.runtime.compile import reset_compiled_cache
     from repro.symex.solver import reset_worker_caches, set_warm_tier_dir
@@ -247,6 +249,7 @@ def pool_worker_initializer(
     reset_compiled_cache()
     install_fault_plan(dict(fault_spec) if fault_spec else None)
     _TRACE_MEMO.clear()
+    reset_replay_memo()
 
 
 def execute_noop_task(payload: Mapping) -> Dict:

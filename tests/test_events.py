@@ -236,7 +236,9 @@ class TestEngineEventStream:
         # the shared worker cache, and hence per-task enumeration counts)
         # depends on which task executed first, so the structural projection
         # keeps every event's identity fields and drops the attribution
-        # payload of solver events.
+        # payload of solver events.  Interpreter counters are attributed the
+        # same way: the task that first needs a trace's shared replay pass
+        # pays its statements, so interp events keep only their kernel.
         def structural(events):
             projected = []
             for event in events:
@@ -256,6 +258,8 @@ class TestEngineEventStream:
                     projected.append(
                         {k: v for k, v in event.items() if k in keep}
                     )
+                elif event["kind"] == "interp_stats":
+                    projected.append({"kind": "interp_stats", "interp": event["interp"]})
                 else:
                     projected.append(
                         {

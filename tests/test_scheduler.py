@@ -178,6 +178,8 @@ class TestFullStreamDeterminism:
             if event["kind"] in ("solver_query", "solver_stats"):
                 keep = ("kind", "backend", "result")
                 projected.append({k: v for k, v in event.items() if k in keep})
+            elif event["kind"] == "interp_stats":
+                projected.append({"kind": "interp_stats", "interp": event["interp"]})
             else:
                 projected.append(
                     {k: v for k, v in event.items() if k not in ("ts", "seconds")}
