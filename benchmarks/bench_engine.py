@@ -19,13 +19,6 @@ A/B comparisons quantify the hot-path optimizations:
 * **solver cache** -- the memoizing solver on vs off on ``stress_deep``
   (wall time plus enumerated-assignment counts; the memo must cut
   enumeration by at least 30%),
-* **warm tier** -- the persistent solver warm tier cold vs warm on the
-  solver-heavy pair (``stress_deep`` + ``stress_harmful``): the second
-  run against the same cache directory (classification entries deleted
-  in between, so every verdict is recomputed) rehydrates the hottest
-  worker-cache entries from ``solver_warm/`` sidecars and must
-  enumerate strictly fewer assignments than the cold run without
-  changing a verdict,
 * **fault recovery** -- the pooled engine under a deterministic fault
   plan (one worker crash, one hang, one malformed result) vs the same
   fault-free run on the mixed ``stress_harmful`` + ``stress_deep`` batch:
@@ -54,7 +47,6 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import replace
 
 import repro.symex.solver as solver_mod
 from repro.core.config import PortendConfig
@@ -62,7 +54,6 @@ from repro.engine import AnalysisEngine, EngineOptions
 from repro.engine.events import fold_events, load_events
 from repro.engine.stats import GLOBAL_STATS
 from repro.runtime.compile import create_executor
-from repro.symex.factory import solver_backends
 from repro.workloads import all_workload_names, load_workload
 
 WORKERS = min(4, os.cpu_count() or 1)
@@ -126,90 +117,10 @@ def run_comparison(names=None):
     }
     outcome["path_mode"] = run_path_mode_comparison()
     outcome["solver_cache"] = run_solver_cache_comparison()
-    outcome["solver_backends"] = run_solver_backend_comparison()
     outcome["events"] = run_events_check()
-    outcome["warm_tier"] = run_warm_tier_comparison()
     outcome["fault_recovery"] = run_fault_recovery_comparison()
     outcome["interpreter"] = run_interpreter_comparison()
     return outcome
-
-
-def _drop_classifications(cache_dir):
-    """Delete the classification-cache entries, keeping traces + sidecars.
-
-    This is how the warm-tier A/B isolates the solver tier: the second run
-    must recompute every verdict (so the solver actually runs) while reusing
-    the recorded traces, the cost-model sidecar and the ``solver_warm/``
-    entries the first run persisted.
-    """
-    for name in os.listdir(cache_dir):
-        if "-cls-" in name and name.endswith(".json"):
-            os.remove(os.path.join(cache_dir, name))
-
-
-def run_warm_tier_comparison(names=("stress_deep", "stress_harmful")):
-    """Persistent solver warm tier: cold vs warm.
-
-    Two legs against one shared cache directory, with the classification
-    entries deleted between legs so every verdict is recomputed:
-
-    1. **cold** -- serial path-granularity run on an empty directory; the
-       engine persists the hottest worker-cache entries to ``solver_warm/``
-       sidecars,
-    2. **warm** -- the identical run again; fresh solver caches rehydrate
-       from the sidecars, so enumeration must drop strictly below cold
-       while every verdict stays bit-identical.
-
-    The warm tier is advisory: a no-warm-tier reference run pins the
-    signature both legs must reproduce.  The cold/warm pair runs twice, each
-    time in a fresh directory, and each leg keeps its best wall clock: the
-    legs take ~2 s each and this host's speed drifts by more than the 10%
-    the timing gate allows within that window.  The counters are
-    deterministic and come from the last pair.
-    """
-    serial = dict(parallel=0, granularity="path")
-    baseline_runs = AnalysisEngine(
-        options=EngineOptions(warm_tier=False, **serial)
-    ).analyze(list(names))
-    reference = _signature(baseline_runs)
-
-    legs = {}
-    signatures = {}
-    for _repetition in range(2):
-        with tempfile.TemporaryDirectory() as cache_dir:
-            options = EngineOptions(cache_dir=cache_dir, warm_tier=True, **serial)
-            for label in ("cold", "warm"):
-                GLOBAL_STATS.reset()
-                started = time.perf_counter()
-                runs = AnalysisEngine(options=options).analyze(list(names))
-                elapsed = time.perf_counter() - started
-                legs[label] = {
-                    "seconds": min(elapsed, legs.get(label, {}).get("seconds", elapsed)),
-                    "solver_enumerated": GLOBAL_STATS.solver_assignments_enumerated,
-                    "worker_cache_hits": GLOBAL_STATS.worker_cache_hits,
-                    "classifications_computed": GLOBAL_STATS.classifications_computed,
-                }
-                signatures[label] = _signature(runs)
-                _drop_classifications(cache_dir)
-            warm_dir = os.path.join(cache_dir, "solver_warm")
-            sidecars = len(os.listdir(warm_dir)) if os.path.isdir(warm_dir) else 0
-
-    cold_enumerated = legs["cold"]["solver_enumerated"]
-    warm_enumerated = legs["warm"]["solver_enumerated"]
-    return {
-        "workloads": list(names),
-        "cold": legs["cold"],
-        "warm": legs["warm"],
-        "warm_sidecars": sidecars,
-        "identical": all(
-            signature == reference for signature in signatures.values()
-        ),
-        "enumeration_drop": (
-            (cold_enumerated - warm_enumerated) / cold_enumerated
-            if cold_enumerated
-            else 0.0
-        ),
-    }
 
 
 def run_fault_recovery_comparison(names=("stress_harmful", "stress_deep")):
@@ -281,49 +192,6 @@ def run_fault_recovery_comparison(names=("stress_harmful", "stress_deep")):
             and _signature(faulted_runs) == reference
         ),
         "overhead": (faulted_seconds / clean_seconds) if clean_seconds else 0.0,
-    }
-
-
-def run_solver_backend_comparison(names=("stress_deep",)):
-    """Every registered solver backend, serially, against the same batch.
-
-    The factory contract is that backends differ only in *how* they reach an
-    answer, never in the answer itself: verdicts must stay bit-identical, and
-    the classification cache is deliberately keyed without the backend name.
-    The comparison also records how much enumeration each backend avoids --
-    the portfolio backend's interval-propagation fast path should answer the
-    wrapped path-condition queries without enumerating at all.
-    """
-    per_backend = {}
-    signatures = {}
-    for backend in solver_backends():
-        GLOBAL_STATS.reset()
-        started = time.perf_counter()
-        runs = AnalysisEngine(
-            config=replace(PortendConfig(), solver_backend=backend)
-        ).analyze(list(names))
-        per_backend[backend] = {
-            "seconds": time.perf_counter() - started,
-            "solver_queries": GLOBAL_STATS.solver_queries,
-            "solver_enumerated": GLOBAL_STATS.solver_assignments_enumerated,
-            "solver_fastpath": GLOBAL_STATS.solver_fastpath_answers,
-            "solver_seconds": GLOBAL_STATS.solver_seconds,
-        }
-        signatures[backend] = _signature(runs)
-    reference = signatures["default"]
-    default_enumerated = per_backend["default"]["solver_enumerated"]
-    portfolio_enumerated = per_backend.get("portfolio", {}).get(
-        "solver_enumerated", default_enumerated
-    )
-    return {
-        "workloads": list(names),
-        "backends": per_backend,
-        "identical": all(signature == reference for signature in signatures.values()),
-        "enumeration_drop": (
-            (default_enumerated - portfolio_enumerated) / default_enumerated
-            if default_enumerated
-            else 0.0
-        ),
     }
 
 
@@ -461,7 +329,7 @@ def run_interpreter_comparison(names=None):
         GLOBAL_STATS.reset()
         started = time.perf_counter()
         runs = AnalysisEngine(
-            config=replace(PortendConfig(), interp=interp)
+            config=PortendConfig(interp=interp)
         ).analyze(names)
         kernels[interp] = {
             "analysis_seconds": time.perf_counter() - started,
@@ -547,11 +415,7 @@ def run_path_mode_comparison(names=None):
 
 
 def run_solver_cache_comparison(names=("stress_deep",)):
-    """The memoizing solver on vs off, serially on the deep-path workload.
-
-    Pinned to the ``default`` backend: the gate measures the memo's effect
-    on enumeration, which the portfolio fast path would short-circuit.
-    """
+    """The memoizing solver on vs off, serially on the deep-path workload."""
     modes = {}
     signatures = {}
     for label, enabled in (("off", False), ("on", True)):
@@ -559,9 +423,7 @@ def run_solver_cache_comparison(names=("stress_deep",)):
         try:
             GLOBAL_STATS.reset()
             started = time.perf_counter()
-            runs = AnalysisEngine(
-                config=replace(PortendConfig(), solver_backend="default")
-            ).analyze(list(names))
+            runs = AnalysisEngine().analyze(list(names))
             modes[label] = {
                 "seconds": time.perf_counter() - started,
                 "solver_queries": GLOBAL_STATS.solver_queries,
@@ -599,9 +461,7 @@ def render(outcome):
     )
     path_mode = outcome["path_mode"]
     solver_cache = outcome["solver_cache"]
-    backends = outcome["solver_backends"]
     events = outcome["events"]
-    warm_tier = outcome["warm_tier"]
     fault_recovery = outcome["fault_recovery"]
     interpreter = outcome["interpreter"]
     tree_tp = interpreter["throughput"]["tree"]
@@ -637,34 +497,11 @@ def render(outcome):
         f"{solver_cache['on']['solver_cache_hits']} hits)",
         f"{'enumeration drop':<26} {solver_cache['enumeration_drop']:.1%}",
         "",
-        f"Solver backends ({', '.join(backends['workloads'])}):",
-    ]
-    for name, numbers in backends["backends"].items():
-        lines.append(
-            f"{name:<26} {numbers['seconds']:.2f}s  "
-            f"({numbers['solver_queries']} queries, "
-            f"{numbers['solver_enumerated']} enumerated, "
-            f"{numbers['solver_fastpath']} fast-path answers)"
-        )
-    lines += [
-        f"{'enumeration drop':<26} {backends['enumeration_drop']:.1%}",
-        f"{'verdicts identical':<26} {backends['identical']}",
-        "",
         f"Event log ({', '.join(events['workloads'])}):",
         f"{'events written':<26} {events['events_total']} "
         f"({events['solver_query_events']} solver queries)",
         f"{'verdicts identical':<26} {events['identical']}",
         f"{'fold == live counters':<26} {events['fold_matches']}",
-        "",
-        f"Warm tier ({', '.join(warm_tier['workloads'])}):",
-        f"{'cold run':<26} {warm_tier['cold']['seconds']:.2f}s  "
-        f"({warm_tier['cold']['solver_enumerated']} assignments enumerated, "
-        f"{warm_tier['warm_sidecars']} sidecars persisted)",
-        f"{'warm run':<26} {warm_tier['warm']['seconds']:.2f}s  "
-        f"({warm_tier['warm']['solver_enumerated']} assignments enumerated, "
-        f"{warm_tier['warm']['worker_cache_hits']} worker-cache hits)",
-        f"{'enumeration drop':<26} {warm_tier['enumeration_drop']:.1%}",
-        f"{'verdicts identical':<26} {warm_tier['identical']}",
         "",
         f"Fault recovery ({', '.join(fault_recovery['workloads'])}, "
         f"{fault_recovery['workers']} workers):",
@@ -712,9 +549,7 @@ def to_artifact(outcome):
         "warm_classifications": outcome["warm_classifications"],
         "path_mode": outcome["path_mode"],
         "solver_cache": outcome["solver_cache"],
-        "solver_backends": outcome["solver_backends"],
         "events": outcome["events"],
-        "warm_tier": outcome["warm_tier"],
         "fault_recovery": outcome["fault_recovery"],
         "interpreter": outcome["interpreter"],
     }
@@ -751,40 +586,12 @@ def verify(outcome):
     solver_cache = outcome["solver_cache"]
     assert solver_cache["identical"]
     assert solver_cache["enumeration_drop"] >= 0.30, solver_cache
-    # Every solver backend must produce bit-identical verdicts, and the
-    # portfolio fast path must both fire and never enumerate more than the
-    # default backend does.
-    backends = outcome["solver_backends"]
-    assert backends["identical"], backends
-    assert (
-        backends["backends"]["portfolio"]["solver_enumerated"]
-        <= backends["backends"]["default"]["solver_enumerated"]
-    ), backends
-    assert backends["backends"]["portfolio"]["solver_fastpath"] > 0, backends
     # Event logging is pure observability: verdicts unchanged, and folding
     # the on-disk stream reproduces the run's counters exactly.
     events = outcome["events"]
     assert events["identical"], events
     assert events["fold_matches"], events
     assert events["solver_query_events"] > 0, events
-    # The persistent warm tier: the warm run rehydrates fresh solver caches
-    # from the sidecars, so it must enumerate *strictly* fewer assignments
-    # than the cold run, actually hit the rehydrated entries, recompute
-    # every verdict (the classification cache was emptied between legs),
-    # and not be slower than cold (small noise allowance) -- all without
-    # changing a verdict relative to the no-warm-tier reference.
-    warm_tier = outcome["warm_tier"]
-    assert warm_tier["identical"], warm_tier
-    assert warm_tier["warm_sidecars"] > 0, warm_tier
-    assert warm_tier["warm"]["classifications_computed"] > 0, warm_tier
-    assert (
-        warm_tier["warm"]["solver_enumerated"]
-        < warm_tier["cold"]["solver_enumerated"]
-    ), warm_tier
-    assert warm_tier["warm"]["worker_cache_hits"] > 0, warm_tier
-    assert (
-        warm_tier["warm"]["seconds"] <= 1.10 * warm_tier["cold"]["seconds"]
-    ), warm_tier
     # Fault recovery: verdicts are bit-identical to serial no matter what the
     # plan injected -- recovery re-runs deterministic tasks, it never changes
     # answers.  The pooled-recovery gates (respawns fired, nothing run-wide

@@ -33,19 +33,15 @@ class PortendConfig:
     max_explored_states: int = 256
     #: random seed for multi-schedule analysis
     seed: int = 2012
-    #: solver backend name (see :mod:`repro.symex.factory`); the
-    #: ``REPRO_SOLVER`` environment variable overrides the default, which
-    #: lets CI run the whole suite under an alternative backend.  Backends
-    #: are bit-identical by contract, so this knob never changes a verdict
-    #: and is excluded from :meth:`classification_fingerprint`.
-    solver_backend: str = field(
-        default_factory=lambda: os.environ.get("REPRO_SOLVER", "default")
-    )
+    #: pinned to "default", the only solver; any other value raises.  Kept
+    #: only because the benchmark harness passes every field by keyword --
+    #: a benchmark change will remove it.
+    solver_backend: str = "default"
     #: interpreter kernel name (see :mod:`repro.runtime.compile`); the
-    #: ``REPRO_INTERP`` environment variable overrides the default.  Like
-    #: solver backends, interpreters are bit-identical by contract -- the
-    #: compiled kernel changes dispatch mechanics, never semantics -- so
-    #: this knob is excluded from :meth:`classification_fingerprint`.
+    #: ``REPRO_INTERP`` environment variable overrides the default.
+    #: Interpreters are bit-identical by contract -- the compiled kernel
+    #: changes dispatch mechanics, never semantics -- so this knob is
+    #: excluded from :meth:`classification_fingerprint`.
     interp: str = field(
         default_factory=lambda: os.environ.get("REPRO_INTERP", "tree")
     )
@@ -62,6 +58,13 @@ class PortendConfig:
     #: compare outputs symbolically; when False, concrete output comparison
     #: is used (ablation for §3.3.1)
     symbolic_output_comparison: bool = True
+
+    def __post_init__(self) -> None:
+        if self.solver_backend != "default":
+            raise ValueError(
+                f"unknown solver backend {self.solver_backend!r}; the only "
+                "solver is 'default'"
+            )
 
     @property
     def k(self) -> int:
@@ -101,10 +104,11 @@ class PortendConfig:
         :meth:`race_seed`), the ``mp``/``ma`` exploration limits, the
         ablation switches, the step/state ceilings -- so any config change
         invalidates cached verdicts instead of silently serving stale ones.
-        ``solver_backend`` is one exception -- and ``interp`` shares it:
-        backends and interpreter kernels answer bit-identically by contract
-        (asserted in tests and the benchmark harness), so a cached verdict
-        stays valid across them.
+        ``interp`` is the exception: interpreter kernels answer
+        bit-identically by contract (asserted in tests and the benchmark
+        harness), so a cached verdict stays valid across them.  The pinned
+        ``solver_backend`` is left out too, so existing cache entries keep
+        hitting.
         """
         data = self.to_dict()
         data.pop("solver_backend", None)

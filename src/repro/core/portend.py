@@ -108,12 +108,6 @@ class Portend:
         self.program = program if program.finalized else program.finalize()
         self.config = config or PortendConfig()
         self.predicates = list(predicates)
-        if executor is None and solver is None:
-            # Build the solver the config's backend names (the factory seam);
-            # an explicitly supplied solver or executor always wins.
-            from repro.symex.factory import create_solver
-
-            solver = create_solver(self.config)
         if executor is None:
             # Build the interpreter kernel the config names (tree or
             # compiled); both are bit-identical, so this is a pure

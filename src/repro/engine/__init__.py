@@ -17,9 +17,7 @@
 * :mod:`repro.engine.cache` -- the on-disk trace cache keyed by
   ``(program, inputs, config)`` and the classification cache keyed by
   ``(program, inputs, config, race_id)`` plus the predicate mode; the
-  cost-model sidecar (``costmodel.json``) and the persistent solver warm
-  tier (``solver_warm/<fingerprint>.json``, see
-  :mod:`repro.symex.solver`) live in the same directory,
+  cost-model sidecar (``costmodel.json``) lives in the same directory,
 * :mod:`repro.engine.events` -- the typed JSON-lines event stream every
   pipeline counter is folded from,
 * :mod:`repro.engine.stats` -- the :class:`EngineStats` view of a folded

@@ -311,11 +311,9 @@ class _DirectoryCache:
 def collect_cache_info(cache_dir) -> List[Dict]:
     """Per-entry metadata for every cache tier sharing ``cache_dir``.
 
-    Covers the trace and classification caches plus the two sidecar tiers
-    that live next to them: the cost-model sidecar (``costmodel.json``,
-    hits = total observations across its tables) and the persistent solver
-    warm tier (``solver_warm/*.json``, hits = the per-entry hit counts the
-    harvest recorded).
+    Covers the trace and classification caches plus the cost-model
+    sidecar that lives next to them (``costmodel.json``, hits = total
+    observations across its tables).
     """
     rows = TraceCache(cache_dir).info() + ClassificationCache(cache_dir).info()
     rows += _sidecar_info(cache_dir)
@@ -323,11 +321,10 @@ def collect_cache_info(cache_dir) -> List[Dict]:
 
 
 def _sidecar_info(cache_dir) -> List[Dict]:
-    """Rows for ``costmodel.json`` and ``solver_warm/*.json`` sidecars."""
+    """The row for the ``costmodel.json`` sidecar (none when absent)."""
     now = time.time()
     rows: List[Dict] = []
-    root = Path(cache_dir)
-    costmodel = root / "costmodel.json"
+    costmodel = Path(cache_dir) / "costmodel.json"
     if costmodel.is_file():
         try:
             stat = costmodel.stat()
@@ -349,29 +346,6 @@ def _sidecar_info(cache_dir) -> List[Dict]:
             )
         except (OSError, ValueError, TypeError):
             pass
-    warm_dir = root / "solver_warm"
-    if warm_dir.is_dir():
-        for path in sorted(warm_dir.glob("*.json")):
-            try:
-                stat = path.stat()
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                hits = sum(
-                    int(entry.get("hits", 0))
-                    for entry in payload.get("entries", ())
-                    if isinstance(entry, dict)
-                )
-                rows.append(
-                    {
-                        "file": f"solver_warm/{path.name}",
-                        "kind": "solver_warm",
-                        "age_seconds": max(0.0, now - stat.st_mtime),
-                        "hits": hits,
-                        "size_bytes": stat.st_size,
-                    }
-                )
-            except (OSError, ValueError, TypeError):
-                continue
     return rows
 
 

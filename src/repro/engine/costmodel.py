@@ -76,10 +76,9 @@ def prune_scored(
 ) -> Dict[_K, _V]:
     """Keep the ``limit`` highest-scoring items (ties broken by key order).
 
-    The shared eviction primitive for every persisted scheduler sidecar:
-    the cost model prunes its tables by observation count, and the engine
-    prunes the warm-tier sidecar directory by file recency.  Deterministic
-    -- equal inputs produce equal survivor sets.
+    The eviction primitive of the persisted scheduler sidecar: the cost
+    model prunes its tables by observation count.  Deterministic -- equal
+    inputs produce equal survivor sets.
     """
     if limit <= 0:
         return {}

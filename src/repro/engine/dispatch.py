@@ -37,7 +37,7 @@ failure from a run-wide event into a per-task one.  The degradation ladder:
 2. **respawn** -- a ``BrokenProcessPool`` (or an expired deadline) tears the
    persistent pool down with ``shutdown(cancel_futures=True)`` and rebuilds
    it -- re-running :func:`~repro.engine.tasks.pool_worker_initializer`, so
-   the warm tier re-arms -- up to ``max_pool_respawns`` times per run;
+   the fault plan re-arms -- up to ``max_pool_respawns`` times per run;
 3. **quarantine** -- a task that keeps failing is exiled to the in-driver
    serial path (*it alone*, not the run).  Crashes cannot name a culprit
    (every pending future of a broken pool fails identically), so repeat
@@ -586,7 +586,6 @@ class PoolDispatcher:
         workers: Optional[int],
         events: Optional[EventLogger] = None,
         cost_model: Optional[CostModel] = None,
-        warm_tier_root: Optional[str] = None,
         max_pool_respawns: int = 2,
         max_task_retries: int = 2,
         task_deadline_ms: int = 0,
@@ -594,10 +593,6 @@ class PoolDispatcher:
         retry_backoff_s: float = 0.05,
     ) -> None:
         self.workers = int(workers or 0)
-        #: cache root whose ``solver_warm/`` sidecars every fresh pool worker
-        #: should rehydrate (None = warm tier off); forwarded as the pool
-        #: initializer's argument so cold processes start warm
-        self.warm_tier_root = warm_tier_root
         #: pool-lifecycle events land here (the engine passes its run logger;
         #: a standalone dispatcher gets a private stream)
         self.events = events if events is not None else EventLogger()
@@ -644,7 +639,7 @@ class PoolDispatcher:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=pool_worker_initializer,
-                    initargs=(self.warm_tier_root, self.fault_spec),
+                    initargs=(self.fault_spec,),
                 )
             except OSError:
                 self._broken = True
@@ -716,8 +711,8 @@ class PoolDispatcher:
     def _respawn(self, reason: str, charge: bool = True):
         """Tear down and rebuild the persistent pool (the supervision path).
 
-        Respawns re-run :func:`pool_worker_initializer` (warm tier and fault
-        plan re-arm) but deliberately do **not** emit ``pool created`` or
+        Respawns re-run :func:`pool_worker_initializer` (the fault plan
+        re-arms) but deliberately do **not** emit ``pool created`` or
         touch ``pools_created`` -- a streaming run still creates exactly one
         pool; recoveries are their own ``pool_respawn`` events.  Returns the
         new pool, or None once the budget is exhausted (recorded as a
@@ -739,7 +734,7 @@ class PoolDispatcher:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=pool_worker_initializer,
-                initargs=(self.warm_tier_root, self.fault_spec),
+                initargs=(self.fault_spec,),
             )
         except OSError:
             self._broken = True

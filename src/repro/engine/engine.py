@@ -61,7 +61,7 @@ from repro.core.classifier import (
 from repro.core.config import PortendConfig
 from repro.core.multi_path import PathVerdict, merge_path_verdicts
 from repro.engine.cache import ClassificationCache, TraceCache
-from repro.engine.costmodel import CostModel, prune_scored
+from repro.engine.costmodel import CostModel
 from repro.engine.dispatch import PoolDispatcher, picklable
 from repro.engine.events import EventLogger, write_events
 from repro.engine.faults import FaultPlan, resolve_fault_plan
@@ -77,12 +77,7 @@ from repro.engine.tasks import (
     execute_task,
 )
 from repro.record_replay.trace import ExecutionTrace
-from repro.symex.solver import (
-    reset_worker_caches,
-    save_warm_tier,
-    set_warm_tier_dir,
-    worker_cache_items,
-)
+from repro.symex.solver import reset_worker_caches
 from repro.workloads import Workload, all_workloads, load_workload
 
 #: stage-3 task granularities (see EngineOptions.granularity)
@@ -91,11 +86,6 @@ GRANULARITIES = ("auto", "race", "path")
 #: monotonic source of trace tokens -- process-unique, never reused, so
 #: in-driver task execution can never be served a stale memoized trace
 _TRACE_TOKENS = itertools.count()
-
-#: per-fingerprint sidecar files kept in ``<cache_dir>/solver_warm/`` after a
-#: run finishes; oldest files beyond the cap are deleted (mirrors the capped
-#: eviction the cost-model sidecar applies to its own tables)
-_WARM_DIR_LIMIT = 64
 
 
 def _env_int(name: str, default: int) -> int:
@@ -114,10 +104,6 @@ def _default_parallel() -> int:
 
 def _default_chunk_target_ms() -> int:
     return _env_int("REPRO_CHUNK_TARGET_MS", 500)
-
-
-def _default_warm_tier() -> bool:
-    return _env_int("REPRO_WARM_TIER", 1) != 0
 
 
 def _default_fault_plan() -> Optional[str]:
@@ -142,7 +128,7 @@ class EngineOptions:
 
     ``parallel`` and ``chunk_target_ms`` read their defaults from the
     ``REPRO_PARALLEL``/``REPRO_CHUNK_TARGET_MS`` environment variables
-    (mirroring ``REPRO_SOLVER`` for the solver backend), so whole test
+    (mirroring ``REPRO_INTERP`` for the interpreter kernel), so whole test
     suites can run on a pool without touching each call site -- the CI
     full-stream job sets ``REPRO_PARALLEL=2``.  Explicit constructor
     arguments always win over the environment.
@@ -180,14 +166,11 @@ class EngineOptions:
     #: set (see :mod:`repro.engine.events`); None disables the write -- the
     #: events are still collected and folded into the run's stats either way
     events_path: Optional[str] = None
-    #: persist the hottest worker-lifetime solver-cache entries to
-    #: ``<cache_dir>/solver_warm/<program_fingerprint>.json`` when the run
-    #: finishes, and rehydrate them into every fresh worker process (pool
-    #: initializer) and the driver's own caches -- so cold processes start
-    #: warm.  Advisory only: entries are bit-identical to what recomputation
-    #: would produce, so verdicts cannot change.  No-op without a cache
-    #: directory.  Default from ``REPRO_WARM_TIER`` (on).
-    warm_tier: bool = field(default_factory=_default_warm_tier)
+    #: pinned to True (solver caches live only as long as their process;
+    #: nothing is persisted); False raises.  Kept only because the
+    #: benchmark harness passes every field by keyword -- a benchmark
+    #: change will remove it.
+    warm_tier: bool = True
     #: pinned to False (speculative path submission was removed); True
     #: raises.  Kept only because the benchmark harness passes every field
     #: by keyword -- a benchmark change will remove it.
@@ -219,6 +202,8 @@ class EngineOptions:
             )
         if self.speculate is not False:
             raise ValueError("speculative path submission was removed")
+        if self.warm_tier is not True:
+            raise ValueError("the persistent solver warm tier was removed")
 
 
 def choose_granularity(
@@ -258,36 +243,6 @@ def choose_granularity(
     if race_cost > 0.0 and split_cost > 0.0 and split_cost >= race_cost:
         return "race"
     return "path"
-
-
-def _prune_warm_tier_dir(root: str, limit: int = _WARM_DIR_LIMIT) -> None:
-    """Capped eviction for the warm-tier sidecar directory.
-
-    Keeps the ``limit`` most recently written ``solver_warm/*.json`` files
-    and deletes the rest -- the same ``prune_scored`` primitive the
-    cost-model sidecar uses for its own tables, scored by mtime.
-    Best-effort: a directory that disappears mid-walk is simply skipped.
-    """
-    directory = os.path.join(root, "solver_warm")
-    try:
-        names = [name for name in os.listdir(directory) if name.endswith(".json")]
-    except OSError:
-        return
-    if len(names) <= limit:
-        return
-    mtimes: Dict[str, float] = {}
-    for name in names:
-        try:
-            mtimes[name] = os.path.getmtime(os.path.join(directory, name))
-        except OSError:
-            mtimes[name] = 0.0
-    keep = prune_scored(mtimes, limit, lambda _name, mtime: mtime)
-    for name in names:
-        if name not in keep:
-            try:
-                os.unlink(os.path.join(directory, name))
-            except OSError:
-                pass
 
 
 @dataclass
@@ -349,15 +304,6 @@ class AnalysisEngine:
                 else None
             ),
         )
-        #: the persistent warm tier's cache root: pool workers rehydrate
-        #: solver-cache sidecars from ``<root>/solver_warm/`` at spawn, and
-        #: ``_finish_run`` harvests the driver's worker-lifetime caches back
-        #: into them.  None = tier disabled (no cache dir, or opted out).
-        self._warm_tier_root = (
-            self.options.cache_dir
-            if (self.options.warm_tier and self.options.cache_dir)
-            else None
-        )
         #: the resolved fault-injection spec (None without a plan); resolved
         #: once here so a malformed plan fails loudly at construction, and
         #: shipped to pool workers through the dispatcher's initializer args
@@ -369,7 +315,6 @@ class AnalysisEngine:
             self.options.parallel,
             self.events,
             cost_model=self.cost_model,
-            warm_tier_root=self._warm_tier_root,
             max_pool_respawns=self.options.max_pool_respawns,
             max_task_retries=self.options.max_task_retries,
             task_deadline_ms=self.options.task_deadline_ms,
@@ -396,10 +341,6 @@ class AnalysisEngine:
         bleed counters or warm solver state into each other."""
         reset_worker_caches()
         reset_replay_memo()
-        # Arm the persistent warm tier for this process: the driver's own
-        # worker-lifetime caches (serial runs, in-driver chunks) rehydrate
-        # from the sidecars exactly like a fresh pool worker would.
-        set_warm_tier_dir(self._warm_tier_root)
         # Apply any driver-side sidecar corruption up front (the fuzzing
         # half of the fault plan), and snapshot the claim ledger so only
         # faults fired *during this run* replay as events at run finish.
@@ -414,7 +355,6 @@ class AnalysisEngine:
             workloads=[workload.name for workload in workloads],
             parallel=self.options.parallel,
             granularity=self.options.granularity,
-            solver=self.config.solver_backend,
         )
         self._run_started = time.perf_counter()
 
@@ -451,19 +391,6 @@ class AnalysisEngine:
         # Persist the learned cost table so the next run schedules well from
         # its first task (best-effort, no-op without a cache directory).
         self.cost_model.save()
-        # Harvest the driving process's worker-lifetime solver caches into
-        # the persistent warm tier (pool workers load the tier at spawn but
-        # their in-process entries die with the pool, so the driver's caches
-        # -- populated by serial runs and in-driver chunks, and by loading
-        # the previous sidecar -- are the harvest source).  Then cap the
-        # sidecar directory so stale fingerprints age out.
-        if self._warm_tier_root:
-            for fingerprint, cache in worker_cache_items():
-                save_warm_tier(self._warm_tier_root, fingerprint, cache)
-            _prune_warm_tier_dir(self._warm_tier_root)
-        # Disarm the process-global tier hook so non-engine solver use (e.g.
-        # classify_races_parallel) does not keep reading this run's sidecars.
-        set_warm_tier_dir(None)
         return self.last_run_stats
 
 

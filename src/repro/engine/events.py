@@ -17,7 +17,7 @@ Event schema -- every event is a flat JSON object with a ``kind`` from
 kind                         fields
 ===========================  ====================================================
 ``run_start``                ``workloads`` (names), ``parallel``,
-                             ``granularity``, ``solver``
+                             ``granularity``
 ``run_finish``               ``seconds``
 ``task_submit``              ``stage`` (record/classify/plan/path), ``workload``,
                              ``race`` / ``path`` when applicable
@@ -29,10 +29,10 @@ kind                         fields
                              (bool), ``worker_hit`` (solver tier only)
 ``classification_computed``  ``workload``, ``race``
 ``primary``                  ``shipped`` (bool) -- path-task primary reuse
-``solver_query``             ``backend``, ``result``, ``cached``,
-                             ``worker_hit``, ``seconds`` (worker, per query)
-``solver_stats``             ``backend`` + a ``SolverStats.to_dict()`` snapshot
-                             (one per task, the aggregate of its queries)
+``solver_query``             ``result``, ``cached``, ``worker_hit``,
+                             ``seconds`` (worker, per query)
+``solver_stats``             a ``SolverStats.to_dict()`` snapshot (one per
+                             task, the aggregate of its queries)
 ``interp_stats``             ``interp`` (kernel name) + the executor's
                              ``InterpCounters.to_dict()`` snapshot
                              (``statements``, ``forks``, ``cow_copies``;
@@ -72,7 +72,9 @@ their tier; ``classification_computed`` and ``primary`` count themselves;
 folded -- the per-task snapshot already aggregates them, and folding both
 would double-count); ``pool`` and ``stage_overlap`` feed the pool-lifecycle
 counters.  Lifecycle events (``run_*``, ``task_*``) carry latency data for
-``events-info`` histograms but fold to nothing.
+``events-info`` histograms but fold to nothing.  Fields a fold does not
+know are ignored, so logs written by older versions (whose solver events
+also carried a ``backend`` name) still load and fold.
 
 Determinism: workers buffer events in an :class:`EventBuffer` attached to
 the task result payload (exactly like the solver-stats snapshots before);
@@ -339,13 +341,13 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
 
     Returns a dict with: by-kind counts, the folded stats, per-stage task
     latency histograms (with p50/p95 percentiles), cache hit rates by tier,
-    solver time/query counts grouped by backend, and the cost-aware
+    solver time/query totals, and the cost-aware
     scheduler's chunk decisions (estimated vs. actual seconds per stage).
     """
     by_kind: Dict[str, int] = {}
     stage_latencies: Dict[str, List[float]] = {}
     cache_totals: Dict[str, Dict[str, int]] = {}
-    backends: Dict[str, Dict[str, float]] = {}
+    solver: Dict[str, float] = {"tasks": 0, "queries": 0, "seconds": 0.0, "enumerated": 0}
     interpreters: Dict[str, Dict[str, int]] = {}
     decisions: Dict[str, Dict[str, float]] = {}
     recovery: Dict[str, object] = {
@@ -393,15 +395,10 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
             entry = cache_totals.setdefault(tier, {"hits": 0, "misses": 0})
             entry["hits" if event.get("hit") else "misses"] += 1
         elif kind == "solver_stats":
-            backend = str(event.get("backend", "default"))
-            entry = backends.setdefault(
-                backend,
-                {"queries": 0, "seconds": 0.0, "enumerated": 0, "fastpath": 0},
-            )
-            entry["queries"] += int(event.get("queries", 0))
-            entry["seconds"] += float(event.get("seconds", 0.0))
-            entry["enumerated"] += int(event.get("enumerated_assignments", 0))
-            entry["fastpath"] += int(event.get("fastpath_answers", 0))
+            solver["tasks"] += 1
+            solver["queries"] += int(event.get("queries", 0))
+            solver["seconds"] += float(event.get("seconds", 0.0))
+            solver["enumerated"] += int(event.get("enumerated_assignments", 0))
         elif kind == "task_retry":
             recovery["retries"] += 1
             _recovery_stage(event, "retries")
@@ -459,7 +456,7 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
         "stats": fold_events(events).summary(),
         "stage_latency": histograms,
         "cache_rates": cache_rates,
-        "solver_backends": dict(sorted(backends.items())),
+        "solver": solver,
         "interpreters": dict(sorted(interpreters.items())),
         "scheduler_decisions": dict(sorted(decisions.items())),
         "recovery": recovery,
@@ -536,16 +533,15 @@ def render_events_info(events: Sequence[Event]) -> str:
     if not summary["cache_rates"]:
         lines.append("  (no cache events)")
     lines.append("")
-    lines.append("solver time by backend:")
-    for backend, data in summary["solver_backends"].items():
+    solver = summary["solver"]
+    if solver["tasks"]:
         lines.append(
-            f"  {backend}: queries={int(data['queries'])} "
-            f"seconds={data['seconds']:.3f} "
-            f"enumerated={int(data['enumerated'])} "
-            f"fastpath={int(data['fastpath'])}"
+            f"solver: queries={int(solver['queries'])} "
+            f"seconds={solver['seconds']:.3f} "
+            f"enumerated={int(solver['enumerated'])}"
         )
-    if not summary["solver_backends"]:
-        lines.append("  (no solver_stats events)")
+    else:
+        lines.append("solver: (no solver_stats events)")
     lines.append("")
     lines.append("interpreter counters by kernel:")
     for interp, data in summary["interpreters"].items():

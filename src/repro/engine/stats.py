@@ -52,8 +52,6 @@ class EngineStats:
     #: the subset of solver cache hits served from a worker-lifetime entry
     #: written by an earlier task of the same process
     worker_cache_hits: int = 0
-    #: queries a backend answered without enumerating (portfolio fast path)
-    solver_fastpath_answers: int = 0
     #: wall-clock seconds spent inside solver queries (aggregated)
     solver_seconds: float = 0.0
     #: ProcessPoolExecutor constructions (streaming: one per engine run)
@@ -104,7 +102,6 @@ class EngineStats:
         self.solver_cache_misses = 0
         self.solver_assignments_enumerated = 0
         self.worker_cache_hits = 0
-        self.solver_fastpath_answers = 0
         self.solver_seconds = 0.0
         self.pools_created = 0
         self.pool_reuses = 0
@@ -134,7 +131,6 @@ class EngineStats:
         self.solver_cache_misses += other.solver_cache_misses
         self.solver_assignments_enumerated += other.solver_assignments_enumerated
         self.worker_cache_hits += other.worker_cache_hits
-        self.solver_fastpath_answers += other.solver_fastpath_answers
         self.solver_seconds += other.solver_seconds
         self.pools_created += other.pools_created
         self.pool_reuses += other.pool_reuses
@@ -166,7 +162,6 @@ class EngineStats:
         self.solver_cache_misses += payload.get("cache_misses", 0)
         self.solver_assignments_enumerated += payload.get("enumerated_assignments", 0)
         self.worker_cache_hits += payload.get("worker_cache_hits", 0)
-        self.solver_fastpath_answers += payload.get("fastpath_answers", 0)
         self.solver_seconds += payload.get("seconds", 0.0)
 
     def absorb_interp(self, payload) -> None:
@@ -194,7 +189,6 @@ class EngineStats:
             f"(cache hits={self.solver_cache_hits}, "
             f"misses={self.solver_cache_misses}), "
             f"solver assignments enumerated={self.solver_assignments_enumerated}, "
-            f"solver fast-path answers={self.solver_fastpath_answers}, "
             f"worker-cache hits={self.worker_cache_hits}, "
             f"pools created={self.pools_created}, "
             f"pool reuses={self.pool_reuses}, "

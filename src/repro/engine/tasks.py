@@ -155,24 +155,19 @@ def _build_portend(task, program, config, predicates, events: Optional[EventBuff
     """A per-task Portend whose solver joins the worker-lifetime cache.
 
     Every task still gets a fresh solver (so its stats snapshot is the
-    task's delta), built by the factory the config's ``solver_backend``
-    names -- pool workers construct the same backend the driver chose
-    because the backend name travels inside the task's config dict.  When
-    the payload names a program fingerprint the solver's memo dicts are the
-    process-shared ones for that program: identical constraint-set queries
-    across the races and primary paths of one workload hit warm entries
-    instead of re-enumerating.  When an event buffer is supplied, the
-    solver's per-query events flow into it.
+    task's delta).  When the payload names a program fingerprint the
+    solver's memo dicts are the process-shared ones for that program:
+    identical constraint-set queries across the races and primary paths of
+    one workload hit warm entries instead of re-enumerating.  When an event
+    buffer is supplied, the solver's per-query events flow into it.
     """
     from repro.core.portend import Portend
-    from repro.symex.factory import create_solver
-    from repro.symex.solver import worker_solver_cache
+    from repro.symex.solver import Solver, worker_solver_cache
 
     shared = None
     if task.program_fingerprint:
         shared = worker_solver_cache(task.program_fingerprint)
-    solver = create_solver(
-        config,
+    solver = Solver(
         shared_cache=shared,
         event_sink=events.sink if events is not None else None,
     )
@@ -199,9 +194,7 @@ def _finish_task(
     snapshot: Dict = {}
     if portend is not None:
         snapshot = _solver_snapshot(portend)
-        events.emit(
-            "solver_stats", backend=portend.executor.solver.backend, **snapshot
-        )
+        events.emit("solver_stats", **snapshot)
         events.emit(
             "interp_stats",
             interp=portend.executor.interp,
@@ -217,9 +210,7 @@ def _finish_task(
     return snapshot, events.drain()
 
 
-def pool_worker_initializer(
-    warm_tier_root: Optional[str] = None, fault_spec: Optional[Mapping] = None
-) -> None:
+def pool_worker_initializer(fault_spec: Optional[Mapping] = None) -> None:
     """Runs once in each fresh pool worker process.
 
     Installs clean worker-lifetime state: the solver memos of
@@ -227,12 +218,6 @@ def pool_worker_initializer(
     memo of :mod:`repro.core.alternate` all start empty,
     so nothing leaks between engine runs that happen to recycle a worker
     (``fork`` start methods inherit the parent's module state).
-
-    When the engine armed the persistent warm tier, ``warm_tier_root`` names
-    the cache directory whose ``solver_warm/`` sidecars this worker should
-    rehydrate on first use of each program's cache -- the cross-run warmth
-    that makes a freshly forked process answer repeat constraint sets
-    without enumerating.
 
     When a fault plan is active (``--fault-plan`` / ``REPRO_FAULT_PLAN``),
     ``fault_spec`` is its resolved spec; it is installed *only here*, so
@@ -242,10 +227,9 @@ def pool_worker_initializer(
     from repro.core.alternate import reset_replay_memo
     from repro.engine.faults import install_fault_plan
     from repro.runtime.compile import reset_compiled_cache
-    from repro.symex.solver import reset_worker_caches, set_warm_tier_dir
+    from repro.symex.solver import reset_worker_caches
 
     reset_worker_caches()
-    set_warm_tier_dir(warm_tier_root)
     reset_compiled_cache()
     install_fault_plan(dict(fault_spec) if fault_spec else None)
     _TRACE_MEMO.clear()

@@ -1,12 +1,13 @@
 """Command-line entry point: ``python -m repro.experiments <experiment>``.
 
-The shared-run experiments (table3/table4/table5/fig9) all consume one
-default-configuration analysis of the workload list; the driver computes
-those runs once through the :class:`repro.engine.AnalysisEngine` -- honoring
-``--parallel``, ``--cache-dir`` and ``--workloads`` -- and hands them to
-every requested experiment.  The ablation experiments (table2, fig7, fig10)
-sweep their own configurations but still honor ``--parallel`` and
-``--cache-dir`` for each per-config analysis.
+The driver builds one :class:`~repro.core.config.PortendConfig` and one
+:class:`~repro.engine.EngineOptions` from the flags the user set (a flag
+left unset keeps the field's default, including its ``REPRO_*``
+environment default).  The shared-run experiments (table3/table4/table5/
+fig9) all consume one analysis of the workload list under that pair,
+computed once through the :class:`repro.engine.AnalysisEngine`; the
+ablation experiments (table2, fig7, fig10) sweep their own variants of the
+config and run every analysis under the same options.
 """
 
 from __future__ import annotations
@@ -17,22 +18,41 @@ import sys
 from repro.experiments import fig7, fig9, fig10, table1, table2, table3, table4, table5
 
 _EXPERIMENTS = {
-    "table1": (table1, {}),
-    "table2": (table2, {}),
-    "table3": (table3, {}),
-    "table4": (table4, {}),
-    "table5": (table5, {}),
-    "fig7": (fig7, {}),
-    "fig9": (fig9, {}),
-    "fig10": (fig10, {}),
+    "table1": table1,
+    "table2": table2,
+    "table3": table3,
+    "table4": table4,
+    "table5": table5,
+    "fig7": fig7,
+    "fig9": fig9,
+    "fig10": fig10,
 }
 
 #: experiments whose run() accepts precomputed default-config runs
 _RUNS_CAPABLE = {"table3", "table4", "table5", "fig9"}
 
-#: ablation experiments that analyze with their own configs but still accept
-#: the engine's parallel/cache flags per analysis
+#: ablation experiments whose run() takes the (config, options) pair
 _ENGINE_FLAG_CAPABLE = {"table2", "fig7", "fig10"}
+
+#: EngineOptions fields settable from the command line (each flag's argparse
+#: ``dest`` is the field name; an unset flag is None and is not passed)
+_OPTION_FLAGS = (
+    "parallel",
+    "cache_dir",
+    "granularity",
+    "chunk_target_ms",
+    "events_path",
+    "cache_max_entries",
+    "fault_plan",
+    "max_pool_respawns",
+    "max_task_retries",
+    "task_deadline_ms",
+)
+
+
+def _given(args: argparse.Namespace, names) -> dict:
+    """The subset of ``names`` the user actually set on the command line."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def main(argv=None) -> int:
@@ -45,7 +65,7 @@ def main(argv=None) -> int:
         choices=sorted(_EXPERIMENTS) + ["all", "cache-info", "events-info", "profile"],
         help="which table/figure to regenerate, 'cache-info' to dump "
         "per-entry age and hit counts of a --cache-dir (including the "
-        "costmodel.json and solver_warm/ sidecar tiers), 'events-info' to "
+        "costmodel.json sidecar), 'events-info' to "
         "summarize a structured event log written via --events, or "
         "'profile' to run one workload's analysis under cProfile",
     )
@@ -59,9 +79,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--parallel",
         type=int,
-        default=0,
+        default=None,
         metavar="N",
-        help="classify races over N worker processes (0/1 = serial)",
+        help="classify races over N worker processes (0/1 = serial).  "
+        "Defaults to the REPRO_PARALLEL environment variable, else 0",
     )
     parser.add_argument(
         "--cache-dir",
@@ -78,42 +99,23 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--task-granularity",
-        default="auto",
+        default=None,
         choices=["auto", "race", "path"],
         dest="granularity",
         help="classification task grain: 'race' = one task per (workload, race), "
         "'path' = one task per (race, primary-path); 'auto' adapts per workload "
         "when --parallel > 1 (path for few-race workloads, race for many-race "
-        "ones) and stays at 'race' serially",
+        "ones) and stays at 'race' serially (the default is 'auto')",
     )
     parser.add_argument(
         "--chunk-target-ms",
         type=int,
-        default=500,
+        default=None,
         metavar="MS",
         help="per-chunk wall-clock target for the cost-aware scheduler: wide "
         "task queues are packed into chunks estimated to run roughly this "
-        "long (default 500; see the costmodel.json sidecar in --cache-dir)",
-    )
-    parser.add_argument(
-        "--warm-tier",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="warm_tier",
-        help="persist the hottest worker-lifetime solver-cache entries to "
-        "solver_warm/ sidecars in --cache-dir and rehydrate them into fresh "
-        "worker processes, so cold processes start warm (advisory: verdicts "
-        "are bit-identical either way).  Default: the REPRO_WARM_TIER "
-        "environment variable, else on; requires --cache-dir to take effect",
-    )
-    parser.add_argument(
-        "--solver",
-        default=None,
-        metavar="BACKEND",
-        help="solver backend for every analysis: 'default' (bounded "
-        "enumeration) or 'portfolio' (interval-propagation fast path with "
-        "enumeration fallback); backends are verdict-bit-identical.  "
-        "Defaults to the REPRO_SOLVER environment variable, else 'default'",
+        "long (see the costmodel.json sidecar in --cache-dir).  Defaults to "
+        "the REPRO_CHUNK_TARGET_MS environment variable, else 500",
     )
     parser.add_argument(
         "--interp",
@@ -131,8 +133,8 @@ def main(argv=None) -> int:
         help="deterministic fault-injection plan for the pool workers: inline "
         "JSON (starting with '{') or a path to a JSON file describing crash/"
         "hang/malformed-result/corrupt-sidecar faults (see "
-        "repro.engine.faults).  Shared-run experiments only.  Defaults to "
-        "the REPRO_FAULT_PLAN environment variable, else none",
+        "repro.engine.faults).  Defaults to the REPRO_FAULT_PLAN "
+        "environment variable, else none",
     )
     parser.add_argument(
         "--max-pool-respawns",
@@ -175,6 +177,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--events",
         default=None,
+        dest="events_path",
         metavar="PATH",
         help="append every engine run's structured event stream to PATH as "
         "JSON lines (the file is truncated at invocation start); summarize "
@@ -205,21 +208,12 @@ def main(argv=None) -> int:
         return 0
 
     if args.experiment == "events-info":
-        if not args.events:
+        if not args.events_path:
             parser.error("events-info requires --events")
         from repro.engine.events import load_events, render_events_info
 
-        print(render_events_info(load_events(args.events)))
+        print(render_events_info(load_events(args.events_path)))
         return 0
-
-    if args.solver is not None:
-        from repro.symex.factory import solver_backends
-
-        if args.solver not in solver_backends():
-            parser.error(
-                f"unknown solver backend {args.solver!r}; "
-                f"choose from {', '.join(solver_backends())}"
-            )
 
     if args.interp is not None:
         from repro.runtime.compile import INTERP_MODES
@@ -230,20 +224,23 @@ def main(argv=None) -> int:
                 f"choose from {', '.join(INTERP_MODES)}"
             )
 
+    from repro.core.config import PortendConfig
+    from repro.engine import EngineOptions
+
+    config = PortendConfig(**_given(args, ("interp",)))
+    options = EngineOptions(**_given(args, _OPTION_FLAGS))
+
     if args.experiment == "profile":
         if not args.target:
             parser.error("profile requires a workload name (e.g. 'profile bbuf')")
         from repro.experiments.profile import render_profile, run_profile
 
-        report = run_profile(
-            args.target, top=args.profile_top, interp=args.interp
-        )
-        print(render_profile(report))
+        print(render_profile(run_profile(args.target, config, top=args.profile_top)))
         return 0
 
-    if args.events:
+    if options.events_path:
         # Engine runs append; start each invocation from an empty log.
-        open(args.events, "w", encoding="utf-8").close()
+        open(options.events_path, "w", encoding="utf-8").close()
 
     names = sorted(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
 
@@ -261,41 +258,17 @@ def main(argv=None) -> int:
             else None
         )
         shared_runs = analyze_all(
-            names=workload_names,
-            measure_plain_time="table4" in names,
-            parallel=args.parallel,
-            cache_dir=args.cache_dir,
-            granularity=args.granularity,
-            cache_max_entries=args.cache_max_entries,
-            solver=args.solver,
-            events=args.events,
-            chunk_target_ms=args.chunk_target_ms,
-            warm_tier=args.warm_tier,
-            interp=args.interp,
-            fault_plan=args.fault_plan,
-            max_pool_respawns=args.max_pool_respawns,
-            max_task_retries=args.max_task_retries,
-            task_deadline_ms=args.task_deadline_ms,
+            workload_names, config, options, measure_plain_time="table4" in names
         )
 
     for name in names:
-        module, kwargs = _EXPERIMENTS[name]
-        if name in _RUNS_CAPABLE and shared_runs is not None:
-            result = module.run(runs=shared_runs, **kwargs)
+        module = _EXPERIMENTS[name]
+        if name in _RUNS_CAPABLE:
+            result = module.run(runs=shared_runs)
         elif name in _ENGINE_FLAG_CAPABLE:
-            result = module.run(
-                parallel=args.parallel,
-                cache_dir=args.cache_dir,
-                granularity=args.granularity,
-                solver=args.solver,
-                events=args.events,
-                chunk_target_ms=args.chunk_target_ms,
-                warm_tier=args.warm_tier,
-                interp=args.interp,
-                **kwargs,
-            )
+            result = module.run(config, options)
         else:
-            result = module.run(**kwargs)
+            result = module.run()
         print(module.render(result))
         print()
 

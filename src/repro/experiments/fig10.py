@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import PortendConfig
+from repro.engine import EngineOptions
 from repro.experiments.metrics import score_workload
 from repro.experiments.runner import analyze_workload
 from repro.workloads import load_workload
@@ -21,37 +22,19 @@ class Fig10Result:
 
 
 def run(
+    config: Optional[PortendConfig] = None,
+    options: Optional[EngineOptions] = None,
     k_values: Sequence[int] = DEFAULT_K_VALUES,
     programs: Sequence[str] = PROGRAMS,
-    base_config: Optional[PortendConfig] = None,
-    parallel: int = 0,
-    cache_dir: Optional[str] = None,
-    granularity: str = "auto",
-    solver: Optional[str] = None,
-    events: Optional[str] = None,
-    chunk_target_ms: int = 500,
-    warm_tier: Optional[bool] = None,
-    interp: Optional[str] = None,
 ) -> Fig10Result:
-    base = base_config or PortendConfig()
+    """Score every program under ``config`` re-split for each k."""
+    base = config or PortendConfig()
     result = Fig10Result()
     for name in programs:
         result.accuracy[name] = {}
         for k in k_values:
             workload = load_workload(name)
-            config = base.with_k(k)
-            run_ = analyze_workload(
-                workload,
-                config=config,
-                parallel=parallel,
-                cache_dir=cache_dir,
-                granularity=granularity,
-                solver=solver,
-                events=events,
-                chunk_target_ms=chunk_target_ms,
-                warm_tier=warm_tier,
-                interp=interp,
-            )
+            run_ = analyze_workload(workload, base.with_k(k), options)
             score = score_workload(workload, run_.result.classified)
             result.accuracy[name][k] = score.accuracy
     return result

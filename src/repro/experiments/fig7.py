@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import PortendConfig
+from repro.engine import EngineOptions
 from repro.experiments.metrics import score_workload
 from repro.experiments.runner import analyze_workload
 from repro.workloads import load_workload
@@ -35,35 +36,18 @@ def _configs(base: PortendConfig) -> Dict[str, PortendConfig]:
 
 
 def run(
-    base_config: Optional[PortendConfig] = None,
+    config: Optional[PortendConfig] = None,
+    options: Optional[EngineOptions] = None,
     programs: Sequence[str] = PROGRAMS,
-    parallel: int = 0,
-    cache_dir: Optional[str] = None,
-    granularity: str = "auto",
-    solver: Optional[str] = None,
-    events: Optional[str] = None,
-    chunk_target_ms: int = 500,
-    warm_tier: Optional[bool] = None,
-    interp: Optional[str] = None,
 ) -> Fig7Result:
-    base = base_config or PortendConfig()
+    """Score every program under each technique's variant of ``config``."""
+    base = config or PortendConfig()
     result = Fig7Result()
     for name in programs:
         result.accuracy[name] = {}
-        for technique, config in _configs(base).items():
+        for technique, technique_config in _configs(base).items():
             workload = load_workload(name)
-            run_ = analyze_workload(
-                workload,
-                config=config,
-                parallel=parallel,
-                cache_dir=cache_dir,
-                granularity=granularity,
-                solver=solver,
-                events=events,
-                chunk_target_ms=chunk_target_ms,
-                warm_tier=warm_tier,
-                interp=interp,
-            )
+            run_ = analyze_workload(workload, technique_config, options)
             score = score_workload(workload, run_.result.classified)
             result.accuracy[name][technique] = score.accuracy
     return result

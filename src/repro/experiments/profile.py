@@ -18,6 +18,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.config import PortendConfig
+
 
 @dataclass
 class ProfileReport:
@@ -34,24 +36,18 @@ class ProfileReport:
 
 
 def run_profile(
-    workload_name: str, top: int = 25, interp: Optional[str] = None
+    workload_name: str, config: Optional[PortendConfig] = None, top: int = 25
 ) -> ProfileReport:
-    """Profile one workload's full serial analysis.
+    """Profile one workload's full serial analysis under ``config``.
 
-    ``interp`` picks the interpreter kernel (default: the config default,
-    i.e. ``REPRO_INTERP`` or ``tree``), so ``profile bbuf --interp compiled``
-    vs. ``profile bbuf`` shows where the compiled kernel moves time.
+    The config's ``interp`` picks the interpreter kernel, so
+    ``profile bbuf --interp compiled`` vs. ``profile bbuf`` shows where the
+    compiled kernel moves time.
     """
-    from dataclasses import replace
-
-    from repro.core.config import PortendConfig
     from repro.core.portend import Portend
     from repro.workloads import load_workload
 
     workload = load_workload(workload_name)
-    config = PortendConfig()
-    if interp is not None:
-        config = replace(config, interp=interp)
     portend = Portend(
         workload.program, config=config, predicates=workload.predicates
     )

@@ -8,11 +8,12 @@ into a no-op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence
 
 from repro.core.categories import RaceClass, SpecViolationKind
 from repro.core.config import PortendConfig
+from repro.engine import EngineOptions
 from repro.experiments.runner import analyze_workload
 from repro.workloads import load_workload
 from repro.workloads.memcached import build_memcached
@@ -41,16 +42,9 @@ def _count(classified, kind: SpecViolationKind) -> int:
 
 def run(
     config: Optional[PortendConfig] = None,
-    parallel: int = 0,
-    cache_dir: Optional[str] = None,
-    granularity: str = "auto",
-    solver: Optional[str] = None,
-    events: Optional[str] = None,
-    chunk_target_ms: int = 500,
-    warm_tier: Optional[bool] = None,
-    interp: Optional[str] = None,
+    options: Optional[EngineOptions] = None,
 ) -> List[Table2Row]:
-    config = config or PortendConfig()
+    options = options or EngineOptions()
     rows: List[Table2Row] = []
 
     for name in _DEFAULT_PROGRAMS:
@@ -59,18 +53,7 @@ def run(
             # The paper's memcached crash comes from the what-if experiment:
             # an intentionally removed synchronisation operation (§5.1).
             workload = build_memcached(remove_slab_lock=True)
-        run_result = analyze_workload(
-            workload,
-            config=config,
-            parallel=parallel,
-            cache_dir=cache_dir,
-            granularity=granularity,
-            solver=solver,
-            events=events,
-            chunk_target_ms=chunk_target_ms,
-            warm_tier=warm_tier,
-            interp=interp,
-        )
+        run_result = analyze_workload(workload, config, options)
         classified = run_result.result.classified
         rows.append(
             Table2Row(
@@ -87,17 +70,7 @@ def run(
     # is enabled (§5.1).
     fmm = load_workload("fmm")
     fmm_run = analyze_workload(
-        fmm,
-        config=config,
-        use_semantic_predicates=True,
-        parallel=parallel,
-        cache_dir=cache_dir,
-        granularity=granularity,
-        solver=solver,
-        events=events,
-        chunk_target_ms=chunk_target_ms,
-        warm_tier=warm_tier,
-        interp=interp,
+        fmm, config, replace(options, use_semantic_predicates=True)
     )
     rows.insert(
         3,

@@ -9,10 +9,8 @@ provides:
 * :mod:`repro.symex.simplify` -- constant folding and algebraic rewrites,
 * :mod:`repro.symex.path_condition` -- accumulated branch constraints,
 * :mod:`repro.symex.solver` -- a bounded-domain satisfiability and
-  model-generation engine (interval narrowing plus enumeration),
-* :mod:`repro.symex.factory` -- the solver-construction seam: named,
-  pluggable backends (``default`` enumeration, ``portfolio``
-  interval-propagation fast path) behind a :class:`SolverFactory` protocol.
+  model-generation engine (interval narrowing plus enumeration), the one
+  solver every analysis uses, the way Portend uses KLEE's STP.
 
 All symbolic variables carry an explicit finite integer domain, which is what
 makes a complete, dependency-free solver feasible: the workloads used in the
@@ -51,17 +49,6 @@ from repro.symex.expr import (
 from repro.symex.simplify import simplify
 from repro.symex.path_condition import PathCondition
 from repro.symex.solver import Solver, SolverResult, SolverStats
-from repro.symex.factory import (
-    SOLVER_BACKENDS,
-    DefaultSolverFactory,
-    PortfolioSolver,
-    PortfolioSolverFactory,
-    SolverFactory,
-    create_solver,
-    get_solver_factory,
-    register_solver_factory,
-    solver_backends,
-)
 
 __all__ = [
     "Op",
@@ -79,15 +66,6 @@ __all__ = [
     "Solver",
     "SolverResult",
     "SolverStats",
-    "SolverFactory",
-    "DefaultSolverFactory",
-    "PortfolioSolver",
-    "PortfolioSolverFactory",
-    "SOLVER_BACKENDS",
-    "solver_backends",
-    "create_solver",
-    "get_solver_factory",
-    "register_solver_factory",
     "sym_add",
     "sym_sub",
     "sym_mul",

@@ -45,27 +45,14 @@ resets it in the driving process at the start of each batch run.  Sharing
 is safe for the same reason caching is: a warm hit returns bit-identically
 what the miss would have computed.
 
-The third and outermost tier is the **persistent warm tier**: the hottest
-``check`` entries of each program's worker-lifetime cache, serialized to
-``<cache_dir>/solver_warm/<program_fingerprint>.json`` via the expression
-wire codec (:func:`repro.symex.expr.value_to_dict`).  When a warm-tier
-directory is armed (:func:`set_warm_tier_dir` -- done by the engine's pool
-worker initializer and by the driving process at run start), the first
-:func:`worker_solver_cache` lookup for a program rehydrates its sidecar, so
-even a freshly forked worker process answers repeat constraint sets without
-enumerating.  Entries are advisory: a loaded answer is bit-identical to what
-recomputation would produce (expressions round-trip structurally, and
-structural equality is what the frozenset keys hash on), so runs with the
-tier on and off classify identically.
+Both tiers live only as long as their process: nothing is persisted to
+disk, so every engine run starts from empty solver caches.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -81,8 +68,6 @@ from repro.symex.expr import (
     is_symbolic,
     make_binary,
     substitute,
-    value_from_dict,
-    value_to_dict,
 )
 from repro.symex.simplify import simplify
 
@@ -110,9 +95,6 @@ class SolverStats:
     #: the subset of ``cache_hits`` served from an entry written by an
     #: earlier solver of the same process (worker-lifetime cache sharing)
     worker_cache_hits: int = 0
-    #: queries a backend answered without enumerating (e.g. the portfolio
-    #: backend's interval-propagation fast path)
-    fastpath_answers: int = 0
     #: wall-clock seconds spent inside solver queries
     seconds: float = 0.0
 
@@ -124,7 +106,6 @@ class SolverStats:
         self.cache_hits = 0
         self.cache_misses = 0
         self.worker_cache_hits = 0
-        self.fastpath_answers = 0
         self.seconds = 0.0
 
     def to_dict(self) -> Dict[str, int]:
@@ -137,7 +118,6 @@ class SolverStats:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "worker_cache_hits": self.worker_cache_hits,
-            "fastpath_answers": self.fastpath_answers,
             "seconds": self.seconds,
         }
 
@@ -178,11 +158,6 @@ class WorkerSolverCache:
     )
     #: solvers that have attached so far (also the next owner id)
     attachments: int = 0
-    #: per-entry hit counts for ``check`` entries; the warm tier ranks by
-    #: these when deciding which entries earn a slot in the sidecar
-    hits: Dict[frozenset, int] = field(default_factory=dict)
-    #: entries rehydrated from the persistent warm tier (diagnostics)
-    warm_loaded: int = 0
 
 
 #: per-process shared caches, keyed by program content fingerprint
@@ -202,18 +177,12 @@ def worker_solver_cache(fingerprint: str) -> WorkerSolverCache:
     new fingerprint beyond the bound evicts only the least-recently-used
     program's state -- interleaved tasks of a multi-program batch keep
     their hot entries.
-
-    When a warm-tier directory is armed, a fingerprint's first lookup
-    rehydrates its persisted sidecar, so the state starts warm instead of
-    empty.
     """
     state = _WORKER_CACHES.pop(fingerprint, None)
     if state is None:
         if len(_WORKER_CACHES) >= _WORKER_CACHE_LIMIT:
             _WORKER_CACHES.pop(next(iter(_WORKER_CACHES)))
         state = WorkerSolverCache()
-        if _WARM_TIER_DIR is not None:
-            load_warm_tier(_WARM_TIER_DIR, fingerprint, state)
     _WORKER_CACHES[fingerprint] = state
     return state
 
@@ -221,167 +190,6 @@ def worker_solver_cache(fingerprint: str) -> WorkerSolverCache:
 def reset_worker_caches() -> None:
     """Drop all worker-lifetime cache state (pool initializer / run start)."""
     _WORKER_CACHES.clear()
-
-
-def worker_cache_items() -> List[Tuple[str, WorkerSolverCache]]:
-    """Snapshot of this process's (fingerprint, cache) pairs.
-
-    The engine's ``_finish_run`` walks this to persist the warm tier from
-    the driving process (serial runs and the serial fallback populate these
-    caches directly; pool workers load the tier but their in-process
-    entries die with the pool).
-    """
-    return list(_WORKER_CACHES.items())
-
-
-# ------------------------------------------------------- persistent warm tier
-
-#: sidecar schema version; bump on incompatible format changes (loaders
-#: reject other versions and start cold rather than guessing)
-WARM_TIER_VERSION = 1
-
-#: hottest entries persisted per program sidecar
-WARM_TIER_MAX_ENTRIES = 256
-
-#: hard cap on one sidecar's serialized size; entries are dropped coldest
-#: first until the payload fits
-WARM_TIER_MAX_BYTES = 1_000_000
-
-#: cache root the process loads sidecars from (None = tier disabled);
-#: armed by the engine driver at run start and by the pool worker
-#: initializer, never implicitly
-_WARM_TIER_DIR: Optional[str] = None
-
-
-def set_warm_tier_dir(root: Optional[str]) -> Optional[str]:
-    """Arm (or disarm, with None) warm-tier loading; returns previous root."""
-    global _WARM_TIER_DIR
-    previous = _WARM_TIER_DIR
-    _WARM_TIER_DIR = root if root else None
-    return previous
-
-
-def warm_tier_path(root: str, fingerprint: str) -> str:
-    """Sidecar file for one program fingerprint under a cache root."""
-    return os.path.join(root, "solver_warm", f"{fingerprint}.json")
-
-
-def _serialize_warm_entries(cache: WorkerSolverCache) -> List[Dict]:
-    """JSON-clean encoding of a cache's ``check`` entries, hottest first.
-
-    Entries whose constraints fail to encode (unexpected node kinds) are
-    skipped rather than poisoning the sidecar; the ordering key is
-    (hits desc, canonical constraint text asc) so identical cache contents
-    serialize to identical bytes regardless of dict insertion order.
-    """
-    entries: List[Tuple[int, str, Dict]] = []
-    for key, (_owner, verdict, model) in cache.check.items():
-        try:
-            constraints = sorted(
-                (json.dumps(value_to_dict(c), sort_keys=True) for c in key)
-            )
-        except Exception:
-            continue
-        hits = int(cache.hits.get(key, 0))
-        entry = {
-            "constraints": [json.loads(text) for text in constraints],
-            "verdict": verdict.value,
-            "model": dict(model) if model is not None else None,
-            "hits": hits,
-        }
-        entries.append((hits, "\x00".join(constraints), entry))
-    entries.sort(key=lambda item: (-item[0], item[1]))
-    return [entry for _hits, _key, entry in entries]
-
-
-def save_warm_tier(
-    root: str,
-    fingerprint: str,
-    cache: WorkerSolverCache,
-    max_entries: int = WARM_TIER_MAX_ENTRIES,
-    max_bytes: int = WARM_TIER_MAX_BYTES,
-) -> bool:
-    """Atomically persist the hottest ``check`` entries of one program.
-
-    Best-effort like every sidecar writer in this codebase: I/O failures
-    return False and cost only future warmth, never correctness.
-    """
-    entries = _serialize_warm_entries(cache)[:max_entries]
-    if not entries:
-        return False
-    payload = ""
-    while entries:
-        payload = json.dumps(
-            {
-                "version": WARM_TIER_VERSION,
-                "fingerprint": fingerprint,
-                "entries": entries,
-            },
-            sort_keys=True,
-        )
-        if len(payload) <= max_bytes:
-            break
-        entries = entries[: len(entries) // 2]
-    if not entries:
-        return False
-    path = warm_tier_path(root, fingerprint)
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".warm-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        return False
-    return True
-
-
-def load_warm_tier(root: str, fingerprint: str, cache: WorkerSolverCache) -> int:
-    """Rehydrate a cache from its sidecar; returns entries loaded.
-
-    Tolerant of missing, corrupt, or wrong-version sidecars (returns 0 and
-    starts cold).  Loaded entries carry owner id 0, which no attached
-    solver ever holds (attachments start at 1), so a hit on a warm entry
-    counts as a ``worker_cache_hits`` cross-task hit.  Persisted hit counts
-    seed :attr:`WorkerSolverCache.hits` so warmth ranking accumulates
-    across runs.
-    """
-    try:
-        with open(warm_tier_path(root, fingerprint), "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError):
-        return 0
-    if not isinstance(data, dict) or data.get("version") != WARM_TIER_VERSION:
-        return 0
-    raw_entries = data.get("entries")
-    if not isinstance(raw_entries, list):
-        return 0
-    loaded = 0
-    for entry in raw_entries:
-        try:
-            key = frozenset(value_from_dict(c) for c in entry["constraints"])
-            verdict = SolverResult(entry["verdict"])
-            model = entry.get("model")
-            if model is not None:
-                model = {str(name): int(value) for name, value in model.items()}
-            hits = int(entry.get("hits", 0))
-        except Exception:
-            continue
-        if key not in cache.check:
-            cache.check[key] = (0, verdict, model)
-            loaded += 1
-        cache.hits[key] = max(cache.hits.get(key, 0), hits)
-    cache.warm_loaded += loaded
-    return loaded
 
 
 @dataclass
@@ -402,10 +210,6 @@ _RANGE_MISS = object()
 
 class Solver:
     """Complete-on-bounded-domains satisfiability and model generation."""
-
-    #: backend name reported in solver events and stats snapshots; alternative
-    #: backends (see :mod:`repro.symex.factory`) override this class attribute
-    backend = "default"
 
     #: entries per memo before it is cleared (per-solver, so effectively
     #: per-exploration; clearing only costs future hits)
@@ -434,15 +238,11 @@ class Solver:
         self._range_cache: Dict[Tuple[frozenset, Value], Tuple[int, object]] = {}
         #: id tagged onto entries this solver writes; 0 for a private memo
         self._cache_owner = 0
-        #: the attached worker-lifetime state, kept for per-entry hit
-        #: accounting (None for a private memo)
-        self._shared_state: Optional[WorkerSolverCache] = None
         if shared_cache is not None and self.enable_cache:
             shared_cache.attachments += 1
             self._cache_owner = shared_cache.attachments
             self._check_cache = shared_cache.check
             self._range_cache = shared_cache.ranges
-            self._shared_state = shared_cache
 
     # ------------------------------------------------------------------ API
 
@@ -460,9 +260,6 @@ class Solver:
                 worker_hit = owner != self._cache_owner
                 if worker_hit:
                     self.stats.worker_cache_hits += 1
-                if self._shared_state is not None:
-                    hits = self._shared_state.hits
-                    hits[key] = hits.get(key, 0) + 1
                 self._finish_query(verdict.value, True, worker_hit, started)
                 # Hand out a copy: callers may mutate the model dict.
                 return verdict, (dict(model) if model is not None else None)
@@ -489,7 +286,6 @@ class Solver:
             self.event_sink(
                 {
                     "kind": "solver_query",
-                    "backend": self.backend,
                     "result": result,
                     "cached": cached,
                     "worker_hit": worker_hit,
@@ -518,22 +314,7 @@ class Solver:
         intervals = self._narrow_intervals(simplified, variables)
         if intervals is None:
             return SolverResult.UNSAT, None
-        return self._solve_narrowed(simplified, variables, intervals)
-
-    def _solve_narrowed(
-        self,
-        constraints: Sequence[Value],
-        variables: Sequence[SymVar],
-        intervals: Dict[str, "_Interval"],
-    ) -> Tuple[SolverResult, Optional[Dict[str, int]]]:
-        """Decide a simplified, interval-narrowed constraint set.
-
-        The seam alternative backends override: the default enumerates the
-        narrowed cross product; the portfolio backend first tries an
-        interval-propagation fast path and falls back to this enumeration
-        (see :mod:`repro.symex.factory`).
-        """
-        model = self._enumerate(constraints, variables, intervals)
+        model = self._enumerate(simplified, variables, intervals)
         if model is not None:
             return SolverResult.SAT, model
         if self._enumeration_was_exhaustive(variables, intervals):

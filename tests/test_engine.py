@@ -148,7 +148,7 @@ class TestEngine:
         from repro.workloads.memcached import build_memcached
 
         workload = build_memcached(remove_slab_lock=True)
-        run = analyze_workload(workload, parallel=2)
+        run = analyze_workload(workload, options=EngineOptions(parallel=2))
         by_var = {c.race.location.name: c for c in run.result.classified}
         # The slab race only exists in the what-if variant; classifying it
         # requires the task to carry the actual program, not the registry's.

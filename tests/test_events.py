@@ -1,18 +1,17 @@
-"""Tests for the structured event log and the solver-backend factory.
+"""Tests for the structured event log.
 
 Covers the observability refactor: event primitives (validation, buffering,
 JSONL round-trip), fold semantics (the event stream is the only producer of
 engine counters), deterministic merge under adversarially shuffled future
-completion, per-run stats isolation, the ``events-info`` summarizer, the
-CLI plumbing, and verdict bit-equivalence across solver backends.
+completion, per-run stats isolation, the ``events-info`` summarizer and the
+CLI plumbing.
 """
 
 import random
-from dataclasses import replace
+import re
 
 import pytest
 
-from repro.core.config import PortendConfig
 from repro.engine import AnalysisEngine, EngineOptions, PoolDispatcher
 from repro.engine.events import (
     EVENT_KINDS,
@@ -27,18 +26,6 @@ from repro.engine.events import (
     write_events,
 )
 from repro.engine.stats import GLOBAL_STATS, EngineStats
-from repro.symex.expr import SymVar, sym_eq, sym_ge, sym_ne
-from repro.symex.factory import (
-    DefaultSolverFactory,
-    PortfolioSolver,
-    PortfolioSolverFactory,
-    create_solver,
-    get_solver_factory,
-    solver_backends,
-)
-from repro.symex.solver import Solver, SolverResult
-from repro.workloads import load_workload
-from repro.workloads.stress import build_stress_harmful
 
 from test_streaming import NAMES, _DeferredPool, _full_signature, _shuffled_wait
 
@@ -63,7 +50,7 @@ class TestEventPrimitives:
     def test_buffer_caps_solver_query_detail(self):
         buffer = EventBuffer()
         for _ in range(SOLVER_QUERY_BUFFER_CAP + 5):
-            buffer.emit("solver_query", backend="default", result="sat")
+            buffer.emit("solver_query", result="sat")
         events = buffer.drain()
         queries = [e for e in events if e["kind"] == "solver_query"]
         truncated = [e for e in events if e["kind"] == "events_truncated"]
@@ -114,6 +101,8 @@ class TestEventPrimitives:
 
 class TestFoldSemantics:
     def test_every_counter_comes_from_its_event(self):
+        # The solver_stats event is in the shape older logs wrote (with a
+        # backend name and a fast-path counter): the fold ignores both.
         events = [
             make_event("trace_recorded", workload="w"),
             make_event("cache", tier="trace", hit=True),
@@ -150,7 +139,6 @@ class TestFoldSemantics:
         assert stats.solver_cache_misses == 5
         assert stats.solver_assignments_enumerated == 30
         assert stats.worker_cache_hits == 1
-        assert stats.solver_fastpath_answers == 3
         assert stats.solver_seconds == 0.5
         assert stats.pools_created == 1
         assert stats.pool_reuses == 2
@@ -160,7 +148,7 @@ class TestFoldSemantics:
         # Per-query events are histogram detail; only the per-task
         # solver_stats snapshot feeds the counters.
         events = [
-            make_event("solver_query", backend="default", result="sat", seconds=0.1)
+            make_event("solver_query", result="sat", seconds=0.1)
             for _ in range(5)
         ]
         assert fold_events(events) == EngineStats()
@@ -254,7 +242,7 @@ class TestEngineEventStream:
                     # advisory detail, not part of the canonical stream.
                     continue
                 if event["kind"] in ("solver_query", "solver_stats"):
-                    keep = ("kind", "backend", "result")
+                    keep = ("kind", "result")
                     projected.append(
                         {k: v for k, v in event.items() if k in keep}
                     )
@@ -297,126 +285,6 @@ class TestEngineEventStream:
             assert fold_events(engine.last_run_events) == engine.last_run_stats
 
 
-class TestSolverBackends:
-    def test_registry(self):
-        assert "default" in solver_backends()
-        assert "portfolio" in solver_backends()
-        assert isinstance(get_solver_factory("default"), DefaultSolverFactory)
-        assert isinstance(get_solver_factory("portfolio"), PortfolioSolverFactory)
-        with pytest.raises(ValueError):
-            get_solver_factory("bogus")
-
-    def test_create_solver_honors_config_and_override(self):
-        config = replace(PortendConfig(), solver_backend="portfolio")
-        assert isinstance(create_solver(config), PortfolioSolver)
-        assert create_solver(config, backend="default").backend == "default"
-        assert create_solver(None).backend == "default"
-
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "portfolio")
-        assert PortendConfig().solver_backend == "portfolio"
-        monkeypatch.delenv("REPRO_SOLVER")
-        assert PortendConfig().solver_backend == "default"
-
-    def test_backend_excluded_from_classification_fingerprint(self):
-        # Backends are verdict-bit-identical, so cached classifications are
-        # valid across them: the fingerprint must not depend on the backend.
-        default_fp = replace(
-            PortendConfig(), solver_backend="default"
-        ).classification_fingerprint()
-        portfolio_fp = replace(
-            PortendConfig(), solver_backend="portfolio"
-        ).classification_fingerprint()
-        assert default_fp == portfolio_fp
-
-    @pytest.mark.parametrize("name", ["stress_deep", "ctrace", "SQLite"])
-    def test_backends_are_bit_identical_on_workloads(self, name):
-        signatures = {}
-        for backend in solver_backends():
-            config = replace(PortendConfig(), solver_backend=backend)
-            runs = AnalysisEngine(config=config).analyze([name])
-            signatures[backend] = _full_signature(runs)
-        assert signatures["default"] == signatures["portfolio"]
-
-    def test_backends_are_bit_identical_on_stress_harmful(self):
-        signatures = {}
-        for backend in solver_backends():
-            config = replace(PortendConfig(), solver_backend=backend)
-            runs = AnalysisEngine(config=config).analyze_workloads(
-                [build_stress_harmful(races=5)]
-            )
-            signatures[backend] = _full_signature(runs)
-        assert signatures["default"] == signatures["portfolio"]
-
-    def test_portfolio_fast_path_fires_on_stress_deep(self):
-        config = replace(PortendConfig(), solver_backend="portfolio")
-        engine = AnalysisEngine(config=config)
-        engine.analyze(["stress_deep"])
-        stats = engine.last_run_stats
-        assert stats.solver_fastpath_answers > 0
-        assert stats.solver_assignments_enumerated == 0
-        default_engine = AnalysisEngine(
-            config=replace(PortendConfig(), solver_backend="default")
-        )
-        default_engine.analyze(["stress_deep"])
-        assert default_engine.last_run_stats.solver_assignments_enumerated > 0
-
-
-class TestPortfolioSolverParity:
-    def _pair(self, budget=200_000):
-        return (
-            Solver(max_assignments=budget, enable_cache=False),
-            PortfolioSolver(max_assignments=budget, enable_cache=False),
-        )
-
-    def test_wrapped_path_conditions_answer_without_enumeration(self):
-        # Real path conditions arrive truthiness-wrapped: (var cmp k) != 0.
-        # The propagation fast path must answer them without enumerating.
-        x = SymVar("x", 0, 50)
-        constraints = [sym_ne(sym_ge(x, 10), 0), sym_eq(sym_ge(x, 40), 0)]
-        base, portfolio = self._pair()
-        assert base.check(constraints) == portfolio.check(constraints)
-        assert portfolio.stats.fastpath_answers == 1
-        assert portfolio.stats.enumerated_assignments == 0
-        assert base.stats.enumerated_assignments > 0
-
-    def test_contradiction_is_unsat_without_enumeration(self):
-        x = SymVar("x", 0, 50)
-        constraints = [sym_ne(sym_ge(x, 40), 0), sym_eq(sym_ge(x, 10), 0)]
-        base, portfolio = self._pair()
-        assert base.check(constraints) == portfolio.check(constraints)
-        assert portfolio.check(constraints)[0] is SolverResult.UNSAT
-        assert portfolio.stats.enumerated_assignments == 0
-
-    def test_budget_parity_when_witness_is_beyond_the_budget(self):
-        # With max_assignments=1 the default backend exhausts its budget at
-        # b=-3 and answers UNKNOWN; the fast path must mirror that rather
-        # than answer SAT for a model enumeration would never reach.
-        b = SymVar("b", -3, 3)
-        constraints = [sym_eq(sym_ne(b, 0), 0)]
-        for budget in (1, 2, 3, 4, 7, 200_000):
-            base = Solver(max_assignments=budget, enable_cache=False)
-            portfolio = PortfolioSolver(max_assignments=budget, enable_cache=False)
-            verdict_base = base.check(constraints)
-            verdict_portfolio = portfolio.check(constraints)
-            assert verdict_base == verdict_portfolio, budget
-            assert (
-                base.stats.unknown_answers == portfolio.stats.unknown_answers
-            ), budget
-
-    def test_model_matches_enumeration_order(self):
-        # The fast path's model must be the exact assignment the default
-        # backend's enumerator would produce first.
-        x = SymVar("x", -5, 5)
-        y = SymVar("y", 0, 3)
-        constraints = [sym_ne(sym_ge(x, 2), 0), sym_ne(sym_ge(y, 1), 0)]
-        base, portfolio = self._pair()
-        assert base.check(constraints) == portfolio.check(constraints)
-        result, model = portfolio.check(constraints)
-        assert result is SolverResult.SAT
-        assert model == {"x": 2, "y": 1}
-
-
 class TestEventsInfo:
     def _stream(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
@@ -431,15 +299,14 @@ class TestEventsInfo:
         assert "classify" in summary["stage_latency"] or "path" in summary["stage_latency"]
         for data in summary["stage_latency"].values():
             assert data["count"] == sum(data["buckets"].values())
-        active_backend = PortendConfig().solver_backend
-        assert summary["solver_backends"][active_backend]["queries"] > 0
+        assert summary["solver"]["queries"] > 0
         assert "classifications computed=" in summary["stats"]
 
     def test_render_is_greppable(self, tmp_path):
         report = render_events_info(self._stream(tmp_path))
         assert "by kind:" in report
         assert "solver_query" in report
-        assert "solver time by backend:" in report
+        assert re.search(r"^solver: queries=[1-9]", report, re.MULTILINE)
         assert "per-stage task latency:" in report
 
     def test_render_handles_empty_stream(self):
@@ -470,19 +337,3 @@ class TestCLI:
         first = len(load_events(path))
         main(["table3", "--workloads", "bbuf", "--events", path])
         assert len(load_events(path)) == first  # truncated, not appended
-
-    def test_solver_flag_is_validated(self, tmp_path):
-        from repro.experiments.__main__ import main
-
-        with pytest.raises(SystemExit):
-            main(["table3", "--workloads", "bbuf", "--solver", "bogus"])
-
-    def test_solver_flag_selects_backend(self, capsys):
-        from repro.experiments.__main__ import main
-
-        assert (
-            main(["table3", "--workloads", "bbuf", "--solver", "portfolio", "--stats"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "solver fast-path answers=" in out

@@ -1,6 +1,10 @@
 """Tests for the experiment harness (tables/figures machinery)."""
 
+import pytest
+
 from repro.core.categories import RaceClass
+from repro.core.config import PortendConfig
+from repro.engine import AnalysisEngine
 from repro.experiments import metrics, runner
 from repro.experiments import table1, table3, table4
 from repro.workloads import load_workload
@@ -47,7 +51,7 @@ def test_plain_interpretation_time_uses_the_configured_kernel(monkeypatch):
 
     monkeypatch.setattr(runner, "create_executor", spy)
     run = runner.analyze_workload(
-        load_workload("RW"), measure_plain_time=True, interp="compiled"
+        load_workload("RW"), PortendConfig(interp="compiled"), measure_plain_time=True
     )
     assert timed == [CompiledExecutor]
     assert run.plain_interpretation_seconds > 0
@@ -73,3 +77,27 @@ def test_per_class_accuracy_buckets():
     buckets = metrics.per_class_accuracy([(workload, run.result.classified)])
     correct, total = buckets[RaceClass.SPEC_VIOLATED]
     assert (correct, total) == (1, 1)
+
+
+class _EngineReached(Exception):
+    """Raised by the spy below to stop a run once the engine has its options."""
+
+
+@pytest.mark.parametrize("experiment", ["table2", "fig7", "fig10"])
+def test_ablation_experiments_honor_every_engine_flag(monkeypatch, experiment):
+    # The ablation experiments take the CLI's (config, options) pair, so
+    # every engine flag reaches their analyses -- not only the few they
+    # once forwarded by keyword.
+    from repro.experiments.__main__ import main
+
+    seen = []
+
+    def spy(self, workloads):
+        seen.append(self.options)
+        raise _EngineReached
+
+    monkeypatch.setattr(AnalysisEngine, "analyze_workloads", spy)
+    with pytest.raises(_EngineReached):
+        main([experiment, "--cache-max-entries", "7", "--max-task-retries", "1"])
+    assert seen[0].cache_max_entries == 7
+    assert seen[0].max_task_retries == 1

@@ -8,7 +8,7 @@ watchdog against injected hangs, poison-task quarantine via lone-probe
 probation, and warm-up crash discovery -- each asserting that verdicts stay
 bit-identical to the fault-free serial reference and that the run never
 downgrades to serial while the respawn budget holds.  Also fuzzes the cache
-sidecars (``costmodel.json``, ``solver_warm/<fp>.json``, ``.hits``) with
+sidecars (``costmodel.json``, ``.hits``) with
 truncated/garbage/oversized bytes: loaders must degrade to a cold start and
 the next save must rewrite a clean file.
 """
@@ -35,15 +35,6 @@ from repro.engine.faults import (
     maybe_inject_fault,
     resolve_fault_plan,
 )
-from repro.symex.expr import Op, SymVar, make_binary
-from repro.symex.solver import (
-    Solver,
-    WorkerSolverCache,
-    load_warm_tier,
-    save_warm_tier,
-    warm_tier_path,
-)
-
 from test_streaming import _full_signature
 
 #: small two-workload batch: one single-stage-heavy, one multi-path
@@ -458,25 +449,11 @@ class TestSidecarFuzzing:
         assert data["entries"]
 
     @pytest.mark.parametrize("mode", ["garbage", "truncate", "oversize"])
-    def test_warm_tier_sidecar_degrades_cold_and_resaves_clean(self, tmp_path, mode):
-        root = str(tmp_path)
-        cache = WorkerSolverCache()
-        x = SymVar("fz", 0, 10)
-        Solver(shared_cache=cache).check([make_binary(Op.GE, x, 3)])
-        assert save_warm_tier(root, "fp", cache)
-        path = warm_tier_path(root, "fp")
-        _corrupt(path, mode)
-        assert load_warm_tier(root, "fp", WorkerSolverCache()) == 0
-        assert save_warm_tier(root, "fp", cache)  # clean rewrite
-        with open(path, "r", encoding="utf-8") as handle:
-            assert json.load(handle)["entries"]
-
-    @pytest.mark.parametrize("mode", ["garbage", "truncate", "oversize"])
     def test_corrupted_cache_dir_still_serves_a_warm_run(self, tmp_path, mode):
         cache_dir = str(tmp_path / "cache")
         options = dict(parallel=0, granularity="race", cache_dir=cache_dir)
         first = AnalysisEngine(options=EngineOptions(**options)).analyze(["bbuf"])
-        for pattern in ("costmodel.json", "solver_warm/*.json", "**/*.hits"):
+        for pattern in ("costmodel.json", "**/*.hits"):
             for path in glob.glob(os.path.join(cache_dir, pattern), recursive=True):
                 _corrupt(path, mode)
         second = AnalysisEngine(options=EngineOptions(**options)).analyze(["bbuf"])

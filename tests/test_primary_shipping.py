@@ -296,11 +296,12 @@ class TestCacheLifecycle:
         AnalysisEngine(options=EngineOptions(cache_dir=str(tmp_path))).analyze(["RW"])
         rows = collect_cache_info(tmp_path)
         kinds = {row["kind"] for row in rows}
-        # Both result layers plus the two advisory sidecar tiers an engine
-        # run persists (costmodel.json always; solver_warm/ whenever the
-        # run's worker caches held entries worth saving).
-        assert {"trace", "classification", "costmodel"} <= kinds
-        assert kinds <= {"trace", "classification", "costmodel", "solver_warm"}
+        # Both result layers plus the advisory cost-model sidecar every
+        # engine run with a cache directory persists.
+        assert kinds == {"trace", "classification", "costmodel"}
+        costmodel_rows = [row for row in rows if row["kind"] == "costmodel"]
+        assert costmodel_rows[0]["file"] == "costmodel.json"
+        assert costmodel_rows[0]["hits"] > 0  # total recorded observations
 
     def test_cache_info_cli(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
@@ -309,7 +310,7 @@ class TestCacheLifecycle:
         assert main(["cache-info", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "cache-info:" in out
-        assert "classification" in out and "trace" in out
+        assert "classification" in out and "trace" in out and "costmodel" in out
 
     def test_engine_honors_cache_max_entries(self, tmp_path):
         options = EngineOptions(cache_dir=str(tmp_path), cache_max_entries=3)

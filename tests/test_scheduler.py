@@ -5,17 +5,24 @@ structurally deterministic event stream under adversarially shuffled
 record/classify/plan/path completion orders (shared by serial runs, which
 drain the same loop with no pool), the EWMA cost model (estimates,
 chunk-size invariants -- including the wide-queue fallback fix -- and the
-sidecar warm start), the eager pool warm-up accounting, the
+sidecar warm start, capped eviction and backward compatibility), the
+cost-aware granularity choice, the eager pool warm-up accounting, the
 ``scheduler_decision`` observability hooks, and the environment-variable
 defaults the CI full-stream job relies on.
 """
 
+import json
 import random
 
 import pytest
 
 from repro.engine import AnalysisEngine, CostModel, EngineOptions, PoolDispatcher
-from repro.engine.costmodel import payload_fingerprint
+from repro.engine.costmodel import (
+    SIDECAR_MAX_ENTRIES,
+    payload_fingerprint,
+    prune_scored,
+)
+from repro.engine.engine import choose_granularity
 from repro.engine.events import (
     fold_events,
     render_events_info,
@@ -144,6 +151,82 @@ class TestCostModel:
         assert warm.cost_model.warm_entries > 0
 
 
+class TestCostAwareGranularity:
+    def test_shape_rules_unchanged_when_cold(self):
+        assert choose_granularity(1, 0) == "race"
+        assert choose_granularity(1, 4) == "path"
+        assert choose_granularity(8, 4) == "race"
+        assert choose_granularity(1, 4, race_cost=0.0, split_cost=0.0) == "path"
+
+    def test_expensive_split_downgrades_to_race(self):
+        assert choose_granularity(1, 4, race_cost=0.1, split_cost=0.2) == "race"
+        assert choose_granularity(1, 4, race_cost=0.1, split_cost=0.1) == "race"
+
+    def test_cheap_split_keeps_path(self):
+        assert choose_granularity(1, 4, race_cost=0.2, split_cost=0.1) == "path"
+
+    def test_many_races_win_over_costs(self):
+        assert choose_granularity(8, 4, race_cost=0.2, split_cost=0.1) == "race"
+
+    def test_split_costs_cold_and_warm(self):
+        model = CostModel()
+        assert model.split_costs("fp") == (0.0, 0.0)
+        model.observe("classify", "fp", 0.4)
+        race_cost, split_cost = model.split_costs("fp")
+        assert race_cost == pytest.approx(0.4)
+        assert split_cost == 0.0  # no plan/path history yet: no opinion
+        model.observe("plan", "fp", 0.1)
+        model.observe("path", "fp", 0.05)
+        race_cost, split_cost = model.split_costs("fp")
+        assert split_cost == pytest.approx(0.15)
+
+
+class TestPrimariesHistory:
+    """What the removed primary-count history leaves behind: sidecars that
+    still carry its block load their entries, and the capped eviction it
+    shared with the entries table."""
+
+    def test_old_sidecar_with_primaries_block_loads_entries(self, tmp_path):
+        # Sidecars written before the primary-count history was removed
+        # carry a "primaries" block; it is ignored and "entries" still load.
+        path = tmp_path / "costmodel.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "alpha": 0.3,
+                    "entries": {"classify|fp": {"ewma": 0.2, "count": 3}},
+                    "primaries": {
+                        "fp#3": {"ewma": 6.0, "count": 1},
+                        "fp": {"ewma": 6.0, "count": 1},
+                    },
+                }
+            )
+        )
+        model = CostModel(sidecar_path=str(path))
+        assert model.warm_entries == 1
+        assert model.estimate("classify", "fp") == pytest.approx(0.2)
+        assert model.save()
+        assert "primaries" not in json.loads(path.read_text())
+
+    def test_save_applies_capped_eviction(self, tmp_path):
+        path = str(tmp_path / "costmodel.json")
+        model = CostModel(sidecar_path=path)
+        for index in range(SIDECAR_MAX_ENTRIES + 40):
+            model.observe("classify", f"fp{index}", 0.1)
+        assert model.save()
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        assert len(payload["entries"]) <= SIDECAR_MAX_ENTRIES
+
+    def test_prune_scored_keeps_top_by_score(self):
+        items = {"a": 1, "b": 5, "c": 3}
+        kept = prune_scored(items, 2, lambda _key, value: float(value))
+        assert kept == {"b": 5, "c": 3}
+        assert prune_scored(items, 0, lambda _key, value: 0.0) == {}
+        assert prune_scored(items, 9, lambda _key, value: 0.0) == items
+
+
 class TestWarmPool:
     def test_streaming_run_counts_exactly_one_pool_creation(self):
         # The eager warm-up builds the pool; every later dispatch (including
@@ -176,7 +259,7 @@ class TestFullStreamDeterminism:
             ):
                 continue
             if event["kind"] in ("solver_query", "solver_stats"):
-                keep = ("kind", "backend", "result")
+                keep = ("kind", "result")
                 projected.append({k: v for k, v in event.items() if k in keep})
             elif event["kind"] == "interp_stats":
                 projected.append({"kind": "interp_stats", "interp": event["interp"]})

@@ -12,6 +12,7 @@ from concurrent.futures import Future
 
 import pytest
 
+from repro.core.config import PortendConfig
 from repro.engine import AnalysisEngine, EngineOptions, PoolDispatcher
 from repro.engine.engine import _OverlapClock
 from repro.engine.stats import GLOBAL_STATS
@@ -113,14 +114,31 @@ class TestDispatchEquivalence:
         with pytest.raises(ValueError):
             AnalysisEngine(options=EngineOptions(dispatch="bogus"))
 
-    def test_removed_modes_are_rejected(self):
+    def test_removed_modes_are_rejected(self, monkeypatch):
         # The fields stay only at their pinned values.
         with pytest.raises(ValueError):
             EngineOptions(dispatch="staged")
         with pytest.raises(ValueError):
             EngineOptions(speculate=True)
-        pinned = EngineOptions(dispatch="streaming", speculate=False)
-        assert (pinned.dispatch, pinned.speculate) == ("streaming", False)
+        with pytest.raises(ValueError):
+            EngineOptions(warm_tier=False)
+        with pytest.raises(ValueError):
+            PortendConfig(solver_backend="portfolio")
+        pinned = EngineOptions(dispatch="streaming", speculate=False, warm_tier=True)
+        assert (pinned.dispatch, pinned.speculate, pinned.warm_tier) == (
+            "streaming",
+            False,
+            True,
+        )
+        assert PortendConfig(solver_backend="default").solver_backend == "default"
+        # Left out of the cache key, so existing cache directories keep hitting.
+        assert "solver_backend" not in PortendConfig().classification_fingerprint()
+        # The removed environment variables that used to select a backend
+        # and disable the tier are inert.
+        for name, value in (("SOLVER", "portfolio"), ("WARM_TIER", "0")):
+            monkeypatch.setenv(f"REPRO_{name}", value)
+        assert EngineOptions().warm_tier is True
+        assert PortendConfig().solver_backend == "default"
 
 
 class TestPoolLifecycle:

@@ -10,6 +10,7 @@ itself reports as misclassified (§5.4).
 import pytest
 
 from repro.core.categories import RaceClass, SpecViolationKind
+from repro.engine import EngineOptions
 from repro.experiments.metrics import score_workload
 from repro.experiments.runner import analyze_workload
 from repro.workloads import all_workload_names, load_workload
@@ -111,7 +112,9 @@ def test_pbzip2_has_three_crashes(workload_runs):
 
 def test_fmm_semantic_predicate_promotes_the_timestamp_race():
     workload = load_workload("fmm")
-    run = analyze_workload(workload, use_semantic_predicates=True)
+    run = analyze_workload(
+        workload, options=EngineOptions(use_semantic_predicates=True)
+    )
     by_var = {c.race.location.name: c for c in run.result.classified}
     timestamp = by_var["fmm_sim_time"]
     assert timestamp.classification is RaceClass.SPEC_VIOLATED
