@@ -21,7 +21,12 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.core.alternate import AlternateStatus, replay_primary, run_alternate
+from repro.core.alternate import (
+    AlternateStatus,
+    enforcement_budget,
+    replay_primary,
+    run_alternate,
+)
 from repro.core.spec import outcome_is_spec_violation
 from repro.detection.race_report import RaceReport
 from repro.lang.program import Program
@@ -86,17 +91,14 @@ class RecordReplayAnalyzer:
                 primary_steps=primary.steps,
             )
 
-        timeout_steps = min(
-            max(1_000, self.timeout_factor * primary.steps), self.max_steps
-        )
         alternate = run_alternate(
             self.executor,
             self.program,
             trace,
             race,
             primary,
+            enforcement_budget(self.timeout_factor, primary.steps, self.max_steps),
             post_race_policy=RoundRobinPolicy(),
-            timeout_steps=timeout_steps,
             capture_post_race_snapshot=True,
         )
 

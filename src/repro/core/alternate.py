@@ -22,7 +22,10 @@ stage:
   thread to run -- lines 5-7 of Algorithm 1 -- then lets the execution
   continue under a configurable post-race schedule policy (round-robin for
   the deterministic single-post analysis, random for multi-schedule
-  analysis, §3.4).
+  analysis, §3.4).  An enforcement run whose state repeats (the forced
+  thread spinning on a flag only the preempted thread can set) is cut short
+  at the repeat and fast-forwarded to the state the full budget would reach
+  (:class:`_SpinCutoff`).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.spec import SemanticPredicate, SpecChecker, diagnose_timeout
 from repro.detection.race_report import RaceReport
@@ -42,12 +45,12 @@ from repro.runtime.executor import Executor, RunStatus
 from repro.runtime.listeners import ExecutionListener, MemoryAccess
 from repro.runtime.scheduler import (
     ControlledPolicy,
-    RandomPolicy,
     ReplayPolicy,
     RoundRobinPolicy,
     SchedulePolicy,
 )
 from repro.runtime.state import ExecutionState
+from repro.runtime.threadstate import Frame, LoopEntry
 
 
 class RacePointLocator:
@@ -442,23 +445,275 @@ def replay_primary(
     )
 
 
+def enforcement_budget(timeout_factor: int, primary_steps: int, max_steps: int) -> int:
+    """The step budget of an alternate execution (§4).
+
+    Enforcement, and then the post-race run, each get ``timeout_factor ×``
+    the primary's steps, at least 1,000 and at most ``max_steps`` (the
+    per-execution cap).  A spin cutoff returns exactly what this budget
+    would, so every caller takes it from here.
+    """
+    return min(max(1_000, timeout_factor * primary_steps), max_steps)
+
+
+#: a loop's spin state is first sampled at this iteration count and then at
+#: every power of two: O(log iterations) keys per loop entry, and none for
+#: loops that end within a few iterations
+_FIRST_SAMPLE = 4
+
+
+def _is_increment(stmt: ast.Stmt) -> bool:
+    """True for ``x = x + c`` (or ``x = c + x``) with a constant ``c``."""
+    if not isinstance(stmt, ast.Assign) or not isinstance(stmt.target, ast.LocalRef):
+        return False
+    value = stmt.value
+    if not isinstance(value, ast.BinOp) or value.op != "+":
+        return False
+    operands = {type(ast.as_expr(value.left)), type(ast.as_expr(value.right))}
+    return operands == {ast.LocalRef, ast.Const} and stmt.target in (value.left, value.right)
+
+
+def _induction_locals(loop: ast.While) -> FrozenSet[str]:
+    """Locals whose only use anywhere in ``loop`` is ``x = x + c``.
+
+    Nothing in the loop reads such a local except its own increment, so it
+    cannot steer the loop: a spin that counts its iterations in one (as
+    memcached's ``spins`` and ocean's ``spin_iters`` do) is still periodic.
+    """
+    increments = set()
+    used = set(ast.local_reads(loop.cond))
+    for stmt in ast.iter_statements(loop.body):
+        if _is_increment(stmt):
+            increments.add(stmt.target.name)
+            continue
+        for expr in ast.statement_expressions(stmt):
+            used.update(ast.local_reads(expr))
+        if isinstance(stmt, ast.Assign):
+            if isinstance(stmt.target, ast.LocalRef):
+                used.add(stmt.target.name)
+        elif isinstance(stmt, (ast.Spawn, ast.Input, ast.Call, ast.Malloc)):
+            used.add(stmt.target)
+    return frozenset(increments - used)
+
+
+@dataclass
+class _Sample:
+    """One spin sample: the state minus its monotone parts, and those parts."""
+
+    iterations: int
+    key: tuple
+    #: ``(step_count, preemption_points, context_switches)``
+    totals: Tuple[int, int, int]
+    #: ``ThreadState.steps`` per thread, in thread order
+    thread_steps: Tuple[int, ...]
+    #: ``LoopEntry.iterations`` per loop entry, in thread/frame/control order
+    loops: Tuple[int, ...]
+    #: the sampled frame's concrete induction locals, ``(name, value)``
+    induction: Tuple[Tuple[str, int], ...]
+
+
+def _frame_key(frame: Frame, hidden: FrozenSet[str]) -> tuple:
+    control = tuple(
+        entry.stmt if type(entry) is LoopEntry else (entry.stmts, entry.index)
+        for entry in frame.control
+    )
+    locals_ = tuple(item for item in frame.locals.items() if item[0] not in hidden)
+    return (frame.function, frame.return_target, frame.call_label, locals_, control)
+
+
+class _SpinCutoff:
+    """Cuts an enforcement run short the first time its state repeats.
+
+    The enforcement run is a deterministic function of its state (its
+    policy is stateless), so once the state repeats the run is periodic and
+    can never reach the racing access.  :meth:`sample` is the run's
+    ``stop_before`` predicate.  Before a loop condition whose iteration
+    count is a power of two (from :data:`_FIRST_SAMPLE` on) it keys the
+    whole state, leaving out only what grows without steering anything:
+    ``step_count``, per-thread ``steps``, ``LoopEntry.iterations``,
+    ``preemption_points``, ``context_switches`` and the sampled loop's
+    concrete induction locals.  Symbolic values compare structurally, the
+    output/input logs by length (they only grow), SpecChecker state is part
+    of the key, and a loop at a watched pc is never sampled.  When the key
+    equals the same loop entry's previous sample the run stops there, and
+    :meth:`skip` advances every left-out value by whole periods.
+    """
+
+    def __init__(
+        self,
+        watched: FrozenSet[int],
+        listeners: Sequence[ExecutionListener],
+        max_loop_iterations: int,
+    ) -> None:
+        self.watched = watched
+        self.checkers = [item for item in listeners if isinstance(item, SpecChecker)]
+        self.max_loop_iterations = max_loop_iterations
+        self._samples: Dict[Tuple[int, int, int], _Sample] = {}
+        self._induction: Dict[int, FrozenSet[str]] = {}
+        self._repeat: Optional[Tuple[_Sample, _Sample, int, int]] = None
+
+    def sample(self, state: ExecutionState, tid: int, stmt: ast.Stmt) -> bool:
+        if type(stmt) is not ast.While:
+            return False
+        frames = state.threads[tid].frames
+        control = frames[-1].control
+        entry = control[-1]
+        if type(entry) is not LoopEntry:
+            return False
+        count = entry.iterations
+        if count < _FIRST_SAMPLE or count & (count - 1) or stmt.pc in self.watched:
+            return False
+        induction = self._induction.get(stmt.pc)
+        if induction is None:
+            induction = self._induction[stmt.pc] = _induction_locals(stmt)
+        depth = len(frames) - 1
+        current = self._take(state, tid, depth, count, induction)
+        # A loop entry's position identifies it while it lives; a newer
+        # entry at the same position overwrites the sample at iteration
+        # _FIRST_SAMPLE before it could be compared at twice that.
+        where = (tid, depth, len(control))
+        previous = self._samples.get(where)
+        self._samples[where] = current
+        if previous is None or previous.iterations * 2 != count or previous.key != current.key:
+            return False
+        self._repeat = (previous, current, tid, depth)
+        return True
+
+    def _take(
+        self,
+        state: ExecutionState,
+        tid: int,
+        depth: int,
+        count: int,
+        induction: FrozenSet[str],
+    ) -> _Sample:
+        sampled = state.threads[tid].frames[depth]
+        counted = tuple(
+            item
+            for item in sampled.locals.items()
+            if item[0] in induction and type(item[1]) is int
+        )
+        hidden = frozenset(name for name, _value in counted)
+        threads = []
+        loops = []
+        for other, thread in state.threads.items():
+            frames = []
+            for index, frame in enumerate(thread.frames):
+                frames.append(
+                    _frame_key(frame, hidden if other == tid and index == depth else frozenset())
+                )
+                loops.extend(
+                    entry.iterations for entry in frame.control if type(entry) is LoopEntry
+                )
+            threads.append(
+                (
+                    other,
+                    thread.entry_function,
+                    thread.status,
+                    thread.blocked_on,
+                    thread.pending_reacquire,
+                    tuple(thread.held_mutexes),
+                    thread.result,
+                    tuple(frames),
+                )
+            )
+        sync = state.sync
+        key = (
+            tuple(threads),
+            state.memory.key(),
+            tuple((mutex.owner, tuple(mutex.waiters)) for mutex in sync.mutexes.values()),
+            tuple(tuple(condvar.waiters) for condvar in sync.condvars.values()),
+            tuple((tuple(barrier.arrived), barrier.generation) for barrier in sync.barriers.values()),
+            state.next_tid,
+            state.current_tid,
+            state.path_condition.constraints,
+            state.path_condition.infeasible,
+            state.symbolic_branches,
+            len(state.output_log),
+            len(state.input_log),
+            tuple(state.symbolic_inputs.items()),
+            tuple(state.concrete_inputs.items()),
+            state.symbolic_input_names,
+            tuple(state.notes.items()),
+            tuple(checker.violated for checker in self.checkers),
+        )
+        return _Sample(
+            iterations=count,
+            key=key,
+            totals=(state.step_count, state.preemption_points, state.context_switches),
+            thread_steps=tuple(thread.steps for thread in state.threads.values()),
+            loops=tuple(loops),
+            induction=counted,
+        )
+
+    def skip(self, state: ExecutionState, left: int) -> int:
+        """Advance the state the run stopped at by as many whole periods as
+        fit in ``left`` steps; return the steps skipped.
+
+        Each unit of a run's step budget (a statement or a mutex reacquire
+        attempt) advances ``step_count`` by one, so the period is measured
+        in budget units.  No loop entry is taken past the iteration limit:
+        the remaining steps run for real and end in ``LOOP_LIMIT`` exactly
+        where the full run would.
+        """
+        assert self._repeat is not None
+        previous, current, tid, depth = self._repeat
+        period = current.totals[0] - previous.totals[0]
+        periods = left // period
+        for then, now in zip(previous.loops, current.loops):
+            if now > then:
+                periods = min(periods, (self.max_loop_iterations - now) // (now - then))
+        if periods <= 0:
+            return 0
+
+        def advance(then: int, now: int) -> int:
+            return now + periods * (now - then)
+
+        state.step_count, state.preemption_points, state.context_switches = (
+            advance(then, now) for then, now in zip(previous.totals, current.totals)
+        )
+        loops = iter(zip(previous.loops, current.loops))
+        for other, then, now in zip(list(state.threads), previous.thread_steps, current.thread_steps):
+            if now != then:
+                state.thread_mut(other).steps = advance(then, now)
+            for index, frame in enumerate(list(state.threads[other].frames)):
+                for position, entry in enumerate(frame.control):
+                    if type(entry) is not LoopEntry:
+                        continue
+                    then_loop, now_loop = next(loops)
+                    if now_loop != then_loop:
+                        owned = state.frame_mut(other, index)
+                        owned.control[position].iterations = advance(then_loop, now_loop)
+        if current.induction:
+            frame = state.frame_mut(tid, depth)
+            for (name, then), (_name, now) in zip(previous.induction, current.induction):
+                frame.locals[name] = advance(then, now)
+        skipped = periods * period
+        state.counters.spin_cutoffs += 1
+        state.counters.steps_skipped += skipped
+        return skipped
+
+
 def run_alternate(
     executor: Executor,
     program: Program,
     trace: ExecutionTrace,
     race: RaceReport,
     primary: PrimaryReplay,
+    timeout_steps: int,
     post_race_policy: Optional[SchedulePolicy] = None,
     predicates: Sequence[SemanticPredicate] = (),
-    timeout_steps: Optional[int] = None,
     capture_post_race_snapshot: bool = False,
 ) -> AlternateResult:
     """Enforce the alternate ordering of the racing accesses and run onwards.
 
     ``primary`` must have been produced by :func:`replay_primary` (its
     pre-race checkpoint seeds the alternate).  ``timeout_steps`` bounds the
-    enforcement and the post-race execution; the default is
-    ``timeout_factor × primary.steps`` as in §4.
+    enforcement and the post-race execution; callers take it from
+    :func:`enforcement_budget`.  An enforcement run that starts repeating
+    its state is cut short and fast-forwarded (:class:`_SpinCutoff`): the
+    result equals the one the full ``timeout_steps`` would give, final
+    state included.
     """
     if primary.pre_race_checkpoint is None:
         return AlternateResult(
@@ -472,7 +727,6 @@ def run_alternate(
     # The checkpoint may come from a replay pass another task's executor
     # ran: count this alternate's statements on the executor running it.
     state.attach_counters(executor.counters)
-    budget = timeout_steps if timeout_steps is not None else max(1000, 5 * primary.steps)
     listeners = _spec_listeners(predicates)
     watcher = _RaceAccessWatcher(race, second.tid)
     locator = RacePointLocator(race, use_steps=False)
@@ -490,14 +744,28 @@ def run_alternate(
     def stop_after_enforced(state_, tid, stmt) -> bool:
         return watcher.seen
 
+    cutoff = _SpinCutoff(watched, listeners, executor.config.max_loop_iterations)
     result = executor.run(
         state,
         policy=enforcement,
         listeners=listeners + [watcher],
-        max_steps=budget,
+        max_steps=timeout_steps,
         watched_pcs=watched,
+        stop_before=cutoff.sample,
         stop_after=stop_after_enforced,
     )
+    if result.status is RunStatus.STOPPED_BEFORE:
+        # The state repeated: skip the whole periods left in the budget,
+        # then run the remaining part of a period for real.
+        left = timeout_steps - result.steps_executed
+        result = executor.run(
+            state,
+            policy=enforcement,
+            listeners=listeners + [watcher],
+            max_steps=left - cutoff.skip(state, left),
+            watched_pcs=watched,
+            stop_after=stop_after_enforced,
+        )
 
     if not watcher.seen:
         if state.outcome is not None:
@@ -545,7 +813,7 @@ def run_alternate(
             state,
             policy=release,
             listeners=listeners + [follower],
-            max_steps=min(budget, 5_000),
+            max_steps=min(timeout_steps, 5_000),
             watched_pcs=watched,
             stop_after=lambda s, t, st: follower.seen,
         )
@@ -557,7 +825,7 @@ def run_alternate(
             state,
             policy=continuation,
             listeners=listeners,
-            max_steps=budget,
+            max_steps=timeout_steps,
             watched_pcs=frozenset(),
         )
 
@@ -570,15 +838,3 @@ def run_alternate(
         steps=state.step_count,
     )
 
-
-def make_schedule_policies(count: int, seed: int) -> List[SchedulePolicy]:
-    """Post-race schedule policies for multi-schedule analysis (§3.4).
-
-    The first alternate uses the deterministic round-robin continuation (the
-    "single-post" schedule); the remaining ``count - 1`` use randomised
-    schedules with distinct seeds.
-    """
-    policies: List[SchedulePolicy] = [RoundRobinPolicy()]
-    for index in range(1, max(1, count)):
-        policies.append(RandomPolicy(seed=seed + index))
-    return policies[:count]

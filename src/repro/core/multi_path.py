@@ -21,7 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.alternate import AlternateStatus, replay_primary, run_alternate
+from repro.core.alternate import (
+    AlternateStatus,
+    enforcement_budget,
+    replay_primary,
+    run_alternate,
+)
 from repro.core.categories import (
     ClassificationEvidence,
     RaceClass,
@@ -185,9 +190,8 @@ def analyze_primary_path(
         verdict.reached_race = False
         return verdict
 
-    timeout_steps = min(
-        max(1_000, config.timeout_factor * primary_replay.steps),
-        config.max_steps_per_execution,
+    timeout_steps = enforcement_budget(
+        config.timeout_factor, primary_replay.steps, config.max_steps_per_execution
     )
     policies = alternate_schedule_policies(
         config.effective_ma(), config.race_seed(race.race_id, path.index)
@@ -200,9 +204,9 @@ def analyze_primary_path(
             trace,
             race,
             primary_replay,
+            timeout_steps,
             post_race_policy=policy,
             predicates=predicates,
-            timeout_steps=timeout_steps,
         )
         if alternate.status in (AlternateStatus.TIMEOUT, AlternateStatus.STUCK):
             if alternate.timeout_diagnosis == "infinite-loop" or alternate.lock_cycle:

@@ -15,6 +15,7 @@ from repro.core.alternate import (
     AlternateResult,
     AlternateStatus,
     PrimaryReplay,
+    enforcement_budget,
     replay_primary,
     run_alternate,
 )
@@ -114,16 +115,17 @@ def single_classify(
         evidence.alternate_enforced = False
         return SinglePrePostResult(RaceClass.OUTPUT_SAME, primary, None, evidence)
 
-    timeout_steps = max(1_000, config.timeout_factor * primary.steps)
     alternate = run_alternate(
         executor,
         program,
         trace,
         race,
         primary,
+        enforcement_budget(
+            config.timeout_factor, primary.steps, config.max_steps_per_execution
+        ),
         post_race_policy=RoundRobinPolicy(),
         predicates=predicates,
-        timeout_steps=min(timeout_steps, config.max_steps_per_execution),
         capture_post_race_snapshot=capture_post_race_snapshot,
     )
 

@@ -35,8 +35,9 @@ kind                         fields
                              task, the aggregate of its queries)
 ``interp_stats``             ``interp`` (kernel name) + the executor's
                              ``InterpCounters.to_dict()`` snapshot
-                             (``statements``, ``forks``, ``cow_copies``;
-                             one per task)
+                             (``statements``, ``forks``, ``cow_copies``,
+                             ``spin_cutoffs``, ``steps_skipped``; one per
+                             task)
 ``pool``                     ``action`` (created/reused)
 ``stage_overlap``            ``seconds``, ``channel`` (``plan_path`` when
                              absent; ``record_classify`` for the full-stream
@@ -120,6 +121,9 @@ EVENT_KINDS = (
     "fault_injected",
     "events_truncated",
 )
+
+#: the ``InterpCounters`` fields an ``interp_stats`` event carries
+_INTERP_COUNTERS = ("statements", "forks", "cow_copies", "spin_cutoffs", "steps_skipped")
 
 #: per-task cap on buffered ``solver_query`` detail events.  A heavy task on
 #: today's workloads issues ~150 queries, so 2048 is ample headroom; if a
@@ -418,13 +422,11 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
         elif kind == "interp_stats":
             interp = str(event.get("interp", "tree"))
             entry = interpreters.setdefault(
-                interp,
-                {"tasks": 0, "statements": 0, "forks": 0, "cow_copies": 0},
+                interp, dict.fromkeys(("tasks",) + _INTERP_COUNTERS, 0)
             )
             entry["tasks"] += 1
-            entry["statements"] += int(event.get("statements", 0))
-            entry["forks"] += int(event.get("forks", 0))
-            entry["cow_copies"] += int(event.get("cow_copies", 0))
+            for counter in _INTERP_COUNTERS:
+                entry[counter] += int(event.get(counter, 0))
     histograms = {
         stage: {
             "count": len(latencies),
@@ -549,7 +551,9 @@ def render_events_info(events: Sequence[Event]) -> str:
             f"  {interp}: tasks={data['tasks']} "
             f"statements={data['statements']} "
             f"forks={data['forks']} "
-            f"cow_copies={data['cow_copies']}"
+            f"cow_copies={data['cow_copies']} "
+            f"spin_cutoffs={data['spin_cutoffs']} "
+            f"steps_skipped={data['steps_skipped']}"
         )
     if not summary["interpreters"]:
         lines.append("  (no interp_stats events)")

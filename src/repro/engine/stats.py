@@ -72,6 +72,10 @@ class EngineStats:
     #: copy-on-write materializations (containers/threads/frames copied on
     #: first write after a fork)
     interp_cow_copies: int = 0
+    #: alternate enforcements cut short at a repeated spin state
+    interp_spin_cutoffs: int = 0
+    #: steps those cutoffs skipped instead of interpreting
+    interp_steps_skipped: int = 0
     #: task executions re-submitted after a worker crash, deadline expiry,
     #: or malformed result (supervision layer)
     task_retries: int = 0
@@ -110,6 +114,8 @@ class EngineStats:
         self.interp_statements = 0
         self.interp_forks = 0
         self.interp_cow_copies = 0
+        self.interp_spin_cutoffs = 0
+        self.interp_steps_skipped = 0
         self.task_retries = 0
         self.pool_respawns = 0
         self.tasks_quarantined = 0
@@ -139,6 +145,8 @@ class EngineStats:
         self.interp_statements += other.interp_statements
         self.interp_forks += other.interp_forks
         self.interp_cow_copies += other.interp_cow_copies
+        self.interp_spin_cutoffs += other.interp_spin_cutoffs
+        self.interp_steps_skipped += other.interp_steps_skipped
         self.task_retries += other.task_retries
         self.pool_respawns += other.pool_respawns
         self.tasks_quarantined += other.tasks_quarantined
@@ -170,12 +178,15 @@ class EngineStats:
         Task results carry ``InterpCounters.to_dict()`` snapshots (each task
         builds one fresh executor, so the snapshot is the task's delta),
         emitted as ``interp_stats`` events next to the solver snapshots.
+        Logs written before a counter existed fold it as 0.
         """
         if not payload:
             return
         self.interp_statements += payload.get("statements", 0)
         self.interp_forks += payload.get("forks", 0)
         self.interp_cow_copies += payload.get("cow_copies", 0)
+        self.interp_spin_cutoffs += payload.get("spin_cutoffs", 0)
+        self.interp_steps_skipped += payload.get("steps_skipped", 0)
 
     def summary(self) -> str:
         return (
@@ -198,6 +209,8 @@ class EngineStats:
             f"interp statements={self.interp_statements}, "
             f"interp forks={self.interp_forks}, "
             f"interp cow copies={self.interp_cow_copies}, "
+            f"spin cutoffs={self.interp_spin_cutoffs}, "
+            f"steps skipped={self.interp_steps_skipped}, "
             f"task retries={self.task_retries}, "
             f"pool respawns={self.pool_respawns}, "
             f"tasks quarantined={self.tasks_quarantined}, "

@@ -585,3 +585,53 @@ def expression_reads(expr: ExprLike):
         yield from expression_reads(expr.right)
     elif isinstance(expr, UnOp):
         yield from expression_reads(expr.operand)
+
+
+def statement_expressions(stmt: Stmt):
+    """Yield the top-level expressions the executor evaluates for ``stmt``.
+
+    Covers every expression a statement reads; the local a statement writes
+    (an ``Assign`` to a ``LocalRef``, or the ``target`` of ``Spawn``,
+    ``Input``, ``Call`` and ``Malloc``) is not an expression and is not
+    yielded.
+    """
+    if isinstance(stmt, Assign):
+        yield stmt.value
+        target = stmt.target
+        if isinstance(target, ArrayRef):
+            yield target.index
+        elif isinstance(target, HeapRef):
+            yield target.pointer
+            yield target.index
+    elif isinstance(stmt, (If, While, Assert)):
+        yield stmt.cond
+    elif isinstance(stmt, (Spawn, Call)):
+        yield from stmt.args
+    elif isinstance(stmt, Join):
+        yield stmt.thread
+    elif isinstance(stmt, Output):
+        yield from stmt.values
+    elif isinstance(stmt, Return):
+        if stmt.value is not None:
+            yield stmt.value
+    elif isinstance(stmt, Malloc):
+        yield stmt.size
+    elif isinstance(stmt, Free):
+        yield stmt.pointer
+
+
+def local_reads(expr: ExprLike):
+    """Yield the names of the locals ``expr`` reads (nested indices included)."""
+    expr = as_expr(expr)
+    if isinstance(expr, LocalRef):
+        yield expr.name
+    elif isinstance(expr, ArrayRef):
+        yield from local_reads(expr.index)
+    elif isinstance(expr, HeapRef):
+        yield from local_reads(expr.pointer)
+        yield from local_reads(expr.index)
+    elif isinstance(expr, BinOp):
+        yield from local_reads(expr.left)
+        yield from local_reads(expr.right)
+    elif isinstance(expr, UnOp):
+        yield from local_reads(expr.operand)

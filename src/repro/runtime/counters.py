@@ -14,29 +14,25 @@ from typing import Dict
 
 
 class InterpCounters:
-    """Statements executed, state forks, and COW materializations."""
+    """Statements executed, state forks, COW materializations, and the
+    alternate-enforcement spin cutoffs (runs cut short at a repeated state,
+    and the steps they skipped instead of interpreting)."""
 
-    __slots__ = ("statements", "forks", "cow_copies")
+    __slots__ = ("statements", "forks", "cow_copies", "spin_cutoffs", "steps_skipped")
 
     def __init__(self) -> None:
-        self.statements = 0
-        self.forks = 0
-        self.cow_copies = 0
+        self.reset()
 
     def reset(self) -> None:
         self.statements = 0
         self.forks = 0
         self.cow_copies = 0
+        self.spin_cutoffs = 0
+        self.steps_skipped = 0
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "statements": self.statements,
-            "forks": self.forks,
-            "cow_copies": self.cow_copies,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"InterpCounters(statements={self.statements}, "
-            f"forks={self.forks}, cow_copies={self.cow_copies})"
-        )
+        fields = ", ".join(f"{name}={getattr(self, name)}" for name in self.__slots__)
+        return f"InterpCounters({fields})"

@@ -299,6 +299,25 @@ class Memory:
         )
         return globals_part, arrays_part, heap_part
 
+    def key(self) -> Tuple:
+        """An equality-comparable image of the whole memory.
+
+        Unlike :meth:`snapshot` it keeps symbolic cells as expressions
+        (compared structurally), freed heap objects and the allocation
+        counter, so two keys are equal exactly when every later load,
+        store, ``malloc`` and ``free`` behaves the same on both memories.
+        Meant for ``==``, not for hashing.
+        """
+        return (
+            tuple(self._globals.items()),
+            tuple((name, tuple(cells)) for name, cells in self._arrays.items()),
+            tuple(
+                (oid, obj.size, obj.freed, tuple(obj.cells))
+                for oid, obj in self._heap.items()
+            ),
+            self._next_object_id,
+        )
+
     def globals_view(self) -> Dict[str, Value]:
         return dict(self._globals)
 

@@ -251,13 +251,14 @@ class ExecutionState:
             self.counters.cow_copies += 1
         return thread
 
-    def frame_mut(self, tid: int) -> Frame:
-        """The thread's top frame, privately owned: safe to mutate."""
+    def frame_mut(self, tid: int, index: int = -1) -> Frame:
+        """The thread's frame at ``index`` (default: the top one), privately
+        owned: safe to mutate."""
         thread = self.thread_mut(tid)
-        frame = thread.frames[-1]
+        frame = thread.frames[index]
         if frame.version != thread.version:
             frame = frame.cow_copy(thread.version)
-            thread.frames[-1] = frame
+            thread.frames[index] = frame
             self.counters.cow_copies += 1
         return frame
 

@@ -144,6 +144,35 @@ class TestFoldSemantics:
         assert stats.pool_reuses == 2
         assert stats.stage_overlap_seconds == 0.125
 
+    def test_interp_stats_fold_and_old_logs_count_zero_cutoffs(self):
+        events = [
+            make_event(
+                "interp_stats",
+                interp="tree",
+                statements=40,
+                forks=1,
+                cow_copies=3,
+                spin_cutoffs=2,
+                steps_skipped=900,
+            ),
+            # written before the spin cutoff counters existed
+            make_event("interp_stats", interp="tree", statements=10, forks=0, cow_copies=1),
+        ]
+        stats = fold_events(events)
+        assert stats.interp_statements == 50
+        assert stats.interp_spin_cutoffs == 2
+        assert stats.interp_steps_skipped == 900
+        assert "spin cutoffs=2, steps skipped=900" in stats.summary()
+        (tree,) = summarize_events(events)["interpreters"].values()
+        assert tree == {
+            "tasks": 2,
+            "statements": 50,
+            "forks": 1,
+            "cow_copies": 4,
+            "spin_cutoffs": 2,
+            "steps_skipped": 900,
+        }
+
     def test_solver_query_detail_is_not_double_counted(self):
         # Per-query events are histogram detail; only the per-task
         # solver_stats snapshot feeds the counters.

@@ -261,7 +261,7 @@ class TestSharedPassHazards:
         primary = replay_primary(builder.executor, builder.program, trace, race)
         runner = Portend(builder.program)
         built = builder.executor.counters.statements
-        run_alternate(runner.executor, runner.program, trace, race, primary)
+        run_alternate(runner.executor, runner.program, trace, race, primary, 1_000)
         assert builder.executor.counters.statements == built
         assert runner.executor.counters.statements > 0
 
