@@ -26,14 +26,8 @@ A/B comparisons quantify the hot-path optimizations:
   task quarantined, zero run-wide serial downgrades), keep verdicts
   bit-identical to the serial reference, and finish within 1.5x the
   fault-free wall clock, and
-* **interpreter** -- the compiled dispatch kernel vs the tree walker:
-  verdicts (and the interpreter's own statement/fork/COW counters) must
-  stay bit-identical across the full registry, raw interpretation
-  throughput on the stress workloads must be strictly higher under the
-  compiled kernel (steps/sec up, wall clock no worse -- statement counts
-  are identical by construction), and the copy-on-write ``clone()`` must
-  fork a deep ``stress_deep`` state faster than the eager deep copy it
-  replaced.
+* **fork cost** -- the copy-on-write ``clone()`` must fork a deep
+  ``stress_deep`` state faster than the eager deep copy it replaced.
 
 Classifications are verified bit-identical across all modes.  Running the
 file directly emits a JSON artifact (``bench_engine.json``) with every
@@ -49,11 +43,10 @@ import tempfile
 import time
 
 import repro.symex.solver as solver_mod
-from repro.core.config import PortendConfig
 from repro.engine import AnalysisEngine, EngineOptions
 from repro.engine.events import fold_events, load_events
 from repro.engine.stats import GLOBAL_STATS
-from repro.runtime.compile import create_executor
+from repro.runtime.executor import Executor
 from repro.workloads import all_workload_names, load_workload
 
 WORKERS = min(4, os.cpu_count() or 1)
@@ -119,7 +112,7 @@ def run_comparison(names=None):
     outcome["solver_cache"] = run_solver_cache_comparison()
     outcome["events"] = run_events_check()
     outcome["fault_recovery"] = run_fault_recovery_comparison()
-    outcome["interpreter"] = run_interpreter_comparison()
+    outcome["fork_cost"] = _fork_cost()
     return outcome
 
 
@@ -229,45 +222,6 @@ def run_events_check(names=("stress_deep",)):
     }
 
 
-#: the raw-interpretation throughput subset: the synthetic stress programs
-#: execute by far the most statements per recording, so they isolate the
-#: dispatch loop the compiled kernel replaces
-INTERP_STRESS_NAMES = ("stress", "stress_deep", "stress_harmful")
-
-
-def _interp_throughput(name, interp, repetitions=3, runs=60):
-    """Best-of-N raw interpretation of one workload's concrete recording.
-
-    This measures the executor alone -- no detector, no classifier, no
-    solver-bound symbolic exploration -- which is exactly the loop the
-    compiled dispatch kernel rewrites.  One repetition drives ``runs``
-    freshly-built states through a single executor (the recordings are
-    short, so a single run would time mostly noise); the statement count is
-    deterministic per (workload, inputs) and identical across kernels by
-    the bit-identity contract, so steps/sec differences are pure dispatch
-    cost.
-    """
-    workload = load_workload(name)
-    executor = create_executor(workload.program, interp=interp)
-    best_seconds = None
-    statements = 0
-    for _repetition in range(repetitions):
-        states = [
-            executor.initial_state(concrete_inputs=dict(workload.inputs))
-            for _run in range(runs)
-        ]
-        before = executor.counters.statements
-        started = time.perf_counter()
-        for state in states:
-            executor.run(state)
-        elapsed = time.perf_counter() - started
-        statements = executor.counters.statements - before
-        best_seconds = (
-            elapsed if best_seconds is None else min(best_seconds, elapsed)
-        )
-    return {"seconds": best_seconds, "statements": statements}
-
-
 def _fork_cost(name="stress_deep", warmup_steps=400, clones=200):
     """Time ``clone()`` (copy-on-write) vs ``clone_eager()`` (deep copy).
 
@@ -277,7 +231,7 @@ def _fork_cost(name="stress_deep", warmup_steps=400, clones=200):
     O(touched-on-write) instead of O(state), so it must win outright.
     """
     workload = load_workload(name)
-    executor = create_executor(workload.program)
+    executor = Executor(workload.program)
     state = executor.initial_state(concrete_inputs=dict(workload.inputs))
     executor.run(state, max_steps=warmup_steps)
 
@@ -298,84 +252,6 @@ def _fork_cost(name="stress_deep", warmup_steps=400, clones=200):
         "cow_seconds": cow_seconds,
         "eager_seconds": eager_seconds,
         "speedup": (eager_seconds / cow_seconds) if cow_seconds else 0.0,
-    }
-
-
-def run_interpreter_comparison(names=None):
-    """Compiled dispatch kernel vs the tree walker.
-
-    Three legs:
-
-    1. **equivalence** -- the full registry analyzed serially under each
-       kernel; verdict signatures *and* the folded interpreter counters
-       (statements, forks, COW copies) must be bit-identical,
-    2. **throughput** -- best-of-3 raw interpretation of each stress
-       workload's concrete recording; aggregate steps/sec must be strictly
-       higher under the compiled kernel (same statement counts, so wall
-       clock must also be no worse),
-    3. **fork cost** -- COW ``clone()`` vs eager deep copy on a
-       mid-execution ``stress_deep`` state.
-    """
-    names = (
-        list(names)
-        if names is not None
-        else all_workload_names(include_synthetic=True)
-    )
-
-    kernels = {}
-    signatures = {}
-    counters = {}
-    for interp in ("tree", "compiled"):
-        GLOBAL_STATS.reset()
-        started = time.perf_counter()
-        runs = AnalysisEngine(
-            config=PortendConfig(interp=interp)
-        ).analyze(names)
-        kernels[interp] = {
-            "analysis_seconds": time.perf_counter() - started,
-            "interp_statements": GLOBAL_STATS.interp_statements,
-            "interp_forks": GLOBAL_STATS.interp_forks,
-            "interp_cow_copies": GLOBAL_STATS.interp_cow_copies,
-        }
-        signatures[interp] = _signature(runs)
-        counters[interp] = (
-            GLOBAL_STATS.interp_statements,
-            GLOBAL_STATS.interp_forks,
-            GLOBAL_STATS.interp_cow_copies,
-        )
-
-    throughput = {}
-    for interp in ("tree", "compiled"):
-        per_workload = {
-            name: _interp_throughput(name, interp)
-            for name in INTERP_STRESS_NAMES
-        }
-        seconds = sum(entry["seconds"] for entry in per_workload.values())
-        statements = sum(
-            entry["statements"] for entry in per_workload.values()
-        )
-        throughput[interp] = {
-            "workloads": per_workload,
-            "seconds": seconds,
-            "statements": statements,
-            "steps_per_second": (statements / seconds) if seconds else 0.0,
-        }
-
-    return {
-        "workloads": names,
-        "stress_workloads": list(INTERP_STRESS_NAMES),
-        "tree": kernels["tree"],
-        "compiled": kernels["compiled"],
-        "identical": signatures["tree"] == signatures["compiled"],
-        "counters_identical": counters["tree"] == counters["compiled"],
-        "throughput": throughput,
-        "throughput_speedup": (
-            throughput["compiled"]["steps_per_second"]
-            / throughput["tree"]["steps_per_second"]
-            if throughput["tree"]["steps_per_second"]
-            else 0.0
-        ),
-        "fork_cost": _fork_cost(),
     }
 
 
@@ -463,10 +339,7 @@ def render(outcome):
     solver_cache = outcome["solver_cache"]
     events = outcome["events"]
     fault_recovery = outcome["fault_recovery"]
-    interpreter = outcome["interpreter"]
-    tree_tp = interpreter["throughput"]["tree"]
-    compiled_tp = interpreter["throughput"]["compiled"]
-    fork_cost = interpreter["fork_cost"]
+    fork_cost = outcome["fork_cost"]
     lines = [
         "Engine benchmark: serial vs parallel vs warm cache",
         f"{'workloads':<26} {len(serial_runs)}",
@@ -515,20 +388,11 @@ def render(outcome):
         f"{'recovery overhead':<26} {fault_recovery['overhead']:.2f}x",
         f"{'verdicts identical':<26} {fault_recovery['identical']}",
         "",
-        f"Interpreter ({', '.join(interpreter['stress_workloads'])}):",
-        f"{'tree walker':<26} {tree_tp['seconds']:.3f}s  "
-        f"({tree_tp['statements']} statements, "
-        f"{tree_tp['steps_per_second']:,.0f} steps/sec)",
-        f"{'compiled kernel':<26} {compiled_tp['seconds']:.3f}s  "
-        f"({compiled_tp['statements']} statements, "
-        f"{compiled_tp['steps_per_second']:,.0f} steps/sec)",
-        f"{'throughput speedup':<26} {interpreter['throughput_speedup']:.2f}x",
+        f"Fork cost ({fork_cost['workload']}):",
         f"{'fork cost (COW)':<26} {fork_cost['cow_seconds']:.4f}s  "
         f"({fork_cost['clones']} clones of a {fork_cost['workload']} state)",
         f"{'fork cost (eager copy)':<26} {fork_cost['eager_seconds']:.4f}s  "
         f"({fork_cost['speedup']:.2f}x slower than COW)",
-        f"{'verdicts identical':<26} {interpreter['identical']}",
-        f"{'counters identical':<26} {interpreter['counters_identical']}",
     ]
     return "\n".join(lines)
 
@@ -551,7 +415,7 @@ def to_artifact(outcome):
         "solver_cache": outcome["solver_cache"],
         "events": outcome["events"],
         "fault_recovery": outcome["fault_recovery"],
-        "interpreter": outcome["interpreter"],
+        "fork_cost": outcome["fork_cost"],
     }
 
 
@@ -599,27 +463,8 @@ def verify(outcome):
     # engine runs serially and the driver never injects.
     fault_recovery = outcome["fault_recovery"]
     assert fault_recovery["identical"], fault_recovery
-    # The interpreter kernels: bit-identical verdicts *and* counters across
-    # the whole registry, identical statement counts on the stress programs
-    # (the throughput legs execute the same work), strictly higher steps/sec
-    # under the compiled kernel (equivalently: wall clock no worse), and a
-    # COW fork that beats the eager deep copy it replaced.
-    interpreter = outcome["interpreter"]
-    assert interpreter["identical"], interpreter
-    assert interpreter["counters_identical"], interpreter
-    assert interpreter["tree"]["interp_statements"] > 0, interpreter
-    throughput = interpreter["throughput"]
-    assert (
-        throughput["compiled"]["statements"] == throughput["tree"]["statements"]
-    ), throughput
-    assert (
-        throughput["compiled"]["steps_per_second"]
-        > throughput["tree"]["steps_per_second"]
-    ), throughput
-    assert throughput["compiled"]["seconds"] <= throughput["tree"]["seconds"], (
-        throughput
-    )
-    fork_cost = interpreter["fork_cost"]
+    # The COW fork beats the eager deep copy it replaced.
+    fork_cost = outcome["fork_cost"]
     assert fork_cost["cow_seconds"] < fork_cost["eager_seconds"], fork_cost
     if (os.cpu_count() or 1) > 1 and WORKERS > 1:
         # Real parallel hardware must beat the serial pipeline on a

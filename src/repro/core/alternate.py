@@ -9,7 +9,7 @@ stage:
   completed execution -- lines 1-4 of Algorithm 1.  Only those checkpoints
   differ between the races of a trace, so the trace is replayed *once* per
   (trace, effective inputs, race-point locator mode, step budget,
-  predicates, kernel): one :class:`ReplayPolicy` run stops at every race's
+  predicates, loop bound): one :class:`ReplayPolicy` run stops at every race's
   pre-race and post-race points, and the completed primary is shared by all
   races and by both classifier stages.  A small per-process memo keeps the
   last few such passes.  A pass that does not complete within the step
@@ -400,8 +400,8 @@ def replay_primary(
     """Replay the primary execution, taking pre-race and post-race checkpoints.
 
     The replay pass is shared with every other race of ``trace`` replayed
-    under the same inputs, locator mode, budget, predicates and kernel; the
-    result equals :func:`replay_primary_per_race`'s.
+    under the same inputs, locator mode, budget, predicates and loop bound;
+    the result equals :func:`replay_primary_per_race`'s.
     """
     inputs = _effective_inputs(trace, concrete_inputs)
     budget = max_steps or executor.config.max_steps
@@ -411,7 +411,6 @@ def replay_primary(
         use_steps,
         budget,
         tuple(predicate.name for predicate in predicates),
-        type(executor),
         executor.config.max_loop_iterations,
     )
     book = _REPLAY_MEMO.get(key)

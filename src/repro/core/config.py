@@ -10,8 +10,7 @@ detection", "+ multi-path", "+ multi-schedule") can be regenerated.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 
@@ -37,14 +36,10 @@ class PortendConfig:
     #: only because the benchmark harness passes every field by keyword --
     #: a benchmark change will remove it.
     solver_backend: str = "default"
-    #: interpreter kernel name (see :mod:`repro.runtime.compile`); the
-    #: ``REPRO_INTERP`` environment variable overrides the default.
-    #: Interpreters are bit-identical by contract -- the compiled kernel
-    #: changes dispatch mechanics, never semantics -- so this knob is
-    #: excluded from :meth:`classification_fingerprint`.
-    interp: str = field(
-        default_factory=lambda: os.environ.get("REPRO_INTERP", "tree")
-    )
+    #: pinned to "tree", the only interpreter; any other value raises.  Kept
+    #: only because the benchmark harness passes every field by keyword --
+    #: a benchmark change will remove it.
+    interp: str = "tree"
 
     # ----------------------------------------------------- ablation switches
     #: classify ad-hoc synchronisation (timeouts) as "single ordering";
@@ -64,6 +59,10 @@ class PortendConfig:
             raise ValueError(
                 f"unknown solver backend {self.solver_backend!r}; the only "
                 "solver is 'default'"
+            )
+        if self.interp != "tree":
+            raise ValueError(
+                f"unknown interpreter {self.interp!r}; the only interpreter is 'tree'"
             )
 
     @property
@@ -104,11 +103,8 @@ class PortendConfig:
         :meth:`race_seed`), the ``mp``/``ma`` exploration limits, the
         ablation switches, the step/state ceilings -- so any config change
         invalidates cached verdicts instead of silently serving stale ones.
-        ``interp`` is the exception: interpreter kernels answer
-        bit-identically by contract (asserted in tests and the benchmark
-        harness), so a cached verdict stays valid across them.  The pinned
-        ``solver_backend`` is left out too, so existing cache entries keep
-        hitting.
+        The pinned ``solver_backend`` and ``interp`` are left out, so
+        existing cache entries keep hitting.
         """
         data = self.to_dict()
         data.pop("solver_backend", None)

@@ -109,14 +109,8 @@ class Portend:
         self.config = config or PortendConfig()
         self.predicates = list(predicates)
         if executor is None:
-            # Build the interpreter kernel the config names (tree or
-            # compiled); both are bit-identical, so this is a pure
-            # performance knob.
-            from repro.runtime.compile import create_executor
-
-            executor = create_executor(
+            executor = Executor(
                 self.program,
-                interp=self.config.interp,
                 config=ExecutorConfig(max_steps=self.config.max_steps_per_execution),
                 solver=solver,
             )

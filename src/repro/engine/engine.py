@@ -127,10 +127,9 @@ class EngineOptions:
     """Batch-level knobs, orthogonal to the per-race :class:`PortendConfig`.
 
     ``parallel`` and ``chunk_target_ms`` read their defaults from the
-    ``REPRO_PARALLEL``/``REPRO_CHUNK_TARGET_MS`` environment variables
-    (mirroring ``REPRO_INTERP`` for the interpreter kernel), so whole test
-    suites can run on a pool without touching each call site -- the CI
-    full-stream job sets ``REPRO_PARALLEL=2``.  Explicit constructor
+    ``REPRO_PARALLEL``/``REPRO_CHUNK_TARGET_MS`` environment variables, so
+    whole test suites can run on a pool without touching each call site --
+    the CI full-stream job sets ``REPRO_PARALLEL=2``.  Explicit constructor
     arguments always win over the environment.
     """
 

@@ -33,8 +33,8 @@ kind                         fields
                              ``seconds`` (worker, per query)
 ``solver_stats``             a ``SolverStats.to_dict()`` snapshot (one per
                              task, the aggregate of its queries)
-``interp_stats``             ``interp`` (kernel name) + the executor's
-                             ``InterpCounters.to_dict()`` snapshot
+``interp_stats``             the executor's ``InterpCounters.to_dict()``
+                             snapshot
                              (``statements``, ``forks``, ``cow_copies``,
                              ``spin_cutoffs``, ``steps_skipped``; one per
                              task)
@@ -352,7 +352,7 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
     stage_latencies: Dict[str, List[float]] = {}
     cache_totals: Dict[str, Dict[str, int]] = {}
     solver: Dict[str, float] = {"tasks": 0, "queries": 0, "seconds": 0.0, "enumerated": 0}
-    interpreters: Dict[str, Dict[str, int]] = {}
+    interpreter: Dict[str, int] = dict.fromkeys(("tasks",) + _INTERP_COUNTERS, 0)
     decisions: Dict[str, Dict[str, float]] = {}
     recovery: Dict[str, object] = {
         "retries": 0,
@@ -420,13 +420,11 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
             if event.get("action") == "downgraded":
                 recovery["downgrades"] += 1
         elif kind == "interp_stats":
-            interp = str(event.get("interp", "tree"))
-            entry = interpreters.setdefault(
-                interp, dict.fromkeys(("tasks",) + _INTERP_COUNTERS, 0)
-            )
-            entry["tasks"] += 1
+            # logs written while a second kernel existed carry an ``interp``
+            # key; every kernel's counters fold into the one line
+            interpreter["tasks"] += 1
             for counter in _INTERP_COUNTERS:
-                entry[counter] += int(event.get(counter, 0))
+                interpreter[counter] += int(event.get(counter, 0))
     histograms = {
         stage: {
             "count": len(latencies),
@@ -459,7 +457,7 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
         "stage_latency": histograms,
         "cache_rates": cache_rates,
         "solver": solver,
-        "interpreters": dict(sorted(interpreters.items())),
+        "interpreter": interpreter,
         "scheduler_decisions": dict(sorted(decisions.items())),
         "recovery": recovery,
     }
@@ -545,18 +543,15 @@ def render_events_info(events: Sequence[Event]) -> str:
     else:
         lines.append("solver: (no solver_stats events)")
     lines.append("")
-    lines.append("interpreter counters by kernel:")
-    for interp, data in summary["interpreters"].items():
-        lines.append(
-            f"  {interp}: tasks={data['tasks']} "
-            f"statements={data['statements']} "
-            f"forks={data['forks']} "
-            f"cow_copies={data['cow_copies']} "
-            f"spin_cutoffs={data['spin_cutoffs']} "
-            f"steps_skipped={data['steps_skipped']}"
-        )
-    if not summary["interpreters"]:
-        lines.append("  (no interp_stats events)")
+    interpreter = summary["interpreter"]
+    lines.append(
+        f"interpreter counters: tasks={interpreter['tasks']} "
+        f"statements={interpreter['statements']} "
+        f"forks={interpreter['forks']} "
+        f"cow_copies={interpreter['cow_copies']} "
+        f"spin_cutoffs={interpreter['spin_cutoffs']} "
+        f"steps_skipped={interpreter['steps_skipped']}"
+    )
     lines.append("")
     lines.append(summary["stats"])
     return "\n".join(lines)

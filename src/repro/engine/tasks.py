@@ -195,11 +195,7 @@ def _finish_task(
     if portend is not None:
         snapshot = _solver_snapshot(portend)
         events.emit("solver_stats", **snapshot)
-        events.emit(
-            "interp_stats",
-            interp=portend.executor.interp,
-            **portend.executor.counters.to_dict(),
-        )
+        events.emit("interp_stats", **portend.executor.counters.to_dict())
     events.emit(
         "task_finish",
         stage=stage,
@@ -226,11 +222,9 @@ def pool_worker_initializer(fault_spec: Optional[Mapping] = None) -> None:
     """
     from repro.core.alternate import reset_replay_memo
     from repro.engine.faults import install_fault_plan
-    from repro.runtime.compile import reset_compiled_cache
     from repro.symex.solver import reset_worker_caches
 
     reset_worker_caches()
-    reset_compiled_cache()
     install_fault_plan(dict(fault_spec) if fault_spec else None)
     _TRACE_MEMO.clear()
     reset_replay_memo()
@@ -352,7 +346,6 @@ def execute_record_task(payload: Mapping) -> Dict:
         program,
         concrete_inputs=dict(task.inputs),
         max_steps=config.max_steps_per_execution,
-        interp=config.interp,
     )
     _, event_list = _finish_task(events, "record", task.workload, started)
     return {

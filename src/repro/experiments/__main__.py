@@ -1,8 +1,8 @@
 """Command-line entry point: ``python -m repro.experiments <experiment>``.
 
-The driver builds one :class:`~repro.core.config.PortendConfig` and one
-:class:`~repro.engine.EngineOptions` from the flags the user set (a flag
-left unset keeps the field's default, including its ``REPRO_*``
+The driver builds one default :class:`~repro.core.config.PortendConfig` and
+one :class:`~repro.engine.EngineOptions` from the flags the user set (a
+flag left unset keeps the field's default, including its ``REPRO_*``
 environment default).  The shared-run experiments (table3/table4/table5/
 fig9) all consume one analysis of the workload list under that pair,
 computed once through the :class:`repro.engine.AnalysisEngine`; the
@@ -118,15 +118,6 @@ def main(argv=None) -> int:
         "the REPRO_CHUNK_TARGET_MS environment variable, else 500",
     )
     parser.add_argument(
-        "--interp",
-        default=None,
-        metavar="KERNEL",
-        help="interpreter kernel for every analysis: 'tree' (the walking "
-        "interpreter) or 'compiled' (per-statement handler closures compiled "
-        "once per program); kernels are verdict-bit-identical.  Defaults to "
-        "the REPRO_INTERP environment variable, else 'tree'",
-    )
-    parser.add_argument(
         "--fault-plan",
         default=None,
         metavar="PLAN",
@@ -215,19 +206,10 @@ def main(argv=None) -> int:
         print(render_events_info(load_events(args.events_path)))
         return 0
 
-    if args.interp is not None:
-        from repro.runtime.compile import INTERP_MODES
-
-        if args.interp not in INTERP_MODES:
-            parser.error(
-                f"unknown interpreter {args.interp!r}; "
-                f"choose from {', '.join(INTERP_MODES)}"
-            )
-
     from repro.core.config import PortendConfig
     from repro.engine import EngineOptions
 
-    config = PortendConfig(**_given(args, ("interp",)))
+    config = PortendConfig()
     options = EngineOptions(**_given(args, _OPTION_FLAGS))
 
     if args.experiment == "profile":

@@ -4,9 +4,8 @@ cProfile.
 Runs the complete serial analysis of one registry workload (record + detect
 + classify, the same work a ``table3`` row does) inside ``cProfile`` and
 reports the top-N functions by cumulative time.  This is the repo's standing
-answer to "where do the cycles go?" -- the interpreter hot-path work (the
-compiled dispatch kernel and copy-on-write state forking) was scoped from
-exactly this view.
+answer to "where do the cycles go?" -- the interpreter hot-path work
+(copy-on-write state forking) was scoped from exactly this view.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ class ProfileReport:
     """The outcome of one profiled analysis run."""
 
     workload: str
-    interp: str
     seconds: float
     races: int
     statements: int
@@ -38,12 +36,7 @@ class ProfileReport:
 def run_profile(
     workload_name: str, config: Optional[PortendConfig] = None, top: int = 25
 ) -> ProfileReport:
-    """Profile one workload's full serial analysis under ``config``.
-
-    The config's ``interp`` picks the interpreter kernel, so
-    ``profile bbuf --interp compiled`` vs. ``profile bbuf`` shows where the
-    compiled kernel moves time.
-    """
+    """Profile one workload's full serial analysis under ``config``."""
     from repro.core.portend import Portend
     from repro.workloads import load_workload
 
@@ -67,7 +60,6 @@ def run_profile(
     counters = portend.executor.counters
     return ProfileReport(
         workload=workload_name,
-        interp=portend.executor.interp,
         seconds=seconds,
         races=len(result.classified),
         statements=counters.statements,
@@ -79,8 +71,7 @@ def run_profile(
 
 def render_profile(report: ProfileReport) -> str:
     lines = [
-        f"profile: {report.workload} "
-        f"(interp={report.interp}, {report.seconds:.3f}s wall)",
+        f"profile: {report.workload} ({report.seconds:.3f}s wall)",
         f"  races classified: {report.races}",
         f"  interpreter: statements={report.statements} "
         f"forks={report.forks} cow_copies={report.cow_copies}",

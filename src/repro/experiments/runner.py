@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 from repro.core.config import PortendConfig
 from repro.core.portend import PortendResult
 from repro.engine import AnalysisEngine, EngineOptions
-from repro.runtime.compile import create_executor
+from repro.runtime.executor import Executor
 from repro.workloads import Workload, all_workloads, load_workload
 
 
@@ -35,15 +35,14 @@ class WorkloadRun:
         return self.workload.name
 
 
-def plain_interpretation_time(workload: Workload, interp: str = "tree") -> float:
+def plain_interpretation_time(workload: Workload) -> float:
     """Time to interpret the program concretely, without detection/classification.
 
     This reproduces Table 4's "Cloud9 running time" column: the baseline cost
     of running the program in the interpreter with both race detection and
-    classification disabled.  ``interp`` picks the same kernel the analysis
-    ran on, so the overhead ratio compares like with like.
+    classification disabled.
     """
-    executor = create_executor(workload.program, interp=interp)
+    executor = Executor(workload.program)
     state = executor.initial_state(concrete_inputs=workload.inputs)
     started = time.perf_counter()
     executor.run(state)
@@ -92,7 +91,7 @@ def _analyze(
     runs: List[WorkloadRun] = []
     for engine_run in engine.analyze_workloads(workloads):
         plain = (
-            plain_interpretation_time(engine_run.workload, interp=engine.config.interp)
+            plain_interpretation_time(engine_run.workload)
             if measure_plain_time
             else 0.0
         )

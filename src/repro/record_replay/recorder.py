@@ -79,7 +79,6 @@ def record_program_trace(
     concrete_inputs: Optional[Dict[str, int]] = None,
     max_steps: Optional[int] = None,
     detector_ignore_mutexes: bool = False,
-    interp: str = "tree",
 ) -> Tuple[ExecutionTrace, float]:
     """Record one timed execution of a program: the engine's Stage-1 unit.
 
@@ -89,13 +88,9 @@ def record_program_trace(
     pool worker.  Returns ``(trace, detection_seconds)``; detection (the
     happens-before race analysis) happens inline with the recorded run, so
     the timing covers the paper's full "record + detect" front half.
-    ``interp`` selects the interpreter kernel (tree or compiled); kernels
-    are bit-identical, so it only affects the timing.
     """
-    from repro.runtime.compile import create_executor
-
     program = program if program.finalized else program.finalize()
-    executor = create_executor(program, interp=interp)
+    executor = Executor(program)
     detector = HappensBeforeDetector(ignore_mutexes=detector_ignore_mutexes)
     started = time.perf_counter()
     trace, _state, _result = record_execution(

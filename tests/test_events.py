@@ -148,7 +148,6 @@ class TestFoldSemantics:
         events = [
             make_event(
                 "interp_stats",
-                interp="tree",
                 statements=40,
                 forks=1,
                 cow_copies=3,
@@ -157,21 +156,28 @@ class TestFoldSemantics:
             ),
             # written before the spin cutoff counters existed
             make_event("interp_stats", interp="tree", statements=10, forks=0, cow_copies=1),
+            # written while a second, compiled kernel existed
+            make_event(
+                "interp_stats", interp="compiled", statements=5, forks=2, cow_copies=0
+            ),
         ]
         stats = fold_events(events)
-        assert stats.interp_statements == 50
+        assert stats.interp_statements == 55
         assert stats.interp_spin_cutoffs == 2
         assert stats.interp_steps_skipped == 900
         assert "spin cutoffs=2, steps skipped=900" in stats.summary()
-        (tree,) = summarize_events(events)["interpreters"].values()
-        assert tree == {
-            "tasks": 2,
-            "statements": 50,
-            "forks": 1,
+        assert summarize_events(events)["interpreter"] == {
+            "tasks": 3,
+            "statements": 55,
+            "forks": 3,
             "cow_copies": 4,
             "spin_cutoffs": 2,
             "steps_skipped": 900,
         }
+        assert (
+            "interpreter counters: tasks=3 statements=55 forks=3 cow_copies=4 "
+            "spin_cutoffs=2 steps_skipped=900"
+        ) in render_events_info(events).splitlines()
 
     def test_solver_query_detail_is_not_double_counted(self):
         # Per-query events are histogram detail; only the per-task
@@ -255,7 +261,7 @@ class TestEngineEventStream:
         # keeps every event's identity fields and drops the attribution
         # payload of solver events.  Interpreter counters are attributed the
         # same way: the task that first needs a trace's shared replay pass
-        # pays its statements, so interp events keep only their kernel.
+        # pays its statements, so interp events keep only their kind.
         def structural(events):
             projected = []
             for event in events:
@@ -276,7 +282,7 @@ class TestEngineEventStream:
                         {k: v for k, v in event.items() if k in keep}
                     )
                 elif event["kind"] == "interp_stats":
-                    projected.append({"kind": "interp_stats", "interp": event["interp"]})
+                    projected.append({"kind": "interp_stats"})
                 else:
                     projected.append(
                         {
@@ -336,6 +342,9 @@ class TestEventsInfo:
         assert "by kind:" in report
         assert "solver_query" in report
         assert re.search(r"^solver: queries=[1-9]", report, re.MULTILINE)
+        assert re.search(
+            r"^interpreter counters: tasks=[1-9]\d* statements=[1-9]", report, re.MULTILINE
+        )
         assert "per-stage task latency:" in report
 
     def test_render_handles_empty_stream(self):

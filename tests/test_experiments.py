@@ -37,23 +37,21 @@ def test_table3_and_table4_from_shared_runs():
 
 
 def test_plain_interpretation_time_uses_the_configured_kernel(monkeypatch):
-    # Table 4's baseline must run on the kernel the analysis ran on, so
-    # the overhead ratio compares like with like.
-    from repro.runtime.compile import CompiledExecutor
-
+    # Table 4's baseline runs the program once on the analysis interpreter,
+    # with detection and classification off.
     timed = []
-    original = runner.create_executor
+    original = runner.Executor
 
-    def spy(program, interp="tree", **kwargs):
-        executor = original(program, interp=interp, **kwargs)
+    def spy(program, **kwargs):
+        executor = original(program, **kwargs)
         timed.append(type(executor))
         return executor
 
-    monkeypatch.setattr(runner, "create_executor", spy)
+    monkeypatch.setattr(runner, "Executor", spy)
     run = runner.analyze_workload(
-        load_workload("RW"), PortendConfig(interp="compiled"), measure_plain_time=True
+        load_workload("RW"), PortendConfig(), measure_plain_time=True
     )
-    assert timed == [CompiledExecutor]
+    assert timed == [original]
     assert run.plain_interpretation_seconds > 0
 
 

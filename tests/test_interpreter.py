@@ -1,143 +1,40 @@
-"""Tests for the interpreter hot-path kernels.
+"""Tests for the interpreter's hot path and its configuration.
 
-Two halves, matching the runtime work they cover:
-
-* **equivalence** -- the compiled dispatch kernel must be bit-identical to
-  the tree walker on every registry workload: same traces, same verdicts
-  (including prune diagnostics), same folded event stats, same interpreter
-  counters, and the same merged results under adversarially shuffled
-  pool-completion order;
+* **pin** -- the tree walker is the only interpreter: ``PortendConfig``
+  accepts no other, the CLI has no flag to pick one, and the pinned field
+  stays out of the classification fingerprint;
 * **copy-on-write** -- ``ExecutionState.clone`` must share untouched
   containers with the fork and materialize only what is actually mutated
   afterwards, with every materialization counted.
 """
 
-import dataclasses
-import random
-
 import pytest
 
 from repro.core.config import PortendConfig
-from repro.core.portend import Portend
-from repro.engine import AnalysisEngine, EngineOptions, PoolDispatcher
-from repro.engine.events import fold_events
-from repro.runtime.compile import (
-    INTERP_MODES,
-    CompiledExecutor,
-    compiled_program_for,
-    create_executor,
-    reset_compiled_cache,
-)
 from repro.runtime.executor import Executor
-from repro.workloads import all_workload_names, load_workload
-
-from test_streaming import NAMES, _DeferredPool, _full_signature, _shuffled_wait
+from repro.workloads import load_workload
 
 
-def _analysis_outcome(name, interp):
-    """Everything one workload's serial analysis produces, minus timing."""
-    workload = load_workload(name)
-    config = PortendConfig(interp=interp)
-    portend = Portend(workload.program, config=config, predicates=workload.predicates)
-    trace = portend.record(inputs=dict(workload.inputs))
-    result = portend.classify_trace(trace)
-    classified = [
-        {
-            key: value
-            for key, value in item.to_dict().items()
-            if key != "analysis_seconds"
-        }
-        for item in result.classified
-    ]
-    counters = portend.executor.counters
-    return {
-        "trace": trace.to_dict(),
-        "classified": classified,
-        "prune_reasons": [
-            sorted(item.prune_reasons) for item in result.classified
-        ],
-        "counters": counters.to_dict(),
-    }
-
-
-class TestCompiledEquivalence:
-    @pytest.mark.parametrize("name", all_workload_names(include_synthetic=True))
-    def test_every_registry_workload_is_bit_identical(self, name):
-        tree = _analysis_outcome(name, "tree")
-        compiled = _analysis_outcome(name, "compiled")
-        assert tree["trace"] == compiled["trace"], name
-        assert tree["classified"] == compiled["classified"], name
-        assert tree["prune_reasons"] == compiled["prune_reasons"], name
-        # Bit-identity extends to the interpreter's own accounting: the
-        # compiled kernel executes the same statements, takes the same
-        # forks and materializes the same COW copies.
-        assert tree["counters"] == compiled["counters"], name
-
-    def test_engine_folded_stats_match_across_kernels(self):
-        names = ["bbuf", "RW"]
-        summaries = {}
-        for interp in INTERP_MODES:
-            engine = AnalysisEngine(
-                config=PortendConfig(interp=interp),
-                options=EngineOptions(granularity="race"),
-            )
-            runs = engine.analyze(names)
-            # Compare the folded counters minus the wall-clock fields: the
-            # overlap clocks measure real elapsed time, which pooled runs
-            # (REPRO_PARALLEL is honored here) cannot reproduce exactly.
-            folded = dataclasses.asdict(fold_events(engine.last_run_events))
-            counters = {
-                key: value
-                for key, value in folded.items()
-                if "seconds" not in key
-            }
-            summaries[interp] = (_full_signature(runs), counters)
-        assert summaries["tree"] == summaries["compiled"]
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_shuffled_completion_under_compiled_interp(self, monkeypatch, seed):
-        # The fake-pool harness from the streaming tests, run with the
-        # compiled kernel: futures complete in shuffled order and the merge
-        # must still be bit-identical to the serial tree reference.
-        reference = AnalysisEngine(
-            options=EngineOptions(granularity="race")
-        ).analyze(NAMES)
-        rng = random.Random(seed)
-        pool = _DeferredPool()
-        monkeypatch.setattr(PoolDispatcher, "warm", lambda self: None)
-        monkeypatch.setattr(PoolDispatcher, "acquire_for", lambda self, payloads: pool)
-        monkeypatch.setattr("repro.engine.engine.wait", _shuffled_wait(pool, rng))
-        shuffled = AnalysisEngine(
-            config=PortendConfig(interp="compiled"),
-            options=EngineOptions(parallel=2, granularity="path"),
-        ).analyze(NAMES)
-        assert not pool.pending
-        assert _full_signature(reference) == _full_signature(shuffled)
-
-    def test_create_executor_modes(self):
-        program = load_workload("bbuf").program
-        assert type(create_executor(program, "tree")) is Executor
-        assert isinstance(create_executor(program, "compiled"), CompiledExecutor)
-        with pytest.raises(ValueError):
-            create_executor(program, "jit")
-
-    def test_compiled_programs_are_shared_by_fingerprint(self):
-        # The registry rebuilds a fresh Program per load; the compiled table
-        # must be compiled once and reused across instances via the content
-        # fingerprint.
-        reset_compiled_cache()
-        first = compiled_program_for(load_workload("bbuf").program)
-        second = compiled_program_for(load_workload("bbuf").program)
-        assert first is second
-        reset_compiled_cache()
-        third = compiled_program_for(load_workload("bbuf").program)
-        assert third is not first
+class TestInterpPin:
+    """``PortendConfig.interp`` stays only as a field pinned to "tree"."""
 
     def test_interp_is_excluded_from_classification_fingerprint(self):
-        tree = PortendConfig(interp="tree").classification_fingerprint()
-        compiled = PortendConfig(interp="compiled").classification_fingerprint()
-        assert tree == compiled
-        assert "interp" not in tree
+        fingerprint = PortendConfig().classification_fingerprint()
+        assert fingerprint == PortendConfig(interp="tree").classification_fingerprint()
+        assert "interp" not in fingerprint
+
+    def test_any_other_interpreter_is_rejected(self):
+        with pytest.raises(ValueError):
+            PortendConfig(interp="compiled")
+
+    @pytest.mark.parametrize("field", ["interp", "solver_backend"])
+    def test_cli_rejects_a_flag_for_a_pinned_field(self, capsys, field):
+        from repro.experiments.__main__ import main
+
+        flag = "--" + field.replace("_", "-")
+        with pytest.raises(SystemExit):
+            main(["table3", "--workloads", "RW", flag, "tree"])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class _CountingSolver:
@@ -173,10 +70,10 @@ class TestForkSolverSkip:
         assert counting.calls == 1
 
 
-def _running_state(interp="tree", steps=40):
+def _running_state(steps=40):
     """A mid-execution state of a workload with threads, sync and memory."""
     workload = load_workload("bbuf")
-    executor = create_executor(workload.program, interp=interp)
+    executor = Executor(workload.program)
     state = executor.initial_state(concrete_inputs=dict(workload.inputs))
     executor.run(state, max_steps=steps)
     return executor, state
@@ -255,7 +152,7 @@ class TestCopyOnWrite:
 
     def test_fork_counter_counts_symbolic_forks(self):
         workload = load_workload("bbuf")
-        executor = create_executor(workload.program)
+        executor = Executor(workload.program)
         state = executor.initial_state(concrete_inputs=dict(workload.inputs))
         executor.run(state)
         assert executor.counters.statements == state.step_count

@@ -1,12 +1,12 @@
 """Tests for the shared primary replay of :mod:`repro.core.alternate`.
 
 :func:`replay_primary` answers every race of a trace from one replay pass
-per (trace, effective inputs, locator mode, budget, predicates, kernel);
+per (trace, effective inputs, locator mode, budget, predicates, loop bound);
 :func:`replay_primary_per_race` replays one race alone from the initial
 state, exactly as every race used to, and is the oracle here:
 
-* **equivalence** -- for every race of every registry workload, under both
-  kernels, the shared result equals the per-race replay (pre-race
+* **equivalence** -- for every race of every registry workload, the shared
+  result equals the per-race replay (pre-race
   checkpoint, post-race snapshot, steps, divergence, final state), also
   under different concrete inputs, with the stateful semantic-predicate
   checker, and beside a race whose first access is a synchronisation
@@ -17,7 +17,6 @@ state, exactly as every race used to, and is the oracle here:
   executor that runs them, and fresh pool workers start with an empty memo.
 """
 
-import dataclasses
 
 import pytest
 
@@ -33,7 +32,6 @@ from repro.core.portend import Portend
 from repro.engine.tasks import pool_worker_initializer
 from repro.lang.ast import SYNC_STMTS, add, eq, glob, local
 from repro.lang.builder import ProgramBuilder
-from repro.runtime.compile import INTERP_MODES
 from repro.workloads import all_workload_names, load_workload
 
 
@@ -115,7 +113,8 @@ def _per_race_classification(monkeypatch, portend, trace):
 
 
 class TestSharedPassEquivalence:
-    @pytest.mark.parametrize("interp", INTERP_MODES)
+    # one interpreter; the parameter keeps the "-tree" suffix of these ids
+    @pytest.mark.parametrize("interp", ["tree"])
     @pytest.mark.parametrize("name", all_workload_names(include_synthetic=True))
     def test_every_race_matches_per_race_replay(self, name, interp):
         _workload, portend, trace = _portend(name, interp)
@@ -281,14 +280,3 @@ class TestSharedPassHazards:
         assert alternate._REPLAY_MEMO
         pool_worker_initializer()
         assert not alternate._REPLAY_MEMO
-
-    def test_kernels_never_share_a_pass(self):
-        _workload, tree, trace = _portend("RW")
-        compiled = Portend(
-            tree.program, config=dataclasses.replace(tree.config, interp="compiled")
-        )
-        race = trace.races[0]
-        a = replay_primary(tree.executor, tree.program, trace, race)
-        b = replay_primary(compiled.executor, compiled.program, trace, race)
-        assert a.final_state is not b.final_state
-        assert len(alternate._REPLAY_MEMO) == 2

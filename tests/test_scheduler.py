@@ -262,7 +262,7 @@ class TestFullStreamDeterminism:
                 keep = ("kind", "result")
                 projected.append({k: v for k, v in event.items() if k in keep})
             elif event["kind"] == "interp_stats":
-                projected.append({"kind": "interp_stats", "interp": event["interp"]})
+                projected.append({"kind": "interp_stats"})
             else:
                 projected.append(
                     {k: v for k, v in event.items() if k not in ("ts", "seconds")}
