@@ -1,22 +1,60 @@
 """Tests for the interpreter's hot path and its configuration.
 
-* **pin** -- the tree walker is the only interpreter: ``PortendConfig``
-  accepts no other, the CLI has no flag to pick one, and the pinned field
-  stays out of the classification fingerprint;
+* **pin** -- what is left of the tree/compiled equivalence checks now
+  that the tree walker is the only interpreter: ``PortendConfig`` and the
+  benchmark's ``create_executor`` shim accept no other kernel, the CLI has
+  no flag to pick one, the pinned field stays out of the classification
+  fingerprint, and event logs written under either former kernel fold to
+  the same stats;
 * **copy-on-write** -- ``ExecutionState.clone`` must share untouched
   containers with the fork and materialize only what is actually mutated
   afterwards, with every materialization counted.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import PortendConfig
+from repro.engine import AnalysisEngine, EngineOptions
+from repro.engine.events import fold_events, summarize_events
+from repro.runtime.compile import create_executor
 from repro.runtime.executor import Executor
 from repro.workloads import load_workload
 
 
-class TestInterpPin:
-    """``PortendConfig.interp`` stays only as a field pinned to "tree"."""
+class TestCompiledEquivalence:
+    """The compiled kernel is gone; ``PortendConfig.interp`` and
+    ``create_executor`` stay only as pins to "tree", and old logs that name
+    either kernel still fold like current ones."""
+
+    def test_engine_folded_stats_match_across_kernels(self):
+        engine = AnalysisEngine(options=EngineOptions(granularity="race"))
+        engine.analyze(["bbuf", "RW"])
+        events = engine.last_run_events
+        assert any(event["kind"] == "interp_stats" for event in events)
+
+        def tagged(interp):
+            # the same stream as a log written under either former kernel carries it
+            return [
+                dict(event, interp=interp) if event["kind"] == "interp_stats" else event
+                for event in events
+            ]
+
+        folded = dataclasses.asdict(fold_events(events))
+        interpreter = summarize_events(events)["interpreter"]
+        assert interpreter["statements"] > 0
+        for interp in ("tree", "compiled"):
+            assert dataclasses.asdict(fold_events(tagged(interp))) == folded, interp
+            assert summarize_events(tagged(interp))["interpreter"] == interpreter, interp
+
+    def test_create_executor_modes(self):
+        program = load_workload("bbuf").program
+        assert type(create_executor(program)) is Executor
+        assert type(create_executor(program, "tree")) is Executor
+        for interp in ("compiled", "jit"):
+            with pytest.raises(ValueError):
+                create_executor(program, interp)
 
     def test_interp_is_excluded_from_classification_fingerprint(self):
         fingerprint = PortendConfig().classification_fingerprint()
