@@ -13,9 +13,6 @@ ways:
 
 A/B comparisons quantify the hot-path optimizations:
 
-* **path mode** -- shipped primaries vs ``explore_primary`` re-derivation
-  at path granularity (wall time plus the shipped/re-explored counters;
-  shipped mode must perform **zero** re-explorations),
 * **solver cache** -- the memoizing solver on vs off on ``stress_deep``
   (wall time plus enumerated-assignment counts; the memo must cut
   enumeration by at least 30%),
@@ -45,14 +42,10 @@ import time
 import repro.symex.solver as solver_mod
 from repro.engine import AnalysisEngine, EngineOptions
 from repro.engine.events import fold_events, load_events
-from repro.engine.stats import GLOBAL_STATS
 from repro.runtime.executor import Executor
 from repro.workloads import all_workload_names, load_workload
 
 WORKERS = min(4, os.cpu_count() or 1)
-
-#: the subset exercising per-path fan-out (few races, many primaries each)
-PATH_MODE_NAMES = ["SQLite", "bbuf", "stress_deep"]
 
 
 def _signature(runs):
@@ -92,11 +85,10 @@ def run_comparison(names=None):
         started = time.perf_counter()
         AnalysisEngine(options=options).analyze(names)
         cold_seconds = time.perf_counter() - started
-        GLOBAL_STATS.reset()
         started = time.perf_counter()
         warm_runs = AnalysisEngine(options=options).analyze(names)
         warm_seconds = time.perf_counter() - started
-        warm_classifications = GLOBAL_STATS.classifications_computed
+        warm_classifications = warm_runs[0].stats.classifications_computed
 
     outcome = {
         "serial_runs": serial_runs,
@@ -108,7 +100,6 @@ def run_comparison(names=None):
         "warm_seconds": warm_seconds,
         "warm_classifications": warm_classifications,
     }
-    outcome["path_mode"] = run_path_mode_comparison()
     outcome["solver_cache"] = run_solver_cache_comparison()
     outcome["events"] = run_events_check()
     outcome["fault_recovery"] = run_fault_recovery_comparison()
@@ -255,41 +246,6 @@ def _fork_cost(name="stress_deep", warmup_steps=400, clones=200):
     }
 
 
-def run_path_mode_comparison(names=None):
-    """Shipped-primary vs re-explore path mode, serially (stable timings)."""
-    names = list(names) if names is not None else list(PATH_MODE_NAMES)
-
-    GLOBAL_STATS.reset()
-    started = time.perf_counter()
-    shipped_runs = AnalysisEngine(options=EngineOptions(granularity="path")).analyze(names)
-    shipped = {
-        "seconds": time.perf_counter() - started,
-        "primaries_shipped": GLOBAL_STATS.primaries_shipped,
-        "primaries_reexplored": GLOBAL_STATS.primaries_reexplored,
-        "solver_enumerated": GLOBAL_STATS.solver_assignments_enumerated,
-    }
-
-    GLOBAL_STATS.reset()
-    started = time.perf_counter()
-    reexplore_runs = AnalysisEngine(
-        options=EngineOptions(granularity="path", ship_primaries=False)
-    ).analyze(names)
-    reexplore = {
-        "seconds": time.perf_counter() - started,
-        "primaries_shipped": GLOBAL_STATS.primaries_shipped,
-        "primaries_reexplored": GLOBAL_STATS.primaries_reexplored,
-        "solver_enumerated": GLOBAL_STATS.solver_assignments_enumerated,
-    }
-
-    return {
-        "workloads": names,
-        "shipped": shipped,
-        "reexplore": reexplore,
-        "identical": _signature(shipped_runs) == _signature(reexplore_runs),
-        "speedup": (reexplore["seconds"] / shipped["seconds"]) if shipped["seconds"] else 0.0,
-    }
-
-
 def run_solver_cache_comparison(names=("stress_deep",)):
     """The memoizing solver on vs off, serially on the deep-path workload."""
     modes = {}
@@ -297,14 +253,14 @@ def run_solver_cache_comparison(names=("stress_deep",)):
     for label, enabled in (("off", False), ("on", True)):
         previous = solver_mod.set_cache_enabled_default(enabled)
         try:
-            GLOBAL_STATS.reset()
             started = time.perf_counter()
             runs = AnalysisEngine().analyze(list(names))
+            stats = runs[0].stats
             modes[label] = {
                 "seconds": time.perf_counter() - started,
-                "solver_queries": GLOBAL_STATS.solver_queries,
-                "solver_cache_hits": GLOBAL_STATS.solver_cache_hits,
-                "solver_enumerated": GLOBAL_STATS.solver_assignments_enumerated,
+                "solver_queries": stats.solver_queries,
+                "solver_cache_hits": stats.solver_cache_hits,
+                "solver_enumerated": stats.solver_assignments_enumerated,
             }
             signatures[label] = _signature(runs)
         finally:
@@ -335,7 +291,6 @@ def render(outcome):
         if outcome["warm_seconds"]
         else float("inf")
     )
-    path_mode = outcome["path_mode"]
     solver_cache = outcome["solver_cache"]
     events = outcome["events"]
     fault_recovery = outcome["fault_recovery"]
@@ -353,14 +308,6 @@ def render(outcome):
         f"{'warm cached run':<26} {outcome['warm_seconds']:.2f}s  "
         f"({outcome['warm_classifications']} classifications computed)",
         f"{'warm speedup':<26} {warm_speedup:.2f}x",
-        "",
-        f"Path mode ({', '.join(path_mode['workloads'])}):",
-        f"{'shipped primaries':<26} {path_mode['shipped']['seconds']:.2f}s  "
-        f"({path_mode['shipped']['primaries_shipped']} shipped, "
-        f"{path_mode['shipped']['primaries_reexplored']} re-explored)",
-        f"{'re-explore fallback':<26} {path_mode['reexplore']['seconds']:.2f}s  "
-        f"({path_mode['reexplore']['primaries_reexplored']} re-explored)",
-        f"{'shipping speedup':<26} {path_mode['speedup']:.2f}x",
         "",
         f"Solver cache ({', '.join(solver_cache['workloads'])}):",
         f"{'cache off':<26} {solver_cache['off']['seconds']:.2f}s  "
@@ -411,7 +358,6 @@ def to_artifact(outcome):
         "cold_seconds": outcome["cold_seconds"],
         "warm_seconds": outcome["warm_seconds"],
         "warm_classifications": outcome["warm_classifications"],
-        "path_mode": outcome["path_mode"],
         "solver_cache": outcome["solver_cache"],
         "events": outcome["events"],
         "fault_recovery": outcome["fault_recovery"],
@@ -424,8 +370,7 @@ def verify(outcome):
 
     Running the file directly (as the CI bench job does) must fail loudly if
     per-path parallel classification ever diverges from serial, the warm
-    cache re-classifies, shipped-primary mode re-explores a prefix, or the
-    solver memo stops earning its keep.
+    cache re-classifies, or the solver memo stops earning its keep.
     """
     assert _signature(outcome["serial_runs"]) == _signature(outcome["parallel_runs"])
     assert _signature(outcome["serial_runs"]) == _signature(outcome["warm_runs"])
@@ -438,13 +383,6 @@ def verify(outcome):
         )
     # A fully warm cache must skip classification entirely.
     assert outcome["warm_classifications"] == 0
-    # Shipped-primary mode performs zero redundant prefix explorations and
-    # stays bit-identical to the re-explore fallback.
-    path_mode = outcome["path_mode"]
-    assert path_mode["identical"]
-    assert path_mode["shipped"]["primaries_reexplored"] == 0
-    assert path_mode["shipped"]["primaries_shipped"] > 0
-    assert path_mode["reexplore"]["primaries_reexplored"] > 0
     # The solver memo cuts enumeration by >= 30% on the deep-path workload
     # without changing a single verdict.
     solver_cache = outcome["solver_cache"]

@@ -137,33 +137,21 @@ class Portend:
         self,
         trace: ExecutionTrace,
         races: Optional[Sequence[RaceReport]] = None,
-        parallel: int = 0,
     ) -> PortendResult:
         """Classify every (or a subset of) distinct race in a recorded trace.
 
-        With ``parallel > 1`` the races are dispatched over the analysis
-        engine's process pool (see :mod:`repro.engine`); per-race RNG seeding
-        (``PortendConfig.race_seed``) makes the result bit-identical to the
-        serial path.
+        This facade runs serially.  To classify on a process pool, wrap the
+        program in a :class:`repro.workloads.Workload` and run it through
+        :meth:`repro.engine.AnalysisEngine.analyze_workloads` with
+        ``EngineOptions(parallel=N)``; per-race RNG seeding
+        (``PortendConfig.race_seed``) makes that result bit-identical to
+        this one.
         """
         selected = list(races) if races is not None else list(trace.races)
         result = PortendResult(program=self.program.name, trace=trace)
         started = time.perf_counter()
-        if parallel and parallel > 1 and len(selected) > 1:
-            # Imported lazily: the engine is built on top of this facade.
-            from repro.engine.engine import classify_races_parallel
-
-            result.classified = classify_races_parallel(
-                self.program,
-                trace,
-                selected,
-                config=self.config,
-                predicates=self.predicates,
-                workers=parallel,
-            )
-        else:
-            for race in selected:
-                result.classified.append(self.classify_race(trace, race))
+        for race in selected:
+            result.classified.append(self.classify_race(trace, race))
         result.classification_seconds = time.perf_counter() - started
         return result
 
@@ -180,13 +168,11 @@ class Portend:
 
     # -------------------------------------------------------------- pipeline
 
-    def analyze(
-        self, inputs: Optional[Dict[str, int]] = None, parallel: int = 0
-    ) -> PortendResult:
+    def analyze(self, inputs: Optional[Dict[str, int]] = None) -> PortendResult:
         """Record one execution and classify every detected race."""
         started = time.perf_counter()
         trace = self.record(inputs)
         detection_seconds = time.perf_counter() - started
-        result = self.classify_trace(trace, parallel=parallel)
+        result = self.classify_trace(trace)
         result.detection_seconds = detection_seconds
         return result

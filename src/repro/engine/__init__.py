@@ -16,12 +16,11 @@
   lifetime solver-cache state,
 * :mod:`repro.engine.cache` -- the on-disk trace cache keyed by
   ``(program, inputs, config)`` and the classification cache keyed by
-  ``(program, inputs, config, race_id)`` plus the predicate mode; the
-  cost-model sidecar (``costmodel.json``) lives in the same directory,
+  ``(program, inputs, config, race_id)`` plus the predicate mode,
 * :mod:`repro.engine.events` -- the typed JSON-lines event stream every
   pipeline counter is folded from,
 * :mod:`repro.engine.stats` -- the :class:`EngineStats` view of a folded
-  event stream, plus the ``GLOBAL_STATS`` compatibility aggregate.
+  event stream.
 """
 
 from repro.engine.cache import ClassificationCache, TraceCache, collect_cache_info
@@ -33,7 +32,6 @@ from repro.engine.engine import (
     EngineOptions,
     EngineRun,
     choose_granularity,
-    classify_races_parallel,
 )
 from repro.engine.events import (
     EVENT_KINDS,
@@ -46,7 +44,7 @@ from repro.engine.events import (
     write_events,
 )
 from repro.engine.faults import FaultPlan, resolve_fault_plan
-from repro.engine.stats import GLOBAL_STATS, EngineStats
+from repro.engine.stats import EngineStats
 from repro.engine.tasks import (
     ClassificationTask,
     PathTask,
@@ -78,14 +76,12 @@ __all__ = [
     "RecordTask",
     "PlanTask",
     "PathTask",
-    "classify_races_parallel",
     "execute_task",
     "execute_record_task",
     "execute_plan_task",
     "execute_path_task",
     "pool_worker_initializer",
     "EngineStats",
-    "GLOBAL_STATS",
     "EVENT_KINDS",
     "EventBuffer",
     "EventLogger",

@@ -309,44 +309,8 @@ class _DirectoryCache:
 
 
 def collect_cache_info(cache_dir) -> List[Dict]:
-    """Per-entry metadata for every cache tier sharing ``cache_dir``.
-
-    Covers the trace and classification caches plus the cost-model
-    sidecar that lives next to them (``costmodel.json``, hits = total
-    observations across its tables).
-    """
-    rows = TraceCache(cache_dir).info() + ClassificationCache(cache_dir).info()
-    rows += _sidecar_info(cache_dir)
-    return rows
-
-
-def _sidecar_info(cache_dir) -> List[Dict]:
-    """The row for the ``costmodel.json`` sidecar (none when absent)."""
-    now = time.time()
-    rows: List[Dict] = []
-    costmodel = Path(cache_dir) / "costmodel.json"
-    if costmodel.is_file():
-        try:
-            stat = costmodel.stat()
-            with open(costmodel, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            observations = sum(
-                int(entry.get("count", 0))
-                for entry in (payload.get("entries") or {}).values()
-                if isinstance(entry, dict)
-            )
-            rows.append(
-                {
-                    "file": costmodel.name,
-                    "kind": "costmodel",
-                    "age_seconds": max(0.0, now - stat.st_mtime),
-                    "hits": observations,
-                    "size_bytes": stat.st_size,
-                }
-            )
-        except (OSError, ValueError, TypeError):
-            pass
-    return rows
+    """Per-entry metadata for both cache tiers sharing ``cache_dir``."""
+    return TraceCache(cache_dir).info() + ClassificationCache(cache_dir).info()
 
 
 def render_cache_info(rows: List[Dict]) -> str:

@@ -18,32 +18,12 @@ questions:
 
 Estimates are advisory only -- they change *where and in what batch* a task
 runs, never what it computes -- so a cold, empty, or wildly wrong model
-cannot affect verdicts, only wall-clock.
+cannot affect verdicts, only wall-clock.  A model lives for one engine run:
+it starts cold and nothing of it is persisted.
 
 The same estimates feed ``choose_granularity``, which weighs the expected
 cost of splitting a race into plan + path tasks against classifying it
 whole (:meth:`CostModel.split_costs`).
-
-**Sidecar warm start.**  When the engine runs with a cache directory, the
-model persists its table to ``<cache_dir>/costmodel.json`` next to the
-classification cache, and repeat runs schedule well from the first task
-instead of re-learning the batch.  Format (version 1)::
-
-    {"version": 1, "alpha": 0.3,
-     "entries": {"<kind>|<fingerprint>": {"ewma": 0.012, "count": 7}, ...}}
-
-Other top-level keys are ignored, so older sidecars that still carry a
-``primaries`` block load their ``entries`` unchanged.  The sidecar is
-best-effort in both
-directions: an unreadable or version-mismatched file is ignored (cold
-start), and a failed save is swallowed (the run's results are already
-safe).
-
-**Capped eviction.**  ``save`` prunes the table to
-:data:`SIDECAR_MAX_ENTRIES` highest-observation-count keys via
-:func:`prune_scored` -- the same helper the engine uses to cap the warm
-tier's sidecar directory -- so a long-lived cache directory that has seen
-hundreds of programs never grows its sidecars without bound.
 
 **Chunk-size invariants.**  ``chunk_size``/``pack_chunks`` guarantee at least
 ``min(count, 2 * workers)`` chunks whenever the queue has at least two tasks
@@ -56,42 +36,14 @@ single chunk can serialize the whole queue onto one worker.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
-
-#: sidecar schema version (bump on incompatible change; old files are ignored)
-SIDECAR_VERSION = 1
-
-#: keys kept per sidecar table after capped eviction on save
-SIDECAR_MAX_ENTRIES = 512
-
-_K = TypeVar("_K")
-_V = TypeVar("_V")
-
-
-def prune_scored(
-    items: Mapping[_K, _V], limit: int, score: Callable[[_K, _V], float]
-) -> Dict[_K, _V]:
-    """Keep the ``limit`` highest-scoring items (ties broken by key order).
-
-    The eviction primitive of the persisted scheduler sidecar: the cost
-    model prunes its tables by observation count.  Deterministic -- equal
-    inputs produce equal survivor sets.
-    """
-    if limit <= 0:
-        return {}
-    if len(items) <= limit:
-        return dict(items)
-    ranked = sorted(items.items(), key=lambda kv: (-score(kv[0], kv[1]), str(kv[0])))
-    return dict(sorted(ranked[:limit], key=lambda kv: str(kv[0])))
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: default EWMA smoothing factor: new observations carry 30% weight, so the
 #: model adapts within a few tasks without thrashing on one outlier
 DEFAULT_ALPHA = 0.3
 
-#: default per-chunk wall-clock target (seconds); the ISSUE's ~250ms-1s band
+#: default per-chunk wall-clock target (seconds), inside the ~250ms-1s band
+#: where chunks amortize pickling yet still load-balance
 DEFAULT_TARGET_SECONDS = 0.5
 
 
@@ -116,19 +68,13 @@ class CostModel:
         self,
         target_seconds: float = DEFAULT_TARGET_SECONDS,
         alpha: float = DEFAULT_ALPHA,
-        sidecar_path: Optional[str] = None,
     ) -> None:
         self.target_seconds = max(0.001, float(target_seconds))
         self.alpha = alpha
-        self.sidecar_path = sidecar_path
         #: ("kind|fingerprint") -> [ewma_seconds, observation_count]
         self._entries: Dict[str, List[float]] = {}
         #: per-kind aggregate, the fallback for unseen fingerprints
         self._kinds: Dict[str, List[float]] = {}
-        #: entries loaded from the sidecar (diagnostics / tests)
-        self.warm_entries = 0
-        if sidecar_path:
-            self.load()
 
     # ------------------------------------------------------------ observation
 
@@ -267,76 +213,3 @@ class CostModel:
         if indices:
             chunks.append((indices, cost))
         return chunks
-
-    # --------------------------------------------------------------- sidecar
-
-    def load(self, path: Optional[str] = None) -> int:
-        """Warm-start from a sidecar file; returns the entries loaded."""
-        path = path or self.sidecar_path
-        if not path:
-            return 0
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            return 0
-        if not isinstance(data, dict) or data.get("version") != SIDECAR_VERSION:
-            return 0
-        loaded = 0
-        for key, entry in (data.get("entries") or {}).items():
-            try:
-                ewma = float(entry["ewma"])
-                count = int(entry["count"])
-            except (KeyError, TypeError, ValueError):
-                continue
-            if ewma < 0 or count <= 0 or "|" not in key:
-                continue
-            self._entries[key] = [ewma, count]
-            kind = key.split("|", 1)[0]
-            # Rebuild the per-kind fallback as a mean of the loaded EWMAs.
-            aggregate = self._kinds.setdefault(kind, [0.0, 0])
-            aggregate[0] = (aggregate[0] * aggregate[1] + ewma) / (aggregate[1] + 1)
-            aggregate[1] += 1
-            loaded += 1
-        self.warm_entries = loaded
-        return loaded
-
-    def save(self, path: Optional[str] = None) -> bool:
-        """Persist the table next to the caches (atomic, best-effort).
-
-        The table is pruned to :data:`SIDECAR_MAX_ENTRIES` keys by
-        observation count first, so stale program fingerprints age out of
-        the sidecar instead of accumulating forever.
-        """
-        path = path or self.sidecar_path
-        if not path:
-            return False
-        self._entries = prune_scored(
-            self._entries, SIDECAR_MAX_ENTRIES, lambda _key, entry: float(entry[1])
-        )
-        data = {
-            "version": SIDECAR_VERSION,
-            "alpha": self.alpha,
-            "entries": {
-                key: {"ewma": entry[0], "count": int(entry[1])}
-                for key, entry in sorted(self._entries.items())
-            },
-        }
-        try:
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            fd, temp_path = tempfile.mkstemp(
-                dir=os.path.dirname(path) or ".", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(data, handle, sort_keys=True)
-                os.replace(temp_path, path)
-            except BaseException:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return False
-        return True

@@ -15,14 +15,14 @@ be built, payloads that do not pickle -- the same drain runs over a
 :class:`PoolSupervisor` whose pool is None, which executes every submitted
 chunk in the driving process.
 
-Chunking is **cost-aware**: wide queues are packed by the run's
-:class:`~repro.engine.costmodel.CostModel` into chunks targeting roughly
-``target_seconds`` of estimated work each, submitted longest-expected-first,
-and every chunk's prediction is reported as a ``scheduler_decision`` event
-once the queue drains.  A cold model falls back to size-based packing that
-still guarantees at least ``min(count, workers)`` chunks -- the old
-``count // 4·workers`` heuristic could leave a short-but-skewed queue badly
-balanced across the pool.
+Chunking is **cost-aware**: the engine sizes each batch's chunks with the
+run's :class:`~repro.engine.costmodel.CostModel` so that each targets
+roughly ``target_seconds`` of estimated work, submits recordings
+longest-expected-first, and reports every chunk's prediction as a
+``scheduler_decision`` event once the drain finishes.  A cold model falls
+back to size-based chunks that still guarantee at least
+``min(count, workers)`` chunks -- the old ``count // 4·workers`` heuristic
+could leave a short-but-skewed queue badly balanced across the pool.
 
 Supervision (the fault-tolerance layer)
 ---------------------------------------
@@ -75,7 +75,6 @@ from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.engine.costmodel import CostModel, payload_fingerprint
 from repro.engine.errors import EngineError
 from repro.engine.events import EventLogger
 from repro.engine.tasks import (
@@ -105,14 +104,20 @@ _MIN_WAIT_S = 0.05
 _MISSING = object()
 
 
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    if value is None:
+def env_int(name: str, default: int) -> int:
+    """An integer ``REPRO_*`` setting: unset or blank means ``default``.
+
+    Anything else that is not an integer raises ``ValueError`` naming the
+    variable, so a typo such as ``REPRO_PARALLEL=two`` fails loudly instead
+    of silently running with the default.
+    """
+    value = os.environ.get(name, "").strip()
+    if not value:
         return default
     try:
         return int(value)
     except ValueError:
-        return default
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def worker_kind(worker: Callable) -> str:
@@ -585,7 +590,6 @@ class PoolDispatcher:
         self,
         workers: Optional[int],
         events: Optional[EventLogger] = None,
-        cost_model: Optional[CostModel] = None,
         max_pool_respawns: int = 2,
         max_task_retries: int = 2,
         task_deadline_ms: int = 0,
@@ -596,15 +600,11 @@ class PoolDispatcher:
         #: pool-lifecycle events land here (the engine passes its run logger;
         #: a standalone dispatcher gets a private stream)
         self.events = events if events is not None else EventLogger()
-        #: chunk sizing and submission order (the engine passes its run
-        #: model, warm-started from the cache sidecar; a standalone
-        #: dispatcher learns cold within the run)
-        self.cost_model = cost_model if cost_model is not None else CostModel()
         #: supervision knobs (see the module docstring's degradation ladder)
         self.max_pool_respawns = max(0, int(max_pool_respawns))
         self.max_task_retries = max(0, int(max_task_retries))
         self.task_deadline_ms = max(0, int(task_deadline_ms))
-        self.deadline_floor_s = _env_int("REPRO_DEADLINE_FLOOR_MS", 30000) / 1000.0
+        self.deadline_floor_s = env_int("REPRO_DEADLINE_FLOOR_MS", 30000) / 1000.0
         self.retry_backoff_s = float(retry_backoff_s)
         #: resolved fault-plan spec shipped to pool workers (None = no plan);
         #: the driving process itself never injects
@@ -767,54 +767,6 @@ class PoolDispatcher:
         self._warm_futures = []
         if pool is not None:
             pool.shutdown(wait=True)
-
-    # ------------------------------------------------------------- dispatch
-
-    def map(self, payloads: Sequence[Dict], worker: Callable) -> List[Dict]:
-        """Run one homogeneous work queue as a supervised drain.
-
-        The cost model packs the queue into chunks of roughly
-        ``target_seconds`` of estimated work, ordered longest-expected-first
-        so stragglers start early; each drained chunk's measured latency is
-        folded back into the model and reported as a ``scheduler_decision``
-        event after the drain (never during it -- completion order must not
-        leak into the event stream).  Without a usable pool the same drain
-        runs every chunk in the driving process.  Results come back in
-        payload order.
-        """
-        if not payloads:
-            return []
-        kind = worker_kind(worker)
-        pool = self.acquire_for(payloads) if len(payloads) > 1 else None
-        chunks = self.cost_model.pack_chunks(kind, payloads, self.workers)
-        supervisor = self.supervise(pool)
-        for position, (indices, estimate) in enumerate(chunks):
-            supervisor.submit(
-                worker, [payloads[i] for i in indices], tag=position,
-                estimate=estimate,
-            )
-        outputs: List[Optional[Dict]] = [None] * len(payloads)
-        actuals = [0.0] * len(chunks)
-        while not supervisor.done:
-            for position, chunk_outputs in supervisor.wait_some():
-                indices, _estimate = chunks[position]
-                for index, output in zip(indices, chunk_outputs):
-                    outputs[index] = output
-                    seconds = self.cost_model.observe_output(
-                        kind, payload_fingerprint(payloads[index]), output
-                    )
-                    if seconds:
-                        actuals[position] += seconds
-        for (indices, estimate), actual in zip(chunks, actuals):
-            self.events.emit(
-                "scheduler_decision",
-                stage=kind,
-                chunk_size=len(indices),
-                estimated_seconds=estimate,
-                actual_seconds=actual,
-            )
-        self.drain_recovery()
-        return outputs
 
 
 def payloads_picklable(payloads: Sequence[Dict]) -> bool:

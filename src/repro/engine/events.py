@@ -28,7 +28,6 @@ kind                         fields
 ``cache``                    ``tier`` (trace/classification/solver), ``hit``
                              (bool), ``worker_hit`` (solver tier only)
 ``classification_computed``  ``workload``, ``race``
-``primary``                  ``shipped`` (bool) -- path-task primary reuse
 ``solver_query``             ``result``, ``cached``, ``worker_hit``,
                              ``seconds`` (worker, per query)
 ``solver_stats``             a ``SolverStats.to_dict()`` snapshot (one per
@@ -67,15 +66,16 @@ kind                         fields
 
 Folding semantics (:func:`fold_events`): ``trace_recorded`` increments
 ``traces_recorded``; ``cache`` events increment the hit/miss counter of
-their tier; ``classification_computed`` and ``primary`` count themselves;
+their tier; ``classification_computed`` counts itself;
 ``solver_stats`` snapshots are absorbed into the ``solver_*`` counters
 (``solver_query`` events are *per-query detail* and deliberately **not**
 folded -- the per-task snapshot already aggregates them, and folding both
 would double-count); ``pool`` and ``stage_overlap`` feed the pool-lifecycle
 counters.  Lifecycle events (``run_*``, ``task_*``) carry latency data for
 ``events-info`` histograms but fold to nothing.  Fields a fold does not
-know are ignored, so logs written by older versions (whose solver events
-also carried a ``backend`` name) still load and fold.
+know are ignored, and so are kinds it does not know, so logs written by
+older versions (whose solver events also carried a ``backend`` name, and
+whose path tasks emitted ``primary`` events) still load and fold.
 
 Determinism: workers buffer events in an :class:`EventBuffer` attached to
 the task result payload (exactly like the solver-stats snapshots before);
@@ -107,7 +107,6 @@ EVENT_KINDS = (
     "trace_recorded",
     "cache",
     "classification_computed",
-    "primary",
     "solver_query",
     "solver_stats",
     "interp_stats",
@@ -244,11 +243,6 @@ def fold_events(events: Iterable[Event]) -> EngineStats:
                     stats.classification_cache_hits += 1
         elif kind == "classification_computed":
             stats.classifications_computed += 1
-        elif kind == "primary":
-            if event.get("shipped"):
-                stats.primaries_shipped += 1
-            else:
-                stats.primaries_reexplored += 1
         elif kind == "solver_stats":
             # The per-task aggregate; per-query ``solver_query`` events are
             # detail for histograms and must not be folded on top.

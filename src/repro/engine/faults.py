@@ -11,7 +11,7 @@ pool workers::
         {"op": "crash",     "stage": "classify", "workload": "stress_harmful"},
         {"op": "hang",      "stage": "plan",     "ms": 20000},
         {"op": "malformed", "stage": "path",     "times": 1},
-        {"op": "corrupt_sidecar", "target": "costmodel.json", "mode": "garbage"}
+        {"op": "corrupt_sidecar", "target": "**/*.hits", "mode": "garbage"}
       ]
     }
 
@@ -40,9 +40,10 @@ Ops:
     the task entry point returns a wrong-shaped payload, exercising result
     validation at the dispatch boundary.
 ``corrupt_sidecar``
-    driver-side (applied at run start, never in workers): overwrite cache /
-    sidecar files matching ``target`` (a glob relative to the cache dir) with
-    ``mode`` = ``garbage`` (default), ``truncate``, or ``oversize`` bytes.
+    driver-side (applied at run start, never in workers): overwrite cache
+    files matching ``target`` (a recursive glob relative to the cache dir,
+    e.g. ``**/*.hits`` for the per-entry hit counters) with ``mode`` =
+    ``garbage`` (default), ``truncate``, or ``oversize`` bytes.
 
 ``seed`` identifies the plan (it is recorded in claim files and replayed in
 ``fault_injected`` events); the spec itself is already fully deterministic,
@@ -71,7 +72,7 @@ FAULT_OPS = ("crash", "hang", "malformed", "corrupt_sidecar")
 CRASH_EXIT_CODE = 87
 
 #: corruption modes for ``corrupt_sidecar``
-SIDECAR_MODES = ("garbage", "truncate", "oversize")
+CORRUPTION_MODES = ("garbage", "truncate", "oversize")
 
 _MATCH_FIELDS = ("stage", "workload", "race", "path")
 
@@ -130,10 +131,10 @@ def resolve_fault_plan(value: Optional[str]) -> Optional[Dict[str, Any]]:
                 raise FaultPlanError(
                     f"fault plan {source}: fault #{index} (corrupt_sidecar) needs a 'target'"
                 )
-            if mode not in SIDECAR_MODES:
+            if mode not in CORRUPTION_MODES:
                 raise FaultPlanError(
                     f"fault plan {source}: fault #{index} has unknown mode {mode!r}; "
-                    f"choose from {', '.join(SIDECAR_MODES)}"
+                    f"choose from {', '.join(CORRUPTION_MODES)}"
                 )
         item = {"index": index, "op": op, "times": times}
         for field in _MATCH_FIELDS:
@@ -242,7 +243,9 @@ class FaultPlan:
         for entry in self.faults:
             if entry["op"] != "corrupt_sidecar":
                 continue
-            matches = sorted(glob.glob(os.path.join(cache_dir, entry["target"])))
+            matches = sorted(
+                glob.glob(os.path.join(cache_dir, entry["target"]), recursive=True)
+            )
             matches = [path for path in matches if os.path.isfile(path)]
             if not matches:
                 continue

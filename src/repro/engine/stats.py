@@ -11,13 +11,14 @@ Since the structured-event refactor, :class:`EngineStats` is a *view*: the
 engine emits typed events (see :mod:`repro.engine.events`) and every counter
 here is produced by folding that stream with
 :func:`repro.engine.events.fold_events`.  Nothing in the pipeline increments
-these fields directly anymore; ``GLOBAL_STATS`` survives as a compatibility
-aggregate that the engine updates by merging each run's folded stats when
-the run finishes (one experiment invocation builds many short-lived
-:class:`AnalysisEngine` instances -- one per ablation config -- and the
-interesting number is the total across all of them).  All event emission in
-the driving process happens as tasks are dispatched and collected; pool
-workers only attach event buffers to their result payloads.
+these fields directly.  Each engine run folds its own stream
+(``engine.last_run_stats``); totals across runs come from folding their
+concatenated streams, which is additive -- one experiment invocation builds
+many short-lived :class:`AnalysisEngine` instances (one per ablation
+config), and ``python -m repro.experiments`` prints the fold of the event
+log every one of them appended to.  All event emission in the driving
+process happens as tasks are dispatched and collected; pool workers only
+attach event buffers to their result payloads.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ class EngineStats:
     classifications_computed: int = 0
     #: classifications served from the classification cache
     classification_cache_hits: int = 0
-    #: path tasks that classified a primary shipped in the plan payload
-    primaries_shipped: int = 0
-    #: path tasks that fell back to re-exploring their primary prefix
-    primaries_reexplored: int = 0
     #: solver queries issued by dispatched tasks (aggregated from workers)
     solver_queries: int = 0
     #: solver queries answered from the constraint-set memo
@@ -94,66 +91,6 @@ class EngineStats:
     #: (the chaos CI job asserts this stays 0 under the standard fault plan)
     pool_downgrades: int = 0
 
-    def reset(self) -> None:
-        self.traces_recorded = 0
-        self.trace_cache_hits = 0
-        self.classifications_computed = 0
-        self.classification_cache_hits = 0
-        self.primaries_shipped = 0
-        self.primaries_reexplored = 0
-        self.solver_queries = 0
-        self.solver_cache_hits = 0
-        self.solver_cache_misses = 0
-        self.solver_assignments_enumerated = 0
-        self.worker_cache_hits = 0
-        self.solver_seconds = 0.0
-        self.pools_created = 0
-        self.pool_reuses = 0
-        self.stage_overlap_seconds = 0.0
-        self.record_classify_overlap_seconds = 0.0
-        self.interp_statements = 0
-        self.interp_forks = 0
-        self.interp_cow_copies = 0
-        self.interp_spin_cutoffs = 0
-        self.interp_steps_skipped = 0
-        self.task_retries = 0
-        self.pool_respawns = 0
-        self.tasks_quarantined = 0
-        self.deadlines_exceeded = 0
-        self.faults_injected = 0
-        self.pool_downgrades = 0
-
-    def merge(self, other: "EngineStats") -> None:
-        """Add another stats view into this one (used to fold a finished
-        run's per-run stats into the process-wide ``GLOBAL_STATS``)."""
-        self.traces_recorded += other.traces_recorded
-        self.trace_cache_hits += other.trace_cache_hits
-        self.classifications_computed += other.classifications_computed
-        self.classification_cache_hits += other.classification_cache_hits
-        self.primaries_shipped += other.primaries_shipped
-        self.primaries_reexplored += other.primaries_reexplored
-        self.solver_queries += other.solver_queries
-        self.solver_cache_hits += other.solver_cache_hits
-        self.solver_cache_misses += other.solver_cache_misses
-        self.solver_assignments_enumerated += other.solver_assignments_enumerated
-        self.worker_cache_hits += other.worker_cache_hits
-        self.solver_seconds += other.solver_seconds
-        self.pools_created += other.pools_created
-        self.pool_reuses += other.pool_reuses
-        self.stage_overlap_seconds += other.stage_overlap_seconds
-        self.record_classify_overlap_seconds += other.record_classify_overlap_seconds
-        self.interp_statements += other.interp_statements
-        self.interp_forks += other.interp_forks
-        self.interp_cow_copies += other.interp_cow_copies
-        self.interp_spin_cutoffs += other.interp_spin_cutoffs
-        self.interp_steps_skipped += other.interp_steps_skipped
-        self.task_retries += other.task_retries
-        self.pool_respawns += other.pool_respawns
-        self.tasks_quarantined += other.tasks_quarantined
-        self.deadlines_exceeded += other.deadlines_exceeded
-        self.faults_injected += other.faults_injected
-        self.pool_downgrades += other.pool_downgrades
-
     def absorb_solver(self, payload) -> None:
         """Fold one task's solver-counter snapshot into the aggregate.
 
@@ -194,8 +131,6 @@ class EngineStats:
             f"trace-cache hits={self.trace_cache_hits}, "
             f"classifications computed={self.classifications_computed}, "
             f"classification-cache hits={self.classification_cache_hits}, "
-            f"primaries shipped={self.primaries_shipped}, "
-            f"primaries re-explored={self.primaries_reexplored}, "
             f"solver queries={self.solver_queries} "
             f"(cache hits={self.solver_cache_hits}, "
             f"misses={self.solver_cache_misses}), "
@@ -218,9 +153,3 @@ class EngineStats:
             f"faults injected={self.faults_injected}, "
             f"pool downgrades={self.pool_downgrades}"
         )
-
-
-#: the process-wide compatibility aggregate: each engine run folds its event
-#: stream into per-run stats and merges them here when the run finishes;
-#: reset by ``python -m repro.experiments``
-GLOBAL_STATS = EngineStats()

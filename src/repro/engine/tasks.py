@@ -28,7 +28,7 @@ task always produces the same result no matter which process runs it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import PortendConfig
@@ -432,41 +432,37 @@ class PathTask(ClassificationTask):
     """One ``(race, primary-path)`` work item: the engine's finest grain.
 
     A :class:`ClassificationTask` narrowed to a single primary path.  The
-    payload normally embeds the serialized primary the plan explored
-    (``primary``: a :meth:`repro.explore.paths.PrimaryPath.to_dict`
-    payload), so the worker classifies directly from shipped data.  When no
-    primary is attached (older payloads, or a driver that opted out) the
-    worker falls back to re-deriving it deterministically (see
-    :func:`repro.explore.paths.explore_primary` for the prefix property
-    that makes ``path_index`` sufficient).  Either way it returns the
-    partial verdict; the engine's merge step recombines partial verdicts
-    into a ``ClassifiedRace`` bit-identical to the serial result.
+    payload embeds the serialized primary the plan explored (``primary``: a
+    :meth:`repro.explore.paths.PrimaryPath.to_dict` payload), so the worker
+    classifies directly from shipped data and never repeats the BFS prefix
+    exploration.  It returns the partial verdict; the engine's merge step
+    recombines partial verdicts into a ``ClassifiedRace`` bit-identical to
+    the serial result.
     """
 
     path_index: int = 0
-    primary: Optional[Dict] = None
+    primary: Dict = field(kw_only=True)
 
     def to_payload(self) -> Dict:
         payload = super().to_payload()
         payload["path_index"] = self.path_index
-        if self.primary is not None:
-            payload["primary"] = self.primary
+        payload["primary"] = self.primary
         return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "PathTask":
-        base = super().from_payload(payload)
-        return replace(
-            base,
+        base = ClassificationTask.from_payload(payload)
+        return cls(
+            **vars(base),
             path_index=payload["path_index"],
-            primary=payload.get("primary"),
+            primary=payload["primary"],
         )
 
 
 def execute_path_task(payload: Mapping) -> Dict:
-    """Analyze one primary path of one race (worker entry point)."""
+    """Analyze one shipped primary path of one race (worker entry point)."""
     from repro.core.multi_path import analyze_primary_path
-    from repro.explore.paths import PrimaryPath, explore_primary
+    from repro.explore.paths import PrimaryPath
 
     from repro.engine.faults import maybe_inject_fault
 
@@ -488,26 +484,12 @@ def execute_path_task(payload: Mapping) -> Dict:
     race = trace.race_by_id(task.race_id)
 
     started = time.perf_counter()
-    reexplored = task.primary is None
-    if task.primary is not None:
-        path = PrimaryPath.from_dict(task.primary)
-        if path.index != task.path_index:
-            raise RuntimeError(
-                f"shipped primary of race {task.race_id} in {task.workload!r} "
-                f"carries index {path.index}, task expected {task.path_index}"
-            )
-    else:
-        path = explore_primary(
-            portend.executor, portend.program, trace, race, config, task.path_index
+    path = PrimaryPath.from_dict(task.primary)
+    if path.index != task.path_index:
+        raise RuntimeError(
+            f"shipped primary of race {task.race_id} in {task.workload!r} "
+            f"carries index {path.index}, task expected {task.path_index}"
         )
-        if path is None:
-            # Deterministic exploration makes the plan's path count binding; a
-            # disagreement means non-determinism crept in -- fail loudly rather
-            # than silently dropping a primary path from the verdict.
-            raise RuntimeError(
-                f"exploration of race {task.race_id} in {task.workload!r} yielded no "
-                f"primary path at index {task.path_index}"
-            )
     verdict = analyze_primary_path(
         portend.executor,
         portend.program,
@@ -518,7 +500,6 @@ def execute_path_task(payload: Mapping) -> Dict:
         predicates=predicates,
     )
     seconds = time.perf_counter() - started
-    events.emit("primary", shipped=not reexplored)
     snapshot, event_list = _finish_task(
         events,
         "path",
@@ -532,10 +513,7 @@ def execute_path_task(payload: Mapping) -> Dict:
         "race_id": task.race_id,
         "path_index": task.path_index,
         "verdict": verdict.to_dict(),
-        "reexplored": reexplored,
         "seconds": seconds,
         "solver": snapshot,
         "events": event_list,
     }
-
-

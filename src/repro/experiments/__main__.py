@@ -13,7 +13,10 @@ config and run every analysis under the same options.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import os
 import sys
+import tempfile
 
 from repro.experiments import fig7, fig9, fig10, table1, table2, table3, table4, table5
 
@@ -40,7 +43,6 @@ _OPTION_FLAGS = (
     "parallel",
     "cache_dir",
     "granularity",
-    "chunk_target_ms",
     "events_path",
     "cache_max_entries",
     "fault_plan",
@@ -64,8 +66,7 @@ def main(argv=None) -> int:
         "experiment",
         choices=sorted(_EXPERIMENTS) + ["all", "cache-info", "events-info", "profile"],
         help="which table/figure to regenerate, 'cache-info' to dump "
-        "per-entry age and hit counts of a --cache-dir (including the "
-        "costmodel.json sidecar), 'events-info' to "
+        "per-entry age and hit counts of a --cache-dir, 'events-info' to "
         "summarize a structured event log written via --events, or "
         "'profile' to run one workload's analysis under cProfile",
     )
@@ -106,16 +107,6 @@ def main(argv=None) -> int:
         "'path' = one task per (race, primary-path); 'auto' adapts per workload "
         "when --parallel > 1 (path for few-race workloads, race for many-race "
         "ones) and stays at 'race' serially (the default is 'auto')",
-    )
-    parser.add_argument(
-        "--chunk-target-ms",
-        type=int,
-        default=None,
-        metavar="MS",
-        help="per-chunk wall-clock target for the cost-aware scheduler: wide "
-        "task queues are packed into chunks estimated to run roughly this "
-        "long (see the costmodel.json sidecar in --cache-dir).  Defaults to "
-        "the REPRO_CHUNK_TARGET_MS environment variable, else 500",
     )
     parser.add_argument(
         "--fault-plan",
@@ -185,8 +176,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print engine cache/recompute counters after the experiments "
-        "(always printed when --cache-dir is given)",
+        help="print engine cache/recompute counters after the experiments, "
+        "folded from the invocation's event log (--events, else a temporary "
+        "file removed afterwards); always printed when --cache-dir is given",
     )
     args = parser.parse_args(argv)
 
@@ -220,15 +212,35 @@ def main(argv=None) -> int:
         print(render_profile(run_profile(args.target, config, top=args.profile_top)))
         return 0
 
-    if options.events_path:
-        # Engine runs append; start each invocation from an empty log.
-        open(options.events_path, "w", encoding="utf-8").close()
+    # The stats line is the fold of the event log every engine run of this
+    # invocation appends to; without --events that log is a temporary file.
+    show_stats = bool(args.stats or args.cache_dir)
+    temporary_log = None
+    if show_stats and not options.events_path:
+        handle, temporary_log = tempfile.mkstemp(prefix="repro-events-", suffix=".jsonl")
+        os.close(handle)
+        options = dataclasses.replace(options, events_path=temporary_log)
+    try:
+        if options.events_path:
+            # Engine runs append; start each invocation from an empty log.
+            open(options.events_path, "w", encoding="utf-8").close()
+        _run_experiments(args, config, options)
+        if show_stats:
+            from repro.engine.events import fold_events, load_events
 
+            # One line the warm-cache CI job can assert on: a second
+            # identically configured run must report "classifications
+            # computed=0".
+            print(fold_events(load_events(options.events_path)).summary())
+    finally:
+        if temporary_log is not None:
+            os.unlink(temporary_log)
+    return 0
+
+
+def _run_experiments(args: argparse.Namespace, config, options) -> None:
+    """Regenerate the requested tables/figures under one (config, options)."""
     names = sorted(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-
-    from repro.engine.stats import GLOBAL_STATS
-
-    GLOBAL_STATS.reset()
 
     shared_runs = None
     if any(name in _RUNS_CAPABLE for name in names):
@@ -253,12 +265,6 @@ def main(argv=None) -> int:
             result = module.run()
         print(module.render(result))
         print()
-
-    if args.stats or args.cache_dir:
-        # One line the warm-cache CI job can assert on: a second identically
-        # configured run must report "classifications computed=0".
-        print(GLOBAL_STATS.summary())
-    return 0
 
 
 if __name__ == "__main__":

@@ -295,15 +295,12 @@ def explore_primary(
     The explorer's search is breadth-first over a deterministic worklist
     (states pop in FIFO order, forks append in creation order), so the
     primaries found with ``max_primaries = n`` are exactly the first ``n``
-    primaries of a larger exploration -- a *prefix property*.  A worker that
-    only needs path ``i`` can therefore stop the search at ``i + 1``
-    primaries instead of paying for the full ``Mp`` sweep.  Since plans ship
-    their serialized primaries (:meth:`PrimaryPath.to_dict`), the engine's
-    ``PathTask`` only calls this as a *fallback* when no shipped primary is
-    attached; the test suite also uses it as the equivalence oracle for the
-    shipped wire format.  Returns None when the exploration yields
-    fewer than ``path_index + 1`` primaries (the caller's plan disagrees with
-    this process, which deterministic exploration rules out in practice).
+    primaries of a larger exploration -- a *prefix property*, so re-deriving
+    path ``i`` stops the search at ``i + 1`` primaries.  The engine never
+    calls this: plans ship their serialized primaries
+    (:meth:`PrimaryPath.to_dict`) to the path tasks.  It is kept as the test
+    suite's equivalence oracle for that wire format.  Returns None when the
+    exploration yields fewer than ``path_index + 1`` primaries.
 
     ``config`` is a :class:`repro.core.config.PortendConfig`; it is untyped
     here to keep :mod:`repro.explore` import-independent from

@@ -19,7 +19,7 @@ from repro.symex.expr import (
     value_from_dict,
     value_to_dict,
 )
-from repro.workloads import load_workload
+from repro.workloads import Workload, load_workload
 
 
 def _record_trace(name="bbuf"):
@@ -123,13 +123,22 @@ class TestEngine:
             direct.classified
         ) == _classification_signature(engine_run.result.classified)
 
-    def test_portend_classify_trace_parallel_matches_serial(self):
-        _, portend, trace = _record_trace("bbuf")
+    def test_ad_hoc_workload_on_the_pool_matches_classify_trace(self):
+        # The pooled way to classify an arbitrary program: wrap it in a
+        # Workload (any name; the program itself ships to the workers).
+        workload, portend, trace = _record_trace("bbuf")
         serial = portend.classify_trace(trace)
-        parallel = portend.classify_trace(trace, parallel=2)
+        ad_hoc = Workload(
+            name="ad-hoc",
+            program=workload.program,
+            inputs=dict(workload.inputs),
+            predicates=list(workload.predicates),
+        )
+        engine = AnalysisEngine(options=EngineOptions(parallel=2))
+        pooled = engine.analyze_workloads([ad_hoc])[0]
         assert _classification_signature(
             serial.classified
-        ) == _classification_signature(parallel.classified)
+        ) == _classification_signature(pooled.result.classified)
 
     def test_execute_task_rebuilds_registry_workloads(self):
         _, portend, trace = _record_trace("RW")

@@ -25,7 +25,7 @@ from repro.engine.events import (
     summarize_events,
     write_events,
 )
-from repro.engine.stats import GLOBAL_STATS, EngineStats
+from repro.engine.stats import EngineStats
 
 from test_streaming import NAMES, _DeferredPool, _full_signature, _shuffled_wait
 
@@ -109,8 +109,10 @@ class TestFoldSemantics:
             make_event("cache", tier="trace", hit=False),
             make_event("cache", tier="classification", hit=True),
             make_event("classification_computed", workload="w", race="r"),
-            make_event("primary", shipped=True),
-            make_event("primary", shipped=False),
+            # Older logs' path tasks emitted a ``primary`` event per task;
+            # the kind is gone and folds to nothing.
+            {"kind": "primary", "shipped": True, "ts": 0.0},
+            {"kind": "primary", "shipped": False, "ts": 0.0},
             make_event(
                 "solver_stats",
                 backend="default",
@@ -132,8 +134,6 @@ class TestFoldSemantics:
         assert stats.trace_cache_hits == 1
         assert stats.classification_cache_hits == 1
         assert stats.classifications_computed == 1
-        assert stats.primaries_shipped == 1
-        assert stats.primaries_reexplored == 1
         assert stats.solver_queries == 7
         assert stats.solver_cache_hits == 2
         assert stats.solver_cache_misses == 5
@@ -204,16 +204,14 @@ class TestEngineEventStream:
     def test_fold_reproduces_run_stats_exactly(self):
         # The acceptance criterion: folding the emitted stream reproduces
         # every EngineStats counter on a streaming stress_deep run.
-        GLOBAL_STATS.reset()
         engine = AnalysisEngine(
             options=EngineOptions(parallel=2, granularity="path")
         )
         runs = engine.analyze(["stress_deep"])
         assert engine.last_run_events  # the stream was captured
         assert fold_events(engine.last_run_events) == engine.last_run_stats
-        # the per-run view is attached to the run and merged globally
+        # the per-run view is attached to the run
         assert runs[0].stats == engine.last_run_stats
-        assert GLOBAL_STATS == engine.last_run_stats
         assert engine.last_run_stats.solver_queries > 0
         assert engine.last_run_stats.classifications_computed > 0
 
@@ -375,3 +373,44 @@ class TestCLI:
         first = len(load_events(path))
         main(["table3", "--workloads", "bbuf", "--events", path])
         assert len(load_events(path)) == first  # truncated, not appended
+
+    @pytest.mark.parametrize("user_log", [False, True])
+    def test_stats_line_is_the_fold_of_the_run_log(
+        self, tmp_path, capsys, monkeypatch, user_log
+    ):
+        import tempfile
+
+        import repro.engine.events as events_module
+        from repro.experiments.__main__ import main
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        folded = []
+        load = events_module.load_events
+
+        def recording_load(path):
+            events = load(path)
+            folded.append(fold_events(events).summary())
+            return events
+
+        monkeypatch.setattr(events_module, "load_events", recording_load)
+        argv = ["table3", "--workloads", "bbuf,RW", "--stats"]
+        path = str(tmp_path / "user.jsonl")
+        if user_log:
+            argv += ["--events", path]
+        assert main(argv) == 0
+        lines = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("engine stats:")
+        ]
+        assert lines == folded
+        # Without --events the temporary log is gone; with it, the user's
+        # file keeps the whole log the line was folded from.
+        assert list(scratch.iterdir()) == []
+        if user_log:
+            kept = load(path)
+            assert fold_events(kept).summary() == lines[0]
+            kinds = [event["kind"] for event in kept]
+            assert kinds[0] == "run_start" and kinds[-1] == "run_finish"

@@ -14,7 +14,6 @@ from repro.engine import (
     EngineOptions,
     TraceCache,
 )
-from repro.engine.stats import GLOBAL_STATS
 from repro.explore.paths import MultiPathExplorer, explore_primary
 from repro.workloads import all_workload_names, load_workload
 from repro.workloads.stress import build_stress
@@ -217,11 +216,10 @@ class TestClassificationCache:
     def test_warm_run_computes_zero_classifications(self, tmp_path):
         options = EngineOptions(cache_dir=str(tmp_path))
         cold_runs = AnalysisEngine(options=options).analyze(["RW", "bbuf"])
-        GLOBAL_STATS.reset()
         warm_engine = AnalysisEngine(options=options)
         warm_runs = warm_engine.analyze(["RW", "bbuf"])
-        assert GLOBAL_STATS.classifications_computed == 0
-        assert GLOBAL_STATS.traces_recorded == 0
+        assert warm_engine.last_run_stats.classifications_computed == 0
+        assert warm_engine.last_run_stats.traces_recorded == 0
         assert warm_engine.classification_cache.hits == 7
         assert [run.classifications_cached for run in warm_runs] == [1, 6]
         # Cached classifications round-trip exactly (timings included).
@@ -241,18 +239,16 @@ class TestClassificationCache:
     def test_config_change_invalidates(self, tmp_path, config):
         options = EngineOptions(cache_dir=str(tmp_path))
         AnalysisEngine(options=options).analyze(["RW"])
-        GLOBAL_STATS.reset()
-        AnalysisEngine(config=config, options=options).analyze(["RW"])
-        assert GLOBAL_STATS.classifications_computed >= 1
+        runs = AnalysisEngine(config=config, options=options).analyze(["RW"])
+        assert runs[0].stats.classifications_computed >= 1
 
     def test_predicate_mode_invalidates(self, tmp_path):
         options = EngineOptions(cache_dir=str(tmp_path))
         AnalysisEngine(options=options).analyze(["fmm"])
-        GLOBAL_STATS.reset()
-        AnalysisEngine(
+        runs = AnalysisEngine(
             options=EngineOptions(cache_dir=str(tmp_path), use_semantic_predicates=True)
         ).analyze(["fmm"])
-        assert GLOBAL_STATS.classifications_computed >= 1
+        assert runs[0].stats.classifications_computed >= 1
 
     def test_program_content_keeps_whatif_variants_apart(self, tmp_path):
         from repro.workloads.memcached import build_memcached
@@ -260,13 +256,12 @@ class TestClassificationCache:
         options = EngineOptions(cache_dir=str(tmp_path))
         engine = AnalysisEngine(options=options)
         engine.analyze_workloads([load_workload("memcached")])
-        GLOBAL_STATS.reset()
         whatif = AnalysisEngine(options=options)
         whatif_run = whatif.analyze_workloads([build_memcached(remove_slab_lock=True)])[0]
         # Same registry name, same inputs, different program content: every
         # race must be classified fresh, never served from the default build.
         assert whatif_run.classifications_cached == 0
-        assert GLOBAL_STATS.classifications_computed == whatif_run.result.distinct_races()
+        assert whatif_run.stats.classifications_computed == whatif_run.result.distinct_races()
 
     def test_corrupt_classification_entry_is_a_miss(self, tmp_path):
         options = EngineOptions(cache_dir=str(tmp_path))
@@ -276,11 +271,10 @@ class TestClassificationCache:
             path.write_text("{not json")
             corrupted += 1
         assert corrupted == 1
-        GLOBAL_STATS.reset()
         fresh = AnalysisEngine(options=options)
         run = fresh.analyze(["RW"])[0]
         assert run.classifications_cached == 0
-        assert GLOBAL_STATS.classifications_computed == 1
+        assert run.stats.classifications_computed == 1
         assert fresh.classification_cache.misses >= 1
 
     def test_predicate_logic_change_invalidates_fingerprint(self):

@@ -1,10 +1,11 @@
 """Tests for shipped primaries, adaptive granularity, and cache lifecycle.
 
-The tentpole guarantee under test: a ``PathTask`` classifying from a
-serialized :class:`~repro.explore.paths.PrimaryPath` produces verdicts
-bit-identical to one that re-derives the primary with ``explore_primary``
-(the equivalence oracle), and a path-granularity engine run performs zero
-redundant prefix explorations.
+The guarantee under test: classifying from a serialized
+:class:`~repro.explore.paths.PrimaryPath` -- what every ``PathTask`` does --
+produces verdicts bit-identical to re-deriving the primary with
+``explore_primary`` (the test-only equivalence oracle), on every registry
+race whose plan needs paths, and a path-granularity engine run performs
+zero redundant prefix explorations.
 """
 
 import json
@@ -12,9 +13,9 @@ import json
 import pytest
 
 from repro.core import Portend, PortendConfig
+from repro.core.classifier import needs_multipath, run_single_stage
 from repro.core.multi_path import analyze_primary_path
 from repro.engine import AnalysisEngine, EngineOptions, choose_granularity
-from repro.engine.stats import GLOBAL_STATS
 from repro.explore.paths import MultiPathExplorer, PrimaryPath, explore_primary
 from repro.runtime.errors import (
     CrashInfo,
@@ -66,21 +67,44 @@ class TestPrimaryPathRoundTrip:
             assert rebuilt.state is None
 
     def test_shipped_path_is_an_equivalence_oracle_for_explore_primary(self):
-        workload, portend, trace, race, config, primaries = _explore("bbuf")
-        predicates = list(workload.predicates)
-        for path in primaries:
-            shipped = PrimaryPath.from_dict(json.loads(json.dumps(path.to_dict())))
-            rederived = explore_primary(
-                portend.executor, portend.program, trace, race, config, path.index
-            )
-            verdicts = [
-                analyze_primary_path(
+        # Every registry race whose plan fans out into path tasks: the
+        # shipped (JSON round-tripped) primary and explore_primary's
+        # re-derivation must yield equal per-path verdicts.
+        config = PortendConfig()
+        checked = 0
+        for name in all_workload_names(include_synthetic=True):
+            workload = load_workload(name)
+            predicates = list(workload.predicates)
+            portend = Portend(workload.program, predicates=predicates)
+            trace = portend.record(workload.inputs)
+            for race in trace.races:
+                outcome = run_single_stage(
                     portend.executor, portend.program, trace, race, config,
-                    candidate, predicates=predicates,
-                ).to_dict()
-                for candidate in (path, shipped, rederived)
-            ]
-            assert verdicts[0] == verdicts[1] == verdicts[2]
+                    predicates=predicates,
+                )
+                if not needs_multipath(outcome, config):
+                    continue
+                explorer = MultiPathExplorer.for_config(
+                    portend.executor, portend.program, trace, race, config
+                )
+                for path in explorer.explore():
+                    shipped = PrimaryPath.from_dict(
+                        json.loads(json.dumps(path.to_dict()))
+                    )
+                    rederived = explore_primary(
+                        portend.executor, portend.program, trace, race, config,
+                        path.index,
+                    )
+                    verdicts = [
+                        analyze_primary_path(
+                            portend.executor, portend.program, trace, race, config,
+                            candidate, predicates=predicates,
+                        ).to_dict()
+                        for candidate in (path, shipped, rederived)
+                    ]
+                    assert verdicts[0] == verdicts[1] == verdicts[2], (name, race.race_id)
+                    checked += 1
+        assert checked > 0
 
     def test_crash_outcome_round_trips(self):
         outcome = ExecutionOutcome(
@@ -120,41 +144,39 @@ class TestPrimaryPathRoundTrip:
 class TestShippedPrimariesInEngine:
     NAMES = ["bbuf", "SQLite", "RW"]
 
-    def test_path_granularity_performs_zero_reexplorations(self):
-        GLOBAL_STATS.reset()
-        runs = AnalysisEngine(options=EngineOptions(granularity="path")).analyze(self.NAMES)
-        assert GLOBAL_STATS.primaries_reexplored == 0
-        assert GLOBAL_STATS.primaries_shipped > 0
-        assert runs  # engine actually classified something
+    def test_path_granularity_performs_zero_reexplorations(self, monkeypatch):
+        # Serially every task runs in this process, so counting explorer
+        # runs here sees them all: only plans explore, path tasks never do.
+        explorations = []
+        explore = MultiPathExplorer.explore
 
-    def test_ship_off_falls_back_to_reexploration_bit_identically(self):
-        shipped = AnalysisEngine(options=EngineOptions(granularity="path")).analyze(self.NAMES)
-        GLOBAL_STATS.reset()
-        fallback = AnalysisEngine(
-            options=EngineOptions(granularity="path", ship_primaries=False)
-        ).analyze(self.NAMES)
-        assert GLOBAL_STATS.primaries_shipped == 0
-        assert GLOBAL_STATS.primaries_reexplored > 0
-        assert _full_signature(shipped) == _full_signature(fallback)
+        def counting_explore(explorer):
+            explorations.append(explorer)
+            return explore(explorer)
+
+        monkeypatch.setattr(MultiPathExplorer, "explore", counting_explore)
+        engine = AnalysisEngine(options=EngineOptions(parallel=0, granularity="path"))
+        engine.analyze(self.NAMES)
+        submits = [e for e in engine.last_run_events if e["kind"] == "task_submit"]
+        plans = [e for e in submits if e["stage"] == "plan"]
+        paths = [e for e in submits if e["stage"] == "path"]
+        assert paths  # the batch really fanned out into path tasks
+        assert 0 < len(explorations) <= len(plans)
 
     def test_pooled_shipping_matches_serial(self):
         serial = AnalysisEngine().analyze(self.NAMES)
-        GLOBAL_STATS.reset()
         pooled = AnalysisEngine(
             options=EngineOptions(parallel=2, granularity="path")
         ).analyze(self.NAMES)
         assert _full_signature(serial) == _full_signature(pooled)
-        assert GLOBAL_STATS.primaries_reexplored == 0
 
     def test_solver_counters_are_aggregated(self):
-        GLOBAL_STATS.reset()
-        AnalysisEngine().analyze(["bbuf"])
-        assert GLOBAL_STATS.solver_queries > 0
-        assert (
-            GLOBAL_STATS.solver_cache_hits + GLOBAL_STATS.solver_cache_misses
-            == GLOBAL_STATS.solver_queries
-        )
-        assert "solver queries" in GLOBAL_STATS.summary()
+        engine = AnalysisEngine()
+        engine.analyze(["bbuf"])
+        stats = engine.last_run_stats
+        assert stats.solver_queries > 0
+        assert stats.solver_cache_hits + stats.solver_cache_misses == stats.solver_queries
+        assert "solver queries" in stats.summary()
 
 
 class TestAdaptiveGranularity:
@@ -174,9 +196,7 @@ class TestAdaptiveGranularity:
 
     def test_auto_mixes_granularities_within_one_batch(self):
         # bbuf (6 races < 2*2 workers? no: 6 >= 4 -> race), SQLite (1 race ->
-        # path).  The observable split: shipped primaries come only from the
-        # path-granularity workloads.
-        GLOBAL_STATS.reset()
+        # path).  Either way the verdicts match a race-grain reference.
         runs = AnalysisEngine(
             options=EngineOptions(parallel=2, granularity="auto")
         ).analyze(["SQLite", "bbuf"])
@@ -186,13 +206,15 @@ class TestAdaptiveGranularity:
         assert _full_signature(runs) == _full_signature(reference)
 
     def test_auto_picks_race_for_stress_like_batches(self):
-        GLOBAL_STATS.reset()
-        AnalysisEngine(options=EngineOptions(parallel=2, granularity="auto")).analyze_workloads(
-            [build_stress(races=8)]
-        )
-        # 8 races >= 2*2 workers: race granularity, hence no path tasks.
-        assert GLOBAL_STATS.primaries_shipped == 0
-        assert GLOBAL_STATS.primaries_reexplored == 0
+        engine = AnalysisEngine(options=EngineOptions(parallel=2, granularity="auto"))
+        engine.analyze_workloads([build_stress(races=8)])
+        # 8 races >= 2*2 workers: race granularity, hence no plan or path tasks.
+        stages = {
+            event["stage"]
+            for event in engine.last_run_events
+            if event["kind"] == "task_submit"
+        }
+        assert stages == {"record", "classify"}
 
 
 class TestStressDeepWorkload:
@@ -238,9 +260,9 @@ class TestStressDeepWorkload:
         def run(enabled):
             previous = solver_mod.set_cache_enabled_default(enabled)
             try:
-                GLOBAL_STATS.reset()
-                runs = AnalysisEngine().analyze_workloads([workload])
-                return _full_signature(runs), GLOBAL_STATS.solver_assignments_enumerated
+                engine = AnalysisEngine()
+                runs = engine.analyze_workloads([workload])
+                return _full_signature(runs), engine.last_run_stats.solver_assignments_enumerated
             finally:
                 solver_mod.set_cache_enabled_default(previous)
 
@@ -296,12 +318,8 @@ class TestCacheLifecycle:
         AnalysisEngine(options=EngineOptions(cache_dir=str(tmp_path))).analyze(["RW"])
         rows = collect_cache_info(tmp_path)
         kinds = {row["kind"] for row in rows}
-        # Both result layers plus the advisory cost-model sidecar every
-        # engine run with a cache directory persists.
-        assert kinds == {"trace", "classification", "costmodel"}
-        costmodel_rows = [row for row in rows if row["kind"] == "costmodel"]
-        assert costmodel_rows[0]["file"] == "costmodel.json"
-        assert costmodel_rows[0]["hits"] > 0  # total recorded observations
+        # Both result layers; nothing else of a run is persisted.
+        assert kinds == {"trace", "classification"}
 
     def test_cache_info_cli(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
@@ -310,7 +328,7 @@ class TestCacheLifecycle:
         assert main(["cache-info", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "cache-info:" in out
-        assert "classification" in out and "trace" in out and "costmodel" in out
+        assert "classification" in out and "trace" in out
 
     def test_engine_honors_cache_max_entries(self, tmp_path):
         options = EngineOptions(cache_dir=str(tmp_path), cache_max_entries=3)

@@ -4,31 +4,24 @@ Covers the whole-pipeline streaming redesign: bit-identical verdicts and a
 structurally deterministic event stream under adversarially shuffled
 record/classify/plan/path completion orders (shared by serial runs, which
 drain the same loop with no pool), the EWMA cost model (estimates,
-chunk-size invariants -- including the wide-queue fallback fix -- and the
-sidecar warm start, capped eviction and backward compatibility), the
+chunk-size invariants -- including the wide-queue fallback fix), the
 cost-aware granularity choice, the eager pool warm-up accounting, the
 ``scheduler_decision`` observability hooks, and the environment-variable
 defaults the CI full-stream job relies on.
 """
 
-import json
 import random
 
 import pytest
 
 from repro.engine import AnalysisEngine, CostModel, EngineOptions, PoolDispatcher
-from repro.engine.costmodel import (
-    SIDECAR_MAX_ENTRIES,
-    payload_fingerprint,
-    prune_scored,
-)
+from repro.engine.costmodel import payload_fingerprint
 from repro.engine.engine import choose_granularity
 from repro.engine.events import (
     fold_events,
     render_events_info,
     summarize_events,
 )
-from repro.engine.stats import GLOBAL_STATS
 
 from test_streaming import NAMES, _DeferredPool, _full_signature, _shuffled_wait
 
@@ -113,43 +106,6 @@ class TestCostModel:
         assert payload_fingerprint({"workload": "bbuf"}) == "bbuf"
         assert payload_fingerprint({}) == ""
 
-    def test_sidecar_round_trip(self, tmp_path):
-        path = str(tmp_path / "costmodel.json")
-        model = CostModel(sidecar_path=path)
-        model.observe("record", "fp-a", 0.2)
-        model.observe("classify", "fp-b", 0.05)
-        assert model.save()
-        warm = CostModel(sidecar_path=path)
-        assert warm.warm_entries == 2
-        assert warm.estimate("record", "fp-a") == pytest.approx(0.2)
-        assert warm.estimate("classify", "fp-b") == pytest.approx(0.05)
-        # The per-kind fallback is rebuilt from the loaded entries.
-        assert warm.estimate("record", "unseen") == pytest.approx(0.2)
-
-    def test_sidecar_rejects_bad_version_and_corrupt_files(self, tmp_path):
-        versioned = tmp_path / "versioned.json"
-        versioned.write_text('{"version": 999, "entries": {"record|x": {"ewma": 1, "count": 1}}}')
-        assert CostModel(sidecar_path=str(versioned)).warm_entries == 0
-        corrupt = tmp_path / "corrupt.json"
-        corrupt.write_text("{ not json")
-        assert CostModel(sidecar_path=str(corrupt)).warm_entries == 0
-        assert CostModel(sidecar_path=str(tmp_path / "missing.json")).warm_entries == 0
-
-    def test_save_without_sidecar_is_a_noop(self):
-        assert CostModel().save() is False
-
-    def test_engine_persists_and_warm_starts_the_sidecar(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        engine = AnalysisEngine(
-            options=EngineOptions(parallel=0, cache_dir=cache_dir)
-        )
-        engine.analyze(["bbuf"])
-        assert (tmp_path / "cache" / "costmodel.json").exists()
-        warm = AnalysisEngine(
-            options=EngineOptions(parallel=0, cache_dir=cache_dir)
-        )
-        assert warm.cost_model.warm_entries > 0
-
 
 class TestCostAwareGranularity:
     def test_shape_rules_unchanged_when_cold(self):
@@ -181,63 +137,15 @@ class TestCostAwareGranularity:
         assert split_cost == pytest.approx(0.15)
 
 
-class TestPrimariesHistory:
-    """What the removed primary-count history leaves behind: sidecars that
-    still carry its block load their entries, and the capped eviction it
-    shared with the entries table."""
-
-    def test_old_sidecar_with_primaries_block_loads_entries(self, tmp_path):
-        # Sidecars written before the primary-count history was removed
-        # carry a "primaries" block; it is ignored and "entries" still load.
-        path = tmp_path / "costmodel.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "alpha": 0.3,
-                    "entries": {"classify|fp": {"ewma": 0.2, "count": 3}},
-                    "primaries": {
-                        "fp#3": {"ewma": 6.0, "count": 1},
-                        "fp": {"ewma": 6.0, "count": 1},
-                    },
-                }
-            )
-        )
-        model = CostModel(sidecar_path=str(path))
-        assert model.warm_entries == 1
-        assert model.estimate("classify", "fp") == pytest.approx(0.2)
-        assert model.save()
-        assert "primaries" not in json.loads(path.read_text())
-
-    def test_save_applies_capped_eviction(self, tmp_path):
-        path = str(tmp_path / "costmodel.json")
-        model = CostModel(sidecar_path=path)
-        for index in range(SIDECAR_MAX_ENTRIES + 40):
-            model.observe("classify", f"fp{index}", 0.1)
-        assert model.save()
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert len(payload["entries"]) <= SIDECAR_MAX_ENTRIES
-
-    def test_prune_scored_keeps_top_by_score(self):
-        items = {"a": 1, "b": 5, "c": 3}
-        kept = prune_scored(items, 2, lambda _key, value: float(value))
-        assert kept == {"b": 5, "c": 3}
-        assert prune_scored(items, 0, lambda _key, value: 0.0) == {}
-        assert prune_scored(items, 9, lambda _key, value: 0.0) == items
-
-
 class TestWarmPool:
     def test_streaming_run_counts_exactly_one_pool_creation(self):
         # The eager warm-up builds the pool; every later dispatch (including
         # the full-stream scheduler's acquire) must count a reuse, never a
         # second creation.
-        GLOBAL_STATS.reset()
-        AnalysisEngine(
-            options=EngineOptions(parallel=2, granularity="path")
-        ).analyze(["RW", "bbuf"])
-        assert GLOBAL_STATS.pools_created == 1
-        assert GLOBAL_STATS.pool_reuses >= 1
+        engine = AnalysisEngine(options=EngineOptions(parallel=2, granularity="path"))
+        engine.analyze(["RW", "bbuf"])
+        assert engine.last_run_stats.pools_created == 1
+        assert engine.last_run_stats.pool_reuses >= 1
 
     def test_warm_is_a_noop_without_a_persistent_pool(self):
         serial = PoolDispatcher(0)
@@ -405,25 +313,37 @@ class TestSchedulerObservability:
 class TestEnvironmentDefaults:
     def test_parallel_dispatch_and_chunk_target(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "3")
-        monkeypatch.setenv("REPRO_CHUNK_TARGET_MS", "250")
         options = EngineOptions()
         assert options.parallel == 3
         assert options.dispatch == "streaming"  # pinned: not an env knob
-        assert options.chunk_target_ms == 250
+        assert options.chunk_target_ms == 500  # pinned: not an env knob
         # Explicit constructor arguments always win over the environment.
         pinned = EngineOptions(parallel=0, dispatch="streaming", chunk_target_ms=500)
         assert pinned.parallel == 0
         assert pinned.dispatch == "streaming"
         assert pinned.chunk_target_ms == 500
+        with pytest.raises(ValueError, match="chunk_target_ms"):
+            EngineOptions(chunk_target_ms=250)
 
     def test_defaults_without_environment(self, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        monkeypatch.delenv("REPRO_CHUNK_TARGET_MS", raising=False)
         options = EngineOptions()
         assert options.parallel == 0
         assert options.dispatch == "streaming"
         assert options.chunk_target_ms == 500
 
-    def test_garbage_env_values_fall_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "not-a-number")
+    @pytest.mark.parametrize("value", ["", "  "])
+    def test_blank_env_values_mean_the_default(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_PARALLEL", value)
+        monkeypatch.setenv("REPRO_DEADLINE_FLOOR_MS", value)
         assert EngineOptions().parallel == 0
+        assert PoolDispatcher(0).deadline_floor_s == 30.0
+
+    def test_garbage_env_values_raise(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL", "two")
+        with pytest.raises(ValueError, match="REPRO_PARALLEL"):
+            EngineOptions()
+        monkeypatch.delenv("REPRO_PARALLEL")
+        monkeypatch.setenv("REPRO_DEADLINE_FLOOR_MS", "30s")
+        with pytest.raises(ValueError, match="REPRO_DEADLINE_FLOOR_MS"):
+            PoolDispatcher(0)

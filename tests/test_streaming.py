@@ -15,7 +15,6 @@ import pytest
 from repro.core.config import PortendConfig
 from repro.engine import AnalysisEngine, EngineOptions, PoolDispatcher
 from repro.engine.engine import _OverlapClock
-from repro.engine.stats import GLOBAL_STATS
 from repro.symex.expr import SymVar, make_binary, Op
 from repro.symex.solver import (
     Solver,
@@ -122,14 +121,16 @@ class TestDispatchEquivalence:
             EngineOptions(speculate=True)
         with pytest.raises(ValueError):
             EngineOptions(warm_tier=False)
+        with pytest.raises(ValueError, match="re-exploration fallback"):
+            EngineOptions(ship_primaries=False)
         with pytest.raises(ValueError):
             PortendConfig(solver_backend="portfolio")
-        pinned = EngineOptions(dispatch="streaming", speculate=False, warm_tier=True)
-        assert (pinned.dispatch, pinned.speculate, pinned.warm_tier) == (
-            "streaming",
-            False,
-            True,
+        pinned = EngineOptions(
+            dispatch="streaming", speculate=False, warm_tier=True, ship_primaries=True
         )
+        assert (
+            pinned.dispatch, pinned.speculate, pinned.warm_tier, pinned.ship_primaries
+        ) == ("streaming", False, True, True)
         assert PortendConfig(solver_backend="default").solver_backend == "default"
         # Left out of the cache key, so existing cache directories keep hitting.
         assert "solver_backend" not in PortendConfig().classification_fingerprint()
@@ -143,22 +144,20 @@ class TestDispatchEquivalence:
 
 class TestPoolLifecycle:
     def test_streaming_builds_one_pool_per_run_and_reuses_it(self):
-        GLOBAL_STATS.reset()
-        AnalysisEngine(
-            options=EngineOptions(parallel=2, granularity="path")
-        ).analyze(["RW", "bbuf"])
+        engine = AnalysisEngine(options=EngineOptions(parallel=2, granularity="path"))
+        engine.analyze(["RW", "bbuf"])
         # One ProcessPoolExecutor construction for the whole run (record,
         # plan and path queues included); every later dispatch reuses it.
-        assert GLOBAL_STATS.pools_created == 1
-        assert GLOBAL_STATS.pool_reuses >= 1
+        assert engine.last_run_stats.pools_created == 1
+        assert engine.last_run_stats.pool_reuses >= 1
 
     def test_serial_run_builds_no_pool(self):
-        GLOBAL_STATS.reset()
         # Pin parallel=0: the option's default honors REPRO_PARALLEL, and
         # this test asserts specifically-serial pool accounting.
-        AnalysisEngine(options=EngineOptions(parallel=0)).analyze(["RW"])
-        assert GLOBAL_STATS.pools_created == 0
-        assert GLOBAL_STATS.pool_reuses == 0
+        engine = AnalysisEngine(options=EngineOptions(parallel=0))
+        engine.analyze(["RW"])
+        assert engine.last_run_stats.pools_created == 0
+        assert engine.last_run_stats.pool_reuses == 0
 
     def test_overlap_clock_counts_only_simultaneous_flight(self):
         clock = _OverlapClock()
@@ -223,16 +222,18 @@ class TestWorkerCacheAccounting:
         # queries; with the worker-lifetime cache the later tasks hit
         # entries the earlier tasks wrote -- even on the serial path, which
         # runs the same task code in the driving process.
-        GLOBAL_STATS.reset()
         serial = EngineOptions(parallel=0)  # pin against REPRO_PARALLEL
-        AnalysisEngine(options=serial).analyze_workloads([build_stress(races=6)])
-        serial_hits = GLOBAL_STATS.worker_cache_hits
+
+        def worker_cache_hits():
+            engine = AnalysisEngine(options=serial)
+            engine.analyze_workloads([build_stress(races=6)])
+            return engine.last_run_stats.worker_cache_hits
+
+        serial_hits = worker_cache_hits()
         assert serial_hits > 0
         # Each run starts from clean worker-lifetime state, so an identical
         # second run reports identical accounting.
-        GLOBAL_STATS.reset()
-        AnalysisEngine(options=serial).analyze_workloads([build_stress(races=6)])
-        assert GLOBAL_STATS.worker_cache_hits == serial_hits
+        assert worker_cache_hits() == serial_hits
 
 
 class TestStressHarmful:
