@@ -76,6 +76,7 @@ from repro.engine.tasks import (
     execute_record_task,
     execute_task,
 )
+from repro.explore.paths import reset_explore_memo
 from repro.record_replay.trace import ExecutionTrace
 from repro.symex.solver import reset_worker_caches
 from repro.workloads import Workload, all_workloads, load_workload
@@ -326,6 +327,7 @@ class AnalysisEngine:
         bleed counters or warm solver state into each other."""
         reset_worker_caches()
         reset_replay_memo()
+        reset_explore_memo()
         # Apply any driver-side sidecar corruption up front (the fuzzing
         # half of the fault plan), and snapshot the claim ledger so only
         # faults fired *during this run* replay as events at run finish.

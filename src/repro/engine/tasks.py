@@ -210,8 +210,9 @@ def pool_worker_initializer(fault_spec: Optional[Mapping] = None) -> None:
     """Runs once in each fresh pool worker process.
 
     Installs clean worker-lifetime state: the solver memos of
-    :mod:`repro.symex.solver`, this module's trace memo and the replay-pass
-    memo of :mod:`repro.core.alternate` all start empty,
+    :mod:`repro.symex.solver`, this module's trace memo, the replay-pass
+    memo of :mod:`repro.core.alternate` and the shared-search memo of
+    :mod:`repro.explore.paths` all start empty,
     so nothing leaks between engine runs that happen to recycle a worker
     (``fork`` start methods inherit the parent's module state).
 
@@ -222,12 +223,14 @@ def pool_worker_initializer(fault_spec: Optional[Mapping] = None) -> None:
     """
     from repro.core.alternate import reset_replay_memo
     from repro.engine.faults import install_fault_plan
+    from repro.explore.paths import reset_explore_memo
     from repro.symex.solver import reset_worker_caches
 
     reset_worker_caches()
     install_fault_plan(dict(fault_spec) if fault_spec else None)
     _TRACE_MEMO.clear()
     reset_replay_memo()
+    reset_explore_memo()
 
 
 def execute_noop_task(payload: Mapping) -> Dict:

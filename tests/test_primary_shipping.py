@@ -63,8 +63,7 @@ class TestPrimaryPathRoundTrip:
             assert rebuilt.race_reached_step == path.race_reached_step
             assert rebuilt.symbolic_branches == path.symbolic_branches
             assert rebuilt.outcome == path.outcome
-            # Live interpreter state never crosses the wire.
-            assert rebuilt.state is None
+            assert rebuilt.to_dict() == path.to_dict()
 
     def test_shipped_path_is_an_equivalence_oracle_for_explore_primary(self):
         # Every registry race whose plan fans out into path tasks: the
