@@ -96,11 +96,16 @@ class RacePointLocator:
 
 
 class _RaceAccessWatcher(ExecutionListener):
-    """Observes accesses to the racing location by a specific thread."""
+    """Observes accesses to the racing location by a specific thread.
+
+    It wants only the racing location's name; ``_same_variable`` still
+    checks the space, because another space may reuse the name.
+    """
 
     def __init__(self, race: RaceReport, tid: int) -> None:
         self.race = race
         self.tid = tid
+        self.access_names = frozenset((race.location.name,))
         self.seen = False
         self.seen_pc: Optional[int] = None
 

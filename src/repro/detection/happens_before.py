@@ -108,8 +108,10 @@ class HappensBeforeDetector(ExecutionListener):
         self.access_count += 1
         tid = access.tid
         clock = self._clock(tid)
-        locks_held = tuple(state.thread(tid).held_mutexes)
-        info = AccessInfo.from_access(access, locks_held)
+        thread = state.thread(tid)
+        info = AccessInfo.from_access(
+            access, thread.stack_trace(), tuple(thread.held_mutexes)
+        )
         history = self.histories.setdefault(access.location, _LocationHistory())
 
         # A write races with every concurrent previous read and write; a read

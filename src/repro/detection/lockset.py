@@ -41,8 +41,9 @@ class LockSetDetector(ExecutionListener):
 
     def on_access(self, state, access: MemoryAccess) -> None:
         tid = access.tid
-        locks_held = set(state.thread(tid).held_mutexes)
-        info = AccessInfo.from_access(access, tuple(sorted(locks_held)))
+        thread = state.thread(tid)
+        locks_held = set(thread.held_mutexes)
+        info = AccessInfo.from_access(access, thread.stack_trace(), tuple(sorted(locks_held)))
         location_state = self._locations.setdefault(access.location, _LocksetState())
 
         if location_state.candidate is None:

@@ -32,7 +32,13 @@ class AccessInfo:
     locks_held: Tuple[str, ...] = ()
 
     @classmethod
-    def from_access(cls, access: MemoryAccess, locks_held: Sequence[str] = ()) -> "AccessInfo":
+    def from_access(
+        cls,
+        access: MemoryAccess,
+        stack: Tuple[StackEntry, ...],
+        locks_held: Sequence[str] = (),
+    ) -> "AccessInfo":
+        """Record ``access`` with the accessing thread's ``stack`` at the time."""
         return cls(
             tid=access.tid,
             pc=access.pc,
@@ -40,7 +46,7 @@ class AccessInfo:
             is_write=access.is_write,
             location=access.location,
             step=access.step,
-            stack=access.stack,
+            stack=stack,
             locks_held=tuple(locks_held),
         )
 

@@ -13,8 +13,9 @@ questions:
 * *how big should a chunk be* so that it runs for roughly
   :attr:`CostModel.target_seconds` (big enough to amortize pickling, small
   enough that the tail of the queue still load-balances), and
-* *which payload should go first* (longest-expected-first, so stragglers
-  start early instead of anchoring the tail).
+* *which payload should go first* (the engine submits recordings
+  longest-expected-first, so stragglers start early instead of anchoring
+  the tail).
 
 Estimates are advisory only -- they change *where and in what batch* a task
 runs, never what it computes -- so a cold, empty, or wildly wrong model
@@ -25,7 +26,7 @@ The same estimates feed ``choose_granularity``, which weighs the expected
 cost of splitting a race into plan + path tasks against classifying it
 whole (:meth:`CostModel.split_costs`).
 
-**Chunk-size invariants.**  ``chunk_size``/``pack_chunks`` guarantee at least
+**Chunk-size invariants.**  ``chunk_size`` guarantees at least
 ``min(count, 2 * workers)`` chunks whenever the queue has at least two tasks
 per worker, and at least ``min(count, workers)`` chunks always -- this is
 the fix for the old wide-queue fallback, under which a batch needing
@@ -36,7 +37,7 @@ single chunk can serialize the whole queue onto one worker.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 #: default EWMA smoothing factor: new observations carry 30% weight, so the
 #: model adapts within a few tasks without thrashing on one outlier
@@ -45,16 +46,6 @@ DEFAULT_ALPHA = 0.3
 #: default per-chunk wall-clock target (seconds), inside the ~250ms-1s band
 #: where chunks amortize pickling yet still load-balance
 DEFAULT_TARGET_SECONDS = 0.5
-
-
-def payload_fingerprint(payload: Mapping) -> str:
-    """The cost-model key fragment for one task payload.
-
-    Prefers the program content fingerprint (stable across runs and shared
-    by every task of a workload); falls back to the workload name, which is
-    equally stable though not content-addressed.
-    """
-    return str(payload.get("program_fingerprint") or payload.get("workload") or "")
 
 
 class CostModel:
@@ -178,38 +169,3 @@ class CostModel:
         else:
             size = count // (workers * 4)
         return max(1, min(size, upper))
-
-    def pack_chunks(
-        self, kind: str, payloads: Sequence[Mapping], workers: int
-    ) -> List[Tuple[List[int], float]]:
-        """Plan a heterogeneous queue into cost-targeted chunks.
-
-        Returns ``[(payload_indices, estimated_seconds), ...]`` ordered
-        longest-expected-first, so the most expensive work is submitted (and
-        therefore started) earliest.  Each chunk closes when its estimated
-        cost reaches :attr:`target_seconds` or its size reaches the
-        ``ceil(count / workers·waves)`` upper bound -- cold estimates close
-        on size alone, which preserves the at-least-``min(count, workers)``
-        chunk-count invariant.
-        """
-        count = len(payloads)
-        if not count:
-            return []
-        workers = max(1, workers)
-        upper = self._chunk_upper(count, workers)
-        estimates = [
-            self.estimate(kind, payload_fingerprint(payload)) for payload in payloads
-        ]
-        order = sorted(range(count), key=lambda i: -estimates[i])
-        chunks: List[Tuple[List[int], float]] = []
-        indices: List[int] = []
-        cost = 0.0
-        for position in order:
-            indices.append(position)
-            cost += estimates[position]
-            if len(indices) >= upper or cost >= self.target_seconds:
-                chunks.append((indices, cost))
-                indices, cost = [], 0.0
-        if indices:
-            chunks.append((indices, cost))
-        return chunks

@@ -35,8 +35,10 @@ kind                         fields
 ``interp_stats``             the executor's ``InterpCounters.to_dict()``
                              snapshot
                              (``statements``, ``forks``, ``cow_copies``,
-                             ``spin_cutoffs``, ``steps_skipped``; one per
-                             task)
+                             ``spin_cutoffs``, ``steps_skipped``,
+                             ``accesses`` -- the ``MemoryAccess`` events
+                             built for listeners; one per task; a counter
+                             an older log lacks folds as 0)
 ``pool``                     ``action`` (created/reused)
 ``stage_overlap``            ``seconds``, ``channel`` (``plan_path`` when
                              absent; ``record_classify`` for the full-stream
@@ -122,7 +124,9 @@ EVENT_KINDS = (
 )
 
 #: the ``InterpCounters`` fields an ``interp_stats`` event carries
-_INTERP_COUNTERS = ("statements", "forks", "cow_copies", "spin_cutoffs", "steps_skipped")
+_INTERP_COUNTERS = (
+    "statements", "forks", "cow_copies", "spin_cutoffs", "steps_skipped", "accesses"
+)
 
 #: per-task cap on buffered ``solver_query`` detail events.  A heavy task on
 #: today's workloads issues ~150 queries, so 2048 is ample headroom; if a
@@ -544,7 +548,8 @@ def render_events_info(events: Sequence[Event]) -> str:
         f"forks={interpreter['forks']} "
         f"cow_copies={interpreter['cow_copies']} "
         f"spin_cutoffs={interpreter['spin_cutoffs']} "
-        f"steps_skipped={interpreter['steps_skipped']}"
+        f"steps_skipped={interpreter['steps_skipped']} "
+        f"accesses={interpreter['accesses']}"
     )
     lines.append("")
     lines.append(summary["stats"])

@@ -118,7 +118,8 @@ class _RaceReachedTracker(ExecutionListener):
     ``(NOTE_RACE, w)``, so each race's notes are exactly what a tracker
     watching that race alone would write.  The notes travel with forked
     states, so the explorer can later tell whether a schedule divergence
-    happened before or after the race.
+    happened before or after the race.  It wants only the watched
+    locations' names; ``on_access`` still matches the space too.
     """
 
     NOTE_FIRST = "explore.first_access_step"
@@ -127,6 +128,7 @@ class _RaceReachedTracker(ExecutionListener):
     def __init__(self, races: Sequence[RaceReport]) -> None:
         watches = dict.fromkeys(_watch(race) for race in races)
         self.watches = frozenset(watches)
+        self.access_names = frozenset(watch[1] for watch in watches)
         self._by_location: Dict[Tuple[object, str], List[Tuple[_Watch, tuple, tuple]]] = {}
         for watch in watches:
             self._by_location.setdefault(watch[:2], []).append(

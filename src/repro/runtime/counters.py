@@ -14,11 +14,14 @@ from typing import Dict
 
 
 class InterpCounters:
-    """Statements executed, state forks, COW materializations, and the
+    """Statements executed, state forks, COW materializations, the
     alternate-enforcement spin cutoffs (runs cut short at a repeated state,
-    and the steps they skipped instead of interpreting)."""
+    and the steps they skipped instead of interpreting), and the
+    ``MemoryAccess`` events built for the runs' listeners."""
 
-    __slots__ = ("statements", "forks", "cow_copies", "spin_cutoffs", "steps_skipped")
+    __slots__ = (
+        "statements", "forks", "cow_copies", "spin_cutoffs", "steps_skipped", "accesses"
+    )
 
     def __init__(self) -> None:
         self.reset()
@@ -29,6 +32,7 @@ class InterpCounters:
         self.cow_copies = 0
         self.spin_cutoffs = 0
         self.steps_skipped = 0
+        self.accesses = 0
 
     def to_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}

@@ -121,7 +121,6 @@ class ExecutorConfig:
     max_steps: int = 500_000
     max_loop_iterations: int = 100_000
     solver_max_assignments: int = 200_000
-    record_access_stacks: bool = True
 
 
 StopPredicate = Callable[[ExecutionState, int, ast.Stmt], bool]
@@ -182,7 +181,9 @@ class Executor:
 
         Forked states (from symbolic branches) are collected in the result
         but not executed; callers that perform multi-path exploration manage
-        their own worklist (see :mod:`repro.explore.paths`).
+        their own worklist (see :mod:`repro.explore.paths`).  The listeners'
+        access interest is folded once here: a load or store builds a
+        ``MemoryAccess`` only when some listener wants its location.
         """
         policy = policy or RoundRobinPolicy()
         group = ListenerGroup(list(listeners))
@@ -888,17 +889,21 @@ class Executor:
             return frame.locals[expr.name]
         if isinstance(expr, ast.GlobalRef):
             value = state.memory.load_global(expr.name)
-            self._emit_access(
-                state, tid, MemoryLocation("global", expr.name), False, stmt, listeners, value
-            )
+            names = listeners.access_names
+            if names is None or expr.name in names:
+                self._emit_access(
+                    state, tid, MemoryLocation("global", expr.name), False, stmt, listeners
+                )
             return value
         if isinstance(expr, ast.ArrayRef):
             index = self._eval(state, tid, expr.index, stmt, listeners)
             index = self._check_array_index(state, expr.name, index)
             value = state.memory.load_array(expr.name, index)
-            self._emit_access(
-                state, tid, MemoryLocation("array", expr.name, index), False, stmt, listeners, value
-            )
+            names = listeners.access_names
+            if names is None or expr.name in names:
+                self._emit_access(
+                    state, tid, MemoryLocation("array", expr.name, index), False, stmt, listeners
+                )
             return value
         if isinstance(expr, ast.HeapRef):
             pointer = self._eval(state, tid, expr.pointer, stmt, listeners)
@@ -906,15 +911,11 @@ class Executor:
             index = self._eval(state, tid, expr.index, stmt, listeners)
             index = int(self._concretize(state, index, what="heap index"))
             value = state.memory.load_heap(pointer, index)
-            self._emit_access(
-                state,
-                tid,
-                MemoryLocation("heap", str(pointer), index),
-                False,
-                stmt,
-                listeners,
-                value,
-            )
+            names = listeners.access_names
+            if names is None or str(pointer) in names:
+                self._emit_access(
+                    state, tid, MemoryLocation("heap", str(pointer), index), False, stmt, listeners
+                )
             return value
         if isinstance(expr, ast.InputRef):
             if expr.name in state.symbolic_inputs:
@@ -989,17 +990,21 @@ class Executor:
             return
         if isinstance(target, ast.GlobalRef):
             state.memory.store_global(target.name, value)
-            self._emit_access(
-                state, tid, MemoryLocation("global", target.name), True, stmt, listeners, value
-            )
+            names = listeners.access_names
+            if names is None or target.name in names:
+                self._emit_access(
+                    state, tid, MemoryLocation("global", target.name), True, stmt, listeners
+                )
             return
         if isinstance(target, ast.ArrayRef):
             index = self._eval(state, tid, target.index, stmt, listeners)
             index = self._check_array_index(state, target.name, index)
             state.memory.store_array(target.name, index, value)
-            self._emit_access(
-                state, tid, MemoryLocation("array", target.name, index), True, stmt, listeners, value
-            )
+            names = listeners.access_names
+            if names is None or target.name in names:
+                self._emit_access(
+                    state, tid, MemoryLocation("array", target.name, index), True, stmt, listeners
+                )
             return
         if isinstance(target, ast.HeapRef):
             pointer = self._eval(state, tid, target.pointer, stmt, listeners)
@@ -1007,15 +1012,11 @@ class Executor:
             index = self._eval(state, tid, target.index, stmt, listeners)
             index = int(self._concretize(state, index, what="heap index"))
             state.memory.store_heap(pointer, index, value)
-            self._emit_access(
-                state,
-                tid,
-                MemoryLocation("heap", str(pointer), index),
-                True,
-                stmt,
-                listeners,
-                value,
-            )
+            names = listeners.access_names
+            if names is None or str(pointer) in names:
+                self._emit_access(
+                    state, tid, MemoryLocation("heap", str(pointer), index), True, stmt, listeners
+                )
             return
         raise ProgramCrash(CrashKind.INVALID_POINTER, f"cannot store to {target!r}")
 
@@ -1078,11 +1079,9 @@ class Executor:
         is_write: bool,
         stmt: ast.Stmt,
         listeners: ListenerGroup,
-        value: Optional[Value],
     ) -> None:
-        stack: Tuple = ()
-        if self.config.record_access_stacks:
-            stack = state.thread(tid).stack_trace(self.program)
+        """Publish one access; callers first check ``listeners.access_names``."""
+        state.counters.accesses += 1
         access = MemoryAccess(
             tid=tid,
             location=location,
@@ -1090,15 +1089,13 @@ class Executor:
             pc=stmt.pc,
             label=stmt.label,
             step=state.step_count,
-            stack=stack,
-            value=value,
         )
         listeners.on_access(state, access)
 
     def _record_crash(
         self, state: ExecutionState, tid: int, stmt: ast.Stmt, crash: ProgramCrash
     ) -> None:
-        stack = tuple(entry.describe() for entry in state.thread(tid).stack_trace(self.program))
+        stack = tuple(entry.describe() for entry in state.thread(tid).stack_trace())
         info = CrashInfo(
             kind=crash.kind,
             message=crash.message,

@@ -5,16 +5,24 @@ the dynamic race detector, the trace recorder and Portend's specification
 checker are all listeners.  Listeners must not mutate the execution state
 (with the documented exception of :class:`repro.core.spec.SpecChecker`, which
 may terminate a state when a semantic predicate fails).
+
+Memory-access events are built on demand.  A listener declares up front which
+locations it wants to hear about (:attr:`ExecutionListener.access_names`), a
+:class:`ListenerGroup` folds those declarations once when it is built, and
+the executor constructs a :class:`MemoryAccess` only for a location some
+listener of the run asked for.  Only the race detectors and the
+specification checker want every access; the classification runs watch one
+or a few racing locations, and most runs watch none.  A listener that needs
+the accessing thread's stack reads it from the state in
+:meth:`ExecutionListener.on_access`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import FrozenSet, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.runtime.memory import MemoryLocation
-from repro.runtime.threadstate import StackEntry
-from repro.symex.expr import Value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.state import ExecutionState
@@ -30,8 +38,6 @@ class MemoryAccess:
     pc: int
     label: str
     step: int
-    stack: Tuple[StackEntry, ...] = ()
-    value: Optional[Value] = None
 
     @property
     def kind(self) -> str:
@@ -65,11 +71,24 @@ class SyncEvent:
 class ExecutionListener:
     """Base listener with no-op callbacks; subclass and override as needed."""
 
+    #: names (``MemoryLocation.name``: a global or array name, or a heap
+    #: allocation id) of the locations whose accesses this listener wants;
+    #: ``None`` means every access.  Read only when the subclass overrides
+    #: :meth:`on_access`: a listener that does not wants no accesses.
+    access_names: Optional[FrozenSet[str]] = None
+
     def on_step(self, state: "ExecutionState", tid: int, pc: int) -> None:
         """Called after every interpreter step."""
 
     def on_access(self, state: "ExecutionState", access: MemoryAccess) -> None:
-        """Called for every shared-memory read and write."""
+        """Called for each shared-memory read and write the run builds an event for.
+
+        The run builds an event for an access when some listener of the run
+        wants its location (see :attr:`access_names`), so a listener that
+        declares a set of names may also see accesses to other locations and
+        must filter them itself.  ``state.thread(access.tid)`` is the
+        accessing thread, positioned at the accessing statement.
+        """
 
     def on_sync(self, state: "ExecutionState", event: SyncEvent) -> None:
         """Called for every synchronisation operation."""
@@ -90,20 +109,34 @@ class ExecutionListener:
 
 
 class ListenerGroup(ExecutionListener):
-    """Fans events out to an ordered collection of listeners."""
+    """Fans events out to an ordered collection of listeners.
+
+    ``access_names`` is the fold of the members' interest: ``None`` when any
+    member wants every access, else the union of their declared names.
+    Access events go only to the members that override ``on_access``.
+    """
 
     def __init__(self, listeners: Sequence[ExecutionListener] = ()) -> None:
         self.listeners = list(listeners)
-
-    def add(self, listener: ExecutionListener) -> None:
-        self.listeners.append(listener)
+        self._access_listeners = [
+            listener
+            for listener in self.listeners
+            if type(listener).on_access is not ExecutionListener.on_access
+        ]
+        names: Optional[FrozenSet[str]] = frozenset()
+        for listener in self._access_listeners:
+            if listener.access_names is None:
+                names = None
+                break
+            names |= listener.access_names
+        self.access_names = names
 
     def on_step(self, state, tid, pc) -> None:
         for listener in self.listeners:
             listener.on_step(state, tid, pc)
 
     def on_access(self, state, access) -> None:
-        for listener in self.listeners:
+        for listener in self._access_listeners:
             listener.on_access(state, access)
 
     def on_sync(self, state, event) -> None:

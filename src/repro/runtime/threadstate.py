@@ -181,7 +181,7 @@ class ThreadState:
             return top.stmts[top.index]
         return None
 
-    def stack_trace(self, program=None) -> Tuple[StackEntry, ...]:
+    def stack_trace(self) -> Tuple[StackEntry, ...]:
         """Report-friendly stack trace (innermost frame last)."""
         entries: List[StackEntry] = []
         for frame in self.frames:

@@ -153,6 +153,16 @@ class TestFoldSemantics:
                 cow_copies=3,
                 spin_cutoffs=2,
                 steps_skipped=900,
+                accesses=12,
+            ),
+            # written before the access counter existed
+            make_event(
+                "interp_stats",
+                statements=7,
+                forks=0,
+                cow_copies=0,
+                spin_cutoffs=0,
+                steps_skipped=0,
             ),
             # written before the spin cutoff counters existed
             make_event("interp_stats", interp="tree", statements=10, forks=0, cow_copies=1),
@@ -162,21 +172,22 @@ class TestFoldSemantics:
             ),
         ]
         stats = fold_events(events)
-        assert stats.interp_statements == 55
+        assert stats.interp_statements == 62
         assert stats.interp_spin_cutoffs == 2
         assert stats.interp_steps_skipped == 900
         assert "spin cutoffs=2, steps skipped=900" in stats.summary()
         assert summarize_events(events)["interpreter"] == {
-            "tasks": 3,
-            "statements": 55,
+            "tasks": 4,
+            "statements": 62,
             "forks": 3,
             "cow_copies": 4,
             "spin_cutoffs": 2,
             "steps_skipped": 900,
+            "accesses": 12,
         }
         assert (
-            "interpreter counters: tasks=3 statements=55 forks=3 cow_copies=4 "
-            "spin_cutoffs=2 steps_skipped=900"
+            "interpreter counters: tasks=4 statements=62 forks=3 cow_copies=4 "
+            "spin_cutoffs=2 steps_skipped=900 accesses=12"
         ) in render_events_info(events).splitlines()
 
     def test_solver_query_detail_is_not_double_counted(self):

@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro.engine import AnalysisEngine, CostModel, EngineOptions, PoolDispatcher
-from repro.engine.costmodel import payload_fingerprint
 from repro.engine.engine import choose_granularity
 from repro.engine.events import (
     fold_events,
@@ -71,9 +70,6 @@ class TestCostModel:
         size = model.chunk_size("classify", "fp", count, workers)
         chunk_count = -(-count // size)  # ceil
         assert chunk_count >= min(count, workers), (count, workers, size)
-        payloads = [{"workload": f"w{i}"} for i in range(count)]
-        chunks = model.pack_chunks("classify", payloads, workers)
-        assert len(chunks) >= min(count, workers)
 
     def test_warm_chunks_target_the_configured_seconds(self):
         model = CostModel(target_seconds=1.0)
@@ -85,26 +81,6 @@ class TestCostModel:
         for _ in range(20):
             model.observe("path", "slow", 5.0)
         assert model.chunk_size("path", "slow", 100, 4) == 1
-
-    def test_pack_chunks_orders_longest_expected_first(self):
-        model = CostModel(target_seconds=10.0)  # cost never closes a chunk
-        model.observe("classify", "slow", 3.0)
-        model.observe("classify", "fast", 0.01)
-        payloads = [{"program_fingerprint": "fast"}] * 7 + [
-            {"program_fingerprint": "slow"}
-        ]
-        chunks = model.pack_chunks("classify", payloads, 4)
-        # The expensive payload (index 7) leads the first chunk.
-        assert chunks[0][0][0] == 7
-        covered = sorted(index for indices, _cost in chunks for index in indices)
-        assert covered == list(range(len(payloads)))
-        upper = -(-len(payloads) // 4)  # 8 payloads, 4 workers, 2 waves
-        assert all(len(indices) <= upper for indices, _cost in chunks)
-
-    def test_payload_fingerprint_prefers_program_hash(self):
-        assert payload_fingerprint({"program_fingerprint": "abc"}) == "abc"
-        assert payload_fingerprint({"workload": "bbuf"}) == "bbuf"
-        assert payload_fingerprint({}) == ""
 
 
 class TestCostAwareGranularity:
