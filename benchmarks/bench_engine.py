@@ -6,8 +6,8 @@ per race) and ``stress_harmful`` (hundreds of crash races, the
 evidence-heavy classification path) workloads through the engine three
 ways:
 
-1. serially at race granularity (the reference),
-2. over a process pool at the default ``auto`` granularity,
+1. serially (the reference),
+2. over a process pool,
 3. twice against a shared cache directory (cold, then warm -- the warm run
    must classify nothing).
 
@@ -15,16 +15,14 @@ A/B comparisons quantify the hot-path optimizations:
 
 * **solver cache** -- the memoizing solver on vs off on ``stress_deep``
   (wall time plus enumerated-assignment counts; the memo must cut
-  enumeration by at least 30%),
+  enumeration by at least 30%), and
 * **fault recovery** -- the pooled engine under a deterministic fault
   plan (one worker crash, one hang, one malformed result) vs the same
   fault-free run on the mixed ``stress_harmful`` + ``stress_deep`` batch:
   the supervised pool must absorb every fault (respawn >= 1, at most one
   task quarantined, zero run-wide serial downgrades), keep verdicts
   bit-identical to the serial reference, and finish within 1.5x the
-  fault-free wall clock, and
-* **fork cost** -- the copy-on-write ``clone()`` must fork a deep
-  ``stress_deep`` state faster than the eager deep copy it replaced.
+  fault-free wall clock.
 
 Classifications are verified bit-identical across all modes.  Running the
 file directly emits a JSON artifact (``bench_engine.json``) with every
@@ -42,8 +40,7 @@ import time
 import repro.symex.solver as solver_mod
 from repro.engine import AnalysisEngine, EngineOptions
 from repro.engine.events import fold_events, load_events
-from repro.runtime.executor import Executor
-from repro.workloads import all_workload_names, load_workload
+from repro.workloads import all_workload_names
 
 WORKERS = min(4, os.cpu_count() or 1)
 
@@ -72,12 +69,10 @@ def run_comparison(names=None):
     serial_runs = AnalysisEngine().analyze(names)
     serial_seconds = time.perf_counter() - started
 
-    # The default "auto" grain, as the pooled_registry benchmark runs it:
-    # forced path grain pays a plan + per-path round trip for every race.
     started = time.perf_counter()
-    parallel_runs = AnalysisEngine(
-        options=EngineOptions(parallel=WORKERS, granularity="auto")
-    ).analyze(names)
+    parallel_runs = AnalysisEngine(options=EngineOptions(parallel=WORKERS)).analyze(
+        names
+    )
     parallel_seconds = time.perf_counter() - started
 
     with tempfile.TemporaryDirectory() as cache_dir:
@@ -103,7 +98,6 @@ def run_comparison(names=None):
     outcome["solver_cache"] = run_solver_cache_comparison()
     outcome["events"] = run_events_check()
     outcome["fault_recovery"] = run_fault_recovery_comparison()
-    outcome["fork_cost"] = _fork_cost()
     return outcome
 
 
@@ -123,12 +117,12 @@ def run_fault_recovery_comparison(names=("stress_harmful", "stress_deep")):
     measures recovery cost rather than a deadline wait (the watchdog path
     has its own tests in ``tests/test_faults.py``).
     """
-    serial_runs = AnalysisEngine(
-        options=EngineOptions(parallel=0, granularity="race")
-    ).analyze(list(names))
+    serial_runs = AnalysisEngine(options=EngineOptions(parallel=0)).analyze(
+        list(names)
+    )
     reference = _signature(serial_runs)
 
-    pool_options = dict(parallel=WORKERS, granularity="auto")
+    pool_options = dict(parallel=WORKERS)
     started = time.perf_counter()
     clean_runs = AnalysisEngine(options=EngineOptions(**pool_options)).analyze(
         list(names)
@@ -187,9 +181,7 @@ def run_events_check(names=("stress_deep",)):
     must reproduce exactly the ``EngineStats`` the run reported, counter for
     counter.
     """
-    pool_options = dict(
-        parallel=WORKERS, granularity="path" if WORKERS > 1 else "auto"
-    )
+    pool_options = dict(parallel=WORKERS)
     plain_runs = AnalysisEngine(options=EngineOptions(**pool_options)).analyze(
         list(names)
     )
@@ -210,39 +202,6 @@ def run_events_check(names=("stress_deep",)):
         "solver_query_events": by_kind.get("solver_query", 0),
         "identical": _signature(plain_runs) == _signature(logged_runs),
         "fold_matches": fold_events(events) == engine.last_run_stats,
-    }
-
-
-def _fork_cost(name="stress_deep", warmup_steps=400, clones=200):
-    """Time ``clone()`` (copy-on-write) vs ``clone_eager()`` (deep copy).
-
-    The state is a mid-execution snapshot of the deep-path stress workload
-    -- live threads, frames, sync objects and memory -- i.e. the exact shape
-    ``_fork_branch`` duplicates at every symbolic branch.  COW forking is
-    O(touched-on-write) instead of O(state), so it must win outright.
-    """
-    workload = load_workload(name)
-    executor = Executor(workload.program)
-    state = executor.initial_state(concrete_inputs=dict(workload.inputs))
-    executor.run(state, max_steps=warmup_steps)
-
-    started = time.perf_counter()
-    for _clone in range(clones):
-        state.clone()
-    cow_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    for _clone in range(clones):
-        state.clone_eager()
-    eager_seconds = time.perf_counter() - started
-
-    return {
-        "workload": name,
-        "warmup_steps": warmup_steps,
-        "clones": clones,
-        "cow_seconds": cow_seconds,
-        "eager_seconds": eager_seconds,
-        "speedup": (eager_seconds / cow_seconds) if cow_seconds else 0.0,
     }
 
 
@@ -294,15 +253,13 @@ def render(outcome):
     solver_cache = outcome["solver_cache"]
     events = outcome["events"]
     fault_recovery = outcome["fault_recovery"]
-    fork_cost = outcome["fork_cost"]
     lines = [
         "Engine benchmark: serial vs parallel vs warm cache",
         f"{'workloads':<26} {len(serial_runs)}",
         f"{'distinct races':<26} {races}",
         f"{'worker processes':<26} {WORKERS} (host cpus: {os.cpu_count()})",
-        f"{'serial wall-clock':<26} {outcome['serial_seconds']:.2f}s  (race granularity)",
-        f"{'parallel wall-clock':<26} {outcome['parallel_seconds']:.2f}s  "
-        "(auto granularity)",
+        f"{'serial wall-clock':<26} {outcome['serial_seconds']:.2f}s",
+        f"{'parallel wall-clock':<26} {outcome['parallel_seconds']:.2f}s",
         f"{'parallel speedup':<26} {speedup:.2f}x",
         f"{'cold cached run':<26} {outcome['cold_seconds']:.2f}s",
         f"{'warm cached run':<26} {outcome['warm_seconds']:.2f}s  "
@@ -334,12 +291,6 @@ def render(outcome):
         f"{fault_recovery['faulted']['pool_downgrades']} downgrades)",
         f"{'recovery overhead':<26} {fault_recovery['overhead']:.2f}x",
         f"{'verdicts identical':<26} {fault_recovery['identical']}",
-        "",
-        f"Fork cost ({fork_cost['workload']}):",
-        f"{'fork cost (COW)':<26} {fork_cost['cow_seconds']:.4f}s  "
-        f"({fork_cost['clones']} clones of a {fork_cost['workload']} state)",
-        f"{'fork cost (eager copy)':<26} {fork_cost['eager_seconds']:.4f}s  "
-        f"({fork_cost['speedup']:.2f}x slower than COW)",
     ]
     return "\n".join(lines)
 
@@ -361,7 +312,6 @@ def to_artifact(outcome):
         "solver_cache": outcome["solver_cache"],
         "events": outcome["events"],
         "fault_recovery": outcome["fault_recovery"],
-        "fork_cost": outcome["fork_cost"],
     }
 
 
@@ -369,7 +319,7 @@ def verify(outcome):
     """Correctness gates, shared by the pytest entry point and __main__.
 
     Running the file directly (as the CI bench job does) must fail loudly if
-    per-path parallel classification ever diverges from serial, the warm
+    parallel classification ever diverges from serial, the warm
     cache re-classifies, or the solver memo stops earning its keep.
     """
     assert _signature(outcome["serial_runs"]) == _signature(outcome["parallel_runs"])
@@ -401,9 +351,6 @@ def verify(outcome):
     # engine runs serially and the driver never injects.
     fault_recovery = outcome["fault_recovery"]
     assert fault_recovery["identical"], fault_recovery
-    # The COW fork beats the eager deep copy it replaced.
-    fork_cost = outcome["fork_cost"]
-    assert fork_cost["cow_seconds"] < fork_cost["eager_seconds"], fork_cost
     if (os.cpu_count() or 1) > 1 and WORKERS > 1:
         # Real parallel hardware must beat the serial pipeline on a
         # multi-race batch (hundreds of independent tasks).

@@ -12,14 +12,11 @@
 3. the race is classified "k-witness harmless" with k = Mp × Ma only if every
    explored combination produced equivalent behaviour.
 
-The stages are exposed individually so the analysis engine can distribute
-them: :func:`run_single_stage` produces a JSON-clean
+``classify_race`` composes the stages: :func:`run_single_stage` produces a
 :class:`SingleStageOutcome`, :func:`needs_multipath` decides whether
 Algorithm 2 applies, and :func:`finalize_single` /
 :func:`finalize_multipath` turn stage outcomes into the final
-:class:`ClassifiedRace`.  ``classify_race`` composes exactly these
-functions, so a classification assembled from distributed pieces is
-bit-identical to the serial call.
+:class:`ClassifiedRace`.
 """
 
 from __future__ import annotations
@@ -41,11 +38,10 @@ from repro.runtime.executor import Executor
 
 @dataclass
 class SingleStageOutcome:
-    """JSON-clean summary of Algorithm 1 for one race.
+    """Summary of Algorithm 1 for one race.
 
     Carries exactly the pieces of the single-pre/single-post result that the
-    rest of the pipeline consumes, so it can cross a process boundary (the
-    engine's per-race plan task returns one).
+    rest of the pipeline consumes.
     """
 
     #: RaceClass value string (``OUTPUT_SAME`` means "inconclusive")
@@ -57,25 +53,6 @@ class SingleStageOutcome:
 
     def race_class(self) -> RaceClass:
         return RaceClass(self.verdict)
-
-    # ---------------------------------------------------------- serialization
-
-    def to_dict(self) -> Dict:
-        return {
-            "verdict": self.verdict,
-            "analysis_steps": self.analysis_steps,
-            "post_race_states_differ": self.post_race_states_differ,
-            "evidence": dict(self.evidence),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "SingleStageOutcome":
-        return cls(
-            verdict=data["verdict"],
-            analysis_steps=data["analysis_steps"],
-            post_race_states_differ=data["post_race_states_differ"],
-            evidence=dict(data["evidence"]),
-        )
 
 
 def run_single_stage(

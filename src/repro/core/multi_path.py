@@ -7,13 +7,11 @@ post-race schedules, watches for specification violations, and compares the
 alternates' concrete outputs against the primary's symbolic outputs.
 
 The per-path work is factored into :func:`analyze_primary_path`, which
-returns a JSON-clean :class:`PathVerdict`, and the cross-path aggregation
-into :func:`merge_path_verdicts`.  This split is what allows the analysis
-engine to classify one race at ``(race, primary-path)`` granularity: workers
-analyze individual paths independently (RNG seeding is per
-``(race_id, path_index)``, see :meth:`PortendConfig.race_seed`) and the
-deterministic merge recombines their verdicts into a result bit-identical to
-the serial loop below.
+returns a :class:`PathVerdict`, and the cross-path aggregation into
+:func:`merge_path_verdicts`; :func:`classify_multipath` runs one after the
+other.  Each path is analyzed independently of the others (RNG seeding is
+per ``(race_id, path_index)``, see :meth:`PortendConfig.race_seed`), and the
+merge consumes the verdicts in path order.
 """
 
 from __future__ import annotations
@@ -63,11 +61,9 @@ class MultiPathResult:
 class PathVerdict:
     """One primary path's contribution to a race's multi-path verdict.
 
-    The fields mirror exactly what the serial per-path loop accumulates into
+    The fields mirror exactly what the per-path loop accumulates into
     the shared evidence/counters, so :func:`merge_path_verdicts` can replay
-    the aggregation without re-running any execution.  Everything is
-    JSON-serializable: path verdicts cross process boundaries as the payload
-    of the engine's ``PathTask`` results.
+    the aggregation without re-running any execution.
     """
 
     path_index: int
@@ -91,50 +87,6 @@ class PathVerdict:
     saw_output_difference: bool = False
     output_difference: List[Tuple[str, str]] = field(default_factory=list)
     difference_inputs: Dict[str, int] = field(default_factory=dict)
-
-    # ---------------------------------------------------------- serialization
-
-    def to_dict(self) -> Dict:
-        return {
-            "path_index": self.path_index,
-            "symbolic_branches": self.symbolic_branches,
-            "reached_race": self.reached_race,
-            "spec_violated": self.spec_violated,
-            "spec_violation_kind": (
-                self.spec_violation_kind.value if self.spec_violation_kind else None
-            ),
-            "crash_description": self.crash_description,
-            "failing_inputs": dict(self.failing_inputs),
-            "failing_schedule": list(self.failing_schedule),
-            "schedules_explored": self.schedules_explored,
-            "witnesses": self.witnesses,
-            "notes": list(self.notes),
-            "saw_output_difference": self.saw_output_difference,
-            "output_difference": [list(pair) for pair in self.output_difference],
-            "difference_inputs": dict(self.difference_inputs),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "PathVerdict":
-        kind = data["spec_violation_kind"]
-        return cls(
-            path_index=data["path_index"],
-            symbolic_branches=data["symbolic_branches"],
-            reached_race=data["reached_race"],
-            spec_violated=data["spec_violated"],
-            spec_violation_kind=SpecViolationKind(kind) if kind else None,
-            crash_description=data["crash_description"],
-            failing_inputs=dict(data["failing_inputs"]),
-            failing_schedule=list(data["failing_schedule"]),
-            schedules_explored=data["schedules_explored"],
-            witnesses=data["witnesses"],
-            notes=list(data["notes"]),
-            saw_output_difference=data["saw_output_difference"],
-            output_difference=[
-                (first, second) for first, second in data["output_difference"]
-            ],
-            difference_inputs=dict(data["difference_inputs"]),
-        )
 
 
 def analyze_primary_path(
@@ -273,8 +225,7 @@ def merge_path_verdicts(
     early return on the first specification violation: verdicts are consumed
     in path-index order, counters from paths after the first violating path
     are ignored, and the first output difference (in path order) supplies the
-    evidence.  Given the same verdicts, the merge is a pure function -- it is
-    the reduction step of the engine's per-path parallel classification.
+    evidence.  Given the same verdicts, the merge is a pure function.
     """
     evidence = ClassificationEvidence()
     witnesses = 0
@@ -333,12 +284,9 @@ def classify_multipath(
 ) -> MultiPathResult:
     """Run the multi-path (and optionally multi-schedule) analysis for a race.
 
-    Serial composition of the per-path split: explore the primaries once,
-    analyze them in path order (stopping at the first specification
-    violation, whose later siblings the merge would discard anyway), then
-    merge.  The engine's per-path parallel mode runs the same
-    :func:`analyze_primary_path` bodies in worker processes and the same
-    :func:`merge_path_verdicts` reduction in the parent.
+    Explore the primaries once, analyze them in path order (stopping at the
+    first specification violation, whose later siblings the merge would
+    discard anyway), then merge.
     """
     explorer = MultiPathExplorer.for_config(executor, program, trace, race, config)
     primaries = explorer.explore()

@@ -3,15 +3,15 @@
 * :mod:`repro.engine.engine` -- :class:`AnalysisEngine`, the
   record→detect→classify pipeline as one full-stream drain over a
   ``concurrent.futures`` process pool (or, serially, the driving process)
-  with a deterministic per-path merge,
+  with a deterministic per-race merge,
 * :mod:`repro.engine.dispatch` -- :class:`PoolDispatcher`, the run-lifetime
   persistent pool, and :class:`PoolSupervisor`, the retry / respawn /
   quarantine layer every drain runs under,
 * :mod:`repro.engine.costmodel` -- :class:`CostModel`, the online EWMA
-  task-cost estimates behind adaptive chunk sizing, cost-aware
-  race-vs-path granularity, and longest-expected-first submission,
-* :mod:`repro.engine.tasks` -- the work items (``RecordTask``,
-  ``ClassificationTask``, ``PlanTask``, ``PathTask``), their picklable
+  task-cost estimates behind adaptive chunk sizing and
+  longest-expected-first submission,
+* :mod:`repro.engine.tasks` -- the work items (``RecordTask`` and
+  ``ClassificationTask``), their picklable
   worker entry points, and the pool initializer that installs each worker's
   lifetime solver-cache state,
 * :mod:`repro.engine.cache` -- the on-disk trace cache keyed by
@@ -27,12 +27,7 @@ from repro.engine.cache import ClassificationCache, TraceCache, collect_cache_in
 from repro.engine.costmodel import CostModel
 from repro.engine.dispatch import PoolDispatcher, validate_worker_output
 from repro.engine.errors import EngineError, FaultPlanError
-from repro.engine.engine import (
-    AnalysisEngine,
-    EngineOptions,
-    EngineRun,
-    choose_granularity,
-)
+from repro.engine.engine import AnalysisEngine, EngineOptions, EngineRun
 from repro.engine.events import (
     EVENT_KINDS,
     EventBuffer,
@@ -47,11 +42,7 @@ from repro.engine.faults import FaultPlan, resolve_fault_plan
 from repro.engine.stats import EngineStats
 from repro.engine.tasks import (
     ClassificationTask,
-    PathTask,
-    PlanTask,
     RecordTask,
-    execute_path_task,
-    execute_plan_task,
     execute_record_task,
     execute_task,
     pool_worker_initializer,
@@ -61,7 +52,6 @@ __all__ = [
     "AnalysisEngine",
     "EngineOptions",
     "EngineRun",
-    "choose_granularity",
     "collect_cache_info",
     "EngineError",
     "FaultPlanError",
@@ -74,12 +64,8 @@ __all__ = [
     "ClassificationCache",
     "ClassificationTask",
     "RecordTask",
-    "PlanTask",
-    "PathTask",
     "execute_task",
     "execute_record_task",
-    "execute_plan_task",
-    "execute_path_task",
     "pool_worker_initializer",
     "EngineStats",
     "EVENT_KINDS",

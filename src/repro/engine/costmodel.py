@@ -1,7 +1,7 @@
 """Online task-cost model for the adaptive scheduler.
 
 The dispatcher used to size chunks with static width math (``len // 4·workers``
-for wide queues, pool width for path batches): correct on homogeneous queues,
+for wide queues): correct on homogeneous queues,
 wasteful on skewed ones, where a chunk that happened to collect the expensive
 tasks runs long after the rest of the pool drained.  This module replaces the
 static guesses with an **online cost model**: every finished task's
@@ -22,10 +22,6 @@ runs, never what it computes -- so a cold, empty, or wildly wrong model
 cannot affect verdicts, only wall-clock.  A model lives for one engine run:
 it starts cold and nothing of it is persisted.
 
-The same estimates feed ``choose_granularity``, which weighs the expected
-cost of splitting a race into plan + path tasks against classifying it
-whole (:meth:`CostModel.split_costs`).
-
 **Chunk-size invariants.**  ``chunk_size`` guarantees at least
 ``min(count, 2 * workers)`` chunks whenever the queue has at least two tasks
 per worker, and at least ``min(count, workers)`` chunks always -- this is
@@ -37,7 +33,7 @@ single chunk can serialize the whole queue onto one worker.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 #: default EWMA smoothing factor: new observations carry 30% weight, so the
 #: model adapts within a few tasks without thrashing on one outlier
@@ -101,22 +97,6 @@ class CostModel:
         if seconds is not None:
             self.observe(kind, fingerprint, seconds)
         return seconds
-
-    def split_costs(self, fingerprint: str) -> Tuple[float, float]:
-        """(whole-race cost, split critical-path cost) for one workload.
-
-        The split cost is the expected latency of the plan-then-paths
-        pipeline for a single race: the plan plus one path slice (paths run
-        in parallel, so one slice approximates the critical path).  Both
-        are 0.0 when the model is cold, which callers must treat as "no
-        opinion".
-        """
-        race_cost = self.estimate("classify", fingerprint)
-        plan_cost = self.estimate("plan", fingerprint)
-        path_cost = self.estimate("path", fingerprint)
-        if plan_cost <= 0 and path_cost <= 0:
-            return race_cost, 0.0
-        return race_cost, plan_cost + path_cost
 
     @staticmethod
     def output_seconds(output: Optional[Mapping]) -> Optional[float]:

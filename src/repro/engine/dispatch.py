@@ -1,8 +1,8 @@
 """Pool lifecycle and supervision for the engine's one scheduler.
 
 :class:`PoolDispatcher` owns one persistent process pool per engine run,
-fed by the engine's full-stream drain: records, classifications, plans and
-paths all live in one ``wait(FIRST_COMPLETED)`` loop, so stage-3 work of
+fed by the engine's full-stream drain: records and classifications all
+live in one ``wait(FIRST_COMPLETED)`` loop, so stage-3 work of
 one workload runs while another workload is still recording (see
 ``AnalysisEngine._stream_pipeline``).  The pool is created eagerly by
 :meth:`PoolDispatcher.warm` (or lazily on first use) with
@@ -79,9 +79,7 @@ from repro.engine.errors import EngineError
 from repro.engine.events import EventLogger
 from repro.engine.tasks import (
     execute_noop_task,
-    execute_path_task,
     execute_payload_chunk,
-    execute_plan_task,
     execute_record_task,
     execute_task,
     pool_worker_initializer,
@@ -91,8 +89,6 @@ from repro.engine.tasks import (
 _WORKER_KINDS = {
     execute_record_task: "record",
     execute_task: "classify",
-    execute_plan_task: "plan",
-    execute_path_task: "path",
 }
 
 #: auto deadline = max(floor, multiplier × the chunk's EWMA estimate)
@@ -130,13 +126,7 @@ def describe_task(kind: str, payload: Mapping) -> str:
     name = f"{kind} task for workload {payload.get('workload', '?')!r}"
     if payload.get("race_id") is not None:
         name += f", race {payload['race_id']}"
-    if payload.get("path_index") is not None:
-        name += f", path {payload['path_index']}"
     return name
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
@@ -149,7 +139,7 @@ def validate_worker_output(kind: str, payload: Mapping, output) -> None:
     Each task kind has required keys/types; a worker that returns a
     wrong-shaped dict (bit rot, a fault plan's ``malformed`` op, a future
     network transport) raises :class:`EngineError` naming the task here,
-    instead of a bare ``KeyError`` deep inside ``_merge_path_results``.
+    instead of a bare ``KeyError`` deep inside the engine's merge.
     """
     name = describe_task(kind, payload)
     if not isinstance(output, Mapping):
@@ -170,19 +160,6 @@ def validate_worker_output(kind: str, payload: Mapping, output) -> None:
     elif kind == "classify":
         need("classified", lambda v: isinstance(v, Mapping),
              "must be a classified-race dict")
-    elif kind == "plan":
-        need("single", lambda v: isinstance(v, Mapping),
-             "must be a single-stage outcome dict")
-        need("needs_paths", lambda v: isinstance(v, bool), "must be a bool")
-        need("path_count", _is_int, "must be an int")
-        need("primaries", lambda v: isinstance(v, list), "must be a list")
-        need("states_pruned", _is_int, "must be an int")
-        need("prune_reasons", lambda v: isinstance(v, list), "must be a list")
-        need("seconds", _is_number, "must be a number")
-    elif kind == "path":
-        need("path_index", _is_int, "must be an int")
-        need("verdict", lambda v: isinstance(v, Mapping), "must be a verdict dict")
-        need("seconds", _is_number, "must be a number")
     # other kinds ("task", e.g. warm-up no-ops) only need to be a Mapping
 
 
@@ -190,8 +167,6 @@ def _payload_identity(payload: Mapping) -> Dict:
     identity: Dict = {}
     if payload.get("race_id") is not None:
         identity["race"] = payload["race_id"]
-    if payload.get("path_index") is not None:
-        identity["path"] = payload["path_index"]
     return identity
 
 

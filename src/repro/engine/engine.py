@@ -2,9 +2,8 @@
 
 Portend's cost is dominated by per-race alternate-schedule exploration
 (§3.3-§3.4), and every unit of that cost is independent of every other: the
-workload recordings are independent programs, the races of one trace are
-independent classifications, and the Mp primary paths of one race are
-independent explorations.  The engine exploits all three levels:
+workload recordings are independent programs and the races of one trace are
+independent classifications.  The engine exploits both levels:
 
 * **Stage 1 -- record.** Each workload's recording is a
   :class:`~repro.engine.tasks.RecordTask`, with the on-disk
@@ -12,34 +11,28 @@ independent explorations.  The engine exploits all three levels:
 * **Stage 2 -- detect.** Race detection runs inline with the recording (the
   happens-before detector is an execution listener), so detection rides the
   same queue instead of a separate serial pass.
-* **Stage 3 -- classify.** At *race* granularity one
-  :class:`~repro.engine.tasks.ClassificationTask` classifies a whole race; at
-  *path* granularity a :class:`~repro.engine.tasks.PlanTask` per race runs
-  Algorithm 1 and counts the primary paths, one
-  :class:`~repro.engine.tasks.PathTask` per ``(race, primary-path)`` returns
-  a partial :class:`~repro.core.multi_path.PathVerdict`, and a deterministic
-  merge in this module recombines the partials into a ``ClassifiedRace``
-  bit-identical to the serial result.  The
-  :class:`~repro.engine.cache.ClassificationCache` is this stage's backing
-  store: warm re-runs skip classification entirely.
+* **Stage 3 -- classify.** One
+  :class:`~repro.engine.tasks.ClassificationTask` classifies a whole race
+  with ``Portend.classify_race`` -- the same call a serial facade run
+  makes.  The :class:`~repro.engine.cache.ClassificationCache` is this
+  stage's backing store: warm re-runs skip classification entirely.
 
 Every batch runs through one scheduler, the full-stream drain
-(:meth:`AnalysisEngine._stream_drain`): record, classify, plan and path
-chunks all share one ``wait(FIRST_COMPLETED)`` loop over a
+(:meth:`AnalysisEngine._stream_drain`): record and classify chunks share one
+``wait(FIRST_COMPLETED)`` loop over a
 :class:`~repro.engine.dispatch.PoolSupervisor`.  A landed recording
-immediately submits its workload's stage-3 work, and a landed plan
-immediately fans out its :class:`~repro.engine.tasks.PathTask` chunks, so
-stage 3 of one workload overlaps stage 1 of the next and the pool never
-idles at a stage boundary.  Chunk sizes and submission order come from an
+immediately submits its workload's stage-3 work, so stage 3 of one workload
+overlaps stage 1 of the next and the pool never idles at a stage
+boundary.  Chunk sizes and submission order come from an
 online cost model (:mod:`repro.engine.costmodel`).  A serial run is the same
 drain with no pool: the supervisor executes each submitted chunk in the
 driving process.
 
 Determinism: every random decision during classification derives from
-``PortendConfig.race_seed(race_id, path_index)``, and partial results are
-keyed by ``(recording index, race_id, path_index)`` and merged in path
-order, so the engine produces classifications bit-identical to the serial
-run regardless of worker count, task granularity, or completion order.
+``PortendConfig.race_seed(race_id, path_index)``, and results are keyed by
+``(recording index, race_id)`` and consumed in trace order, so the engine
+produces classifications bit-identical to the serial run regardless of
+worker count or completion order.
 """
 
 from __future__ import annotations
@@ -49,17 +42,11 @@ import os
 import time
 from concurrent.futures import wait
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.alternate import reset_replay_memo
 from repro.core.categories import ClassifiedRace
-from repro.core.classifier import (
-    SingleStageOutcome,
-    finalize_multipath,
-    finalize_single,
-)
 from repro.core.config import PortendConfig
-from repro.core.multi_path import PathVerdict, merge_path_verdicts
 from repro.engine.cache import ClassificationCache, TraceCache
 from repro.engine.costmodel import CostModel
 from repro.engine.dispatch import PoolDispatcher, env_int, picklable
@@ -68,11 +55,7 @@ from repro.engine.faults import FaultPlan, resolve_fault_plan
 from repro.engine.stats import EngineStats
 from repro.engine.tasks import (
     ClassificationTask,
-    PathTask,
-    PlanTask,
     RecordTask,
-    execute_path_task,
-    execute_plan_task,
     execute_record_task,
     execute_task,
 )
@@ -80,9 +63,6 @@ from repro.explore.paths import reset_explore_memo
 from repro.record_replay.trace import ExecutionTrace
 from repro.symex.solver import reset_worker_caches
 from repro.workloads import Workload, all_workloads, load_workload
-
-#: stage-3 task granularities (see EngineOptions.granularity)
-GRANULARITIES = ("auto", "race", "path")
 
 #: monotonic source of trace tokens -- process-unique, never reused, so
 #: in-driver task execution can never be served a stale memoized trace
@@ -127,13 +107,11 @@ class EngineOptions:
     cache_dir: Optional[str] = None
     #: also enable each workload's "what-if" semantic predicates
     use_semantic_predicates: bool = False
-    #: stage-3 task granularity: "race" classifies a whole race per task,
-    #: "path" fans each race out into per-primary-path tasks, and "auto"
-    #: adapts per workload when a pool is in use (see
-    #: :func:`choose_granularity`) and stays at "race" serially
+    #: pinned to "auto" (every stage-3 task classifies one whole race);
+    #: any other value raises.  Kept only because the benchmark harness
+    #: passes every field by keyword -- a benchmark change will remove it.
     granularity: str = "auto"
-    #: pinned to True (every path task classifies the primary its plan
-    #: shipped); False raises.  Kept only because the benchmark harness
+    #: pinned to True; False raises.  Kept only because the benchmark harness
     #: passes every field by keyword -- a benchmark change will remove it.
     ship_primaries: bool = True
     #: on-disk entry bound for each cache layer (LRU-evicted beyond it);
@@ -192,52 +170,17 @@ class EngineOptions:
             raise ValueError("the persistent solver warm tier was removed")
         if self.ship_primaries is not True:
             raise ValueError(
-                "the re-exploration fallback was removed; path tasks always "
-                "classify their shipped primary"
+                "the re-exploration fallback was removed"
+            )
+        if self.granularity != "auto":
+            raise ValueError(
+                f"granularity is pinned to 'auto', got {self.granularity!r}; "
+                "the per-path task grain was removed"
             )
         if self.chunk_target_ms != 500:
             raise ValueError(
                 f"chunk_target_ms is pinned to 500, got {self.chunk_target_ms!r}"
             )
-
-
-def choose_granularity(
-    distinct_races: int,
-    workers: int,
-    race_cost: float = 0.0,
-    split_cost: float = 0.0,
-) -> str:
-    """Pick a stage-3 grain for one workload from the batch shape.
-
-    Worker count alone is a bad signal: per-path tasks exist to keep a pool
-    busy, but a workload whose trace already contains more races than the
-    pool is wide gets all the concurrency it needs from per-race tasks, and
-    the path fan-out only adds plan/merge overhead.  The chooser therefore
-    keys on *distinct races per workload versus pool width*: an
-    ``experiments all --parallel N`` batch classifies SQLite-like workloads
-    (one race) at path granularity and stress-like workloads (hundreds of
-    races) at race granularity within the same run.
-
-    The 2x headroom factor keeps per-race tasks from merely matching the
-    pool width: with fewer than two waves of race tasks per worker, stragglers
-    leave the pool idle at the tail, which is exactly where path fan-out pays.
-
-    When the cost model has latency history for the workload, the shape rule
-    is refined by *expected cost*: ``race_cost`` is the estimated seconds to
-    classify one race whole, ``split_cost`` the estimated plan + per-path
-    seconds of splitting it.  Splitting only shortens the critical path when
-    the per-path pieces are cheaper than the whole-race task; when the
-    history says ``split_cost >= race_cost`` (the plan overhead dominates),
-    the fan-out cannot pay and the chooser stays at race granularity.  Cold
-    estimates (zeros) leave the shape-based decision untouched.
-    """
-    if workers is None or workers <= 1:
-        return "race"
-    if distinct_races >= 2 * workers:
-        return "race"
-    if race_cost > 0.0 and split_cost > 0.0 and split_cost >= race_cost:
-        return "race"
-    return "path"
 
 
 @dataclass
@@ -277,11 +220,6 @@ class AnalysisEngine:
     ) -> None:
         self.config = config or PortendConfig()
         self.options = options or EngineOptions()
-        if self.options.granularity not in GRANULARITIES:
-            raise ValueError(
-                f"unknown granularity {self.options.granularity!r}; "
-                f"expected one of {', '.join(GRANULARITIES)}"
-            )
         #: the run's structured event stream: the single source every
         #: counter is folded from (see :mod:`repro.engine.events`)
         self.events = EventLogger()
@@ -341,7 +279,6 @@ class AnalysisEngine:
             "run_start",
             workloads=[workload.name for workload in workloads],
             parallel=self.options.parallel,
-            granularity=self.options.granularity,
         )
         self._run_started = time.perf_counter()
 
@@ -421,45 +358,26 @@ class AnalysisEngine:
 
     # ------------------------------------------------------------ full stream
 
-    def _workload_granularity(
-        self, distinct_races: int, costs: Tuple[float, float], workers: int
-    ) -> str:
-        """The per-workload stage-3 grain.
-
-        ``costs`` is the workload's ``(race_cost, split_cost)`` estimate
-        pair and ``workers`` the width of the pool its tasks will run on (1
-        in the driver), both frozen at drain start so mid-drain cost-model
-        updates cannot make the choice depend on completion order.
-        """
-        if self.options.granularity != "auto":
-            return self.options.granularity
-        race_cost, split_cost = costs
-        return choose_granularity(
-            distinct_races, workers, race_cost=race_cost, split_cost=split_cost
-        )
-
     def _stream_pipeline(self, workloads: Sequence[Workload]) -> List[EngineRun]:
-        """The run-wide scheduler: record, classify, plan and path chunks in
-        one ``wait(FIRST_COMPLETED)`` loop.
+        """The run-wide scheduler: record and classify chunks in one
+        ``wait(FIRST_COMPLETED)`` loop.
 
         Stage 1 and stage 3 overlap across workloads: the moment a
         RecordTask lands, its workload's classification work (cache probes,
-        then ClassificationTask chunks or PlanTasks) is submitted to the
-        same supervisor, and each finished PlanTask immediately fans out its
-        PathTask chunks -- so classification of workload A runs while
-        workload B is still recording.  Chunk sizes and submission order
-        come from the run's :class:`~repro.engine.costmodel.CostModel`.
+        then ClassificationTask chunks) is submitted to the same supervisor,
+        so classification of workload A runs while workload B is still
+        recording.  Chunk sizes and submission order come from the run's
+        :class:`~repro.engine.costmodel.CostModel`.
 
         Without a pool -- a serial run, a pool that cannot be built, record
         payloads that do not pickle -- the drain runs over a supervisor with
         no pool, which executes every chunk in the driving process.  Nothing
         is emitted into the event stream until the drain finishes, and the
-        replay walks workloads in batch order (path partials sorted by path
-        index), so the merged stream is structurally bit-identical across
-        completion interleavings -- and verdicts are bit-identical to a
-        serial run because every task is deterministic and the merge
-        consumes results keyed by ``(index, race_id, path_index)`` in path
-        order, never in completion order.
+        replay walks workloads in batch order and races in trace order, so
+        the merged stream is structurally bit-identical across completion
+        interleavings -- and verdicts are bit-identical to a serial run
+        because every task is deterministic and results are consumed keyed
+        by ``(index, race_id)``, never in completion order.
         """
         config_data = self.config.to_dict()
         fingerprints = [
@@ -515,8 +433,8 @@ class AnalysisEngine:
         """Drive the full-stream drain loop, then replay the canonical event
         stream and merge (see :meth:`_stream_pipeline`)."""
         model = self.cost_model
-        # Pool width at drain start: grain choices and chunk sizes must not
-        # depend on whether the pool dies (and downgrades) mid-drain.
+        # Pool width at drain start: chunk sizes must not depend on whether
+        # the pool dies (and downgrades) mid-drain.
         workers = max(1, self.options.parallel or 1) if pool is not None else 1
         count = len(workloads)
 
@@ -526,29 +444,16 @@ class AnalysisEngine:
         #: per-workload classification-cache probe results, trace order
         cls_hits: List[Set[int]] = [set() for _ in range(count)]
         race_misses: List[List[Tuple[int, int, str]]] = [[] for _ in range(count)]
-        path_misses: List[List[Tuple[int, int, str]]] = [[] for _ in range(count)]
-        #: workloads whose stage-3 payloads run in the driver (no pool, or
-        #: they do not pickle)
-        inline: Set[int] = set()
 
         record_outputs: Dict[int, Dict] = {}
         race_outputs: Dict[Tuple[int, int], Dict] = {}
-        plans: Dict[Tuple[int, int], Dict] = {}
-        partials: Dict[Tuple[int, int], List[Dict]] = {}
         decisions: List[Dict] = []
-        in_flight = {"record": 0, "classify": 0, "plan": 0, "path": 0}
-        # Scheduling inputs are frozen *before* the drain starts: the cost
-        # model keeps learning mid-drain (observe_output), and reading live
-        # estimates inside the loop would make grain choices depend on
-        # completion order -- breaking the structural bit-identity the
-        # shuffled-completion harness enforces.
-        cost_frozen = [model.split_costs(fingerprint) for fingerprint in fingerprints]
+        in_flight = {"record": 0, "classify": 0}
         #: logical dispatch batches riding the already-acquired pool (inline
         #: batches do not count); the replay emits one ``pool reused`` per
         #: batch, independent of how many chunks the cost model packed
         pooled_batches = 0
         record_clock = _OverlapClock()
-        plan_clock = _OverlapClock()
         # Every submission rides the run's supervisor: a crash, hang or
         # malformed result retries / respawns / quarantines per the
         # degradation ladder in :mod:`repro.engine.dispatch` instead of
@@ -556,41 +461,10 @@ class AnalysisEngine:
         # injected so it stays the test suite's monkeypatch seam.
         supervisor = self._dispatcher.supervise(pool, wait_fn=wait)
 
-        def update_clocks():
-            stage3 = in_flight["classify"] + in_flight["plan"] + in_flight["path"]
-            record_clock.update(in_flight["record"], stage3)
-            plan_clock.update(in_flight["plan"], in_flight["path"])
-
-        def submit_chunks(kind, stage_misses, payloads, index):
-            """Submit one logical batch as cost-sized chunks."""
-            nonlocal pooled_batches
-            if index not in inline:
-                pooled_batches += 1
-            size = model.chunk_size(kind, fingerprints[index], len(payloads), workers)
-            estimate = model.estimate(kind, fingerprints[index])
-            worker_fn = execute_task if kind == "classify" else execute_path_task
-            for start in range(0, len(payloads), size):
-                chunk_payloads = payloads[start : start + size]
-                ref = (
-                    stage_misses[start : start + size]
-                    if kind == "classify"
-                    else stage_misses
-                )
-                supervisor.submit(
-                    worker_fn,
-                    chunk_payloads,
-                    tag=(
-                        kind,
-                        (ref, estimate * len(chunk_payloads), fingerprints[index]),
-                    ),
-                    estimate=estimate * len(chunk_payloads),
-                    inline=index in inline,
-                )
-                in_flight[kind] += 1
-
         def open_classification(index):
             """Probe the classification cache for one landed recording and
-            submit its stage-3 work."""
+            submit its stage-3 work as cost-sized chunks."""
+            nonlocal pooled_batches
             recording = recordings[index]
             workload = recording.workload
             predicates = list(workload.predicates)
@@ -628,6 +502,7 @@ class AnalysisEngine:
                 misses.append((index, race.race_id, key))
             if not misses:
                 return
+            race_misses[index] = misses
             # Serialize traces lazily: only workloads with at least one
             # cache miss pay for the wire format.  The token lets task
             # executors share one deserialization per trace.
@@ -635,43 +510,32 @@ class AnalysisEngine:
             context["trace_token"] = f"{os.getpid()}:{next(_TRACE_TOKENS)}"
             # Record payloads carry no predicates, so a closure-bearing
             # workload is only found unpicklable here; its stage 3 runs in
-            # the driver, at race grain under "auto" (path fan-out would
-            # buy no concurrency there).
-            width = workers
-            if pool is None or not picklable(workload.program, context["predicates"]):
-                inline.add(index)
-                width = 1
-            grain = self._workload_granularity(
-                len(recording.trace.races), cost_frozen[index], width
+            # the driver.
+            inline = pool is None or not picklable(
+                workload.program, context["predicates"]
             )
-            if grain == "race":
-                race_misses[index] = misses
-                payloads = [
-                    self._task_payload(
-                        ClassificationTask,
-                        recordings,
-                        contexts,
-                        config_data,
-                        miss_index,
-                        race_id,
-                    )
-                    for miss_index, race_id, _key in misses
-                ]
-                submit_chunks("classify", misses, payloads, index)
-            else:
-                path_misses[index] = misses
-                for miss in misses:
-                    payload = self._task_payload(
-                        PlanTask, recordings, contexts, config_data, miss[0], miss[1]
-                    )
-                    supervisor.submit(
-                        execute_plan_task,
-                        [payload],
-                        tag=("plan", miss),
-                        estimate=model.estimate("plan", fingerprints[index]),
-                        inline=index in inline,
-                    )
-                    in_flight["plan"] += 1
+            if not inline:
+                pooled_batches += 1
+            payloads = [
+                self._task_payload(recordings, contexts, config_data, index, race_id)
+                for _index, race_id, _key in misses
+            ]
+            size = model.chunk_size("classify", fingerprints[index], len(payloads), workers)
+            estimate = model.estimate("classify", fingerprints[index])
+            for start in range(0, len(payloads), size):
+                chunk_payloads = payloads[start : start + size]
+                chunk_estimate = estimate * len(chunk_payloads)
+                supervisor.submit(
+                    execute_task,
+                    chunk_payloads,
+                    tag=(
+                        "classify",
+                        (misses[start : start + size], chunk_estimate, fingerprints[index]),
+                    ),
+                    estimate=chunk_estimate,
+                    inline=inline,
+                )
+                in_flight["classify"] += 1
 
         # Submit the record queue longest-expected-first so the straggler
         # workload starts recording before its faster siblings fill the pool.
@@ -692,7 +556,7 @@ class AnalysisEngine:
         for index in range(count):
             if recordings[index] is not None:
                 open_classification(index)
-        update_clocks()
+        record_clock.update(in_flight["record"], in_flight["classify"])
 
         while not supervisor.done:
             for tag, chunk_outputs in supervisor.wait_some():
@@ -721,40 +585,22 @@ class AnalysisEngine:
                     record_outputs[index] = output
                     model.observe_output("record", fingerprints[index], output)
                     open_classification(index)
-                elif kind == "plan":
-                    output = chunk_outputs[0]
-                    index, race_id, _key = ref
-                    plans[(index, race_id)] = output
-                    model.observe_output("plan", fingerprints[index], output)
-                    payloads = list(
-                        self._path_payloads(
-                            recordings, contexts, config_data, index, race_id, output
-                        )
-                    )
-                    if payloads:
-                        submit_chunks("path", (index, race_id), payloads, index)
                 else:
-                    # classify: ``target`` is the chunk's misses; path: the
-                    # chunk's (index, race_id)
-                    target, estimate, fingerprint = ref
-                    if kind == "classify":
-                        for miss, item in zip(target, chunk_outputs):
-                            race_outputs[(miss[0], miss[1])] = item
-                    else:
-                        partials.setdefault(target, []).extend(chunk_outputs)
+                    chunk_misses, estimate, fingerprint = ref
                     actual = 0.0
-                    for item in chunk_outputs:
-                        seconds = model.observe_output(kind, fingerprint, item)
+                    for miss, item in zip(chunk_misses, chunk_outputs):
+                        race_outputs[(miss[0], miss[1])] = item
+                        seconds = model.observe_output("classify", fingerprint, item)
                         actual += seconds or 0.0
                     decisions.append(
                         {
-                            "stage": kind,
+                            "stage": "classify",
                             "chunk_size": len(chunk_outputs),
                             "estimated_seconds": estimate,
                             "actual_seconds": actual,
                         }
                     )
-                update_clocks()
+                record_clock.update(in_flight["record"], in_flight["classify"])
 
         # ------------------------------------------------- canonical replay
         # The drain finished; emit the run's events in batch order, exactly
@@ -799,7 +645,6 @@ class AnalysisEngine:
         # Pool bookkeeping only exists when a pool ran: a serial run keeps
         # pools_created == pool_reuses == 0 and reports no overlap.
         if pool is not None:
-            self.events.emit("stage_overlap", seconds=plan_clock.total())
             self.events.emit(
                 "stage_overlap", channel="record_classify", seconds=record_clock.total()
             )
@@ -811,30 +656,6 @@ class AnalysisEngine:
         # replay here, after the drain, exactly like scheduler decisions:
         # buffered at nondeterministic moments, emitted in canonical order.
         self._dispatcher.drain_recovery()
-        all_path_misses = [miss for index in range(count) for miss in path_misses[index]]
-        plan_list = [plans[(index, race_id)] for index, race_id, _key in all_path_misses]
-        for index, race_id, _key in all_path_misses:
-            self.events.emit(
-                "task_submit",
-                stage="plan",
-                workload=workloads[index].name,
-                race=race_id,
-            )
-        for (index, race_id, _key), plan in zip(all_path_misses, plan_list):
-            self.events.absorb(plan.get("events"))
-            for path_index in range(plan["path_count"] if plan["needs_paths"] else 0):
-                self.events.emit(
-                    "task_submit",
-                    stage="path",
-                    workload=workloads[index].name,
-                    race=race_id,
-                    path=path_index,
-                )
-            for item in sorted(
-                partials.get((index, race_id), ()), key=lambda o: o["path_index"]
-            ):
-                self.events.absorb(item.get("events"))
-        self._merge_path_results(recordings, all_path_misses, plan_list, partials, slots)
         return self._finalize_runs(recordings, slots, cached_counts)
 
     # ---------------------------------------------------------------- stage 3
@@ -867,15 +688,10 @@ class AnalysisEngine:
         return runs
 
     def _task_payload(
-        self, task_cls, recordings, contexts, config_data, index: int, race_id: int,
-        **extra,
+        self, recordings, contexts, config_data, index: int, race_id: int
     ) -> Dict:
-        """Build one stage-3 task payload (shared by both granularities).
-
-        The single place the per-race task fields are assembled, so the
-        race-granularity and path-granularity queues cannot drift apart.
-        """
-        return task_cls(
+        """Build one stage-3 :class:`ClassificationTask` payload."""
+        return ClassificationTask(
             workload=recordings[index].workload.name,
             race_id=race_id,
             trace=contexts[index]["trace_data"],
@@ -885,7 +701,6 @@ class AnalysisEngine:
             predicates=contexts[index]["predicates"],
             trace_token=contexts[index]["trace_token"],
             program_fingerprint=contexts[index]["program_fingerprint"],
-            **extra,
         ).to_payload()
 
     def _store_classification(
@@ -897,63 +712,10 @@ class AnalysisEngine:
             self.classification_cache.store(name, key, classified)
         slots[index][race_id] = classified
 
-    def _path_payloads(
-        self, recordings, contexts, config_data, index: int, race_id: int, plan: Dict
-    ) -> Iterator[Dict]:
-        """One PathTask payload per primary path of an inconclusive plan.
-
-        Embeds the plan's serialized primary so the worker classifies from
-        shipped data instead of re-exploring the BFS prefix.
-        """
-        if not plan["needs_paths"]:
-            return
-        for path_index, primary in enumerate(plan["primaries"]):
-            yield self._task_payload(
-                PathTask, recordings, contexts, config_data, index, race_id,
-                path_index=path_index, primary=primary,
-            )
-
-    def _merge_path_results(self, recordings, misses, plans, partials, slots) -> None:
-        """Deterministic merge: recombine partial verdicts in path order.
-
-        Pure function of the (plan, partial-verdict) data, so any completion
-        order -- pooled or in-driver -- produces bit-identical
-        ``ClassifiedRace`` results.
-        """
-        races_by_id = {
-            index: recordings[index].trace.races_by_id()
-            for index in {index for index, _race_id, _key in misses}
-        }
-        for (index, race_id, key), plan in zip(misses, plans):
-            race = races_by_id[index][race_id]
-            outcome = SingleStageOutcome.from_dict(plan["single"])
-            if not plan["needs_paths"]:
-                classified = finalize_single(race, outcome, self.config, plan["seconds"])
-            else:
-                outputs = sorted(
-                    partials.get((index, race_id), ()), key=lambda o: o["path_index"]
-                )
-                verdicts = [PathVerdict.from_dict(o["verdict"]) for o in outputs]
-                multi = merge_path_verdicts(
-                    verdicts,
-                    paths_explored=plan["path_count"],
-                    states_pruned=plan["states_pruned"],
-                    prune_reasons=plan["prune_reasons"],
-                )
-                elapsed = plan["seconds"] + sum(o["seconds"] for o in outputs)
-                classified = finalize_multipath(race, outcome, multi, self.config, elapsed)
-            self._store_classification(
-                recordings[index].workload.name, index, race_id, key, classified, slots
-            )
-
 
 class _OverlapClock:
-    """Accumulates wall-clock time during which both stages are in flight.
-
-    One instance per overlap channel: the full-stream scheduler keeps a
-    plan↔path clock and a record↔classify clock (the latter counting any
-    stage-3 future -- classify, plan or path -- as the right-hand side).
-    """
+    """Accumulates wall-clock time during which both stages are in flight:
+    the full-stream scheduler keeps one for record↔classify overlap."""
 
     def __init__(self) -> None:
         self._since: Optional[float] = None

@@ -16,13 +16,12 @@ Event schema -- every event is a flat JSON object with a ``kind`` from
 ===========================  ====================================================
 kind                         fields
 ===========================  ====================================================
-``run_start``                ``workloads`` (names), ``parallel``,
-                             ``granularity``
+``run_start``                ``workloads`` (names), ``parallel``
 ``run_finish``               ``seconds``
-``task_submit``              ``stage`` (record/classify/plan/path), ``workload``,
-                             ``race`` / ``path`` when applicable
-``task_start``               ``stage``, ``workload``, ``race``/``path`` (worker)
-``task_finish``              ``stage``, ``workload``, ``race``/``path``,
+``task_submit``              ``stage`` (record/classify), ``workload``,
+                             ``race`` when applicable
+``task_start``               ``stage``, ``workload``, ``race`` (worker)
+``task_finish``              ``stage``, ``workload``, ``race``,
                              ``seconds`` (worker)
 ``trace_recorded``           ``workload``
 ``cache``                    ``tier`` (trace/classification/solver), ``hit``
@@ -40,29 +39,29 @@ kind                         fields
                              built for listeners; one per task; a counter
                              an older log lacks folds as 0)
 ``pool``                     ``action`` (created/reused)
-``stage_overlap``            ``seconds``, ``channel`` (``plan_path`` when
-                             absent; ``record_classify`` for the full-stream
-                             scheduler's record↔classify overlap)
+``stage_overlap``            ``seconds``, ``channel`` (``record_classify``:
+                             the full-stream scheduler's record↔classify
+                             overlap)
 ``scheduler_decision``       ``stage``, ``chunk_size``, ``estimated_seconds``,
                              ``actual_seconds`` -- one per chunk the
                              cost-aware scheduler packed, so mispredictions
                              are observable post-hoc via ``events-info``
-``task_retry``               ``stage``, ``workload``, ``race``/``path``,
+``task_retry``               ``stage``, ``workload``, ``race``,
                              ``attempt``, ``reason`` (crash/deadline/
                              malformed) -- supervision re-submitted the task
 ``pool_respawn``             ``reason``, ``respawns`` (cumulative charged
                              count) -- persistent pool rebuilt after a crash
                              or hang; ``action: downgraded`` pool events mark
                              budget exhaustion instead
-``task_quarantined``         ``stage``, ``workload``, ``race``/``path``,
+``task_quarantined``         ``stage``, ``workload``, ``race``,
                              ``reason`` -- the task was exiled to the
                              in-driver serial path (it alone, not the run)
 ``deadline_exceeded``        ``stage``, ``workload``, ``deadline_seconds`` --
                              the watchdog cancelled an in-flight chunk
-``fault_injected``           ``op``, ``stage``, ``workload``, ``race``/
-                             ``path`` -- replayed post-run from the fault
-                             plan's claim ledger (crashed workers cannot
-                             report their own injection)
+``fault_injected``           ``op``, ``stage``, ``workload``, ``race`` --
+                             replayed post-run from the fault plan's claim
+                             ledger (crashed workers cannot report their
+                             own injection)
 ``events_truncated``         ``dropped`` -- per-task buffer cap was hit
 ===========================  ====================================================
 
@@ -76,15 +75,17 @@ would double-count); ``pool`` and ``stage_overlap`` feed the pool-lifecycle
 counters.  Lifecycle events (``run_*``, ``task_*``) carry latency data for
 ``events-info`` histograms but fold to nothing.  Fields a fold does not
 know are ignored, and so are kinds it does not know, so logs written by
-older versions (whose solver events also carried a ``backend`` name, and
-whose path tasks emitted ``primary`` events) still load and fold.
+older versions still load and fold: solver events that carry a
+``backend`` name, ``primary`` events, a ``run_start`` with a
+``granularity``, ``plan``/``path`` task events, and ``stage_overlap``
+events without a channel, which fold to nothing.
 
 Determinism: workers buffer events in an :class:`EventBuffer` attached to
 the task result payload (exactly like the solver-stats snapshots before);
-the driver absorbs buffers in task order -- miss order for plans, ascending
-``path_index`` for path partials -- never in future-completion order, so
-the merged stream is structurally bit-identical across completion
-interleavings: same events, same order, same identity fields.  The
+the driver absorbs buffers in task order -- batch order of workloads, trace
+order of races -- never in future-completion order, so the merged stream
+is structurally bit-identical across completion interleavings: same
+events, same order, same identity fields.  The
 nondeterministic residue is the ``ts``/``seconds`` timestamps and cache
 *attribution* -- whether a given query hit the shared worker-lifetime cache
 (and hence a task's enumeration count) depends on which task a pool
@@ -261,11 +262,8 @@ def fold_events(events: Iterable[Event]) -> EngineStats:
             elif event.get("action") == "downgraded":
                 stats.pool_downgrades += 1
         elif kind == "stage_overlap":
-            seconds = float(event.get("seconds", 0.0))
             if event.get("channel") == "record_classify":
-                stats.record_classify_overlap_seconds += seconds
-            else:
-                stats.stage_overlap_seconds += seconds
+                stats.record_classify_overlap_seconds += float(event.get("seconds", 0.0))
         elif kind == "task_retry":
             stats.task_retries += 1
         elif kind == "pool_respawn":

@@ -9,15 +9,15 @@ pool workers::
       "claims_dir": "/tmp/plan.claims",        # optional; derived if absent
       "faults": [
         {"op": "crash",     "stage": "classify", "workload": "stress_harmful"},
-        {"op": "hang",      "stage": "plan",     "ms": 20000},
-        {"op": "malformed", "stage": "path",     "times": 1},
+        {"op": "hang",      "stage": "record",   "ms": 20000},
+        {"op": "malformed", "stage": "classify", "times": 1},
         {"op": "corrupt_sidecar", "target": "**/*.hits", "mode": "garbage"}
       ]
     }
 
 Each entry matches task-entry calls by ``stage`` (``record`` / ``classify`` /
-``plan`` / ``path`` / ``noop``; omit to match any) and optionally ``workload``
-/ ``race`` / ``path``.  ``times`` (default 1) bounds how often the entry
+``noop``; omit to match any, and any other stage is rejected) and optionally
+``workload`` / ``race``.  ``times`` (default 1) bounds how often the entry
 fires *across the whole plan lifetime*: firing is arbitrated through atomic
 claim files in ``claims_dir`` (``O_CREAT | O_EXCL``), so an entry fires its
 budget exactly once no matter how many worker processes race for it and no
@@ -74,7 +74,10 @@ CRASH_EXIT_CODE = 87
 #: corruption modes for ``corrupt_sidecar``
 CORRUPTION_MODES = ("garbage", "truncate", "oversize")
 
-_MATCH_FIELDS = ("stage", "workload", "race", "path")
+#: the task entry points that call :func:`maybe_inject_fault`
+FAULT_STAGES = ("record", "classify", "noop")
+
+_MATCH_FIELDS = ("stage", "workload", "race")
 
 
 def resolve_fault_plan(value: Optional[str]) -> Optional[Dict[str, Any]]:
@@ -119,6 +122,12 @@ def resolve_fault_plan(value: Optional[str]) -> Optional[Dict[str, Any]]:
             raise FaultPlanError(
                 f"fault plan {source}: fault #{index} has unknown op {op!r}; "
                 f"choose from {', '.join(FAULT_OPS)}"
+            )
+        stage = entry.get("stage")
+        if stage is not None and stage not in FAULT_STAGES:
+            raise FaultPlanError(
+                f"fault plan {source}: fault #{index} has unknown stage {stage!r}; "
+                f"choose from {', '.join(FAULT_STAGES)}"
             )
         times = entry.get("times", 1)
         if not isinstance(times, int) or isinstance(times, bool) or times < 1:
@@ -174,8 +183,8 @@ class FaultPlan:
     # -- matching / claiming ------------------------------------------------
 
     @staticmethod
-    def _matches(entry: Dict[str, Any], stage: str, workload: str, race, path) -> bool:
-        context = {"stage": stage, "workload": workload, "race": race, "path": path}
+    def _matches(entry: Dict[str, Any], stage: str, workload: str, race) -> bool:
+        context = {"stage": stage, "workload": workload, "race": race}
         for field in _MATCH_FIELDS:
             if field in entry and entry[field] != context[field]:
                 return False
@@ -208,7 +217,7 @@ class FaultPlan:
 
     # -- worker-side injection ---------------------------------------------
 
-    def fire(self, stage: str, workload: str, race=None, path=None) -> Optional[str]:
+    def fire(self, stage: str, workload: str, race=None) -> Optional[str]:
         """Inject the first matching, unspent fault.  Returns the op fired
         (``"hang"`` after sleeping, ``"malformed"`` telling the caller to
         return garbage) or None.  ``crash`` does not return."""
@@ -216,9 +225,9 @@ class FaultPlan:
         for entry in self.faults:
             if entry["op"] == "corrupt_sidecar":
                 continue
-            if not self._matches(entry, stage, workload, race, path):
+            if not self._matches(entry, stage, workload, race):
                 continue
-            context = {"stage": stage, "workload": workload, "race": race, "path": path}
+            context = {"stage": stage, "workload": workload, "race": race}
             if self._claim(entry, context) is None:
                 continue
             op = entry["op"]
@@ -249,8 +258,7 @@ class FaultPlan:
             matches = [path for path in matches if os.path.isfile(path)]
             if not matches:
                 continue
-            context = {"stage": "sidecar", "workload": entry["target"],
-                       "race": None, "path": None}
+            context = {"stage": "sidecar", "workload": entry["target"], "race": None}
             if self._claim(entry, context) is None:
                 continue
             mode = entry.get("mode", "garbage")
@@ -330,9 +338,9 @@ def active_fault_plan() -> Optional[FaultPlan]:
     return _ACTIVE
 
 
-def maybe_inject_fault(stage: str, workload: str, race=None, path=None) -> Optional[str]:
+def maybe_inject_fault(stage: str, workload: str, race=None) -> Optional[str]:
     """Task-entry hook: inject per the installed plan, else no-op."""
 
     if _ACTIVE is None:
         return None
-    return _ACTIVE.fire(stage, workload, race=race, path=path)
+    return _ACTIVE.fire(stage, workload, race=race)

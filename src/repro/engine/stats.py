@@ -55,12 +55,9 @@ class EngineStats:
     pools_created: int = 0
     #: dispatches served by an already-running persistent pool
     pool_reuses: int = 0
-    #: wall-clock seconds during which plan and path futures of the
-    #: streaming scheduler were simultaneously in flight
-    stage_overlap_seconds: float = 0.0
-    #: wall-clock seconds during which record futures and stage-3
-    #: (classify/plan/path) futures were simultaneously in flight -- the
-    #: full-stream scheduler's record↔classify overlap channel
+    #: wall-clock seconds during which record futures and classify futures
+    #: were simultaneously in flight -- the full-stream scheduler's
+    #: record↔classify overlap channel
     record_classify_overlap_seconds: float = 0.0
     #: interpreter statements executed by dispatched tasks (aggregated)
     interp_statements: int = 0
@@ -138,7 +135,6 @@ class EngineStats:
             f"worker-cache hits={self.worker_cache_hits}, "
             f"pools created={self.pools_created}, "
             f"pool reuses={self.pool_reuses}, "
-            f"stage overlap seconds={self.stage_overlap_seconds:.2f}, "
             f"record/classify overlap seconds="
             f"{self.record_classify_overlap_seconds:.2f}, "
             f"interp statements={self.interp_statements}, "

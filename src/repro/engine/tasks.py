@@ -1,17 +1,12 @@
 """Work items for the parallel analysis engine.
 
-Each pipeline stage has its own task granularity:
+Each pipeline stage has one task kind:
 
 * **Stage 1 (record + detect)** -- a :class:`RecordTask` records one
   workload's execution (detection runs inline with the recording) and
   returns the trace wire format;
-* **Stage 3, race granularity** -- a :class:`ClassificationTask` classifies
-  one ``(workload, race)`` unit end to end;
-* **Stage 3, path granularity** -- a :class:`PlanTask` runs the
-  single-pre/single-post stage for one race and counts its primary paths,
-  then one :class:`PathTask` per ``(race, primary-path)`` analyzes a single
-  primary and returns a partial :class:`~repro.core.multi_path.PathVerdict`;
-  the engine's deterministic merge recombines them.
+* **Stage 3 (classify)** -- a :class:`ClassificationTask` classifies one
+  ``(workload, race)`` unit end to end with ``Portend.classify_race``.
 
 Task payloads are plain dicts whose leaves are JSON-serializable (the trace
 crosses the process boundary through ``ExecutionTrace.to_dict``), so they
@@ -28,7 +23,7 @@ task always produces the same result no matter which process runs it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import PortendConfig
@@ -101,7 +96,7 @@ class ClassificationTask:
 #: executing-process memo of deserialized traces, keyed by trace token.
 #: Classification reads traces but never mutates them (the serial facade
 #: already shares one ExecutionTrace across every race it classifies), so
-#: the (race, path) tasks of one workload can share a single parse.  Bounded
+#: the race tasks of one workload can share a single parse.  Bounded
 #: because serial runs execute tasks in the long-lived driving process.
 _TRACE_MEMO: Dict[str, ExecutionTrace] = {}
 _TRACE_MEMO_LIMIT = 4
@@ -110,9 +105,9 @@ _TRACE_MEMO_LIMIT = 4
 def _resolve_trace(task) -> ExecutionTrace:
     """Deserialize the task's trace, memoized per trace token.
 
-    At path granularity one workload's trace fans out into ``races × (Mp+1)``
-    task payloads; without the memo every task would re-run
-    ``ExecutionTrace.from_dict`` on the identical dict.
+    One workload's trace fans out into one task payload per race; without
+    the memo every task would re-run ``ExecutionTrace.from_dict`` on the
+    identical dict.
     """
     token = task.trace_token
     if token is not None:
@@ -354,169 +349,5 @@ def execute_record_task(payload: Mapping) -> Dict:
     return {
         "trace": trace.to_dict(),
         "detection_seconds": detection_seconds,
-        "events": event_list,
-    }
-
-
-# --------------------------------------------------- Stage 3 per-path tasks
-
-
-@dataclass(frozen=True)
-class PlanTask(ClassificationTask):
-    """Per-race planning item: run Algorithm 1, count the primary paths.
-
-    Same payload shape as a :class:`ClassificationTask` (it addresses the
-    same ``(workload, race)`` unit); only the worker entry point differs.
-    The plan decides how the rest of the race's classification is
-    distributed: a conclusive single stage needs no further tasks, an
-    inconclusive one fans out into ``path_count`` :class:`PathTask` items.
-    Besides the count, the plan result carries the explored primaries
-    themselves as JSON (``PrimaryPath.to_dict``), so the engine can embed
-    each primary in its path task and no worker ever repeats the BFS
-    prefix exploration.  The plan also owns the exploration diagnostics
-    (pruned-state counts and reasons), which the per-path workers do not
-    repeat.
-    """
-
-
-def execute_plan_task(payload: Mapping) -> Dict:
-    """Run the single stage for one race and plan its path fan-out."""
-    from repro.core.classifier import needs_multipath, run_single_stage
-    from repro.explore.paths import MultiPathExplorer
-
-    from repro.engine.faults import maybe_inject_fault
-
-    task = PlanTask.from_payload(payload)
-    if maybe_inject_fault("plan", task.workload, race=task.race_id) == "malformed":
-        return {"malformed": True}
-    program, predicates = _resolve_program(task)
-    config = PortendConfig.from_dict(task.config)
-    trace = _resolve_trace(task)
-    events, _ = _begin_task("plan", task.workload, race=task.race_id)
-    portend = _build_portend(task, program, config, predicates, events)
-    race = trace.race_by_id(task.race_id)
-
-    started = time.perf_counter()
-    outcome = run_single_stage(
-        portend.executor, portend.program, trace, race, config, predicates=predicates
-    )
-    plan = {
-        "race_id": task.race_id,
-        "single": outcome.to_dict(),
-        "needs_paths": False,
-        "path_count": 0,
-        "primaries": [],
-        "states_pruned": 0,
-        "prune_reasons": [],
-    }
-    if needs_multipath(outcome, config):
-        explorer = MultiPathExplorer.for_config(
-            portend.executor, portend.program, trace, race, config
-        )
-        primaries = explorer.explore()
-        plan.update(
-            needs_paths=True,
-            path_count=len(primaries),
-            primaries=[path.to_dict() for path in primaries],
-            states_pruned=explorer.states_pruned,
-            prune_reasons=list(explorer.prune_reasons),
-        )
-    plan["seconds"] = time.perf_counter() - started
-    snapshot, event_list = _finish_task(
-        events, "plan", task.workload, started, portend, race=task.race_id
-    )
-    plan["solver"] = snapshot
-    plan["events"] = event_list
-    return plan
-
-
-@dataclass(frozen=True)
-class PathTask(ClassificationTask):
-    """One ``(race, primary-path)`` work item: the engine's finest grain.
-
-    A :class:`ClassificationTask` narrowed to a single primary path.  The
-    payload embeds the serialized primary the plan explored (``primary``: a
-    :meth:`repro.explore.paths.PrimaryPath.to_dict` payload), so the worker
-    classifies directly from shipped data and never repeats the BFS prefix
-    exploration.  It returns the partial verdict; the engine's merge step
-    recombines partial verdicts into a ``ClassifiedRace`` bit-identical to
-    the serial result.
-    """
-
-    path_index: int = 0
-    primary: Dict = field(kw_only=True)
-
-    def to_payload(self) -> Dict:
-        payload = super().to_payload()
-        payload["path_index"] = self.path_index
-        payload["primary"] = self.primary
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "PathTask":
-        base = ClassificationTask.from_payload(payload)
-        return cls(
-            **vars(base),
-            path_index=payload["path_index"],
-            primary=payload["primary"],
-        )
-
-
-def execute_path_task(payload: Mapping) -> Dict:
-    """Analyze one shipped primary path of one race (worker entry point)."""
-    from repro.core.multi_path import analyze_primary_path
-    from repro.explore.paths import PrimaryPath
-
-    from repro.engine.faults import maybe_inject_fault
-
-    task = PathTask.from_payload(payload)
-    if (
-        maybe_inject_fault(
-            "path", task.workload, race=task.race_id, path=task.path_index
-        )
-        == "malformed"
-    ):
-        return {"malformed": True}
-    program, predicates = _resolve_program(task)
-    config = PortendConfig.from_dict(task.config)
-    trace = _resolve_trace(task)
-    events, _ = _begin_task(
-        "path", task.workload, race=task.race_id, path=task.path_index
-    )
-    portend = _build_portend(task, program, config, predicates, events)
-    race = trace.race_by_id(task.race_id)
-
-    started = time.perf_counter()
-    path = PrimaryPath.from_dict(task.primary)
-    if path.index != task.path_index:
-        raise RuntimeError(
-            f"shipped primary of race {task.race_id} in {task.workload!r} "
-            f"carries index {path.index}, task expected {task.path_index}"
-        )
-    verdict = analyze_primary_path(
-        portend.executor,
-        portend.program,
-        trace,
-        race,
-        config,
-        path,
-        predicates=predicates,
-    )
-    seconds = time.perf_counter() - started
-    snapshot, event_list = _finish_task(
-        events,
-        "path",
-        task.workload,
-        started,
-        portend,
-        race=task.race_id,
-        path=task.path_index,
-    )
-    return {
-        "race_id": task.race_id,
-        "path_index": task.path_index,
-        "verdict": verdict.to_dict(),
-        "seconds": seconds,
-        "solver": snapshot,
         "events": event_list,
     }

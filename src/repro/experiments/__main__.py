@@ -42,7 +42,6 @@ _ENGINE_FLAG_CAPABLE = {"table2", "fig7", "fig10"}
 _OPTION_FLAGS = (
     "parallel",
     "cache_dir",
-    "granularity",
     "events_path",
     "cache_max_entries",
     "fault_plan",
@@ -97,16 +96,6 @@ def main(argv=None) -> int:
         metavar="NAMES",
         help="comma-separated workload subset for the shared-run experiments "
         "(table3/table4/table5/fig9); default: the full Table 1 list",
-    )
-    parser.add_argument(
-        "--task-granularity",
-        default=None,
-        choices=["auto", "race", "path"],
-        dest="granularity",
-        help="classification task grain: 'race' = one task per (workload, race), "
-        "'path' = one task per (race, primary-path); 'auto' adapts per workload "
-        "when --parallel > 1 (path for few-race workloads, race for many-race "
-        "ones) and stays at 'race' serially (the default is 'auto')",
     )
     parser.add_argument(
         "--fault-plan",

@@ -53,10 +53,7 @@ class PrimaryPath:
     The path is **plain data**: everything the per-path analysis
     (:func:`repro.core.multi_path.analyze_primary_path`) consumes -- the
     path condition, the symbolic outputs, the concrete input model, the
-    terminal outcome and the exploration bookkeeping -- is serializable via
-    :meth:`to_dict`/:meth:`from_dict`, so a plan task can ship its explored
-    primaries to path workers instead of each worker re-running the BFS
-    prefix.
+    terminal outcome and the exploration bookkeeping.
     """
 
     index: int
@@ -67,37 +64,6 @@ class PrimaryPath:
     race_reached_step: int
     symbolic_branches: int
     outcome: Optional[ExecutionOutcome] = None
-
-    # -------------------------------------------------------- serialization
-
-    def to_dict(self) -> Dict:
-        """JSON wire format of the path."""
-        return {
-            "index": self.index,
-            "path_condition": self.path_condition.to_dict(),
-            "symbolic_outputs": [record.to_dict() for record in self.symbolic_outputs],
-            "concrete_inputs": dict(self.concrete_inputs),
-            "diverged_after_race": self.diverged_after_race,
-            "race_reached_step": self.race_reached_step,
-            "symbolic_branches": self.symbolic_branches,
-            "outcome": self.outcome.to_dict() if self.outcome is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "PrimaryPath":
-        outcome = data["outcome"]
-        return cls(
-            index=data["index"],
-            path_condition=PathCondition.from_dict(data["path_condition"]),
-            symbolic_outputs=[
-                OutputRecord.from_dict(record) for record in data["symbolic_outputs"]
-            ],
-            concrete_inputs=dict(data["concrete_inputs"]),
-            diverged_after_race=data["diverged_after_race"],
-            race_reached_step=data["race_reached_step"],
-            symbolic_branches=data["symbolic_branches"],
-            outcome=ExecutionOutcome.from_dict(outcome) if outcome is not None else None,
-        )
 
 
 #: a race as the reached-tracker sees it:
@@ -331,13 +297,10 @@ class MultiPathExplorer:
     ) -> "MultiPathExplorer":
         """Build an explorer from a :class:`PortendConfig`.
 
-        The single place that maps config knobs onto explorer arguments:
-        the serial classifier, the engine's plan task, and the per-path
-        re-derivation all construct their explorers here, so a future
-        exploration knob cannot silently diverge between them (which would
-        break the plan/worker path-count agreement).  ``config`` is untyped
-        to keep :mod:`repro.explore` import-independent from
-        :mod:`repro.core`.
+        The single place that maps config knobs onto explorer arguments, so
+        a future exploration knob cannot silently diverge between its
+        callers.  ``config`` is untyped to keep :mod:`repro.explore`
+        import-independent from :mod:`repro.core`.
         """
         return cls(
             executor,
@@ -509,41 +472,3 @@ class MultiPathExplorer:
             elif name not in inputs:
                 inputs[name] = var.lo
         return inputs
-
-
-def explore_primary(
-    executor: Executor,
-    program: Program,
-    trace: ExecutionTrace,
-    race: RaceReport,
-    config,
-    path_index: int,
-) -> Optional[PrimaryPath]:
-    """Deterministically re-derive one primary path of a race's exploration.
-
-    The explorer's search is breadth-first over a deterministic worklist
-    (states pop in FIFO order, forks append in creation order), so the
-    primaries found with ``max_primaries = n`` are exactly the first ``n``
-    primaries of a larger exploration -- a *prefix property*, so re-deriving
-    path ``i`` stops the search at ``i + 1`` primaries.  The engine never
-    calls this: plans ship their serialized primaries
-    (:meth:`PrimaryPath.to_dict`) to the path tasks.  It is kept as the test
-    suite's equivalence oracle for that wire format.  Returns None when the
-    exploration yields fewer than ``path_index + 1`` primaries.
-
-    ``config`` is a :class:`repro.core.config.PortendConfig`; it is untyped
-    here to keep :mod:`repro.explore` import-independent from
-    :mod:`repro.core`.
-    """
-    explorer = MultiPathExplorer.for_config(
-        executor,
-        program,
-        trace,
-        race,
-        config,
-        max_primaries=min(config.effective_mp(), path_index + 1),
-    )
-    primaries = explorer.explore()
-    if len(primaries) <= path_index:
-        return None
-    return primaries[path_index]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 
 class CrashKind(enum.Enum):
@@ -41,29 +41,6 @@ class CrashInfo:
     def describe(self) -> str:
         where = self.label or f"pc={self.pc}"
         return f"{self.kind.value}: {self.message} (thread {self.tid} at {where})"
-
-    # -------------------------------------------------------- serialization
-
-    def to_dict(self) -> Dict:
-        return {
-            "kind": self.kind.value,
-            "message": self.message,
-            "tid": self.tid,
-            "pc": self.pc,
-            "label": self.label,
-            "stack": list(self.stack),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "CrashInfo":
-        return cls(
-            kind=CrashKind(data["kind"]),
-            message=data["message"],
-            tid=data["tid"],
-            pc=data["pc"],
-            label=data["label"],
-            stack=tuple(data["stack"]),
-        )
 
 
 class OutcomeKind(enum.Enum):
@@ -97,27 +74,6 @@ class ExecutionOutcome:
             blocked = ", ".join(str(t) for t in self.blocked_threads)
             return f"deadlock (blocked threads: {blocked})"
         return self.detail or self.kind.value
-
-    # -------------------------------------------------------- serialization
-
-    def to_dict(self) -> Dict:
-        """JSON-serializable form (shipped primaries carry their outcome)."""
-        return {
-            "kind": self.kind.value,
-            "crash": self.crash.to_dict() if self.crash is not None else None,
-            "detail": self.detail,
-            "blocked_threads": list(self.blocked_threads),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ExecutionOutcome":
-        crash = data["crash"]
-        return cls(
-            kind=OutcomeKind(data["kind"]),
-            crash=CrashInfo.from_dict(crash) if crash is not None else None,
-            detail=data["detail"],
-            blocked_threads=tuple(data["blocked_threads"]),
-        )
 
 
 class ProgramCrash(Exception):

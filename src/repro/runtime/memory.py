@@ -102,25 +102,6 @@ class Memory:
             memory._owned_objects = set()
         return copy
 
-    def clone_eager(self) -> "Memory":
-        """The pre-COW deep clone, kept for A/B benchmarks and tests."""
-        copy = Memory.__new__(Memory)
-        copy._globals = dict(self._globals)
-        copy._arrays = {name: list(cells) for name, cells in self._arrays.items()}
-        copy._array_sizes = dict(self._array_sizes)
-        copy._heap = {
-            oid: HeapObject(obj.object_id, obj.size, list(obj.cells), obj.freed)
-            for oid, obj in self._heap.items()
-        }
-        copy._next_object_id = self._next_object_id
-        copy._globals_owned = True
-        copy._arrays_owned = True
-        copy._owned_arrays = set(copy._arrays)
-        copy._heap_owned = True
-        copy._owned_objects = set(copy._heap)
-        copy.counters = self.counters
-        return copy
-
     def __deepcopy__(self, memo: dict) -> "Memory":
         return self.clone()
 

@@ -22,14 +22,7 @@ from repro.runtime.errors import ExecutionOutcome
 from repro.runtime.memory import Memory
 from repro.runtime.sync import SyncState
 from repro.runtime.threadstate import BlockEntry, Frame, ThreadState, ThreadStatus
-from repro.symex.expr import (
-    SymVar,
-    Value,
-    is_symbolic,
-    render,
-    value_from_dict,
-    value_to_dict,
-)
+from repro.symex.expr import SymVar, Value, is_symbolic, render
 from repro.symex.path_condition import PathCondition
 
 _state_ids = itertools.count(1)
@@ -58,30 +51,6 @@ class OutputRecord:
     def describe(self) -> str:
         rendered = ", ".join(render(v) for v in self.values)
         return f"{self.channel}({rendered})"
-
-    # -------------------------------------------------------- serialization
-
-    def to_dict(self) -> Dict:
-        """JSON-serializable form (symbolic outputs of shipped primaries)."""
-        return {
-            "channel": self.channel,
-            "values": [value_to_dict(value) for value in self.values],
-            "tid": self.tid,
-            "pc": self.pc,
-            "label": self.label,
-            "step": self.step,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "OutputRecord":
-        return cls(
-            channel=data["channel"],
-            values=tuple(value_from_dict(value) for value in data["values"]),
-            tid=data["tid"],
-            pc=data["pc"],
-            label=data["label"],
-            step=data["step"],
-        )
 
 
 @dataclass(frozen=True)
@@ -200,41 +169,6 @@ class ExecutionState:
         copy.notes = dict(self.notes)
         self.cow_version = next(_cow_versions)
         copy.cow_version = next(_cow_versions)
-        return copy
-
-    def clone_eager(self) -> "ExecutionState":
-        """The pre-COW deep clone, kept for A/B benchmarks and tests."""
-        copy = ExecutionState.__new__(ExecutionState)
-        copy.state_id = next(_state_ids)
-        copy.parent_id = self.state_id
-        copy.program = self.program
-        copy.counters = self.counters
-        copy.memory = self.memory.clone_eager()
-        copy.sync = self.sync.clone_eager()
-        copy.cow_version = next(_cow_versions)
-        copy.threads = {}
-        for tid, thread in self.threads.items():
-            fresh = thread.clone()
-            fresh.version = copy.cow_version
-            for frame in fresh.frames:
-                frame.version = copy.cow_version
-            copy.threads[tid] = fresh
-        copy.next_tid = self.next_tid
-        copy.current_tid = self.current_tid
-        copy.path_condition = self.path_condition.clone()
-        copy.output_log = list(self.output_log)
-        copy.input_log = list(self.input_log)
-        copy._output_owned = True
-        copy._input_owned = True
-        copy.symbolic_inputs = dict(self.symbolic_inputs)
-        copy.concrete_inputs = dict(self.concrete_inputs)
-        copy.symbolic_input_names = self.symbolic_input_names
-        copy.outcome = self.outcome
-        copy.step_count = self.step_count
-        copy.preemption_points = self.preemption_points
-        copy.context_switches = self.context_switches
-        copy.symbolic_branches = self.symbolic_branches
-        copy.notes = dict(self.notes)
         return copy
 
     def __deepcopy__(self, memo: dict) -> "ExecutionState":

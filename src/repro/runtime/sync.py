@@ -85,16 +85,6 @@ class SyncState:
         copy._owned = False
         return copy
 
-    def clone_eager(self) -> "SyncState":
-        """The pre-COW deep clone, kept for A/B benchmarks and tests."""
-        copy = SyncState.__new__(SyncState)
-        copy.mutexes = {name: m.clone() for name, m in self.mutexes.items()}
-        copy.condvars = {name: c.clone() for name, c in self.condvars.items()}
-        copy.barriers = {name: b.clone() for name, b in self.barriers.items()}
-        copy._owned = True
-        copy.counters = self.counters
-        return copy
-
     def __deepcopy__(self, memo: dict) -> "SyncState":
         return self.clone()
 

@@ -8,7 +8,7 @@ states (§3.3 of the paper).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
+from typing import Iterable, Iterator, List, Mapping, Tuple
 
 from repro.symex.expr import (
     SymExpr,
@@ -16,8 +16,6 @@ from repro.symex.expr import (
     evaluate,
     free_variables,
     is_symbolic,
-    value_from_dict,
-    value_to_dict,
 )
 from repro.symex.simplify import simplify
 
@@ -85,30 +83,6 @@ class PathCondition:
         for constraint in self._constraints:
             names = names | free_variables(constraint)
         return names
-
-    # -------------------------------------------------------- serialization
-
-    def to_dict(self) -> Dict:
-        """JSON-serializable form (the wire format of shipped primaries)."""
-        return {
-            "constraints": [value_to_dict(c) for c in self._constraints],
-            "infeasible": self._infeasible,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "PathCondition":
-        """Exact inverse of :meth:`to_dict`.
-
-        Constraints are restored verbatim -- *not* re-run through
-        :meth:`add` -- so the round trip preserves the constraint list
-        bit-for-bit even if the simplifier is not idempotent on some node.
-        """
-        condition = cls()
-        condition._constraints = [
-            value_from_dict(item) for item in data["constraints"]
-        ]
-        condition._infeasible = bool(data["infeasible"])
-        return condition
 
     def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
         """Check whether a full assignment satisfies every constraint."""

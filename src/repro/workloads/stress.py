@@ -20,8 +20,8 @@ Each slot's race is the same redundant-write pattern, but main ends with a
 chain of input-dependent branches (two symbolic inputs, three thresholds
 each) that emit symbolic diagnostics, so every race's multi-path
 exploration forks into many primary paths (Mp-bounded) whose outputs need
-symbolic comparison.  This is the shape that exercises per-path task
-shipping and the solver's memoization -- the same membership query repeats
+symbolic comparison.  This is the shape that exercises multi-path
+exploration and the solver's memoization -- the same membership query repeats
 across alternate schedules and duplicate diagnostic channels.
 
 ``stress_harmful`` is the adversarial complement: every slot's race is

@@ -100,10 +100,20 @@ class TestEventPrimitives:
 
 
 class TestFoldSemantics:
-    def test_every_counter_comes_from_its_event(self):
+    def test_every_counter_comes_from_its_event(self, tmp_path):
         # The solver_stats event is in the shape older logs wrote (with a
         # backend name and a fast-path counter): the fold ignores both.
         events = [
+            # Older logs' run_start named the task grain, and their
+            # per-path tasks logged plan/path lifecycle events: all load
+            # and fold to nothing.
+            make_event("run_start", workloads=["w"], parallel=2, granularity="path"),
+            make_event("task_submit", stage="plan", workload="w", race=1),
+            make_event("task_finish", stage="plan", workload="w", race=1, seconds=0.1),
+            make_event("task_submit", stage="path", workload="w", race=1, path=0),
+            make_event(
+                "task_finish", stage="path", workload="w", race=1, path=0, seconds=0.1
+            ),
             make_event("trace_recorded", workload="w"),
             make_event("cache", tier="trace", hit=True),
             make_event("cache", tier="trace", hit=False),
@@ -127,9 +137,15 @@ class TestFoldSemantics:
             make_event("pool", action="created"),
             make_event("pool", action="reused"),
             make_event("pool", action="reused"),
+            # Older logs' channel-less plan/path overlap folds to nothing.
             make_event("stage_overlap", seconds=0.125),
+            make_event("stage_overlap", channel="record_classify", seconds=0.25),
         ]
-        stats = fold_events(events)
+        path = str(tmp_path / "old.jsonl")
+        write_events(events, path, append=False)
+        loaded = load_events(path)
+        stats = fold_events(loaded)
+        assert "per-stage task latency:" in render_events_info(loaded)
         assert stats.traces_recorded == 1
         assert stats.trace_cache_hits == 1
         assert stats.classification_cache_hits == 1
@@ -142,7 +158,7 @@ class TestFoldSemantics:
         assert stats.solver_seconds == 0.5
         assert stats.pools_created == 1
         assert stats.pool_reuses == 2
-        assert stats.stage_overlap_seconds == 0.125
+        assert stats.record_classify_overlap_seconds == 0.25
 
     def test_interp_stats_fold_and_old_logs_count_zero_cutoffs(self):
         events = [
@@ -202,9 +218,9 @@ class TestFoldSemantics:
     def test_lifecycle_events_fold_to_nothing(self):
         events = [
             make_event("run_start", workloads=["w"]),
-            make_event("task_submit", stage="plan", workload="w"),
-            make_event("task_start", stage="plan", workload="w"),
-            make_event("task_finish", stage="plan", workload="w", seconds=0.1),
+            make_event("task_submit", stage="classify", workload="w"),
+            make_event("task_start", stage="classify", workload="w"),
+            make_event("task_finish", stage="classify", workload="w", seconds=0.1),
             make_event("run_finish", seconds=1.0),
             make_event("events_truncated", dropped=3),
         ]
@@ -215,9 +231,7 @@ class TestEngineEventStream:
     def test_fold_reproduces_run_stats_exactly(self):
         # The acceptance criterion: folding the emitted stream reproduces
         # every EngineStats counter on a streaming stress_deep run.
-        engine = AnalysisEngine(
-            options=EngineOptions(parallel=2, granularity="path")
-        )
+        engine = AnalysisEngine(options=EngineOptions(parallel=2))
         runs = engine.analyze(["stress_deep"])
         assert engine.last_run_events  # the stream was captured
         assert fold_events(engine.last_run_events) == engine.last_run_stats
@@ -304,9 +318,7 @@ class TestEngineEventStream:
 
         # Reference: a real streaming run with an actual pool, whose futures
         # complete in whatever order the OS delivers.
-        reference_engine = AnalysisEngine(
-            options=EngineOptions(parallel=2, granularity="path")
-        )
+        reference_engine = AnalysisEngine(options=EngineOptions(parallel=2))
         reference_engine.analyze(NAMES)
         reference_stream = structural(reference_engine.last_run_events)
 
@@ -320,9 +332,7 @@ class TestEngineEventStream:
             monkeypatch.setattr(
                 "repro.engine.engine.wait", _shuffled_wait(pool, rng)
             )
-            engine = AnalysisEngine(
-                options=EngineOptions(parallel=2, granularity="path")
-            )
+            engine = AnalysisEngine(options=EngineOptions(parallel=2))
             engine.analyze(NAMES)
             assert not pool.pending
             assert structural(engine.last_run_events) == reference_stream, seed
@@ -340,7 +350,7 @@ class TestEventsInfo:
         summary = summarize_events(self._stream(tmp_path))
         assert summary["by_kind"]["solver_query"] > 0
         assert summary["by_kind"]["run_start"] == 1
-        assert "classify" in summary["stage_latency"] or "path" in summary["stage_latency"]
+        assert "classify" in summary["stage_latency"]
         for data in summary["stage_latency"].values():
             assert data["count"] == sum(data["buckets"].values())
         assert summary["solver"]["queries"] > 0

@@ -40,9 +40,7 @@ NAMES = ["bbuf", "RW"]
 
 
 def _serial_reference(names=NAMES):
-    return AnalysisEngine(
-        options=EngineOptions(parallel=0, granularity="race")
-    ).analyze(names)
+    return AnalysisEngine(options=EngineOptions(parallel=0)).analyze(names)
 
 
 def _corrupt(path, mode):
@@ -92,6 +90,15 @@ class TestResolveFaultPlan:
             resolve_fault_plan('{"faults": [{"op": "crash", "times": 0}]}')
         with pytest.raises(FaultPlanError):
             resolve_fault_plan('{"faults": [{"op": "corrupt_sidecar"}]}')
+        # A stage no task entry point fires at would silently never match:
+        # a typo, or a stage of the removed per-path task grain.
+        for stage in ("clasify", "path", "plan"):
+            plan = json.dumps(
+                {"faults": [{"op": "crash", "stage": "classify"},
+                            {"op": "crash", "stage": stage}]}
+            )
+            with pytest.raises(FaultPlanError, match=f"fault #1 has unknown stage '{stage}'"):
+                resolve_fault_plan(plan)
         with pytest.raises(FaultPlanError):
             resolve_fault_plan(
                 '{"faults": [{"op": "corrupt_sidecar", "target": "x", "mode": "?"}]}'
@@ -109,17 +116,17 @@ class TestClaimLedger:
             json.dumps(
                 {
                     "claims_dir": str(tmp_path / "claims"),
-                    "faults": [{"op": "malformed", "stage": "path", "times": 2}],
+                    "faults": [{"op": "malformed", "stage": "classify", "times": 2}],
                 }
             )
         )
         # Two FaultPlan instances (as two worker processes would build) share
         # the on-disk ledger: the entry fires exactly ``times`` total.
         first, second = FaultPlan(spec), FaultPlan(spec)
-        assert first.fire("path", "w") == "malformed"
-        assert second.fire("path", "w") == "malformed"
-        assert first.fire("path", "w") is None
-        assert second.fire("path", "w") is None
+        assert first.fire("classify", "w") == "malformed"
+        assert second.fire("classify", "w") == "malformed"
+        assert first.fire("classify", "w") is None
+        assert second.fire("classify", "w") is None
         assert len(first.claim_names()) == 2
 
     def test_match_fields_filter_firing(self, tmp_path):
@@ -135,7 +142,7 @@ class TestClaimLedger:
             )
         )
         plan = FaultPlan(spec)
-        assert plan.fire("path", "bbuf", race=4) is None
+        assert plan.fire("record", "bbuf", race=4) is None
         assert plan.fire("classify", "RW", race=4) is None
         assert plan.fire("classify", "bbuf", race=5) is None
         assert plan.fire("classify", "bbuf", race=4) == "malformed"
@@ -146,17 +153,17 @@ class TestClaimLedger:
                 {
                     "claims_dir": str(tmp_path / "claims"),
                     "faults": [
-                        {"op": "malformed", "stage": "plan", "times": 2},
-                        {"op": "hang", "stage": "path", "ms": 1},
+                        {"op": "malformed", "stage": "classify", "times": 2},
+                        {"op": "hang", "stage": "classify", "ms": 1},
                     ],
                 }
             )
         )
         plan = FaultPlan(spec)
-        plan.fire("plan", "a")
+        plan.fire("classify", "a")
         baseline = plan.claim_names()
-        plan.fire("path", "b")
-        plan.fire("plan", "c")
+        plan.fire("classify", "b")  # the malformed entry's second slot
+        plan.fire("classify", "c")  # malformed spent: the hang fires
         fresh = plan.claimed_records(exclude=baseline)
         assert [(r["index"], r["slot"]) for r in fresh] == [(0, 1), (1, 0)]
         assert {r["op"] for r in fresh} == {"malformed", "hang"}
@@ -184,10 +191,8 @@ class TestClaimLedger:
 
 class TestValidateWorkerOutput:
     def test_describe_task_names_the_payload(self):
-        name = describe_task(
-            "path", {"workload": "RW", "race_id": 3, "path_index": 1}
-        )
-        assert name == "path task for workload 'RW', race 3, path 1"
+        name = describe_task("classify", {"workload": "RW", "race_id": 3})
+        assert name == "classify task for workload 'RW', race 3"
 
     def test_non_mapping_output_is_rejected(self):
         with pytest.raises(EngineError, match="record task for workload 'bbuf'"):
@@ -199,11 +204,8 @@ class TestValidateWorkerOutput:
             ("record", {"detection_seconds": 0.1}, "trace"),
             ("record", {"trace": {}}, "detection_seconds"),
             ("classify", {"solver": {}}, "classified"),
-            ("plan", {"single": {}, "needs_paths": 1, "path_count": 0,
-                      "primaries": [], "states_pruned": 0, "prune_reasons": [],
-                      "seconds": 0.0}, "needs_paths"),
-            ("path", {"verdict": {}, "seconds": 0.0}, "path_index"),
-            ("path", {"path_index": 0, "seconds": 0.0}, "verdict"),
+            ("record", {"trace": {}, "detection_seconds": True}, "detection_seconds"),
+            ("classify", {"classified": []}, "classified"),
         ],
     )
     def test_malformed_results_name_task_and_field(self, kind, output, missing_field):
@@ -216,9 +218,6 @@ class TestValidateWorkerOutput:
             "record", {"workload": "w"}, {"trace": {}, "detection_seconds": 0.5}
         )
         validate_worker_output("classify", {"workload": "w"}, {"classified": {}})
-        validate_worker_output(
-            "path", {"workload": "w"}, {"path_index": 2, "verdict": {}, "seconds": 0.1}
-        )
 
     def test_serial_dispatch_validates_at_the_boundary(self):
         # Without a pool the supervisor runs each chunk in the driver at
@@ -250,7 +249,7 @@ class TestFaultRecovery:
         )
         runs = AnalysisEngine(
             options=EngineOptions(
-                parallel=2, granularity="race",
+                parallel=2,
                 fault_plan=plan,
             )
         ).analyze(NAMES)
@@ -265,13 +264,10 @@ class TestFaultRecovery:
     def test_malformed_result_retries_the_singleton(self):
         reference = _serial_reference()
         plan = json.dumps(
-            {"faults": [{"op": "malformed", "stage": "path", "workload": "RW"}]}
+            {"faults": [{"op": "malformed", "stage": "classify", "workload": "RW"}]}
         )
         runs = AnalysisEngine(
-            options=EngineOptions(
-                parallel=2, granularity="path",
-                fault_plan=plan,
-            )
+            options=EngineOptions(parallel=2, fault_plan=plan)
         ).analyze(NAMES)
         assert _full_signature(reference) == _full_signature(runs)
         stats = runs[0].stats
@@ -293,7 +289,7 @@ class TestFaultRecovery:
         )
         runs = AnalysisEngine(
             options=EngineOptions(
-                parallel=2, granularity="race",
+                parallel=2,
                 fault_plan=plan, task_deadline_ms=1200,
             )
         ).analyze(NAMES)
@@ -319,7 +315,7 @@ class TestFaultRecovery:
         )
         runs = AnalysisEngine(
             options=EngineOptions(
-                parallel=2, granularity="race",
+                parallel=2,
                 fault_plan=plan,
             )
         ).analyze(NAMES)
@@ -334,7 +330,7 @@ class TestFaultRecovery:
         plan = json.dumps({"faults": [{"op": "crash", "stage": "noop"}]})
         runs = AnalysisEngine(
             options=EngineOptions(
-                parallel=2, granularity="race",
+                parallel=2,
                 fault_plan=plan,
             )
         ).analyze(NAMES)
@@ -353,7 +349,7 @@ class TestFaultRecovery:
         )
         runs = AnalysisEngine(
             options=EngineOptions(
-                parallel=2, granularity="race",
+                parallel=2,
                 fault_plan=plan, max_pool_respawns=0,
             )
         ).analyze(["bbuf"])
@@ -384,7 +380,7 @@ class TestRecoveryEvents:
             make_event("pool_respawn", reason="worker crash", respawns=1),
             make_event("task_quarantined", stage="classify", workload="w",
                        reason="worker crash"),
-            make_event("deadline_exceeded", stage="path", workload="w",
+            make_event("deadline_exceeded", stage="classify", workload="w",
                        chunk_size=2, deadline_seconds=1.0),
             make_event("fault_injected", op="crash", stage="classify",
                        workload="w", fault_index=0, slot=0),
@@ -417,13 +413,12 @@ class TestRecoveryEvents:
         plan = json.dumps(
             {
                 "claims_dir": str(tmp_path / "claims"),
-                "faults": [{"op": "malformed", "stage": "path", "workload": "RW"}],
+                "faults": [{"op": "malformed", "stage": "classify", "workload": "RW"}],
             }
         )
         AnalysisEngine(
             options=EngineOptions(
-                parallel=2, granularity="path",
-                fault_plan=plan, events_path=str(events_path),
+                parallel=2, fault_plan=plan, events_path=str(events_path)
             )
         ).analyze(NAMES)
         kinds = [
@@ -443,7 +438,7 @@ class TestSidecarFuzzing:
     @pytest.mark.parametrize("mode", ["garbage", "truncate", "oversize"])
     def test_corrupted_cache_dir_still_serves_a_warm_run(self, tmp_path, mode):
         cache_dir = str(tmp_path / "cache")
-        options = dict(parallel=0, granularity="race", cache_dir=cache_dir)
+        options = dict(parallel=0, cache_dir=cache_dir)
         first = AnalysisEngine(options=EngineOptions(**options)).analyze(["bbuf"])
         # A warm run writes the per-entry hit counters fuzzed below.
         AnalysisEngine(options=EngineOptions(**options)).analyze(["bbuf"])
@@ -457,7 +452,7 @@ class TestSidecarFuzzing:
 
     def test_corrupt_sidecar_fault_op_applies_at_run_start(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        options = EngineOptions(parallel=0, granularity="race", cache_dir=cache_dir)
+        options = EngineOptions(parallel=0, cache_dir=cache_dir)
         first = AnalysisEngine(options=options).analyze(["bbuf"])
         AnalysisEngine(options=options).analyze(["bbuf"])  # writes .hits files
         plan = json.dumps(
@@ -471,7 +466,7 @@ class TestSidecarFuzzing:
         )
         second = AnalysisEngine(
             options=EngineOptions(
-                parallel=0, granularity="race", cache_dir=cache_dir,
+                parallel=0, cache_dir=cache_dir,
                 fault_plan=plan,
             )
         ).analyze(["bbuf"])

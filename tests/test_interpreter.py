@@ -29,7 +29,7 @@ class TestCompiledEquivalence:
     either kernel still fold like current ones."""
 
     def test_engine_folded_stats_match_across_kernels(self):
-        engine = AnalysisEngine(options=EngineOptions(granularity="race"))
+        engine = AnalysisEngine(options=EngineOptions())
         engine.analyze(["bbuf", "RW"])
         events = engine.last_run_events
         assert any(event["kind"] == "interp_stats" for event in events)
@@ -65,7 +65,7 @@ class TestCompiledEquivalence:
         with pytest.raises(ValueError):
             PortendConfig(interp="compiled")
 
-    @pytest.mark.parametrize("field", ["interp", "solver_backend"])
+    @pytest.mark.parametrize("field", ["interp", "solver_backend", "task_granularity"])
     def test_cli_rejects_a_flag_for_a_pinned_field(self, capsys, field):
         from repro.experiments.__main__ import main
 
@@ -177,16 +177,6 @@ class TestCopyOnWrite:
         assert first is second
         assert clone.sync.mutexes is not state.sync.mutexes
         assert clone.counters.cow_copies == before + 1
-
-    def test_clone_eager_shares_nothing(self):
-        _, state = _running_state()
-        eager = state.clone_eager()
-        assert eager.memory._globals is not state.memory._globals
-        assert eager.memory._arrays is not state.memory._arrays
-        assert eager.sync.mutexes is not state.sync.mutexes
-        assert eager.output_log is not state.output_log
-        for tid in state.threads:
-            assert eager.threads[tid] is not state.threads[tid]
 
     def test_fork_counter_counts_symbolic_forks(self):
         workload = load_workload("bbuf")

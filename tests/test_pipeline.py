@@ -1,4 +1,5 @@
-"""Tests for the engine pipeline: per-path tasks, merge, and the caches."""
+"""Tests for the engine pipeline: engine equivalence, the per-path merge, and
+the caches."""
 
 import json
 
@@ -14,7 +15,7 @@ from repro.engine import (
     EngineOptions,
     TraceCache,
 )
-from repro.explore.paths import MultiPathExplorer, explore_primary
+from repro.explore.paths import MultiPathExplorer
 from repro.workloads import all_workload_names, load_workload
 from repro.workloads.stress import build_stress
 
@@ -32,26 +33,17 @@ def _full_signature(runs):
 NAMES = ["bbuf", "RW", "SQLite"]
 
 
-class TestPerPathEquivalence:
-    def test_path_granularity_serial_matches_race_granularity(self):
-        reference = AnalysisEngine(options=EngineOptions(granularity="race")).analyze(NAMES)
-        per_path = AnalysisEngine(options=EngineOptions(granularity="path")).analyze(NAMES)
-        assert _full_signature(reference) == _full_signature(per_path)
-
-    def test_per_path_parallel_is_bit_identical_to_serial(self):
-        serial = AnalysisEngine().analyze(NAMES)
-        parallel = AnalysisEngine(
-            options=EngineOptions(parallel=2, granularity="path")
-        ).analyze(NAMES)
+class TestEngineEquivalence:
+    def test_parallel_is_bit_identical_to_serial(self):
+        serial = AnalysisEngine(options=EngineOptions(parallel=0)).analyze(NAMES)
+        parallel = AnalysisEngine(options=EngineOptions(parallel=2)).analyze(NAMES)
         assert _full_signature(serial) == _full_signature(parallel)
 
-    def test_per_path_matches_direct_portend_pipeline(self):
+    def test_engine_matches_direct_portend_pipeline(self):
         workload = load_workload("bbuf")
         portend = Portend(workload.program, predicates=workload.predicates)
         direct = portend.analyze(workload.inputs)
-        engine_run = AnalysisEngine(options=EngineOptions(granularity="path")).analyze(
-            ["bbuf"]
-        )[0]
+        engine_run = AnalysisEngine().analyze(["bbuf"])[0]
         direct_sig = [
             {k: v for k, v in item.to_dict().items() if k != "analysis_seconds"}
             for item in direct.classified
@@ -62,25 +54,13 @@ class TestPerPathEquivalence:
         ]
         assert direct_sig == engine_sig
 
-    def test_auto_granularity_resolution(self):
-        # parallel=0 pinned: the option's default honors REPRO_PARALLEL,
-        # and this case asserts the specifically-serial resolution.
-        # A one-race workload: path fan-out pays only on a pool, and a
-        # forced grain always wins.
-        cold = (0.0, 0.0)
-        serial = AnalysisEngine(options=EngineOptions(parallel=0))
-        assert serial._workload_granularity(1, cold, workers=1) == "race"
-        pooled = AnalysisEngine(options=EngineOptions(parallel=4))
-        assert pooled._workload_granularity(1, cold, workers=4) == "path"
-        forced = AnalysisEngine(options=EngineOptions(parallel=4, granularity="race"))
-        assert forced._workload_granularity(1, cold, workers=4) == "race"
-        with pytest.raises(ValueError):
-            AnalysisEngine(options=EngineOptions(granularity="bogus"))
-
 
 class TestExplorePrimaryPrefix:
-    def test_explore_primary_matches_full_exploration(self):
-        # bbuf races explore 4 primary paths under the default config.
+    def test_bfs_prefix_matches_full_exploration(self):
+        # The search is breadth-first over a deterministic worklist, so the
+        # primaries found with max_primaries = i + 1 are exactly the first
+        # i + 1 primaries of the full exploration.  bbuf races explore 4
+        # primary paths under the default config.
         workload = load_workload("bbuf")
         portend = Portend(workload.program, predicates=workload.predicates)
         trace = portend.record(workload.inputs)
@@ -92,26 +72,20 @@ class TestExplorePrimaryPrefix:
         full = explorer.explore()
         assert len(full) > 1
         for index, expected in enumerate(full):
-            prefix = explore_primary(
-                portend.executor, portend.program, trace, race, config, index
-            )
-            assert prefix is not None
-            assert prefix.index == expected.index
-            assert prefix.concrete_inputs == expected.concrete_inputs
-            assert prefix.race_reached_step == expected.race_reached_step
-            assert prefix.symbolic_branches == expected.symbolic_branches
-
-    def test_explore_primary_out_of_range_is_none(self):
-        workload = load_workload("RW")
-        portend = Portend(workload.program)
-        trace = portend.record(workload.inputs)
-        config = PortendConfig()
-        assert (
-            explore_primary(
-                portend.executor, portend.program, trace, trace.races[0], config, 4
-            )
-            is None
-        )
+            prefix = MultiPathExplorer.for_config(
+                portend.executor,
+                portend.program,
+                trace,
+                race,
+                config,
+                max_primaries=index + 1,
+            ).explore()
+            assert len(prefix) == index + 1
+            found = prefix[index]
+            assert found.index == expected.index
+            assert found.concrete_inputs == expected.concrete_inputs
+            assert found.race_reached_step == expected.race_reached_step
+            assert found.symbolic_branches == expected.symbolic_branches
 
 
 class TestMergePathVerdicts:
@@ -199,17 +173,6 @@ class TestMergePathVerdicts:
             merge_path_verdicts([late, early], paths_explored=2).evidence.output_difference
             == merge_path_verdicts([early, late], paths_explored=2).evidence.output_difference
         )
-
-    def test_path_verdict_json_round_trip(self):
-        verdict = self._verdict(
-            2,
-            spec_violated=True,
-            spec_violation_kind=SpecViolationKind.DEADLOCK,
-            notes=["x"],
-            output_difference=[("a", "b")],
-        )
-        data = json.loads(json.dumps(verdict.to_dict()))
-        assert PathVerdict.from_dict(data) == verdict
 
 
 class TestClassificationCache:
@@ -470,8 +433,6 @@ class TestExperimentsCliStats:
             "table3",
             "--workloads",
             "RW",
-            "--task-granularity",
-            "path",
             "--cache-dir",
             str(tmp_path),
         ]

@@ -2,12 +2,11 @@
 
 Covers the whole-pipeline streaming redesign: bit-identical verdicts and a
 structurally deterministic event stream under adversarially shuffled
-record/classify/plan/path completion orders (shared by serial runs, which
-drain the same loop with no pool), the EWMA cost model (estimates,
-chunk-size invariants -- including the wide-queue fallback fix), the
-cost-aware granularity choice, the eager pool warm-up accounting, the
-``scheduler_decision`` observability hooks, and the environment-variable
-defaults the CI full-stream job relies on.
+record/classify completion orders (shared by serial runs, which drain the
+same loop with no pool), the EWMA cost model (estimates, chunk-size
+invariants -- including the wide-queue fallback fix), the eager pool
+warm-up accounting, the ``scheduler_decision`` observability hooks, and
+the environment-variable defaults the CI full-stream job relies on.
 """
 
 import random
@@ -15,7 +14,6 @@ import random
 import pytest
 
 from repro.engine import AnalysisEngine, CostModel, EngineOptions, PoolDispatcher
-from repro.engine.engine import choose_granularity
 from repro.engine.events import (
     fold_events,
     render_events_info,
@@ -35,11 +33,11 @@ class TestCostModel:
 
     def test_estimate_falls_back_to_kind_average(self):
         model = CostModel()
-        model.observe("path", "seen", 0.25)
+        model.observe("classify", "seen", 0.25)
         # Unseen fingerprint of a seen kind borrows the kind aggregate;
         # an entirely cold kind estimates 0.0 (advisory-only).
-        assert model.estimate("path", "unseen") == pytest.approx(0.25)
-        assert model.estimate("plan", "unseen") == 0.0
+        assert model.estimate("classify", "unseen") == pytest.approx(0.25)
+        assert model.estimate("record", "unseen") == 0.0
 
     def test_negative_observations_are_ignored(self):
         model = CostModel()
@@ -74,43 +72,13 @@ class TestCostModel:
     def test_warm_chunks_target_the_configured_seconds(self):
         model = CostModel(target_seconds=1.0)
         for _ in range(3):
-            model.observe("path", "fp", 0.1)
+            model.observe("classify", "fp", 0.1)
         # ~10 tasks fit the 1s target, clamped to ceil(count/workers*waves).
-        assert model.chunk_size("path", "fp", 100, 4) == 10
+        assert model.chunk_size("classify", "fp", 100, 4) == 10
         # A task slower than the target runs alone.
         for _ in range(20):
-            model.observe("path", "slow", 5.0)
-        assert model.chunk_size("path", "slow", 100, 4) == 1
-
-
-class TestCostAwareGranularity:
-    def test_shape_rules_unchanged_when_cold(self):
-        assert choose_granularity(1, 0) == "race"
-        assert choose_granularity(1, 4) == "path"
-        assert choose_granularity(8, 4) == "race"
-        assert choose_granularity(1, 4, race_cost=0.0, split_cost=0.0) == "path"
-
-    def test_expensive_split_downgrades_to_race(self):
-        assert choose_granularity(1, 4, race_cost=0.1, split_cost=0.2) == "race"
-        assert choose_granularity(1, 4, race_cost=0.1, split_cost=0.1) == "race"
-
-    def test_cheap_split_keeps_path(self):
-        assert choose_granularity(1, 4, race_cost=0.2, split_cost=0.1) == "path"
-
-    def test_many_races_win_over_costs(self):
-        assert choose_granularity(8, 4, race_cost=0.2, split_cost=0.1) == "race"
-
-    def test_split_costs_cold_and_warm(self):
-        model = CostModel()
-        assert model.split_costs("fp") == (0.0, 0.0)
-        model.observe("classify", "fp", 0.4)
-        race_cost, split_cost = model.split_costs("fp")
-        assert race_cost == pytest.approx(0.4)
-        assert split_cost == 0.0  # no plan/path history yet: no opinion
-        model.observe("plan", "fp", 0.1)
-        model.observe("path", "fp", 0.05)
-        race_cost, split_cost = model.split_costs("fp")
-        assert split_cost == pytest.approx(0.15)
+            model.observe("classify", "slow", 5.0)
+        assert model.chunk_size("classify", "slow", 100, 4) == 1
 
 
 class TestWarmPool:
@@ -118,7 +86,7 @@ class TestWarmPool:
         # The eager warm-up builds the pool; every later dispatch (including
         # the full-stream scheduler's acquire) must count a reuse, never a
         # second creation.
-        engine = AnalysisEngine(options=EngineOptions(parallel=2, granularity="path"))
+        engine = AnalysisEngine(options=EngineOptions(parallel=2))
         engine.analyze(["RW", "bbuf"])
         assert engine.last_run_stats.pools_created == 1
         assert engine.last_run_stats.pool_reuses >= 1
@@ -156,13 +124,11 @@ class TestFullStreamDeterminism:
     def test_shuffled_full_stream_is_bit_identical_and_structurally_stable(
         self, monkeypatch
     ):
-        # Record, classify, plan and path futures all land in adversarially
-        # shuffled order; verdicts must stay bit-identical to the serial
+        # Record and classify futures land in adversarially shuffled
+        # order; verdicts must stay bit-identical to the serial
         # reference and the merged event stream structurally identical
         # across every interleaving.
-        reference = AnalysisEngine(
-            options=EngineOptions(parallel=0, granularity="race")
-        ).analyze(NAMES)
+        reference = AnalysisEngine(options=EngineOptions(parallel=0)).analyze(NAMES)
         streams = []
         for seed in (0, 3, 11, 42):
             rng = random.Random(seed)
@@ -174,9 +140,7 @@ class TestFullStreamDeterminism:
             monkeypatch.setattr(
                 "repro.engine.engine.wait", _shuffled_wait(pool, rng)
             )
-            engine = AnalysisEngine(
-                options=EngineOptions(parallel=2, granularity="auto")
-            )
+            engine = AnalysisEngine(options=EngineOptions(parallel=2))
             shuffled = engine.analyze(NAMES)
             assert not pool.pending, seed  # the scheduler drained everything
             assert _full_signature(reference) == _full_signature(shuffled), seed
@@ -184,14 +148,11 @@ class TestFullStreamDeterminism:
             streams.append(self._structural(engine.last_run_events))
         assert all(stream == streams[0] for stream in streams[1:])
 
-    @pytest.mark.parametrize("granularity", ["race", "path"])
-    def test_serial_run_emits_the_pooled_event_stream(self, monkeypatch, granularity):
+    def test_serial_run_emits_the_pooled_event_stream(self, monkeypatch):
         # A serial run is the same drain with no pool, so it replays the
         # same canonical event stream as a pooled run whose futures land in
         # shuffled order -- only pool bookkeeping differs.
-        serial = AnalysisEngine(
-            options=EngineOptions(parallel=0, granularity=granularity)
-        )
+        serial = AnalysisEngine(options=EngineOptions(parallel=0))
         serial.analyze(NAMES)
         pool = _DeferredPool()
         monkeypatch.setattr(PoolDispatcher, "warm", lambda self: None)
@@ -199,9 +160,7 @@ class TestFullStreamDeterminism:
         monkeypatch.setattr(
             "repro.engine.engine.wait", _shuffled_wait(pool, random.Random(5))
         )
-        pooled = AnalysisEngine(
-            options=EngineOptions(parallel=2, granularity=granularity)
-        )
+        pooled = AnalysisEngine(options=EngineOptions(parallel=2))
         pooled.analyze(NAMES)
         assert not pool.pending
         assert self._structural(serial.last_run_events) == self._structural(
@@ -214,9 +173,7 @@ class TestFullStreamDeterminism:
         # Same shuffle with both on-disk caches in play: the cold run's
         # verdicts and the warm run's (fully cached) verdicts must both
         # match the serial reference.
-        reference = AnalysisEngine(
-            options=EngineOptions(parallel=0, granularity="race")
-        ).analyze(NAMES)
+        reference = AnalysisEngine(options=EngineOptions(parallel=0)).analyze(NAMES)
         cache_dir = str(tmp_path / "cache")
         for seed in (1, 5):
             rng = random.Random(seed)
@@ -229,36 +186,34 @@ class TestFullStreamDeterminism:
                 "repro.engine.engine.wait", _shuffled_wait(pool, rng)
             )
             runs = AnalysisEngine(
-                options=EngineOptions(
-                    parallel=2, granularity="path", cache_dir=cache_dir
-                )
+                options=EngineOptions(parallel=2, cache_dir=cache_dir)
             ).analyze(NAMES)
             assert not pool.pending, seed
             assert _full_signature(reference) == _full_signature(runs), seed
 
     def test_record_classify_overlap_stat_folds_from_its_channel(self):
+        # A channel-less overlap event (written by older versions) folds to
+        # nothing.
         events = [
             {"kind": "stage_overlap", "seconds": 0.5},
             {"kind": "stage_overlap", "channel": "record_classify", "seconds": 0.25},
         ]
         stats = fold_events(events)
-        assert stats.stage_overlap_seconds == 0.5
         assert stats.record_classify_overlap_seconds == 0.25
         assert "record/classify overlap seconds=0.25" in stats.summary()
+        assert "stage overlap seconds" not in stats.summary()
 
 
 class TestSchedulerObservability:
     def test_full_stream_run_emits_scheduler_decisions(self):
-        engine = AnalysisEngine(
-            options=EngineOptions(parallel=2, granularity="path")
-        )
+        engine = AnalysisEngine(options=EngineOptions(parallel=2))
         engine.analyze(["stress_deep"])
         decisions = [
             e for e in engine.last_run_events if e["kind"] == "scheduler_decision"
         ]
         assert decisions
         for event in decisions:
-            assert event["stage"] in ("classify", "plan", "path", "record")
+            assert event["stage"] == "classify"
             assert event["chunk_size"] >= 1
             assert event["estimated_seconds"] >= 0.0
             assert event["actual_seconds"] >= 0.0
@@ -266,9 +221,7 @@ class TestSchedulerObservability:
         assert fold_events(decisions) == fold_events([])
 
     def test_events_info_summarizes_decisions_and_percentiles(self):
-        engine = AnalysisEngine(
-            options=EngineOptions(parallel=2, granularity="path")
-        )
+        engine = AnalysisEngine(options=EngineOptions(parallel=2))
         engine.analyze(["stress_deep"])
         summary = summarize_events(engine.last_run_events)
         assert summary["scheduler_decisions"]

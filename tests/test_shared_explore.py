@@ -87,9 +87,24 @@ def _shared_only(explorer):
     return explorer
 
 
+def _primary(path):
+    """Every field of a primary, its path condition as its constraints."""
+    return (
+        path.index,
+        path.path_condition.constraints,
+        path.path_condition.infeasible,
+        tuple(path.symbolic_outputs),
+        dict(path.concrete_inputs),
+        path.diverged_after_race,
+        path.race_reached_step,
+        path.symbolic_branches,
+        path.outcome,
+    )
+
+
 def _view(explorer, primaries):
     return (
-        [path.to_dict() for path in primaries],
+        [_primary(path) for path in primaries],
         explorer.states_explored,
         explorer.states_pruned,
         explorer.prune_reasons,

@@ -69,33 +69,18 @@ def _shuffled_wait(pool, rng):
 
 class TestDispatchEquivalence:
     def test_streaming_and_serial_are_bit_identical(self):
-        reference = AnalysisEngine(
-            options=EngineOptions(parallel=0, granularity="race")
-        ).analyze(NAMES)
-        streaming = AnalysisEngine(
-            options=EngineOptions(parallel=2, granularity="path")
-        ).analyze(NAMES)
+        reference = AnalysisEngine(options=EngineOptions(parallel=0)).analyze(NAMES)
+        streaming = AnalysisEngine(options=EngineOptions(parallel=2)).analyze(NAMES)
         assert _full_signature(reference) == _full_signature(streaming)
-
-    def test_serial_fallback_parity(self):
-        # parallel=0 runs the drain with no pool: the identical task code
-        # in-process, bit-identical at either grain.
-        names = ["bbuf", "RW"]
-        reference = AnalysisEngine(
-            options=EngineOptions(parallel=0, granularity="race")
-        ).analyze(names)
-        runs = AnalysisEngine(
-            options=EngineOptions(parallel=0, granularity="path")
-        ).analyze(names)
-        assert _full_signature(reference) == _full_signature(runs)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_shuffled_completion_order_is_bit_identical(self, monkeypatch, seed):
         # Drive the streaming scheduler with a fake pool whose futures land
-        # in a shuffled order: path tasks of early races interleave with
-        # plans of later ones, exactly as a wide pool would deliver them.
-        # The merge must stay bit-identical to the serial reference.
-        reference = AnalysisEngine(options=EngineOptions(granularity="race")).analyze(NAMES)
+        # in a shuffled order: classify chunks of early workloads interleave
+        # with recordings of later ones, exactly as a wide pool would
+        # deliver them.  The merge must stay bit-identical to the serial
+        # reference.
+        reference = AnalysisEngine(options=EngineOptions(parallel=0)).analyze(NAMES)
         rng = random.Random(seed)
         pool = _DeferredPool()
         monkeypatch.setattr(PoolDispatcher, "warm", lambda self: None)
@@ -103,9 +88,7 @@ class TestDispatchEquivalence:
             PoolDispatcher, "acquire_for", lambda self, payloads: pool
         )
         monkeypatch.setattr("repro.engine.engine.wait", _shuffled_wait(pool, rng))
-        shuffled = AnalysisEngine(
-            options=EngineOptions(parallel=2, granularity="path")
-        ).analyze(NAMES)
+        shuffled = AnalysisEngine(options=EngineOptions(parallel=2)).analyze(NAMES)
         assert not pool.pending  # the scheduler drained everything
         assert _full_signature(reference) == _full_signature(shuffled)
 
@@ -123,14 +106,25 @@ class TestDispatchEquivalence:
             EngineOptions(warm_tier=False)
         with pytest.raises(ValueError, match="re-exploration fallback"):
             EngineOptions(ship_primaries=False)
+        for granularity in ("race", "path"):
+            with pytest.raises(ValueError, match="granularity"):
+                EngineOptions(granularity=granularity)
         with pytest.raises(ValueError):
             PortendConfig(solver_backend="portfolio")
         pinned = EngineOptions(
-            dispatch="streaming", speculate=False, warm_tier=True, ship_primaries=True
+            dispatch="streaming",
+            speculate=False,
+            warm_tier=True,
+            ship_primaries=True,
+            granularity="auto",
         )
         assert (
-            pinned.dispatch, pinned.speculate, pinned.warm_tier, pinned.ship_primaries
-        ) == ("streaming", False, True, True)
+            pinned.dispatch,
+            pinned.speculate,
+            pinned.warm_tier,
+            pinned.ship_primaries,
+            pinned.granularity,
+        ) == ("streaming", False, True, True, "auto")
         assert PortendConfig(solver_backend="default").solver_backend == "default"
         # Left out of the cache key, so existing cache directories keep hitting.
         assert "solver_backend" not in PortendConfig().classification_fingerprint()
@@ -144,10 +138,10 @@ class TestDispatchEquivalence:
 
 class TestPoolLifecycle:
     def test_streaming_builds_one_pool_per_run_and_reuses_it(self):
-        engine = AnalysisEngine(options=EngineOptions(parallel=2, granularity="path"))
+        engine = AnalysisEngine(options=EngineOptions(parallel=2))
         engine.analyze(["RW", "bbuf"])
-        # One ProcessPoolExecutor construction for the whole run (record,
-        # plan and path queues included); every later dispatch reuses it.
+        # One ProcessPoolExecutor construction for the whole run (record
+        # and classify queues included); every later dispatch reuses it.
         assert engine.last_run_stats.pools_created == 1
         assert engine.last_run_stats.pool_reuses >= 1
 
@@ -161,11 +155,11 @@ class TestPoolLifecycle:
 
     def test_overlap_clock_counts_only_simultaneous_flight(self):
         clock = _OverlapClock()
-        clock.update(1, 0)  # plans only: no overlap
+        clock.update(1, 0)  # recordings only: no overlap
         assert clock.total() == 0.0
         clock.update(1, 1)  # both stages in flight: overlap starts
         time.sleep(0.01)
-        clock.update(0, 1)  # plans drained: overlap ends
+        clock.update(0, 1)  # recordings drained: overlap ends
         first_window = clock.total()
         assert first_window >= 0.009
         time.sleep(0.01)
@@ -264,6 +258,6 @@ class TestStressHarmful:
         workload = build_stress_harmful(races=5)
         serial = AnalysisEngine().analyze_workloads([workload])
         streaming = AnalysisEngine(
-            options=EngineOptions(parallel=2, granularity="path")
+            options=EngineOptions(parallel=2)
         ).analyze_workloads([build_stress_harmful(races=5)])
         assert _full_signature(serial) == _full_signature(streaming)

@@ -36,7 +36,6 @@ from repro.symex.expr import (
     value_from_dict,
     value_to_dict,
 )
-from repro.symex.path_condition import PathCondition
 from repro.symex.simplify import simplify
 from repro.symex.solver import Solver, SolverResult
 
@@ -195,23 +194,3 @@ class TestSolverCache:
         # Range queries participate in the hits+misses == queries invariant.
         assert solver.stats.queries == 2
         assert solver.stats.cache_hits + solver.stats.cache_misses == 2
-
-
-class TestPathConditionRoundTrip:
-    def test_round_trip_preserves_constraints_verbatim(self):
-        import json
-
-        x = make_var("x", 0, 10)
-        y = make_var("y", 0, 4)
-        pc = PathCondition([sym_ge(x, 3), sym_lt(y, 2), sym_eq(sym_add(x, y), 5)])
-        data = json.loads(json.dumps(pc.to_dict()))
-        rebuilt = PathCondition.from_dict(data)
-        assert rebuilt.constraints == pc.constraints
-        assert rebuilt.infeasible == pc.infeasible
-        assert len(rebuilt) == len(pc)
-
-    def test_infeasible_flag_round_trips(self):
-        pc = PathCondition()
-        pc.add(0)
-        rebuilt = PathCondition.from_dict(pc.to_dict())
-        assert rebuilt.infeasible
