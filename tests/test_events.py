@@ -226,8 +226,66 @@ class TestFoldSemantics:
         ]
         assert fold_events(events) == EngineStats()
 
+    @pytest.mark.parametrize(
+        "legacy",
+        [
+            [make_event("stage_overlap", seconds=0.5)],
+            [make_event("run_start", workloads=["w"], parallel=2, granularity="path")],
+            [
+                make_event("task_submit", stage="plan", workload="w", race=1),
+                make_event("task_start", stage="plan", workload="w", race=1),
+                make_event("task_finish", stage="plan", workload="w", race=1, seconds=0.1),
+                make_event("task_submit", stage="path", workload="w", race=1, path=0),
+                make_event("task_start", stage="path", workload="w", race=1, path=0),
+                make_event(
+                    "task_finish", stage="path", workload="w", race=1, path=0, seconds=0.2
+                ),
+            ],
+        ],
+        ids=["channel_less_overlap", "granularity_field", "plan_path_tasks"],
+    )
+    def test_each_older_log_shape_loads_and_folds_to_nothing(self, tmp_path, legacy):
+        # Each shape an older log may hold, on its own: it loads from disk,
+        # folds to no counter at all, and still renders in events-info.
+        path = str(tmp_path / "old.jsonl")
+        write_events(legacy, path, append=False)
+        loaded = load_events(path)
+        assert len(loaded) == len(legacy)
+        assert fold_events(loaded) == EngineStats()
+        assert "events:" in render_events_info(loaded)
+
+    def test_summary_reports_only_the_record_classify_overlap(self):
+        text = EngineStats(record_classify_overlap_seconds=0.25).summary()
+        assert "record/classify overlap seconds=0.25" in text
+        assert text.count("overlap") == 1
+
 
 class TestEngineEventStream:
+    def test_run_start_names_no_task_grain(self):
+        engine = AnalysisEngine(options=EngineOptions(parallel=0))
+        engine.analyze(["RW"])
+        (start,) = [e for e in engine.last_run_events if e["kind"] == "run_start"]
+        assert start["workloads"] == ["RW"]
+        assert "granularity" not in start
+
+    @pytest.mark.parametrize(
+        "parallel,channels", [(0, []), (2, ["record_classify"])], ids=["serial", "pooled"]
+    )
+    def test_overlap_events_carry_the_record_classify_channel(self, parallel, channels):
+        # A pooled run reports its one overlap clock; a serial run has no
+        # pool and reports none.
+        engine = AnalysisEngine(options=EngineOptions(parallel=parallel))
+        engine.analyze(["bbuf", "RW"])
+        overlaps = [
+            e for e in engine.last_run_events if e["kind"] == "stage_overlap"
+        ]
+        assert [event["channel"] for event in overlaps] == channels
+        stages = {
+            event["stage"]
+            for event in engine.last_run_events
+            if event["kind"].startswith("task_")
+        }
+        assert stages <= {"record", "classify", "noop"}
     def test_fold_reproduces_run_stats_exactly(self):
         # The acceptance criterion: folding the emitted stream reproduces
         # every EngineStats counter on a streaming stress_deep run.

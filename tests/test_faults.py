@@ -19,20 +19,30 @@ import os
 import pytest
 
 from repro.engine import AnalysisEngine, EngineOptions
+from repro.core import PortendConfig
 from repro.engine.dispatch import (
     PoolDispatcher,
     describe_task,
     validate_worker_output,
+    worker_kind,
 )
 from repro.engine.errors import EngineError, FaultPlanError
 from repro.engine.events import fold_events, make_event, render_events_info, summarize_events
 from repro.engine.faults import (
     CRASH_EXIT_CODE,
+    FAULT_STAGES,
     FaultPlan,
     install_fault_plan,
     maybe_inject_fault,
     resolve_fault_plan,
 )
+from repro.engine.tasks import (
+    ClassificationTask,
+    RecordTask,
+    execute_record_task,
+    execute_task,
+)
+from repro.workloads import load_workload
 from test_streaming import _full_signature
 
 #: small two-workload batch: one single-stage-heavy, one multi-path
@@ -105,6 +115,35 @@ class TestResolveFaultPlan:
             )
         with pytest.raises(FaultPlanError):
             resolve_fault_plan(str(tmp_path / "missing.json"))
+
+    @pytest.mark.parametrize("stage", FAULT_STAGES)
+    def test_every_firing_stage_is_accepted_and_matches(self, tmp_path, stage):
+        spec = resolve_fault_plan(
+            json.dumps(
+                {
+                    "claims_dir": str(tmp_path / "claims"),
+                    "faults": [{"op": "malformed", "stage": stage}],
+                }
+            )
+        )
+        assert spec["faults"][0]["stage"] == stage
+        plan = FaultPlan(spec)
+        for other in FAULT_STAGES:
+            if other != stage:
+                assert plan.fire(other, "w") is None
+        assert plan.fire(stage, "w") == "malformed"
+
+    def test_stale_stage_in_a_plan_file_names_the_file(self, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(
+            json.dumps({"faults": [{"op": "hang", "stage": "path", "ms": 1}]})
+        )
+        with pytest.raises(FaultPlanError) as excinfo:
+            resolve_fault_plan(str(plan_path))
+        message = str(excinfo.value)
+        assert str(plan_path) in message
+        assert "fault #0 has unknown stage 'path'" in message
+        assert "record, classify, noop" in message
 
     def test_crash_exit_code_is_distinctive(self):
         assert CRASH_EXIT_CODE == 87
@@ -194,6 +233,18 @@ class TestValidateWorkerOutput:
         name = describe_task("classify", {"workload": "RW", "race_id": 3})
         assert name == "classify task for workload 'RW', race 3"
 
+    def test_describe_task_without_a_race_names_only_the_workload(self):
+        assert describe_task("record", {"workload": "bbuf"}) == (
+            "record task for workload 'bbuf'"
+        )
+
+    def test_worker_kinds_are_record_and_classify(self):
+        # The two task entry points are the only cost-model buckets besides
+        # the catch-all of warm-up no-ops.
+        assert worker_kind(execute_record_task) == "record"
+        assert worker_kind(execute_task) == "classify"
+        assert worker_kind(_good_worker) == "task"
+
     def test_non_mapping_output_is_rejected(self):
         with pytest.raises(EngineError, match="record task for workload 'bbuf'"):
             validate_worker_output("record", {"workload": "bbuf"}, [1, 2])
@@ -218,6 +269,26 @@ class TestValidateWorkerOutput:
             "record", {"workload": "w"}, {"trace": {}, "detection_seconds": 0.5}
         )
         validate_worker_output("classify", {"workload": "w"}, {"classified": {}})
+
+    def test_real_worker_outputs_pass_validation(self):
+        # Both entry points, driven with JSON-clean payloads (the program is
+        # rebuilt from the registry by name), return what the boundary
+        # accepts.
+        config = PortendConfig().to_dict()
+        record_payload = RecordTask(
+            workload="RW", inputs=dict(load_workload("RW").inputs), config=config
+        ).to_payload()
+        recorded = execute_record_task(record_payload)
+        validate_worker_output("record", record_payload, recorded)
+        trace = json.loads(json.dumps(recorded["trace"]))
+        assert trace["races"]
+        for race in trace["races"]:
+            classify_payload = ClassificationTask(
+                workload="RW", race_id=race["race_id"], trace=trace, config=config
+            ).to_payload()
+            output = execute_task(classify_payload)
+            validate_worker_output("classify", classify_payload, output)
+            assert output["classified"]["race"]["race_id"] == race["race_id"]
 
     def test_serial_dispatch_validates_at_the_boundary(self):
         # Without a pool the supervisor runs each chunk in the driver at

@@ -117,6 +117,31 @@ def _running_state(steps=40):
     return executor, state
 
 
+def _state_image(state):
+    """The values every copy-on-write layer of a state holds, by value."""
+    return (
+        state.memory.key(),
+        {
+            tid: [dict(frame.locals) for frame in thread.frames]
+            for tid, thread in state.threads.items()
+        },
+        {
+            name: (mutex.owner, list(mutex.waiters))
+            for name, mutex in state.sync.mutexes.items()
+        },
+    )
+
+
+def _write_every_layer(state):
+    """Write through each mutator: globals, an array, a frame and a mutex."""
+    memory = state.memory
+    memory.store_global(next(iter(memory.globals_view())), 123)
+    memory.store_array(next(iter(memory.arrays_view())), 0, 456)
+    tid = min(tid for tid, thread in state.threads.items() if thread.frames)
+    state.frame_mut(tid).locals["cow_probe"] = 789
+    state.sync.mutex_mut(next(iter(state.sync.mutexes))).waiters.append(99)
+
+
 class TestCopyOnWrite:
     def test_clone_shares_untouched_containers(self):
         _, state = _running_state()
@@ -177,6 +202,24 @@ class TestCopyOnWrite:
         assert first is second
         assert clone.sync.mutexes is not state.sync.mutexes
         assert clone.counters.cow_copies == before + 1
+
+    def test_clone_writes_never_reach_the_parent(self):
+        _, state = _running_state()
+        before = _state_image(state)
+        clone = state.clone()
+        _write_every_layer(clone)
+        assert _state_image(clone) != before
+        assert _state_image(state) == before
+
+    def test_parent_writes_never_reach_the_clone(self):
+        # Ownership is dropped on both sides of a fork, so the parent's
+        # next write copies too instead of mutating the shared container.
+        _, state = _running_state()
+        clone = state.clone()
+        before = _state_image(clone)
+        _write_every_layer(state)
+        assert _state_image(state) != before
+        assert _state_image(clone) == before
 
     def test_fork_counter_counts_symbolic_forks(self):
         workload = load_workload("bbuf")

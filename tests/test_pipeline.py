@@ -55,6 +55,24 @@ class TestEngineEquivalence:
         assert direct_sig == engine_sig
 
 
+    @pytest.mark.parametrize("name", ["SQLite", "AVV", "DCL", "DBM", "RW"])
+    def test_one_race_program_pooled_matches_serial(self, name):
+        # The one-race programs are the batches a pool could only speed up
+        # by splitting a race; they classify as one whole-race task, with
+        # verdicts identical to the serial drain's.
+        serial = AnalysisEngine(options=EngineOptions(parallel=0)).analyze([name])
+        engine = AnalysisEngine(options=EngineOptions(parallel=2))
+        pooled = engine.analyze([name])
+        assert engine.last_run_stats.pools_created == 1
+        classify_submits = [
+            event
+            for event in engine.last_run_events
+            if event["kind"] == "task_submit" and event["stage"] == "classify"
+        ]
+        assert len(classify_submits) == len(serial[0].result.classified) == 1
+        assert _full_signature(serial) == _full_signature(pooled)
+
+
 class TestExplorePrimaryPrefix:
     def test_bfs_prefix_matches_full_exploration(self):
         # The search is breadth-first over a deterministic worklist, so the
@@ -86,6 +104,25 @@ class TestExplorePrimaryPrefix:
             assert found.concrete_inputs == expected.concrete_inputs
             assert found.race_reached_step == expected.race_reached_step
             assert found.symbolic_branches == expected.symbolic_branches
+
+    def test_max_primaries_beyond_the_path_count_returns_every_primary(self):
+        # A budget larger than the tree stops at the last primary: the
+        # search neither pads nor repeats paths.
+        workload = load_workload("bbuf")
+        portend = Portend(workload.program, predicates=workload.predicates)
+        trace = portend.record(workload.inputs)
+        race = trace.races[0]
+        config = PortendConfig()
+
+        def explore(**limits):
+            return MultiPathExplorer.for_config(
+                portend.executor, portend.program, trace, race, config, **limits
+            ).explore()
+
+        full = explore()
+        beyond = explore(max_primaries=len(full) + 3)
+        assert [p.index for p in beyond] == [p.index for p in full]
+        assert [p.concrete_inputs for p in beyond] == [p.concrete_inputs for p in full]
 
 
 class TestMergePathVerdicts:

@@ -52,6 +52,19 @@ class TestPooledClassification:
         classify = [event for event in submits if event["stage"] == "classify"]
         assert len(classify) == sum(len(run.result.classified) for run in runs)
 
+    def test_warm_cache_submits_no_classify_tasks(self, tmp_path):
+        # Only classification-cache misses become tasks: a warm pooled run
+        # records nothing and classifies nothing, yet returns the cold
+        # run's verdicts.
+        options = EngineOptions(parallel=2, cache_dir=str(tmp_path))
+        cold = AnalysisEngine(options=options).analyze(self.NAMES)
+        engine = AnalysisEngine(options=options)
+        warm = engine.analyze(self.NAMES)
+        submits = [e for e in engine.last_run_events if e["kind"] == "task_submit"]
+        assert submits == []
+        assert engine.last_run_stats.classifications_computed == 0
+        assert _full_signature(cold) == _full_signature(warm)
+
 
 class TestStressDeepWorkload:
     def test_build_is_parameterized_and_harmless(self):

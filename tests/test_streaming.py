@@ -73,6 +73,21 @@ class TestDispatchEquivalence:
         streaming = AnalysisEngine(options=EngineOptions(parallel=2)).analyze(NAMES)
         assert _full_signature(reference) == _full_signature(streaming)
 
+    def test_serial_fallback_parity(self):
+        # One worker is no pool: parallel=1 falls back to the drain that
+        # parallel=0 runs, classifying in-process with the identical task
+        # code, bit-identical and with no pool bookkeeping.
+        names = ["bbuf", "RW"]
+        reference = AnalysisEngine(options=EngineOptions(parallel=0)).analyze(names)
+        engine = AnalysisEngine(options=EngineOptions(parallel=1))
+        runs = engine.analyze(names)
+        assert _full_signature(reference) == _full_signature(runs)
+        assert engine.last_run_stats.pools_created == 0
+        assert engine.last_run_stats.pool_reuses == 0
+        assert not any(
+            event["kind"] in ("pool", "stage_overlap") for event in engine.last_run_events
+        )
+
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_shuffled_completion_order_is_bit_identical(self, monkeypatch, seed):
         # Drive the streaming scheduler with a fake pool whose futures land
