@@ -107,15 +107,15 @@ def run_fault_recovery_comparison(names=("stress_harmful", "stress_deep")):
     A serial run pins the reference signature; a fault-free streaming run
     pins the baseline wall clock; the faulted streaming run replays the
     identical batch under a deterministic plan injecting one worker crash,
-    one 800ms hang and one malformed result into the pool workers.  The
+    one 400ms hang and one malformed result into the pool workers.  The
     supervision ladder must absorb all three on the pool -- retries plus at
     least one respawn, at most one quarantined task, zero run-wide serial
     downgrades -- with bit-identical verdicts and bounded overhead.
 
-    The hang is deliberately shorter than the deadline floor: it is absorbed
-    as latency, not escalated to a watchdog respawn, so the wall-clock gate
-    measures recovery cost rather than a deadline wait (the watchdog path
-    has its own tests in ``tests/test_faults.py``).
+    The hang is deliberately shorter than the 30 s chunk deadline: it is
+    absorbed as latency, not escalated to a watchdog respawn, so the
+    wall-clock gate measures recovery cost rather than a deadline wait (the
+    watchdog path has its own tests in ``tests/test_faults.py``).
     """
     serial_runs = AnalysisEngine(options=EngineOptions(parallel=0)).analyze(
         list(names)

@@ -7,9 +7,6 @@
 * :mod:`repro.engine.dispatch` -- :class:`PoolDispatcher`, the run-lifetime
   persistent pool, and :class:`PoolSupervisor`, the retry / respawn /
   quarantine layer every drain runs under,
-* :mod:`repro.engine.costmodel` -- :class:`CostModel`, the online EWMA
-  task-cost estimates behind adaptive chunk sizing and
-  longest-expected-first submission,
 * :mod:`repro.engine.tasks` -- the work items (``RecordTask`` and
   ``ClassificationTask``), their picklable
   worker entry points, and the pool initializer that installs each worker's
@@ -24,7 +21,6 @@
 """
 
 from repro.engine.cache import ClassificationCache, TraceCache, collect_cache_info
-from repro.engine.costmodel import CostModel
 from repro.engine.dispatch import PoolDispatcher, validate_worker_output
 from repro.engine.errors import EngineError, FaultPlanError
 from repro.engine.engine import AnalysisEngine, EngineOptions, EngineRun
@@ -58,7 +54,6 @@ __all__ = [
     "FaultPlan",
     "resolve_fault_plan",
     "validate_worker_output",
-    "CostModel",
     "PoolDispatcher",
     "TraceCache",
     "ClassificationCache",

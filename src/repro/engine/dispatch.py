@@ -15,14 +15,11 @@ be built, payloads that do not pickle -- the same drain runs over a
 :class:`PoolSupervisor` whose pool is None, which executes every submitted
 chunk in the driving process.
 
-Chunking is **cost-aware**: the engine sizes each batch's chunks with the
-run's :class:`~repro.engine.costmodel.CostModel` so that each targets
-roughly ``target_seconds`` of estimated work, submits recordings
-longest-expected-first, and reports every chunk's prediction as a
-``scheduler_decision`` event once the drain finishes.  A cold model falls
-back to size-based chunks that still guarantee at least
-``min(count, workers)`` chunks -- the old ``count // 4·workers`` heuristic
-could leave a short-but-skewed queue badly balanced across the pool.
+The engine cuts each workload's races into chunks by one static rule
+(``repro.engine.engine._chunk_size``: at least ``min(count, workers)``
+chunks, two waves per worker on deep queues), submits recordings in batch
+order, and reports every chunk as a ``scheduler_decision`` event once the
+drain finishes.
 
 Supervision (the fault-tolerance layer)
 ---------------------------------------
@@ -48,9 +45,8 @@ failure from a run-wide event into a per-task one.  The degradation ladder:
    the run execute in-driver (recorded as a ``pool`` event with
    ``action=downgraded``).
 
-Deadlines default to ``max(floor, 8 × EWMA estimate)`` per chunk (floor
-``REPRO_DEADLINE_FLOOR_MS``, default 30s); ``task_deadline_ms > 0`` pins a
-flat deadline instead.  Worker results are validated at this boundary
+Every pooled chunk gets one flat deadline: ``task_deadline_ms`` when it is
+above 0, else 30 s.  Worker results are validated at this boundary
 (:func:`validate_worker_output`): a wrong-shaped result raises
 :class:`~repro.engine.errors.EngineError` naming the task instead of a bare
 ``KeyError`` deep inside the merge.  Recovery is buffered as plain records
@@ -60,8 +56,8 @@ so the event stream stays canonical-order deterministic.
 
 In-driver execution runs the same task code as a worker, so results are
 bit-identical either way -- every task is deterministic, supervision only
-re-runs deterministic tasks, the cost model only influences batching and
-ordering, and callers merge in task order, never completion order.
+re-runs deterministic tasks, chunking only decides batching, and callers
+merge in task order, never completion order.
 """
 
 from __future__ import annotations
@@ -85,14 +81,14 @@ from repro.engine.tasks import (
     pool_worker_initializer,
 )
 
-#: cost-model task kind per worker entry point (anything else is "task")
+#: the stage name per worker entry point (anything else is "task")
 _WORKER_KINDS = {
     execute_record_task: "record",
     execute_task: "classify",
 }
 
-#: auto deadline = max(floor, multiplier × the chunk's EWMA estimate)
-_DEADLINE_MULTIPLIER = 8.0
+#: the pooled chunk deadline when ``task_deadline_ms`` is 0
+_DEFAULT_DEADLINE_MS = 30000
 
 #: never spin the watchdog faster than this
 _MIN_WAIT_S = 0.05
@@ -117,7 +113,7 @@ def env_int(name: str, default: int) -> int:
 
 
 def worker_kind(worker: Callable) -> str:
-    """The cost-model bucket for one worker entry point."""
+    """The stage name of one worker entry point (events, validation)."""
     return _WORKER_KINDS.get(worker, "task")
 
 
@@ -175,11 +171,10 @@ class _Flight:
 
     __slots__ = (
         "key", "worker", "kind", "payloads", "positions",
-        "attempts", "suspicion", "estimate", "deadline_s",
-        "submitted_at", "probe",
+        "attempts", "suspicion", "submitted_at", "probe",
     )
 
-    def __init__(self, key, worker, kind, payloads, positions, estimate):
+    def __init__(self, key, worker, kind, payloads, positions):
         self.key = key
         self.worker = worker
         self.kind = kind
@@ -189,8 +184,6 @@ class _Flight:
         self.attempts = 0
         #: pool crashes this flight was in flight for (culprit ambiguity)
         self.suspicion = 0
-        self.estimate = estimate
-        self.deadline_s = None
         self.submitted_at = 0.0
         #: True while this flight runs *alone* on the pool to test whether
         #: it is the task that keeps killing workers
@@ -237,7 +230,6 @@ class PoolSupervisor:
         worker,
         payloads: Sequence[Mapping],
         tag,
-        estimate: float = 0.0,
         inline: bool = False,
     ):
         """Queue one chunk; its assembled outputs come back under ``tag``.
@@ -253,7 +245,7 @@ class PoolSupervisor:
         }
         flight = _Flight(
             key, worker, worker_kind(worker), list(payloads),
-            list(range(len(payloads))), estimate,
+            list(range(len(payloads))),
         )
         if self.pool is None or inline:
             self._run_in_driver(flight)
@@ -275,11 +267,11 @@ class PoolSupervisor:
                 raise EngineError(
                     "supervisor stalled with incomplete task assemblies"
                 )
-            kwargs = {"return_when": FIRST_COMPLETED}
-            timeout = self._next_timeout()
-            if timeout is not None:
-                kwargs["timeout"] = timeout
-            done, _not_done = self.wait_fn(set(self.pending), **kwargs)
+            done, _not_done = self.wait_fn(
+                set(self.pending),
+                return_when=FIRST_COMPLETED,
+                timeout=self._next_timeout(),
+            )
             if not done:
                 self._handle_deadlines()
                 continue
@@ -325,13 +317,6 @@ class PoolSupervisor:
 
     def _submit_flight(self, flight: _Flight) -> None:
         flight.submitted_at = time.monotonic()
-        if self.dispatcher.task_deadline_ms > 0:
-            flight.deadline_s = self.dispatcher.task_deadline_ms / 1000.0
-        else:
-            flight.deadline_s = max(
-                self.dispatcher.deadline_floor_s,
-                _DEADLINE_MULTIPLIER * max(flight.estimate, 0.0),
-            )
         try:
             future = self.pool.submit(
                 execute_payload_chunk, flight.worker, flight.payloads
@@ -344,15 +329,11 @@ class PoolSupervisor:
             return
         self.pending[future] = flight
 
-    def _next_timeout(self) -> Optional[float]:
-        deadlines = [
-            flight.submitted_at + flight.deadline_s
-            for flight in self.pending.values()
-            if flight.deadline_s is not None
-        ]
-        if not deadlines:
-            return None
-        return max(_MIN_WAIT_S, min(deadlines) - time.monotonic())
+    def _next_timeout(self) -> float:
+        earliest = min(flight.submitted_at for flight in self.pending.values())
+        return max(
+            _MIN_WAIT_S, earliest + self.dispatcher.deadline_s - time.monotonic()
+        )
 
     # ------------------------------------------------------------- delivery
 
@@ -441,12 +422,12 @@ class PoolSupervisor:
 
     def _handle_deadlines(self) -> None:
         """The wait timed out: cancel expired chunks and respawn the pool."""
+        deadline_s = self.dispatcher.deadline_s
         now = time.monotonic()
         expired = [
             flight
             for flight in self.pending.values()
-            if flight.deadline_s is not None
-            and flight.submitted_at + flight.deadline_s <= now
+            if flight.submitted_at + deadline_s <= now
         ]
         if not expired:
             return
@@ -463,7 +444,7 @@ class PoolSupervisor:
                 "stage": flight.kind,
                 "workload": payload.get("workload", "?"),
                 "chunk_size": len(flight.payloads),
-                "deadline_seconds": flight.deadline_s,
+                "deadline_seconds": deadline_s,
             }
             if len(flight.payloads) == 1:
                 record.update(_payload_identity(payload))
@@ -511,7 +492,6 @@ class PoolSupervisor:
             flight.kind,
             [flight.payloads[offset]],
             [flight.positions[offset]],
-            flight.estimate / max(len(flight.payloads), 1),
         )
 
     def _quarantine(self, flight: _Flight, reason: str) -> None:
@@ -578,8 +558,10 @@ class PoolDispatcher:
         #: supervision knobs (see the module docstring's degradation ladder)
         self.max_pool_respawns = max(0, int(max_pool_respawns))
         self.max_task_retries = max(0, int(max_task_retries))
-        self.task_deadline_ms = max(0, int(task_deadline_ms))
-        self.deadline_floor_s = env_int("REPRO_DEADLINE_FLOOR_MS", 30000) / 1000.0
+        #: every pooled chunk's deadline: ``task_deadline_ms``, or 30 s at 0
+        self.deadline_s = (
+            max(0, int(task_deadline_ms)) or _DEFAULT_DEADLINE_MS
+        ) / 1000.0
         self.retry_backoff_s = float(retry_backoff_s)
         #: resolved fault-plan spec shipped to pool workers (None = no plan);
         #: the driving process itself never injects

@@ -23,10 +23,10 @@ Every batch runs through one scheduler, the full-stream drain
 :class:`~repro.engine.dispatch.PoolSupervisor`.  A landed recording
 immediately submits its workload's stage-3 work, so stage 3 of one workload
 overlaps stage 1 of the next and the pool never idles at a stage
-boundary.  Chunk sizes and submission order come from an
-online cost model (:mod:`repro.engine.costmodel`).  A serial run is the same
-drain with no pool: the supervisor executes each submitted chunk in the
-driving process.
+boundary.  Each workload's races are cut into chunks by one static rule
+(:func:`_chunk_size`), and recordings are submitted in batch order.  A serial
+run is the same drain with no pool: the supervisor executes each submitted
+chunk in the driving process.
 
 Determinism: every random decision during classification derives from
 ``PortendConfig.race_seed(race_id, path_index)``, and results are keyed by
@@ -48,7 +48,6 @@ from repro.core.alternate import reset_replay_memo
 from repro.core.categories import ClassifiedRace
 from repro.core.config import PortendConfig
 from repro.engine.cache import ClassificationCache, TraceCache
-from repro.engine.costmodel import CostModel
 from repro.engine.dispatch import PoolDispatcher, env_int, picklable
 from repro.engine.events import EventLogger, write_events
 from repro.engine.faults import FaultPlan, resolve_fault_plan
@@ -67,6 +66,30 @@ from repro.workloads import Workload, all_workloads, load_workload
 #: monotonic source of trace tokens -- process-unique, never reused, so
 #: in-driver task execution can never be served a stale memoized trace
 _TRACE_TOKENS = itertools.count()
+
+
+def _chunk_size(count: int, workers: int) -> int:
+    """Payloads per chunk for a queue of ``count`` tasks on ``workers``.
+
+    Two waves per worker once the queue is at least two-per-worker deep
+    (a straggler chunk then idles the pool for at most one chunk), one
+    wave otherwise.  Floor division keeps at least ``min(count, workers)``
+    chunks: ``ceil(6 / 4)`` would pack chunks of 2 and leave a 4-worker
+    pool with only 3.
+    """
+    if count <= 0:
+        return 1
+    workers = max(1, workers)
+    waves = 2 if count >= 2 * workers else 1
+    return max(1, count // (workers * waves))
+
+
+def _task_seconds(output: Dict) -> float:
+    """The worker-measured seconds of one task output (its ``task_finish``)."""
+    for event in reversed(output.get("events") or ()):
+        if event.get("kind") == "task_finish":
+            return float(event.get("seconds", 0.0))
+    return 0.0
 
 
 def _default_parallel() -> int:
@@ -121,10 +144,10 @@ class EngineOptions:
     #: Kept only because the benchmark harness passes every field by
     #: keyword -- a benchmark change will remove it.
     dispatch: str = "streaming"
-    #: pinned to 500, the cost model's per-chunk wall-clock target in
-    #: milliseconds (see :mod:`repro.engine.costmodel`); any other value
-    #: raises.  Kept only because the benchmark harness passes every field
-    #: by keyword -- a benchmark change will remove it.
+    #: pinned to 500 and inert: chunks follow one static rule
+    #: (:func:`_chunk_size`); any other value raises.  Kept only because the
+    #: benchmark harness passes every field by keyword -- a benchmark change
+    #: will remove it.
     chunk_target_ms: int = 500
     #: append the run's structured event stream to this JSON-lines file when
     #: set (see :mod:`repro.engine.events`); None disables the write -- the
@@ -152,10 +175,8 @@ class EngineOptions:
     #: deadline expiry) before it is quarantined to the in-driver serial
     #: path.  Default from ``REPRO_MAX_TASK_RETRIES`` (2).
     max_task_retries: int = field(default_factory=_default_max_task_retries)
-    #: flat per-chunk deadline in milliseconds for the supervised drain; 0
-    #: derives a deadline per chunk from the cost model's latency estimate
-    #: (with a generous floor, see ``REPRO_DEADLINE_FLOOR_MS``).  Default
-    #: from ``REPRO_TASK_DEADLINE_MS`` (0 = cost-model auto).
+    #: per-chunk deadline in milliseconds for the supervised drain; 0 means
+    #: the 30 s default.  Default from ``REPRO_TASK_DEADLINE_MS`` (0).
     task_deadline_ms: int = field(default_factory=_default_task_deadline_ms)
 
     def __post_init__(self) -> None:
@@ -205,9 +226,6 @@ class _Recording:
     trace: ExecutionTrace
     detection_seconds: float
     cached: bool
-    #: program content hash, computed once per workload and reused by the
-    #: classification-cache keys and the cost model
-    program_fingerprint: str = ""
 
 
 class AnalysisEngine:
@@ -226,9 +244,6 @@ class AnalysisEngine:
         #: the previous run's folded stats view / event snapshot
         self.last_run_stats: Optional[EngineStats] = None
         self.last_run_events: List[Dict] = []
-        #: the engine's online cost model: chunk sizing + submission order,
-        #: learned in memory and never persisted
-        self.cost_model = CostModel()
         #: the resolved fault-injection spec (None without a plan); resolved
         #: once here so a malformed plan fails loudly at construction, and
         #: shipped to pool workers through the dispatcher's initializer args
@@ -366,8 +381,8 @@ class AnalysisEngine:
         RecordTask lands, its workload's classification work (cache probes,
         then ClassificationTask chunks) is submitted to the same supervisor,
         so classification of workload A runs while workload B is still
-        recording.  Chunk sizes and submission order come from the run's
-        :class:`~repro.engine.costmodel.CostModel`.
+        recording.  Chunks follow :func:`_chunk_size`; recordings are
+        submitted in batch order.
 
         Without a pool -- a serial run, a pool that cannot be built, record
         payloads that do not pickle -- the drain runs over a supervisor with
@@ -391,7 +406,6 @@ class AnalysisEngine:
                 # Attach the actual program: the batch may contain what-if
                 # variants that differ from the registry build.
                 program=workload.program,
-                program_fingerprint=fingerprints[index],
             ).to_payload()
             for index, workload in enumerate(workloads)
         }
@@ -406,9 +420,7 @@ class AnalysisEngine:
                 )
                 trace_hits[index] = cached is not None
                 if cached is not None:
-                    recordings[index] = _Recording(
-                        workload, cached, 0.0, True, fingerprints[index]
-                    )
+                    recordings[index] = _Recording(workload, cached, 0.0, True)
                     del record_payloads[index]
         return self._stream_drain(
             pool,
@@ -432,7 +444,6 @@ class AnalysisEngine:
     ) -> List[EngineRun]:
         """Drive the full-stream drain loop, then replay the canonical event
         stream and merge (see :meth:`_stream_pipeline`)."""
-        model = self.cost_model
         # Pool width at drain start: chunk sizes must not depend on whether
         # the pool dies (and downgrades) mid-drain.
         workers = max(1, self.options.parallel or 1) if pool is not None else 1
@@ -447,11 +458,13 @@ class AnalysisEngine:
 
         record_outputs: Dict[int, Dict] = {}
         race_outputs: Dict[Tuple[int, int], Dict] = {}
-        decisions: List[Dict] = []
+        #: chunk decisions keyed (workload index, chunk start): replayed in
+        #: that canonical order, never in completion order
+        decisions: Dict[Tuple[int, int], Dict] = {}
         in_flight = {"record": 0, "classify": 0}
         #: logical dispatch batches riding the already-acquired pool (inline
         #: batches do not count); the replay emits one ``pool reused`` per
-        #: batch, independent of how many chunks the cost model packed
+        #: batch, independent of how many chunks it was cut into
         pooled_batches = 0
         record_clock = _OverlapClock()
         # Every submission rides the run's supervisor: a crash, hang or
@@ -463,7 +476,7 @@ class AnalysisEngine:
 
         def open_classification(index):
             """Probe the classification cache for one landed recording and
-            submit its stage-3 work as cost-sized chunks."""
+            submit its stage-3 work in :func:`_chunk_size` chunks."""
             nonlocal pooled_batches
             recording = recordings[index]
             workload = recording.workload
@@ -520,35 +533,19 @@ class AnalysisEngine:
                 self._task_payload(recordings, contexts, config_data, index, race_id)
                 for _index, race_id, _key in misses
             ]
-            size = model.chunk_size("classify", fingerprints[index], len(payloads), workers)
-            estimate = model.estimate("classify", fingerprints[index])
+            size = _chunk_size(len(payloads), workers)
             for start in range(0, len(payloads), size):
-                chunk_payloads = payloads[start : start + size]
-                chunk_estimate = estimate * len(chunk_payloads)
                 supervisor.submit(
                     execute_task,
-                    chunk_payloads,
-                    tag=(
-                        "classify",
-                        (misses[start : start + size], chunk_estimate, fingerprints[index]),
-                    ),
-                    estimate=chunk_estimate,
+                    payloads[start : start + size],
+                    tag=("classify", (index, start, misses[start : start + size])),
                     inline=inline,
                 )
                 in_flight["classify"] += 1
 
-        # Submit the record queue longest-expected-first so the straggler
-        # workload starts recording before its faster siblings fill the pool.
-        record_order = sorted(
-            record_payloads,
-            key=lambda index: -model.estimate("record", fingerprints[index]),
-        )
-        for index in record_order:
+        for index in record_payloads:
             supervisor.submit(
-                execute_record_task,
-                [record_payloads[index]],
-                tag=("record", index),
-                estimate=model.estimate("record", fingerprints[index]),
+                execute_record_task, [record_payloads[index]], tag=("record", index)
             )
             in_flight["record"] += 1
         # Trace-cached workloads skip stage 1 entirely: their stage-3 work
@@ -576,30 +573,19 @@ class AnalysisEngine:
                             fingerprints[index],
                         )
                     recordings[index] = _Recording(
-                        workload,
-                        trace,
-                        output["detection_seconds"],
-                        False,
-                        fingerprints[index],
+                        workload, trace, output["detection_seconds"], False
                     )
                     record_outputs[index] = output
-                    model.observe_output("record", fingerprints[index], output)
                     open_classification(index)
                 else:
-                    chunk_misses, estimate, fingerprint = ref
-                    actual = 0.0
+                    index, start, chunk_misses = ref
                     for miss, item in zip(chunk_misses, chunk_outputs):
                         race_outputs[(miss[0], miss[1])] = item
-                        seconds = model.observe_output("classify", fingerprint, item)
-                        actual += seconds or 0.0
-                    decisions.append(
-                        {
-                            "stage": "classify",
-                            "chunk_size": len(chunk_outputs),
-                            "estimated_seconds": estimate,
-                            "actual_seconds": actual,
-                        }
-                    )
+                    decisions[(index, start)] = {
+                        "stage": "classify",
+                        "chunk_size": len(chunk_outputs),
+                        "actual_seconds": sum(map(_task_seconds, chunk_outputs)),
+                    }
                 record_clock.update(in_flight["record"], in_flight["classify"])
 
         # ------------------------------------------------- canonical replay
@@ -650,8 +636,8 @@ class AnalysisEngine:
             )
             for _ in range(pooled_batches):
                 self.events.emit("pool", action="reused")
-        for decision in decisions:
-            self.events.emit("scheduler_decision", **decision)
+        for key in sorted(decisions):
+            self.events.emit("scheduler_decision", **decisions[key])
         # Recovery records (retries, respawns, quarantines, deadline hits)
         # replay here, after the drain, exactly like scheduler decisions:
         # buffered at nondeterministic moments, emitted in canonical order.

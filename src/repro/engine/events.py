@@ -42,10 +42,10 @@ kind                         fields
 ``stage_overlap``            ``seconds``, ``channel`` (``record_classify``:
                              the full-stream scheduler's record↔classify
                              overlap)
-``scheduler_decision``       ``stage``, ``chunk_size``, ``estimated_seconds``,
-                             ``actual_seconds`` -- one per chunk the
-                             cost-aware scheduler packed, so mispredictions
-                             are observable post-hoc via ``events-info``
+``scheduler_decision``       ``stage``, ``chunk_size``, ``actual_seconds``
+                             -- one per chunk the scheduler cut, replayed
+                             in (workload, chunk start) order; older logs'
+                             ``estimated_seconds`` is ignored
 ``task_retry``               ``stage``, ``workload``, ``race``,
                              ``attempt``, ``reason`` (crash/deadline/
                              malformed) -- supervision re-submitted the task
@@ -341,8 +341,8 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
 
     Returns a dict with: by-kind counts, the folded stats, per-stage task
     latency histograms (with p50/p95 percentiles), cache hit rates by tier,
-    solver time/query totals, and the cost-aware
-    scheduler's chunk decisions (estimated vs. actual seconds per stage).
+    solver time/query totals, and the scheduler's chunk decisions (chunks,
+    tasks and actual seconds per stage).
     """
     by_kind: Dict[str, int] = {}
     stage_latencies: Dict[str, List[float]] = {}
@@ -378,17 +378,10 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
         elif kind == "scheduler_decision":
             stage = str(event.get("stage", "?"))
             entry = decisions.setdefault(
-                stage,
-                {
-                    "chunks": 0,
-                    "tasks": 0,
-                    "estimated_seconds": 0.0,
-                    "actual_seconds": 0.0,
-                },
+                stage, {"chunks": 0, "tasks": 0, "actual_seconds": 0.0}
             )
             entry["chunks"] += 1
             entry["tasks"] += int(event.get("chunk_size", 0))
-            entry["estimated_seconds"] += float(event.get("estimated_seconds", 0.0))
             entry["actual_seconds"] += float(event.get("actual_seconds", 0.0))
         elif kind == "cache":
             tier = str(event.get("tier", "?"))
@@ -487,7 +480,6 @@ def render_events_info(events: Sequence[Event]) -> str:
     for stage, data in summary["scheduler_decisions"].items():
         lines.append(
             f"  {stage}: chunks={int(data['chunks'])} tasks={int(data['tasks'])} "
-            f"estimated={data['estimated_seconds']:.3f}s "
             f"actual={data['actual_seconds']:.3f}s"
         )
     if not summary["scheduler_decisions"]:

@@ -297,10 +297,6 @@ class RecordTask:
     inputs: Dict
     config: Dict
     program: Optional[object] = None
-    #: program content hash; recording itself never consults it, but the
-    #: cost model keys record-task latency by it so the full-stream
-    #: scheduler can order recordings longest-expected-first
-    program_fingerprint: str = ""
 
     def to_payload(self) -> Dict:
         payload = {
@@ -308,8 +304,6 @@ class RecordTask:
             "inputs": dict(self.inputs),
             "config": self.config,
         }
-        if self.program_fingerprint:
-            payload["program_fingerprint"] = self.program_fingerprint
         if self.program is not None:
             payload["program"] = self.program
         return payload
@@ -321,7 +315,6 @@ class RecordTask:
             inputs=dict(payload["inputs"]),
             config=payload["config"],
             program=payload.get("program"),
-            program_fingerprint=payload.get("program_fingerprint", ""),
         )
 
 

@@ -131,11 +131,9 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="MS",
-        help="flat per-chunk deadline for pooled tasks; an expired chunk is "
-        "cancelled, the pool respawned and the chunk retried.  0 derives "
-        "deadlines from the cost model's latency estimates (with a floor "
-        "from REPRO_DEADLINE_FLOOR_MS).  Defaults to "
-        "REPRO_TASK_DEADLINE_MS, else 0",
+        help="per-chunk deadline for pooled tasks; an expired chunk is "
+        "cancelled, the pool respawned and the chunk retried.  0 means the "
+        "30s default.  Defaults to REPRO_TASK_DEADLINE_MS, else 0",
     )
     parser.add_argument(
         "--profile-top",

@@ -241,8 +241,22 @@ class TestFoldSemantics:
                     "task_finish", stage="path", workload="w", race=1, path=0, seconds=0.2
                 ),
             ],
+            [
+                make_event(
+                    "scheduler_decision",
+                    stage="classify",
+                    chunk_size=4,
+                    estimated_seconds=0.0,
+                    actual_seconds=0.01,
+                )
+            ],
         ],
-        ids=["channel_less_overlap", "granularity_field", "plan_path_tasks"],
+        ids=[
+            "channel_less_overlap",
+            "granularity_field",
+            "plan_path_tasks",
+            "estimated_decision",
+        ],
     )
     def test_each_older_log_shape_loads_and_folds_to_nothing(self, tmp_path, legacy):
         # Each shape an older log may hold, on its own: it loads from disk,
@@ -342,22 +356,24 @@ class TestEngineEventStream:
         # keeps every event's identity fields and drops the attribution
         # payload of solver events.  Interpreter counters are attributed the
         # same way: the task that first needs a trace's shared replay pass
-        # pays its statements, so interp events keep only their kind.
+        # pays its statements, so interp events keep only their kind.  Chunk
+        # decisions replay in (workload, chunk start) order with sizes from
+        # a static rule, so they stay -- minus their measured seconds.
         def structural(events):
             projected = []
             for event in events:
-                if event["kind"] in (
-                    "pool",
-                    "stage_overlap",
-                    "run_start",
-                    "scheduler_decision",
-                ):
-                    # streaming-only / configuration events, plus the
-                    # cost-model decisions: chunk sizes depend on EWMA
-                    # state evolved in completion order, so they are
-                    # advisory detail, not part of the canonical stream.
+                if event["kind"] in ("pool", "stage_overlap", "run_start"):
+                    # streaming-only / configuration events
                     continue
-                if event["kind"] in ("solver_query", "solver_stats"):
+                if event["kind"] == "scheduler_decision":
+                    projected.append(
+                        {
+                            k: v
+                            for k, v in event.items()
+                            if k not in ("ts", "actual_seconds")
+                        }
+                    )
+                elif event["kind"] in ("solver_query", "solver_stats"):
                     keep = ("kind", "result")
                     projected.append(
                         {k: v for k, v in event.items() if k in keep}

@@ -239,8 +239,8 @@ class TestValidateWorkerOutput:
         )
 
     def test_worker_kinds_are_record_and_classify(self):
-        # The two task entry points are the only cost-model buckets besides
-        # the catch-all of warm-up no-ops.
+        # Each task entry point names its stage (the ``stage`` of recovery
+        # events and the validation rules); warm-up no-ops are the catch-all.
         assert worker_kind(execute_record_task) == "record"
         assert worker_kind(execute_task) == "classify"
         assert worker_kind(_good_worker) == "task"

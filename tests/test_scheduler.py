@@ -1,84 +1,75 @@
-"""Tests for the full-stream run-wide scheduler and its cost model.
+"""Tests for the full-stream run-wide scheduler.
 
 Covers the whole-pipeline streaming redesign: bit-identical verdicts and a
 structurally deterministic event stream under adversarially shuffled
 record/classify completion orders (shared by serial runs, which drain the
-same loop with no pool), the EWMA cost model (estimates, chunk-size
-invariants -- including the wide-queue fallback fix), the eager pool
-warm-up accounting, the ``scheduler_decision`` observability hooks, and
-the environment-variable defaults the CI full-stream job relies on.
+same loop with no pool), the static chunk rule's invariants, the flat
+chunk deadline, the eager pool warm-up accounting, the
+``scheduler_decision`` observability hooks, and the environment-variable
+defaults the CI full-stream job relies on.
 """
 
 import random
 
 import pytest
 
-from repro.engine import AnalysisEngine, CostModel, EngineOptions, PoolDispatcher
+from repro.engine import AnalysisEngine, EngineOptions, PoolDispatcher
+from repro.engine.engine import _chunk_size
 from repro.engine.events import (
     fold_events,
     render_events_info,
     summarize_events,
 )
+from repro.engine.tasks import execute_noop_task
 
 from test_streaming import NAMES, _DeferredPool, _full_signature, _shuffled_wait
 
 
-class TestCostModel:
-    def test_ewma_fold(self):
-        model = CostModel(alpha=0.5)
-        model.observe("classify", "fp", 1.0)
-        assert model.estimate("classify", "fp") == 1.0
-        model.observe("classify", "fp", 2.0)
-        assert model.estimate("classify", "fp") == pytest.approx(1.5)
-
-    def test_estimate_falls_back_to_kind_average(self):
-        model = CostModel()
-        model.observe("classify", "seen", 0.25)
-        # Unseen fingerprint of a seen kind borrows the kind aggregate;
-        # an entirely cold kind estimates 0.0 (advisory-only).
-        assert model.estimate("classify", "unseen") == pytest.approx(0.25)
-        assert model.estimate("record", "unseen") == 0.0
-
-    def test_negative_observations_are_ignored(self):
-        model = CostModel()
-        model.observe("classify", "fp", -1.0)
-        assert model.estimate("classify", "fp") == 0.0
-
-    def test_output_seconds_prefers_worker_task_finish(self):
-        output = {
-            "seconds": 9.0,
-            "events": [
-                {"kind": "task_start", "stage": "classify"},
-                {"kind": "task_finish", "stage": "classify", "seconds": 0.125},
-            ],
-        }
-        assert CostModel.output_seconds(output) == 0.125
-        assert CostModel.output_seconds({"seconds": 0.5}) == 0.5
-        assert CostModel.output_seconds({}) is None
-        assert CostModel.output_seconds(None) is None
-
+class TestChunkSize:
     @pytest.mark.parametrize(
         "count,workers",
         [(2, 4), (6, 4), (7, 2), (8, 2), (15, 4), (100, 4), (3, 8)],
     )
-    def test_cold_chunks_spread_across_all_workers(self, count, workers):
-        # The wide-queue fallback fix: a batch smaller than 4*workers must
-        # still split across the pool instead of collapsing into one chunk.
-        model = CostModel()
-        size = model.chunk_size("classify", "fp", count, workers)
+    def test_chunks_spread_across_all_workers_under_the_cap(self, count, workers):
+        # Never fewer than min(count, workers) chunks, and never more than
+        # count // (workers * waves) payloads in one chunk, so no chunk can
+        # serialize the queue onto one worker.
+        size = _chunk_size(count, workers)
         chunk_count = -(-count // size)  # ceil
         assert chunk_count >= min(count, workers), (count, workers, size)
+        waves = 2 if count >= 2 * workers else 1
+        assert size <= max(1, count // (workers * waves)), (count, workers, size)
 
-    def test_warm_chunks_target_the_configured_seconds(self):
-        model = CostModel(target_seconds=1.0)
-        for _ in range(3):
-            model.observe("classify", "fp", 0.1)
-        # ~10 tasks fit the 1s target, clamped to ceil(count/workers*waves).
-        assert model.chunk_size("classify", "fp", 100, 4) == 10
-        # A task slower than the target runs alone.
-        for _ in range(20):
-            model.observe("classify", "slow", 5.0)
-        assert model.chunk_size("classify", "slow", 100, 4) == 1
+    @pytest.mark.parametrize(
+        "count,size", [(160, 40), (120, 30), (8, 2), (3, 1), (0, 1), (-3, 1)]
+    )
+    def test_two_waves_per_worker_and_size_one_when_empty(self, count, size):
+        # Deep queues get exactly the two-wave cap; an empty one gets 1.
+        assert _chunk_size(count, 2) == size
+
+
+class TestDeadline:
+    @pytest.mark.parametrize(
+        "task_deadline_ms,seconds", [(0, 30.0), (-5, 30.0), (1200, 1.2)]
+    )
+    def test_pooled_chunk_waits_on_the_flat_deadline(self, task_deadline_ms, seconds):
+        # 0 (or less) means the 30 s default; anything above pins the chunk
+        # deadline the supervisor's wait times out on.
+        pool = _DeferredPool()
+        shuffled = _shuffled_wait(pool, random.Random(0))
+        timeouts = []
+
+        def wait(futures, return_when=None, timeout=None):
+            timeouts.append(timeout)
+            return shuffled(futures, return_when, timeout)
+
+        dispatcher = PoolDispatcher(2, task_deadline_ms=task_deadline_ms)
+        assert dispatcher.deadline_s == seconds
+        supervisor = dispatcher.supervise(pool, wait_fn=wait)
+        supervisor.submit(execute_noop_task, [{}], tag="noop")
+        assert supervisor.wait_some() == [("noop", [{}])]
+        assert len(timeouts) == 1
+        assert seconds - 1.0 < timeouts[0] <= seconds
 
 
 class TestWarmPool:
@@ -98,19 +89,18 @@ class TestWarmPool:
 
 
 class TestFullStreamDeterminism:
-    def _structural(self, events):
+    def _structural(self, events, skip=()):
         """The completion-order-independent projection of a run's stream
         (mirrors the projection asserted in test_events.py)."""
         projected = []
         for event in events:
-            if event["kind"] in (
-                "pool",
-                "stage_overlap",
-                "run_start",
-                "scheduler_decision",
-            ):
+            if event["kind"] in ("pool", "stage_overlap", "run_start") + skip:
                 continue
-            if event["kind"] in ("solver_query", "solver_stats"):
+            if event["kind"] == "scheduler_decision":
+                projected.append(
+                    {k: v for k, v in event.items() if k not in ("ts", "actual_seconds")}
+                )
+            elif event["kind"] in ("solver_query", "solver_stats"):
                 keep = ("kind", "result")
                 projected.append({k: v for k, v in event.items() if k in keep})
             elif event["kind"] == "interp_stats":
@@ -151,7 +141,9 @@ class TestFullStreamDeterminism:
     def test_serial_run_emits_the_pooled_event_stream(self, monkeypatch):
         # A serial run is the same drain with no pool, so it replays the
         # same canonical event stream as a pooled run whose futures land in
-        # shuffled order -- only pool bookkeeping differs.
+        # shuffled order -- only pool bookkeeping differs, and the chunk
+        # decisions: chunks are cut for a width-1 drain serially and a
+        # width-2 one pooled.
         serial = AnalysisEngine(options=EngineOptions(parallel=0))
         serial.analyze(NAMES)
         pool = _DeferredPool()
@@ -163,8 +155,9 @@ class TestFullStreamDeterminism:
         pooled = AnalysisEngine(options=EngineOptions(parallel=2))
         pooled.analyze(NAMES)
         assert not pool.pending
-        assert self._structural(serial.last_run_events) == self._structural(
-            pooled.last_run_events
+        skip = ("scheduler_decision",)
+        assert self._structural(serial.last_run_events, skip) == self._structural(
+            pooled.last_run_events, skip
         )
         assert serial.last_run_stats.pools_created == 0
         assert serial.last_run_stats.pool_reuses == 0
@@ -215,10 +208,35 @@ class TestSchedulerObservability:
         for event in decisions:
             assert event["stage"] == "classify"
             assert event["chunk_size"] >= 1
-            assert event["estimated_seconds"] >= 0.0
             assert event["actual_seconds"] >= 0.0
+            assert "estimated_seconds" not in event
         # Advisory detail: decisions fold into no counter.
         assert fold_events(decisions) == fold_events([])
+
+    def test_pooled_runs_cut_identical_chunks_in_canonical_order(self):
+        # Chunk sizes follow the static rule, and decisions replay in
+        # (workload, chunk start) order: two real pooled runs of one batch
+        # emit the same sequence whatever order their chunks completed in.
+        sequences = []
+        for _ in range(2):
+            engine = AnalysisEngine(options=EngineOptions(parallel=2))
+            runs = engine.analyze(NAMES)
+            sequences.append(
+                [
+                    (e["stage"], e["chunk_size"])
+                    for e in engine.last_run_events
+                    if e["kind"] == "scheduler_decision"
+                ]
+            )
+        expected = []
+        for run in runs:
+            count = len(run.result.classified)
+            size = _chunk_size(count, 2)
+            expected += [
+                ("classify", min(size, count - start))
+                for start in range(0, count, size)
+            ]
+        assert sequences[0] == sequences[1] == expected
 
     def test_events_info_summarizes_decisions_and_percentiles(self):
         engine = AnalysisEngine(options=EngineOptions(parallel=2))
@@ -264,15 +282,9 @@ class TestEnvironmentDefaults:
     @pytest.mark.parametrize("value", ["", "  "])
     def test_blank_env_values_mean_the_default(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_PARALLEL", value)
-        monkeypatch.setenv("REPRO_DEADLINE_FLOOR_MS", value)
         assert EngineOptions().parallel == 0
-        assert PoolDispatcher(0).deadline_floor_s == 30.0
 
     def test_garbage_env_values_raise(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "two")
         with pytest.raises(ValueError, match="REPRO_PARALLEL"):
             EngineOptions()
-        monkeypatch.delenv("REPRO_PARALLEL")
-        monkeypatch.setenv("REPRO_DEADLINE_FLOOR_MS", "30s")
-        with pytest.raises(ValueError, match="REPRO_DEADLINE_FLOOR_MS"):
-            PoolDispatcher(0)
