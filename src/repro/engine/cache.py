@@ -36,6 +36,7 @@ import hashlib
 import json
 import os
 import time
+import weakref
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -48,6 +49,15 @@ TRACE_FORMAT_VERSION = 1
 
 #: bump when the serialized ClassifiedRace layout changes incompatibly
 CLASSIFICATION_FORMAT_VERSION = 1
+
+#: the :class:`Program` declarations a program fingerprint covers; the
+#: derived maps ``finalize()`` computes from them are not hashed
+PROGRAM_FIELDS = (
+    "name", "language", "globals", "arrays", "mutexes", "condvars", "barriers", "functions", "entry"
+)
+
+#: finalized Program -> (guard, digest); see TraceCache.program_fingerprint
+_FINGERPRINTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _canonical(obj):
@@ -187,6 +197,23 @@ def _callable_fingerprint(fn) -> str:
         (f"{_code_fingerprint(code)}:{cells!r}:{defaults!r}").encode("utf-8")
     )
     return digest.hexdigest()[:16]
+
+
+def _program_guard(program) -> tuple:
+    """A shallow snapshot of a program's declarations.  It holds each
+    function and body object, not its id (a freed object's id is reused);
+    tuple comparison short-circuits on identity, so it stays cheap."""
+    return (
+        program.name,
+        program.language,
+        program.entry,
+        tuple(program.globals.items()),
+        tuple(program.barriers.items()),
+        tuple(sorted(program.mutexes)),
+        tuple(sorted(program.condvars)),
+        tuple((decl.name, decl.size, decl.fill) for decl in program.arrays.values()),
+        tuple((name, fn, fn.body) for name, fn in program.functions.items()),
+    )
 
 
 def _atomic_write_json(cache_dir: Path, path: Path, payload: str) -> None:
@@ -338,17 +365,27 @@ class TraceCache(_DirectoryCache):
 
     @staticmethod
     def program_fingerprint(program) -> str:
-        """Content hash of a :class:`Program`.
+        """Content hash of a :class:`Program`'s declarations.
 
         Two workloads can share a name but differ in code (what-if variants
         like ``build_memcached(remove_slab_lock=True)``), so the cache key
         must cover the program *content*, not just its name.  The hash is
-        taken over the :func:`_canonical` reduction of the program's
-        attributes, which is stable across rebuilds and across processes
-        (see its docstring for what needs canonicalizing and why).
+        taken over the :func:`_canonical` reduction of :data:`PROGRAM_FIELDS`
+        (not the maps ``finalize()`` derives from them), stable across
+        rebuilds and processes.  A finalized program's digest is memoised
+        per object until its :func:`_program_guard` changes.  Known limit:
+        an in-place ``Stmt`` mutation after ``finalize()`` breaks the
+        immutable-after-finalize contract and is not detected.
         """
-        canonical = _canonical(dict(vars(program)))
-        return hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()
+        guard = _program_guard(program) if program.finalized else None
+        memo = _FINGERPRINTS.get(program) if guard is not None else None
+        if memo is not None and memo[0] == guard:
+            return memo[1]
+        canonical = _canonical([(name, getattr(program, name)) for name in PROGRAM_FIELDS])
+        digest = hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()
+        if guard is not None:
+            _FINGERPRINTS[program] = (guard, digest)
+        return digest
 
     @staticmethod
     def key(
@@ -405,15 +442,14 @@ class TraceCache(_DirectoryCache):
         program: str,
         inputs: Dict[str, int],
         config: PortendConfig,
-        trace: ExecutionTrace,
+        trace: Dict,
         program_fingerprint: str = "",
     ) -> Path:
-        """Persist a recorded trace; returns the cache file path."""
+        """Persist a recorded trace's wire dict (``ExecutionTrace.to_dict``)
+        as-is; returns the cache file path."""
         key = self.key(program, inputs, config, program_fingerprint)
         path = self._path(program, key)
-        payload = json.dumps(
-            {"key": key, "stored_at": time.time(), "trace": trace.to_dict()}
-        )
+        payload = json.dumps({"key": key, "stored_at": time.time(), "trace": trace})
         _atomic_write_json(self.cache_dir, path, payload)
         self._evict_overflow()
         return path
@@ -502,11 +538,12 @@ class ClassificationCache(_DirectoryCache):
         self._record_hit(path)
         return classified
 
-    def store(self, program: str, key: str, classified: ClassifiedRace) -> Path:
-        """Persist a classification; returns the cache file path."""
+    def store(self, program: str, key: str, classified: Dict) -> Path:
+        """Persist a classification's wire dict (``ClassifiedRace.to_dict``)
+        as-is; returns the cache file path."""
         path = self._path(program, key)
         payload = json.dumps(
-            {"key": key, "stored_at": time.time(), "classified": classified.to_dict()}
+            {"key": key, "stored_at": time.time(), "classified": classified}
         )
         _atomic_write_json(self.cache_dir, path, payload)
         self._evict_overflow()

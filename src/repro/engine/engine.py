@@ -393,6 +393,9 @@ class AnalysisEngine:
         interleavings -- and verdicts are bit-identical to a serial run
         because every task is deterministic and results are consumed keyed
         by ``(index, race_id)``, never in completion order.
+        Cache entries, though, are written as each chunk lands, as the
+        dicts the worker sent; a recording's trace dict is also its stage-3
+        ``trace_data``.  Program fingerprints are memoised per object.
         """
         config_data = self.config.to_dict()
         fingerprints = [
@@ -454,6 +457,8 @@ class AnalysisEngine:
         contexts: List[Optional[Dict]] = [None] * count
         #: per-workload classification-cache probe results, trace order
         cls_hits: List[Set[int]] = [set() for _ in range(count)]
+        #: keys stored this run miss when probed, so hits never follow timing
+        stored: Set[str] = set()
         race_misses: List[List[Tuple[int, int, str]]] = [[] for _ in range(count)]
 
         record_outputs: Dict[int, Dict] = {}
@@ -506,7 +511,9 @@ class AnalysisEngine:
                         use_semantic_predicates=self.options.use_semantic_predicates,
                         predicate_fingerprint=predicate_fingerprint,
                     )
-                    cached = self.classification_cache.load(workload.name, key)
+                    cached = None
+                    if key not in stored:
+                        cached = self.classification_cache.load(workload.name, key)
                     if cached is not None:
                         cached_counts[index] += 1
                         cls_hits[index].add(race.race_id)
@@ -516,10 +523,11 @@ class AnalysisEngine:
             if not misses:
                 return
             race_misses[index] = misses
-            # Serialize traces lazily: only workloads with at least one
-            # cache miss pay for the wire format.  The token lets task
-            # executors share one deserialization per trace.
-            context["trace_data"] = recording.trace.to_dict()
+            # Only trace-cache hits need encoding: a fresh recording ships
+            # the dict its worker sent.  The token lets task executors share
+            # one deserialization per trace.
+            output = record_outputs.get(index)
+            context["trace_data"] = output["trace"] if output else recording.trace.to_dict()
             context["trace_token"] = f"{os.getpid()}:{next(_TRACE_TOKENS)}"
             # Record payloads carry no predicates, so a closure-bearing
             # workload is only found unpicklable here; its stage 3 runs in
@@ -569,7 +577,7 @@ class AnalysisEngine:
                             workload.name,
                             workload.inputs,
                             self.config,
-                            trace,
+                            output["trace"],
                             fingerprints[index],
                         )
                     recordings[index] = _Recording(
@@ -579,8 +587,13 @@ class AnalysisEngine:
                     open_classification(index)
                 else:
                     index, start, chunk_misses = ref
-                    for miss, item in zip(chunk_misses, chunk_outputs):
-                        race_outputs[(miss[0], miss[1])] = item
+                    for (_index, race_id, key), item in zip(chunk_misses, chunk_outputs):
+                        race_outputs[(index, race_id)] = item
+                        if self.classification_cache is not None:
+                            stored.add(key)
+                            self.classification_cache.store(
+                                workloads[index].name, key, item["classified"]
+                            )
                     decisions[(index, start)] = {
                         "stage": "classify",
                         "chunk_size": len(chunk_outputs),
@@ -617,17 +630,15 @@ class AnalysisEngine:
                     workload=workloads[miss_index].name,
                     race=race_id,
                 )
-            for miss_index, race_id, key in race_misses[index]:
+            for miss_index, race_id, _key in race_misses[index]:
                 item = race_outputs[(miss_index, race_id)]
                 self.events.absorb(item.get("events"))
-                self._store_classification(
-                    workloads[miss_index].name,
-                    miss_index,
-                    race_id,
-                    key,
-                    ClassifiedRace.from_dict(item["classified"]),
-                    slots,
+                self.events.emit(
+                    "classification_computed",
+                    workload=workloads[miss_index].name,
+                    race=race_id,
                 )
+                slots[miss_index][race_id] = ClassifiedRace.from_dict(item["classified"])
         # Pool bookkeeping only exists when a pool ran: a serial run keeps
         # pools_created == pool_reuses == 0 and reports no overlap.
         if pool is not None:
@@ -688,15 +699,6 @@ class AnalysisEngine:
             trace_token=contexts[index]["trace_token"],
             program_fingerprint=contexts[index]["program_fingerprint"],
         ).to_payload()
-
-    def _store_classification(
-        self, name: str, index: int, race_id: int, key: str,
-        classified: ClassifiedRace, slots,
-    ) -> None:
-        self.events.emit("classification_computed", workload=name, race=race_id)
-        if self.classification_cache is not None and key:
-            self.classification_cache.store(name, key, classified)
-        slots[index][race_id] = classified
 
 
 class _OverlapClock:

@@ -249,6 +249,158 @@ class TestTraceCache:
         assert first == second  # Stmt.uid (a process-global counter) is excluded
 
 
+def _count_walks(monkeypatch):
+    """Count ``_canonical`` calls (every node of every fingerprint walk)."""
+    import repro.engine.cache as cache_module
+
+    walks = []
+    original = cache_module._canonical
+
+    def counting(obj):
+        walks.append(1)
+        return original(obj)
+
+    monkeypatch.setattr(cache_module, "_canonical", counting)
+    return walks
+
+
+class TestProgramFingerprint:
+    def test_second_call_on_one_program_walks_nothing(self, monkeypatch):
+        program = load_workload("bbuf").program
+        first = TraceCache.program_fingerprint(program)
+        walks = _count_walks(monkeypatch)
+        assert TraceCache.program_fingerprint(program) == first
+        assert walks == []
+
+    def test_second_pass_over_one_batch_walks_nothing(self, monkeypatch):
+        batch = [load_workload("RW"), load_workload("bbuf")]
+        first = AnalysisEngine().analyze_workloads(batch)
+        walks = _count_walks(monkeypatch)
+        second = AnalysisEngine().analyze_workloads(batch)
+        assert walks == []
+        assert _classification_signature(
+            first[1].result.classified
+        ) == _classification_signature(second[1].result.classified)
+
+    def test_mutating_a_global_yields_a_fresh_digest(self):
+        program = load_workload("RW").program
+        before = TraceCache.program_fingerprint(program)
+        name = sorted(program.globals)[0]
+        program.globals[name] += 1
+        after = TraceCache.program_fingerprint(program)
+        fresh = load_workload("RW").program
+        fresh.globals[name] += 1
+        assert after != before
+        assert after == TraceCache.program_fingerprint(fresh)
+
+    def test_replacing_a_function_yields_a_fresh_digest(self):
+        import dataclasses
+
+        def widen(program):
+            function = program.functions[program.entry]
+            program.functions[program.entry] = dataclasses.replace(
+                function, params=function.params + ("extra",)
+            )
+
+        program = load_workload("RW").program
+        before = TraceCache.program_fingerprint(program)
+        widen(program)
+        after = TraceCache.program_fingerprint(program)
+        fresh = load_workload("RW").program
+        widen(fresh)
+        assert after != before
+        assert after == TraceCache.program_fingerprint(fresh)
+
+    def test_unfinalized_programs_are_never_memoised(self, monkeypatch):
+        from repro.engine.cache import _FINGERPRINTS
+        from repro.lang.program import Program
+
+        program = Program("draft")
+        program.add_global("g", 1)
+        first = TraceCache.program_fingerprint(program)
+        assert program not in _FINGERPRINTS
+        walks = _count_walks(monkeypatch)
+        assert TraceCache.program_fingerprint(program) == first
+        assert walks  # recomputed, not served from a memo
+
+    def test_whatif_variant_differs_from_the_default_build(self):
+        from repro.workloads.memcached import build_memcached
+
+        assert TraceCache.program_fingerprint(
+            build_memcached(remove_slab_lock=True).program
+        ) != TraceCache.program_fingerprint(build_memcached().program)
+
+    def test_every_declaration_field_is_hashed(self):
+        # A new public Program field must join PROGRAM_FIELDS, or two
+        # programs differing only there would share cache entries.
+        from repro.engine.cache import PROGRAM_FIELDS
+        from repro.lang.program import Program
+
+        public = {name for name in vars(Program("p")) if not name.startswith("_")}
+        assert public == set(PROGRAM_FIELDS)
+
+
+class TestCacheStores:
+    def test_classification_entry_is_the_worker_dict(self, tmp_path):
+        from repro.engine import ClassificationCache
+
+        workload, _portend, trace = _record_trace("bbuf")
+        output = execute_task(
+            {
+                "workload": "bbuf",
+                "race_id": trace.races[0].race_id,
+                "trace": trace.to_dict(),
+                "config": PortendConfig().to_dict(),
+            }
+        )
+        cache = ClassificationCache(tmp_path)
+        cache.store("bbuf", "k" * 64, output["classified"])
+        loaded = cache.load("bbuf", "k" * 64)
+        assert loaded is not None
+        assert loaded.to_dict() == output["classified"]
+
+    def test_bounded_cache_keeps_its_bound_and_the_verdicts(self, tmp_path):
+        # Stores land in completion order, so which entries eviction keeps
+        # may vary; the verdicts must not.
+        names = ["bbuf", "RW", "DCL", "AVV"]
+        reference = AnalysisEngine().analyze(names)
+        options = EngineOptions(parallel=2, cache_dir=str(tmp_path), cache_max_entries=3)
+        for _ in range(2):
+            runs = AnalysisEngine(options=options).analyze(names)
+            assert len(list(tmp_path.glob("*-cls-*.json"))) <= 3
+            assert len(list(tmp_path.glob("*.json"))) <= 6
+            for expected, actual in zip(reference, runs):
+                assert _classification_signature(
+                    expected.result.classified
+                ) == _classification_signature(actual.result.classified)
+
+    def test_keys_stored_this_run_are_not_hit_this_run(self, monkeypatch, tmp_path):
+        # A workload twice in one batch shares its classification keys; its
+        # second copy must not hit entries the first stored mid-run, or
+        # hit counts would follow completion timing.  The fake pool lands
+        # the newest chunk first, so one copy's classifications are stored
+        # before the other copy's recording lands.
+        from test_streaming import _DeferredPool
+
+        from repro.engine.dispatch import PoolDispatcher
+
+        pool = _DeferredPool()
+
+        def newest_first(futures, return_when=None, timeout=None):
+            newest = [future for future in pool.pending if future in futures][-1]
+            fn, args = pool.pending.pop(newest)
+            newest.set_result(fn(*args))
+            return {newest}, set(futures) - {newest}
+
+        monkeypatch.setattr(PoolDispatcher, "warm", lambda self: None)
+        monkeypatch.setattr(PoolDispatcher, "acquire_for", lambda self, payloads: pool)
+        monkeypatch.setattr("repro.engine.engine.wait", newest_first)
+        engine = AnalysisEngine(options=EngineOptions(parallel=2, cache_dir=str(tmp_path)))
+        runs = engine.analyze(["RW", "bbuf", "RW"])
+        assert [run.classifications_cached for run in runs] == [0, 0, 0]
+        assert engine.last_run_stats.classifications_computed == 8
+
+
 class TestExperimentsCli:
     def test_parallel_workload_subset_flags(self, capsys, tmp_path):
         from repro.experiments.__main__ import main

@@ -55,7 +55,8 @@ class TestPooledClassification:
     def test_warm_cache_submits_no_classify_tasks(self, tmp_path):
         # Only classification-cache misses become tasks: a warm pooled run
         # records nothing and classifies nothing, yet returns the cold
-        # run's verdicts.
+        # run's verdicts -- timings included, since each entry is the dict
+        # the worker sent.
         options = EngineOptions(parallel=2, cache_dir=str(tmp_path))
         cold = AnalysisEngine(options=options).analyze(self.NAMES)
         engine = AnalysisEngine(options=options)
@@ -63,7 +64,9 @@ class TestPooledClassification:
         submits = [e for e in engine.last_run_events if e["kind"] == "task_submit"]
         assert submits == []
         assert engine.last_run_stats.classifications_computed == 0
-        assert _full_signature(cold) == _full_signature(warm)
+        assert [i.to_dict() for r in cold for i in r.result.classified] == [
+            i.to_dict() for r in warm for i in r.result.classified
+        ]
 
 
 class TestStressDeepWorkload:
@@ -133,7 +136,7 @@ class TestCacheLifecycle:
         for index, name in enumerate(["RW", "DCL", "AVV"]):
             workload = load_workload(name)
             trace = Portend(workload.program).record(workload.inputs)
-            path = cache.store(name, workload.inputs, config, trace)
+            path = cache.store(name, workload.inputs, config, trace.to_dict())
             # Deterministic recency order regardless of filesystem timestamp
             # granularity.
             os.utime(path, (1_000_000 + index, 1_000_000 + index))
@@ -152,7 +155,7 @@ class TestCacheLifecycle:
         cache = TraceCache(tmp_path)
         workload = load_workload("RW")
         trace = Portend(workload.program).record(workload.inputs)
-        cache.store("RW", workload.inputs, PortendConfig(), trace)
+        cache.store("RW", workload.inputs, PortendConfig(), trace.to_dict())
         for _ in range(3):
             assert cache.load("RW", workload.inputs, PortendConfig()) is not None
         rows = collect_cache_info(tmp_path)
