@@ -473,7 +473,7 @@ def _is_increment(stmt: ast.Stmt) -> bool:
     value = stmt.value
     if not isinstance(value, ast.BinOp) or value.op != "+":
         return False
-    operands = {type(ast.as_expr(value.left)), type(ast.as_expr(value.right))}
+    operands = {type(value.left), type(value.right)}
     return operands == {ast.LocalRef, ast.Const} and stmt.target in (value.left, value.right)
 
 

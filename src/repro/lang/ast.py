@@ -3,7 +3,10 @@
 Expressions and statements are plain mutable-by-construction objects that are
 *frozen in practice* after :meth:`repro.lang.program.Program.finalize` runs:
 the runtime never mutates them, and execution states share the AST (their
-``__deepcopy__`` returns ``self``) so checkpointing stays cheap.
+``__deepcopy__`` returns ``self``) so checkpointing stays cheap.  A bare
+integer given where an expression is expected -- a statement's expression or
+an expression node's operand -- becomes a :class:`Const` at construction, so
+the interpreter evaluates ``Expr`` trees only.
 
 Expression operator names mirror C (``+``, ``==``, ``&&`` ...), and the
 expression helpers (:func:`add`, :func:`eq`, ...) make workload definitions
@@ -59,6 +62,9 @@ class ArrayRef(Expr):
     name: str
     index: "ExprLike"
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", as_expr(self.index))
+
 
 @dataclass(frozen=True)
 class HeapRef(Expr):
@@ -66,6 +72,10 @@ class HeapRef(Expr):
 
     pointer: "ExprLike"
     index: "ExprLike"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pointer", as_expr(self.pointer))
+        object.__setattr__(self, "index", as_expr(self.index))
 
 
 @dataclass(frozen=True)
@@ -76,6 +86,10 @@ class BinOp(Expr):
     left: "ExprLike"
     right: "ExprLike"
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "left", as_expr(self.left))
+        object.__setattr__(self, "right", as_expr(self.right))
+
 
 @dataclass(frozen=True)
 class UnOp(Expr):
@@ -83,6 +97,9 @@ class UnOp(Expr):
 
     op: str
     operand: "ExprLike"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "operand", as_expr(self.operand))
 
 
 @dataclass(frozen=True)
@@ -119,15 +136,15 @@ def glob(name: str) -> GlobalRef:
 
 
 def arr(name: str, index: ExprLike) -> ArrayRef:
-    return ArrayRef(name, as_expr(index))
+    return ArrayRef(name, index)
 
 
 def heap(pointer: ExprLike, index: ExprLike = 0) -> HeapRef:
-    return HeapRef(as_expr(pointer), as_expr(index))
+    return HeapRef(pointer, index)
 
 
 def _bin(op: str, left: ExprLike, right: ExprLike) -> BinOp:
-    return BinOp(op, as_expr(left), as_expr(right))
+    return BinOp(op, left, right)
 
 
 def add(left: ExprLike, right: ExprLike) -> BinOp:
@@ -183,7 +200,7 @@ def logical_or(left: ExprLike, right: ExprLike) -> BinOp:
 
 
 def logical_not(operand: ExprLike) -> UnOp:
-    return UnOp("!", as_expr(operand))
+    return UnOp("!", operand)
 
 
 def bit_and(left: ExprLike, right: ExprLike) -> BinOp:

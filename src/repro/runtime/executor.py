@@ -82,6 +82,9 @@ _BINOP_TOKENS: Dict[str, Op] = {
 
 _UNOP_TOKENS: Dict[str, Op] = {"!": Op.NOT, "-": Op.NEG}
 
+#: the statement types that are always preemption points (§3.1)
+_SYNC_TYPES = frozenset(ast.SYNC_STMTS)
+
 
 class RunStatus(enum.Enum):
     """Why a call to :meth:`Executor.run` returned."""
@@ -190,7 +193,7 @@ class Executor:
         budget = max_steps if max_steps is not None else self.config.max_steps
         forks: List[ExecutionState] = []
         steps = 0
-        last_watched: Optional[int] = None
+        after_watched = False
 
         while True:
             if state.outcome is not None:
@@ -199,67 +202,71 @@ class Executor:
             if steps >= budget:
                 return RunResult(RunStatus.STEP_LIMIT, state, forks, steps)
 
-            tid = self._schedule(state, policy, group, watched_pcs, last_watched)
-            if tid is None:
-                if state.all_finished():
-                    state.outcome = ExecutionOutcome(OutcomeKind.DONE)
-                    group.on_finish(state)
-                    return RunResult(RunStatus.COMPLETED, state, forks, steps)
-                if not state.runnable_tids():
-                    state.outcome = self._deadlock_outcome(state)
-                    group.on_finish(state)
-                    return RunResult(RunStatus.COMPLETED, state, forks, steps)
-                stuck_reason = getattr(policy, "stuck_reason", None)
-                return RunResult(
-                    RunStatus.SCHEDULING_STUCK, state, forks, steps, stuck_reason
-                )
-
-            thread = state.thread(tid)
-            if thread.pending_reacquire is not None:
-                self._attempt_reacquire(state, state.thread_mut(tid), group)
-                steps += 1
-                last_watched = None
-                continue
-
-            stmt = thread.next_statement()
+            # Keeping the current thread is the common case and consults no
+            # policy: the statement that shows this step is no preemption
+            # point is the statement executed.  Synchronisation statements
+            # take precedence over the analysis-only watched points, because
+            # their decisions are the ones recorded in (and replayed from)
+            # the schedule trace.
+            tid = state.current_tid
+            thread = state.threads.get(tid)
+            stmt = None
+            if thread is not None and thread.status is ThreadStatus.RUNNABLE:
+                stmt = thread.next_statement()
             if stmt is None:
-                # Nothing to execute (thread just finished); normalisation
-                # already flipped its status, loop around for a new decision.
-                self._finish_thread(state, state.thread_mut(tid), group)
-                continue
+                reason: Optional[str] = "blocked"
+            elif type(stmt) in _SYNC_TYPES or thread.pending_reacquire is not None:
+                reason = "sync"
+            elif stmt.pc in watched_pcs:
+                reason = "watched"
+            elif after_watched:
+                reason = "after-watched"
+            else:
+                reason = None
+
+            if reason is not None:
+                tid = self._decide(state, policy, group, tid, reason)
+                if tid is None:
+                    return self._unscheduled(state, policy, group, forks, steps)
+                thread = state.threads[tid]
+                if thread.pending_reacquire is not None:
+                    self._attempt_reacquire(state, state.thread_mut(tid), group)
+                    steps += 1
+                    after_watched = False
+                    continue
+                stmt = thread.next_statement()
+                if stmt is None:
+                    # Nothing to execute (thread just finished); normalisation
+                    # already flipped its status, loop around for a new decision.
+                    self._finish_thread(state, state.thread_mut(tid), group)
+                    continue
 
             if stop_before is not None and stop_before(state, tid, stmt):
                 return RunResult(RunStatus.STOPPED_BEFORE, state, forks, steps)
 
             new_forks = self._execute_step(state, tid, stmt, group)
-            forks.extend(new_forks)
+            if new_forks:
+                forks.extend(new_forks)
             steps += 1
-            last_watched = stmt.pc if stmt.pc in watched_pcs else None
+            after_watched = stmt.pc in watched_pcs
 
             if stop_after is not None and stop_after(state, tid, stmt):
                 return RunResult(RunStatus.STOPPED_AFTER, state, forks, steps)
 
     # -------------------------------------------------------------- scheduling
 
-    def _schedule(
+    def _decide(
         self,
         state: ExecutionState,
         policy: SchedulePolicy,
         listeners: ListenerGroup,
-        watched_pcs: FrozenSet[int],
-        last_watched: Optional[int],
+        current: Optional[int],
+        reason: str,
     ) -> Optional[int]:
-        current = state.current_tid
-        reason = self._preemption_reason(state, current, watched_pcs, last_watched)
-        if reason is None:
-            # The current thread stays scheduled -- it is runnable (that is
-            # what ``reason is None`` means), so the O(threads) runnable scan
-            # below can be skipped entirely on the steady-state fast path.
-            return current
+        """Ask the policy at a preemption point; commit and count its choice."""
         runnable = state.runnable_tids()
         if not runnable:
             return None
-
         chosen = policy.choose(state, runnable, current, reason)
         if chosen is None:
             return None
@@ -271,43 +278,28 @@ class Executor:
         state.current_tid = chosen
         return chosen
 
-    def _preemption_reason(
+    def _unscheduled(
         self,
         state: ExecutionState,
-        current: Optional[int],
-        watched_pcs: FrozenSet[int],
-        last_watched: Optional[int],
-    ) -> Optional[str]:
-        """Return the preemption reason, or None to keep the current thread."""
-        if current is None or current not in state.threads:
-            return "blocked"
-        thread = state.thread(current)
-        if not thread.is_runnable:
-            return "blocked"
-        stmt = thread.next_statement()
-        if stmt is None:
-            return "blocked"
-        # Synchronisation statements take precedence: they are the preemption
-        # points whose decisions are recorded in (and replayed from) the
-        # schedule trace, so they must never be shadowed by the analysis-only
-        # watched/after-watched points.
-        if isinstance(stmt, ast.SYNC_STMTS):
-            return "sync"
-        if thread.pending_reacquire is not None:
-            return "sync"
-        if stmt.pc in watched_pcs:
-            return "watched"
-        if last_watched is not None:
-            return "after-watched"
-        return None
-
-    def _deadlock_outcome(self, state: ExecutionState) -> ExecutionOutcome:
-        blocked = tuple(sorted(state.blocked_tids()))
-        return ExecutionOutcome(
-            OutcomeKind.DEADLOCK,
-            detail="all live threads are blocked",
-            blocked_threads=blocked,
-        )
+        policy: SchedulePolicy,
+        listeners: ListenerGroup,
+        forks: List[ExecutionState],
+        steps: int,
+    ) -> RunResult:
+        """The result of a run whose scheduler chose no thread."""
+        if state.all_finished():
+            state.outcome = ExecutionOutcome(OutcomeKind.DONE)
+        elif not state.runnable_tids():
+            state.outcome = ExecutionOutcome(
+                OutcomeKind.DEADLOCK,
+                detail="all live threads are blocked",
+                blocked_threads=tuple(sorted(state.blocked_tids())),
+            )
+        else:
+            stuck_reason = getattr(policy, "stuck_reason", None)
+            return RunResult(RunStatus.SCHEDULING_STUCK, state, forks, steps, stuck_reason)
+        listeners.on_finish(state)
+        return RunResult(RunStatus.COMPLETED, state, forks, steps)
 
     # --------------------------------------------------------------- stepping
 
@@ -317,33 +309,39 @@ class Executor:
         tid: int,
         stmt: ast.Stmt,
         listeners: ListenerGroup,
-    ) -> List[ExecutionState]:
-        """Execute one step of thread ``tid``; return any forked states."""
-        thread = state.thread_mut(tid)
-        assert thread.frames and thread.frames[-1].control, "thread has nothing to execute"
+    ) -> Optional[List[ExecutionState]]:
+        """Execute one step of thread ``tid``; return any forked states.
+
+        ``stmt`` is the thread's next statement: the ``while`` of a
+        ``LoopEntry`` on top of the control stack, else the block's next one.
+        """
         frame = state.frame_mut(tid)
+        assert frame.control, "thread has nothing to execute"
         top = frame.control[-1]
-        forks: List[ExecutionState] = []
+        forks: Optional[List[ExecutionState]] = None
 
         state.step_count += 1
-        thread.steps += 1
+        state.threads[tid].steps += 1
         state.counters.statements += 1
 
         try:
-            if isinstance(top, LoopEntry):
+            if type(top) is LoopEntry:
                 forks = self._step_loop(state, tid, top, listeners)
             else:
-                assert isinstance(top, BlockEntry) and not top.exhausted()
                 index = top.index
-                top.index += 1
+                assert type(top) is BlockEntry and top.stmts[index] is stmt
+                top.index = index + 1
                 try:
-                    forks = self._dispatch(state, tid, stmt, listeners)
+                    forks = _HANDLERS.get(type(stmt), Executor._exec_unsupported)(
+                        self, state, tid, stmt, listeners
+                    )
                 except RetrySignal:
                     top.index = index
         except ProgramCrash as crash:
             self._record_crash(state, tid, stmt, crash)
 
-        listeners.on_step(state, tid, stmt.pc)
+        if listeners.step_listeners:
+            listeners.on_step(state, tid, stmt.pc)
         if state.outcome is None:
             self._normalize(state, tid, listeners)
         return forks
@@ -390,66 +388,10 @@ class Executor:
         else:
             frame.control.pop()
 
-    # --------------------------------------------------------------- dispatch
-
-    def _dispatch(
-        self,
-        state: ExecutionState,
-        tid: int,
-        stmt: ast.Stmt,
-        listeners: ListenerGroup,
-    ) -> List[ExecutionState]:
-        if isinstance(stmt, ast.Assign):
-            self._exec_assign(state, tid, stmt, listeners)
-        elif isinstance(stmt, ast.If):
-            return self._exec_if(state, tid, stmt, listeners)
-        elif isinstance(stmt, ast.While):
-            state.frame_mut(tid).control.append(LoopEntry(stmt))
-        elif isinstance(stmt, ast.Lock):
-            self._exec_lock(state, tid, stmt, listeners)
-        elif isinstance(stmt, ast.Unlock):
-            self._exec_unlock(state, tid, stmt, listeners)
-        elif isinstance(stmt, ast.CondWait):
-            self._exec_cond_wait(state, tid, stmt, listeners)
-        elif isinstance(stmt, ast.CondSignal):
-            self._exec_cond_signal(state, tid, stmt, listeners, broadcast=False)
-        elif isinstance(stmt, ast.CondBroadcast):
-            self._exec_cond_signal(state, tid, stmt, listeners, broadcast=True)
-        elif isinstance(stmt, ast.BarrierWait):
-            self._exec_barrier(state, tid, stmt, listeners)
-        elif isinstance(stmt, ast.Spawn):
-            self._exec_spawn(state, tid, stmt, listeners)
-        elif isinstance(stmt, ast.Join):
-            self._exec_join(state, tid, stmt, listeners)
-        elif isinstance(stmt, ast.Output):
-            self._exec_output(state, tid, stmt, listeners)
-        elif isinstance(stmt, ast.Input):
-            self._exec_input(state, tid, stmt, listeners)
-        elif isinstance(stmt, ast.Assert):
-            self._exec_assert(state, tid, stmt, listeners)
-        elif isinstance(stmt, ast.Abort):
-            raise ProgramCrash(CrashKind.EXPLICIT_ABORT, stmt.message)
-        elif isinstance(stmt, ast.Call):
-            self._exec_call(state, tid, stmt, listeners)
-        elif isinstance(stmt, ast.Return):
-            self._exec_return(state, tid, stmt, listeners)
-        elif isinstance(stmt, ast.Malloc):
-            self._exec_malloc(state, tid, stmt, listeners)
-        elif isinstance(stmt, ast.Free):
-            self._exec_free(state, tid, stmt, listeners)
-        elif isinstance(stmt, (ast.Yield, ast.Sleep, ast.Nop)):
-            pass
-        elif isinstance(stmt, ast.Break):
-            self._exec_break(state, tid)
-        elif isinstance(stmt, ast.Continue):
-            self._exec_continue(state, tid)
-        else:  # pragma: no cover - defensive
-            raise ProgramCrash(
-                CrashKind.INVALID_SYNC, f"unsupported statement {type(stmt).__name__}"
-            )
-        return []
-
     # ------------------------------------------------------------- statements
+
+    # Every handler takes (state, tid, stmt, listeners) and returns the
+    # states it forked, if any; _HANDLERS maps each statement type to one.
 
     def _exec_assign(self, state, tid, stmt: ast.Assign, listeners) -> None:
         value = self._eval(state, tid, stmt.value, stmt, listeners)
@@ -469,6 +411,9 @@ class Executor:
             on_true=lambda s: self._enter_branch(s, tid, stmt.then_body),
             on_false=lambda s: self._enter_branch(s, tid, stmt.else_body),
         )
+
+    def _exec_while(self, state, tid, stmt: ast.While, listeners) -> None:
+        state.frame_mut(tid).control.append(LoopEntry(stmt))
 
     @staticmethod
     def _enter_branch(state: ExecutionState, tid: int, body: Tuple[ast.Stmt, ...]) -> None:
@@ -550,7 +495,8 @@ class Executor:
             state, SyncEvent(tid, "cond_wait", stmt.cond, stmt.pc, state.step_count)
         )
 
-    def _exec_cond_signal(self, state, tid, stmt, listeners, broadcast: bool) -> None:
+    def _exec_cond_signal(self, state, tid, stmt, listeners) -> None:
+        broadcast = type(stmt) is ast.CondBroadcast
         condvar = state.sync.condvar(stmt.cond)
         to_wake = list(condvar.waiters) if broadcast else list(condvar.waiters[:1])
         if to_wake:
@@ -745,7 +691,18 @@ class Executor:
         pointer = self._concretize(state, pointer, what="freed pointer")
         state.memory.free(int(pointer))
 
-    def _exec_break(self, state, tid) -> None:
+    def _exec_abort(self, state, tid, stmt: ast.Abort, listeners) -> None:
+        raise ProgramCrash(CrashKind.EXPLICIT_ABORT, stmt.message)
+
+    def _exec_nothing(self, state, tid, stmt, listeners) -> None:
+        """Yield, Sleep and Nop: a preemption point (the first two) and no effect."""
+
+    def _exec_unsupported(self, state, tid, stmt, listeners) -> None:  # pragma: no cover
+        raise ProgramCrash(
+            CrashKind.INVALID_SYNC, f"unsupported statement {type(stmt).__name__}"
+        )
+
+    def _exec_break(self, state, tid, stmt, listeners) -> None:
         frame = state.frame_mut(tid)
         while frame.control:
             entry = frame.control.pop()
@@ -753,7 +710,7 @@ class Executor:
                 return
         raise ProgramCrash(CrashKind.INVALID_SYNC, "break outside of a loop")
 
-    def _exec_continue(self, state, tid) -> None:
+    def _exec_continue(self, state, tid, stmt, listeners) -> None:
         frame = state.frame_mut(tid)
         while frame.control:
             if isinstance(frame.control[-1], LoopEntry):
@@ -795,18 +752,22 @@ class Executor:
         )
 
     def _normalize(self, state, tid: int, listeners) -> None:
-        """Pop exhausted blocks and perform implicit returns."""
-        thread = state.thread(tid)
+        """Pop exhausted blocks and perform implicit returns.
+
+        Returns at once when the top control entry is a loop or a block with
+        statements left, which is the case after most steps.
+        """
+        thread = state.threads[tid]
         while thread.frames:
-            frame = thread.frames[-1]
+            control = thread.frames[-1].control
             while (
-                frame.control
-                and isinstance(frame.control[-1], BlockEntry)
-                and frame.control[-1].exhausted()
+                control
+                and type(control[-1]) is BlockEntry
+                and control[-1].index >= len(control[-1].stmts)
             ):
-                frame = state.frame_mut(tid)
-                frame.control.pop()
-            if frame.control:
+                control = state.frame_mut(tid).control
+                control.pop()
+            if control:
                 return
             thread = state.thread_mut(tid)
             self._pop_frame(state, thread, 0, listeners)
@@ -877,17 +838,19 @@ class Executor:
         stmt: ast.Stmt,
         listeners: ListenerGroup,
     ) -> Value:
-        expr = ast.as_expr(expr)
-        if isinstance(expr, ast.Const):
+        kind = type(expr)
+        if kind is ast.Const:
             return expr.value
-        if isinstance(expr, ast.LocalRef):
-            frame = state.thread(tid).current_frame()
-            if expr.name not in frame.locals:
+        if kind is ast.LocalRef:
+            local_values = state.threads[tid].frames[-1].locals
+            if expr.name not in local_values:
                 raise ProgramCrash(
                     CrashKind.INVALID_POINTER, f"read of undefined local {expr.name!r}"
                 )
-            return frame.locals[expr.name]
-        if isinstance(expr, ast.GlobalRef):
+            return local_values[expr.name]
+        if kind is ast.BinOp:
+            return self._eval_binop(state, tid, expr, stmt, listeners)
+        if kind is ast.GlobalRef:
             value = state.memory.load_global(expr.name)
             names = listeners.access_names
             if names is None or expr.name in names:
@@ -895,7 +858,7 @@ class Executor:
                     state, tid, MemoryLocation("global", expr.name), False, stmt, listeners
                 )
             return value
-        if isinstance(expr, ast.ArrayRef):
+        if kind is ast.ArrayRef:
             index = self._eval(state, tid, expr.index, stmt, listeners)
             index = self._check_array_index(state, expr.name, index)
             value = state.memory.load_array(expr.name, index)
@@ -905,7 +868,7 @@ class Executor:
                     state, tid, MemoryLocation("array", expr.name, index), False, stmt, listeners
                 )
             return value
-        if isinstance(expr, ast.HeapRef):
+        if kind is ast.HeapRef:
             pointer = self._eval(state, tid, expr.pointer, stmt, listeners)
             pointer = int(self._concretize(state, pointer, what="heap pointer"))
             index = self._eval(state, tid, expr.index, stmt, listeners)
@@ -917,7 +880,7 @@ class Executor:
                     state, tid, MemoryLocation("heap", str(pointer), index), False, stmt, listeners
                 )
             return value
-        if isinstance(expr, ast.InputRef):
+        if kind is ast.InputRef:
             if expr.name in state.symbolic_inputs:
                 return state.symbolic_inputs[expr.name]
             if expr.name in state.concrete_inputs:
@@ -925,11 +888,9 @@ class Executor:
             raise ProgramCrash(
                 CrashKind.INVALID_POINTER, f"reference to unread input {expr.name!r}"
             )
-        if isinstance(expr, ast.UnOp):
+        if kind is ast.UnOp:
             operand = self._eval(state, tid, expr.operand, stmt, listeners)
             return self._apply_unop(expr.op, operand)
-        if isinstance(expr, ast.BinOp):
-            return self._eval_binop(state, tid, expr, stmt, listeners)
         raise ProgramCrash(
             CrashKind.INVALID_POINTER, f"cannot evaluate expression {expr!r}"
         )
@@ -985,10 +946,11 @@ class Executor:
         stmt: ast.Stmt,
         listeners: ListenerGroup,
     ) -> None:
-        if isinstance(target, ast.LocalRef):
+        kind = type(target)
+        if kind is ast.LocalRef:
             state.frame_mut(tid).locals[target.name] = value
             return
-        if isinstance(target, ast.GlobalRef):
+        if kind is ast.GlobalRef:
             state.memory.store_global(target.name, value)
             names = listeners.access_names
             if names is None or target.name in names:
@@ -996,7 +958,7 @@ class Executor:
                     state, tid, MemoryLocation("global", target.name), True, stmt, listeners
                 )
             return
-        if isinstance(target, ast.ArrayRef):
+        if kind is ast.ArrayRef:
             index = self._eval(state, tid, target.index, stmt, listeners)
             index = self._check_array_index(state, target.name, index)
             state.memory.store_array(target.name, index, value)
@@ -1006,7 +968,7 @@ class Executor:
                     state, tid, MemoryLocation("array", target.name, index), True, stmt, listeners
                 )
             return
-        if isinstance(target, ast.HeapRef):
+        if kind is ast.HeapRef:
             pointer = self._eval(state, tid, target.pointer, stmt, listeners)
             pointer = int(self._concretize(state, pointer, what="heap pointer"))
             index = self._eval(state, tid, target.index, stmt, listeners)
@@ -1105,3 +1067,32 @@ class Executor:
             stack=stack,
         )
         state.outcome = ExecutionOutcome(OutcomeKind.CRASH, crash=info)
+
+
+#: statement type -> its handler (statement classes are never subclassed)
+_HANDLERS: Dict[type, Callable[..., Optional[List[ExecutionState]]]] = {
+    ast.Assign: Executor._exec_assign,
+    ast.If: Executor._exec_if,
+    ast.While: Executor._exec_while,
+    ast.Lock: Executor._exec_lock,
+    ast.Unlock: Executor._exec_unlock,
+    ast.CondWait: Executor._exec_cond_wait,
+    ast.CondSignal: Executor._exec_cond_signal,
+    ast.CondBroadcast: Executor._exec_cond_signal,
+    ast.BarrierWait: Executor._exec_barrier,
+    ast.Spawn: Executor._exec_spawn,
+    ast.Join: Executor._exec_join,
+    ast.Output: Executor._exec_output,
+    ast.Input: Executor._exec_input,
+    ast.Assert: Executor._exec_assert,
+    ast.Abort: Executor._exec_abort,
+    ast.Call: Executor._exec_call,
+    ast.Return: Executor._exec_return,
+    ast.Malloc: Executor._exec_malloc,
+    ast.Free: Executor._exec_free,
+    ast.Yield: Executor._exec_nothing,
+    ast.Sleep: Executor._exec_nothing,
+    ast.Nop: Executor._exec_nothing,
+    ast.Break: Executor._exec_break,
+    ast.Continue: Executor._exec_continue,
+}

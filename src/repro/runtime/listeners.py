@@ -113,11 +113,18 @@ class ListenerGroup(ExecutionListener):
 
     ``access_names`` is the fold of the members' interest: ``None`` when any
     member wants every access, else the union of their declared names.
-    Access events go only to the members that override ``on_access``.
+    Access events go only to the members that override ``on_access``, and
+    step events only to those that override ``on_step``: the executor skips
+    the per-step call altogether when ``step_listeners`` is empty.
     """
 
     def __init__(self, listeners: Sequence[ExecutionListener] = ()) -> None:
         self.listeners = list(listeners)
+        self.step_listeners = [
+            listener
+            for listener in self.listeners
+            if type(listener).on_step is not ExecutionListener.on_step
+        ]
         self._access_listeners = [
             listener
             for listener in self.listeners
@@ -132,7 +139,7 @@ class ListenerGroup(ExecutionListener):
         self.access_names = names
 
     def on_step(self, state, tid, pc) -> None:
-        for listener in self.listeners:
+        for listener in self.step_listeners:
             listener.on_step(state, tid, pc)
 
     def on_access(self, state, access) -> None:

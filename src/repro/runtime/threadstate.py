@@ -171,15 +171,15 @@ class ThreadState:
         for a :class:`LoopEntry` the ``while`` statement itself is returned,
         because the next step evaluates its condition.
         """
-        frame = self.current_frame()
-        if frame is None or not frame.control:
+        if not self.frames:
             return None
-        top = frame.control[-1]
-        if isinstance(top, LoopEntry):
+        control = self.frames[-1].control
+        if not control:
+            return None
+        top = control[-1]
+        if type(top) is LoopEntry:
             return top.stmt
-        if isinstance(top, BlockEntry) and not top.exhausted():
-            return top.stmts[top.index]
-        return None
+        return top.stmts[top.index] if top.index < len(top.stmts) else None
 
     def stack_trace(self) -> Tuple[StackEntry, ...]:
         """Report-friendly stack trace (innermost frame last)."""

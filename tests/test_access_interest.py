@@ -109,11 +109,13 @@ class _NamedLog(_AccessLog):
 
 
 class _StepCounter(ExecutionListener):
+    """Overrides ``on_step`` only: logs ``(tid, pc, step)`` of every step."""
+
     def __init__(self):
-        self.steps = 0
+        self.seen = []
 
     def on_step(self, state, tid, pc):
-        self.steps += 1
+        self.seen.append((tid, pc, state.step_count))
 
 
 def _run(listeners, monkeypatch):
@@ -155,13 +157,40 @@ class TestInterestFold:
 
 class TestAccessesBuilt:
     def test_run_wanting_no_accesses_builds_none(self, monkeypatch):
+        executed = []
+        real_step = Executor._execute_step
+
+        def logged_step(self, state, tid, stmt, listeners):
+            executed.append((tid, stmt.pc, state.step_count + 1))
+            return real_step(self, state, tid, stmt, listeners)
+
+        monkeypatch.setattr(Executor, "_execute_step", logged_step)
         steps = _StepCounter()
         listeners = [steps, TraceRecorder(ExecutionTrace(program="nested"))]
         executor, built = _run(listeners, monkeypatch)
         assert built == []
         assert executor.counters.accesses == 0
         assert executor.counters.statements > 0
-        assert steps.steps > 0
+        # on_step arrives once per executed statement, in execution order
+        assert len(steps.seen) == executor.counters.statements
+        assert steps.seen == executed
+
+    def test_run_without_step_listeners_never_calls_on_step(self, monkeypatch):
+        calls = []
+        real_on_step = ListenerGroup.on_step
+
+        def counted(self, state, tid, pc):
+            calls.append(pc)
+            real_on_step(self, state, tid, pc)
+
+        monkeypatch.setattr(ListenerGroup, "on_step", counted)
+        listeners = [_NamedLog({"x"}), TraceRecorder(ExecutionTrace(program="nested"))]
+        executor, _built = _run(listeners, monkeypatch)
+        assert ListenerGroup(listeners).step_listeners == []
+        assert executor.counters.statements > 0 and calls == []
+        # one listener that overrides on_step brings the call back, every step
+        executor, _built = _run(listeners + [_StepCounter()], monkeypatch)
+        assert len(calls) == executor.counters.statements
 
     def test_undeclared_on_access_receives_every_access_in_order(self, monkeypatch):
         log = _AccessLog()

@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.lang import ProgramBuilder
-from repro.lang.ast import add, arr, div, eq, ge, glob, heap, local, lt
+from repro.engine import TraceCache
+from repro.lang import ProgramBuilder, ast
+from repro.lang.ast import add, arr, div, eq, ge, glob, heap, local, logical_not, lt
 from repro.lang.program import ProgramError
 from repro.runtime.errors import CrashKind, OutcomeKind
 from repro.runtime.executor import Executor, RunStatus
 from repro.runtime.scheduler import RandomPolicy, ReplayPolicy, RoundRobinPolicy
+from repro.workloads import all_workload_names, load_workload
 
 
 def run_program(builder: ProgramBuilder, inputs=None, policy=None, max_steps=50_000):
@@ -53,6 +55,74 @@ class TestProgramConstruction:
         main.ret()
         program = b.build()
         assert ("global", "g") in program.write_set("main")
+
+
+#: TraceCache.program_fingerprint (first 16 hex digits) of every registry
+#: program; operand normalisation must not move them, because every
+#: registry operand was already an expression node
+_REGISTRY_FINGERPRINTS = {
+    "AVV": "12051a932180ff8c",
+    "DBM": "59578c5822de0d7a",
+    "DCL": "90a862a62d91eee4",
+    "RW": "c5319063505141d1",
+    "SQLite": "2cc73eb82565a22b",
+    "bbuf": "71f3fd043923e84b",
+    "ctrace": "9eeaa9843222ba48",
+    "fmm": "97b0f1fc35d04546",
+    "memcached": "7189ec720c5748ec",
+    "ocean": "713c6c763b5b6f4e",
+    "pbzip2": "78b26ab9cc36d552",
+    "stress": "8302e2f5158c5d95",
+    "stress_deep": "c211028b77d1c523",
+    "stress_harmful": "c225c39c6994ad86",
+}
+
+
+class TestOperandNormalisation:
+    def test_direct_nodes_equal_helper_nodes(self):
+        assert ast.BinOp("+", ast.LocalRef("x"), 1) == add(local("x"), 1)
+        assert ast.BinOp("+", ast.LocalRef("x"), 1).right == ast.Const(1)
+        assert ast.ArrayRef("a", 0) == arr("a", 0)
+        assert ast.HeapRef(ast.LocalRef("p"), 1) == heap(local("p"), 1)
+        assert ast.HeapRef(7, True).pointer == ast.Const(7)
+        assert ast.HeapRef(7, True).index == ast.Const(1)
+        assert ast.UnOp("!", 0) == logical_not(0)
+        with pytest.raises(TypeError):
+            ast.UnOp("!", "zero")
+
+    def test_direct_nodes_evaluate_like_helper_nodes(self):
+        def build(direct):
+            b = ProgramBuilder("direct" if direct else "helpers")
+            b.array("a", 2, fill=5)
+            main = b.function("main")
+            main.malloc("p", 2)
+            if direct:
+                main.assign(ast.ArrayRef("a", 1), ast.BinOp("+", ast.LocalRef("p"), 1))
+                main.assign(ast.HeapRef(ast.LocalRef("p"), 1), ast.ArrayRef("a", 0))
+                value = ast.BinOp("*", ast.HeapRef(ast.LocalRef("p"), 1), ast.UnOp("-", 2))
+                main.output("out", [value, ast.ArrayRef("a", 1)])
+            else:
+                main.assign(arr("a", 1), add(local("p"), 1))
+                main.assign(heap(local("p"), 1), arr("a", 0))
+                value = ast.mul(heap(local("p"), 1), ast.UnOp("-", ast.Const(2)))
+                main.output("out", [value, arr("a", 1)])
+            main.ret()
+            return b
+
+        outputs = []
+        for direct in (True, False):
+            _program, state, result = run_program(build(direct))
+            assert result.status is RunStatus.COMPLETED
+            assert state.outcome.kind is OutcomeKind.DONE
+            outputs.append([record.values for record in state.output_log])
+        assert outputs[0] == outputs[1] == [(-10, 2)]
+
+    def test_registry_fingerprints_are_unchanged(self):
+        fingerprints = {
+            name: TraceCache.program_fingerprint(load_workload(name).program)[:16]
+            for name in all_workload_names(include_synthetic=True)
+        }
+        assert fingerprints == _REGISTRY_FINGERPRINTS
 
 
 class TestSequentialExecution:

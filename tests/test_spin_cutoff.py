@@ -14,7 +14,12 @@ enforcement is one :meth:`Executor.run` to the full budget:
   yields (preemption points advance), a spin the loop-iteration limit ends
   inside the budget (still ``LOOP_LIMIT``), a loop whose counter feeds its
   own condition (never cut), and multi-path alternates under inputs other
-  than the trace's.
+  than the trace's;
+* **step-loop hazard** -- the cutoff is the enforcement run's
+  ``stop_before``, so the step loop must consult it before every statement,
+  ``while`` conditions included: the calls match the replaced step loop of
+  :mod:`test_step_loop` one for one, and a cut run lands on the full-budget
+  run's step count, loop iterations and induction locals.
 """
 
 import copy
@@ -30,12 +35,14 @@ from repro.core.alternate import (
 )
 from repro.core.config import PortendConfig
 from repro.core.portend import Portend
+from repro.lang import ast
 from repro.lang.ast import add, eq, glob, local, logical_and, ne
 from repro.lang.builder import ProgramBuilder
 from repro.runtime.errors import OutcomeKind
 from repro.runtime.executor import Executor, ExecutorConfig
 from repro.runtime.threadstate import LoopEntry
 from repro.workloads import all_workload_names, load_workload
+from test_step_loop import use_oracle_loop
 
 
 @pytest.fixture(autouse=True)
@@ -355,3 +362,50 @@ class TestSyntheticSpins:
             if cut and result.status is AlternateStatus.TIMEOUT
         ]
         assert cut and all(inputs == {"mode": 1} for inputs in cut)
+
+
+def _sampled(monkeypatch, name):
+    """Classify ``name`` (checked against the full budget); log every call of
+    the cutoff, which only the cut runs make."""
+    calls = []
+    real = alternate._SpinCutoff.sample
+
+    def sample(cutoff, state, tid, stmt):
+        calls.append((tid, stmt.pc, state.step_count, type(stmt) is ast.While))
+        return real(cutoff, state, tid, stmt)
+
+    monkeypatch.setattr(alternate._SpinCutoff, "sample", sample)
+    _trace, pairs = _classify_checked(monkeypatch, name, sites=("single_pre_post",))
+    monkeypatch.setattr(alternate._SpinCutoff, "sample", real)
+    return calls, pairs
+
+
+def _loop_view(state):
+    """Every live loop: where it is, its iterations and its induction locals."""
+    view = []
+    for tid, thread in state.threads.items():
+        for depth, frame in enumerate(thread.frames):
+            for entry in frame.control:
+                if isinstance(entry, LoopEntry):
+                    names = sorted(alternate._induction_locals(entry.stmt))
+                    induction = tuple((name, frame.locals.get(name)) for name in names)
+                    view.append((tid, depth, entry.stmt.pc, entry.iterations, induction))
+    return view
+
+
+class TestStepLoopHazard:
+    def test_cutoff_sees_every_step_of_the_replaced_loop(self, monkeypatch):
+        calls, pairs = _sampled(monkeypatch, "ocean")
+        with monkeypatch.context() as patch:
+            use_oracle_loop(patch)
+            oracle_calls, oracle_pairs = _sampled(patch, "ocean")
+        assert calls == oracle_calls
+        assert sum(is_loop for *_rest, is_loop in calls) > 0
+        assert len(pairs) == len(oracle_pairs)
+        for found in (pairs, oracle_pairs):
+            cut = [(reference, result) for _args, reference, result, cut in found if cut]
+            assert cut
+            for reference, result in cut:
+                assert result.state.step_count == reference.state.step_count
+                assert _loop_view(result.state) == _loop_view(reference.state)
+                assert any(induction for *_rest, induction in _loop_view(result.state))

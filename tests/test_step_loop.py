@@ -1,0 +1,670 @@
+"""Differential tests of the interpreter's step loop (:mod:`repro.runtime.executor`).
+
+``Executor.run`` keeps the current thread without consulting the scheduler
+unless the next statement is a preemption point, resolves statements through
+a type table, normalises the control stack only when a block ran out, and
+calls ``on_step`` only for listeners that override it.  The oracle here is
+the loop it replaced, kept in :class:`OracleExecutor` with only its calls
+into the statement handlers adapted to their current signatures: it asks for
+a preemption reason before every step, peeks the statement twice, resolves
+statements and expressions through ``isinstance`` chains, normalises after
+every step and fans ``on_step`` out to every listener.  Both loops must give:
+
+* the same verdict for every race of the serial registry, and the same
+  summed interpreter counters;
+* the same ``RunResult`` (status, steps, stuck reason, forks), final state
+  and listener callbacks in the same order, for recordings, replays with
+  watched pcs, ``stop_before``/``stop_after`` runs, controlled runs that get
+  stuck or run out of budget, and symbolic runs that fork.
+"""
+
+import pytest
+
+from repro.core.alternate import RacePointLocator
+from repro.engine import AnalysisEngine, EngineOptions
+from repro.lang import ProgramBuilder, ast
+from repro.lang.ast import add, arr, eq, glob, heap, local, logical_not, lt
+from repro.record_replay.recorder import record_execution
+from repro.runtime.errors import (
+    CrashKind,
+    ExecutionOutcome,
+    OutcomeKind,
+    ProgramCrash,
+    RetrySignal,
+)
+from repro.runtime.counters import InterpCounters
+from repro.runtime.executor import Executor, RunResult, RunStatus
+from repro.runtime.listeners import ExecutionListener, ListenerGroup
+from repro.runtime.memory import MemoryLocation
+from repro.runtime.scheduler import (
+    ControlledPolicy,
+    CooperativePolicy,
+    RandomPolicy,
+    ReplayPolicy,
+    RoundRobinPolicy,
+)
+from repro.runtime.threadstate import BlockEntry, LoopEntry
+from repro.workloads import all_workload_names, load_workload
+
+
+def _next_statement(thread):
+    """The statement peek of the replaced loop."""
+    frame = thread.current_frame()
+    if frame is None or not frame.control:
+        return None
+    top = frame.control[-1]
+    if isinstance(top, LoopEntry):
+        return top.stmt
+    if isinstance(top, BlockEntry) and not top.exhausted():
+        return top.stmts[top.index]
+    return None
+
+
+class OracleExecutor(Executor):
+    """The step loop before the preemption-point fast path and type tables."""
+
+    def run(
+        self,
+        state,
+        policy=None,
+        listeners=(),
+        max_steps=None,
+        watched_pcs=frozenset(),
+        stop_before=None,
+        stop_after=None,
+    ):
+        policy = policy or RoundRobinPolicy()
+        group = ListenerGroup(list(listeners))
+        budget = max_steps if max_steps is not None else self.config.max_steps
+        forks = []
+        steps = 0
+        last_watched = None
+
+        while True:
+            if state.outcome is not None:
+                group.on_finish(state)
+                return RunResult(RunStatus.COMPLETED, state, forks, steps)
+            if steps >= budget:
+                return RunResult(RunStatus.STEP_LIMIT, state, forks, steps)
+
+            tid = self._schedule(state, policy, group, watched_pcs, last_watched)
+            if tid is None:
+                if state.all_finished():
+                    state.outcome = ExecutionOutcome(OutcomeKind.DONE)
+                    group.on_finish(state)
+                    return RunResult(RunStatus.COMPLETED, state, forks, steps)
+                if not state.runnable_tids():
+                    state.outcome = ExecutionOutcome(
+                        OutcomeKind.DEADLOCK,
+                        detail="all live threads are blocked",
+                        blocked_threads=tuple(sorted(state.blocked_tids())),
+                    )
+                    group.on_finish(state)
+                    return RunResult(RunStatus.COMPLETED, state, forks, steps)
+                stuck_reason = getattr(policy, "stuck_reason", None)
+                return RunResult(
+                    RunStatus.SCHEDULING_STUCK, state, forks, steps, stuck_reason
+                )
+
+            thread = state.thread(tid)
+            if thread.pending_reacquire is not None:
+                self._attempt_reacquire(state, state.thread_mut(tid), group)
+                steps += 1
+                last_watched = None
+                continue
+
+            stmt = _next_statement(thread)
+            if stmt is None:
+                self._finish_thread(state, state.thread_mut(tid), group)
+                continue
+
+            if stop_before is not None and stop_before(state, tid, stmt):
+                return RunResult(RunStatus.STOPPED_BEFORE, state, forks, steps)
+
+            new_forks = self._execute_step(state, tid, stmt, group)
+            forks.extend(new_forks)
+            steps += 1
+            last_watched = stmt.pc if stmt.pc in watched_pcs else None
+
+            if stop_after is not None and stop_after(state, tid, stmt):
+                return RunResult(RunStatus.STOPPED_AFTER, state, forks, steps)
+
+    def _schedule(self, state, policy, listeners, watched_pcs, last_watched):
+        current = state.current_tid
+        reason = self._preemption_reason(state, current, watched_pcs, last_watched)
+        if reason is None:
+            return current
+        runnable = state.runnable_tids()
+        if not runnable:
+            return None
+        chosen = policy.choose(state, runnable, current, reason)
+        if chosen is None:
+            return None
+        if reason in ("sync", "blocked"):
+            state.preemption_points += 1
+            listeners.on_schedule(state, chosen, current, reason)
+        if chosen != current:
+            state.context_switches += 1
+        state.current_tid = chosen
+        return chosen
+
+    def _preemption_reason(self, state, current, watched_pcs, last_watched):
+        if current is None or current not in state.threads:
+            return "blocked"
+        thread = state.thread(current)
+        if not thread.is_runnable:
+            return "blocked"
+        stmt = _next_statement(thread)
+        if stmt is None:
+            return "blocked"
+        if isinstance(stmt, ast.SYNC_STMTS):
+            return "sync"
+        if thread.pending_reacquire is not None:
+            return "sync"
+        if stmt.pc in watched_pcs:
+            return "watched"
+        if last_watched is not None:
+            return "after-watched"
+        return None
+
+    def _execute_step(self, state, tid, stmt, listeners):
+        thread = state.thread_mut(tid)
+        assert thread.frames and thread.frames[-1].control, "thread has nothing to execute"
+        frame = state.frame_mut(tid)
+        top = frame.control[-1]
+        forks = []
+
+        state.step_count += 1
+        thread.steps += 1
+        state.counters.statements += 1
+
+        try:
+            if isinstance(top, LoopEntry):
+                forks = self._step_loop(state, tid, top, listeners)
+            else:
+                assert isinstance(top, BlockEntry) and not top.exhausted()
+                index = top.index
+                top.index += 1
+                try:
+                    forks = self._dispatch(state, tid, stmt, listeners)
+                except RetrySignal:
+                    top.index = index
+        except ProgramCrash as crash:
+            self._record_crash(state, tid, stmt, crash)
+
+        for listener in listeners.listeners:
+            listener.on_step(state, tid, stmt.pc)
+        if state.outcome is None:
+            self._normalize(state, tid, listeners)
+        return forks
+
+    def _dispatch(self, state, tid, stmt, listeners):
+        if isinstance(stmt, ast.Assign):
+            self._exec_assign(state, tid, stmt, listeners)
+        elif isinstance(stmt, ast.If):
+            return self._exec_if(state, tid, stmt, listeners)
+        elif isinstance(stmt, ast.While):
+            state.frame_mut(tid).control.append(LoopEntry(stmt))
+        elif isinstance(stmt, ast.Lock):
+            self._exec_lock(state, tid, stmt, listeners)
+        elif isinstance(stmt, ast.Unlock):
+            self._exec_unlock(state, tid, stmt, listeners)
+        elif isinstance(stmt, ast.CondWait):
+            self._exec_cond_wait(state, tid, stmt, listeners)
+        elif isinstance(stmt, (ast.CondSignal, ast.CondBroadcast)):
+            self._exec_cond_signal(state, tid, stmt, listeners)
+        elif isinstance(stmt, ast.BarrierWait):
+            self._exec_barrier(state, tid, stmt, listeners)
+        elif isinstance(stmt, ast.Spawn):
+            self._exec_spawn(state, tid, stmt, listeners)
+        elif isinstance(stmt, ast.Join):
+            self._exec_join(state, tid, stmt, listeners)
+        elif isinstance(stmt, ast.Output):
+            self._exec_output(state, tid, stmt, listeners)
+        elif isinstance(stmt, ast.Input):
+            self._exec_input(state, tid, stmt, listeners)
+        elif isinstance(stmt, ast.Assert):
+            self._exec_assert(state, tid, stmt, listeners)
+        elif isinstance(stmt, ast.Abort):
+            raise ProgramCrash(CrashKind.EXPLICIT_ABORT, stmt.message)
+        elif isinstance(stmt, ast.Call):
+            self._exec_call(state, tid, stmt, listeners)
+        elif isinstance(stmt, ast.Return):
+            self._exec_return(state, tid, stmt, listeners)
+        elif isinstance(stmt, ast.Malloc):
+            self._exec_malloc(state, tid, stmt, listeners)
+        elif isinstance(stmt, ast.Free):
+            self._exec_free(state, tid, stmt, listeners)
+        elif isinstance(stmt, (ast.Yield, ast.Sleep, ast.Nop)):
+            pass
+        elif isinstance(stmt, ast.Break):
+            self._exec_break(state, tid, stmt, listeners)
+        elif isinstance(stmt, ast.Continue):
+            self._exec_continue(state, tid, stmt, listeners)
+        else:
+            raise ProgramCrash(
+                CrashKind.INVALID_SYNC, f"unsupported statement {type(stmt).__name__}"
+            )
+        return []
+
+    def _normalize(self, state, tid, listeners):
+        thread = state.thread(tid)
+        while thread.frames:
+            frame = thread.frames[-1]
+            while (
+                frame.control
+                and isinstance(frame.control[-1], BlockEntry)
+                and frame.control[-1].exhausted()
+            ):
+                frame = state.frame_mut(tid)
+                frame.control.pop()
+            if frame.control:
+                return
+            thread = state.thread_mut(tid)
+            self._pop_frame(state, thread, 0, listeners)
+        if not thread.is_finished:
+            self._finish_thread(state, state.thread_mut(tid), listeners)
+
+    def _eval(self, state, tid, expr, stmt, listeners):
+        expr = ast.as_expr(expr)
+        if isinstance(expr, ast.Const):
+            return expr.value
+        if isinstance(expr, ast.LocalRef):
+            frame = state.thread(tid).current_frame()
+            if expr.name not in frame.locals:
+                raise ProgramCrash(
+                    CrashKind.INVALID_POINTER, f"read of undefined local {expr.name!r}"
+                )
+            return frame.locals[expr.name]
+        if isinstance(expr, ast.GlobalRef):
+            value = state.memory.load_global(expr.name)
+            names = listeners.access_names
+            if names is None or expr.name in names:
+                self._emit_access(
+                    state, tid, MemoryLocation("global", expr.name), False, stmt, listeners
+                )
+            return value
+        if isinstance(expr, ast.ArrayRef):
+            index = self._eval(state, tid, expr.index, stmt, listeners)
+            index = self._check_array_index(state, expr.name, index)
+            value = state.memory.load_array(expr.name, index)
+            names = listeners.access_names
+            if names is None or expr.name in names:
+                self._emit_access(
+                    state, tid, MemoryLocation("array", expr.name, index), False, stmt, listeners
+                )
+            return value
+        if isinstance(expr, ast.HeapRef):
+            pointer = self._eval(state, tid, expr.pointer, stmt, listeners)
+            pointer = int(self._concretize(state, pointer, what="heap pointer"))
+            index = self._eval(state, tid, expr.index, stmt, listeners)
+            index = int(self._concretize(state, index, what="heap index"))
+            value = state.memory.load_heap(pointer, index)
+            names = listeners.access_names
+            if names is None or str(pointer) in names:
+                self._emit_access(
+                    state, tid, MemoryLocation("heap", str(pointer), index), False, stmt, listeners
+                )
+            return value
+        if isinstance(expr, ast.InputRef):
+            if expr.name in state.symbolic_inputs:
+                return state.symbolic_inputs[expr.name]
+            if expr.name in state.concrete_inputs:
+                return int(state.concrete_inputs[expr.name])
+            raise ProgramCrash(
+                CrashKind.INVALID_POINTER, f"reference to unread input {expr.name!r}"
+            )
+        if isinstance(expr, ast.UnOp):
+            operand = self._eval(state, tid, expr.operand, stmt, listeners)
+            return self._apply_unop(expr.op, operand)
+        if isinstance(expr, ast.BinOp):
+            return self._eval_binop(state, tid, expr, stmt, listeners)
+        raise ProgramCrash(
+            CrashKind.INVALID_POINTER, f"cannot evaluate expression {expr!r}"
+        )
+
+
+#: the methods the oracle replaces; patching them onto Executor makes every
+#: executor the pipeline builds run the replaced loop
+_ORACLE_METHODS = (
+    "run",
+    "_schedule",
+    "_preemption_reason",
+    "_execute_step",
+    "_dispatch",
+    "_normalize",
+    "_eval",
+)
+
+
+def use_oracle_loop(patch):
+    """Run every ``Executor`` on the replaced loop while ``patch`` is active."""
+    for name in _ORACLE_METHODS:
+        patch.setattr(Executor, name, OracleExecutor.__dict__[name], raising=False)
+
+
+# ---------------------------------------------------------------- registry
+
+
+def _serial_registry():
+    engine = AnalysisEngine(options=EngineOptions(parallel=0))
+    names = all_workload_names(include_synthetic=True)
+    runs = engine.analyze_workloads([load_workload(name) for name in names])
+    rows = [
+        {key: value for key, value in item.to_dict().items() if key != "analysis_seconds"}
+        for run in runs
+        for item in run.result.classified
+    ]
+    counters = dict.fromkeys(InterpCounters.__slots__, 0)
+    for event in engine.events.snapshot():
+        if event.get("kind") == "interp_stats":
+            for key in counters:
+                counters[key] += event[key]
+    return rows, counters
+
+
+def test_serial_registry_matches_the_replaced_loop(monkeypatch):
+    rows, counters = _serial_registry()
+    with monkeypatch.context() as patch:
+        use_oracle_loop(patch)
+        assert Executor.run is OracleExecutor.run
+        oracle_rows, oracle_counters = _serial_registry()
+    assert len(rows) == 385
+    assert rows == oracle_rows
+    assert counters == oracle_counters
+    assert counters["statements"] > 0 and counters["spin_cutoffs"] == 57
+
+
+# ------------------------------------------------------------- direct runs
+
+
+class _EventLog(ExecutionListener):
+    """Every callback, in order, with the step it arrived at."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_step(self, state, tid, pc):
+        self.events.append(("step", tid, pc, state.step_count))
+
+    def on_access(self, state, access):
+        self.events.append(("access", access))
+
+    def on_sync(self, state, event):
+        self.events.append(("sync", event))
+
+    def on_schedule(self, state, chosen_tid, previous_tid, reason):
+        self.events.append(("schedule", chosen_tid, previous_tid, reason, state.step_count))
+
+    def on_output(self, state, record):
+        self.events.append(("output", record))
+
+    def on_input(self, state, record):
+        self.events.append(("input", record))
+
+    def on_finish(self, state):
+        self.events.append(("finish", state.outcome))
+
+
+class _Nothing(ExecutionListener):
+    """Overrides nothing: it must change nothing about the run it joins."""
+
+
+def _state_view(state):
+    return {
+        "step_count": state.step_count,
+        "preemption_points": state.preemption_points,
+        "context_switches": state.context_switches,
+        "current_tid": state.current_tid,
+        "threads": [
+            (tid, thread.status, thread.steps, thread.blocked_on, thread.result)
+            for tid, thread in state.threads.items()
+        ],
+        "output_log": list(state.output_log),
+        "input_log": list(state.input_log),
+        "memory": state.memory.key(),
+        "outcome": state.outcome,
+        "path_condition": list(state.path_condition.constraints),
+    }
+
+
+def _result_view(result):
+    return {
+        "status": result.status,
+        "steps_executed": result.steps_executed,
+        "stuck_reason": result.stuck_reason,
+        "state": _state_view(result.state),
+        "forks": [_state_view(fork) for fork in result.forks],
+    }
+
+
+def _both(program, drive):
+    """Run ``drive(executor)`` on the new loop and on the oracle; both return
+    a comparable view."""
+    new = drive(Executor(program))
+    old = drive(OracleExecutor(program))
+    assert new == old
+    return new
+
+
+def _sink_program():
+    """Every statement kind: a barrier, a broadcast with waiters that must
+    reacquire the mutex, calls, heap and array cells, break/continue, a
+    symbolic input that forks an ``if`` and a ``while``, and an abort."""
+    b = ProgramBuilder("sink")
+    b.global_var("ready", 0)
+    b.global_var("count", 0)
+    b.array("cells", 4)
+    b.mutex("m")
+    b.condvar("c")
+    b.barrier("b", 3)
+    helper = b.function("helper", params=("x",))
+    helper.ret(add(local("x"), 1))
+    worker = b.function("worker", params=("p", "k"))
+    worker.barrier_wait("b", label="w:1")
+    worker.lock("m", label="w:2")
+    with worker.while_(eq(glob("ready"), 0), label="w:3"):
+        worker.cond_wait("c", "m", label="w:4")
+    worker.assign(glob("count"), add(glob("count"), 1), label="w:5")
+    worker.unlock("m", label="w:6")
+    worker.assign(local("i"), 0, label="w:7")
+    with worker.while_(1, label="w:8"):
+        worker.assign(local("i"), add(local("i"), 1), label="w:9")
+        with worker.if_(eq(local("i"), 2), label="w:10"):
+            worker.continue_(label="w:11")
+        with worker.if_(lt(3, local("i")), label="w:12"):
+            worker.break_(label="w:13")
+        worker.assign(arr("cells", local("i")), local("k"), label="w:14")
+    worker.call("helper", [local("k")], target="r", label="w:15")
+    worker.assign(heap(local("p"), local("k")), local("r"), label="w:16")
+    worker.yield_(label="w:17")
+    worker.ret(local("r"), label="w:18")
+    main = b.function("main")
+    main.input("n", "n", lo=0, hi=3, default=1, label="m:1")
+    main.malloc("p", 3, label="m:2")
+    main.spawn("t1", "worker", [local("p"), 1], label="m:3")
+    main.spawn("t2", "worker", [local("p"), 2], label="m:4")
+    main.barrier_wait("b", label="m:5")
+    main.sleep(1, label="m:6")
+    main.lock("m", label="m:7")
+    main.assign(glob("ready"), 1, label="m:8")
+    main.cond_broadcast("c", label="m:9")
+    main.unlock("m", label="m:10")
+    main.join(local("t1"), label="m:11")
+    main.join(local("t2"), label="m:12")
+    with main.while_(lt(local("n"), 2), label="m:13"):
+        main.assign(local("n"), add(local("n"), 1), label="m:14")
+    with main.if_(eq(local("n"), 3), label="m:15"):
+        main.abort("n reached 3", label="m:16")
+    main.output("stdout", [glob("count"), heap(local("p"), 2), logical_not(glob("ready"))], label="m:17")
+    main.assert_(eq(glob("count"), 2), label="m:18")
+    main.free(local("p"), label="m:19")
+    main.nop(label="m:20")
+    main.ret()
+    return b.build()
+
+
+def _run_view(executor, *, inputs=None, listeners=None, **run_kwargs):
+    """One run from the initial state: its result, callbacks and counters."""
+    log = _EventLog()
+    state = executor.initial_state(concrete_inputs=inputs)
+    result = executor.run(
+        state, listeners=[log] if listeners is None else listeners(log), **run_kwargs
+    )
+    return {
+        "result": _result_view(result),
+        "events": log.events,
+        "counters": executor.counters.to_dict(),
+    }
+
+
+def _explore_view(executor, symbolic, limit=40):
+    """Run a symbolic state and every state it forks, depth first."""
+    log = _EventLog()
+    worklist = [executor.initial_state(symbolic_inputs=symbolic)]
+    views = []
+    while worklist and len(views) < limit:
+        result = executor.run(worklist.pop(), listeners=[log])
+        views.append(_result_view(result))
+        worklist.extend(result.forks)
+    return {"results": views, "events": log.events, "counters": executor.counters.to_dict()}
+
+
+def _pc(program, label):
+    return next(
+        stmt.pc
+        for function in program.functions.values()
+        for stmt in ast.iter_statements(function.body)
+        if stmt.label == label
+    )
+
+
+def _preferring(tid):
+    def build():
+        policy = ControlledPolicy(RoundRobinPolicy())
+        policy.prefer(tid)
+        return policy
+
+    return build
+
+
+class TestSinkProgram:
+    @pytest.mark.parametrize(
+        "policy",
+        [RoundRobinPolicy, CooperativePolicy, lambda: RandomPolicy(seed=5)],
+        ids=["round_robin", "cooperative", "random"],
+    )
+    def test_full_runs(self, policy):
+        program = _sink_program()
+        view = _both(program, lambda executor: _run_view(executor, policy=policy()))
+        assert view["result"]["status"] is RunStatus.COMPLETED
+        assert view["result"]["state"]["outcome"].kind is OutcomeKind.DONE
+
+    def test_abort_and_nothing_listener(self):
+        program = _sink_program()
+        view = _both(
+            program,
+            lambda executor: _run_view(
+                executor, inputs={"n": 3}, listeners=lambda log: [_Nothing(), log]
+            ),
+        )
+        assert view["result"]["state"]["outcome"].kind is OutcomeKind.CRASH
+
+    @pytest.mark.parametrize(
+        "policy",
+        [RoundRobinPolicy, lambda: RandomPolicy(seed=3), _preferring(2)],
+        ids=["round_robin", "random", "preferring"],
+    )
+    def test_watched_pcs_and_stops(self, policy):
+        # Round robin keeps the current thread at a watched point; a random
+        # or a preferring policy may switch there and right after it.
+        program = _sink_program()
+        watched = frozenset({_pc(program, "w:5"), _pc(program, "w:14")})
+        target = _pc(program, "w:16")
+        seen = []
+
+        def stop_before(state, tid, stmt):
+            seen.append((tid, stmt.pc, state.step_count))
+            return stmt.pc == target and tid == 2
+
+        def stop_after(state, tid, stmt):
+            return stmt.pc == _pc(program, "m:12")
+
+        for kwargs in ({}, {"stop_before": stop_before}, {"stop_after": stop_after}):
+            def drive(executor):
+                seen.clear()
+                view = _run_view(executor, policy=policy(), watched_pcs=watched, **kwargs)
+                return view, tuple(seen)
+
+            view, calls = _both(program, drive)
+            if kwargs:
+                assert view["result"]["status"] in (
+                    RunStatus.STOPPED_BEFORE,
+                    RunStatus.STOPPED_AFTER,
+                )
+            if "stop_before" in kwargs:
+                # consulted before every statement the run executed
+                assert len(calls) == view["counters"]["statements"] + 1
+
+    def test_budget_and_stuck(self):
+        program = _sink_program()
+        for budget in (1, 7, 40):
+            view = _both(program, lambda executor: _run_view(executor, max_steps=budget))
+            assert view["result"]["status"] is RunStatus.STEP_LIMIT
+
+        def stuck(executor):
+            policy = ControlledPolicy(RoundRobinPolicy())
+            policy.forbid(0)
+            return _run_view(executor, policy=policy)
+
+        view = _both(program, stuck)
+        assert view["result"]["status"] is RunStatus.SCHEDULING_STUCK
+        assert view["result"]["stuck_reason"]
+
+    def test_symbolic_forks(self):
+        program = _sink_program()
+        view = _both(program, lambda executor: _explore_view(executor, symbolic=("n",)))
+        assert len(view["results"]) > 2 and view["counters"]["forks"] > 0
+
+
+@pytest.mark.parametrize("name", ["bbuf", "ctrace", "SQLite", "memcached"])
+def test_record_replay_and_symbolic_runs_of_workloads(name):
+    workload = load_workload(name)
+    program = workload.program
+    inputs = dict(workload.inputs)
+
+    def record(executor):
+        log = _EventLog()
+        trace, state, result = record_execution(
+            program, inputs, executor=executor, extra_listeners=[log]
+        )
+        return trace.to_dict(), _result_view(result), log.events
+
+    _both(program, record)
+    trace, _state, _run = record_execution(program, inputs)
+    race = trace.races[0]
+    locator = RacePointLocator(race)
+
+    def replay(executor, **kwargs):
+        return _run_view(
+            executor,
+            inputs=inputs,
+            policy=ReplayPolicy(trace.decisions),
+            watched_pcs=locator.watched_pcs(),
+            **kwargs,
+        )
+
+    _both(program, replay)
+    view = _both(
+        program, lambda executor: replay(executor, stop_before=locator.stop_before_first_access())
+    )
+    assert view["result"]["status"] is RunStatus.STOPPED_BEFORE
+    view = _both(
+        program, lambda executor: replay(executor, stop_after=locator.stop_after_second_access())
+    )
+    assert view["result"]["status"] is RunStatus.STOPPED_AFTER
+    if inputs:
+        view = _both(
+            program, lambda executor: _explore_view(executor, symbolic=tuple(inputs), limit=12)
+        )
+        assert view["counters"]["forks"] > 0
