@@ -10,8 +10,8 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.alternate` -- primary replay and alternate-ordering
   enforcement (the record/replay choreography shared by all analyses),
 * :mod:`repro.core.single_pre_post` -- Algorithm 1,
-* :mod:`repro.core.multi_path` / :mod:`repro.core.multi_schedule` --
-  Algorithm 2 with symbolic output comparison,
+* :mod:`repro.core.multi_path` -- Algorithm 2 (multi-path and
+  multi-schedule) with symbolic output comparison,
 * :mod:`repro.core.classifier` -- the per-race classification pipeline,
 * :mod:`repro.core.report` -- debugging-aid reports (Fig. 6),
 * :mod:`repro.core.portend` -- the user-facing facade.

@@ -6,18 +6,19 @@ analysis generates the corresponding alternate executions under Ma different
 post-race schedules, watches for specification violations, and compares the
 alternates' concrete outputs against the primary's symbolic outputs.
 
-The per-path work is factored into :func:`analyze_primary_path`, which
-returns a :class:`PathVerdict`, and the cross-path aggregation into
-:func:`merge_path_verdicts`; :func:`classify_multipath` runs one after the
-other.  Each path is analyzed independently of the others (RNG seeding is
-per ``(race_id, path_index)``, see :meth:`PortendConfig.race_seed`), and the
-merge consumes the verdicts in path order.
+:func:`classify_multipath` explores the primaries once and hands them, in
+path order, to :func:`analyze_primary_path`, which folds each path straight
+into one :class:`MultiPathResult`: the first specification violation ends
+the analysis, and the first output difference supplies the evidence.  RNG
+seeding is per ``(race_id, path_index)`` (see
+:meth:`PortendConfig.race_seed`), so a path's alternates do not depend on
+the paths before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.alternate import (
     AlternateStatus,
@@ -44,49 +45,18 @@ from repro.runtime.executor import Executor
 
 @dataclass
 class MultiPathResult:
-    """Aggregated verdict of the multi-path multi-schedule stage."""
+    """Verdict of the multi-path multi-schedule stage, folded path by path."""
 
-    verdict: RaceClass
-    evidence: ClassificationEvidence
     paths_explored: int
-    schedules_explored: int
-    witnesses: int
     states_pruned: int = 0
-    dependent_branches: int = 0
     #: why each pruned primary path was discarded (§3.3 diagnostics)
     prune_reasons: List[str] = field(default_factory=list)
-
-
-@dataclass
-class PathVerdict:
-    """One primary path's contribution to a race's multi-path verdict.
-
-    The fields mirror exactly what the per-path loop accumulates into
-    the shared evidence/counters, so :func:`merge_path_verdicts` can replay
-    the aggregation without re-running any execution.
-    """
-
-    path_index: int
-    #: symbolic branch count of this primary (input-dependent branches)
-    symbolic_branches: int = 0
-    #: did the primary replay reach the racing accesses at all?
-    reached_race: bool = True
-    #: a spec violation anywhere on this path (primary, replay or alternate)
-    spec_violated: bool = False
-    spec_violation_kind: Optional[SpecViolationKind] = None
-    crash_description: str = ""
-    failing_inputs: Dict[str, int] = field(default_factory=dict)
-    failing_schedule: List[str] = field(default_factory=list)
-    #: alternate schedules actually run before this path stopped
+    verdict: RaceClass = RaceClass.K_WITNESS_HARMLESS
+    evidence: ClassificationEvidence = field(default_factory=ClassificationEvidence)
+    #: alternate schedules actually run
     schedules_explored: int = 0
-    #: alternates whose output matched the primary's
+    #: alternates whose output matched their primary's
     witnesses: int = 0
-    #: ad-hoc-synchronisation notes, in schedule order
-    notes: List[str] = field(default_factory=list)
-    #: first primary/alternate output difference observed on this path
-    saw_output_difference: bool = False
-    output_difference: List[Tuple[str, str]] = field(default_factory=list)
-    difference_inputs: Dict[str, int] = field(default_factory=dict)
 
 
 def analyze_primary_path(
@@ -96,26 +66,35 @@ def analyze_primary_path(
     race: RaceReport,
     config: PortendConfig,
     path: PrimaryPath,
+    result: MultiPathResult,
     predicates: Sequence[SemanticPredicate] = (),
-) -> PathVerdict:
-    """Analyze one primary path: replay it and run its Ma alternates.
+) -> None:
+    """Analyze one primary path: replay it, run its Ma alternates, and fold
+    what they show into ``result``.
 
-    The verdict records only this path's own contribution; it stops at the
-    first specification violation (as the serial loop would) so the partial
-    schedule/witness counters match the serial accumulation exactly.
+    Stops at the path's first specification violation, leaving
+    ``result.verdict`` at ``SPEC_VIOLATED``; the first output difference
+    folded into ``result`` supplies its evidence.
     """
-    verdict = PathVerdict(path_index=path.index, symbolic_branches=path.symbolic_branches)
+    evidence = result.evidence
+
+    def violated(kind: Optional[SpecViolationKind], description: str, alternate_first: bool):
+        result.verdict = RaceClass.SPEC_VIOLATED
+        evidence.spec_violation_kind = kind
+        evidence.crash_description = description
+        evidence.failing_inputs = dict(path.concrete_inputs)
+        evidence.failing_schedule = _schedule_evidence(trace, race, alternate_first)
 
     # A specification violation reachable on the primary path itself is a
     # "spec violated" verdict (line 17 of Algorithm 1 applies to every
     # explored primary).
     if outcome_is_spec_violation(path.outcome):
-        verdict.spec_violated = True
-        verdict.spec_violation_kind = _spec_violation_kind(path.outcome)
-        verdict.crash_description = f"primary path {path.index}: {path.outcome.describe()}"
-        verdict.failing_inputs = dict(path.concrete_inputs)
-        verdict.failing_schedule = _schedule_evidence(trace, race, alternate_first=False)
-        return verdict
+        violated(
+            _spec_violation_kind(path.outcome),
+            f"primary path {path.index}: {path.outcome.describe()}",
+            alternate_first=False,
+        )
+        return
 
     same_inputs = path.concrete_inputs == dict(trace.concrete_inputs)
     primary_replay = replay_primary(
@@ -129,18 +108,15 @@ def analyze_primary_path(
         use_steps=same_inputs,
     )
     if outcome_is_spec_violation(primary_replay.outcome):
-        verdict.spec_violated = True
-        verdict.spec_violation_kind = _spec_violation_kind(primary_replay.outcome)
-        verdict.crash_description = (
+        violated(
+            _spec_violation_kind(primary_replay.outcome),
             f"primary replay with inputs {path.concrete_inputs}: "
-            f"{primary_replay.outcome.describe()}"
+            f"{primary_replay.outcome.describe()}",
+            alternate_first=False,
         )
-        verdict.failing_inputs = dict(path.concrete_inputs)
-        verdict.failing_schedule = _schedule_evidence(trace, race, alternate_first=False)
-        return verdict
+        return
     if not primary_replay.reached_race:
-        verdict.reached_race = False
-        return verdict
+        return
 
     timeout_steps = enforcement_budget(
         config.timeout_factor, primary_replay.steps, config.max_steps_per_execution
@@ -149,7 +125,7 @@ def analyze_primary_path(
         config.effective_ma(), config.race_seed(race.race_id, path.index)
     )
     for policy in policies:
-        verdict.schedules_explored += 1
+        result.schedules_explored += 1
         alternate = run_alternate(
             executor,
             program,
@@ -167,30 +143,26 @@ def analyze_primary_path(
                     if alternate.timeout_diagnosis == "infinite-loop"
                     else SpecViolationKind.DEADLOCK
                 )
-                verdict.spec_violated = True
-                verdict.spec_violation_kind = kind
-                verdict.crash_description = (
-                    f"alternate of primary path {path.index} cannot make progress ({kind.value})"
+                violated(
+                    kind,
+                    f"alternate of primary path {path.index} cannot make progress ({kind.value})",
+                    alternate_first=True,
                 )
-                verdict.failing_inputs = dict(path.concrete_inputs)
-                verdict.failing_schedule = _schedule_evidence(trace, race, alternate_first=True)
-                return verdict
+                return
             # Ad-hoc synchronisation on this path; it contributes no
             # witness but is not evidence of harm either.
-            verdict.notes.append(
+            evidence.notes.append(
                 f"alternate of primary path {path.index} prevented by ad-hoc synchronisation"
             )
             continue
         if outcome_is_spec_violation(alternate.outcome):
-            verdict.spec_violated = True
-            verdict.spec_violation_kind = _spec_violation_kind(alternate.outcome)
-            verdict.crash_description = (
+            violated(
+                _spec_violation_kind(alternate.outcome),
                 f"alternate of primary path {path.index} with inputs "
-                f"{path.concrete_inputs}: {alternate.outcome.describe()}"
+                f"{path.concrete_inputs}: {alternate.outcome.describe()}",
+                alternate_first=True,
             )
-            verdict.failing_inputs = dict(path.concrete_inputs)
-            verdict.failing_schedule = _schedule_evidence(trace, race, alternate_first=True)
-            return verdict
+            return
 
         if config.symbolic_output_comparison:
             comparison = compare_symbolic(
@@ -204,74 +176,12 @@ def analyze_primary_path(
                 primary_replay.final_state.output_log, alternate.state.output_log
             )
         if comparison.matches:
-            verdict.witnesses += 1
-        else:
-            if not verdict.saw_output_difference:
-                verdict.output_difference = comparison.differences
-                verdict.difference_inputs = dict(path.concrete_inputs)
-            verdict.saw_output_difference = True
-    return verdict
-
-
-def merge_path_verdicts(
-    verdicts: Sequence[PathVerdict],
-    paths_explored: int,
-    states_pruned: int = 0,
-    prune_reasons: Sequence[str] = (),
-) -> MultiPathResult:
-    """Deterministically recombine per-path verdicts into one stage result.
-
-    Reproduces the serial loop's aggregation semantics exactly, including the
-    early return on the first specification violation: verdicts are consumed
-    in path-index order, counters from paths after the first violating path
-    are ignored, and the first output difference (in path order) supplies the
-    evidence.  Given the same verdicts, the merge is a pure function.
-    """
-    evidence = ClassificationEvidence()
-    witnesses = 0
-    schedules_explored = 0
-    dependent_branches = 0
-    saw_output_difference = False
-
-    for verdict in sorted(verdicts, key=lambda v: v.path_index):
-        dependent_branches = max(dependent_branches, verdict.symbolic_branches)
-        witnesses += verdict.witnesses
-        schedules_explored += verdict.schedules_explored
-        evidence.notes.extend(verdict.notes)
-        if verdict.saw_output_difference:
-            saw_output_difference = True
-            if not evidence.output_difference:
-                evidence.output_difference = list(verdict.output_difference)
-                evidence.failing_inputs = dict(verdict.difference_inputs)
-        if verdict.spec_violated:
-            evidence.spec_violation_kind = verdict.spec_violation_kind
-            evidence.crash_description = verdict.crash_description
-            evidence.failing_inputs = dict(verdict.failing_inputs)
-            evidence.failing_schedule = list(verdict.failing_schedule)
-            return MultiPathResult(
-                RaceClass.SPEC_VIOLATED,
-                evidence,
-                paths_explored,
-                schedules_explored,
-                witnesses,
-                states_pruned,
-                dependent_branches,
-                list(prune_reasons),
-            )
-
-    verdict_class = (
-        RaceClass.OUTPUT_DIFFERS if saw_output_difference else RaceClass.K_WITNESS_HARMLESS
-    )
-    return MultiPathResult(
-        verdict_class,
-        evidence,
-        paths_explored,
-        schedules_explored,
-        witnesses,
-        states_pruned,
-        dependent_branches,
-        list(prune_reasons),
-    )
+            result.witnesses += 1
+            continue
+        result.verdict = RaceClass.OUTPUT_DIFFERS
+        if not evidence.output_difference:
+            evidence.output_difference = comparison.differences
+            evidence.failing_inputs = dict(path.concrete_inputs)
 
 
 def classify_multipath(
@@ -284,23 +194,20 @@ def classify_multipath(
 ) -> MultiPathResult:
     """Run the multi-path (and optionally multi-schedule) analysis for a race.
 
-    Explore the primaries once, analyze them in path order (stopping at the
-    first specification violation, whose later siblings the merge would
-    discard anyway), then merge.
+    Explore the primaries once, then fold them into one result in path
+    order, stopping at the first specification violation.
     """
     explorer = MultiPathExplorer.for_config(executor, program, trace, race, config)
     primaries = explorer.explore()
-    verdicts: List[PathVerdict] = []
-    for path in primaries:
-        verdict = analyze_primary_path(
-            executor, program, trace, race, config, path, predicates=predicates
-        )
-        verdicts.append(verdict)
-        if verdict.spec_violated:
-            break
-    return merge_path_verdicts(
-        verdicts,
+    result = MultiPathResult(
         paths_explored=len(primaries),
         states_pruned=explorer.states_pruned,
-        prune_reasons=explorer.prune_reasons,
+        prune_reasons=list(explorer.prune_reasons),
     )
+    for path in primaries:
+        analyze_primary_path(
+            executor, program, trace, race, config, path, result, predicates=predicates
+        )
+        if result.verdict is RaceClass.SPEC_VIOLATED:
+            break
+    return result

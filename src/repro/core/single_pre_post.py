@@ -9,7 +9,7 @@ based on one primary and one alternate execution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.alternate import (
     AlternateResult,
@@ -25,7 +25,7 @@ from repro.core.categories import (
     SpecViolationKind,
 )
 from repro.core.config import PortendConfig
-from repro.core.output_comparison import OutputComparison, compare_concrete
+from repro.core.output_comparison import compare_concrete
 from repro.core.spec import SemanticPredicate, outcome_is_spec_violation
 from repro.detection.race_report import RaceReport
 from repro.lang.program import Program
@@ -43,12 +43,6 @@ class SinglePrePostResult:
     primary: PrimaryReplay
     alternate: Optional[AlternateResult]
     evidence: ClassificationEvidence
-    output_comparison: Optional[OutputComparison] = None
-    post_race_states_differ: Optional[bool] = None
-
-    @property
-    def alternate_enforceable(self) -> bool:
-        return self.alternate is not None and self.alternate.enforced
 
 
 def _spec_violation_kind(outcome: Optional[ExecutionOutcome]) -> Optional[SpecViolationKind]:
@@ -87,9 +81,6 @@ def single_classify(
     race: RaceReport,
     config: PortendConfig,
     predicates: Sequence[SemanticPredicate] = (),
-    concrete_inputs: Optional[Dict[str, int]] = None,
-    use_steps: bool = True,
-    capture_post_race_snapshot: bool = True,
 ) -> SinglePrePostResult:
     """Run Algorithm 1 (singleClassify) for one race.
 
@@ -102,10 +93,8 @@ def single_classify(
         program,
         trace,
         race,
-        concrete_inputs=concrete_inputs,
         predicates=predicates,
         max_steps=config.max_steps_per_execution,
-        use_steps=use_steps,
     )
 
     if not primary.reached_race:
@@ -126,13 +115,13 @@ def single_classify(
         ),
         post_race_policy=RoundRobinPolicy(),
         predicates=predicates,
-        capture_post_race_snapshot=capture_post_race_snapshot,
+        capture_post_race_snapshot=True,
     )
 
-    states_differ: Optional[bool] = None
     if primary.post_race_snapshot is not None and alternate.post_race_snapshot is not None:
-        states_differ = primary.post_race_snapshot != alternate.post_race_snapshot
-    evidence.post_race_states_differ = states_differ
+        evidence.post_race_states_differ = (
+            primary.post_race_snapshot != alternate.post_race_snapshot
+        )
 
     # Case (a)/(b) of Algorithm 1: the alternate ordering cannot be enforced.
     if alternate.status is AlternateStatus.TIMEOUT:
@@ -140,9 +129,7 @@ def single_classify(
             evidence.spec_violation_kind = SpecViolationKind.INFINITE_LOOP
             evidence.crash_description = "alternate ordering leads to an infinite loop"
             evidence.failing_schedule = _schedule_evidence(trace, race, alternate_first=True)
-            return SinglePrePostResult(
-                RaceClass.SPEC_VIOLATED, primary, alternate, evidence, None, states_differ
-            )
+            return SinglePrePostResult(RaceClass.SPEC_VIOLATED, primary, alternate, evidence)
         evidence.alternate_enforced = False
         evidence.notes.append("alternate ordering prevented by ad-hoc synchronisation")
         verdict = (
@@ -150,7 +137,7 @@ def single_classify(
             if config.enable_adhoc_detection
             else RaceClass.SPEC_VIOLATED
         )
-        return SinglePrePostResult(verdict, primary, alternate, evidence, None, states_differ)
+        return SinglePrePostResult(verdict, primary, alternate, evidence)
 
     if alternate.status is AlternateStatus.STUCK:
         if alternate.lock_cycle:
@@ -160,9 +147,7 @@ def single_classify(
                 + " -> ".join(f"T{tid}" for tid in alternate.lock_cycle)
             )
             evidence.failing_schedule = _schedule_evidence(trace, race, alternate_first=True)
-            return SinglePrePostResult(
-                RaceClass.SPEC_VIOLATED, primary, alternate, evidence, None, states_differ
-            )
+            return SinglePrePostResult(RaceClass.SPEC_VIOLATED, primary, alternate, evidence)
         evidence.alternate_enforced = False
         evidence.notes.append("racing thread cannot be scheduled in the alternate order")
         verdict = (
@@ -170,7 +155,7 @@ def single_classify(
             if config.enable_adhoc_detection
             else RaceClass.SPEC_VIOLATED
         )
-        return SinglePrePostResult(verdict, primary, alternate, evidence, None, states_differ)
+        return SinglePrePostResult(verdict, primary, alternate, evidence)
 
     if alternate.status is AlternateStatus.RACE_NOT_REACHED:
         evidence.alternate_enforced = False
@@ -183,21 +168,13 @@ def single_classify(
             evidence.spec_violation_kind = _spec_violation_kind(outcome)
             evidence.crash_description = f"{name} execution: {outcome.describe()}"
             evidence.failing_inputs = dict(trace.concrete_inputs)
-            if concrete_inputs:
-                evidence.failing_inputs.update(concrete_inputs)
             evidence.failing_schedule = _schedule_evidence(
                 trace, race, alternate_first=(name == "alternate")
             )
-            return SinglePrePostResult(
-                RaceClass.SPEC_VIOLATED, primary, alternate, evidence, None, states_differ
-            )
+            return SinglePrePostResult(RaceClass.SPEC_VIOLATED, primary, alternate, evidence)
 
     comparison = compare_concrete(primary.final_state.output_log, alternate.state.output_log)
     if not comparison.matches:
         evidence.output_difference = comparison.differences
-        return SinglePrePostResult(
-            RaceClass.OUTPUT_DIFFERS, primary, alternate, evidence, comparison, states_differ
-        )
-    return SinglePrePostResult(
-        RaceClass.OUTPUT_SAME, primary, alternate, evidence, comparison, states_differ
-    )
+        return SinglePrePostResult(RaceClass.OUTPUT_DIFFERS, primary, alternate, evidence)
+    return SinglePrePostResult(RaceClass.OUTPUT_SAME, primary, alternate, evidence)

@@ -693,7 +693,6 @@ class AnalysisEngine:
             race_id=race_id,
             trace=contexts[index]["trace_data"],
             config=config_data,
-            use_semantic_predicates=self.options.use_semantic_predicates,
             program=recordings[index].workload.program,
             predicates=contexts[index]["predicates"],
             trace_token=contexts[index]["trace_token"],

@@ -70,6 +70,8 @@ class EngineStats:
     interp_spin_cutoffs: int = 0
     #: steps those cutoffs skipped instead of interpreting
     interp_steps_skipped: int = 0
+    #: ``MemoryAccess`` events built for the listeners that asked for them
+    interp_accesses: int = 0
     #: task executions re-submitted after a worker crash, deadline expiry,
     #: or malformed result (supervision layer)
     task_retries: int = 0
@@ -121,6 +123,7 @@ class EngineStats:
         self.interp_cow_copies += payload.get("cow_copies", 0)
         self.interp_spin_cutoffs += payload.get("spin_cutoffs", 0)
         self.interp_steps_skipped += payload.get("steps_skipped", 0)
+        self.interp_accesses += payload.get("accesses", 0)
 
     def summary(self) -> str:
         return (
@@ -142,6 +145,7 @@ class EngineStats:
             f"interp cow copies={self.interp_cow_copies}, "
             f"spin cutoffs={self.interp_spin_cutoffs}, "
             f"steps skipped={self.interp_steps_skipped}, "
+            f"interp accesses={self.interp_accesses}, "
             f"task retries={self.task_retries}, "
             f"pool respawns={self.pool_respawns}, "
             f"tasks quarantined={self.tasks_quarantined}, "

@@ -12,7 +12,7 @@ Task payloads are plain dicts whose leaves are JSON-serializable (the trace
 crosses the process boundary through ``ExecutionTrace.to_dict``), so they
 pickle cheaply into ``concurrent.futures`` worker processes and could
 equally be shipped over a network queue.  ``program``/``predicates`` travel
-by pickle when attached (see :class:`ClassificationTask`).
+by pickle (see :class:`ClassificationTask`).
 
 Every worker entry point is deterministic: recording uses the deterministic
 round-robin schedule, and every random decision during classification
@@ -35,22 +35,18 @@ from repro.record_replay.trace import ExecutionTrace
 class ClassificationTask:
     """One (workload, race) classification work item.
 
-    ``program``/``predicates`` travel by pickle, not JSON.  The engine's
-    batch path always attaches them (correctness first: the batch may
-    contain what-if variants like ``build_memcached(remove_slab_lock=True)``
-    whose program differs from the registry rebuild under the same name).
-    When absent, the worker rebuilds the workload from the registry by
-    name, which keeps the payload fully JSON-clean -- the variant a
-    network-queue transport would use.
+    ``program``/``predicates`` travel by pickle, not JSON.  The task always
+    carries the program it classifies: the batch may contain what-if
+    variants like ``build_memcached(remove_slab_lock=True)`` whose program
+    differs from the registry build under the same name.
     """
 
     workload: str
     race_id: int
     trace: Dict
     config: Dict
-    use_semantic_predicates: bool = False
-    program: Optional[object] = None
-    predicates: Optional[tuple] = None
+    program: object
+    predicates: tuple
     #: parent-assigned token identifying this trace payload; tasks sharing a
     #: token carry byte-identical trace dicts, letting the executing process
     #: memoize the deserialized ExecutionTrace (see :func:`_resolve_trace`)
@@ -66,28 +62,24 @@ class ClassificationTask:
             "race_id": self.race_id,
             "trace": self.trace,
             "config": self.config,
-            "use_semantic_predicates": self.use_semantic_predicates,
+            "program": self.program,
+            "predicates": list(self.predicates),
         }
         if self.trace_token is not None:
             payload["trace_token"] = self.trace_token
         if self.program_fingerprint:
             payload["program_fingerprint"] = self.program_fingerprint
-        if self.program is not None:
-            payload["program"] = self.program
-            payload["predicates"] = list(self.predicates or ())
         return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "ClassificationTask":
-        predicates = payload.get("predicates")
         return cls(
             workload=payload["workload"],
             race_id=payload["race_id"],
             trace=payload["trace"],
             config=payload["config"],
-            use_semantic_predicates=payload.get("use_semantic_predicates", False),
-            program=payload.get("program"),
-            predicates=tuple(predicates) if predicates is not None else None,
+            program=payload["program"],
+            predicates=tuple(payload["predicates"]),
             trace_token=payload.get("trace_token"),
             program_fingerprint=payload.get("program_fingerprint", ""),
         )
@@ -122,31 +114,12 @@ def _resolve_trace(task) -> ExecutionTrace:
     return trace
 
 
-def _resolve_program(task) -> Tuple[object, list]:
-    """The (program, predicates) pair a worker should analyze.
-
-    Uses the program attached to the payload when present, and otherwise
-    rebuilds the workload from the registry (model programs assign pcs
-    deterministically, so the rebuilt program matches the trace recorded in
-    the parent process).
-    """
-    from repro.workloads import load_workload
-
-    if task.program is not None:
-        return task.program, list(task.predicates or ())
-    workload = load_workload(task.workload)
-    predicates = list(workload.predicates)
-    if task.use_semantic_predicates:
-        predicates += list(workload.semantic_predicates)
-    return workload.program, predicates
-
-
 def _solver_snapshot(portend) -> Dict:
     """The task's solver-counter delta (each task builds one fresh solver)."""
     return portend.executor.solver.stats.to_dict()
 
 
-def _build_portend(task, program, config, predicates, events: Optional[EventBuffer] = None):
+def _build_portend(task, config, events: Optional[EventBuffer] = None):
     """A per-task Portend whose solver joins the worker-lifetime cache.
 
     Every task still gets a fresh solver (so its stats snapshot is the
@@ -166,7 +139,9 @@ def _build_portend(task, program, config, predicates, events: Optional[EventBuff
         shared_cache=shared,
         event_sink=events.sink if events is not None else None,
     )
-    return Portend(program, config=config, predicates=predicates, solver=solver)
+    return Portend(
+        task.program, config=config, predicates=list(task.predicates), solver=solver
+    )
 
 
 def _begin_task(stage: str, workload: str, **detail) -> Tuple[EventBuffer, float]:
@@ -266,11 +241,10 @@ def execute_task(payload: Mapping) -> Dict:
     task = ClassificationTask.from_payload(payload)
     if maybe_inject_fault("classify", task.workload, race=task.race_id) == "malformed":
         return {"malformed": True}
-    program, predicates = _resolve_program(task)
     config = PortendConfig.from_dict(task.config)
     trace = _resolve_trace(task)
     events, started = _begin_task("classify", task.workload, race=task.race_id)
-    portend = _build_portend(task, program, config, predicates, events)
+    portend = _build_portend(task, config, events)
     race = trace.race_by_id(task.race_id)
     classified = portend.classify_race(trace, race).to_dict()
     snapshot, event_list = _finish_task(
@@ -288,25 +262,23 @@ class RecordTask:
 
     Recording needs no predicates -- detection watches memory accesses, not
     semantic properties -- so the payload is just the workload identity, its
-    inputs, and the recording-relevant config.  As with classification
-    tasks, the actual program is attached for correctness (the batch may
+    program, its inputs, and the recording-relevant config.  As with
+    classification tasks, the program travels with the task (the batch may
     contain what-if variants differing from the registry build).
     """
 
     workload: str
     inputs: Dict
     config: Dict
-    program: Optional[object] = None
+    program: object
 
     def to_payload(self) -> Dict:
-        payload = {
+        return {
             "workload": self.workload,
             "inputs": dict(self.inputs),
             "config": self.config,
+            "program": self.program,
         }
-        if self.program is not None:
-            payload["program"] = self.program
-        return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "RecordTask":
@@ -314,27 +286,22 @@ class RecordTask:
             workload=payload["workload"],
             inputs=dict(payload["inputs"]),
             config=payload["config"],
-            program=payload.get("program"),
+            program=payload["program"],
         )
 
 
 def execute_record_task(payload: Mapping) -> Dict:
     """Record (and race-detect) one workload execution (worker entry point)."""
-    from repro.record_replay.recorder import record_program_trace
-    from repro.workloads import load_workload
-
     from repro.engine.faults import maybe_inject_fault
+    from repro.record_replay.recorder import record_program_trace
 
     task = RecordTask.from_payload(payload)
     if maybe_inject_fault("record", task.workload) == "malformed":
         return {"malformed": True}
-    program = task.program
-    if program is None:
-        program = load_workload(task.workload).program
     config = PortendConfig.from_dict(task.config)
     events, started = _begin_task("record", task.workload)
     trace, detection_seconds = record_program_trace(
-        program,
+        task.program,
         concrete_inputs=dict(task.inputs),
         max_steps=config.max_steps_per_execution,
     )

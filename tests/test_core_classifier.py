@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Portend, PortendConfig
+from repro.core import Portend, PortendConfig, multi_path
 from repro.core.categories import RaceClass, SpecViolationKind
 from repro.core.output_comparison import compare_concrete, compare_symbolic
 from repro.core.report import PortendReport
@@ -168,6 +168,50 @@ class TestClassification:
             b, inputs={"verbose": 1}, config=PortendConfig().single_path_only()
         )
         assert single.classified[0].classification is RaceClass.K_WITNESS_HARMLESS
+
+    def test_multi_path_stops_at_the_first_spec_violation(self, monkeypatch):
+        # Recorded with mode=0 the race looks harmless; the explorer finds
+        # the primaries mode=2, mode=1, mode=0 in that order, and only the
+        # mode=1 alternate indexes the table with the unwritten value.  The
+        # fold must stop at that path's first alternate: the witnesses and
+        # schedules of path 0 and of that one alternate count, nothing after.
+        b = ProgramBuilder("gated-crash")
+        b.global_var("nitems", 9)
+        b.array("table", 4)
+        worker = b.function("worker")
+        worker.assign(glob("nitems"), 2)
+        worker.ret()
+        main = b.function("main")
+        main.input("mode", "mode", 0, 3, default=0)
+        main.spawn("t", "worker")
+        main.yield_()
+        main.assign(local("v"), glob("nitems"))
+        with main.if_(ge(local("mode"), 2)):
+            main.nop()
+        with main.if_(eq(local("mode"), 1)):
+            main.assign(local("w"), arr("table", local("v")))
+        main.join(local("t"))
+        main.output("stdout", [0])
+        main.ret()
+
+        analyzed = []
+        analyze = multi_path.analyze_primary_path
+
+        def counting(*args, **kwargs):
+            analyzed.append(args[5].concrete_inputs)
+            return analyze(*args, **kwargs)
+
+        monkeypatch.setattr(multi_path, "analyze_primary_path", counting)
+        classified = _classify(b, inputs={"mode": 0}).classified[0]
+        assert analyzed == [{"mode": 2}, {"mode": 1}]
+        assert classified.classification is RaceClass.SPEC_VIOLATED
+        assert classified.stage == "multi-path/multi-schedule"
+        assert (classified.paths_explored, classified.schedules_explored) == (3, 3)
+        assert classified.k == 2
+        evidence = classified.evidence
+        assert evidence.spec_violation_kind is SpecViolationKind.CRASH
+        assert evidence.crash_description.startswith("alternate of primary path 1 ")
+        assert evidence.failing_inputs == {"mode": 1}
 
     def test_adhoc_ablation_reports_spec_violation_instead(self):
         b = ProgramBuilder("adhoc-ablation")

@@ -140,19 +140,6 @@ class TestEngine:
             serial.classified
         ) == _classification_signature(pooled.result.classified)
 
-    def test_execute_task_rebuilds_registry_workloads(self):
-        _, portend, trace = _record_trace("RW")
-        payload = {
-            "workload": "RW",
-            "race_id": trace.races[0].race_id,
-            "trace": json.loads(json.dumps(trace.to_dict())),
-            "config": PortendConfig().to_dict(),
-        }
-        result = ClassifiedRace.from_dict(execute_task(payload)["classified"])
-        direct = portend.classify_race(trace, trace.races[0])
-        assert result.classification is direct.classification
-        assert result.k == direct.k
-
     def test_whatif_program_overrides_registry_rebuild(self):
         from repro.workloads.memcached import build_memcached
 
@@ -351,6 +338,8 @@ class TestCacheStores:
                 "race_id": trace.races[0].race_id,
                 "trace": trace.to_dict(),
                 "config": PortendConfig().to_dict(),
+                "program": workload.program,
+                "predicates": list(workload.predicates),
             }
         )
         cache = ClassificationCache(tmp_path)

@@ -191,7 +191,8 @@ class TestFoldSemantics:
         assert stats.interp_statements == 62
         assert stats.interp_spin_cutoffs == 2
         assert stats.interp_steps_skipped == 900
-        assert "spin cutoffs=2, steps skipped=900" in stats.summary()
+        assert stats.interp_accesses == 12
+        assert "spin cutoffs=2, steps skipped=900, interp accesses=12" in stats.summary()
         assert summarize_events(events)["interpreter"] == {
             "tasks": 4,
             "statements": 62,
@@ -459,6 +460,21 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "solver_query" in out
         assert "by kind:" in out
+
+    def test_stats_line_accesses_equal_the_events_info_sum(self, tmp_path, capsys):
+        # The stats line folds every interp_stats counter, accesses
+        # included, so it reports what events-info prints for the same log.
+        from repro.experiments.__main__ import main
+
+        path = str(tmp_path / "cli.jsonl")
+        assert main(["table3", "--workloads", "bbuf", "--events", path, "--stats"]) == 0
+        stats_line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert main(["events-info", "--events", path]) == 0
+        info = capsys.readouterr().out
+        folded = re.search(r"interp accesses=(\d+)", stats_line)
+        summed = re.search(r"^interpreter counters: .* accesses=(\d+)$", info, re.M)
+        assert folded and summed
+        assert int(folded.group(1)) == int(summed.group(1)) > 0
 
     def test_events_file_truncated_per_invocation(self, tmp_path):
         from repro.experiments.__main__ import main

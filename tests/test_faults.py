@@ -271,12 +271,15 @@ class TestValidateWorkerOutput:
         validate_worker_output("classify", {"workload": "w"}, {"classified": {}})
 
     def test_real_worker_outputs_pass_validation(self):
-        # Both entry points, driven with JSON-clean payloads (the program is
-        # rebuilt from the registry by name), return what the boundary
-        # accepts.
+        # Both entry points, driven with the payloads the engine builds
+        # (the program attached), return what the boundary accepts.
         config = PortendConfig().to_dict()
+        workload = load_workload("RW")
         record_payload = RecordTask(
-            workload="RW", inputs=dict(load_workload("RW").inputs), config=config
+            workload="RW",
+            inputs=dict(workload.inputs),
+            config=config,
+            program=workload.program,
         ).to_payload()
         recorded = execute_record_task(record_payload)
         validate_worker_output("record", record_payload, recorded)
@@ -284,7 +287,12 @@ class TestValidateWorkerOutput:
         assert trace["races"]
         for race in trace["races"]:
             classify_payload = ClassificationTask(
-                workload="RW", race_id=race["race_id"], trace=trace, config=config
+                workload="RW",
+                race_id=race["race_id"],
+                trace=trace,
+                config=config,
+                program=workload.program,
+                predicates=tuple(workload.predicates),
             ).to_payload()
             output = execute_task(classify_payload)
             validate_worker_output("classify", classify_payload, output)

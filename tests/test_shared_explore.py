@@ -23,7 +23,8 @@ import random
 import pytest
 
 from repro.core import Portend, PortendConfig
-from repro.core.classifier import needs_multipath, run_single_stage
+from repro.core.categories import RaceClass
+from repro.core.classifier import single_classify
 from repro.engine import AnalysisEngine, EngineOptions
 from repro.engine.tasks import pool_worker_initializer
 from repro.explore import paths
@@ -55,13 +56,10 @@ def path_races():
         races = [
             race
             for race in trace.races
-            if needs_multipath(
-                run_single_stage(
-                    portend.executor, portend.program, trace, race, config,
-                    predicates=portend.predicates,
-                ),
-                config,
-            )
+            if single_classify(
+                portend.executor, portend.program, trace, race, config,
+                predicates=portend.predicates,
+            ).verdict is RaceClass.OUTPUT_SAME
         ]
         if races:
             cases.append((workload, trace, races))
