@@ -15,19 +15,21 @@ Both halves of the pipeline are deterministic, so both are cacheable:
   classification entirely.  Here the key must cover *every* classification
   knob (``race_seed``'s base seed, the Mp/Ma limits, the ablation switches,
   the predicate mode): any config change invalidates cached verdicts rather
-  than silently serving stale classifications.
+  than silently serving stale classifications.  One file holds all the
+  races of one workload run; each race is an entry with its own key.
 
 Each cache mixes a format version into its keys so stale entries from older
 layouts are simply missed, never mis-parsed.  Both caches can share one
 directory: their file names use disjoint infixes.
 
 Lifecycle: both caches share the :class:`_DirectoryCache` housekeeping --
-an optional ``max_entries`` bound with least-recently-used eviction (every
-hit refreshes the entry's mtime, every store evicts the stalest overflow),
-a per-entry persisted hit counter (``<entry>.json.hits`` sidecars), and a
-``stored_at`` timestamp inside each entry.  ``collect_cache_info`` /
-``render_cache_info`` back the ``cache-info`` CLI subcommand, which dumps
-per-entry age and hit counts for a cache directory.
+an optional ``max_entries`` bound on entry *files* with least-recently-used
+eviction (every hit refreshes the file's mtime, every store evicts the
+stalest overflow), a per-file persisted hit counter (``<file>.json.hits``
+sidecars), and a ``stored_at`` timestamp inside each file.
+``collect_cache_info`` / ``render_cache_info`` back the ``cache-info`` CLI
+subcommand, which dumps per-file age, hit counts and entry counts for a
+cache directory.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import os
 import time
 import weakref
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.categories import ClassifiedRace
 from repro.core.config import PortendConfig
@@ -48,7 +50,8 @@ from repro.record_replay.trace import ExecutionTrace
 TRACE_FORMAT_VERSION = 1
 
 #: bump when the serialized ClassifiedRace layout changes incompatibly
-CLASSIFICATION_FORMAT_VERSION = 1
+#: (2: one file per workload run, one entry per race)
+CLASSIFICATION_FORMAT_VERSION = 2
 
 #: the :class:`Program` declarations a program fingerprint covers; the
 #: derived maps ``finalize()`` computes from them are not hashed
@@ -284,9 +287,10 @@ class _DirectoryCache:
                 continue
         return [Path(name) for _mtime, name in sorted(stamped)]
 
-    def _record_hit(self, path: Path) -> None:
-        """Persist the hit and refresh the entry's LRU recency."""
-        self.hits += 1
+    def _record_hit(self, path: Path, served: int = 1) -> None:
+        """Count the ``served`` results one read of ``path`` hit; persist one
+        hit for the file and refresh its LRU recency."""
+        self.hits += served
         try:
             count = _read_hits(path) + 1
             tmp = path.with_name(f"{path.name}.{os.getpid()}.hits.tmp")
@@ -312,16 +316,23 @@ class _DirectoryCache:
             evicted.append(victim)
         return evicted
 
+    @staticmethod
+    def _entry_count(data: Dict) -> int:
+        """How many results one parsed file holds."""
+        return 1
+
     def info(self) -> List[Dict]:
-        """Per-entry metadata: file, age, persisted hits, size."""
+        """Per-file metadata: file, age, persisted hits, entries, size."""
         now = time.time()
         rows: List[Dict] = []
         for path in self._entries_by_recency():
             try:
                 stat = path.stat()
                 with open(path, "r", encoding="utf-8") as handle:
-                    stored_at = json.load(handle).get("stored_at", stat.st_mtime)
-            except (OSError, ValueError):
+                    data = json.load(handle)
+                stored_at = data.get("stored_at", stat.st_mtime)
+                entries = self._entry_count(data)
+            except (OSError, ValueError, AttributeError, TypeError):
                 continue
             rows.append(
                 {
@@ -329,6 +340,7 @@ class _DirectoryCache:
                     "kind": self.kind,
                     "age_seconds": max(0.0, now - float(stored_at)),
                     "hits": _read_hits(path),
+                    "entries": entries,
                     "size_bytes": stat.st_size,
                 }
             )
@@ -336,7 +348,7 @@ class _DirectoryCache:
 
 
 def collect_cache_info(cache_dir) -> List[Dict]:
-    """Per-entry metadata for both cache tiers sharing ``cache_dir``."""
+    """Per-file metadata for both cache tiers sharing ``cache_dir``."""
     return TraceCache(cache_dir).info() + ClassificationCache(cache_dir).info()
 
 
@@ -345,13 +357,13 @@ def render_cache_info(rows: List[Dict]) -> str:
     if not rows:
         return "cache-info: no cache entries"
     lines = [
-        f"cache-info: {len(rows)} entries",
-        f"{'kind':<16} {'age':>10} {'hits':>6} {'size':>10}  file",
+        f"cache-info: {len(rows)} files",
+        f"{'kind':<16} {'age':>10} {'hits':>6} {'entries':>7} {'size':>10}  file",
     ]
     for row in sorted(rows, key=lambda r: (r["kind"], r["file"])):
         lines.append(
             f"{row['kind']:<16} {row['age_seconds']:>9.1f}s {row['hits']:>6} "
-            f"{row['size_bytes']:>9}B  {row['file']}"
+            f"{row['entries']:>7} {row['size_bytes']:>9}B  {row['file']}"
         )
     return "\n".join(lines)
 
@@ -458,12 +470,16 @@ class TraceCache(_DirectoryCache):
 class ClassificationCache(_DirectoryCache):
     """Directory-backed cache of classified races (the pipeline's back half).
 
-    Keys cover everything a classification depends on: the program *content*
-    (fingerprint, so what-if variants sharing a registry name never
-    collide), the inputs, the race id, the **full** classification config
-    (seed, Mp/Ma, ablation switches -- see
+    One file per workload run, ``<program>-cls-<file key>.json``, holds
+    ``{"key", "stored_at", "entries": {race_id: {"key", "classified"}}}``.
+    The file key (:meth:`file_key`) covers everything a classification
+    depends on except the race: the program *content* (fingerprint, so
+    what-if variants sharing a registry name never collide), the inputs, the
+    **full** classification config (seed, Mp/Ma, ablation switches -- see
     :meth:`PortendConfig.classification_fingerprint`), and the predicate set
-    (both the ``use_semantic_predicates`` mode and the predicate names).
+    (the ``use_semantic_predicates`` mode and :meth:`predicate_fingerprint`).
+    Each entry carries its per-race :meth:`key` and is served only when that
+    key matches, so hits and misses still count races.
     """
 
     kind = "classification"
@@ -490,6 +506,35 @@ class ClassificationCache(_DirectoryCache):
         return "|".join(sorted(parts))
 
     @staticmethod
+    def file_key(
+        program: str,
+        inputs: Dict[str, int],
+        config: PortendConfig,
+        program_fingerprint: str = "",
+        use_semantic_predicates: bool = False,
+        predicate_fingerprint: str = "",
+    ) -> str:
+        """Stable fingerprint of one workload run's classifications."""
+        fingerprint = {
+            "version": CLASSIFICATION_FORMAT_VERSION,
+            "program": program,
+            "program_fingerprint": program_fingerprint,
+            "inputs": sorted(inputs.items()),
+            "config": config.classification_fingerprint(),
+            "use_semantic_predicates": use_semantic_predicates,
+            "predicates": predicate_fingerprint,
+        }
+        digest = hashlib.sha256(
+            json.dumps(fingerprint, sort_keys=True).encode("utf-8")
+        )
+        return digest.hexdigest()
+
+    @staticmethod
+    def entry_key(file_key: str, race_id: int) -> str:
+        """The key of one race's entry inside the file keyed ``file_key``."""
+        return hashlib.sha256(f"{file_key}:{race_id}".encode("utf-8")).hexdigest()
+
+    @staticmethod
     def key(
         program: str,
         inputs: Dict[str, int],
@@ -500,50 +545,68 @@ class ClassificationCache(_DirectoryCache):
         predicate_fingerprint: str = "",
     ) -> str:
         """Stable fingerprint of one classification."""
-        fingerprint = {
-            "version": CLASSIFICATION_FORMAT_VERSION,
-            "program": program,
-            "program_fingerprint": program_fingerprint,
-            "inputs": sorted(inputs.items()),
-            "config": config.classification_fingerprint(),
-            "race_id": race_id,
-            "use_semantic_predicates": use_semantic_predicates,
-            "predicates": predicate_fingerprint,
-        }
-        digest = hashlib.sha256(
-            json.dumps(fingerprint, sort_keys=True).encode("utf-8")
+        return ClassificationCache.entry_key(
+            ClassificationCache.file_key(
+                program,
+                inputs,
+                config,
+                program_fingerprint,
+                use_semantic_predicates,
+                predicate_fingerprint,
+            ),
+            race_id,
         )
-        return digest.hexdigest()
 
     def _path(self, program: str, key: str) -> Path:
         safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in program)
         return self.cache_dir / f"{safe}-cls-{key[:16]}.json"
 
+    @staticmethod
+    def _entry_count(data: Dict) -> int:
+        return len(data.get("entries") or ())
+
     # -------------------------------------------------------------- load/store
 
-    def load(self, program: str, key: str) -> Optional[ClassifiedRace]:
-        """Return the cached classification, or None on a miss."""
-        path = self._path(program, key)
+    def load(
+        self, program: str, file_key: str, keys: Dict[int, str]
+    ) -> Optional[Dict[int, Tuple[ClassifiedRace, Dict]]]:
+        """Serve the races of ``keys`` (race id -> :meth:`key`) from one file.
+
+        Returns race id -> (the decoded race, its stored entry) for every
+        entry whose key matches, or None when the file is missing or
+        corrupt or serves no race.  Hits and misses count races; the file's
+        ``.hits`` sidecar counts the loads that served something.
+        """
+        path = self._path(program, file_key)
+        served: Dict[int, Tuple[ClassifiedRace, Dict]] = {}
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-            if entry.get("key") != key:
+                data = json.load(handle)
+            if data.get("key") != file_key:
                 raise ValueError("cache key mismatch")
-            classified = ClassifiedRace.from_dict(entry["classified"])
-        except Exception:  # noqa: BLE001 - any unreadable entry is a miss
-            # Corrupt, stale, or hand-edited entries must never crash the
-            # run; the engine simply re-classifies (and overwrites).
-            self.misses += 1
+            entries = data["entries"]
+            for race_id, key in keys.items():
+                entry = entries.get(str(race_id))
+                if entry is not None and entry.get("key") == key:
+                    served[race_id] = (ClassifiedRace.from_dict(entry["classified"]), entry)
+        except Exception:  # noqa: BLE001 - any unreadable file is a miss
+            # Corrupt, stale, or hand-edited files must never crash the run;
+            # the engine simply re-classifies (and overwrites the file).
+            served = {}
+        self.misses += len(keys) - len(served)
+        if not served:
             return None
-        self._record_hit(path)
-        return classified
+        self._record_hit(path, len(served))
+        return served
 
-    def store(self, program: str, key: str, classified: Dict) -> Path:
-        """Persist a classification's wire dict (``ClassifiedRace.to_dict``)
-        as-is; returns the cache file path."""
-        path = self._path(program, key)
+    def store(self, program: str, file_key: str, entries: Dict[int, Dict]) -> Path:
+        """Persist one workload run's entries (race id -> ``{"key",
+        "classified"}``, the classified dict as the worker sent it) as one
+        file; returns the cache file path."""
+        path = self._path(program, file_key)
+        ordered = {str(race_id): entries[race_id] for race_id in sorted(entries)}
         payload = json.dumps(
-            {"key": key, "stored_at": time.time(), "classified": classified}
+            {"key": file_key, "stored_at": time.time(), "entries": ordered}
         )
         _atomic_write_json(self.cache_dir, path, payload)
         self._evict_overflow()

@@ -137,8 +137,9 @@ class EngineOptions:
     #: pinned to True; False raises.  Kept only because the benchmark harness
     #: passes every field by keyword -- a benchmark change will remove it.
     ship_primaries: bool = True
-    #: on-disk entry bound for each cache layer (LRU-evicted beyond it);
-    #: None means unbounded
+    #: on-disk entry-file bound for each cache layer (LRU-evicted beyond
+    #: it; a classification file holds one workload run's races); None
+    #: means unbounded
     cache_max_entries: Optional[int] = None
     #: pinned to "streaming", the only scheduler; any other value raises.
     #: Kept only because the benchmark harness passes every field by
@@ -393,9 +394,11 @@ class AnalysisEngine:
         interleavings -- and verdicts are bit-identical to a serial run
         because every task is deterministic and results are consumed keyed
         by ``(index, race_id)``, never in completion order.
-        Cache entries, though, are written as each chunk lands, as the
-        dicts the worker sent; a recording's trace dict is also its stage-3
-        ``trace_data``.  Program fingerprints are memoised per object.
+        Cache files, though, are written during the drain, from the dicts
+        the worker sent: a trace when its recording lands, a workload's one
+        classification file when its last missed race lands.  A recording's
+        trace dict is also its stage-3 ``trace_data``.  Program fingerprints
+        are memoised per object.
         """
         config_data = self.config.to_dict()
         fingerprints = [
@@ -453,12 +456,19 @@ class AnalysisEngine:
         count = len(workloads)
 
         slots: List[Dict[int, ClassifiedRace]] = [{} for _ in range(count)]
-        cached_counts: List[int] = [0] * count
         contexts: List[Optional[Dict]] = [None] * count
         #: per-workload classification-cache probe results, trace order
         cls_hits: List[Set[int]] = [set() for _ in range(count)]
-        #: keys stored this run miss when probed, so hits never follow timing
-        stored: Set[str] = set()
+        #: file key -> what its one load served: a workload listed twice
+        #: reads its file once, before any copy writes it, so hits never
+        #: follow completion timing
+        opened: Dict[str, Dict[int, Tuple[ClassifiedRace, Dict]]] = {}
+        #: per workload: its classification file's key, the entries it
+        #: served (the file adds the computed ones), and its missed races not
+        #: yet landed
+        file_keys: List[str] = [""] * count
+        file_entries: List[Dict[int, Dict]] = [{} for _ in range(count)]
+        unlanded: List[int] = [0] * count
         race_misses: List[List[Tuple[int, int, str]]] = [[] for _ in range(count)]
 
         record_outputs: Dict[int, Dict] = {}
@@ -493,36 +503,41 @@ class AnalysisEngine:
                 "program_fingerprint": fingerprints[index],
             }
             contexts[index] = context
-            predicate_fingerprint = ""
-            if self.classification_cache is not None:
-                predicate_fingerprint = ClassificationCache.predicate_fingerprint(
-                    predicates
+            races = recording.trace.races
+            if self.classification_cache is None:
+                misses = [(index, race.race_id, "") for race in races]
+            else:
+                file_key = ClassificationCache.file_key(
+                    workload.name,
+                    workload.inputs,
+                    self.config,
+                    fingerprints[index],
+                    self.options.use_semantic_predicates,
+                    ClassificationCache.predicate_fingerprint(predicates),
                 )
-            misses: List[Tuple[int, int, str]] = []
-            for race in recording.trace.races:
-                key = ""
-                if self.classification_cache is not None:
-                    key = ClassificationCache.key(
-                        workload.name,
-                        workload.inputs,
-                        self.config,
-                        race.race_id,
-                        program_fingerprint=fingerprints[index],
-                        use_semantic_predicates=self.options.use_semantic_predicates,
-                        predicate_fingerprint=predicate_fingerprint,
+                file_keys[index] = file_key
+                keys = {
+                    race.race_id: ClassificationCache.entry_key(file_key, race.race_id)
+                    for race in races
+                }
+                if file_key not in opened:
+                    opened[file_key] = (
+                        self.classification_cache.load(workload.name, file_key, keys)
+                        or {}
                     )
-                    cached = None
-                    if key not in stored:
-                        cached = self.classification_cache.load(workload.name, key)
-                    if cached is not None:
-                        cached_counts[index] += 1
-                        cls_hits[index].add(race.race_id)
-                        slots[index][race.race_id] = cached
+                served = opened[file_key]
+                misses = []
+                for race in races:
+                    hit = served.get(race.race_id)
+                    if hit is None:
+                        misses.append((index, race.race_id, keys[race.race_id]))
                         continue
-                misses.append((index, race.race_id, key))
+                    slots[index][race.race_id], file_entries[index][race.race_id] = hit
+                    cls_hits[index].add(race.race_id)
             if not misses:
                 return
             race_misses[index] = misses
+            unlanded[index] = len(misses)
             # Only trace-cache hits need encoding: a fresh recording ships
             # the dict its worker sent.  The token lets task executors share
             # one deserialization per trace.
@@ -587,13 +602,21 @@ class AnalysisEngine:
                     open_classification(index)
                 else:
                     index, start, chunk_misses = ref
-                    for (_index, race_id, key), item in zip(chunk_misses, chunk_outputs):
+                    for (_index, race_id, _key), item in zip(chunk_misses, chunk_outputs):
                         race_outputs[(index, race_id)] = item
-                        if self.classification_cache is not None:
-                            stored.add(key)
-                            self.classification_cache.store(
-                                workloads[index].name, key, item["classified"]
-                            )
+                    # Count races, not chunks: the file is written once,
+                    # when the workload's last missed race lands.
+                    unlanded[index] -= len(chunk_misses)
+                    if self.classification_cache is not None and not unlanded[index]:
+                        entries = file_entries[index]
+                        for _index, race_id, key in race_misses[index]:
+                            entries[race_id] = {
+                                "key": key,
+                                "classified": race_outputs[(index, race_id)]["classified"],
+                            }
+                        self.classification_cache.store(
+                            workloads[index].name, file_keys[index], entries
+                        )
                     decisions[(index, start)] = {
                         "stage": "classify",
                         "chunk_size": len(chunk_outputs),
@@ -653,12 +676,12 @@ class AnalysisEngine:
         # replay here, after the drain, exactly like scheduler decisions:
         # buffered at nondeterministic moments, emitted in canonical order.
         self._dispatcher.drain_recovery()
-        return self._finalize_runs(recordings, slots, cached_counts)
+        return self._finalize_runs(recordings, slots, cls_hits)
 
     # ---------------------------------------------------------------- stage 3
 
     def _finalize_runs(
-        self, recordings, slots, cached_counts
+        self, recordings, slots, cls_hits
     ) -> List[EngineRun]:
         """Assemble the batch's EngineRuns from the filled classification
         slots."""
@@ -679,7 +702,7 @@ class AnalysisEngine:
                     workload=recording.workload,
                     result=result,
                     trace_cached=recording.cached,
-                    classifications_cached=cached_counts[index],
+                    classifications_cached=len(cls_hits[index]),
                 )
             )
         return runs

@@ -42,7 +42,7 @@ Ops:
 ``corrupt_sidecar``
     driver-side (applied at run start, never in workers): overwrite cache
     files matching ``target`` (a recursive glob relative to the cache dir,
-    e.g. ``**/*.hits`` for the per-entry hit counters) with ``mode`` =
+    e.g. ``**/*.hits`` for the per-file hit counters) with ``mode`` =
     ``garbage`` (default), ``truncate``, or ``oversize`` bytes.
 
 ``seed`` identifies the plan (it is recorded in claim files and replayed in

@@ -65,7 +65,7 @@ def main(argv=None) -> int:
         "experiment",
         choices=sorted(_EXPERIMENTS) + ["all", "cache-info", "events-info", "profile"],
         help="which table/figure to regenerate, 'cache-info' to dump "
-        "per-entry age and hit counts of a --cache-dir, 'events-info' to "
+        "per-file age, hit and entry counts of a --cache-dir, 'events-info' to "
         "summarize a structured event log written via --events, or "
         "'profile' to run one workload's analysis under cProfile",
     )
@@ -157,8 +157,9 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="bound each cache layer in --cache-dir to N entries "
-        "(least-recently-used entries are evicted beyond it)",
+        help="bound each cache layer in --cache-dir to N entry files: a "
+        "trace file holds one recording, a classification file all the races "
+        "of one workload run (least-recently-used files are evicted beyond it)",
     )
     parser.add_argument(
         "--stats",

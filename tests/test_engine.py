@@ -342,11 +342,42 @@ class TestCacheStores:
                 "predicates": list(workload.predicates),
             }
         )
+        race_id = trace.races[0].race_id
         cache = ClassificationCache(tmp_path)
-        cache.store("bbuf", "k" * 64, output["classified"])
-        loaded = cache.load("bbuf", "k" * 64)
+        entry = {"key": "k" * 64, "classified": output["classified"]}
+        cache.store("bbuf", "f" * 64, {race_id: entry})
+        loaded = cache.load("bbuf", "f" * 64, {race_id: "k" * 64})
         assert loaded is not None
-        assert loaded.to_dict() == output["classified"]
+        classified, stored = loaded[race_id]
+        assert stored == entry
+        assert classified.to_dict() == output["classified"]
+
+    def test_entry_with_another_race_key_is_a_miss(self, tmp_path):
+        from repro.engine import ClassificationCache
+
+        workload, _portend, trace = _record_trace("RW")
+        output = execute_task(
+            {
+                "workload": "RW",
+                "race_id": trace.races[0].race_id,
+                "trace": trace.to_dict(),
+                "config": PortendConfig().to_dict(),
+                "program": workload.program,
+                "predicates": list(workload.predicates),
+            }
+        )
+        race_id = trace.races[0].race_id
+        cache = ClassificationCache(tmp_path)
+        cache.store(
+            "RW", "f" * 64, {race_id: {"key": "k" * 64, "classified": output["classified"]}}
+        )
+        # The file key matches, the race's own key does not: no entry served.
+        assert cache.load("RW", "f" * 64, {race_id: "x" * 64}) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        # A race the file does not hold is a miss beside one it serves.
+        loaded = cache.load("RW", "f" * 64, {race_id: "k" * 64, race_id + 1: "y" * 64})
+        assert list(loaded) == [race_id]
+        assert (cache.hits, cache.misses) == (1, 2)
 
     def test_bounded_cache_keeps_its_bound_and_the_verdicts(self, tmp_path):
         # Stores land in completion order, so which entries eviction keeps
@@ -364,30 +395,52 @@ class TestCacheStores:
                 ) == _classification_signature(actual.result.classified)
 
     def test_keys_stored_this_run_are_not_hit_this_run(self, monkeypatch, tmp_path):
-        # A workload twice in one batch shares its classification keys; its
+        # A workload twice in one batch shares its classification file; its
         # second copy must not hit entries the first stored mid-run, or
         # hit counts would follow completion timing.  The fake pool lands
         # the newest chunk first, so one copy's classifications are stored
         # before the other copy's recording lands.
-        from test_streaming import _DeferredPool
-
-        from repro.engine.dispatch import PoolDispatcher
-
-        pool = _DeferredPool()
-
-        def newest_first(futures, return_when=None, timeout=None):
-            newest = [future for future in pool.pending if future in futures][-1]
-            fn, args = pool.pending.pop(newest)
-            newest.set_result(fn(*args))
-            return {newest}, set(futures) - {newest}
-
-        monkeypatch.setattr(PoolDispatcher, "warm", lambda self: None)
-        monkeypatch.setattr(PoolDispatcher, "acquire_for", lambda self, payloads: pool)
-        monkeypatch.setattr("repro.engine.engine.wait", newest_first)
-        engine = AnalysisEngine(options=EngineOptions(parallel=2, cache_dir=str(tmp_path)))
+        engine = _newest_first_engine(monkeypatch, tmp_path)
         runs = engine.analyze(["RW", "bbuf", "RW"])
         assert [run.classifications_cached for run in runs] == [0, 0, 0]
         assert engine.last_run_stats.classifications_computed == 8
+
+    def test_workload_twice_over_a_partial_file_is_served_alike(self, monkeypatch, tmp_path):
+        # Both copies are served what the file held when the run began: the
+        # copy whose recording lands last must not skip the file because the
+        # other copy rewrote it in the meantime.
+        AnalysisEngine(options=EngineOptions(cache_dir=str(tmp_path))).analyze(["bbuf"])
+        for path in tmp_path.glob("*.json"):
+            if "-cls-" not in path.name:
+                path.unlink()  # re-record, so recordings land in completion order
+        (path,) = tmp_path.glob("*-cls-*.json")
+        data = json.loads(path.read_text())
+        del data["entries"][sorted(data["entries"])[0]]
+        path.write_text(json.dumps(data))
+        engine = _newest_first_engine(monkeypatch, tmp_path)
+        runs = engine.analyze(["bbuf", "bbuf"])
+        assert [run.classifications_cached for run in runs] == [5, 5]
+        assert engine.last_run_stats.classifications_computed == 2
+
+
+def _newest_first_engine(monkeypatch, tmp_path):
+    """A pooled, cached engine whose fake pool lands the newest chunk first."""
+    from test_streaming import _DeferredPool
+
+    from repro.engine.dispatch import PoolDispatcher
+
+    pool = _DeferredPool()
+
+    def newest_first(futures, return_when=None, timeout=None):
+        newest = [future for future in pool.pending if future in futures][-1]
+        fn, args = pool.pending.pop(newest)
+        newest.set_result(fn(*args))
+        return {newest}, set(futures) - {newest}
+
+    monkeypatch.setattr(PoolDispatcher, "warm", lambda self: None)
+    monkeypatch.setattr(PoolDispatcher, "acquire_for", lambda self, payloads: pool)
+    monkeypatch.setattr("repro.engine.engine.wait", newest_first)
+    return AnalysisEngine(options=EngineOptions(parallel=2, cache_dir=str(tmp_path)))
 
 
 class TestExperimentsCli:

@@ -345,17 +345,73 @@ class TestClassificationCache:
 
     def test_corrupt_classification_entry_is_a_miss(self, tmp_path):
         options = EngineOptions(cache_dir=str(tmp_path))
-        AnalysisEngine(options=options).analyze(["RW"])
+        AnalysisEngine(options=options).analyze(["bbuf"])
         corrupted = 0
         for path in tmp_path.glob("*-cls-*.json"):
             path.write_text("{not json")
             corrupted += 1
         assert corrupted == 1
         fresh = AnalysisEngine(options=options)
-        run = fresh.analyze(["RW"])[0]
+        run = fresh.analyze(["bbuf"])[0]
         assert run.classifications_cached == 0
+        assert run.stats.classifications_computed == 6
+        assert (fresh.classification_cache.hits, fresh.classification_cache.misses) == (0, 6)
+        # The rewritten file serves every race again.
+        warm = AnalysisEngine(options=options).analyze(["bbuf"])[0]
+        assert warm.classifications_cached == 6
+
+    def test_one_classification_file_per_workload(self, monkeypatch, tmp_path):
+        stores = []
+        original = ClassificationCache.store
+
+        def counting(cache, program, file_key, entries):
+            stores.append((program, len(entries)))
+            return original(cache, program, file_key, entries)
+
+        monkeypatch.setattr(ClassificationCache, "store", counting)
+        AnalysisEngine(options=EngineOptions(cache_dir=str(tmp_path))).analyze(["bbuf", "RW"])
+        # Written once per workload, when its last race lands, not per chunk.
+        assert sorted(stores) == [("RW", 1), ("bbuf", 6)]
+        files = sorted(path.name for path in tmp_path.glob("*-cls-*.json"))
+        assert [name.split("-cls-")[0] for name in files] == ["RW", "bbuf"]
+        entries = {
+            name: json.loads((tmp_path / name).read_text())["entries"] for name in files
+        }
+        assert sorted(len(held) for held in entries.values()) == [1, 6]
+
+    def test_file_missing_one_race_recomputes_only_that_race(self, tmp_path):
+        options = EngineOptions(cache_dir=str(tmp_path))
+        AnalysisEngine(options=options).analyze(["bbuf"])
+        (path,) = tmp_path.glob("*-cls-*.json")
+        before = json.loads(path.read_text())
+        dropped = sorted(before["entries"])[2]
+        edited = dict(before, entries={
+            race: entry for race, entry in before["entries"].items() if race != dropped
+        })
+        path.write_text(json.dumps(edited))
+        engine = AnalysisEngine(options=options)
+        run = engine.analyze(["bbuf"])[0]
+        assert run.classifications_cached == 5
         assert run.stats.classifications_computed == 1
-        assert fresh.classification_cache.misses >= 1
+        assert (engine.classification_cache.hits, engine.classification_cache.misses) == (5, 1)
+        # The file is rewritten with the union: the five served entries as
+        # they were, plus the recomputed one.
+        after = json.loads(path.read_text())
+        assert sorted(after["entries"]) == sorted(before["entries"])
+        for race, entry in before["entries"].items():
+            if race != dropped:
+                assert after["entries"][race] == entry
+        assert after["entries"][dropped]["key"] == before["entries"][dropped]["key"]
+
+    def test_hits_sidecar_counts_warm_loads_of_the_file(self, tmp_path):
+        options = EngineOptions(cache_dir=str(tmp_path))
+        AnalysisEngine(options=options).analyze(["bbuf"])
+        (path,) = tmp_path.glob("*-cls-*.json")
+        sidecar = tmp_path / (path.name + ".hits")
+        assert not sidecar.exists()
+        for warm_runs in (1, 2, 3):
+            AnalysisEngine(options=options).analyze(["bbuf"])
+            assert int(sidecar.read_text()) == warm_runs
 
     def test_predicate_logic_change_invalidates_fingerprint(self):
         from repro.core.spec import SemanticPredicate

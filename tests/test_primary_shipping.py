@@ -176,14 +176,22 @@ class TestCacheLifecycle:
     def test_cache_info_cli(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
 
-        AnalysisEngine(options=EngineOptions(cache_dir=str(tmp_path))).analyze(["RW"])
+        AnalysisEngine(options=EngineOptions(cache_dir=str(tmp_path))).analyze(["bbuf"])
         assert main(["cache-info", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "cache-info:" in out
         assert "classification" in out and "trace" in out
+        # One classification file holds all six bbuf races; a trace file
+        # holds one trace.  Columns: kind, age, hits, entries, size, file.
+        rows = [line.split() for line in out.splitlines()[2:]]
+        assert sorted((row[0], int(row[3])) for row in rows) == [
+            ("classification", 6),
+            ("trace", 1),
+        ]
 
     def test_engine_honors_cache_max_entries(self, tmp_path):
+        # The bound counts files: one classification file per workload run.
         options = EngineOptions(cache_dir=str(tmp_path), cache_max_entries=3)
-        AnalysisEngine(options=options).analyze(["bbuf"])  # 6 races -> 6 cls entries
-        classification_entries = list(tmp_path.glob("*-cls-*.json"))
-        assert len(classification_entries) == 3
+        AnalysisEngine(options=options).analyze(["bbuf", "RW", "DCL", "AVV"])
+        classification_files = list(tmp_path.glob("*-cls-*.json"))
+        assert len(classification_files) == 3
