@@ -129,10 +129,10 @@ def run_fault_recovery_comparison(names=("stress_harmful", "stress_deep")):
     )
     clean_seconds = time.perf_counter() - started
 
-    # The crash targets the few-race workload: a broken pool sweeps *every*
-    # in-flight chunk into singleton retries, so crashing mid-stress_harmful
-    # (hundreds of races per chunk) would measure singleton-resubmission
-    # overhead instead of recovery cost.
+    # The crash targets the few-race workload: a broken pool fails *every*
+    # in-flight chunk, and each is re-run whole, so crashing
+    # mid-stress_harmful (wide chunks) would measure that re-execution
+    # instead of recovery cost.
     plan = json.dumps(
         {
             "faults": [

@@ -37,10 +37,6 @@ class RaceClass(enum.Enum):
     def is_harmful(self) -> bool:
         return self is RaceClass.SPEC_VIOLATED
 
-    @property
-    def is_final(self) -> bool:
-        return self is not RaceClass.OUTPUT_SAME
-
 
 class SpecViolationKind(enum.Enum):
     """What kind of specification violation was observed (Table 2 columns)."""

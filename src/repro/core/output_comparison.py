@@ -15,7 +15,7 @@ the Record/Replay-Analyzer-style baselines).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.runtime.state import OutputRecord
 from repro.symex.expr import ExprError, Value, is_symbolic, render, substitute
@@ -29,9 +29,6 @@ class OutputComparison:
 
     matches: bool
     differences: List[Tuple[str, str]] = field(default_factory=list)
-
-    def first_difference(self) -> Optional[Tuple[str, str]]:
-        return self.differences[0] if self.differences else None
 
 
 def _describe(record: OutputRecord) -> str:

@@ -127,10 +127,6 @@ class RaceInstance:
     def location(self) -> MemoryLocation:
         return self.second.location
 
-    def variable_key(self) -> Tuple[str, str]:
-        """Identity of the shared variable (array indices collapse)."""
-        return (self.location.space, self.location.name)
-
     def distinct_key(self) -> Tuple:
         """Key identifying the *distinct race* this instance belongs to.
 

@@ -557,9 +557,13 @@ class ClassificationCache(_DirectoryCache):
             race_id,
         )
 
-    def _path(self, program: str, key: str) -> Path:
+    @staticmethod
+    def _prefix(program: str) -> str:
         safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in program)
-        return self.cache_dir / f"{safe}-cls-{key[:16]}.json"
+        return f"{safe}-cls-"
+
+    def _path(self, program: str, key: str) -> Path:
+        return self.cache_dir / f"{self._prefix(program)}{key[:16]}.json"
 
     @staticmethod
     def _entry_count(data: Dict) -> int:
@@ -609,5 +613,27 @@ class ClassificationCache(_DirectoryCache):
             {"key": file_key, "stored_at": time.time(), "entries": ordered}
         )
         _atomic_write_json(self.cache_dir, path, payload)
+        self._drop_old_layouts(program, path)
         self._evict_overflow()
         return path
+
+    def _drop_old_layouts(self, program: str, written: Path) -> None:
+        """Delete ``program``'s classification files of an older layout.
+
+        A version-1 file holds one race and no ``entries``: no key reaches
+        it again, and an unbounded directory never evicts it.  Files of the
+        current layout stay, whatever config they were written for.
+        """
+        pattern = self._prefix(program) + "[0-9a-f]" * 16 + ".json"
+        for path in self.cache_dir.glob(pattern):
+            if path == written:
+                continue
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    data = json.load(handle)
+                if isinstance(data, dict) and "entries" in data:
+                    continue
+                path.unlink()
+                _hits_path(path).unlink(missing_ok=True)
+            except (OSError, ValueError):
+                continue

@@ -28,19 +28,22 @@ Every pooled drain runs under a :class:`PoolSupervisor`, which turns worker
 failure from a run-wide event into a per-task one.  The degradation ladder:
 
 1. **retry** -- a chunk that crashes its worker, misses its deadline, or
-   returns a malformed result is *bisected into singletons* and re-submitted
-   with capped exponential backoff, up to ``max_task_retries`` extra
-   executions per task;
+   returns a malformed result is resubmitted *whole* on its first failure
+   and split into singletons only on a repeat (:meth:`PoolSupervisor._retry`,
+   the one failure rule).  Tasks are deterministic, so a retry never waits
+   and returns what the failed run would have;
 2. **respawn** -- a ``BrokenProcessPool`` (or an expired deadline) tears the
    persistent pool down with ``shutdown(cancel_futures=True)`` and rebuilds
    it -- re-running :func:`~repro.engine.tasks.pool_worker_initializer`, so
    the fault plan re-arms -- up to ``max_pool_respawns`` times per run;
 3. **quarantine** -- a task that keeps failing is exiled to the in-driver
-   serial path (*it alone*, not the run).  Crashes cannot name a culprit
+   serial path (*it alone*, not the run).  A deadline or a malformed
+   result names its culprit, so a task past ``max_task_retries`` extra
+   executions is quarantined.  Crashes cannot name a culprit
    (every pending future of a broken pool fails identically), so repeat
-   suspects are first *probed alone* on the rebuilt pool: a lone probe that
-   crashes the pool is the poison task, is quarantined, and its respawn does
-   not count against the budget;
+   crash suspects are first *probed alone* on the rebuilt pool: a lone
+   probe that crashes the pool is the poison task, is quarantined, and its
+   respawn does not count against the budget;
 4. **serial** -- only when the respawn budget is exhausted does the rest of
    the run execute in-driver (recorded as a ``pool`` event with
    ``action=downgraded``).
@@ -92,6 +95,12 @@ _DEFAULT_DEADLINE_MS = 30000
 
 #: never spin the watchdog faster than this
 _MIN_WAIT_S = 0.05
+
+#: the ``task_quarantined`` reason per retry reason that can name a culprit
+_QUARANTINE_REASONS = {
+    "deadline": "task deadline exceeded",
+    "malformed": "malformed result",
+}
 
 _MISSING = object()
 
@@ -171,7 +180,7 @@ class _Flight:
 
     __slots__ = (
         "key", "worker", "kind", "payloads", "positions",
-        "attempts", "suspicion", "submitted_at", "probe",
+        "attempts", "submitted_at", "probe",
     )
 
     def __init__(self, key, worker, kind, payloads, positions):
@@ -182,8 +191,6 @@ class _Flight:
         self.positions = positions
         #: failed executions so far (retry budget consumed)
         self.attempts = 0
-        #: pool crashes this flight was in flight for (culprit ambiguity)
-        self.suspicion = 0
         self.submitted_at = 0.0
         #: True while this flight runs *alone* on the pool to test whether
         #: it is the task that keeps killing workers
@@ -306,16 +313,19 @@ class PoolSupervisor:
             # Suspects run strictly alone: a crash during a lone probe
             # names the poison task unambiguously.
             if not self.pending:
-                probe = self.probation.popleft()
-                probe.probe = True
-                self._submit_flight(probe)
+                self._submit_flight(self.probation.popleft(), probe=True)
             return
-        if self.backlog:
-            backlog, self.backlog = self.backlog, []
-            for flight in backlog:
+        backlog, self.backlog = self.backlog, []
+        for flight in backlog:
+            if self.pool is None:
+                # A submit below broke the pool past its respawn budget:
+                # the next pump runs the rest in the driver.
+                self.backlog.append(flight)
+            else:
                 self._submit_flight(flight)
 
-    def _submit_flight(self, flight: _Flight) -> None:
+    def _submit_flight(self, flight: _Flight, probe: bool = False) -> None:
+        flight.probe = probe
         flight.submitted_at = time.monotonic()
         try:
             future = self.pool.submit(
@@ -347,7 +357,7 @@ class PoolSupervisor:
 
     def _accept(self, flight: _Flight, outputs) -> None:
         if not isinstance(outputs, list) or len(outputs) != len(flight.payloads):
-            self._handle_invalid(flight, list(range(len(flight.payloads))))
+            self._retry(flight, "malformed")
             return
         bad: List[int] = []
         for offset, output in enumerate(outputs):
@@ -360,24 +370,9 @@ class PoolSupervisor:
             if offset not in bad_set:
                 self._deliver(flight.key, flight.positions[offset], outputs[offset])
         if bad:
-            self._handle_invalid(flight, bad)
+            self._retry(self._subset(flight, bad), "malformed")
 
     # --------------------------------------------------------- failure paths
-
-    def _handle_invalid(self, flight: _Flight, offsets: Sequence[int]) -> None:
-        """Malformed results: retry the bad payloads as singletons."""
-        for offset in offsets:
-            single = self._single(flight, offset)
-            single.attempts = flight.attempts + 1
-            if single.attempts > self.dispatcher.max_task_retries:
-                self._quarantine(single, "malformed result")
-            else:
-                self._record_retry(single, "malformed")
-                if self.pool is None:
-                    self._run_in_driver(single)
-                else:
-                    self.backlog.append(single)
-        self._backoff(flight.attempts + 1)
 
     def _handle_crash(self, crashed: List[_Flight], reason: str = "worker crash") -> None:
         # A broken pool fails *every* pending future; sweep the stragglers
@@ -399,26 +394,10 @@ class PoolSupervisor:
         lone = len(crashed) == 1 and crashed[0].probe
         self.pool = self.dispatcher._respawn(reason, charge=not lone)
         if lone:
-            flight = crashed[0]
-            flight.probe = False
-            self._quarantine(flight, reason)
+            self._quarantine(crashed[0], reason)
             return
-        worst = 0
         for flight in crashed:
-            flight.probe = False
-            for single in self._bisect(flight):
-                single.attempts += 1
-                single.suspicion += 1
-                worst = max(worst, single.attempts)
-                self._record_retry(single, "crash")
-                if (
-                    single.suspicion >= 2
-                    or single.attempts > self.dispatcher.max_task_retries
-                ):
-                    self.probation.append(single)
-                else:
-                    self.backlog.append(single)
-        self._backoff(worst)
+            self._retry(flight, "crash")
 
     def _handle_deadlines(self) -> None:
         """The wait timed out: cancel expired chunks and respawn the pool."""
@@ -431,12 +410,6 @@ class PoolSupervisor:
         ]
         if not expired:
             return
-        expired_set = set(id(flight) for flight in expired)
-        survivors = [
-            flight
-            for flight in self.pending.values()
-            if id(flight) not in expired_set
-        ]
         for flight in expired:
             payload = flight.payloads[0]
             record = {
@@ -452,47 +425,59 @@ class PoolSupervisor:
         # The hung worker cannot be cancelled (shutdown(cancel_futures=True)
         # does not interrupt a running task), so the whole pool is abandoned
         # and rebuilt; the orphan exits on its own once its task returns.
+        # Chunks that were merely in flight beside it run again uncharged.
+        self.backlog.extend(
+            flight for flight in self.pending.values() if flight not in expired
+        )
         self.pending.clear()
         self.pool = self.dispatcher._respawn("task deadline exceeded")
-        for flight in survivors:
-            flight.probe = False
-            if self.pool is None:
-                self._run_in_driver(flight)
-            else:
-                self.backlog.append(flight)
         for flight in expired:
-            flight.probe = False
-            for single in self._bisect(flight):
-                single.attempts += 1
-                if single.attempts > self.dispatcher.max_task_retries:
-                    self._quarantine(single, "task deadline exceeded")
-                else:
-                    self._record_retry(single, "deadline")
-                    if self.pool is None:
-                        self._run_in_driver(single)
-                    else:
-                        self.backlog.append(single)
+            self._retry(flight, "deadline")
+
+    def _retry(self, flight: _Flight, reason: str) -> None:
+        """The one rule for a failed chunk (``crash``, ``deadline`` or
+        ``malformed``).
+
+        Every task is deterministic, so waiting before a retry buys nothing
+        and a retry returns what the failed run would have.  The first
+        failure resubmits the chunk whole; a repeat splits it into
+        singletons.  A crash cannot name its culprit, so a repeat crash
+        suspect is probed alone (:attr:`probation`); a deadline or a
+        malformed result does, so a piece past ``max_task_retries`` is
+        quarantined.  Without a pool, :meth:`_pump` runs every queued piece
+        in the driver.
+        """
+        flight.attempts += 1
+        budget = self.dispatcher.max_task_retries
+        for piece in [flight] if flight.attempts == 1 else self._bisect(flight):
+            if reason != "crash" and piece.attempts > budget:
+                self._quarantine(piece, _QUARANTINE_REASONS[reason])
+                continue
+            self._record_retry(piece, reason)
+            if reason == "crash" and (piece.attempts > 1 or piece.attempts > budget):
+                self.probation.append(piece)
+            else:
+                self.backlog.append(piece)
 
     def _bisect(self, flight: _Flight) -> List[_Flight]:
         """Split a failed chunk into singleton flights (shared assembly key)."""
         if len(flight.payloads) == 1:
             return [flight]
-        singles = []
-        for offset in range(len(flight.payloads)):
-            single = self._single(flight, offset)
-            single.attempts = flight.attempts
-            single.suspicion = flight.suspicion
-            singles.append(single)
-        return singles
+        return [
+            self._subset(flight, [offset]) for offset in range(len(flight.payloads))
+        ]
 
-    def _single(self, flight: _Flight, offset: int) -> _Flight:
-        return _Flight(
+    def _subset(self, flight: _Flight, offsets: Sequence[int]) -> _Flight:
+        """A flight of some of ``flight``'s payloads, with its attempts."""
+        subset = _Flight(
             flight.key,
             flight.worker,
             flight.kind,
-            [flight.payloads[offset]],
-            [flight.positions[offset]],
+            [flight.payloads[offset] for offset in offsets],
+            [flight.positions[offset] for offset in offsets],
         )
+        subset.attempts = flight.attempts
+        return subset
 
     def _quarantine(self, flight: _Flight, reason: str) -> None:
         """Exile this flight's tasks to the in-driver serial path.
@@ -531,12 +516,6 @@ class PoolSupervisor:
             record.update(_payload_identity(payload))
             self.dispatcher.recovery.append(record)
 
-    def _backoff(self, attempt: int) -> None:
-        base = self.dispatcher.retry_backoff_s
-        if base <= 0:
-            return
-        time.sleep(min(1.0, base * (2 ** max(attempt - 1, 0))))
-
 
 class PoolDispatcher:
     """Owns worker-pool dispatch for one engine run."""
@@ -549,7 +528,6 @@ class PoolDispatcher:
         max_task_retries: int = 2,
         task_deadline_ms: int = 0,
         fault_spec: Optional[Mapping] = None,
-        retry_backoff_s: float = 0.05,
     ) -> None:
         self.workers = int(workers or 0)
         #: pool-lifecycle events land here (the engine passes its run logger;
@@ -562,7 +540,6 @@ class PoolDispatcher:
         self.deadline_s = (
             max(0, int(task_deadline_ms)) or _DEFAULT_DEADLINE_MS
         ) / 1000.0
-        self.retry_backoff_s = float(retry_backoff_s)
         #: resolved fault-plan spec shipped to pool workers (None = no plan);
         #: the driving process itself never injects
         self.fault_spec = dict(fault_spec) if fault_spec else None
@@ -574,7 +551,6 @@ class PoolDispatcher:
         #: the persistent pool is gone for good: stop pooling for this run
         self._broken = False
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._warm_futures: List = []
 
     # ----------------------------------------------------------- pool lease
 
@@ -620,50 +596,26 @@ class PoolDispatcher:
         freshly-built pool has zero workers) and returns without waiting, so
         process spin-up and each worker's initializer run concurrently with
         the driver's cache probes instead of inside the first real task's
-        measured latency.  The futures are kept and reaped non-blockingly at
-        the first supervised dispatch (:meth:`supervise`): a worker that
-        died during warm-up is discovered there and counted as a respawn,
-        not as a surprise failure inside the first real chunk.  Counts as
-        the run's single ``pool created`` event; subsequent dispatches reuse
-        the warm pool and count ``pool reuse`` exactly as before.
+        measured latency.  Nothing waits on the no-ops: a worker that dies
+        during warm-up breaks the pool, and the first real submit or wait
+        then takes the supervisor's ordinary crash path.  Counts as the
+        run's single ``pool created`` event; subsequent dispatches reuse the
+        warm pool and count ``pool reuse`` exactly as before.
         """
         pool = self.acquire()
         if pool is None:
             return
         try:
-            self._warm_futures = [
-                pool.submit(execute_noop_task, {}) for _ in range(self.workers)
-            ]
+            for _ in range(self.workers):
+                pool.submit(execute_noop_task, {})
         except (BrokenProcessPool, OSError, RuntimeError):
-            # A worker crashing mid-warm-up can break the pool while the
-            # no-ops are still being submitted; rebuild it rather than
-            # giving up on pooling for the whole run.
-            self._respawn("worker died during warm-up")
+            # The pool broke while the no-ops were still being submitted;
+            # the first real submit meets it broken (see above).
+            pass
 
     def supervise(self, pool, wait_fn=None) -> PoolSupervisor:
-        """A :class:`PoolSupervisor` for one drain over ``pool``.
-
-        Reaps any outstanding warm-up futures first; a warm-up death
-        respawns the pool here, before the first real chunk is submitted.
-        """
-        if pool is not None:
-            pool = self._reap_warm_futures(pool)
+        """A :class:`PoolSupervisor` for one drain over ``pool``."""
         return PoolSupervisor(self, pool, wait_fn)
-
-    def _reap_warm_futures(self, pool):
-        futures, self._warm_futures = self._warm_futures, []
-        failed = False
-        for future in futures:
-            if not future.done():
-                continue
-            try:
-                if future.exception() is not None:
-                    failed = True
-            except Exception:  # noqa: BLE001 - cancelled counts as failed
-                failed = True
-        if not failed:
-            return pool
-        return self._respawn("worker died during warm-up")
 
     def _respawn(self, reason: str, charge: bool = True):
         """Tear down and rebuild the persistent pool (the supervision path).
@@ -678,7 +630,6 @@ class PoolDispatcher:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-        self._warm_futures = []
         if charge:
             self.respawns += 1
             if self.respawns > self.max_pool_respawns:
@@ -721,7 +672,6 @@ class PoolDispatcher:
     def shutdown(self) -> None:
         """Tear the persistent pool down (end of the engine run)."""
         pool, self._pool = self._pool, None
-        self._warm_futures = []
         if pool is not None:
             pool.shutdown(wait=True)
 

@@ -301,8 +301,8 @@ class AnalysisEngine:
     def _finish_run(self) -> EngineStats:
         """Close the run: snapshot the event stream, fold it into the run's
         stats view, and append the JSONL file when configured."""
-        # Flush recovery records the drain loops did not replay themselves
-        # (e.g. a warm-up respawn on a fully-cached run that never dispatched).
+        # Flush recovery records the drain loop did not replay itself (a
+        # drain that raised before its own replay).
         self._dispatcher.drain_recovery()
         # Replay faults fired this run from the plan's claim ledger: a crashed
         # worker cannot report its own injection, but its claim file -- written

@@ -336,6 +336,15 @@ def _percentile(seconds: Sequence[float], quantile: float) -> float:
     return ordered[max(0, min(len(ordered) - 1, rank))]
 
 
+#: the recovery events ``events-info`` breaks down per stage, by the field
+#: they count (the run-wide totals come from :func:`fold_events`)
+_STAGE_RECOVERY_FIELDS = {
+    "task_retry": "retries",
+    "task_quarantined": "quarantined",
+    "deadline_exceeded": "deadline_exceeded",
+}
+
+
 def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
     """Mine an event stream for the ``events-info`` report.
 
@@ -350,23 +359,16 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
     solver: Dict[str, float] = {"tasks": 0, "queries": 0, "seconds": 0.0, "enumerated": 0}
     interpreter: Dict[str, int] = dict.fromkeys(("tasks",) + _INTERP_COUNTERS, 0)
     decisions: Dict[str, Dict[str, float]] = {}
+    stats = fold_events(events)
     recovery: Dict[str, object] = {
-        "retries": 0,
-        "respawns": 0,
-        "quarantined": 0,
-        "deadline_exceeded": 0,
-        "faults_injected": 0,
-        "downgrades": 0,
+        "retries": stats.task_retries,
+        "respawns": stats.pool_respawns,
+        "quarantined": stats.tasks_quarantined,
+        "deadline_exceeded": stats.deadlines_exceeded,
+        "faults_injected": stats.faults_injected,
+        "downgrades": stats.pool_downgrades,
         "by_stage": {},
     }
-
-    def _recovery_stage(event: Event, field: str) -> None:
-        stage = str(event.get("stage", "?"))
-        entry = recovery["by_stage"].setdefault(
-            stage, {"retries": 0, "quarantined": 0, "deadline_exceeded": 0}
-        )
-        entry[field] += 1
-
     for event in events:
         kind = str(event.get("kind"))
         by_kind[kind] = by_kind.get(kind, 0) + 1
@@ -392,22 +394,12 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
             solver["queries"] += int(event.get("queries", 0))
             solver["seconds"] += float(event.get("seconds", 0.0))
             solver["enumerated"] += int(event.get("enumerated_assignments", 0))
-        elif kind == "task_retry":
-            recovery["retries"] += 1
-            _recovery_stage(event, "retries")
-        elif kind == "pool_respawn":
-            recovery["respawns"] += 1
-        elif kind == "task_quarantined":
-            recovery["quarantined"] += 1
-            _recovery_stage(event, "quarantined")
-        elif kind == "deadline_exceeded":
-            recovery["deadline_exceeded"] += 1
-            _recovery_stage(event, "deadline_exceeded")
-        elif kind == "fault_injected":
-            recovery["faults_injected"] += 1
-        elif kind == "pool":
-            if event.get("action") == "downgraded":
-                recovery["downgrades"] += 1
+        elif kind in _STAGE_RECOVERY_FIELDS:
+            entry = recovery["by_stage"].setdefault(
+                str(event.get("stage", "?")),
+                {"retries": 0, "quarantined": 0, "deadline_exceeded": 0},
+            )
+            entry[_STAGE_RECOVERY_FIELDS[kind]] += 1
         elif kind == "interp_stats":
             # logs written while a second kernel existed carry an ``interp``
             # key; every kernel's counters fold into the one line
@@ -442,7 +434,7 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
     return {
         "events": len(events),
         "by_kind": dict(sorted(by_kind.items())),
-        "stats": fold_events(events).summary(),
+        "stats": stats.summary(),
         "stage_latency": histograms,
         "cache_rates": cache_rates,
         "solver": solver,

@@ -334,10 +334,6 @@ def install_fault_plan(spec: Optional[Dict[str, Any]]) -> None:
     _ACTIVE = FaultPlan(spec) if spec else None
 
 
-def active_fault_plan() -> Optional[FaultPlan]:
-    return _ACTIVE
-
-
 def maybe_inject_fault(stage: str, workload: str, race=None) -> Optional[str]:
     """Task-entry hook: inject per the installed plan, else no-op."""
 

@@ -27,10 +27,6 @@ class Table3Row:
     k_witness_states_differ: int
     single_ordering: int
 
-    @property
-    def k_witness(self) -> int:
-        return self.k_witness_states_same + self.k_witness_states_differ
-
 
 def run(
     config: Optional[PortendConfig] = None,

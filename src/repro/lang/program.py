@@ -69,7 +69,6 @@ class Program:
         self.entry: str = "main"
         self._finalized = False
         self._pc_map: Dict[int, Stmt] = {}
-        self._stmt_function: Dict[int, str] = {}
         self._write_sets: Dict[str, FrozenSet[Tuple[str, Optional[str]]]] = {}
         self._input_decls: Dict[str, Input] = {}
 
@@ -125,7 +124,6 @@ class Program:
                 if not stmt.label:
                     stmt.label = f"{self.name}.c:{pc}"
                 self._pc_map[pc] = stmt
-                self._stmt_function[pc] = function.name
                 if isinstance(stmt, Input):
                     self._input_decls.setdefault(stmt.name, stmt)
         self._validate()
@@ -212,12 +210,6 @@ class Program:
     def statement_at(self, pc: int) -> Stmt:
         try:
             return self._pc_map[pc]
-        except KeyError as exc:
-            raise ProgramError(f"no statement with pc {pc}") from exc
-
-    def function_of_pc(self, pc: int) -> str:
-        try:
-            return self._stmt_function[pc]
         except KeyError as exc:
             raise ProgramError(f"no statement with pc {pc}") from exc
 

@@ -39,18 +39,6 @@ class ExecutionTrace:
                 return race
         raise KeyError(f"trace has no race with id {race_id}")
 
-    def races_by_id(self) -> Dict[int, RaceReport]:
-        """Id → race mapping, for O(1) lookups over large race sets.
-
-        The engine's merge step resolves every task result back to its race;
-        on synthetic stress workloads with hundreds of distinct races the
-        linear :meth:`race_by_id` scan would make that reassembly quadratic.
-        """
-        return {race.race_id: race for race in self.races}
-
-    def decision_tids(self) -> List[int]:
-        return [decision.tid for decision in self.decisions]
-
     def summary(self) -> str:
         return (
             f"trace of {self.program}: {len(self.decisions)} scheduling decisions, "

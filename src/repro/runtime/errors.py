@@ -62,11 +62,6 @@ class ExecutionOutcome:
     detail: str = ""
     blocked_threads: Tuple[int, ...] = ()
 
-    @property
-    def is_failure(self) -> bool:
-        """True when this outcome is a basic specification violation."""
-        return self.kind in (OutcomeKind.CRASH, OutcomeKind.DEADLOCK)
-
     def describe(self) -> str:
         if self.kind is OutcomeKind.CRASH and self.crash is not None:
             return self.crash.describe()

@@ -106,16 +106,6 @@ class RunResult:
     steps_executed: int = 0
     stuck_reason: Optional[str] = None
 
-    @property
-    def timed_out(self) -> bool:
-        """True when the run hit its step budget or could not be scheduled.
-
-        Algorithm 1 treats both situations as the "alternate timed out" case
-        (line 8): either the forced thread never became runnable, or the
-        execution kept spinning without making progress.
-        """
-        return self.status in (RunStatus.STEP_LIMIT, RunStatus.SCHEDULING_STUCK)
-
 
 @dataclass
 class ExecutorConfig:

@@ -144,9 +144,6 @@ class Memory:
 
     # ---------------------------------------------------------------- globals
 
-    def has_global(self, name: str) -> bool:
-        return name in self._globals
-
     def load_global(self, name: str) -> Value:
         try:
             return self._globals[name]
@@ -164,9 +161,6 @@ class Memory:
         self._globals[name] = value
 
     # ----------------------------------------------------------------- arrays
-
-    def has_array(self, name: str) -> bool:
-        return name in self._arrays
 
     def array_size(self, name: str) -> int:
         try:
@@ -223,12 +217,6 @@ class Memory:
     def store_heap(self, pointer: int, index: int, value: Value) -> None:
         self._checked_object(pointer, index)
         self._own_object(pointer).cells[index] = value
-
-    def heap_object(self, pointer: int) -> HeapObject:
-        return self._lookup_object(pointer, for_free=False)
-
-    def live_heap_objects(self) -> List[HeapObject]:
-        return [obj for obj in self._heap.values() if not obj.freed]
 
     def _lookup_object(self, pointer: int, for_free: bool) -> HeapObject:
         if not isinstance(pointer, int) or pointer <= 0:

@@ -227,9 +227,6 @@ class ControlledPolicy(SchedulePolicy):
     def allow(self, tid: int) -> None:
         self.forbidden.discard(tid)
 
-    def allow_all(self) -> None:
-        self.forbidden.clear()
-
     def force(self, tid: Optional[int]) -> None:
         self.forced = tid
 

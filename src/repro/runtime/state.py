@@ -11,7 +11,6 @@ is copied.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -22,7 +21,7 @@ from repro.runtime.errors import ExecutionOutcome
 from repro.runtime.memory import Memory
 from repro.runtime.sync import SyncState
 from repro.runtime.threadstate import BlockEntry, Frame, ThreadState, ThreadStatus
-from repro.symex.expr import SymVar, Value, is_symbolic, render
+from repro.symex.expr import SymVar, Value, render
 from repro.symex.path_condition import PathCondition
 
 _state_ids = itertools.count(1)
@@ -44,9 +43,6 @@ class OutputRecord:
     pc: int
     label: str
     step: int
-
-    def is_concrete(self) -> bool:
-        return not any(is_symbolic(v) for v in self.values)
 
     def describe(self) -> str:
         rendered = ", ".join(render(v) for v in self.values)
@@ -230,9 +226,6 @@ class ExecutionState:
     def blocked_tids(self) -> List[int]:
         return [tid for tid, thread in self.threads.items() if thread.is_blocked]
 
-    def live_tids(self) -> List[int]:
-        return [tid for tid, thread in self.threads.items() if not thread.is_finished]
-
     def all_finished(self) -> bool:
         return all(thread.is_finished for thread in self.threads.values())
 
@@ -247,15 +240,6 @@ class ExecutionState:
         }
 
     # ---------------------------------------------------------------- outputs
-
-    def concrete_output_signature(self) -> str:
-        """Hash chain over concrete outputs (§4: Portend hashes program outputs)."""
-        digest = hashlib.sha256()
-        for record in self.output_log:
-            digest.update(record.channel.encode("utf-8"))
-            for value in record.values:
-                digest.update(repr(value).encode("utf-8"))
-        return digest.hexdigest()
 
     def output_summary(self) -> List[str]:
         return [record.describe() for record in self.output_log]

@@ -148,9 +148,6 @@ class SymVar(SymExpr):
         if self.lo > self.hi:
             raise ExprError(f"empty domain for symbolic variable {self.name}")
 
-    def domain_size(self) -> int:
-        return self.hi - self.lo + 1
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SymVar({self.name}:[{self.lo},{self.hi}])"
 
@@ -215,11 +212,6 @@ def _intern(cls, args: tuple) -> SymExpr:
             _INTERN_TABLE.clear()
         _INTERN_TABLE[key] = node
     return node
-
-
-def intern_table_size() -> int:
-    """Number of live interned nodes (exposed for tests/benchmarks)."""
-    return len(_INTERN_TABLE)
 
 
 def _install_cached_hash(cls, key_fn) -> None:

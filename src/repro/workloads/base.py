@@ -57,12 +57,6 @@ class Workload:
         """Ground truth for a detected race (by its shared variable)."""
         return self.ground_truth.get(race.location.name)
 
-    def expected_counts(self) -> Dict[RaceClass, int]:
-        counts: Dict[RaceClass, int] = {cls: 0 for cls in RaceClass}
-        for truth in self.ground_truth.values():
-            counts[truth.classification] += 1
-        return counts
-
     def forked_threads(self) -> int:
         """Threads created by the model program (paper Table 1 column)."""
         from repro.lang.ast import Spawn, iter_statements

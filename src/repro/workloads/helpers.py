@@ -149,17 +149,3 @@ def add_silent_counter_race(
         glob(variable), add(glob(variable), second_delta), label=f"{source}:{line + 1}"
     )
 
-
-def add_redundant_write_race(
-    builder: ProgramBuilder,
-    first: FunctionBuilder,
-    second: FunctionBuilder,
-    variable: str,
-    value: int,
-    source: str = "workload.c",
-    line: int = 600,
-) -> None:
-    """Both threads write the same value (the "RW" benign pattern, Fig. 8(b))."""
-    builder.global_var(variable, 0)
-    first.assign(glob(variable), value, label=f"{source}:{line}")
-    second.assign(glob(variable), value, label=f"{source}:{line + 1}")

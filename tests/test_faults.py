@@ -2,10 +2,12 @@
 
 Covers the deterministic fault-injection harness (plan resolution, claim-once
 semantics across retries), worker-result validation at the dispatch boundary,
-and the supervision ladder end to end on real process pools: crash-once
-recovery via pool respawn, malformed-result singleton retries, the deadline
-watchdog against injected hangs, poison-task quarantine via lone-probe
-probation, and warm-up crash discovery -- each asserting that verdicts stay
+the supervisor's one retry rule on a scripted fake pool (a failed chunk is
+retried whole, split only on a repeat, never after a sleep), and the
+supervision ladder end to end on real process pools: crash-once recovery via
+pool respawn, malformed-result retries, the deadline watchdog against
+injected hangs, poison-task quarantine via lone-probe probation, and a
+warm-up crash taking the ordinary crash path -- each asserting that verdicts stay
 bit-identical to the fault-free serial reference and that the run never
 downgrades to serial while the respawn budget holds.  Also fuzzes the cache
 directory's ``.hits`` sidecars with truncated/garbage/oversized bytes: a
@@ -15,6 +17,8 @@ warm run must still be served, with unchanged verdicts.
 import glob
 import json
 import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -43,7 +47,7 @@ from repro.engine.tasks import (
     execute_task,
 )
 from repro.workloads import load_workload
-from test_streaming import _full_signature
+from test_streaming import _DeferredPool, _full_signature
 
 #: small two-workload batch: one single-stage-heavy, one multi-path
 NAMES = ["bbuf", "RW"]
@@ -315,6 +319,176 @@ def _good_worker(payload):
 
 def _bad_worker(payload):
     return ["not", "a", "dict"]
+
+
+# ------------------------------------------------------------ the retry rule
+
+
+class _BreakingPool(_DeferredPool):
+    """A deferred fake pool that records each submission's payload count and
+    can be told to refuse submits as a broken pool does."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+        self.refuse_submits = False
+
+    def submit(self, fn, *args):
+        if self.refuse_submits:
+            raise BrokenProcessPool("a worker died")
+        self.chunks.append(len(args[1]))
+        return super().submit(fn, *args)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.pending.clear()
+
+
+#: the real ``time.sleep``: the retry-rule tests replace the module's with
+#: a recorder, but a scripted hang must still let the deadline pass
+_real_sleep = time.sleep
+
+
+def _scripted_wait(pool, supervisor, script, seen):
+    """A ``wait`` stand-in that plays one step of ``script`` per call on
+    every pending future: ``crash`` fails them as a broken pool does,
+    ``hang`` lets the chunk deadline pass, ``break`` crashes them and makes
+    the pool refuse later submits, and anything else (or an exhausted
+    script) runs them.  Each call appends (futures waited on, probation
+    length) to ``seen``."""
+
+    def wait(futures, return_when=None, timeout=None):
+        seen.append((len(futures), len(supervisor.probation)))
+        step = script.pop(0) if script else "ok"
+        if step == "hang":
+            _real_sleep(timeout)
+            return set(), set(futures)
+        waiting = [future for future in futures if future in pool.pending]
+        for future in waiting:
+            fn, args = pool.pending.pop(future)
+            if step in ("crash", "break"):
+                future.set_exception(BrokenProcessPool("a worker died"))
+            else:
+                future.set_result(fn(*args))
+        pool.refuse_submits = step == "break"
+        return set(waiting), set(futures) - set(waiting)
+
+    return wait
+
+
+def _echo_worker(payload):
+    return {"race": payload["race_id"]}
+
+
+#: races :func:`_malformed_once_worker` has already answered wrongly
+_ANSWERED_MALFORMED = set()
+
+
+def _malformed_once_worker(payload):
+    """Answers race 2 wrongly the first time it runs, as a fault plan's
+    ``malformed`` op does."""
+    if payload["race_id"] == 2 and 2 not in _ANSWERED_MALFORMED:
+        _ANSWERED_MALFORMED.add(2)
+        return ["not", "a", "dict"]
+    return _echo_worker(payload)
+
+
+class _Drain:
+    """One supervised drain over a :class:`_BreakingPool` and what it did."""
+
+    def __init__(self, monkeypatch, script, chunks=((0, 1, 2, 3),),
+                 worker=_echo_worker, **knobs):
+        self.pool = _BreakingPool()
+        monkeypatch.setattr(
+            "repro.engine.dispatch.ProcessPoolExecutor", lambda **kwargs: self.pool
+        )
+        self.slept = []
+        monkeypatch.setattr(time, "sleep", self.slept.append)
+        self.dispatcher = PoolDispatcher(2, **knobs)
+        supervisor = self.dispatcher.supervise(self.dispatcher.acquire())
+        self.seen = []
+        supervisor.wait_fn = _scripted_wait(
+            self.pool, supervisor, list(script), self.seen
+        )
+        for index, races in enumerate(chunks):
+            payloads = [{"workload": "w", "race_id": race} for race in races]
+            supervisor.submit(worker, payloads, tag=index)
+        results = []
+        while not supervisor.done:
+            results.extend(supervisor.wait_some())
+        assert sorted(results) == [
+            (index, [{"race": race} for race in races])
+            for index, races in enumerate(chunks)
+        ]
+
+    def records(self, kind, *fields):
+        return [
+            tuple(record[field] for field in fields)
+            for record in self.dispatcher.recovery
+            if record["kind"] == kind
+        ]
+
+
+class TestRetryRule:
+    """One rule for every failed chunk: retried whole on its first failure,
+    split into singletons only on a repeat, never after a sleep."""
+
+    def test_first_crash_resubmits_the_chunk_whole(self, monkeypatch):
+        run = _Drain(monkeypatch, ["crash"])
+        assert run.pool.chunks == [4, 4]
+        assert run.records("task_retry", "race", "attempt", "reason") == [
+            (race, 1, "crash") for race in range(4)
+        ]
+        assert run.records("pool_respawn", "respawns") == [(1,)]
+        assert run.slept == []
+
+    def test_second_crash_splits_the_chunk_into_probed_singletons(self, monkeypatch):
+        run = _Drain(monkeypatch, ["crash", "crash"])
+        assert run.pool.chunks == [4, 4, 1, 1, 1, 1]
+        # Each singleton is waited on alone while the rest sit on probation.
+        assert run.seen == [(1, 0), (1, 0), (1, 3), (1, 2), (1, 1), (1, 0)]
+        assert run.records("task_retry", "attempt", "reason") == (
+            [(1, "crash")] * 4 + [(2, "crash")] * 4
+        )
+        assert run.records("task_quarantined", "race") == []
+        assert run.slept == []
+
+    def test_expired_chunk_is_retried_whole_once(self, monkeypatch):
+        run = _Drain(monkeypatch, ["hang"], task_deadline_ms=1)
+        assert run.pool.chunks == [4, 4]
+        assert run.records("deadline_exceeded", "chunk_size") == [(4,)]
+        assert run.records("task_retry", "attempt", "reason") == [
+            (1, "deadline")
+        ] * 4
+        assert run.records("task_quarantined", "race") == []
+
+    def test_repeat_deadline_past_the_budget_quarantines_the_pieces(self, monkeypatch):
+        run = _Drain(
+            monkeypatch, ["hang", "hang"], task_deadline_ms=1, max_task_retries=1
+        )
+        assert run.pool.chunks == [4, 4]
+        assert run.records("task_quarantined", "race", "reason") == [
+            (race, "task deadline exceeded") for race in range(4)
+        ]
+
+    def test_malformed_payloads_are_retried_without_the_good_ones(self, monkeypatch):
+        _ANSWERED_MALFORMED.clear()
+        run = _Drain(monkeypatch, [], worker=_malformed_once_worker)
+        assert run.pool.chunks == [4, 1]
+        assert run.records("task_retry", "race", "attempt", "reason") == [
+            (2, 1, "malformed")
+        ]
+        assert run.records("pool_respawn", "respawns") == []
+        assert run.slept == []
+
+    def test_pool_lost_mid_pump_runs_the_rest_in_the_driver(self, monkeypatch):
+        # Both chunks crash and queue whole; the respawned pool then breaks
+        # at the first resubmit, past the respawn budget, so the second
+        # chunk must wait for the driver instead of meeting a missing pool.
+        run = _Drain(
+            monkeypatch, ["break"], chunks=((0, 1), (2, 3)), max_pool_respawns=1
+        )
+        assert run.pool.chunks == [2, 2]
+        assert run.records("pool", "action") == [("downgraded",)]
 
 
 # -------------------------------------------------------- engine integration

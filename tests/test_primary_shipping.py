@@ -6,6 +6,8 @@ verdict-identical to a serial one and submit exactly one classify task per
 race.
 """
 
+import json
+
 import pytest
 
 from repro.core import Portend, PortendConfig
@@ -188,6 +190,39 @@ class TestCacheLifecycle:
             ("classification", 6),
             ("trace", 1),
         ]
+
+    def test_old_layout_classification_files_are_dropped(self, tmp_path, capsys):
+        # A version-1 classification file holds one race and no "entries":
+        # no key reaches it again, so the next store of its program deletes
+        # it (and its sidecar) even in an unbounded directory.  A file of
+        # the current layout written for another config stays, and serves.
+        from repro.experiments.__main__ import main
+
+        cache_dir = str(tmp_path)
+        AnalysisEngine(options=EngineOptions(cache_dir=cache_dir)).analyze(["bbuf"])
+        (live,) = tmp_path.glob("bbuf-cls-*.json")
+        entry = next(iter(json.loads(live.read_text())["entries"].values()))
+        old = tmp_path / "bbuf-cls-0123456789abcdef.json"
+        old.write_text(json.dumps(
+            {"key": "0123456789abcdef" * 4, "stored_at": 0.0,
+             "classified": entry["classified"]}
+        ))
+        old_hits = tmp_path / (old.name + ".hits")
+        old_hits.write_text("3")
+
+        AnalysisEngine(
+            config=PortendConfig(seed=7), options=EngineOptions(cache_dir=cache_dir)
+        ).analyze(["bbuf"])
+        assert main(["cache-info", "--cache-dir", cache_dir]) == 0
+        out = capsys.readouterr().out
+        assert old.name not in out
+        assert not old_hits.exists()
+        assert live.name in out
+        assert len(list(tmp_path.glob("bbuf-cls-*.json"))) == 2
+
+        engine = AnalysisEngine(options=EngineOptions(cache_dir=cache_dir))
+        engine.analyze(["bbuf"])
+        assert engine.last_run_stats.classifications_computed == 0
 
     def test_engine_honors_cache_max_entries(self, tmp_path):
         # The bound counts files: one classification file per workload run.
