@@ -1,16 +1,15 @@
 """Parallel analysis engine (record→detect→classify + two caches).
 
 * :mod:`repro.engine.engine` -- :class:`AnalysisEngine`, the
-  record→detect→classify pipeline as one full-stream drain over a
-  ``concurrent.futures`` process pool (or, serially, the driving process)
-  with a deterministic per-race merge,
+  record→detect→classify pipeline: the driving process records, and one
+  full-stream drain classifies over a ``concurrent.futures`` process pool
+  (or, serially, the driving process) with a deterministic per-race merge,
 * :mod:`repro.engine.dispatch` -- :class:`PoolDispatcher`, the run-lifetime
   persistent pool, and :class:`PoolSupervisor`, the retry / respawn /
   quarantine layer every drain runs under,
-* :mod:`repro.engine.tasks` -- the work items (``RecordTask`` and
-  ``ClassificationTask``), their picklable
-  worker entry points, and the pool initializer that installs each worker's
-  lifetime solver-cache state,
+* :mod:`repro.engine.tasks` -- the pool's one work item
+  (``ClassificationTask``), its picklable worker entry point, and the pool
+  initializer that installs each worker's lifetime solver-cache state,
 * :mod:`repro.engine.cache` -- the on-disk trace cache keyed by
   ``(program, inputs, config)`` and the classification cache keyed by
   ``(program, inputs, config, race_id)`` plus the predicate mode,
@@ -36,13 +35,7 @@ from repro.engine.events import (
 )
 from repro.engine.faults import FaultPlan, resolve_fault_plan
 from repro.engine.stats import EngineStats
-from repro.engine.tasks import (
-    ClassificationTask,
-    RecordTask,
-    execute_record_task,
-    execute_task,
-    pool_worker_initializer,
-)
+from repro.engine.tasks import ClassificationTask, execute_task, pool_worker_initializer
 
 __all__ = [
     "AnalysisEngine",
@@ -58,9 +51,7 @@ __all__ = [
     "TraceCache",
     "ClassificationCache",
     "ClassificationTask",
-    "RecordTask",
     "execute_task",
-    "execute_record_task",
     "pool_worker_initializer",
     "EngineStats",
     "EVENT_KINDS",

@@ -1,25 +1,25 @@
 """Pool lifecycle and supervision for the engine's one scheduler.
 
 :class:`PoolDispatcher` owns one persistent process pool per engine run,
-fed by the engine's full-stream drain: records and classifications all
-live in one ``wait(FIRST_COMPLETED)`` loop, so stage-3 work of
-one workload runs while another workload is still recording (see
-``AnalysisEngine._stream_pipeline``).  The pool is created eagerly by
+fed by the engine's full-stream drain: the pool runs classification chunks
+only, drained in one ``wait(FIRST_COMPLETED)`` loop, while the driver
+records the next workload (see ``AnalysisEngine._stream_pipeline``).  The
+pool is created eagerly by
 :meth:`PoolDispatcher.warm` (or lazily on first use) with
 :func:`~repro.engine.tasks.pool_worker_initializer` installed, reused by
 every dispatch of the run (both sides emit ``pool`` events into the run's
 :class:`~repro.engine.events.EventLogger`, which fold into the
 ``pools_created``/``pool_reuses`` counters), and shut down by the engine
 when the run finishes.  Without a pool -- a serial run, a pool that cannot
-be built, payloads that do not pickle -- the same drain runs over a
-:class:`PoolSupervisor` whose pool is None, which executes every submitted
-chunk in the driving process.
+be built -- the same drain runs over a :class:`PoolSupervisor` whose pool
+is None, which executes every submitted chunk in the driving process; a
+chunk whose payloads do not pickle is submitted ``inline`` and runs there
+too.
 
 The engine cuts each workload's races into chunks by one static rule
 (``repro.engine.engine._chunk_size``: at least ``min(count, workers)``
-chunks, two waves per worker on deep queues), submits recordings in batch
-order, and reports every chunk as a ``scheduler_decision`` event once the
-drain finishes.
+chunks, two waves per worker on deep queues) and reports every chunk as a
+``scheduler_decision`` event once the drain finishes.
 
 Supervision (the fault-tolerance layer)
 ---------------------------------------
@@ -79,16 +79,12 @@ from repro.engine.events import EventLogger
 from repro.engine.tasks import (
     execute_noop_task,
     execute_payload_chunk,
-    execute_record_task,
     execute_task,
     pool_worker_initializer,
 )
 
 #: the stage name per worker entry point (anything else is "task")
-_WORKER_KINDS = {
-    execute_record_task: "record",
-    execute_task: "classify",
-}
+_WORKER_KINDS = {execute_task: "classify"}
 
 #: the pooled chunk deadline when ``task_deadline_ms`` is 0
 _DEFAULT_DEADLINE_MS = 30000
@@ -101,9 +97,6 @@ _QUARANTINE_REASONS = {
     "deadline": "task deadline exceeded",
     "malformed": "malformed result",
 }
-
-_MISSING = object()
-
 
 def env_int(name: str, default: int) -> int:
     """An integer ``REPRO_*`` setting: unset or blank means ``default``.
@@ -134,38 +127,26 @@ def describe_task(kind: str, payload: Mapping) -> str:
     return name
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def validate_worker_output(kind: str, payload: Mapping, output) -> None:
     """Validate one worker result at the dispatch boundary.
 
-    Each task kind has required keys/types; a worker that returns a
-    wrong-shaped dict (bit rot, a fault plan's ``malformed`` op, a future
-    network transport) raises :class:`EngineError` naming the task here,
-    instead of a bare ``KeyError`` deep inside the engine's merge.
+    Every result must be a dict, and a classification must carry its
+    classified-race dict; a worker that returns a wrong-shaped result (bit
+    rot, a fault plan's ``malformed`` op, a future network transport)
+    raises :class:`EngineError` naming the task here, instead of a bare
+    ``KeyError`` deep inside the engine's merge.  Other kinds ("task", e.g.
+    warm-up no-ops) only need to be a dict.
     """
     name = describe_task(kind, payload)
     if not isinstance(output, Mapping):
         raise EngineError(
             f"{name} returned {type(output).__name__}, expected a result dict"
         )
-
-    def need(field: str, check: Callable[[object], bool], expect: str) -> None:
-        value = output.get(field, _MISSING)
-        if value is _MISSING or not check(value):
-            raise EngineError(
-                f"{name} returned a malformed result: field {field!r} {expect}"
-            )
-
-    if kind == "record":
-        need("trace", lambda v: isinstance(v, Mapping), "must be a trace dict")
-        need("detection_seconds", _is_number, "must be a number")
-    elif kind == "classify":
-        need("classified", lambda v: isinstance(v, Mapping),
-             "must be a classified-race dict")
-    # other kinds ("task", e.g. warm-up no-ops) only need to be a Mapping
+    if kind == "classify" and not isinstance(output.get("classified"), Mapping):
+        raise EngineError(
+            f"{name} returned a malformed result: field 'classified' must be a "
+            "classified-race dict"
+        )
 
 
 def _payload_identity(payload: Mapping) -> Dict:
@@ -582,12 +563,6 @@ class PoolDispatcher:
             self.events.emit("pool", action="reused")
         return self._pool
 
-    def acquire_for(self, payloads: Sequence[Dict]) -> Optional[ProcessPoolExecutor]:
-        """:meth:`acquire` gated on the payloads actually being poolable."""
-        if not payloads or not self.parallel or self._broken:
-            return None
-        return self.acquire() if payloads_picklable(payloads) else None
-
     def warm(self) -> None:
         """Eagerly build the persistent pool and spin up its workers.
 
@@ -595,9 +570,9 @@ class PoolDispatcher:
         (``ProcessPoolExecutor`` forks processes on demand, so an idle
         freshly-built pool has zero workers) and returns without waiting, so
         process spin-up and each worker's initializer run concurrently with
-        the driver's cache probes instead of inside the first real task's
-        measured latency.  Nothing waits on the no-ops: a worker that dies
-        during warm-up breaks the pool, and the first real submit or wait
+        the driver's cache probes and recordings instead of inside the first
+        real task's measured latency.  Nothing waits on the no-ops: a worker
+        that dies during warm-up breaks the pool, and the first real submit or wait
         then takes the supervisor's ordinary crash path.  Counts as the
         run's single ``pool created`` event; subsequent dispatches reuse the
         warm pool and count ``pool reuse`` exactly as before.
@@ -674,17 +649,6 @@ class PoolDispatcher:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-
-
-def payloads_picklable(payloads: Sequence[Dict]) -> bool:
-    """Probe one payload per workload for picklability.
-
-    Payloads of the same workload share their program/predicates/trace
-    objects, so one representative suffices (a custom predicate closure
-    would fail the probe).
-    """
-    representatives = {payload.get("workload"): payload for payload in payloads}
-    return all(picklable(payload) for payload in representatives.values())
 
 
 def picklable(*objects) -> bool:

@@ -2,15 +2,16 @@
 
 Portend's cost is dominated by per-race alternate-schedule exploration
 (§3.3-§3.4), and every unit of that cost is independent of every other: the
-workload recordings are independent programs and the races of one trace are
-independent classifications.  The engine exploits both levels:
+races of one trace are independent classifications.  The engine runs the
+pipeline in three stages:
 
-* **Stage 1 -- record.** Each workload's recording is a
-  :class:`~repro.engine.tasks.RecordTask`, with the on-disk
-  :class:`~repro.engine.cache.TraceCache` as the stage's backing store.
+* **Stage 1 -- record.** The driving process records each workload with
+  :func:`~repro.record_replay.recorder.record_program_trace`, with the
+  on-disk :class:`~repro.engine.cache.TraceCache` as the stage's backing
+  store.  One recording per program is cheap next to its classification,
+  so it needs no pool: it runs while the pool starts.
 * **Stage 2 -- detect.** Race detection runs inline with the recording (the
-  happens-before detector is an execution listener), so detection rides the
-  same queue instead of a separate serial pass.
+  happens-before detector is an execution listener).
 * **Stage 3 -- classify.** One
   :class:`~repro.engine.tasks.ClassificationTask` classifies a whole race
   with ``Portend.classify_race`` -- the same call a serial facade run
@@ -18,15 +19,14 @@ independent classifications.  The engine exploits both levels:
   stage's backing store: warm re-runs skip classification entirely.
 
 Every batch runs through one scheduler, the full-stream drain
-(:meth:`AnalysisEngine._stream_drain`): record and classify chunks share one
+(:meth:`AnalysisEngine._stream_drain`): classify chunks share one
 ``wait(FIRST_COMPLETED)`` loop over a
-:class:`~repro.engine.dispatch.PoolSupervisor`.  A landed recording
-immediately submits its workload's stage-3 work, so stage 3 of one workload
-overlaps stage 1 of the next and the pool never idles at a stage
-boundary.  Each workload's races are cut into chunks by one static rule
-(:func:`_chunk_size`), and recordings are submitted in batch order.  A serial
-run is the same drain with no pool: the supervisor executes each submitted
-chunk in the driving process.
+:class:`~repro.engine.dispatch.PoolSupervisor`.  The driver opens a
+workload's stage-3 work as soon as it has the trace, before it records the
+next workload, so the pool classifies one workload while the driver records
+the next.  Each workload's races are cut into chunks by one static rule
+(:func:`_chunk_size`).  A serial run is the same drain with no pool: the
+supervisor executes each submitted chunk in the driving process.
 
 Determinism: every random decision during classification derives from
 ``PortendConfig.race_seed(race_id, path_index)``, and results are keyed by
@@ -49,16 +49,12 @@ from repro.core.categories import ClassifiedRace
 from repro.core.config import PortendConfig
 from repro.engine.cache import ClassificationCache, TraceCache
 from repro.engine.dispatch import PoolDispatcher, env_int, picklable
-from repro.engine.events import EventLogger, write_events
+from repro.engine.events import EventLogger, make_event, write_events
 from repro.engine.faults import FaultPlan, resolve_fault_plan
 from repro.engine.stats import EngineStats
-from repro.engine.tasks import (
-    ClassificationTask,
-    RecordTask,
-    execute_record_task,
-    execute_task,
-)
+from repro.engine.tasks import ClassificationTask, execute_task
 from repro.explore.paths import reset_explore_memo
+from repro.record_replay.recorder import record_program_trace
 from repro.record_replay.trace import ExecutionTrace
 from repro.symex.solver import reset_worker_caches
 from repro.workloads import Workload, all_workloads, load_workload
@@ -349,9 +345,9 @@ class AnalysisEngine:
         when the run starts, reused by every submission, and torn down when
         the run finishes.  The whole pipeline runs in a single run-wide
         drain (:meth:`_stream_pipeline`): a workload's classification work
-        is submitted the moment its recording lands, so stage 3 of one
-        workload overlaps stage 1 of the next.  Serial runs go through the
-        same drain with no pool.
+        is submitted the moment the driver has recorded it, so the pool
+        classifies one workload while the driver records the next.  Serial
+        runs go through the same drain with no pool.
 
         The driving process's worker-lifetime solver caches start fresh per
         run (pool workers get the same via the pool initializer), so runs
@@ -362,7 +358,8 @@ class AnalysisEngine:
         self._begin_run(workloads)
         try:
             # Eager warm-up: pool construction + worker spin-up overlap the
-            # cache probes below instead of delaying the first real task.
+            # cache probes and the first recording instead of delaying the
+            # first real task.
             self._dispatcher.warm()
             runs = self._stream_pipeline(workloads)
         finally:
@@ -375,47 +372,35 @@ class AnalysisEngine:
     # ------------------------------------------------------------ full stream
 
     def _stream_pipeline(self, workloads: Sequence[Workload]) -> List[EngineRun]:
-        """The run-wide scheduler: record and classify chunks in one
-        ``wait(FIRST_COMPLETED)`` loop.
+        """The run-wide scheduler: the driver records, the pool classifies.
 
-        Stage 1 and stage 3 overlap across workloads: the moment a
-        RecordTask lands, its workload's classification work (cache probes,
-        then ClassificationTask chunks) is submitted to the same supervisor,
-        so classification of workload A runs while workload B is still
-        recording.  Chunks follow :func:`_chunk_size`; recordings are
-        submitted in batch order.
+        The trace cache is probed for every workload first.  The drain
+        (:meth:`_stream_drain`) then opens the stage-3 work of every
+        trace-cache hit, and records each miss in the driving process, in
+        batch order, opening its stage-3 work before it records the next
+        workload: classification of workload A runs on the pool while the
+        driver records workload B.  Chunks follow :func:`_chunk_size`.
 
-        Without a pool -- a serial run, a pool that cannot be built, record
-        payloads that do not pickle -- the drain runs over a supervisor with
-        no pool, which executes every chunk in the driving process.  Nothing
-        is emitted into the event stream until the drain finishes, and the
-        replay walks workloads in batch order and races in trace order, so
-        the merged stream is structurally bit-identical across completion
+        Without a pool -- a serial run or a pool that cannot be built --
+        the drain runs over a supervisor with no pool, which executes every
+        chunk in the driving process; a workload whose stage-3 payloads do
+        not pickle runs that way on a pooled run too.  Nothing is emitted
+        into the event stream until the drain finishes, and the replay
+        walks workloads in batch order and races in trace order, so the
+        merged stream is structurally bit-identical across completion
         interleavings -- and verdicts are bit-identical to a serial run
         because every task is deterministic and results are consumed keyed
-        by ``(index, race_id)``, never in completion order.
-        Cache files, though, are written during the drain, from the dicts
-        the worker sent: a trace when its recording lands, a workload's one
-        classification file when its last missed race lands.  A recording's
-        trace dict is also its stage-3 ``trace_data``.  Program fingerprints
-        are memoised per object.
+        by ``(index, race_id)``, never in completion order.  Cache files,
+        though, are written during the drain: a trace when it is recorded,
+        a workload's one classification file when its last missed race
+        lands.  A recording is encoded once, for its cache file and its
+        stage-3 payloads.  Program fingerprints are memoised per object.
         """
         config_data = self.config.to_dict()
         fingerprints = [
             TraceCache.program_fingerprint(workload.program) for workload in workloads
         ]
-        record_payloads: Dict[int, Dict] = {
-            index: RecordTask(
-                workload=workload.name,
-                inputs=dict(workload.inputs),
-                config=config_data,
-                # Attach the actual program: the batch may contain what-if
-                # variants that differ from the registry build.
-                program=workload.program,
-            ).to_payload()
-            for index, workload in enumerate(workloads)
-        }
-        pool = self._dispatcher.acquire_for(list(record_payloads.values()))
+        pool = self._dispatcher.acquire() if workloads else None
         recordings: List[Optional[_Recording]] = [None] * len(workloads)
         #: per-workload trace-cache probe result; None = cache disabled
         trace_hits: List[Optional[bool]] = [None] * len(workloads)
@@ -427,29 +412,16 @@ class AnalysisEngine:
                 trace_hits[index] = cached is not None
                 if cached is not None:
                     recordings[index] = _Recording(workload, cached, 0.0, True)
-                    del record_payloads[index]
         return self._stream_drain(
-            pool,
-            workloads,
-            fingerprints,
-            recordings,
-            trace_hits,
-            record_payloads,
-            config_data,
+            pool, workloads, fingerprints, recordings, trace_hits, config_data
         )
 
     def _stream_drain(
-        self,
-        pool,
-        workloads,
-        fingerprints,
-        recordings,
-        trace_hits,
-        record_payloads,
-        config_data,
+        self, pool, workloads, fingerprints, recordings, trace_hits, config_data
     ) -> List[EngineRun]:
-        """Drive the full-stream drain loop, then replay the canonical event
-        stream and merge (see :meth:`_stream_pipeline`)."""
+        """Record the trace-cache misses, drive the classification drain,
+        then replay the canonical event stream and merge (see
+        :meth:`_stream_pipeline`)."""
         # Pool width at drain start: chunk sizes must not depend on whether
         # the pool dies (and downgrades) mid-drain.
         workers = max(1, self.options.parallel or 1) if pool is not None else 1
@@ -471,17 +443,16 @@ class AnalysisEngine:
         unlanded: List[int] = [0] * count
         race_misses: List[List[Tuple[int, int, str]]] = [[] for _ in range(count)]
 
-        record_outputs: Dict[int, Dict] = {}
+        #: per recorded workload: its encoded trace and its task events
+        recorded: Dict[int, Tuple[Dict, List[Dict]]] = {}
         race_outputs: Dict[Tuple[int, int], Dict] = {}
         #: chunk decisions keyed (workload index, chunk start): replayed in
         #: that canonical order, never in completion order
         decisions: Dict[Tuple[int, int], Dict] = {}
-        in_flight = {"record": 0, "classify": 0}
         #: logical dispatch batches riding the already-acquired pool (inline
         #: batches do not count); the replay emits one ``pool reused`` per
         #: batch, independent of how many chunks it was cut into
         pooled_batches = 0
-        record_clock = _OverlapClock()
         # Every submission rides the run's supervisor: a crash, hang or
         # malformed result retries / respawns / quarantines per the
         # degradation ladder in :mod:`repro.engine.dispatch` instead of
@@ -489,9 +460,37 @@ class AnalysisEngine:
         # injected so it stays the test suite's monkeypatch seam.
         supervisor = self._dispatcher.supervise(pool, wait_fn=wait)
 
+        def record(index):
+            """Record (and race-detect) one trace-cache miss in the driver
+            and store its trace."""
+            workload = workloads[index]
+            started = make_event("task_start", stage="record", workload=workload.name)
+            trace, detection_seconds = record_program_trace(
+                workload.program,
+                concrete_inputs=dict(workload.inputs),
+                max_steps=self.config.max_steps_per_execution,
+            )
+            trace_data = trace.to_dict()
+            if self.cache is not None:
+                self.cache.store(
+                    workload.name,
+                    workload.inputs,
+                    self.config,
+                    trace_data,
+                    fingerprints[index],
+                )
+            recordings[index] = _Recording(workload, trace, detection_seconds, False)
+            finished = make_event(
+                "task_finish",
+                stage="record",
+                workload=workload.name,
+                seconds=detection_seconds,
+            )
+            recorded[index] = (trace_data, [started, finished])
+
         def open_classification(index):
-            """Probe the classification cache for one landed recording and
-            submit its stage-3 work in :func:`_chunk_size` chunks."""
+            """Probe the classification cache for one recording and submit
+            its stage-3 work in :func:`_chunk_size` chunks."""
             nonlocal pooled_batches
             recording = recordings[index]
             workload = recording.workload
@@ -538,15 +537,15 @@ class AnalysisEngine:
                 return
             race_misses[index] = misses
             unlanded[index] = len(misses)
-            # Only trace-cache hits need encoding: a fresh recording ships
-            # the dict its worker sent.  The token lets task executors share
-            # one deserialization per trace.
-            output = record_outputs.get(index)
-            context["trace_data"] = output["trace"] if output else recording.trace.to_dict()
+            # Only trace-cache hits need encoding here: a fresh recording
+            # was encoded once, for its cache file.  The token lets task
+            # executors share one deserialization per trace.
+            context["trace_data"] = (
+                recorded[index][0] if index in recorded else recording.trace.to_dict()
+            )
             context["trace_token"] = f"{os.getpid()}:{next(_TRACE_TOKENS)}"
-            # Record payloads carry no predicates, so a closure-bearing
-            # workload is only found unpicklable here; its stage 3 runs in
-            # the driver.
+            # A closure-bearing workload does not pickle: its stage 3 runs
+            # in the driver.
             inline = pool is None or not picklable(
                 workload.program, context["predicates"]
             )
@@ -561,68 +560,42 @@ class AnalysisEngine:
                 supervisor.submit(
                     execute_task,
                     payloads[start : start + size],
-                    tag=("classify", (index, start, misses[start : start + size])),
+                    tag=(index, start, misses[start : start + size]),
                     inline=inline,
                 )
-                in_flight["classify"] += 1
 
-        for index in record_payloads:
-            supervisor.submit(
-                execute_record_task, [record_payloads[index]], tag=("record", index)
-            )
-            in_flight["record"] += 1
-        # Trace-cached workloads skip stage 1 entirely: their stage-3 work
-        # enters the scheduler immediately and overlaps the live recordings.
+        # Trace-cached workloads need no recording: their stage-3 work
+        # enters the pool first and runs while the driver records the rest.
         for index in range(count):
             if recordings[index] is not None:
                 open_classification(index)
-        record_clock.update(in_flight["record"], in_flight["classify"])
+        for index in range(count):
+            if recordings[index] is None:
+                record(index)
+                open_classification(index)
 
         while not supervisor.done:
-            for tag, chunk_outputs in supervisor.wait_some():
-                kind, ref = tag
-                in_flight[kind] -= 1
-                if kind == "record":
-                    output = chunk_outputs[0]
-                    index = ref
-                    workload = workloads[index]
-                    trace = ExecutionTrace.from_dict(output["trace"])
-                    if self.cache is not None:
-                        self.cache.store(
-                            workload.name,
-                            workload.inputs,
-                            self.config,
-                            output["trace"],
-                            fingerprints[index],
-                        )
-                    recordings[index] = _Recording(
-                        workload, trace, output["detection_seconds"], False
+            for (index, start, chunk_misses), chunk_outputs in supervisor.wait_some():
+                for (_index, race_id, _key), item in zip(chunk_misses, chunk_outputs):
+                    race_outputs[(index, race_id)] = item
+                # Count races, not chunks: the file is written once, when
+                # the workload's last missed race lands.
+                unlanded[index] -= len(chunk_misses)
+                if self.classification_cache is not None and not unlanded[index]:
+                    entries = file_entries[index]
+                    for _index, race_id, key in race_misses[index]:
+                        entries[race_id] = {
+                            "key": key,
+                            "classified": race_outputs[(index, race_id)]["classified"],
+                        }
+                    self.classification_cache.store(
+                        workloads[index].name, file_keys[index], entries
                     )
-                    record_outputs[index] = output
-                    open_classification(index)
-                else:
-                    index, start, chunk_misses = ref
-                    for (_index, race_id, _key), item in zip(chunk_misses, chunk_outputs):
-                        race_outputs[(index, race_id)] = item
-                    # Count races, not chunks: the file is written once,
-                    # when the workload's last missed race lands.
-                    unlanded[index] -= len(chunk_misses)
-                    if self.classification_cache is not None and not unlanded[index]:
-                        entries = file_entries[index]
-                        for _index, race_id, key in race_misses[index]:
-                            entries[race_id] = {
-                                "key": key,
-                                "classified": race_outputs[(index, race_id)]["classified"],
-                            }
-                        self.classification_cache.store(
-                            workloads[index].name, file_keys[index], entries
-                        )
-                    decisions[(index, start)] = {
-                        "stage": "classify",
-                        "chunk_size": len(chunk_outputs),
-                        "actual_seconds": sum(map(_task_seconds, chunk_outputs)),
-                    }
-                record_clock.update(in_flight["record"], in_flight["classify"])
+                decisions[(index, start)] = {
+                    "stage": "classify",
+                    "chunk_size": len(chunk_outputs),
+                    "actual_seconds": sum(map(_task_seconds, chunk_outputs)),
+                }
 
         # ------------------------------------------------- canonical replay
         # The drain finished; emit the run's events in batch order, exactly
@@ -630,12 +603,8 @@ class AnalysisEngine:
         for index in range(count):
             if trace_hits[index] is not None:
                 self.events.emit("cache", tier="trace", hit=trace_hits[index])
-            if index in record_payloads:
-                self.events.emit(
-                    "task_submit", stage="record", workload=workloads[index].name
-                )
-        for index in sorted(record_outputs):
-            self.events.absorb(record_outputs[index].get("events"))
+        for index in sorted(recorded):
+            self.events.absorb(recorded[index][1])
             self.events.emit("trace_recorded", workload=workloads[index].name)
         if self.classification_cache is not None:
             for index in range(count):
@@ -663,11 +632,8 @@ class AnalysisEngine:
                 )
                 slots[miss_index][race_id] = ClassifiedRace.from_dict(item["classified"])
         # Pool bookkeeping only exists when a pool ran: a serial run keeps
-        # pools_created == pool_reuses == 0 and reports no overlap.
+        # pools_created == pool_reuses == 0.
         if pool is not None:
-            self.events.emit(
-                "stage_overlap", channel="record_classify", seconds=record_clock.total()
-            )
             for _ in range(pooled_batches):
                 self.events.emit("pool", action="reused")
         for key in sorted(decisions):
@@ -722,24 +688,3 @@ class AnalysisEngine:
             program_fingerprint=contexts[index]["program_fingerprint"],
         ).to_payload()
 
-
-class _OverlapClock:
-    """Accumulates wall-clock time during which both stages are in flight:
-    the full-stream scheduler keeps one for record↔classify overlap."""
-
-    def __init__(self) -> None:
-        self._since: Optional[float] = None
-        self._total = 0.0
-
-    def update(self, left_in_flight: int, right_in_flight: int) -> None:
-        now = time.perf_counter()
-        overlapping = left_in_flight > 0 and right_in_flight > 0
-        if overlapping and self._since is None:
-            self._since = now
-        elif not overlapping and self._since is not None:
-            self._total += now - self._since
-            self._since = None
-
-    def total(self) -> float:
-        self.update(0, 0)
-        return self._total

@@ -18,11 +18,11 @@ kind                         fields
 ===========================  ====================================================
 ``run_start``                ``workloads`` (names), ``parallel``
 ``run_finish``               ``seconds``
-``task_submit``              ``stage`` (record/classify), ``workload``,
-                             ``race`` when applicable
-``task_start``               ``stage``, ``workload``, ``race`` (worker)
+``task_submit``              ``stage`` (classify), ``workload``, ``race``
+``task_start``               ``stage`` (record/classify), ``workload``,
+                             ``race`` (classify: worker; record: driver)
 ``task_finish``              ``stage``, ``workload``, ``race``,
-                             ``seconds`` (worker)
+                             ``seconds`` (classify: worker; record: driver)
 ``trace_recorded``           ``workload``
 ``cache``                    ``tier`` (trace/classification/solver), ``hit``
                              (bool), ``worker_hit`` (solver tier only)
@@ -39,9 +39,6 @@ kind                         fields
                              built for listeners; one per task; a counter
                              an older log lacks folds as 0)
 ``pool``                     ``action`` (created/reused)
-``stage_overlap``            ``seconds``, ``channel`` (``record_classify``:
-                             the full-stream scheduler's record↔classify
-                             overlap)
 ``scheduler_decision``       ``stage``, ``chunk_size``, ``actual_seconds``
                              -- one per chunk the scheduler cut, replayed
                              in (workload, chunk start) order; older logs'
@@ -71,14 +68,15 @@ their tier; ``classification_computed`` counts itself;
 ``solver_stats`` snapshots are absorbed into the ``solver_*`` counters
 (``solver_query`` events are *per-query detail* and deliberately **not**
 folded -- the per-task snapshot already aggregates them, and folding both
-would double-count); ``pool`` and ``stage_overlap`` feed the pool-lifecycle
-counters.  Lifecycle events (``run_*``, ``task_*``) carry latency data for
+would double-count); ``pool`` events feed the pool-lifecycle counters.
+Lifecycle events (``run_*``, ``task_*``) carry latency data for
 ``events-info`` histograms but fold to nothing.  Fields a fold does not
 know are ignored, and so are kinds it does not know, so logs written by
 older versions still load and fold: solver events that carry a
 ``backend`` name, ``primary`` events, a ``run_start`` with a
-``granularity``, ``plan``/``path`` task events, and ``stage_overlap``
-events without a channel, which fold to nothing.
+``granularity``, ``plan``/``path`` task events, ``record`` task submits,
+and ``stage_overlap`` events with or without a channel, which fold to
+nothing.
 
 Determinism: workers buffer events in an :class:`EventBuffer` attached to
 the task result payload (exactly like the solver-stats snapshots before);
@@ -114,7 +112,6 @@ EVENT_KINDS = (
     "solver_stats",
     "interp_stats",
     "pool",
-    "stage_overlap",
     "scheduler_decision",
     "task_retry",
     "pool_respawn",
@@ -261,9 +258,6 @@ def fold_events(events: Iterable[Event]) -> EngineStats:
                 stats.pool_reuses += 1
             elif event.get("action") == "downgraded":
                 stats.pool_downgrades += 1
-        elif kind == "stage_overlap":
-            if event.get("channel") == "record_classify":
-                stats.record_classify_overlap_seconds += float(event.get("seconds", 0.0))
         elif kind == "task_retry":
             stats.task_retries += 1
         elif kind == "pool_respawn":
@@ -351,13 +345,13 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
     Returns a dict with: by-kind counts, the folded stats, per-stage task
     latency histograms (with p50/p95 percentiles), cache hit rates by tier,
     solver time/query totals, and the scheduler's chunk decisions (chunks,
-    tasks and actual seconds per stage).
+    tasks and actual seconds per stage).  The solver, interpreter and
+    recovery totals are the fold's; their task counts are the number of
+    ``solver_stats``/``interp_stats`` events.
     """
     by_kind: Dict[str, int] = {}
     stage_latencies: Dict[str, List[float]] = {}
     cache_totals: Dict[str, Dict[str, int]] = {}
-    solver: Dict[str, float] = {"tasks": 0, "queries": 0, "seconds": 0.0, "enumerated": 0}
-    interpreter: Dict[str, int] = dict.fromkeys(("tasks",) + _INTERP_COUNTERS, 0)
     decisions: Dict[str, Dict[str, float]] = {}
     stats = fold_events(events)
     recovery: Dict[str, object] = {
@@ -389,23 +383,23 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
             tier = str(event.get("tier", "?"))
             entry = cache_totals.setdefault(tier, {"hits": 0, "misses": 0})
             entry["hits" if event.get("hit") else "misses"] += 1
-        elif kind == "solver_stats":
-            solver["tasks"] += 1
-            solver["queries"] += int(event.get("queries", 0))
-            solver["seconds"] += float(event.get("seconds", 0.0))
-            solver["enumerated"] += int(event.get("enumerated_assignments", 0))
         elif kind in _STAGE_RECOVERY_FIELDS:
             entry = recovery["by_stage"].setdefault(
                 str(event.get("stage", "?")),
                 {"retries": 0, "quarantined": 0, "deadline_exceeded": 0},
             )
             entry[_STAGE_RECOVERY_FIELDS[kind]] += 1
-        elif kind == "interp_stats":
-            # logs written while a second kernel existed carry an ``interp``
-            # key; every kernel's counters fold into the one line
-            interpreter["tasks"] += 1
-            for counter in _INTERP_COUNTERS:
-                interpreter[counter] += int(event.get(counter, 0))
+    solver = {
+        "tasks": by_kind.get("solver_stats", 0),
+        "queries": stats.solver_queries,
+        "seconds": stats.solver_seconds,
+        "enumerated": stats.solver_assignments_enumerated,
+    }
+    # logs written while a second kernel existed carry an ``interp`` key;
+    # every kernel's counters fold into the one line
+    interpreter = {"tasks": by_kind.get("interp_stats", 0)}
+    for counter in _INTERP_COUNTERS:
+        interpreter[counter] = getattr(stats, f"interp_{counter}")
     histograms = {
         stage: {
             "count": len(latencies),

@@ -9,14 +9,15 @@ pool workers::
       "claims_dir": "/tmp/plan.claims",        # optional; derived if absent
       "faults": [
         {"op": "crash",     "stage": "classify", "workload": "stress_harmful"},
-        {"op": "hang",      "stage": "record",   "ms": 20000},
+        {"op": "hang",      "stage": "classify", "ms": 20000},
         {"op": "malformed", "stage": "classify", "times": 1},
         {"op": "corrupt_sidecar", "target": "**/*.hits", "mode": "garbage"}
       ]
     }
 
-Each entry matches task-entry calls by ``stage`` (``record`` / ``classify`` /
-``noop``; omit to match any, and any other stage is rejected) and optionally
+Each entry matches task-entry calls by ``stage`` (``classify`` / ``noop``;
+omit to match any, and any other stage is rejected -- ``record`` too, since
+recording runs in the driving process, where no fault fires) and optionally
 ``workload`` / ``race``.  ``times`` (default 1) bounds how often the entry
 fires *across the whole plan lifetime*: firing is arbitrated through atomic
 claim files in ``claims_dir`` (``O_CREAT | O_EXCL``), so an entry fires its
@@ -75,7 +76,7 @@ CRASH_EXIT_CODE = 87
 CORRUPTION_MODES = ("garbage", "truncate", "oversize")
 
 #: the task entry points that call :func:`maybe_inject_fault`
-FAULT_STAGES = ("record", "classify", "noop")
+FAULT_STAGES = ("classify", "noop")
 
 _MATCH_FIELDS = ("stage", "workload", "race")
 

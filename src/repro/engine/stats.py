@@ -55,10 +55,6 @@ class EngineStats:
     pools_created: int = 0
     #: dispatches served by an already-running persistent pool
     pool_reuses: int = 0
-    #: wall-clock seconds during which record futures and classify futures
-    #: were simultaneously in flight -- the full-stream scheduler's
-    #: record↔classify overlap channel
-    record_classify_overlap_seconds: float = 0.0
     #: interpreter statements executed by dispatched tasks (aggregated)
     interp_statements: int = 0
     #: symbolic-branch state forks taken by the interpreter
@@ -93,11 +89,11 @@ class EngineStats:
     def absorb_solver(self, payload) -> None:
         """Fold one task's solver-counter snapshot into the aggregate.
 
-        Task results carry ``SolverStats.to_dict()`` snapshots back to the
-        driving process (each task builds one fresh solver, so the snapshot
-        *is* the delta); the engine calls this as it collects results, which
-        keeps the "workers never touch the counters" invariant while still
-        counting pooled work.
+        Each task's ``solver_stats`` event carries a ``SolverStats.to_dict()``
+        snapshot back to the driving process (each task builds one fresh
+        solver, so the snapshot *is* the delta); :func:`fold_events` calls
+        this per event, which keeps the "workers never touch the counters"
+        invariant while still counting pooled work.
         """
         if not payload:
             return
@@ -138,8 +134,6 @@ class EngineStats:
             f"worker-cache hits={self.worker_cache_hits}, "
             f"pools created={self.pools_created}, "
             f"pool reuses={self.pool_reuses}, "
-            f"record/classify overlap seconds="
-            f"{self.record_classify_overlap_seconds:.2f}, "
             f"interp statements={self.interp_statements}, "
             f"interp forks={self.interp_forks}, "
             f"interp cow copies={self.interp_cow_copies}, "

@@ -1,12 +1,9 @@
 """Work items for the parallel analysis engine.
 
-Each pipeline stage has one task kind:
-
-* **Stage 1 (record + detect)** -- a :class:`RecordTask` records one
-  workload's execution (detection runs inline with the recording) and
-  returns the trace wire format;
-* **Stage 3 (classify)** -- a :class:`ClassificationTask` classifies one
-  ``(workload, race)`` unit end to end with ``Portend.classify_race``.
+The pool runs one task kind: a :class:`ClassificationTask` classifies one
+``(workload, race)`` unit end to end with ``Portend.classify_race``
+(pipeline stage 3).  Recording and detection run in the driving process
+(see :mod:`repro.engine.engine`).
 
 Task payloads are plain dicts whose leaves are JSON-serializable (the trace
 crosses the process boundary through ``ExecutionTrace.to_dict``), so they
@@ -14,17 +11,17 @@ pickle cheaply into ``concurrent.futures`` worker processes and could
 equally be shipped over a network queue.  ``program``/``predicates`` travel
 by pickle (see :class:`ClassificationTask`).
 
-Every worker entry point is deterministic: recording uses the deterministic
-round-robin schedule, and every random decision during classification
-derives from :meth:`repro.core.config.PortendConfig.race_seed`, so the same
-task always produces the same result no matter which process runs it.
+Every worker entry point is deterministic: every random decision during
+classification derives from
+:meth:`repro.core.config.PortendConfig.race_seed`, so the same task always
+produces the same result no matter which process runs it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.core.config import PortendConfig
 from repro.engine.events import EventBuffer
@@ -114,16 +111,11 @@ def _resolve_trace(task) -> ExecutionTrace:
     return trace
 
 
-def _solver_snapshot(portend) -> Dict:
-    """The task's solver-counter delta (each task builds one fresh solver)."""
-    return portend.executor.solver.stats.to_dict()
-
-
 def _build_portend(task, config, events: Optional[EventBuffer] = None):
     """A per-task Portend whose solver joins the worker-lifetime cache.
 
-    Every task still gets a fresh solver (so its stats snapshot is the
-    task's delta).  When the payload names a program fingerprint the
+    Every task still gets a fresh solver (so its ``solver_stats`` event is
+    the task's delta).  When the payload names a program fingerprint the
     solver's memo dicts are the process-shared ones for that program:
     identical constraint-set queries across the races and primary paths of
     one workload hit warm entries instead of re-enumerating.  When an event
@@ -142,38 +134,6 @@ def _build_portend(task, config, events: Optional[EventBuffer] = None):
     return Portend(
         task.program, config=config, predicates=list(task.predicates), solver=solver
     )
-
-
-def _begin_task(stage: str, workload: str, **detail) -> Tuple[EventBuffer, float]:
-    """Open a task's event buffer and emit its ``task_start``."""
-    events = EventBuffer()
-    events.emit("task_start", stage=stage, workload=workload, **detail)
-    return events, time.perf_counter()
-
-
-def _finish_task(
-    events: EventBuffer,
-    stage: str,
-    workload: str,
-    started: float,
-    portend=None,
-    **detail,
-) -> Tuple[Dict, list]:
-    """Emit the task's ``solver_stats`` + ``task_finish`` events and return
-    ``(solver snapshot, drained events)`` for the result payload."""
-    snapshot: Dict = {}
-    if portend is not None:
-        snapshot = _solver_snapshot(portend)
-        events.emit("solver_stats", **snapshot)
-        events.emit("interp_stats", **portend.executor.counters.to_dict())
-    events.emit(
-        "task_finish",
-        stage=stage,
-        workload=workload,
-        seconds=time.perf_counter() - started,
-        **detail,
-    )
-    return snapshot, events.drain()
 
 
 def pool_worker_initializer(fault_spec: Optional[Mapping] = None) -> None:
@@ -209,8 +169,9 @@ def execute_noop_task(payload: Mapping) -> Dict:
     The dispatcher's eager warm-up submits one of these per worker slot when
     a run starts, so the pool's process spin-up (and each worker's
     :func:`pool_worker_initializer`) happens concurrently with the driver's
-    cache probes instead of inside the first real task's measured latency.
-    Returns an empty dict: no events, no solver snapshot, folds to nothing.
+    cache probes and recordings instead of inside the first real task's
+    measured latency.
+    Returns an empty dict: no events, folds to nothing.
     A fault plan targeting stage ``noop`` fires here, which is how the
     warm-up-death recovery path is tested.
     """
@@ -233,8 +194,9 @@ def execute_task(payload: Mapping) -> Dict:
     """Classify one race of a workload (worker entry point).
 
     Module-level so :class:`concurrent.futures.ProcessPoolExecutor` can
-    pickle it.  Returns the classified race plus the task's solver counters
-    (the driving process aggregates them into ``repro.engine.stats``).
+    pickle it.  Returns the classified race plus the task's events, whose
+    ``solver_stats``/``interp_stats`` snapshots the driving process folds
+    into ``repro.engine.stats``.
     """
     from repro.engine.faults import maybe_inject_fault
 
@@ -243,71 +205,17 @@ def execute_task(payload: Mapping) -> Dict:
         return {"malformed": True}
     config = PortendConfig.from_dict(task.config)
     trace = _resolve_trace(task)
-    events, started = _begin_task("classify", task.workload, race=task.race_id)
+    identity = {"stage": "classify", "workload": task.workload, "race": task.race_id}
+    events = EventBuffer()
+    events.emit("task_start", **identity)
+    started = time.perf_counter()
     portend = _build_portend(task, config, events)
     race = trace.race_by_id(task.race_id)
     classified = portend.classify_race(trace, race).to_dict()
-    snapshot, event_list = _finish_task(
-        events, "classify", task.workload, started, portend, race=task.race_id
-    )
-    return {"classified": classified, "solver": snapshot, "events": event_list}
+    # Each task builds one fresh solver and executor: each snapshot is the
+    # task's delta.
+    events.emit("solver_stats", **portend.executor.solver.stats.to_dict())
+    events.emit("interp_stats", **portend.executor.counters.to_dict())
+    events.emit("task_finish", seconds=time.perf_counter() - started, **identity)
+    return {"classified": classified, "events": events.drain()}
 
-
-# --------------------------------------------------------------- Stage 1 task
-
-
-@dataclass(frozen=True)
-class RecordTask:
-    """One workload-recording work item (pipeline Stage 1).
-
-    Recording needs no predicates -- detection watches memory accesses, not
-    semantic properties -- so the payload is just the workload identity, its
-    program, its inputs, and the recording-relevant config.  As with
-    classification tasks, the program travels with the task (the batch may
-    contain what-if variants differing from the registry build).
-    """
-
-    workload: str
-    inputs: Dict
-    config: Dict
-    program: object
-
-    def to_payload(self) -> Dict:
-        return {
-            "workload": self.workload,
-            "inputs": dict(self.inputs),
-            "config": self.config,
-            "program": self.program,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "RecordTask":
-        return cls(
-            workload=payload["workload"],
-            inputs=dict(payload["inputs"]),
-            config=payload["config"],
-            program=payload["program"],
-        )
-
-
-def execute_record_task(payload: Mapping) -> Dict:
-    """Record (and race-detect) one workload execution (worker entry point)."""
-    from repro.engine.faults import maybe_inject_fault
-    from repro.record_replay.recorder import record_program_trace
-
-    task = RecordTask.from_payload(payload)
-    if maybe_inject_fault("record", task.workload) == "malformed":
-        return {"malformed": True}
-    config = PortendConfig.from_dict(task.config)
-    events, started = _begin_task("record", task.workload)
-    trace, detection_seconds = record_program_trace(
-        task.program,
-        concrete_inputs=dict(task.inputs),
-        max_steps=config.max_steps_per_execution,
-    )
-    _, event_list = _finish_task(events, "record", task.workload, started)
-    return {
-        "trace": trace.to_dict(),
-        "detection_seconds": detection_seconds,
-        "events": event_list,
-    }

@@ -121,6 +121,16 @@ class _QueryLog:
     It forwards the three queries the executor issues and logs each one, so
     an explorer that consumes the state without running it can re-issue the
     same queries, in the same order, through its own solver.
+
+    The re-issue changes no verdict and no enumeration count (a repeated
+    query is a cache hit).  It keeps the event stream's structure: each task
+    emits the ``solver_query`` events it would emit with a search of its
+    own, whichever task happened to run the state first.  Without it, which
+    task logs a state's queries follows completion order, and the
+    shuffled-completion stream tests
+    (``test_merged_stream_is_deterministic_under_shuffled_completion``,
+    ``test_shuffled_full_stream_is_bit_identical_and_structurally_stable``)
+    fail.
     """
 
     def __init__(self, solver: Solver) -> None:
@@ -223,7 +233,9 @@ class _SharedSearch:
 
         A state already popped has its logged solver queries re-issued
         through ``executor``'s solver; otherwise ``executor`` pops and runs
-        the next frontier state, issuing them itself.
+        the next frontier state, issuing them itself.  The re-issue keeps
+        every task's ``solver_query`` events the same under any completion
+        order (see :class:`_QueryLog`); do not drop it as redundant.
         """
         if index < len(self.popped):
             popped = self.popped[index]

@@ -78,20 +78,18 @@ def record_program_trace(
     program: Program,
     concrete_inputs: Optional[Dict[str, int]] = None,
     max_steps: Optional[int] = None,
-    detector_ignore_mutexes: bool = False,
 ) -> Tuple[ExecutionTrace, float]:
     """Record one timed execution of a program: the engine's Stage-1 unit.
 
     Recording is deterministic for a fixed ``(program, inputs)`` pair (the
     round-robin recording schedule never consults an RNG), so the same call
-    produces the same trace whether it runs in the driving process or in a
-    pool worker.  Returns ``(trace, detection_seconds)``; detection (the
+    always produces the same trace.  Returns ``(trace, detection_seconds)``; detection (the
     happens-before race analysis) happens inline with the recorded run, so
     the timing covers the paper's full "record + detect" front half.
     """
     program = program if program.finalized else program.finalize()
     executor = Executor(program)
-    detector = HappensBeforeDetector(ignore_mutexes=detector_ignore_mutexes)
+    detector = HappensBeforeDetector()
     started = time.perf_counter()
     trace, _state, _result = record_execution(
         program,

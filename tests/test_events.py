@@ -137,9 +137,11 @@ class TestFoldSemantics:
             make_event("pool", action="created"),
             make_event("pool", action="reused"),
             make_event("pool", action="reused"),
-            # Older logs' channel-less plan/path overlap folds to nothing.
-            make_event("stage_overlap", seconds=0.125),
-            make_event("stage_overlap", channel="record_classify", seconds=0.25),
+            # Older logs' overlap clocks, with or without a channel, and
+            # their record task submits fold to nothing.
+            {"kind": "stage_overlap", "seconds": 0.125, "ts": 0.0},
+            {"kind": "stage_overlap", "channel": "record_classify", "seconds": 0.25, "ts": 0.0},
+            make_event("task_submit", stage="record", workload="w"),
         ]
         path = str(tmp_path / "old.jsonl")
         write_events(events, path, append=False)
@@ -158,7 +160,7 @@ class TestFoldSemantics:
         assert stats.solver_seconds == 0.5
         assert stats.pools_created == 1
         assert stats.pool_reuses == 2
-        assert stats.record_classify_overlap_seconds == 0.25
+        assert "overlap" not in stats.summary()
 
     def test_interp_stats_fold_and_old_logs_count_zero_cutoffs(self):
         events = [
@@ -230,7 +232,7 @@ class TestFoldSemantics:
     @pytest.mark.parametrize(
         "legacy",
         [
-            [make_event("stage_overlap", seconds=0.5)],
+            [{"kind": "stage_overlap", "seconds": 0.5, "ts": 0.0}],
             [make_event("run_start", workloads=["w"], parallel=2, granularity="path")],
             [
                 make_event("task_submit", stage="plan", workload="w", race=1),
@@ -269,10 +271,13 @@ class TestFoldSemantics:
         assert fold_events(loaded) == EngineStats()
         assert "events:" in render_events_info(loaded)
 
-    def test_summary_reports_only_the_record_classify_overlap(self):
-        text = EngineStats(record_classify_overlap_seconds=0.25).summary()
-        assert "record/classify overlap seconds=0.25" in text
-        assert text.count("overlap") == 1
+    def test_overlap_is_no_event_kind_and_no_counter(self):
+        # Recording runs in the driver, so no record/classify overlap is
+        # measured: the kind is gone, and the stats line names no overlap.
+        assert "stage_overlap" not in EVENT_KINDS
+        with pytest.raises(ValueError, match="unknown event kind"):
+            make_event("stage_overlap", seconds=0.5)
+        assert "overlap" not in EngineStats().summary()
 
 
 class TestEngineEventStream:
@@ -283,24 +288,22 @@ class TestEngineEventStream:
         assert start["workloads"] == ["RW"]
         assert "granularity" not in start
 
-    @pytest.mark.parametrize(
-        "parallel,channels", [(0, []), (2, ["record_classify"])], ids=["serial", "pooled"]
-    )
-    def test_overlap_events_carry_the_record_classify_channel(self, parallel, channels):
-        # A pooled run reports its one overlap clock; a serial run has no
-        # pool and reports none.
+    @pytest.mark.parametrize("parallel", [0, 2], ids=["serial", "pooled"])
+    def test_only_classifications_are_submitted(self, parallel):
+        # The driver records each workload itself: its record task starts
+        # and finishes in the stream, but only classifications are
+        # submitted, serially and on a pool alike.
         engine = AnalysisEngine(options=EngineOptions(parallel=parallel))
         engine.analyze(["bbuf", "RW"])
-        overlaps = [
-            e for e in engine.last_run_events if e["kind"] == "stage_overlap"
+        events = engine.last_run_events
+        submitted = {e["stage"] for e in events if e["kind"] == "task_submit"}
+        assert submitted == {"classify"}
+        finished = [e for e in events if e["kind"] == "task_finish"]
+        assert [e["workload"] for e in finished if e["stage"] == "record"] == [
+            "bbuf",
+            "RW",
         ]
-        assert [event["channel"] for event in overlaps] == channels
-        stages = {
-            event["stage"]
-            for event in engine.last_run_events
-            if event["kind"].startswith("task_")
-        }
-        assert stages <= {"record", "classify", "noop"}
+        assert {e["stage"] for e in finished} == {"record", "classify"}
     def test_fold_reproduces_run_stats_exactly(self):
         # The acceptance criterion: folding the emitted stream reproduces
         # every EngineStats counter on a streaming stress_deep run.
@@ -363,7 +366,7 @@ class TestEngineEventStream:
         def structural(events):
             projected = []
             for event in events:
-                if event["kind"] in ("pool", "stage_overlap", "run_start"):
+                if event["kind"] in ("pool", "run_start"):
                     # streaming-only / configuration events
                     continue
                 if event["kind"] == "scheduler_decision":
@@ -401,9 +404,7 @@ class TestEngineEventStream:
             rng = random.Random(seed)
             pool = _DeferredPool()
             monkeypatch.setattr(PoolDispatcher, "warm", lambda self: None)
-            monkeypatch.setattr(
-                PoolDispatcher, "acquire_for", lambda self, payloads: pool
-            )
+            monkeypatch.setattr(PoolDispatcher, "acquire", lambda self: pool)
             monkeypatch.setattr(
                 "repro.engine.engine.wait", _shuffled_wait(pool, rng)
             )

@@ -40,12 +40,8 @@ from repro.engine.faults import (
     maybe_inject_fault,
     resolve_fault_plan,
 )
-from repro.engine.tasks import (
-    ClassificationTask,
-    RecordTask,
-    execute_record_task,
-    execute_task,
-)
+from repro.engine.tasks import ClassificationTask, execute_task
+from repro.record_replay.recorder import record_program_trace
 from repro.workloads import load_workload
 from test_streaming import _DeferredPool, _full_signature
 
@@ -105,8 +101,9 @@ class TestResolveFaultPlan:
         with pytest.raises(FaultPlanError):
             resolve_fault_plan('{"faults": [{"op": "corrupt_sidecar"}]}')
         # A stage no task entry point fires at would silently never match:
-        # a typo, or a stage of the removed per-path task grain.
-        for stage in ("clasify", "path", "plan"):
+        # a typo, a stage of the removed per-path task grain, or recording,
+        # which runs in the driving process, where no fault fires.
+        for stage in ("clasify", "path", "plan", "record"):
             plan = json.dumps(
                 {"faults": [{"op": "crash", "stage": "classify"},
                             {"op": "crash", "stage": stage}]}
@@ -147,7 +144,18 @@ class TestResolveFaultPlan:
         message = str(excinfo.value)
         assert str(plan_path) in message
         assert "fault #0 has unknown stage 'path'" in message
-        assert "record, classify, noop" in message
+        assert "classify, noop" in message
+
+    def test_record_stage_fails_at_engine_construction(self):
+        # Recording runs in the driver, so a plan naming its stage is
+        # rejected like any other unknown stage, before any run starts.
+        plan = json.dumps({"faults": [{"op": "crash", "stage": "record"}]})
+        with pytest.raises(FaultPlanError) as excinfo:
+            AnalysisEngine(options=EngineOptions(parallel=2, fault_plan=plan))
+        message = str(excinfo.value)
+        assert "fault #0 has unknown stage 'record'" in message
+        assert f"choose from {', '.join(FAULT_STAGES)}" in message
+        assert FAULT_STAGES == ("classify", "noop")
 
     def test_crash_exit_code_is_distinctive(self):
         assert CRASH_EXIT_CODE == 87
@@ -185,7 +193,7 @@ class TestClaimLedger:
             )
         )
         plan = FaultPlan(spec)
-        assert plan.fire("record", "bbuf", race=4) is None
+        assert plan.fire("noop", "bbuf", race=4) is None
         assert plan.fire("classify", "RW", race=4) is None
         assert plan.fire("classify", "bbuf", race=5) is None
         assert plan.fire("classify", "bbuf", race=4) == "malformed"
@@ -238,28 +246,27 @@ class TestValidateWorkerOutput:
         assert name == "classify task for workload 'RW', race 3"
 
     def test_describe_task_without_a_race_names_only_the_workload(self):
-        assert describe_task("record", {"workload": "bbuf"}) == (
-            "record task for workload 'bbuf'"
+        assert describe_task("classify", {"workload": "bbuf"}) == (
+            "classify task for workload 'bbuf'"
         )
 
-    def test_worker_kinds_are_record_and_classify(self):
-        # Each task entry point names its stage (the ``stage`` of recovery
-        # events and the validation rules); warm-up no-ops are the catch-all.
-        assert worker_kind(execute_record_task) == "record"
+    def test_worker_kinds_are_classify_and_the_catch_all(self):
+        # The pool's one task entry point names its stage (the ``stage`` of
+        # recovery events and the validation rule); warm-up no-ops are the
+        # catch-all.
         assert worker_kind(execute_task) == "classify"
         assert worker_kind(_good_worker) == "task"
 
     def test_non_mapping_output_is_rejected(self):
-        with pytest.raises(EngineError, match="record task for workload 'bbuf'"):
-            validate_worker_output("record", {"workload": "bbuf"}, [1, 2])
+        with pytest.raises(EngineError, match="classify task for workload 'bbuf'"):
+            validate_worker_output("classify", {"workload": "bbuf"}, [1, 2])
+        with pytest.raises(EngineError, match="expected a result dict"):
+            validate_worker_output("task", {"workload": "bbuf"}, None)
 
     @pytest.mark.parametrize(
         "kind,output,missing_field",
         [
-            ("record", {"detection_seconds": 0.1}, "trace"),
-            ("record", {"trace": {}}, "detection_seconds"),
-            ("classify", {"solver": {}}, "classified"),
-            ("record", {"trace": {}, "detection_seconds": True}, "detection_seconds"),
+            ("classify", {"events": []}, "classified"),
             ("classify", {"classified": []}, "classified"),
         ],
     )
@@ -269,25 +276,19 @@ class TestValidateWorkerOutput:
             validate_worker_output(kind, payload, output)
 
     def test_well_formed_results_pass(self):
-        validate_worker_output(
-            "record", {"workload": "w"}, {"trace": {}, "detection_seconds": 0.5}
-        )
+        validate_worker_output("task", {"workload": "w"}, {})
         validate_worker_output("classify", {"workload": "w"}, {"classified": {}})
 
     def test_real_worker_outputs_pass_validation(self):
-        # Both entry points, driven with the payloads the engine builds
-        # (the program attached), return what the boundary accepts.
+        # The classify entry point, driven with the payloads the engine
+        # builds (the program attached, the trace recorded as the driver
+        # records it), returns what the boundary accepts.
         config = PortendConfig().to_dict()
         workload = load_workload("RW")
-        record_payload = RecordTask(
-            workload="RW",
-            inputs=dict(workload.inputs),
-            config=config,
-            program=workload.program,
-        ).to_payload()
-        recorded = execute_record_task(record_payload)
-        validate_worker_output("record", record_payload, recorded)
-        trace = json.loads(json.dumps(recorded["trace"]))
+        recorded, _seconds = record_program_trace(
+            workload.program, concrete_inputs=dict(workload.inputs)
+        )
+        trace = json.loads(json.dumps(recorded.to_dict()))
         assert trace["races"]
         for race in trace["races"]:
             classify_payload = ClassificationTask(

@@ -50,7 +50,7 @@ class TestPooledClassification:
             [load_workload("SQLite"), build_stress(races=8)]
         )
         submits = [e for e in engine.last_run_events if e["kind"] == "task_submit"]
-        assert {event["stage"] for event in submits} == {"record", "classify"}
+        assert {event["stage"] for event in submits} == {"classify"}
         classify = [event for event in submits if event["stage"] == "classify"]
         assert len(classify) == sum(len(run.result.classified) for run in runs)
 

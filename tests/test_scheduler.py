@@ -2,8 +2,8 @@
 
 Covers the whole-pipeline streaming redesign: bit-identical verdicts and a
 structurally deterministic event stream under adversarially shuffled
-record/classify completion orders (shared by serial runs, which drain the
-same loop with no pool), the static chunk rule's invariants, the flat
+classify completion orders (shared by serial runs, which drain the same
+loop with no pool), the static chunk rule's invariants, the flat
 chunk deadline, the eager pool warm-up accounting, the
 ``scheduler_decision`` observability hooks, and the environment-variable
 defaults the CI full-stream job relies on.
@@ -94,7 +94,7 @@ class TestFullStreamDeterminism:
         (mirrors the projection asserted in test_events.py)."""
         projected = []
         for event in events:
-            if event["kind"] in ("pool", "stage_overlap", "run_start") + skip:
+            if event["kind"] in ("pool", "run_start") + skip:
                 continue
             if event["kind"] == "scheduler_decision":
                 projected.append(
@@ -114,19 +114,17 @@ class TestFullStreamDeterminism:
     def test_shuffled_full_stream_is_bit_identical_and_structurally_stable(
         self, monkeypatch
     ):
-        # Record and classify futures land in adversarially shuffled
-        # order; verdicts must stay bit-identical to the serial
-        # reference and the merged event stream structurally identical
-        # across every interleaving.
+        # Classify futures land in adversarially shuffled order while the
+        # driver records the next workload; verdicts must stay
+        # bit-identical to the serial reference and the merged event stream
+        # structurally identical across every interleaving.
         reference = AnalysisEngine(options=EngineOptions(parallel=0)).analyze(NAMES)
         streams = []
         for seed in (0, 3, 11, 42):
             rng = random.Random(seed)
             pool = _DeferredPool()
             monkeypatch.setattr(PoolDispatcher, "warm", lambda self: None)
-            monkeypatch.setattr(
-                PoolDispatcher, "acquire_for", lambda self, payloads: pool
-            )
+            monkeypatch.setattr(PoolDispatcher, "acquire", lambda self: pool)
             monkeypatch.setattr(
                 "repro.engine.engine.wait", _shuffled_wait(pool, rng)
             )
@@ -148,7 +146,7 @@ class TestFullStreamDeterminism:
         serial.analyze(NAMES)
         pool = _DeferredPool()
         monkeypatch.setattr(PoolDispatcher, "warm", lambda self: None)
-        monkeypatch.setattr(PoolDispatcher, "acquire_for", lambda self, payloads: pool)
+        monkeypatch.setattr(PoolDispatcher, "acquire", lambda self: pool)
         monkeypatch.setattr(
             "repro.engine.engine.wait", _shuffled_wait(pool, random.Random(5))
         )
@@ -172,9 +170,7 @@ class TestFullStreamDeterminism:
             rng = random.Random(seed)
             pool = _DeferredPool()
             monkeypatch.setattr(PoolDispatcher, "warm", lambda self: None)
-            monkeypatch.setattr(
-                PoolDispatcher, "acquire_for", lambda self, payloads: pool
-            )
+            monkeypatch.setattr(PoolDispatcher, "acquire", lambda self: pool)
             monkeypatch.setattr(
                 "repro.engine.engine.wait", _shuffled_wait(pool, rng)
             )
@@ -184,17 +180,17 @@ class TestFullStreamDeterminism:
             assert not pool.pending, seed
             assert _full_signature(reference) == _full_signature(runs), seed
 
-    def test_record_classify_overlap_stat_folds_from_its_channel(self):
-        # A channel-less overlap event (written by older versions) folds to
-        # nothing.
+    def test_overlap_events_of_older_logs_fold_to_nothing(self):
+        # Older versions recorded on the pool and timed how long records and
+        # classifications were both in flight; recording runs in the driver
+        # now, so those events, with a channel or without, fold to nothing.
         events = [
             {"kind": "stage_overlap", "seconds": 0.5},
             {"kind": "stage_overlap", "channel": "record_classify", "seconds": 0.25},
         ]
         stats = fold_events(events)
-        assert stats.record_classify_overlap_seconds == 0.25
-        assert "record/classify overlap seconds=0.25" in stats.summary()
-        assert "stage overlap seconds" not in stats.summary()
+        assert stats == fold_events([])
+        assert "overlap" not in stats.summary()
 
 
 class TestSchedulerObservability:

@@ -7,14 +7,12 @@ accounting, and the ``stress_harmful`` workload.
 """
 
 import random
-import time
 from concurrent.futures import Future
 
 import pytest
 
 from repro.core.config import PortendConfig
 from repro.engine import AnalysisEngine, EngineOptions, PoolDispatcher
-from repro.engine.engine import _OverlapClock
 from repro.symex.expr import SymVar, make_binary, Op
 from repro.symex.solver import (
     Solver,
@@ -84,24 +82,19 @@ class TestDispatchEquivalence:
         assert _full_signature(reference) == _full_signature(runs)
         assert engine.last_run_stats.pools_created == 0
         assert engine.last_run_stats.pool_reuses == 0
-        assert not any(
-            event["kind"] in ("pool", "stage_overlap") for event in engine.last_run_events
-        )
+        assert not any(event["kind"] == "pool" for event in engine.last_run_events)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_shuffled_completion_order_is_bit_identical(self, monkeypatch, seed):
         # Drive the streaming scheduler with a fake pool whose futures land
-        # in a shuffled order: classify chunks of early workloads interleave
-        # with recordings of later ones, exactly as a wide pool would
-        # deliver them.  The merge must stay bit-identical to the serial
+        # in a shuffled order: classify chunks of every workload interleave,
+        # exactly as a wide pool would deliver them.  The merge must stay bit-identical to the serial
         # reference.
         reference = AnalysisEngine(options=EngineOptions(parallel=0)).analyze(NAMES)
         rng = random.Random(seed)
         pool = _DeferredPool()
         monkeypatch.setattr(PoolDispatcher, "warm", lambda self: None)
-        monkeypatch.setattr(
-            PoolDispatcher, "acquire_for", lambda self, payloads: pool
-        )
+        monkeypatch.setattr(PoolDispatcher, "acquire", lambda self: pool)
         monkeypatch.setattr("repro.engine.engine.wait", _shuffled_wait(pool, rng))
         shuffled = AnalysisEngine(options=EngineOptions(parallel=2)).analyze(NAMES)
         assert not pool.pending  # the scheduler drained everything
@@ -155,8 +148,8 @@ class TestPoolLifecycle:
     def test_streaming_builds_one_pool_per_run_and_reuses_it(self):
         engine = AnalysisEngine(options=EngineOptions(parallel=2))
         engine.analyze(["RW", "bbuf"])
-        # One ProcessPoolExecutor construction for the whole run (record
-        # and classify queues included); every later dispatch reuses it.
+        # One ProcessPoolExecutor construction for the whole run; every
+        # later dispatch reuses it.
         assert engine.last_run_stats.pools_created == 1
         assert engine.last_run_stats.pool_reuses >= 1
 
@@ -167,19 +160,6 @@ class TestPoolLifecycle:
         engine.analyze(["RW"])
         assert engine.last_run_stats.pools_created == 0
         assert engine.last_run_stats.pool_reuses == 0
-
-    def test_overlap_clock_counts_only_simultaneous_flight(self):
-        clock = _OverlapClock()
-        clock.update(1, 0)  # recordings only: no overlap
-        assert clock.total() == 0.0
-        clock.update(1, 1)  # both stages in flight: overlap starts
-        time.sleep(0.01)
-        clock.update(0, 1)  # recordings drained: overlap ends
-        first_window = clock.total()
-        assert first_window >= 0.009
-        time.sleep(0.01)
-        # The second sleep happened outside an overlap window: no growth.
-        assert clock.total() == first_window
 
 
 class TestWorkerCacheAccounting:
