@@ -195,13 +195,15 @@ def run_events_check(names=("stress_deep",)):
     by_kind = {}
     for event in events:
         by_kind[event["kind"]] = by_kind.get(event["kind"], 0) + 1
+    fold = fold_events(events)
     return {
         "workloads": list(names),
         "events_total": len(events),
         "by_kind": by_kind,
-        "solver_query_events": by_kind.get("solver_query", 0),
+        "solver_stats_events": by_kind.get("solver_stats", 0),
+        "solver_queries": fold.solver_queries,
         "identical": _signature(plain_runs) == _signature(logged_runs),
-        "fold_matches": fold_events(events) == engine.last_run_stats,
+        "fold_matches": fold == engine.last_run_stats,
     }
 
 
@@ -276,7 +278,8 @@ def render(outcome):
         "",
         f"Event log ({', '.join(events['workloads'])}):",
         f"{'events written':<26} {events['events_total']} "
-        f"({events['solver_query_events']} solver queries)",
+        f"({events['solver_stats_events']} solver snapshots, "
+        f"{events['solver_queries']} solver queries)",
         f"{'verdicts identical':<26} {events['identical']}",
         f"{'fold == live counters':<26} {events['fold_matches']}",
         "",
@@ -343,7 +346,8 @@ def verify(outcome):
     events = outcome["events"]
     assert events["identical"], events
     assert events["fold_matches"], events
-    assert events["solver_query_events"] > 0, events
+    assert events["solver_stats_events"] > 0, events
+    assert events["solver_queries"] > 0, events
     # Fault recovery: verdicts are bit-identical to serial no matter what the
     # plan injected -- recovery re-runs deterministic tasks, it never changes
     # answers.  The pooled-recovery gates (respawns fired, nothing run-wide

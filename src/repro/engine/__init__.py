@@ -25,7 +25,6 @@ from repro.engine.errors import EngineError, FaultPlanError
 from repro.engine.engine import AnalysisEngine, EngineOptions, EngineRun
 from repro.engine.events import (
     EVENT_KINDS,
-    EventBuffer,
     EventLogger,
     fold_events,
     load_events,
@@ -55,7 +54,6 @@ __all__ = [
     "pool_worker_initializer",
     "EngineStats",
     "EVENT_KINDS",
-    "EventBuffer",
     "EventLogger",
     "fold_events",
     "load_events",

@@ -5,10 +5,9 @@ The engine used to maintain its pipeline counters by incrementing
 ``engine.py``, ``dispatch.py`` and ``tasks.py``.  This module inverts that:
 the pipeline *emits typed events* and every counter is a **fold** over the
 event stream (:func:`fold_events`).  The stream is the source of truth; the
-stats object is a view.  The same stream, written as JSON lines via
-``--events <path>``, is the wire format future progress-reporting fronts
-(``repro serve``, distributed dispatch) consume, and the ``events-info``
-CLI summarizes it after the fact.
+stats object is a view.  The same stream can be written as JSON lines via
+``--events <path>``, and the ``events-info`` CLI summarizes it after the
+fact.
 
 Event schema -- every event is a flat JSON object with a ``kind`` from
 :data:`EVENT_KINDS` plus kind-specific fields:
@@ -24,11 +23,8 @@ kind                         fields
 ``task_finish``              ``stage``, ``workload``, ``race``,
                              ``seconds`` (classify: worker; record: driver)
 ``trace_recorded``           ``workload``
-``cache``                    ``tier`` (trace/classification/solver), ``hit``
-                             (bool), ``worker_hit`` (solver tier only)
+``cache``                    ``tier`` (trace/classification), ``hit`` (bool)
 ``classification_computed``  ``workload``, ``race``
-``solver_query``             ``result``, ``cached``, ``worker_hit``,
-                             ``seconds`` (worker, per query)
 ``solver_stats``             a ``SolverStats.to_dict()`` snapshot (one per
                              task, the aggregate of its queries)
 ``interp_stats``             the executor's ``InterpCounters.to_dict()``
@@ -59,42 +55,40 @@ kind                         fields
                              replayed post-run from the fault plan's claim
                              ledger (crashed workers cannot report their
                              own injection)
-``events_truncated``         ``dropped`` -- per-task buffer cap was hit
 ===========================  ====================================================
 
 Folding semantics (:func:`fold_events`): ``trace_recorded`` increments
 ``traces_recorded``; ``cache`` events increment the hit/miss counter of
 their tier; ``classification_computed`` counts itself;
-``solver_stats`` snapshots are absorbed into the ``solver_*`` counters
-(``solver_query`` events are *per-query detail* and deliberately **not**
-folded -- the per-task snapshot already aggregates them, and folding both
-would double-count); ``pool`` events feed the pool-lifecycle counters.
+``solver_stats`` snapshots are absorbed into the ``solver_*`` counters;
+``pool`` events feed the pool-lifecycle counters.
 Lifecycle events (``run_*``, ``task_*``) carry latency data for
 ``events-info`` histograms but fold to nothing.  Fields a fold does not
 know are ignored, and so are kinds it does not know, so logs written by
 older versions still load and fold: solver events that carry a
 ``backend`` name, ``primary`` events, a ``run_start`` with a
 ``granularity``, ``plan``/``path`` task events, ``record`` task submits,
-and ``stage_overlap`` events with or without a channel, which fold to
-nothing.
+``stage_overlap`` events with or without a channel, and the per-query
+``solver_query`` events and their ``events_truncated`` cap marker, all of
+which fold to nothing.
 
-Determinism: workers buffer events in an :class:`EventBuffer` attached to
-the task result payload (exactly like the solver-stats snapshots before);
-the driver absorbs buffers in task order -- batch order of workloads, trace
+Determinism: each worker task returns its events in its result payload;
+the driver absorbs them in task order -- batch order of workloads, trace
 order of races -- never in future-completion order, so the merged stream
 is structurally bit-identical across completion interleavings: same
 events, same order, same identity fields.  The
-nondeterministic residue is the ``ts``/``seconds`` timestamps and cache
-*attribution* -- whether a given query hit the shared worker-lifetime cache
-(and hence a task's enumeration count) depends on which task a pool
-executed first, even though verdicts and fold totals do not.
+nondeterministic residue is the ``ts``/``seconds`` timestamps and work
+*attribution*: whether a query hit the shared worker-lifetime cache, and
+which task ran a state of a shared search or replay pass, depends on which
+task a pool executed first, so per-task solver and interpreter counters do
+too.  Verdicts do not.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.engine.stats import EngineStats
 
@@ -108,7 +102,6 @@ EVENT_KINDS = (
     "trace_recorded",
     "cache",
     "classification_computed",
-    "solver_query",
     "solver_stats",
     "interp_stats",
     "pool",
@@ -118,19 +111,12 @@ EVENT_KINDS = (
     "task_quarantined",
     "deadline_exceeded",
     "fault_injected",
-    "events_truncated",
 )
 
 #: the ``InterpCounters`` fields an ``interp_stats`` event carries
 _INTERP_COUNTERS = (
     "statements", "forks", "cow_copies", "spin_cutoffs", "steps_skipped", "accesses"
 )
-
-#: per-task cap on buffered ``solver_query`` detail events.  A heavy task on
-#: today's workloads issues ~150 queries, so 2048 is ample headroom; if a
-#: task ever exceeds it, the buffer appends an ``events_truncated`` marker
-#: with the dropped count rather than silently capping.
-SOLVER_QUERY_BUFFER_CAP = 2048
 
 Event = Dict[str, object]
 
@@ -146,54 +132,11 @@ def make_event(kind: str, **data) -> Event:
     return event
 
 
-class EventBuffer:
-    """Per-worker (per-task) event accumulator.
-
-    Tasks build one of these, pass :meth:`sink` to their solver, emit their
-    lifecycle events into it, and attach :meth:`drain`'s list to the result
-    payload -- the driver absorbs it into the run's :class:`EventLogger`.
-    ``solver_query`` detail events are capped at
-    :data:`SOLVER_QUERY_BUFFER_CAP` per task; dropped events are counted and
-    reported via a trailing ``events_truncated`` event.
-    """
-
-    def __init__(self) -> None:
-        self._events: List[Event] = []
-        self._solver_queries = 0
-        self._dropped = 0
-
-    def emit(self, kind: str, **data) -> None:
-        self.sink(make_event(kind, **data))
-
-    def sink(self, event: Event) -> None:
-        """Accept a pre-built event (the solver's ``event_sink`` callable)."""
-        if event.get("kind") == "solver_query":
-            self._solver_queries += 1
-            if self._solver_queries > SOLVER_QUERY_BUFFER_CAP:
-                self._dropped += 1
-                return
-        if "ts" not in event:
-            event = dict(event)
-            event["ts"] = time.time()
-        self._events.append(event)
-
-    def drain(self) -> List[Event]:
-        """Return the buffered events (plus a truncation marker if any were
-        dropped) and reset the buffer."""
-        events = self._events
-        if self._dropped:
-            events.append(make_event("events_truncated", dropped=self._dropped))
-        self._events = []
-        self._solver_queries = 0
-        self._dropped = 0
-        return events
-
-
 class EventLogger:
     """The driver-side event stream for one engine run.
 
     Collects events emitted by the driving process and absorbed from worker
-    buffers, in deterministic order.  ``reset`` clears in place (the
+    task results, in deterministic order.  ``reset`` clears in place (the
     dispatcher holds a reference), ``snapshot`` copies the stream out so a
     finished run's events survive the next run's reset.
     """
@@ -208,7 +151,7 @@ class EventLogger:
         self._events.append(make_event(kind, **data))
 
     def absorb(self, events: Optional[Iterable[Event]]) -> None:
-        """Append a worker buffer's events to the stream."""
+        """Append a worker task's events to the stream."""
         if not events:
             return
         self._events.extend(events)
@@ -246,8 +189,6 @@ def fold_events(events: Iterable[Event]) -> EngineStats:
         elif kind == "classification_computed":
             stats.classifications_computed += 1
         elif kind == "solver_stats":
-            # The per-task aggregate; per-query ``solver_query`` events are
-            # detail for histograms and must not be folded on top.
             stats.absorb_solver(event)
         elif kind == "interp_stats":
             stats.absorb_interp(event)
@@ -268,9 +209,9 @@ def fold_events(events: Iterable[Event]) -> EngineStats:
             stats.deadlines_exceeded += 1
         elif kind == "fault_injected":
             stats.faults_injected += 1
-        # ``scheduler_decision`` events are advisory detail (like
-        # ``solver_query``): the chunks they describe already produced the
-        # task events folded above, so they fold to nothing.
+        # ``scheduler_decision`` events are advisory detail: the chunks they
+        # describe already produced the task events folded above, so they
+        # fold to nothing.
     return stats
 
 

@@ -18,7 +18,7 @@ many short-lived :class:`AnalysisEngine` instances (one per ablation
 config), and ``python -m repro.experiments`` prints the fold of the event
 log every one of them appended to.  All event emission in the driving
 process happens as tasks are dispatched and collected; pool workers only
-attach event buffers to their result payloads.
+attach their events to their result payloads.
 """
 
 from __future__ import annotations

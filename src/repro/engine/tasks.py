@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
 from repro.core.config import PortendConfig
-from repro.engine.events import EventBuffer
+from repro.engine.events import make_event
 from repro.record_replay.trace import ExecutionTrace
 
 
@@ -111,15 +111,14 @@ def _resolve_trace(task) -> ExecutionTrace:
     return trace
 
 
-def _build_portend(task, config, events: Optional[EventBuffer] = None):
+def _build_portend(task, config):
     """A per-task Portend whose solver joins the worker-lifetime cache.
 
     Every task still gets a fresh solver (so its ``solver_stats`` event is
     the task's delta).  When the payload names a program fingerprint the
     solver's memo dicts are the process-shared ones for that program:
     identical constraint-set queries across the races and primary paths of
-    one workload hit warm entries instead of re-enumerating.  When an event
-    buffer is supplied, the solver's per-query events flow into it.
+    one workload hit warm entries instead of re-enumerating.
     """
     from repro.core.portend import Portend
     from repro.symex.solver import Solver, worker_solver_cache
@@ -127,10 +126,7 @@ def _build_portend(task, config, events: Optional[EventBuffer] = None):
     shared = None
     if task.program_fingerprint:
         shared = worker_solver_cache(task.program_fingerprint)
-    solver = Solver(
-        shared_cache=shared,
-        event_sink=events.sink if events is not None else None,
-    )
+    solver = Solver(shared_cache=shared)
     return Portend(
         task.program, config=config, predicates=list(task.predicates), solver=solver
     )
@@ -206,16 +202,18 @@ def execute_task(payload: Mapping) -> Dict:
     config = PortendConfig.from_dict(task.config)
     trace = _resolve_trace(task)
     identity = {"stage": "classify", "workload": task.workload, "race": task.race_id}
-    events = EventBuffer()
-    events.emit("task_start", **identity)
+    start = make_event("task_start", **identity)
     started = time.perf_counter()
-    portend = _build_portend(task, config, events)
+    portend = _build_portend(task, config)
     race = trace.race_by_id(task.race_id)
     classified = portend.classify_race(trace, race).to_dict()
     # Each task builds one fresh solver and executor: each snapshot is the
     # task's delta.
-    events.emit("solver_stats", **portend.executor.solver.stats.to_dict())
-    events.emit("interp_stats", **portend.executor.counters.to_dict())
-    events.emit("task_finish", seconds=time.perf_counter() - started, **identity)
-    return {"classified": classified, "events": events.drain()}
+    events = [
+        start,
+        make_event("solver_stats", **portend.executor.solver.stats.to_dict()),
+        make_event("interp_stats", **portend.executor.counters.to_dict()),
+        make_event("task_finish", seconds=time.perf_counter() - started, **identity),
+    ]
+    return {"classified": classified, "events": events}
 

@@ -9,6 +9,7 @@ table/figure modules consume.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -35,18 +36,36 @@ class WorkloadRun:
         return self.workload.name
 
 
+#: the least total time the timed plain runs of one workload add up to
+PLAIN_TIME_BUDGET_S = 0.010
+#: the fewest timed plain runs, however long each one takes
+PLAIN_TIME_MIN_RUNS = 3
+
+
 def plain_interpretation_time(workload: Workload) -> float:
     """Time to interpret the program concretely, without detection/classification.
 
     This reproduces Table 4's "Cloud9 running time" column: the baseline cost
     of running the program in the interpreter with both race detection and
-    classification disabled.
+    classification disabled.  One run takes 0.1-1 ms on the registry, so a
+    single timing is mostly timer noise: after one untimed warm-up run, the
+    result is the median of runs that together take at least
+    :data:`PLAIN_TIME_BUDGET_S` (and number at least
+    :data:`PLAIN_TIME_MIN_RUNS`).
     """
     executor = Executor(workload.program)
-    state = executor.initial_state(concrete_inputs=workload.inputs)
-    started = time.perf_counter()
-    executor.run(state)
-    return time.perf_counter() - started
+
+    def timed_run() -> float:
+        state = executor.initial_state(concrete_inputs=workload.inputs)
+        started = time.perf_counter()
+        executor.run(state)
+        return time.perf_counter() - started
+
+    timed_run()
+    samples: List[float] = []
+    while sum(samples) < PLAIN_TIME_BUDGET_S or len(samples) < PLAIN_TIME_MIN_RUNS:
+        samples.append(timed_run())
+    return statistics.median(samples)
 
 
 def analyze_workload(

@@ -20,10 +20,8 @@ keeps one lazily extended search per trace (:class:`_SharedSearch`, in a
 that notes, per state, where every race of ``trace.races`` was reached.
 Each :meth:`MultiPathExplorer.explore` walks that record with its own
 cursor.  A state nobody has popped yet runs on the walking explorer's
-executor (its statements count there); a state another explorer ran has
-its logged solver queries re-issued through the walker's solver, so every
-explorer issues exactly the queries its own search would.  Primaries,
-counts and prune reasons therefore equal
+executor (its statements and solver queries count there); a state another
+explorer ran is read as it is.  Primaries, counts and prune reasons equal
 :meth:`MultiPathExplorer.explore_per_race`'s -- the per-race search, kept
 as the fallback for races outside ``trace.races`` and as the test oracle.
 """
@@ -115,42 +113,6 @@ class _RaceReachedTracker(ExecutionListener):
                 notes[race_key] = access.step
 
 
-class _QueryLog:
-    """Stands in for the executor's solver while one search state runs.
-
-    It forwards the three queries the executor issues and logs each one, so
-    an explorer that consumes the state without running it can re-issue the
-    same queries, in the same order, through its own solver.
-
-    The re-issue changes no verdict and no enumeration count (a repeated
-    query is a cache hit).  It keeps the event stream's structure: each task
-    emits the ``solver_query`` events it would emit with a search of its
-    own, whichever task happened to run the state first.  Without it, which
-    task logs a state's queries follows completion order, and the
-    shuffled-completion stream tests
-    (``test_merged_stream_is_deterministic_under_shuffled_completion``,
-    ``test_shuffled_full_stream_is_bit_identical_and_structurally_stable``)
-    fail.
-    """
-
-    def __init__(self, solver: Solver) -> None:
-        self.solver = solver
-        self.queries: List[Tuple[str, tuple]] = []
-
-    def _ask(self, method: str, *args):
-        self.queries.append((method, args))
-        return getattr(self.solver, method)(*args)
-
-    def is_satisfiable(self, constraints, unknown_is_sat: bool = True) -> bool:
-        return self._ask("is_satisfiable", constraints, unknown_is_sat)
-
-    def get_model(self, constraints) -> Optional[Dict[str, int]]:
-        return self._ask("get_model", constraints)
-
-    def value_range(self, constraints, expr) -> Optional[Tuple[int, int]]:
-        return self._ask("value_range", constraints, expr)
-
-
 @dataclass
 class _Popped:
     """One popped state of a search, after its run: what the stop rules read."""
@@ -161,8 +123,6 @@ class _Popped:
     diverged: bool
     divergence_step: Optional[int]
     divergence_reason: Optional[str]
-    #: the solver queries the run issued, as ``(method, args)``
-    queries: List[Tuple[str, tuple]]
 
 
 def _run_popped(
@@ -184,13 +144,7 @@ def _run_popped(
     policy = ReplayPolicy(
         trace.decisions[state.preemption_points:], fallback=RoundRobinPolicy()
     )
-    solver = executor.solver
-    log = _QueryLog(solver)
-    executor.solver = log
-    try:
-        result = executor.run(state, policy=policy, listeners=[tracker], max_steps=max_steps)
-    finally:
-        executor.solver = solver
+    result = executor.run(state, policy=policy, listeners=[tracker], max_steps=max_steps)
     completed = result.status is RunStatus.COMPLETED
     popped = _Popped(
         status=result.status,
@@ -198,7 +152,6 @@ def _run_popped(
         diverged=policy.diverged,
         divergence_step=policy.divergence_step,
         divergence_reason=policy.divergence_reason,
-        queries=log.queries,
     )
     return popped, result.forks
 
@@ -208,7 +161,7 @@ class _SharedSearch:
 
     ``popped[i]`` is the ``i``-th state the search popped.  The explorer
     that first needs state ``i`` runs it on its own executor; every other
-    explorer re-issues the state's logged solver queries instead.
+    explorer reads the result.
     """
 
     def __init__(
@@ -231,17 +184,11 @@ class _SharedSearch:
     def pop(self, index: int, executor: Executor) -> Optional[_Popped]:
         """The ``index``-th popped state, None once the search is exhausted.
 
-        A state already popped has its logged solver queries re-issued
-        through ``executor``'s solver; otherwise ``executor`` pops and runs
-        the next frontier state, issuing them itself.  The re-issue keeps
-        every task's ``solver_query`` events the same under any completion
-        order (see :class:`_QueryLog`); do not drop it as redundant.
+        A state already popped is returned as its run left it; otherwise
+        ``executor`` pops and runs the next frontier state.
         """
         if index < len(self.popped):
-            popped = self.popped[index]
-            for method, args in popped.queries:
-                getattr(executor.solver, method)(*args)
-            return popped
+            return self.popped[index]
         if not self.frontier:
             return None
         state = self.frontier.popleft()

@@ -55,7 +55,7 @@ import enum
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.symex.expr import (
     BinExpr,
@@ -220,14 +220,9 @@ class Solver:
         max_assignments: int = 200_000,
         enable_cache: Optional[bool] = None,
         shared_cache: Optional[WorkerSolverCache] = None,
-        event_sink: Optional[Callable[[Dict], None]] = None,
     ) -> None:
         self.max_assignments = max_assignments
         self.stats = SolverStats()
-        #: optional per-query event sink (a callable fed JSON-clean dicts);
-        #: the engine's worker tasks attach their event buffer here so every
-        #: query lands in the structured event stream as a ``solver_query``
-        self.event_sink = event_sink
         self.enable_cache = (
             CACHE_ENABLED_DEFAULT if enable_cache is None else bool(enable_cache)
         )
@@ -257,10 +252,9 @@ class Solver:
             if cached is not None:
                 self.stats.cache_hits += 1
                 owner, verdict, model = cached
-                worker_hit = owner != self._cache_owner
-                if worker_hit:
+                if owner != self._cache_owner:
                     self.stats.worker_cache_hits += 1
-                self._finish_query(verdict.value, True, worker_hit, started)
+                self.stats.seconds += time.perf_counter() - started
                 # Hand out a copy: callers may mutate the model dict.
                 return verdict, (dict(model) if model is not None else None)
             self.stats.cache_misses += 1
@@ -273,25 +267,8 @@ class Solver:
                 verdict,
                 dict(model) if model is not None else None,
             )
-        self._finish_query(verdict.value, False, False, started)
+        self.stats.seconds += time.perf_counter() - started
         return verdict, model
-
-    def _finish_query(
-        self, result: str, cached: bool, worker_hit: bool, started: float
-    ) -> None:
-        """Account one query's wall time and emit its ``solver_query`` event."""
-        elapsed = time.perf_counter() - started
-        self.stats.seconds += elapsed
-        if self.event_sink is not None:
-            self.event_sink(
-                {
-                    "kind": "solver_query",
-                    "result": result,
-                    "cached": cached,
-                    "worker_hit": worker_hit,
-                    "seconds": elapsed,
-                }
-            )
 
     def _check_uncached(
         self, constraints: Sequence[Value]
@@ -383,10 +360,9 @@ class Solver:
             if cached is not _RANGE_MISS:
                 self.stats.cache_hits += 1
                 owner, result = cached
-                worker_hit = owner != self._cache_owner
-                if worker_hit:
+                if owner != self._cache_owner:
                     self.stats.worker_cache_hits += 1
-                self._finish_query("range", True, worker_hit, started)
+                self.stats.seconds += time.perf_counter() - started
                 return result
             self.stats.cache_misses += 1
         result = self._value_range_uncached(constraints, expr)
@@ -394,7 +370,7 @@ class Solver:
             if len(self._range_cache) >= self.CACHE_LIMIT:
                 self._range_cache.clear()
             self._range_cache[key] = (self._cache_owner, result)
-        self._finish_query("range", False, False, started)
+        self.stats.seconds += time.perf_counter() - started
         return result
 
     def _value_range_uncached(

@@ -1,6 +1,6 @@
 """Tests for the structured event log.
 
-Covers the observability refactor: event primitives (validation, buffering,
+Covers the observability refactor: event primitives (validation, logger reset,
 JSONL round-trip), fold semantics (the event stream is the only producer of
 engine counters), deterministic merge under adversarially shuffled future
 completion, per-run stats isolation, the ``events-info`` summarizer and the
@@ -15,8 +15,6 @@ import pytest
 from repro.engine import AnalysisEngine, EngineOptions, PoolDispatcher
 from repro.engine.events import (
     EVENT_KINDS,
-    SOLVER_QUERY_BUFFER_CAP,
-    EventBuffer,
     EventLogger,
     fold_events,
     load_events,
@@ -27,7 +25,13 @@ from repro.engine.events import (
 )
 from repro.engine.stats import EngineStats
 
-from test_streaming import NAMES, _DeferredPool, _full_signature, _shuffled_wait
+from test_streaming import (
+    NAMES,
+    _DeferredPool,
+    _full_signature,
+    _shuffled_wait,
+    _structural,
+)
 
 
 def _strip_volatile(events):
@@ -46,27 +50,6 @@ class TestEventPrimitives:
         assert "ts" in event
         with pytest.raises(ValueError):
             make_event("not-a-kind")
-
-    def test_buffer_caps_solver_query_detail(self):
-        buffer = EventBuffer()
-        for _ in range(SOLVER_QUERY_BUFFER_CAP + 5):
-            buffer.emit("solver_query", result="sat")
-        events = buffer.drain()
-        queries = [e for e in events if e["kind"] == "solver_query"]
-        truncated = [e for e in events if e["kind"] == "events_truncated"]
-        assert len(queries) == SOLVER_QUERY_BUFFER_CAP
-        assert len(truncated) == 1
-        assert truncated[0]["dropped"] == 5
-        # drain resets: the next task's buffer starts clean
-        assert buffer.drain() == []
-
-    def test_buffer_does_not_cap_other_kinds(self):
-        buffer = EventBuffer()
-        for _ in range(SOLVER_QUERY_BUFFER_CAP + 5):
-            buffer.emit("cache", tier="trace", hit=True)
-        events = buffer.drain()
-        assert len(events) == SOLVER_QUERY_BUFFER_CAP + 5
-        assert not [e for e in events if e["kind"] == "events_truncated"]
 
     def test_logger_reset_clears_in_place(self):
         # The dispatcher holds a reference to the logger's stream; reset
@@ -209,15 +192,6 @@ class TestFoldSemantics:
             "spin_cutoffs=2 steps_skipped=900 accesses=12"
         ) in render_events_info(events).splitlines()
 
-    def test_solver_query_detail_is_not_double_counted(self):
-        # Per-query events are histogram detail; only the per-task
-        # solver_stats snapshot feeds the counters.
-        events = [
-            make_event("solver_query", result="sat", seconds=0.1)
-            for _ in range(5)
-        ]
-        assert fold_events(events) == EngineStats()
-
     def test_lifecycle_events_fold_to_nothing(self):
         events = [
             make_event("run_start", workloads=["w"]),
@@ -225,7 +199,6 @@ class TestFoldSemantics:
             make_event("task_start", stage="classify", workload="w"),
             make_event("task_finish", stage="classify", workload="w", seconds=0.1),
             make_event("run_finish", seconds=1.0),
-            make_event("events_truncated", dropped=3),
         ]
         assert fold_events(events) == EngineStats()
 
@@ -253,12 +226,28 @@ class TestFoldSemantics:
                     actual_seconds=0.01,
                 )
             ],
+            # per-query solver detail, with the marker of its per-task cap;
+            # the per-task solver_stats snapshot already counted these
+            # queries, so they fold to nothing
+            [
+                {
+                    "kind": "solver_query",
+                    "result": "sat",
+                    "cached": False,
+                    "worker_hit": False,
+                    "seconds": 0.1,
+                    "ts": 0.0,
+                }
+                for _ in range(5)
+            ]
+            + [{"kind": "events_truncated", "dropped": 3, "ts": 0.0}],
         ],
         ids=[
             "channel_less_overlap",
             "granularity_field",
             "plan_path_tasks",
             "estimated_decision",
+            "solver_query_detail",
         ],
     )
     def test_each_older_log_shape_loads_and_folds_to_nothing(self, tmp_path, legacy):
@@ -304,6 +293,33 @@ class TestEngineEventStream:
             "RW",
         ]
         assert {e["stage"] for e in finished} == {"record", "classify"}
+
+    def test_each_classify_task_contributes_exactly_its_four_events(self):
+        # A worker task returns its lifecycle pair around its solver and
+        # interpreter snapshots, and nothing else; the driver's
+        # classification_computed follows it.
+        engine = AnalysisEngine(options=EngineOptions(parallel=0))
+        engine.analyze(["bbuf"])
+        events = engine.last_run_events
+        starts = [
+            index
+            for index, event in enumerate(events)
+            if event["kind"] == "task_start" and event["stage"] == "classify"
+        ]
+        assert len(starts) == engine.last_run_stats.classifications_computed == 6
+        for index in starts:
+            task = events[index : index + 4]
+            assert [e["kind"] for e in task] == [
+                "task_start",
+                "solver_stats",
+                "interp_stats",
+                "task_finish",
+            ]
+            assert task[3]["stage"] == "classify"
+            assert task[3]["race"] == task[0]["race"]
+            assert events[index + 4]["kind"] == "classification_computed"
+        kinds = [event["kind"] for event in events]
+        assert kinds.count("solver_stats") == kinds.count("interp_stats") == len(starts)
     def test_fold_reproduces_run_stats_exactly(self):
         # The acceptance criterion: folding the emitted stream reproduces
         # every EngineStats counter on a streaming stress_deep run.
@@ -351,54 +367,16 @@ class TestEngineEventStream:
     def test_merged_stream_is_deterministic_under_shuffled_completion(
         self, monkeypatch
     ):
-        # The driver absorbs worker buffers in task order, never in
+        # The driver absorbs worker events in task order, never in
         # future-completion order: the merged stream must be structurally
-        # bit-identical however the pool interleaves completions.  Volatile
-        # fields aside from timestamps: cache *attribution* (which query hit
-        # the shared worker cache, and hence per-task enumeration counts)
-        # depends on which task executed first, so the structural projection
-        # keeps every event's identity fields and drops the attribution
-        # payload of solver events.  Interpreter counters are attributed the
-        # same way: the task that first needs a trace's shared replay pass
-        # pays its statements, so interp events keep only their kind.  Chunk
-        # decisions replay in (workload, chunk start) order with sizes from
-        # a static rule, so they stay -- minus their measured seconds.
-        def structural(events):
-            projected = []
-            for event in events:
-                if event["kind"] in ("pool", "run_start"):
-                    # streaming-only / configuration events
-                    continue
-                if event["kind"] == "scheduler_decision":
-                    projected.append(
-                        {
-                            k: v
-                            for k, v in event.items()
-                            if k not in ("ts", "actual_seconds")
-                        }
-                    )
-                elif event["kind"] in ("solver_query", "solver_stats"):
-                    keep = ("kind", "result")
-                    projected.append(
-                        {k: v for k, v in event.items() if k in keep}
-                    )
-                elif event["kind"] == "interp_stats":
-                    projected.append({"kind": "interp_stats"})
-                else:
-                    projected.append(
-                        {
-                            k: v
-                            for k, v in event.items()
-                            if k not in ("ts", "seconds")
-                        }
-                    )
-            return projected
+        # bit-identical however the pool interleaves completions (see
+        # ``_structural`` for what may differ).
 
         # Reference: a real streaming run with an actual pool, whose futures
         # complete in whatever order the OS delivers.
         reference_engine = AnalysisEngine(options=EngineOptions(parallel=2))
         reference_engine.analyze(NAMES)
-        reference_stream = structural(reference_engine.last_run_events)
+        reference_stream = _structural(reference_engine.last_run_events)
 
         for seed in (0, 1, 7):
             rng = random.Random(seed)
@@ -411,7 +389,7 @@ class TestEngineEventStream:
             engine = AnalysisEngine(options=EngineOptions(parallel=2))
             engine.analyze(NAMES)
             assert not pool.pending
-            assert structural(engine.last_run_events) == reference_stream, seed
+            assert _structural(engine.last_run_events) == reference_stream, seed
             assert fold_events(engine.last_run_events) == engine.last_run_stats
 
 
@@ -424,7 +402,7 @@ class TestEventsInfo:
 
     def test_summarize_buckets_and_rates(self, tmp_path):
         summary = summarize_events(self._stream(tmp_path))
-        assert summary["by_kind"]["solver_query"] > 0
+        assert summary["by_kind"]["solver_stats"] > 0
         assert summary["by_kind"]["run_start"] == 1
         assert "classify" in summary["stage_latency"]
         for data in summary["stage_latency"].values():
@@ -435,7 +413,7 @@ class TestEventsInfo:
     def test_render_is_greppable(self, tmp_path):
         report = render_events_info(self._stream(tmp_path))
         assert "by kind:" in report
-        assert "solver_query" in report
+        assert re.search(r"^  solver_stats [1-9]\d*$", report, re.MULTILINE)
         assert re.search(r"^solver: queries=[1-9]", report, re.MULTILINE)
         assert re.search(
             r"^interpreter counters: tasks=[1-9]\d* statements=[1-9]", report, re.MULTILINE
@@ -455,11 +433,11 @@ class TestCLI:
         path = str(tmp_path / "cli.jsonl")
         assert main(["table3", "--workloads", "bbuf", "--events", path]) == 0
         events = load_events(path)
-        assert [e for e in events if e["kind"] == "solver_query"]
+        assert [e for e in events if e["kind"] == "solver_stats"]
         capsys.readouterr()
         assert main(["events-info", "--events", path]) == 0
         out = capsys.readouterr().out
-        assert "solver_query" in out
+        assert "solver_stats" in out
         assert "by kind:" in out
 
     def test_stats_line_accesses_equal_the_events_info_sum(self, tmp_path, capsys):

@@ -55,6 +55,28 @@ def test_plain_interpretation_time_uses_the_configured_kernel(monkeypatch):
     assert run.plain_interpretation_seconds > 0
 
 
+def test_plain_interpretation_time_is_the_median_of_warm_runs(monkeypatch):
+    # One run of a registry program takes 0.1-1 ms, so a single timed
+    # run is timer noise.  On a clock that advances 2**-10 s
+    # (~0.98 ms) per run, 11 timed runs are the fewest that reach 10 ms;
+    # one untimed warm-up run comes first.
+    tick = 2.0 ** -10
+    clock = {"now": 0.0}
+    runs = []
+    original_run = runner.Executor.run
+
+    def counting_run(self, *args, **kwargs):
+        runs.append(clock["now"])
+        result = original_run(self, *args, **kwargs)
+        clock["now"] += tick
+        return result
+
+    monkeypatch.setattr(runner.Executor, "run", counting_run)
+    monkeypatch.setattr(runner.time, "perf_counter", lambda: clock["now"])
+    assert runner.plain_interpretation_time(load_workload("RW")) == tick
+    assert len(runs) == 1 + 11
+
+
 def test_score_workload_counts_mismatches():
     workload = load_workload("RW")
     run = runner.analyze_workload(workload)

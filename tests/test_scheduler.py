@@ -22,7 +22,13 @@ from repro.engine.events import (
 )
 from repro.engine.tasks import execute_noop_task
 
-from test_streaming import NAMES, _DeferredPool, _full_signature, _shuffled_wait
+from test_streaming import (
+    NAMES,
+    _DeferredPool,
+    _full_signature,
+    _shuffled_wait,
+    _structural,
+)
 
 
 class TestChunkSize:
@@ -89,28 +95,6 @@ class TestWarmPool:
 
 
 class TestFullStreamDeterminism:
-    def _structural(self, events, skip=()):
-        """The completion-order-independent projection of a run's stream
-        (mirrors the projection asserted in test_events.py)."""
-        projected = []
-        for event in events:
-            if event["kind"] in ("pool", "run_start") + skip:
-                continue
-            if event["kind"] == "scheduler_decision":
-                projected.append(
-                    {k: v for k, v in event.items() if k not in ("ts", "actual_seconds")}
-                )
-            elif event["kind"] in ("solver_query", "solver_stats"):
-                keep = ("kind", "result")
-                projected.append({k: v for k, v in event.items() if k in keep})
-            elif event["kind"] == "interp_stats":
-                projected.append({"kind": "interp_stats"})
-            else:
-                projected.append(
-                    {k: v for k, v in event.items() if k not in ("ts", "seconds")}
-                )
-        return projected
-
     def test_shuffled_full_stream_is_bit_identical_and_structurally_stable(
         self, monkeypatch
     ):
@@ -133,7 +117,7 @@ class TestFullStreamDeterminism:
             assert not pool.pending, seed  # the scheduler drained everything
             assert _full_signature(reference) == _full_signature(shuffled), seed
             assert fold_events(engine.last_run_events) == engine.last_run_stats
-            streams.append(self._structural(engine.last_run_events))
+            streams.append(_structural(engine.last_run_events))
         assert all(stream == streams[0] for stream in streams[1:])
 
     def test_serial_run_emits_the_pooled_event_stream(self, monkeypatch):
@@ -154,7 +138,7 @@ class TestFullStreamDeterminism:
         pooled.analyze(NAMES)
         assert not pool.pending
         skip = ("scheduler_decision",)
-        assert self._structural(serial.last_run_events, skip) == self._structural(
+        assert _structural(serial.last_run_events, skip) == _structural(
             pooled.last_run_events, skip
         )
         assert serial.last_run_stats.pools_created == 0

@@ -32,6 +32,35 @@ def _full_signature(runs):
     ]
 
 
+def _structural(events, skip=()):
+    """The completion-order-independent projection of a run's event stream.
+
+    Pool bookkeeping and the run's configuration event go, and so do
+    timestamps and measured seconds.  Solver and interpreter snapshots keep
+    only their kind: whether a query hit the shared worker cache, and which
+    task ran a state of a shared search or replay pass, depends on which task
+    ran first.  Chunk decisions replay in (workload, chunk start) order with
+    sizes from a static rule, so they stay.  ``skip`` names more kinds to
+    drop.
+    """
+    projected = []
+    for event in events:
+        kind = event["kind"]
+        if kind in ("pool", "run_start") + tuple(skip):
+            continue
+        if kind in ("solver_stats", "interp_stats"):
+            projected.append({"kind": kind})
+        else:
+            projected.append(
+                {
+                    k: v
+                    for k, v in event.items()
+                    if k not in ("ts", "seconds", "actual_seconds")
+                }
+            )
+    return projected
+
+
 #: a small batch covering single-stage, multi-path and deep-fan-out races
 NAMES = ["bbuf", "RW", "SQLite", "stress_deep"]
 
