@@ -111,11 +111,6 @@ class PortendConfig:
         data.pop("interp", None)
         return dict(sorted(data.items()))
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "PortendConfig":
-        known = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in known})
-
     # ------------------------------------------------------------- factories
 
     def with_k(self, k: int) -> "PortendConfig":

@@ -5,7 +5,7 @@ Both halves of the pipeline are deterministic, so both are cacheable:
 * :class:`TraceCache` -- recording is the front half of the pipeline cost;
   for a fixed ``(program, inputs, config)`` triple the recorded trace is
   deterministic, so it can be reused across engine runs (and across
-  processes -- the cache stores the JSON wire format of
+  processes -- the cache stores the JSON form of
   :meth:`ExecutionTrace.to_dict`).  Only the configuration knobs that
   influence *recording* take part in the cache key (classification knobs
   like Mp/Ma/seed do not invalidate a recording).
@@ -18,8 +18,10 @@ Both halves of the pipeline are deterministic, so both are cacheable:
   than silently serving stale classifications.  One file holds all the
   races of one workload run; each race is an entry with its own key.
 
-Each cache mixes a format version into its keys so stale entries from older
-layouts are simply missed, never mis-parsed.  Both caches can share one
+Both caches take and return objects; this module is the only one that
+turns traces and verdicts into dicts and back.  Each cache mixes a format
+version into its keys so stale entries from older layouts are simply
+missed, never mis-parsed.  Both caches can share one
 directory: their file names use disjoint infixes.
 
 Lifecycle: both caches share the :class:`_DirectoryCache` housekeeping --
@@ -40,7 +42,7 @@ import os
 import time
 import weakref
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.categories import ClassifiedRace
 from repro.core.config import PortendConfig
@@ -454,14 +456,16 @@ class TraceCache(_DirectoryCache):
         program: str,
         inputs: Dict[str, int],
         config: PortendConfig,
-        trace: Dict,
+        trace: ExecutionTrace,
         program_fingerprint: str = "",
     ) -> Path:
-        """Persist a recorded trace's wire dict (``ExecutionTrace.to_dict``)
-        as-is; returns the cache file path."""
+        """Persist a recorded trace (as ``ExecutionTrace.to_dict``); returns
+        the cache file path."""
         key = self.key(program, inputs, config, program_fingerprint)
         path = self._path(program, key)
-        payload = json.dumps({"key": key, "stored_at": time.time(), "trace": trace})
+        payload = json.dumps(
+            {"key": key, "stored_at": time.time(), "trace": trace.to_dict()}
+        )
         _atomic_write_json(self.cache_dir, path, payload)
         self._evict_overflow()
         return path
@@ -478,8 +482,9 @@ class ClassificationCache(_DirectoryCache):
     **full** classification config (seed, Mp/Ma, ablation switches -- see
     :meth:`PortendConfig.classification_fingerprint`), and the predicate set
     (the ``use_semantic_predicates`` mode and :meth:`predicate_fingerprint`).
-    Each entry carries its per-race :meth:`key` and is served only when that
-    key matches, so hits and misses still count races.
+    Each entry carries its per-race :meth:`entry_key` and is served only
+    when that key matches, so hits and misses still count races.  This class
+    owns the dict format: callers store and load ``ClassifiedRace`` objects.
     """
 
     kind = "classification"
@@ -535,29 +540,6 @@ class ClassificationCache(_DirectoryCache):
         return hashlib.sha256(f"{file_key}:{race_id}".encode("utf-8")).hexdigest()
 
     @staticmethod
-    def key(
-        program: str,
-        inputs: Dict[str, int],
-        config: PortendConfig,
-        race_id: int,
-        program_fingerprint: str = "",
-        use_semantic_predicates: bool = False,
-        predicate_fingerprint: str = "",
-    ) -> str:
-        """Stable fingerprint of one classification."""
-        return ClassificationCache.entry_key(
-            ClassificationCache.file_key(
-                program,
-                inputs,
-                config,
-                program_fingerprint,
-                use_semantic_predicates,
-                predicate_fingerprint,
-            ),
-            race_id,
-        )
-
-    @staticmethod
     def _prefix(program: str) -> str:
         safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in program)
         return f"{safe}-cls-"
@@ -572,45 +554,55 @@ class ClassificationCache(_DirectoryCache):
     # -------------------------------------------------------------- load/store
 
     def load(
-        self, program: str, file_key: str, keys: Dict[int, str]
-    ) -> Optional[Dict[int, Tuple[ClassifiedRace, Dict]]]:
-        """Serve the races of ``keys`` (race id -> :meth:`key`) from one file.
+        self, program: str, file_key: str, race_ids: Sequence[int]
+    ) -> Optional[Dict[int, ClassifiedRace]]:
+        """Serve the races ``race_ids`` from the file keyed ``file_key``.
 
-        Returns race id -> (the decoded race, its stored entry) for every
-        entry whose key matches, or None when the file is missing or
+        Returns race id -> decoded race for every entry whose
+        :meth:`entry_key` matches, or None when the file is missing or
         corrupt or serves no race.  Hits and misses count races; the file's
         ``.hits`` sidecar counts the loads that served something.
         """
         path = self._path(program, file_key)
-        served: Dict[int, Tuple[ClassifiedRace, Dict]] = {}
+        served: Dict[int, ClassifiedRace] = {}
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
             if data.get("key") != file_key:
                 raise ValueError("cache key mismatch")
             entries = data["entries"]
-            for race_id, key in keys.items():
+            for race_id in race_ids:
                 entry = entries.get(str(race_id))
-                if entry is not None and entry.get("key") == key:
-                    served[race_id] = (ClassifiedRace.from_dict(entry["classified"]), entry)
+                if entry is not None and entry.get("key") == self.entry_key(
+                    file_key, race_id
+                ):
+                    served[race_id] = ClassifiedRace.from_dict(entry["classified"])
         except Exception:  # noqa: BLE001 - any unreadable file is a miss
             # Corrupt, stale, or hand-edited files must never crash the run;
             # the engine simply re-classifies (and overwrites the file).
             served = {}
-        self.misses += len(keys) - len(served)
+        self.misses += len(race_ids) - len(served)
         if not served:
             return None
         self._record_hit(path, len(served))
         return served
 
-    def store(self, program: str, file_key: str, entries: Dict[int, Dict]) -> Path:
-        """Persist one workload run's entries (race id -> ``{"key",
-        "classified"}``, the classified dict as the worker sent it) as one
-        file; returns the cache file path."""
+    def store(
+        self, program: str, file_key: str, races: Dict[int, ClassifiedRace]
+    ) -> Path:
+        """Persist one workload run's races (race id -> ``ClassifiedRace``)
+        as one file, each entry under its :meth:`entry_key`; returns the
+        cache file path."""
         path = self._path(program, file_key)
-        ordered = {str(race_id): entries[race_id] for race_id in sorted(entries)}
+        entries = {
+            str(race_id): {
+                "key": self.entry_key(file_key, race_id),
+                "classified": races[race_id].to_dict(),
+            }
+            for race_id in sorted(races)
+        }
         payload = json.dumps(
-            {"key": file_key, "stored_at": time.time(), "entries": ordered}
+            {"key": file_key, "stored_at": time.time(), "entries": entries}
         )
         _atomic_write_json(self.cache_dir, path, payload)
         self._drop_old_layouts(program, path)

@@ -74,6 +74,7 @@ from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
+from repro.core.categories import ClassifiedRace
 from repro.engine.errors import EngineError
 from repro.engine.events import EventLogger
 from repro.engine.tasks import (
@@ -131,21 +132,22 @@ def validate_worker_output(kind: str, payload: Mapping, output) -> None:
     """Validate one worker result at the dispatch boundary.
 
     Every result must be a dict, and a classification must carry its
-    classified-race dict; a worker that returns a wrong-shaped result (bit
-    rot, a fault plan's ``malformed`` op, a future network transport)
-    raises :class:`EngineError` naming the task here, instead of a bare
-    ``KeyError`` deep inside the engine's merge.  Other kinds ("task", e.g.
-    warm-up no-ops) only need to be a dict.
+    :class:`~repro.core.categories.ClassifiedRace` (a dict there is
+    malformed too); a worker that returns a wrong-shaped result (bit rot, a
+    fault plan's ``malformed`` op) raises :class:`EngineError` naming the
+    task here, instead of a bare ``KeyError`` deep inside the engine's
+    merge.  Other kinds ("task", e.g. warm-up no-ops) only need to be a
+    dict.
     """
     name = describe_task(kind, payload)
     if not isinstance(output, Mapping):
         raise EngineError(
             f"{name} returned {type(output).__name__}, expected a result dict"
         )
-    if kind == "classify" and not isinstance(output.get("classified"), Mapping):
+    if kind == "classify" and not isinstance(output.get("classified"), ClassifiedRace):
         raise EngineError(
             f"{name} returned a malformed result: field 'classified' must be a "
-            "classified-race dict"
+            "ClassifiedRace"
         )
 
 

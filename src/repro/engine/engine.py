@@ -96,18 +96,6 @@ def _default_fault_plan() -> Optional[str]:
     return os.environ.get("REPRO_FAULT_PLAN", "").strip() or None
 
 
-def _default_max_pool_respawns() -> int:
-    return env_int("REPRO_MAX_POOL_RESPAWNS", 2)
-
-
-def _default_max_task_retries() -> int:
-    return env_int("REPRO_MAX_TASK_RETRIES", 2)
-
-
-def _default_task_deadline_ms() -> int:
-    return env_int("REPRO_TASK_DEADLINE_MS", 0)
-
-
 @dataclass(frozen=True)
 class EngineOptions:
     """Batch-level knobs, orthogonal to the per-race :class:`PortendConfig`.
@@ -165,16 +153,14 @@ class EngineOptions:
     #: Default from ``REPRO_FAULT_PLAN`` (none).
     fault_plan: Optional[str] = field(default_factory=_default_fault_plan)
     #: how many times a broken persistent pool may be torn down and rebuilt
-    #: before the run downgrades to serial execution.  Default from
-    #: ``REPRO_MAX_POOL_RESPAWNS`` (2).
-    max_pool_respawns: int = field(default_factory=_default_max_pool_respawns)
+    #: before the run downgrades to serial execution
+    max_pool_respawns: int = 2
     #: failed executions a task may accumulate (crash / malformed result /
-    #: deadline expiry) before it is quarantined to the in-driver serial
-    #: path.  Default from ``REPRO_MAX_TASK_RETRIES`` (2).
-    max_task_retries: int = field(default_factory=_default_max_task_retries)
+    #: deadline expiry) before it is quarantined to the in-driver serial path
+    max_task_retries: int = 2
     #: per-chunk deadline in milliseconds for the supervised drain; 0 means
-    #: the 30 s default.  Default from ``REPRO_TASK_DEADLINE_MS`` (0).
-    task_deadline_ms: int = field(default_factory=_default_task_deadline_ms)
+    #: the 30 s default
+    task_deadline_ms: int = 0
 
     def __post_init__(self) -> None:
         if self.dispatch != "streaming":
@@ -393,10 +379,10 @@ class AnalysisEngine:
         by ``(index, race_id)``, never in completion order.  Cache files,
         though, are written during the drain: a trace when it is recorded,
         a workload's one classification file when its last missed race
-        lands.  A recording is encoded once, for its cache file and its
-        stage-3 payloads.  Program fingerprints are memoised per object.
+        lands.  Payloads carry the recorded trace and the config as objects;
+        only the cache files encode them.  Program fingerprints are memoised
+        per object.
         """
-        config_data = self.config.to_dict()
         fingerprints = [
             TraceCache.program_fingerprint(workload.program) for workload in workloads
         ]
@@ -412,12 +398,10 @@ class AnalysisEngine:
                 trace_hits[index] = cached is not None
                 if cached is not None:
                     recordings[index] = _Recording(workload, cached, 0.0, True)
-        return self._stream_drain(
-            pool, workloads, fingerprints, recordings, trace_hits, config_data
-        )
+        return self._stream_drain(pool, workloads, fingerprints, recordings, trace_hits)
 
     def _stream_drain(
-        self, pool, workloads, fingerprints, recordings, trace_hits, config_data
+        self, pool, workloads, fingerprints, recordings, trace_hits
     ) -> List[EngineRun]:
         """Record the trace-cache misses, drive the classification drain,
         then replay the canonical event stream and merge (see
@@ -434,18 +418,17 @@ class AnalysisEngine:
         #: file key -> what its one load served: a workload listed twice
         #: reads its file once, before any copy writes it, so hits never
         #: follow completion timing
-        opened: Dict[str, Dict[int, Tuple[ClassifiedRace, Dict]]] = {}
-        #: per workload: its classification file's key, the entries it
-        #: served (the file adds the computed ones), and its missed races not
-        #: yet landed
+        opened: Dict[str, Dict[int, ClassifiedRace]] = {}
+        #: per workload: its classification file's key and its missed races
+        #: not yet landed (the file holds the served and the computed races)
         file_keys: List[str] = [""] * count
-        file_entries: List[Dict[int, Dict]] = [{} for _ in range(count)]
         unlanded: List[int] = [0] * count
-        race_misses: List[List[Tuple[int, int, str]]] = [[] for _ in range(count)]
+        race_misses: List[List[int]] = [[] for _ in range(count)]
 
-        #: per recorded workload: its encoded trace and its task events
-        recorded: Dict[int, Tuple[Dict, List[Dict]]] = {}
-        race_outputs: Dict[Tuple[int, int], Dict] = {}
+        #: per recorded workload: its record task events
+        recorded: Dict[int, List[Dict]] = {}
+        #: per computed race: its task events, absorbed in the replay
+        race_events: Dict[Tuple[int, int], List[Dict]] = {}
         #: chunk decisions keyed (workload index, chunk start): replayed in
         #: that canonical order, never in completion order
         decisions: Dict[Tuple[int, int], Dict] = {}
@@ -470,14 +453,9 @@ class AnalysisEngine:
                 concrete_inputs=dict(workload.inputs),
                 max_steps=self.config.max_steps_per_execution,
             )
-            trace_data = trace.to_dict()
             if self.cache is not None:
                 self.cache.store(
-                    workload.name,
-                    workload.inputs,
-                    self.config,
-                    trace_data,
-                    fingerprints[index],
+                    workload.name, workload.inputs, self.config, trace, fingerprints[index]
                 )
             recordings[index] = _Recording(workload, trace, detection_seconds, False)
             finished = make_event(
@@ -486,7 +464,7 @@ class AnalysisEngine:
                 workload=workload.name,
                 seconds=detection_seconds,
             )
-            recorded[index] = (trace_data, [started, finished])
+            recorded[index] = [started, finished]
 
         def open_classification(index):
             """Probe the classification cache for one recording and submit
@@ -504,7 +482,7 @@ class AnalysisEngine:
             contexts[index] = context
             races = recording.trace.races
             if self.classification_cache is None:
-                misses = [(index, race.race_id, "") for race in races]
+                misses = [race.race_id for race in races]
             else:
                 file_key = ClassificationCache.file_key(
                     workload.name,
@@ -515,13 +493,11 @@ class AnalysisEngine:
                     ClassificationCache.predicate_fingerprint(predicates),
                 )
                 file_keys[index] = file_key
-                keys = {
-                    race.race_id: ClassificationCache.entry_key(file_key, race.race_id)
-                    for race in races
-                }
                 if file_key not in opened:
                     opened[file_key] = (
-                        self.classification_cache.load(workload.name, file_key, keys)
+                        self.classification_cache.load(
+                            workload.name, file_key, [race.race_id for race in races]
+                        )
                         or {}
                     )
                 served = opened[file_key]
@@ -529,20 +505,15 @@ class AnalysisEngine:
                 for race in races:
                     hit = served.get(race.race_id)
                     if hit is None:
-                        misses.append((index, race.race_id, keys[race.race_id]))
+                        misses.append(race.race_id)
                         continue
-                    slots[index][race.race_id], file_entries[index][race.race_id] = hit
+                    slots[index][race.race_id] = hit
                     cls_hits[index].add(race.race_id)
             if not misses:
                 return
             race_misses[index] = misses
             unlanded[index] = len(misses)
-            # Only trace-cache hits need encoding here: a fresh recording
-            # was encoded once, for its cache file.  The token lets task
-            # executors share one deserialization per trace.
-            context["trace_data"] = (
-                recorded[index][0] if index in recorded else recording.trace.to_dict()
-            )
+            # The token lets task executors share one copy of the trace.
             context["trace_token"] = f"{os.getpid()}:{next(_TRACE_TOKENS)}"
             # A closure-bearing workload does not pickle: its stage 3 runs
             # in the driver.
@@ -552,8 +523,8 @@ class AnalysisEngine:
             if not inline:
                 pooled_batches += 1
             payloads = [
-                self._task_payload(recordings, contexts, config_data, index, race_id)
-                for _index, race_id, _key in misses
+                self._task_payload(recordings, contexts, index, race_id)
+                for race_id in misses
             ]
             size = _chunk_size(len(payloads), workers)
             for start in range(0, len(payloads), size):
@@ -576,20 +547,15 @@ class AnalysisEngine:
 
         while not supervisor.done:
             for (index, start, chunk_misses), chunk_outputs in supervisor.wait_some():
-                for (_index, race_id, _key), item in zip(chunk_misses, chunk_outputs):
-                    race_outputs[(index, race_id)] = item
+                for race_id, item in zip(chunk_misses, chunk_outputs):
+                    race_events[(index, race_id)] = item.get("events")
+                    slots[index][race_id] = item["classified"]
                 # Count races, not chunks: the file is written once, when
                 # the workload's last missed race lands.
                 unlanded[index] -= len(chunk_misses)
                 if self.classification_cache is not None and not unlanded[index]:
-                    entries = file_entries[index]
-                    for _index, race_id, key in race_misses[index]:
-                        entries[race_id] = {
-                            "key": key,
-                            "classified": race_outputs[(index, race_id)]["classified"],
-                        }
                     self.classification_cache.store(
-                        workloads[index].name, file_keys[index], entries
+                        workloads[index].name, file_keys[index], slots[index]
                     )
                 decisions[(index, start)] = {
                     "stage": "classify",
@@ -604,7 +570,7 @@ class AnalysisEngine:
             if trace_hits[index] is not None:
                 self.events.emit("cache", tier="trace", hit=trace_hits[index])
         for index in sorted(recorded):
-            self.events.absorb(recorded[index][1])
+            self.events.absorb(recorded[index])
             self.events.emit("trace_recorded", workload=workloads[index].name)
         if self.classification_cache is not None:
             for index in range(count):
@@ -615,22 +581,20 @@ class AnalysisEngine:
                         hit=race.race_id in cls_hits[index],
                     )
         for index in range(count):
-            for miss_index, race_id, _key in race_misses[index]:
+            for race_id in race_misses[index]:
                 self.events.emit(
                     "task_submit",
                     stage="classify",
-                    workload=workloads[miss_index].name,
+                    workload=workloads[index].name,
                     race=race_id,
                 )
-            for miss_index, race_id, _key in race_misses[index]:
-                item = race_outputs[(miss_index, race_id)]
-                self.events.absorb(item.get("events"))
+            for race_id in race_misses[index]:
+                self.events.absorb(race_events[(index, race_id)])
                 self.events.emit(
                     "classification_computed",
-                    workload=workloads[miss_index].name,
+                    workload=workloads[index].name,
                     race=race_id,
                 )
-                slots[miss_index][race_id] = ClassifiedRace.from_dict(item["classified"])
         # Pool bookkeeping only exists when a pool ran: a serial run keeps
         # pools_created == pool_reuses == 0.
         if pool is not None:
@@ -673,15 +637,13 @@ class AnalysisEngine:
             )
         return runs
 
-    def _task_payload(
-        self, recordings, contexts, config_data, index: int, race_id: int
-    ) -> Dict:
+    def _task_payload(self, recordings, contexts, index: int, race_id: int) -> Dict:
         """Build one stage-3 :class:`ClassificationTask` payload."""
         return ClassificationTask(
             workload=recordings[index].workload.name,
             race_id=race_id,
-            trace=contexts[index]["trace_data"],
-            config=config_data,
+            trace=recordings[index].trace,
+            config=self.config,
             program=recordings[index].workload.program,
             predicates=contexts[index]["predicates"],
             trace_token=contexts[index]["trace_token"],

@@ -72,7 +72,8 @@ class EngineStats:
     #: or malformed result (supervision layer)
     task_retries: int = 0
     #: persistent-pool teardown+rebuild cycles after a worker crash or hang
-    #: (bounded by ``--max-pool-respawns``; distinct from ``pools_created``)
+    #: (bounded by ``EngineOptions.max_pool_respawns``; distinct from
+    #: ``pools_created``)
     pool_respawns: int = 0
     #: tasks exiled to the in-driver serial path after exhausting retries
     #: (the task alone is quarantined, never the run)

@@ -5,11 +5,12 @@ The pool runs one task kind: a :class:`ClassificationTask` classifies one
 (pipeline stage 3).  Recording and detection run in the driving process
 (see :mod:`repro.engine.engine`).
 
-Task payloads are plain dicts whose leaves are JSON-serializable (the trace
-crosses the process boundary through ``ExecutionTrace.to_dict``), so they
-pickle cheaply into ``concurrent.futures`` worker processes and could
-equally be shipped over a network queue.  ``program``/``predicates`` travel
-by pickle (see :class:`ClassificationTask`).
+Task payloads are dicts of the objects a classification reads: the
+recorded :class:`~repro.record_replay.trace.ExecutionTrace`, the
+:class:`~repro.core.config.PortendConfig`, the program and its predicates.
+A task returns its :class:`~repro.core.categories.ClassifiedRace`.  Pickle
+is the only codec, paid only when a chunk crosses into a pool worker; the
+dict format of traces and verdicts belongs to :mod:`repro.engine.cache`.
 
 Every worker entry point is deterministic: every random decision during
 classification derives from
@@ -32,21 +33,20 @@ from repro.record_replay.trace import ExecutionTrace
 class ClassificationTask:
     """One (workload, race) classification work item.
 
-    ``program``/``predicates`` travel by pickle, not JSON.  The task always
-    carries the program it classifies: the batch may contain what-if
-    variants like ``build_memcached(remove_slab_lock=True)`` whose program
-    differs from the registry build under the same name.
+    The task always carries the program it classifies: the batch may
+    contain what-if variants like ``build_memcached(remove_slab_lock=True)``
+    whose program differs from the registry build under the same name.
     """
 
     workload: str
     race_id: int
-    trace: Dict
-    config: Dict
+    trace: ExecutionTrace
+    config: PortendConfig
     program: object
     predicates: tuple
-    #: parent-assigned token identifying this trace payload; tasks sharing a
-    #: token carry byte-identical trace dicts, letting the executing process
-    #: memoize the deserialized ExecutionTrace (see :func:`_resolve_trace`)
+    #: parent-assigned token identifying this trace; tasks sharing a token
+    #: carry the same recording, letting the executing process use one copy
+    #: of it (see :func:`_resolve_trace`)
     trace_token: Optional[str] = None
     #: program content hash; when present the executing process attaches its
     #: solver to the worker-lifetime cache of this program (see
@@ -82,36 +82,36 @@ class ClassificationTask:
         )
 
 
-#: executing-process memo of deserialized traces, keyed by trace token.
-#: Classification reads traces but never mutates them (the serial facade
-#: already shares one ExecutionTrace across every race it classifies), so
-#: the race tasks of one workload can share a single parse.  Bounded
-#: because serial runs execute tasks in the long-lived driving process.
+#: executing-process memo of traces, keyed by trace token.  Classification
+#: reads traces but never mutates them (the serial facade already shares
+#: one ExecutionTrace across every race it classifies), so the race tasks
+#: of one workload can share one copy.  Bounded because serial runs execute
+#: tasks in the long-lived driving process.
 _TRACE_MEMO: Dict[str, ExecutionTrace] = {}
 _TRACE_MEMO_LIMIT = 4
 
 
 def _resolve_trace(task) -> ExecutionTrace:
-    """Deserialize the task's trace, memoized per trace token.
+    """The first copy of the task's trace this process saw, per trace token.
 
-    One workload's trace fans out into one task payload per race; without
-    the memo every task would re-run ``ExecutionTrace.from_dict`` on the
-    identical dict.
+    Each pooled chunk unpickles its own copy of the trace.  The replay-pass
+    memo of :mod:`repro.core.alternate` (keyed by trace identity) and the
+    shared-search memo of :mod:`repro.explore.paths` only hit across the
+    chunks of one workload if every chunk classifies against one copy.
     """
     token = task.trace_token
-    if token is not None:
-        cached = _TRACE_MEMO.get(token)
-        if cached is not None:
-            return cached
-    trace = ExecutionTrace.from_dict(task.trace)
-    if token is not None:
-        if len(_TRACE_MEMO) >= _TRACE_MEMO_LIMIT:
-            _TRACE_MEMO.clear()
-        _TRACE_MEMO[token] = trace
-    return trace
+    if token is None:
+        return task.trace
+    cached = _TRACE_MEMO.get(token)
+    if cached is not None:
+        return cached
+    if len(_TRACE_MEMO) >= _TRACE_MEMO_LIMIT:
+        _TRACE_MEMO.clear()
+    _TRACE_MEMO[token] = task.trace
+    return task.trace
 
 
-def _build_portend(task, config):
+def _build_portend(task):
     """A per-task Portend whose solver joins the worker-lifetime cache.
 
     Every task still gets a fresh solver (so its ``solver_stats`` event is
@@ -128,7 +128,7 @@ def _build_portend(task, config):
         shared = worker_solver_cache(task.program_fingerprint)
     solver = Solver(shared_cache=shared)
     return Portend(
-        task.program, config=config, predicates=list(task.predicates), solver=solver
+        task.program, config=task.config, predicates=list(task.predicates), solver=solver
     )
 
 
@@ -190,23 +190,22 @@ def execute_task(payload: Mapping) -> Dict:
     """Classify one race of a workload (worker entry point).
 
     Module-level so :class:`concurrent.futures.ProcessPoolExecutor` can
-    pickle it.  Returns the classified race plus the task's events, whose
-    ``solver_stats``/``interp_stats`` snapshots the driving process folds
-    into ``repro.engine.stats``.
+    pickle it.  Returns the :class:`~repro.core.categories.ClassifiedRace`
+    plus the task's events, whose ``solver_stats``/``interp_stats``
+    snapshots the driving process folds into ``repro.engine.stats``.
     """
     from repro.engine.faults import maybe_inject_fault
 
     task = ClassificationTask.from_payload(payload)
     if maybe_inject_fault("classify", task.workload, race=task.race_id) == "malformed":
         return {"malformed": True}
-    config = PortendConfig.from_dict(task.config)
     trace = _resolve_trace(task)
     identity = {"stage": "classify", "workload": task.workload, "race": task.race_id}
     start = make_event("task_start", **identity)
     started = time.perf_counter()
-    portend = _build_portend(task, config)
+    portend = _build_portend(task)
     race = trace.race_by_id(task.race_id)
-    classified = portend.classify_race(trace, race).to_dict()
+    classified = portend.classify_race(trace, race)
     # Each task builds one fresh solver and executor: each snapshot is the
     # task's delta.
     events = [

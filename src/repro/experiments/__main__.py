@@ -45,9 +45,6 @@ _OPTION_FLAGS = (
     "events_path",
     "cache_max_entries",
     "fault_plan",
-    "max_pool_respawns",
-    "max_task_retries",
-    "task_deadline_ms",
 )
 
 
@@ -106,34 +103,6 @@ def main(argv=None) -> int:
         "hang/malformed-result/corrupt-sidecar faults (see "
         "repro.engine.faults).  Defaults to the REPRO_FAULT_PLAN "
         "environment variable, else none",
-    )
-    parser.add_argument(
-        "--max-pool-respawns",
-        type=int,
-        default=None,
-        metavar="N",
-        help="rebuild a crashed/hung persistent pool up to N times per run "
-        "before downgrading the rest of the run to serial execution.  "
-        "Defaults to REPRO_MAX_POOL_RESPAWNS, else 2",
-    )
-    parser.add_argument(
-        "--max-task-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="re-execute a task that crashed its worker, missed its deadline "
-        "or returned a malformed result up to N extra times before "
-        "quarantining it (alone) to the in-driver serial path.  Defaults to "
-        "REPRO_MAX_TASK_RETRIES, else 2",
-    )
-    parser.add_argument(
-        "--task-deadline-ms",
-        type=int,
-        default=None,
-        metavar="MS",
-        help="per-chunk deadline for pooled tasks; an expired chunk is "
-        "cancelled, the pool respawned and the chunk retried.  0 means the "
-        "30s default.  Defaults to REPRO_TASK_DEADLINE_MS, else 0",
     )
     parser.add_argument(
         "--profile-top",

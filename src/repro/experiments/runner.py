@@ -29,6 +29,8 @@ class WorkloadRun:
     result: PortendResult
     config: PortendConfig
     plain_interpretation_seconds: float = 0.0
+    #: statements one plain run of the program interprets (Table 4)
+    plain_interpretation_statements: int = 0
     used_semantic_predicates: bool = False
 
     @property
@@ -66,6 +68,19 @@ def plain_interpretation_time(workload: Workload) -> float:
     while sum(samples) < PLAIN_TIME_BUDGET_S or len(samples) < PLAIN_TIME_MIN_RUNS:
         samples.append(timed_run())
     return statistics.median(samples)
+
+
+def plain_interpretation_statements(workload: Workload) -> int:
+    """Statements one plain run of the program interprets.
+
+    Table 4 prints this beside the plain run's seconds, so a per-race cost
+    can be read in steps too: seconds per race are amortised by the
+    per-process replay and search memos (the first race of a trace pays
+    them), steps are not.
+    """
+    executor = Executor(workload.program)
+    executor.run(executor.initial_state(concrete_inputs=workload.inputs))
+    return executor.counters.statements
 
 
 def analyze_workload(
@@ -109,18 +124,16 @@ def _analyze(
     engine = AnalysisEngine(config=config, options=options)
     runs: List[WorkloadRun] = []
     for engine_run in engine.analyze_workloads(workloads):
-        plain = (
-            plain_interpretation_time(engine_run.workload)
-            if measure_plain_time
-            else 0.0
+        run = WorkloadRun(
+            workload=engine_run.workload,
+            result=engine_run.result,
+            config=engine.config,
+            used_semantic_predicates=engine.options.use_semantic_predicates,
         )
-        runs.append(
-            WorkloadRun(
-                workload=engine_run.workload,
-                result=engine_run.result,
-                config=engine.config,
-                plain_interpretation_seconds=plain,
-                used_semantic_predicates=engine.options.use_semantic_predicates,
+        if measure_plain_time:
+            run.plain_interpretation_seconds = plain_interpretation_time(run.workload)
+            run.plain_interpretation_statements = plain_interpretation_statements(
+                run.workload
             )
-        )
+        runs.append(run)
     return runs

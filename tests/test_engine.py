@@ -95,11 +95,15 @@ class TestTraceSerialization:
         assert rebuilt.evidence.to_dict() == classified.evidence.to_dict()
 
     def test_portend_config_round_trip_and_unknown_keys(self):
+        # The config travels as an object; its dict is only the cache-key
+        # input, and it names every field, so it rebuilds the config.  An
+        # unknown knob is an error, never silently dropped.
         config = PortendConfig(mp=3, ma=4, seed=7, enable_multi_schedule=False)
         data = dict(config.to_dict())
-        assert PortendConfig.from_dict(data) == config
+        assert PortendConfig(**data) == config
         data["future_knob"] = 1
-        assert PortendConfig.from_dict(data) == config
+        with pytest.raises(TypeError, match="future_knob"):
+            PortendConfig(**data)
 
     def test_race_seed_is_per_race_deterministic(self):
         config = PortendConfig()
@@ -119,6 +123,38 @@ class TestEngine:
             assert _classification_signature(
                 serial_run.result.classified
             ) == _classification_signature(parallel_run.result.classified)
+
+    def test_serial_run_without_a_cache_encodes_nothing(self, monkeypatch):
+        # Tasks take the trace and config objects and return the
+        # ClassifiedRace: only the cache files use the dict format, so a
+        # serial run with no cache dir never encodes or decodes one.
+        calls = []
+
+        def spy_method(owner, name):
+            original = getattr(owner, name)
+
+            def spy(self):
+                calls.append(f"{owner.__name__}.{name}")
+                return original(self)
+
+            monkeypatch.setattr(owner, name, spy)
+
+        def spy_classmethod(owner, name):
+            original = getattr(owner, name, None)
+
+            def spy(cls, data):
+                calls.append(f"{owner.__name__}.{name}")
+                return original(data)
+
+            monkeypatch.setattr(owner, name, classmethod(spy), raising=False)
+
+        for owner in (ExecutionTrace, ClassifiedRace):
+            spy_method(owner, "to_dict")
+            spy_classmethod(owner, "from_dict")
+        spy_classmethod(PortendConfig, "from_dict")
+        runs = AnalysisEngine(options=EngineOptions(parallel=0)).analyze(["bbuf", "RW"])
+        assert sum(len(run.result.classified) for run in runs) > 0
+        assert calls == []
 
     def test_engine_matches_the_direct_portend_pipeline(self):
         workload, portend, _ = _record_trace("bbuf")
@@ -444,55 +480,57 @@ class TestProgramFingerprint:
         assert public == set(PROGRAM_FIELDS)
 
 
+def _classify_first_race(name):
+    """Run the classify entry point on ``name``'s first race."""
+    workload, _portend, trace = _record_trace(name)
+    race_id = trace.races[0].race_id
+    output = execute_task(
+        {
+            "workload": name,
+            "race_id": race_id,
+            "trace": trace,
+            "config": PortendConfig(),
+            "program": workload.program,
+            "predicates": list(workload.predicates),
+        }
+    )
+    return race_id, output["classified"]
+
+
 class TestCacheStores:
     def test_classification_entry_is_the_worker_dict(self, tmp_path):
+        # The worker returns its ClassifiedRace; the cache alone writes its
+        # dict, under the race's entry key, and decodes it on load.
         from repro.engine import ClassificationCache
 
-        workload, _portend, trace = _record_trace("bbuf")
-        output = execute_task(
-            {
-                "workload": "bbuf",
-                "race_id": trace.races[0].race_id,
-                "trace": trace.to_dict(),
-                "config": PortendConfig().to_dict(),
-                "program": workload.program,
-                "predicates": list(workload.predicates),
-            }
-        )
-        race_id = trace.races[0].race_id
+        race_id, classified = _classify_first_race("bbuf")
+        assert isinstance(classified, ClassifiedRace)
         cache = ClassificationCache(tmp_path)
-        entry = {"key": "k" * 64, "classified": output["classified"]}
-        cache.store("bbuf", "f" * 64, {race_id: entry})
-        loaded = cache.load("bbuf", "f" * 64, {race_id: "k" * 64})
-        assert loaded is not None
-        classified, stored = loaded[race_id]
-        assert stored == entry
-        assert classified.to_dict() == output["classified"]
+        path = cache.store("bbuf", "f" * 64, {race_id: classified})
+        entry = json.loads(path.read_text())["entries"][str(race_id)]
+        assert entry == {
+            "key": ClassificationCache.entry_key("f" * 64, race_id),
+            "classified": classified.to_dict(),
+        }
+        loaded = cache.load("bbuf", "f" * 64, [race_id])
+        assert list(loaded) == [race_id]
+        assert loaded[race_id].to_dict() == classified.to_dict()
 
     def test_entry_with_another_race_key_is_a_miss(self, tmp_path):
         from repro.engine import ClassificationCache
 
-        workload, _portend, trace = _record_trace("RW")
-        output = execute_task(
-            {
-                "workload": "RW",
-                "race_id": trace.races[0].race_id,
-                "trace": trace.to_dict(),
-                "config": PortendConfig().to_dict(),
-                "program": workload.program,
-                "predicates": list(workload.predicates),
-            }
-        )
-        race_id = trace.races[0].race_id
+        race_id, classified = _classify_first_race("RW")
         cache = ClassificationCache(tmp_path)
-        cache.store(
-            "RW", "f" * 64, {race_id: {"key": "k" * 64, "classified": output["classified"]}}
-        )
+        path = cache.store("RW", "f" * 64, {race_id: classified})
         # The file key matches, the race's own key does not: no entry served.
-        assert cache.load("RW", "f" * 64, {race_id: "x" * 64}) is None
+        data = json.loads(path.read_text())
+        data["entries"][str(race_id)]["key"] = "x" * 64
+        path.write_text(json.dumps(data))
+        assert cache.load("RW", "f" * 64, [race_id]) is None
         assert (cache.hits, cache.misses) == (0, 1)
         # A race the file does not hold is a miss beside one it serves.
-        loaded = cache.load("RW", "f" * 64, {race_id: "k" * 64, race_id + 1: "y" * 64})
+        cache.store("RW", "f" * 64, {race_id: classified})
+        loaded = cache.load("RW", "f" * 64, [race_id, race_id + 1])
         assert list(loaded) == [race_id]
         assert (cache.hits, cache.misses) == (1, 2)
 

@@ -33,7 +33,26 @@ def test_table3_and_table4_from_shared_runs():
     rows4 = table4.run(runs=runs)
     assert all(row.avg_classification_seconds >= 0 for row in rows4)
     assert all(row.plain_interpretation_seconds > 0 for row in rows4)
-    assert "Avg (s)" in table4.render(rows4)
+    assert all(row.plain_interpretation_statements > 0 for row in rows4)
+    for row, run in zip(rows4, runs):
+        steps = [item.analysis_steps for item in run.result.classified]
+        assert row.avg_classification_steps == sum(steps) / len(steps)
+        assert row.max_classification_steps == max(steps)
+    text = table4.render(rows4)
+    assert "Avg (s)" in text and "Interp steps" in text and "Max steps" in text
+
+
+def test_table4_plain_statements_are_one_counted_run():
+    # Table 4's plain step column is one run's statement count: memcached
+    # interprets 174 statements, whatever the timing loop repeats.
+    from repro.runtime.executor import Executor
+
+    workload = load_workload("memcached")
+    executor = Executor(workload.program)
+    result = executor.run(executor.initial_state(concrete_inputs=workload.inputs))
+    run = runner.analyze_workload(workload, measure_plain_time=True)
+    (row,) = table4.run(runs=[run])
+    assert row.plain_interpretation_statements == result.steps_executed == 174
 
 
 def test_plain_interpretation_time_uses_the_configured_kernel(monkeypatch):
@@ -51,8 +70,10 @@ def test_plain_interpretation_time_uses_the_configured_kernel(monkeypatch):
     run = runner.analyze_workload(
         load_workload("RW"), PortendConfig(), measure_plain_time=True
     )
-    assert timed == [original]
+    # One executor times the plain runs, one counts a run's statements.
+    assert timed == [original, original]
     assert run.plain_interpretation_seconds > 0
+    assert run.plain_interpretation_statements > 0
 
 
 def test_plain_interpretation_time_is_the_median_of_warm_runs(monkeypatch):
@@ -118,6 +139,6 @@ def test_ablation_experiments_honor_every_engine_flag(monkeypatch, experiment):
 
     monkeypatch.setattr(AnalysisEngine, "analyze_workloads", spy)
     with pytest.raises(_EngineReached):
-        main([experiment, "--cache-max-entries", "7", "--max-task-retries", "1"])
+        main([experiment, "--cache-max-entries", "7", "--parallel", "3"])
     assert seen[0].cache_max_entries == 7
-    assert seen[0].max_task_retries == 1
+    assert seen[0].parallel == 3

@@ -24,6 +24,7 @@ import pytest
 
 from repro.engine import AnalysisEngine, EngineOptions
 from repro.core import PortendConfig
+from repro.core.categories import ClassifiedRace, RaceClass
 from repro.engine.dispatch import (
     PoolDispatcher,
     describe_task,
@@ -277,23 +278,32 @@ class TestValidateWorkerOutput:
 
     def test_well_formed_results_pass(self):
         validate_worker_output("task", {"workload": "w"}, {})
-        validate_worker_output("classify", {"workload": "w"}, {"classified": {}})
+        classified = _classified_rw_race()
+        validate_worker_output("classify", {"workload": "w"}, {"classified": classified})
+
+    def test_a_classified_race_dict_is_malformed(self):
+        # The worker returns the ClassifiedRace itself; its dict is the
+        # cache's format and never crosses the dispatch boundary.
+        classified = _classified_rw_race()
+        with pytest.raises(EngineError, match="must be a ClassifiedRace"):
+            validate_worker_output(
+                "classify", {"workload": "w"}, {"classified": classified.to_dict()}
+            )
 
     def test_real_worker_outputs_pass_validation(self):
         # The classify entry point, driven with the payloads the engine
         # builds (the program attached, the trace recorded as the driver
         # records it), returns what the boundary accepts.
-        config = PortendConfig().to_dict()
+        config = PortendConfig()
         workload = load_workload("RW")
-        recorded, _seconds = record_program_trace(
+        trace, _seconds = record_program_trace(
             workload.program, concrete_inputs=dict(workload.inputs)
         )
-        trace = json.loads(json.dumps(recorded.to_dict()))
-        assert trace["races"]
-        for race in trace["races"]:
+        assert trace.races
+        for race in trace.races:
             classify_payload = ClassificationTask(
                 workload="RW",
-                race_id=race["race_id"],
+                race_id=race.race_id,
                 trace=trace,
                 config=config,
                 program=workload.program,
@@ -301,7 +311,7 @@ class TestValidateWorkerOutput:
             ).to_payload()
             output = execute_task(classify_payload)
             validate_worker_output("classify", classify_payload, output)
-            assert output["classified"]["race"]["race_id"] == race["race_id"]
+            assert output["classified"].race.race_id == race.race_id
 
     def test_serial_dispatch_validates_at_the_boundary(self):
         # Without a pool the supervisor runs each chunk in the driver at
@@ -316,6 +326,15 @@ class TestValidateWorkerOutput:
 
 def _good_worker(payload):
     return {}
+
+
+def _classified_rw_race():
+    """A ClassifiedRace of the worker's shape: RW's first race."""
+    workload = load_workload("RW")
+    trace, _seconds = record_program_trace(
+        workload.program, concrete_inputs=dict(workload.inputs)
+    )
+    return ClassifiedRace(race=trace.races[0], classification=RaceClass.K_WITNESS_HARMLESS)
 
 
 def _bad_worker(payload):
@@ -612,14 +631,8 @@ class TestFaultRecovery:
         assert stats.pool_downgrades >= 1
 
     def test_env_defaults_feed_the_options(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_POOL_RESPAWNS", "5")
-        monkeypatch.setenv("REPRO_MAX_TASK_RETRIES", "7")
-        monkeypatch.setenv("REPRO_TASK_DEADLINE_MS", "12345")
         monkeypatch.setenv("REPRO_FAULT_PLAN", '{"faults": []}')
         options = EngineOptions()
-        assert options.max_pool_respawns == 5
-        assert options.max_task_retries == 7
-        assert options.task_deadline_ms == 12345
         assert options.fault_plan == '{"faults": []}'
 
 

@@ -496,25 +496,27 @@ class TestClassificationCache:
         assert len(outputs) == 1, outputs
 
     def test_key_covers_race_and_predicates(self):
+        # The race is in the entry key only; every other input changes the
+        # file key, and with it every entry key.
         config = PortendConfig()
-        base = ClassificationCache.key("bbuf", {"n": 1}, config, 1)
-        assert ClassificationCache.key("bbuf", {"n": 1}, config, 1) == base
-        assert ClassificationCache.key("bbuf", {"n": 1}, config, 2) != base
-        assert ClassificationCache.key("bbuf", {"n": 2}, config, 1) != base
-        assert ClassificationCache.key("bbuf", {"n": 1}, PortendConfig(seed=3), 1) != base
-        assert ClassificationCache.key("bbuf", {"n": 1}, config, 1, "fp") != base
-        assert (
-            ClassificationCache.key(
-                "bbuf", {"n": 1}, config, 1, use_semantic_predicates=True
-            )
-            != base
-        )
-        assert (
-            ClassificationCache.key(
-                "bbuf", {"n": 1}, config, 1, predicate_fingerprint="p1|p2"
-            )
-            != base
-        )
+        base_file = ClassificationCache.file_key("bbuf", {"n": 1}, config)
+        base = ClassificationCache.entry_key(base_file, 1)
+        assert ClassificationCache.file_key("bbuf", {"n": 1}, config) == base_file
+        assert ClassificationCache.entry_key(base_file, 1) == base
+        assert ClassificationCache.entry_key(base_file, 2) != base
+        for file_key in (
+            ClassificationCache.file_key("bbuf", {"n": 2}, config),
+            ClassificationCache.file_key("bbuf", {"n": 1}, PortendConfig(seed=3)),
+            ClassificationCache.file_key("bbuf", {"n": 1}, config, "fp"),
+            ClassificationCache.file_key(
+                "bbuf", {"n": 1}, config, use_semantic_predicates=True
+            ),
+            ClassificationCache.file_key(
+                "bbuf", {"n": 1}, config, predicate_fingerprint="p1|p2"
+            ),
+        ):
+            assert file_key != base_file
+            assert ClassificationCache.entry_key(file_key, 1) != base
 
 
 class TestConcurrentRecording:

@@ -138,7 +138,7 @@ class TestCacheLifecycle:
         for index, name in enumerate(["RW", "DCL", "AVV"]):
             workload = load_workload(name)
             trace = Portend(workload.program).record(workload.inputs)
-            path = cache.store(name, workload.inputs, config, trace.to_dict())
+            path = cache.store(name, workload.inputs, config, trace)
             # Deterministic recency order regardless of filesystem timestamp
             # granularity.
             os.utime(path, (1_000_000 + index, 1_000_000 + index))
@@ -157,7 +157,7 @@ class TestCacheLifecycle:
         cache = TraceCache(tmp_path)
         workload = load_workload("RW")
         trace = Portend(workload.program).record(workload.inputs)
-        cache.store("RW", workload.inputs, PortendConfig(), trace.to_dict())
+        cache.store("RW", workload.inputs, PortendConfig(), trace)
         for _ in range(3):
             assert cache.load("RW", workload.inputs, PortendConfig()) is not None
         rows = collect_cache_info(tmp_path)
