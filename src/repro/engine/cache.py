@@ -24,13 +24,12 @@ version into its keys so stale entries from older layouts are simply
 missed, never mis-parsed.  Both caches can share one
 directory: their file names use disjoint infixes.
 
-Lifecycle: both caches share the :class:`_DirectoryCache` housekeeping --
-an optional ``max_entries`` bound on entry *files* with least-recently-used
-eviction (every hit refreshes the file's mtime, every store evicts the
-stalest overflow), a per-file persisted hit counter (``<file>.json.hits``
-sidecars), and a ``stored_at`` timestamp inside each file.
+Both caches are plain content-addressed files: a load only reads, a store
+writes one file atomically, so a warm run leaves the directory untouched.
+Nothing evicts entries; the directory is user-managed (delete it to
+reclaim space).  Hit counts live in the run's ``cache`` events, not here.
 ``collect_cache_info`` / ``render_cache_info`` back the ``cache-info`` CLI
-subcommand, which dumps per-file age, hit counts and entry counts for a
+subcommand, which dumps per-file kind, age, entry count and size for a
 cache directory.
 """
 
@@ -235,88 +234,23 @@ def _atomic_write_json(cache_dir: Path, path: Path, payload: str) -> None:
     os.replace(tmp, path)
 
 
-def _hits_path(path: Path) -> Path:
-    """Sidecar file persisting one entry's hit counter."""
-    return Path(str(path) + ".hits")
-
-
-def _read_hits(path: Path) -> int:
-    try:
-        return int(_hits_path(path).read_text())
-    except (OSError, ValueError):
-        return 0
-
-
 class _DirectoryCache:
-    """Shared housekeeping for the on-disk caches: bound, LRU order, info.
+    """Shared listing for the on-disk caches.
 
     Both caches may share one directory; entry ownership is decided by the
-    ``-cls-`` file-name infix.  Recency is the entry file's mtime (bumped on
-    every hit), so LRU eviction needs no extra bookkeeping and survives
-    across processes.  All housekeeping is best-effort: a concurrently
-    deleted entry or an unwritable sidecar must never fail the analysis.
+    ``-cls-`` file-name infix.
     """
 
     _CLS_INFIX = "-cls-"
     #: "trace" or "classification"; also decides entry-file ownership
     kind = ""
 
-    def __init__(self, cache_dir, max_entries: Optional[int] = None) -> None:
+    def __init__(self, cache_dir) -> None:
         self.cache_dir = Path(cache_dir)
-        self.hits = 0
-        self.misses = 0
-        self.max_entries = max_entries
-
-    # ----------------------------------------------------------- housekeeping
 
     def _owns(self, path: Path) -> bool:
         is_classification = self._CLS_INFIX in path.name
         return is_classification if self.kind == "classification" else not is_classification
-
-    def _entries_by_recency(self) -> List[Path]:
-        """This cache's entry files, least recently used first."""
-        stamped = []
-        try:
-            candidates = list(self.cache_dir.glob("*.json"))
-        except OSError:
-            return []
-        for path in candidates:
-            if not self._owns(path):
-                continue
-            try:
-                stamped.append((path.stat().st_mtime, str(path)))
-            except OSError:
-                continue
-        return [Path(name) for _mtime, name in sorted(stamped)]
-
-    def _record_hit(self, path: Path, served: int = 1) -> None:
-        """Count the ``served`` results one read of ``path`` hit; persist one
-        hit for the file and refresh its LRU recency."""
-        self.hits += served
-        try:
-            count = _read_hits(path) + 1
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.hits.tmp")
-            tmp.write_text(str(count))
-            os.replace(tmp, _hits_path(path))
-            os.utime(path, None)
-        except OSError:
-            pass
-
-    def _evict_overflow(self) -> List[Path]:
-        """Drop least-recently-used entries beyond ``max_entries``."""
-        if self.max_entries is None:
-            return []
-        entries = self._entries_by_recency()
-        evicted: List[Path] = []
-        while len(entries) > self.max_entries:
-            victim = entries.pop(0)
-            try:
-                victim.unlink()
-                _hits_path(victim).unlink(missing_ok=True)
-            except OSError:
-                continue
-            evicted.append(victim)
-        return evicted
 
     @staticmethod
     def _entry_count(data: Dict) -> int:
@@ -324,10 +258,12 @@ class _DirectoryCache:
         return 1
 
     def info(self) -> List[Dict]:
-        """Per-file metadata: file, age, persisted hits, entries, size."""
+        """Per-file metadata: file, kind, age, entries, size."""
         now = time.time()
         rows: List[Dict] = []
-        for path in self._entries_by_recency():
+        for path in sorted(self.cache_dir.glob("*.json")):
+            if not self._owns(path):
+                continue
             try:
                 stat = path.stat()
                 with open(path, "r", encoding="utf-8") as handle:
@@ -341,7 +277,6 @@ class _DirectoryCache:
                     "file": path.name,
                     "kind": self.kind,
                     "age_seconds": max(0.0, now - float(stored_at)),
-                    "hits": _read_hits(path),
                     "entries": entries,
                     "size_bytes": stat.st_size,
                 }
@@ -360,12 +295,12 @@ def render_cache_info(rows: List[Dict]) -> str:
         return "cache-info: no cache entries"
     lines = [
         f"cache-info: {len(rows)} files",
-        f"{'kind':<16} {'age':>10} {'hits':>6} {'entries':>7} {'size':>10}  file",
+        f"{'kind':<16} {'age':>10} {'entries':>7} {'size':>10}  file",
     ]
     for row in sorted(rows, key=lambda r: (r["kind"], r["file"])):
         lines.append(
-            f"{row['kind']:<16} {row['age_seconds']:>9.1f}s {row['hits']:>6} "
-            f"{row['entries']:>7} {row['size_bytes']:>9}B  {row['file']}"
+            f"{row['kind']:<16} {row['age_seconds']:>9.1f}s {row['entries']:>7} "
+            f"{row['size_bytes']:>9}B  {row['file']}"
         )
     return "\n".join(lines)
 
@@ -446,9 +381,7 @@ class TraceCache(_DirectoryCache):
         except Exception:  # noqa: BLE001 - any unreadable entry is a miss
             # Corrupt, stale, or hand-edited entries must never crash the
             # run; the engine simply re-records (and overwrites the entry).
-            self.misses += 1
             return None
-        self._record_hit(path)
         return trace
 
     def store(
@@ -467,7 +400,6 @@ class TraceCache(_DirectoryCache):
             {"key": key, "stored_at": time.time(), "trace": trace.to_dict()}
         )
         _atomic_write_json(self.cache_dir, path, payload)
-        self._evict_overflow()
         return path
 
 
@@ -483,7 +415,7 @@ class ClassificationCache(_DirectoryCache):
     :meth:`PortendConfig.classification_fingerprint`), and the predicate set
     (the ``use_semantic_predicates`` mode and :meth:`predicate_fingerprint`).
     Each entry carries its per-race :meth:`entry_key` and is served only
-    when that key matches, so hits and misses still count races.  This class
+    when that key matches.  This class
     owns the dict format: callers store and load ``ClassifiedRace`` objects.
     """
 
@@ -560,8 +492,7 @@ class ClassificationCache(_DirectoryCache):
 
         Returns race id -> decoded race for every entry whose
         :meth:`entry_key` matches, or None when the file is missing or
-        corrupt or serves no race.  Hits and misses count races; the file's
-        ``.hits`` sidecar counts the loads that served something.
+        corrupt or serves no race.
         """
         path = self._path(program, file_key)
         served: Dict[int, ClassifiedRace] = {}
@@ -580,12 +511,8 @@ class ClassificationCache(_DirectoryCache):
         except Exception:  # noqa: BLE001 - any unreadable file is a miss
             # Corrupt, stale, or hand-edited files must never crash the run;
             # the engine simply re-classifies (and overwrites the file).
-            served = {}
-        self.misses += len(race_ids) - len(served)
-        if not served:
             return None
-        self._record_hit(path, len(served))
-        return served
+        return served or None
 
     def store(
         self, program: str, file_key: str, races: Dict[int, ClassifiedRace]
@@ -606,14 +533,13 @@ class ClassificationCache(_DirectoryCache):
         )
         _atomic_write_json(self.cache_dir, path, payload)
         self._drop_old_layouts(program, path)
-        self._evict_overflow()
         return path
 
     def _drop_old_layouts(self, program: str, written: Path) -> None:
         """Delete ``program``'s classification files of an older layout.
 
         A version-1 file holds one race and no ``entries``: no key reaches
-        it again, and an unbounded directory never evicts it.  Files of the
+        it again, and nothing else ever deletes it.  Files of the
         current layout stay, whatever config they were written for.
         """
         pattern = self._prefix(program) + "[0-9a-f]" * 16 + ".json"
@@ -626,6 +552,5 @@ class ClassificationCache(_DirectoryCache):
                 if isinstance(data, dict) and "entries" in data:
                     continue
                 path.unlink()
-                _hits_path(path).unlink(missing_ok=True)
             except (OSError, ValueError):
                 continue

@@ -7,9 +7,9 @@ records the next workload (see ``AnalysisEngine._stream_pipeline``).  The
 pool is created eagerly by
 :meth:`PoolDispatcher.warm` (or lazily on first use) with
 :func:`~repro.engine.tasks.pool_worker_initializer` installed, reused by
-every dispatch of the run (both sides emit ``pool`` events into the run's
-:class:`~repro.engine.events.EventLogger`, which fold into the
-``pools_created``/``pool_reuses`` counters), and shut down by the engine
+every dispatch of the run (its creation emits a ``pool`` event into the
+run's :class:`~repro.engine.events.EventLogger`, which folds into the
+``pools_created`` counter), and shut down by the engine
 when the run finishes.  Without a pool -- a serial run, a pool that cannot
 be built -- the same drain runs over a :class:`PoolSupervisor` whose pool
 is None, which executes every submitted chunk in the driving process; a
@@ -92,6 +92,9 @@ _DEFAULT_DEADLINE_MS = 30000
 
 #: never spin the watchdog faster than this
 _MIN_WAIT_S = 0.05
+
+#: how long a crash sweep waits for the broken pool to fail its futures
+_SWEEP_S = 1.0
 
 #: the ``task_quarantined`` reason per retry reason that can name a culprit
 _QUARANTINE_REASONS = {
@@ -359,14 +362,18 @@ class PoolSupervisor:
 
     def _handle_crash(self, crashed: List[_Flight], reason: str = "worker crash") -> None:
         # A broken pool fails *every* pending future; sweep the stragglers
-        # with the real wait so none are lost.
+        # with the real wait so none are lost.  The wait is bounded: a
+        # future submitted while the pool was breaking can stay pending
+        # forever (before 3.12, CPython marks a pool broken and fails its
+        # futures without holding the lock its submit takes), and a future
+        # the sweep outlasts counts as crashed.
         if self.pending:
-            futures_wait(set(self.pending))
+            futures_wait(set(self.pending), timeout=_SWEEP_S)
             for future in list(self.pending):
                 flight = self.pending.pop(future)
                 try:
-                    outputs = future.result()
-                except Exception:  # noqa: BLE001 - broken pool, any failure
+                    outputs = future.result(timeout=0)
+                except Exception:  # noqa: BLE001 - broken pool, lost, any failure
                     crashed.append(flight)
                 else:
                     self._accept(flight, outputs)
@@ -544,9 +551,9 @@ class PoolDispatcher:
     def acquire(self) -> Optional[ProcessPoolExecutor]:
         """The run's persistent pool, or None serially.
 
-        Created once per run on first use; every later acquisition reuses it
-        and counts a ``pool reuse``.  A pool that breaks mid-drain is
-        respawned by the :class:`PoolSupervisor` driving it.
+        Created once per run on first use (emitting ``pool created``); every
+        later acquisition returns the same pool.  A pool that breaks
+        mid-drain is respawned by the :class:`PoolSupervisor` driving it.
         """
         if not self.parallel or self._broken:
             return None
@@ -561,8 +568,6 @@ class PoolDispatcher:
                 self._broken = True
                 return None
             self.events.emit("pool", action="created")
-        else:
-            self.events.emit("pool", action="reused")
         return self._pool
 
     def warm(self) -> None:
@@ -577,7 +582,7 @@ class PoolDispatcher:
         that dies during warm-up breaks the pool, and the first real submit or wait
         then takes the supervisor's ordinary crash path.  Counts as the
         run's single ``pool created`` event; subsequent dispatches reuse the
-        warm pool and count ``pool reuse`` exactly as before.
+        warm pool.
         """
         pool = self.acquire()
         if pool is None:

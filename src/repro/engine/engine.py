@@ -121,9 +121,10 @@ class EngineOptions:
     #: pinned to True; False raises.  Kept only because the benchmark harness
     #: passes every field by keyword -- a benchmark change will remove it.
     ship_primaries: bool = True
-    #: on-disk entry-file bound for each cache layer (LRU-evicted beyond
-    #: it; a classification file holds one workload run's races); None
-    #: means unbounded
+    #: pinned to None (the caches keep no entry bound; the cache dir is
+    #: user-managed); any other value raises.  Kept only because the
+    #: benchmark harness passes every field by keyword -- a benchmark
+    #: change will remove it.
     cache_max_entries: Optional[int] = None
     #: pinned to "streaming", the only scheduler; any other value raises.
     #: Kept only because the benchmark harness passes every field by
@@ -180,6 +181,11 @@ class EngineOptions:
             raise ValueError(
                 f"granularity is pinned to 'auto', got {self.granularity!r}; "
                 "the per-path task grain was removed"
+            )
+        if self.cache_max_entries is not None:
+            raise ValueError(
+                f"cache_max_entries is pinned to None, got {self.cache_max_entries!r}; "
+                "the cache entry bound was removed"
             )
         if self.chunk_target_ms != 500:
             raise ValueError(
@@ -243,14 +249,10 @@ class AnalysisEngine:
             fault_spec=self._fault_spec,
         )
         self.cache = (
-            TraceCache(self.options.cache_dir, max_entries=self.options.cache_max_entries)
-            if self.options.cache_dir
-            else None
+            TraceCache(self.options.cache_dir) if self.options.cache_dir else None
         )
         self.classification_cache = (
-            ClassificationCache(
-                self.options.cache_dir, max_entries=self.options.cache_max_entries
-            )
+            ClassificationCache(self.options.cache_dir)
             if self.options.cache_dir
             else None
         )
@@ -264,14 +266,11 @@ class AnalysisEngine:
         reset_worker_caches()
         reset_replay_memo()
         reset_explore_memo()
-        # Apply any driver-side sidecar corruption up front (the fuzzing
-        # half of the fault plan), and snapshot the claim ledger so only
-        # faults fired *during this run* replay as events at run finish.
+        # Snapshot the claim ledger so only faults fired *during this run*
+        # replay as events at run finish.
         self._fault_claims_baseline: Sequence[str] = ()
         if self._fault_spec is not None:
-            plan = FaultPlan(self._fault_spec)
-            self._fault_claims_baseline = plan.claim_names()
-            plan.apply_sidecar_faults(self.options.cache_dir)
+            self._fault_claims_baseline = FaultPlan(self._fault_spec).claim_names()
         self.events.reset()
         self.events.emit(
             "run_start",
@@ -432,10 +431,6 @@ class AnalysisEngine:
         #: chunk decisions keyed (workload index, chunk start): replayed in
         #: that canonical order, never in completion order
         decisions: Dict[Tuple[int, int], Dict] = {}
-        #: logical dispatch batches riding the already-acquired pool (inline
-        #: batches do not count); the replay emits one ``pool reused`` per
-        #: batch, independent of how many chunks it was cut into
-        pooled_batches = 0
         # Every submission rides the run's supervisor: a crash, hang or
         # malformed result retries / respawns / quarantines per the
         # degradation ladder in :mod:`repro.engine.dispatch` instead of
@@ -469,7 +464,6 @@ class AnalysisEngine:
         def open_classification(index):
             """Probe the classification cache for one recording and submit
             its stage-3 work in :func:`_chunk_size` chunks."""
-            nonlocal pooled_batches
             recording = recordings[index]
             workload = recording.workload
             predicates = list(workload.predicates)
@@ -520,8 +514,6 @@ class AnalysisEngine:
             inline = pool is None or not picklable(
                 workload.program, context["predicates"]
             )
-            if not inline:
-                pooled_batches += 1
             payloads = [
                 self._task_payload(recordings, contexts, index, race_id)
                 for race_id in misses
@@ -595,11 +587,6 @@ class AnalysisEngine:
                     workload=workloads[index].name,
                     race=race_id,
                 )
-        # Pool bookkeeping only exists when a pool ran: a serial run keeps
-        # pools_created == pool_reuses == 0.
-        if pool is not None:
-            for _ in range(pooled_batches):
-                self.events.emit("pool", action="reused")
         for key in sorted(decisions):
             self.events.emit("scheduler_decision", **decisions[key])
         # Recovery records (retries, respawns, quarantines, deadline hits)

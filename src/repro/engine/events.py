@@ -34,7 +34,8 @@ kind                         fields
                              ``accesses`` -- the ``MemoryAccess`` events
                              built for listeners; one per task; a counter
                              an older log lacks folds as 0)
-``pool``                     ``action`` (created/reused)
+``pool``                     ``action`` (created/downgraded; an older
+                             log's ``reused`` folds to nothing)
 ``scheduler_decision``       ``stage``, ``chunk_size``, ``actual_seconds``
                              -- one per chunk the scheduler cut, replayed
                              in (workload, chunk start) order; older logs'
@@ -195,8 +196,6 @@ def fold_events(events: Iterable[Event]) -> EngineStats:
         elif kind == "pool":
             if event.get("action") == "created":
                 stats.pools_created += 1
-            elif event.get("action") == "reused":
-                stats.pool_reuses += 1
             elif event.get("action") == "downgraded":
                 stats.pool_downgrades += 1
         elif kind == "task_retry":

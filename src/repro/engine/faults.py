@@ -10,8 +10,7 @@ pool workers::
       "faults": [
         {"op": "crash",     "stage": "classify", "workload": "stress_harmful"},
         {"op": "hang",      "stage": "classify", "ms": 20000},
-        {"op": "malformed", "stage": "classify", "times": 1},
-        {"op": "corrupt_sidecar", "target": "**/*.hits", "mode": "garbage"}
+        {"op": "malformed", "stage": "classify", "times": 1}
       ]
     }
 
@@ -40,11 +39,6 @@ Ops:
 ``malformed``
     the task entry point returns a wrong-shaped payload, exercising result
     validation at the dispatch boundary.
-``corrupt_sidecar``
-    driver-side (applied at run start, never in workers): overwrite cache
-    files matching ``target`` (a recursive glob relative to the cache dir,
-    e.g. ``**/*.hits`` for the per-file hit counters) with ``mode`` =
-    ``garbage`` (default), ``truncate``, or ``oversize`` bytes.
 
 ``seed`` identifies the plan (it is recorded in claim files and replayed in
 ``fault_injected`` events); the spec itself is already fully deterministic,
@@ -57,7 +51,6 @@ in-driver path fault-free and verdicts bit-identical to serial.
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import tempfile
@@ -67,13 +60,10 @@ from typing import Any, Dict, List, Optional
 from repro.engine.errors import FaultPlanError
 
 #: supported fault operations
-FAULT_OPS = ("crash", "hang", "malformed", "corrupt_sidecar")
+FAULT_OPS = ("crash", "hang", "malformed")
 
 #: exit status used by the ``crash`` op (distinctive in worker post-mortems)
 CRASH_EXIT_CODE = 87
-
-#: corruption modes for ``corrupt_sidecar``
-CORRUPTION_MODES = ("garbage", "truncate", "oversize")
 
 #: the task entry points that call :func:`maybe_inject_fault`
 FAULT_STAGES = ("classify", "noop")
@@ -135,26 +125,12 @@ def resolve_fault_plan(value: Optional[str]) -> Optional[Dict[str, Any]]:
             raise FaultPlanError(
                 f"fault plan {source}: fault #{index} 'times' must be a positive int"
             )
-        mode = entry.get("mode", "garbage")
-        if op == "corrupt_sidecar":
-            if not entry.get("target"):
-                raise FaultPlanError(
-                    f"fault plan {source}: fault #{index} (corrupt_sidecar) needs a 'target'"
-                )
-            if mode not in CORRUPTION_MODES:
-                raise FaultPlanError(
-                    f"fault plan {source}: fault #{index} has unknown mode {mode!r}; "
-                    f"choose from {', '.join(CORRUPTION_MODES)}"
-                )
         item = {"index": index, "op": op, "times": times}
         for field in _MATCH_FIELDS:
             if field in entry and entry[field] is not None:
                 item[field] = entry[field]
         if op == "hang":
             item["ms"] = entry.get("ms", 1000)
-        if op == "corrupt_sidecar":
-            item["target"] = entry["target"]
-            item["mode"] = mode
         normalized.append(item)
 
     claims_dir = spec.get("claims_dir")
@@ -224,8 +200,6 @@ class FaultPlan:
         return garbage) or None.  ``crash`` does not return."""
 
         for entry in self.faults:
-            if entry["op"] == "corrupt_sidecar":
-                continue
             if not self._matches(entry, stage, workload, race):
                 continue
             context = {"stage": stage, "workload": workload, "race": race}
@@ -240,45 +214,7 @@ class FaultPlan:
             return "malformed"
         return None
 
-    # -- driver-side application / replay ----------------------------------
-
-    def apply_sidecar_faults(self, cache_dir: Optional[str]) -> int:
-        """Corrupt cache/sidecar files per the plan's ``corrupt_sidecar``
-        entries.  Driver-side only; each entry is claimed once it has matched
-        at least one existing file.  Returns the number of files corrupted."""
-
-        if not cache_dir:
-            return 0
-        corrupted = 0
-        for entry in self.faults:
-            if entry["op"] != "corrupt_sidecar":
-                continue
-            matches = sorted(
-                glob.glob(os.path.join(cache_dir, entry["target"]), recursive=True)
-            )
-            matches = [path for path in matches if os.path.isfile(path)]
-            if not matches:
-                continue
-            context = {"stage": "sidecar", "workload": entry["target"], "race": None}
-            if self._claim(entry, context) is None:
-                continue
-            mode = entry.get("mode", "garbage")
-            for path in matches:
-                try:
-                    if mode == "truncate":
-                        with open(path, "r+b") as handle:
-                            size = handle.seek(0, os.SEEK_END)
-                            handle.truncate(max(0, size // 2))
-                    elif mode == "oversize":
-                        with open(path, "ab") as handle:
-                            handle.write(b"\x00" * 1_000_000)
-                    else:  # garbage
-                        with open(path, "wb") as handle:
-                            handle.write(b"\x7fNOT-JSON\x00garbage")
-                    corrupted += 1
-                except OSError:
-                    continue
-        return corrupted
+    # -- driver-side replay ------------------------------------------------
 
     def claim_names(self) -> List[str]:
         """Names of all claim files currently in the ledger."""

@@ -53,8 +53,6 @@ class EngineStats:
     solver_seconds: float = 0.0
     #: ProcessPoolExecutor constructions (streaming: one per engine run)
     pools_created: int = 0
-    #: dispatches served by an already-running persistent pool
-    pool_reuses: int = 0
     #: interpreter statements executed by dispatched tasks (aggregated)
     interp_statements: int = 0
     #: symbolic-branch state forks taken by the interpreter
@@ -134,7 +132,6 @@ class EngineStats:
             f"solver assignments enumerated={self.solver_assignments_enumerated}, "
             f"worker-cache hits={self.worker_cache_hits}, "
             f"pools created={self.pools_created}, "
-            f"pool reuses={self.pool_reuses}, "
             f"interp statements={self.interp_statements}, "
             f"interp forks={self.interp_forks}, "
             f"interp cow copies={self.interp_cow_copies}, "

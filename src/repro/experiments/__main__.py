@@ -43,7 +43,6 @@ _OPTION_FLAGS = (
     "parallel",
     "cache_dir",
     "events_path",
-    "cache_max_entries",
     "fault_plan",
 )
 
@@ -62,7 +61,8 @@ def main(argv=None) -> int:
         "experiment",
         choices=sorted(_EXPERIMENTS) + ["all", "cache-info", "events-info", "profile"],
         help="which table/figure to regenerate, 'cache-info' to dump "
-        "per-file age, hit and entry counts of a --cache-dir, 'events-info' to "
+        "per-file kind, age, entry count and size of a --cache-dir, "
+        "'events-info' to "
         "summarize a structured event log written via --events, or "
         "'profile' to run one workload's analysis under cProfile",
     )
@@ -85,7 +85,9 @@ def main(argv=None) -> int:
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="cache recorded execution traces in DIR and reuse them",
+        help="cache recorded execution traces and classified races in DIR "
+        "and reuse them (the directory is never pruned: delete it to "
+        "reclaim space)",
     )
     parser.add_argument(
         "--workloads",
@@ -100,7 +102,7 @@ def main(argv=None) -> int:
         metavar="PLAN",
         help="deterministic fault-injection plan for the pool workers: inline "
         "JSON (starting with '{') or a path to a JSON file describing crash/"
-        "hang/malformed-result/corrupt-sidecar faults (see "
+        "hang/malformed-result faults (see "
         "repro.engine.faults).  Defaults to the REPRO_FAULT_PLAN "
         "environment variable, else none",
     )
@@ -120,15 +122,6 @@ def main(argv=None) -> int:
         help="append every engine run's structured event stream to PATH as "
         "JSON lines (the file is truncated at invocation start); summarize "
         "it afterwards with the 'events-info' experiment",
-    )
-    parser.add_argument(
-        "--cache-max-entries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bound each cache layer in --cache-dir to N entry files: a "
-        "trace file holds one recording, a classification file all the races "
-        "of one workload run (least-recently-used files are evicted beyond it)",
     )
     parser.add_argument(
         "--stats",

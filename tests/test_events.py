@@ -142,7 +142,7 @@ class TestFoldSemantics:
         assert stats.worker_cache_hits == 1
         assert stats.solver_seconds == 0.5
         assert stats.pools_created == 1
-        assert stats.pool_reuses == 2
+        assert "pool reuses" not in stats.summary()
         assert "overlap" not in stats.summary()
 
     def test_interp_stats_fold_and_old_logs_count_zero_cutoffs(self):
@@ -241,6 +241,8 @@ class TestFoldSemantics:
                 for _ in range(5)
             ]
             + [{"kind": "events_truncated", "dropped": 3, "ts": 0.0}],
+            # the per-dispatch pool reuse count
+            [make_event("pool", action="reused") for _ in range(3)],
         ],
         ids=[
             "channel_less_overlap",
@@ -248,6 +250,7 @@ class TestFoldSemantics:
             "plan_path_tasks",
             "estimated_decision",
             "solver_query_detail",
+            "pool_reused",
         ],
     )
     def test_each_older_log_shape_loads_and_folds_to_nothing(self, tmp_path, legacy):

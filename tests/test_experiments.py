@@ -125,7 +125,7 @@ class _EngineReached(Exception):
 
 
 @pytest.mark.parametrize("experiment", ["table2", "fig7", "fig10"])
-def test_ablation_experiments_honor_every_engine_flag(monkeypatch, experiment):
+def test_ablation_experiments_honor_every_engine_flag(monkeypatch, tmp_path, experiment):
     # The ablation experiments take the CLI's (config, options) pair, so
     # every engine flag reaches their analyses -- not only the few they
     # once forwarded by keyword.
@@ -138,7 +138,8 @@ def test_ablation_experiments_honor_every_engine_flag(monkeypatch, experiment):
         raise _EngineReached
 
     monkeypatch.setattr(AnalysisEngine, "analyze_workloads", spy)
+    events = str(tmp_path / "events.jsonl")
     with pytest.raises(_EngineReached):
-        main([experiment, "--cache-max-entries", "7", "--parallel", "3"])
-    assert seen[0].cache_max_entries == 7
+        main([experiment, "--events", events, "--parallel", "3"])
+    assert seen[0].events_path == events
     assert seen[0].parallel == 3

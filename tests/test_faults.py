@@ -9,14 +9,16 @@ pool respawn, malformed-result retries, the deadline watchdog against
 injected hangs, poison-task quarantine via lone-probe probation, and a
 warm-up crash taking the ordinary crash path -- each asserting that verdicts stay
 bit-identical to the fault-free serial reference and that the run never
-downgrades to serial while the respawn budget holds.  Also fuzzes the cache
-directory's ``.hits`` sidecars with truncated/garbage/oversized bytes: a
-warm run must still be served, with unchanged verdicts.
+downgrades to serial while the respawn budget holds.  A plan naming an op
+outside ``crash``/``hang``/``malformed`` is rejected at resolution.  Also
+fuzzes the cache directory's entry files with truncated/garbage/oversized
+bytes: each is a miss, so the run re-records and re-classifies with
+unchanged verdicts, and rewrites the files a later warm run is served from.
 """
 
-import glob
 import json
 import os
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -99,8 +101,14 @@ class TestResolveFaultPlan:
             resolve_fault_plan('{"faults": [{"op": "nope"}]}')
         with pytest.raises(FaultPlanError):
             resolve_fault_plan('{"faults": [{"op": "crash", "times": 0}]}')
-        with pytest.raises(FaultPlanError):
-            resolve_fault_plan('{"faults": [{"op": "corrupt_sidecar"}]}')
+        # The removed cache-file corruption op is an unknown op now.
+        with pytest.raises(
+            FaultPlanError,
+            match=r"unknown op 'corrupt_sidecar'; choose from crash, hang, malformed$",
+        ):
+            resolve_fault_plan(
+                '{"faults": [{"op": "corrupt_sidecar", "target": "**/*.hits"}]}'
+            )
         # A stage no task entry point fires at would silently never match:
         # a typo, a stage of the removed per-path task grain, or recording,
         # which runs in the driving process, where no fault fires.
@@ -111,10 +119,6 @@ class TestResolveFaultPlan:
             )
             with pytest.raises(FaultPlanError, match=f"fault #1 has unknown stage '{stage}'"):
                 resolve_fault_plan(plan)
-        with pytest.raises(FaultPlanError):
-            resolve_fault_plan(
-                '{"faults": [{"op": "corrupt_sidecar", "target": "x", "mode": "?"}]}'
-            )
         with pytest.raises(FaultPlanError):
             resolve_fault_plan(str(tmp_path / "missing.json"))
 
@@ -372,9 +376,10 @@ def _scripted_wait(pool, supervisor, script, seen):
     """A ``wait`` stand-in that plays one step of ``script`` per call on
     every pending future: ``crash`` fails them as a broken pool does,
     ``hang`` lets the chunk deadline pass, ``break`` crashes them and makes
-    the pool refuse later submits, and anything else (or an exhausted
-    script) runs them.  Each call appends (futures waited on, probation
-    length) to ``seen``."""
+    the pool refuse later submits, ``lose`` crashes all but one, which it
+    leaves pending for good (a submit that raced the pool's break), and
+    anything else (or an exhausted script) runs them.  Each call appends
+    (futures waited on, probation length) to ``seen``."""
 
     def wait(futures, return_when=None, timeout=None):
         seen.append((len(futures), len(supervisor.probation)))
@@ -383,9 +388,11 @@ def _scripted_wait(pool, supervisor, script, seen):
             _real_sleep(timeout)
             return set(), set(futures)
         waiting = [future for future in futures if future in pool.pending]
+        if step == "lose":
+            pool.pending.pop(waiting.pop())
         for future in waiting:
             fn, args = pool.pending.pop(future)
-            if step in ("crash", "break"):
+            if step in ("crash", "break", "lose"):
                 future.set_exception(BrokenProcessPool("a worker died"))
             else:
                 future.set_result(fn(*args))
@@ -499,6 +506,28 @@ class TestRetryRule:
         ]
         assert run.records("pool_respawn", "respawns") == []
         assert run.slept == []
+
+    def test_future_lost_by_a_breaking_pool_is_swept_as_crashed(self, monkeypatch):
+        # The crash sweep must give up on a future the broken pool never
+        # fails, and retry its chunk whole beside the chunk that crashed.
+        # The drain runs on a thread so a sweep that waits for good fails
+        # this test instead of stalling the suite.
+        drained = []
+        thread = threading.Thread(
+            target=lambda: drained.append(
+                _Drain(monkeypatch, ["lose"], chunks=((0, 1), (2, 3)))
+            ),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(timeout=20)
+        assert not thread.is_alive(), "the crash sweep waited on a lost future"
+        (run,) = drained
+        assert run.pool.chunks == [2, 2, 2, 2]
+        assert sorted(run.records("task_retry", "race", "attempt", "reason")) == [
+            (race, 1, "crash") for race in range(4)
+        ]
+        assert run.records("pool_respawn", "respawns") == [(1,)]
 
     def test_pool_lost_mid_pump_runs_the_rest_in_the_driver(self, monkeypatch):
         # Both chunks crash and queue whole; the respawned pool then breaks
@@ -698,44 +727,40 @@ class TestRecoveryEvents:
         assert kinds.index("fault_injected") < kinds.index("run_finish")
 
 
-# ------------------------------------------------------------ sidecar fuzzing
+# ---------------------------------------------------------- cache-file fuzzing
 
 
-class TestSidecarFuzzing:
+class TestCacheFileFuzzing:
     @pytest.mark.parametrize("mode", ["garbage", "truncate", "oversize"])
-    def test_corrupted_cache_dir_still_serves_a_warm_run(self, tmp_path, mode):
-        cache_dir = str(tmp_path / "cache")
-        options = dict(parallel=0, cache_dir=cache_dir)
-        first = AnalysisEngine(options=EngineOptions(**options)).analyze(["bbuf"])
-        # A warm run writes the per-entry hit counters fuzzed below.
-        AnalysisEngine(options=EngineOptions(**options)).analyze(["bbuf"])
-        hits = glob.glob(os.path.join(cache_dir, "**/*.hits"), recursive=True)
-        assert hits
-        for path in hits:
-            _corrupt(path, mode)
-        second = AnalysisEngine(options=EngineOptions(**options)).analyze(["bbuf"])
-        assert _full_signature(first) == _full_signature(second)
-        assert second[0].trace_cached
-
-    def test_corrupt_sidecar_fault_op_applies_at_run_start(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        options = EngineOptions(parallel=0, cache_dir=cache_dir)
+    def test_corrupted_entry_files_are_misses_with_unchanged_verdicts(
+        self, tmp_path, mode
+    ):
+        options = EngineOptions(parallel=0, cache_dir=str(tmp_path))
         first = AnalysisEngine(options=options).analyze(["bbuf"])
-        AnalysisEngine(options=options).analyze(["bbuf"])  # writes .hits files
-        plan = json.dumps(
-            {
-                "claims_dir": str(tmp_path / "claims"),
-                "faults": [
-                    {"op": "corrupt_sidecar", "target": "**/*.hits",
-                     "mode": "garbage"}
-                ],
-            }
-        )
-        second = AnalysisEngine(
-            options=EngineOptions(
-                parallel=0, cache_dir=cache_dir,
-                fault_plan=plan,
-            )
-        ).analyze(["bbuf"])
+        entries = sorted(tmp_path.glob("*.json"))
+        assert len(entries) == 2  # one trace file, one classification file
+        for path in entries:
+            _corrupt(path, mode)
+        engine = AnalysisEngine(options=options)
+        second = engine.analyze(["bbuf"])
         assert _full_signature(first) == _full_signature(second)
-        assert second[0].stats.faults_injected == 1
+        assert not second[0].trace_cached
+        assert second[0].classifications_cached == 0
+        assert engine.last_run_stats.traces_recorded == 1
+        assert engine.last_run_stats.classifications_computed == 6
+        # Both files were rewritten whole: the next run is served from them.
+        assert sorted(tmp_path.glob("*.json")) == entries
+        warm = AnalysisEngine(options=options).analyze(["bbuf"])
+        assert _full_signature(first) == _full_signature(warm)
+        assert warm[0].trace_cached
+        assert warm[0].classifications_cached == 6
+
+    def test_plan_naming_the_removed_op_fails_engine_construction(self, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            json.dumps({"faults": [{"op": "corrupt_sidecar", "target": "**/*.hits"}]})
+        )
+        with pytest.raises(FaultPlanError, match="unknown op 'corrupt_sidecar'"):
+            AnalysisEngine(options=EngineOptions(parallel=0, fault_plan=str(plan)))
+        # Rejected before the run: no claim ledger was made for the plan.
+        assert not (tmp_path / "plan.json.claims").exists()

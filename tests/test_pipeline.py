@@ -300,7 +300,7 @@ class TestClassificationCache:
         warm_runs = warm_engine.analyze(["RW", "bbuf"])
         assert warm_engine.last_run_stats.classifications_computed == 0
         assert warm_engine.last_run_stats.traces_recorded == 0
-        assert warm_engine.classification_cache.hits == 7
+        assert warm_engine.last_run_stats.classification_cache_hits == 7
         assert [run.classifications_cached for run in warm_runs] == [1, 6]
         # Cached classifications round-trip exactly (timings included).
         cold = [i.to_dict() for r in cold_runs for i in r.result.classified]
@@ -355,7 +355,7 @@ class TestClassificationCache:
         run = fresh.analyze(["bbuf"])[0]
         assert run.classifications_cached == 0
         assert run.stats.classifications_computed == 6
-        assert (fresh.classification_cache.hits, fresh.classification_cache.misses) == (0, 6)
+        assert fresh.last_run_stats.classification_cache_hits == 0
         # The rewritten file serves every race again.
         warm = AnalysisEngine(options=options).analyze(["bbuf"])[0]
         assert warm.classifications_cached == 6
@@ -393,7 +393,7 @@ class TestClassificationCache:
         run = engine.analyze(["bbuf"])[0]
         assert run.classifications_cached == 5
         assert run.stats.classifications_computed == 1
-        assert (engine.classification_cache.hits, engine.classification_cache.misses) == (5, 1)
+        assert engine.last_run_stats.classification_cache_hits == 5
         # The file is rewritten with the union: the five served entries as
         # they were, plus the recomputed one.
         after = json.loads(path.read_text())
@@ -403,15 +403,49 @@ class TestClassificationCache:
                 assert after["entries"][race] == entry
         assert after["entries"][dropped]["key"] == before["entries"][dropped]["key"]
 
-    def test_hits_sidecar_counts_warm_loads_of_the_file(self, tmp_path):
+    def test_warm_run_leaves_the_cache_dir_untouched(self, tmp_path):
+        # A load only reads: a warm run writes, renames and touches nothing.
         options = EngineOptions(cache_dir=str(tmp_path))
-        AnalysisEngine(options=options).analyze(["bbuf"])
-        (path,) = tmp_path.glob("*-cls-*.json")
-        sidecar = tmp_path / (path.name + ".hits")
-        assert not sidecar.exists()
-        for warm_runs in (1, 2, 3):
-            AnalysisEngine(options=options).analyze(["bbuf"])
-            assert int(sidecar.read_text()) == warm_runs
+        AnalysisEngine(options=options).analyze(["bbuf", "RW"])
+
+        def listing():
+            return sorted(
+                (path.name, path.stat().st_size, path.stat().st_mtime_ns)
+                for path in tmp_path.iterdir()
+            )
+
+        before = listing()
+        assert len(before) == 4  # one trace and one classification file each
+        for _ in range(2):
+            warm = AnalysisEngine(options=options)
+            warm.analyze(["bbuf", "RW"])
+            assert warm.last_run_stats.classification_cache_hits == 7
+            assert listing() == before
+
+    def test_pooled_warm_run_leaves_the_cache_dir_untouched(self, tmp_path):
+        # The driver alone touches the cache, so a pooled warm run only
+        # reads too, and is served every result without classifying.
+        serial = EngineOptions(parallel=0, cache_dir=str(tmp_path))
+        cold_runs = AnalysisEngine(options=serial).analyze(["RW", "bbuf"])
+
+        def listing():
+            return sorted(
+                (path.name, path.stat().st_size, path.stat().st_mtime_ns)
+                for path in tmp_path.iterdir()
+            )
+
+        before = listing()
+        warm = AnalysisEngine(
+            options=EngineOptions(parallel=2, cache_dir=str(tmp_path))
+        )
+        warm_runs = warm.analyze(["RW", "bbuf"])
+        assert listing() == before
+        assert warm.last_run_stats.trace_cache_hits == 2
+        assert warm.last_run_stats.classification_cache_hits == 7
+        assert warm.last_run_stats.classifications_computed == 0
+        cold = [i.to_dict() for r in cold_runs for i in r.result.classified]
+        served = [i.to_dict() for r in warm_runs for i in r.result.classified]
+        assert cold == served
 
     def test_predicate_logic_change_invalidates_fingerprint(self):
         from repro.core.spec import SemanticPredicate

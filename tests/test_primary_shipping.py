@@ -127,43 +127,24 @@ class TestStressDeepWorkload:
 
 
 class TestCacheLifecycle:
-    def test_trace_cache_lru_eviction(self, tmp_path):
-        import os
-
-        from repro.engine import TraceCache
-
-        cache = TraceCache(tmp_path, max_entries=2)
-        config = PortendConfig()
-        stored = []
-        for index, name in enumerate(["RW", "DCL", "AVV"]):
-            workload = load_workload(name)
-            trace = Portend(workload.program).record(workload.inputs)
-            path = cache.store(name, workload.inputs, config, trace)
-            # Deterministic recency order regardless of filesystem timestamp
-            # granularity.
-            os.utime(path, (1_000_000 + index, 1_000_000 + index))
-            stored.append((name, workload))
-        cache._evict_overflow()
-        names = {p.name for p in tmp_path.glob("*.json")}
-        assert len(names) == 2
-        assert not any(name.startswith("RW-") for name in names)  # LRU victim
-        # Survivors still load.
-        name, workload = stored[2]
-        assert cache.load(name, workload.inputs, config) is not None
-
-    def test_hits_are_persisted_and_reported(self, tmp_path):
+    def test_loads_only_read_and_info_reports_the_entry(self, tmp_path):
         from repro.engine import TraceCache, collect_cache_info
 
         cache = TraceCache(tmp_path)
         workload = load_workload("RW")
         trace = Portend(workload.program).record(workload.inputs)
-        cache.store("RW", workload.inputs, PortendConfig(), trace)
+        path = cache.store("RW", workload.inputs, PortendConfig(), trace)
+        before = (path.stat().st_size, path.stat().st_mtime_ns)
         for _ in range(3):
             assert cache.load("RW", workload.inputs, PortendConfig()) is not None
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == before
         rows = collect_cache_info(tmp_path)
         assert len(rows) == 1
         assert rows[0]["kind"] == "trace"
-        assert rows[0]["hits"] == 3
+        assert rows[0]["entries"] == 1
+        assert rows[0]["size_bytes"] == before[0]
+        assert "hits" not in rows[0]
         assert rows[0]["age_seconds"] >= 0
 
     def test_cache_info_covers_both_layers(self, tmp_path):
@@ -184,9 +165,9 @@ class TestCacheLifecycle:
         assert "cache-info:" in out
         assert "classification" in out and "trace" in out
         # One classification file holds all six bbuf races; a trace file
-        # holds one trace.  Columns: kind, age, hits, entries, size, file.
+        # holds one trace.  Columns: kind, age, entries, size, file.
         rows = [line.split() for line in out.splitlines()[2:]]
-        assert sorted((row[0], int(row[3])) for row in rows) == [
+        assert sorted((row[0], int(row[2])) for row in rows) == [
             ("classification", 6),
             ("trace", 1),
         ]
@@ -194,7 +175,7 @@ class TestCacheLifecycle:
     def test_old_layout_classification_files_are_dropped(self, tmp_path, capsys):
         # A version-1 classification file holds one race and no "entries":
         # no key reaches it again, so the next store of its program deletes
-        # it (and its sidecar) even in an unbounded directory.  A file of
+        # it, though nothing else ever prunes the directory.  A file of
         # the current layout written for another config stays, and serves.
         from repro.experiments.__main__ import main
 
@@ -207,8 +188,6 @@ class TestCacheLifecycle:
             {"key": "0123456789abcdef" * 4, "stored_at": 0.0,
              "classified": entry["classified"]}
         ))
-        old_hits = tmp_path / (old.name + ".hits")
-        old_hits.write_text("3")
 
         AnalysisEngine(
             config=PortendConfig(seed=7), options=EngineOptions(cache_dir=cache_dir)
@@ -216,17 +195,10 @@ class TestCacheLifecycle:
         assert main(["cache-info", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
         assert old.name not in out
-        assert not old_hits.exists()
+        assert not old.exists()
         assert live.name in out
         assert len(list(tmp_path.glob("bbuf-cls-*.json"))) == 2
 
         engine = AnalysisEngine(options=EngineOptions(cache_dir=cache_dir))
         engine.analyze(["bbuf"])
         assert engine.last_run_stats.classifications_computed == 0
-
-    def test_engine_honors_cache_max_entries(self, tmp_path):
-        # The bound counts files: one classification file per workload run.
-        options = EngineOptions(cache_dir=str(tmp_path), cache_max_entries=3)
-        AnalysisEngine(options=options).analyze(["bbuf", "RW", "DCL", "AVV"])
-        classification_files = list(tmp_path.glob("*-cls-*.json"))
-        assert len(classification_files) == 3

@@ -81,12 +81,13 @@ class TestDeadline:
 class TestWarmPool:
     def test_streaming_run_counts_exactly_one_pool_creation(self):
         # The eager warm-up builds the pool; every later dispatch (including
-        # the full-stream scheduler's acquire) must count a reuse, never a
-        # second creation.
+        # the full-stream scheduler's acquire) reuses it, never building a
+        # second one.
         engine = AnalysisEngine(options=EngineOptions(parallel=2))
         engine.analyze(["RW", "bbuf"])
         assert engine.last_run_stats.pools_created == 1
-        assert engine.last_run_stats.pool_reuses >= 1
+        pool_events = [e for e in engine.last_run_events if e["kind"] == "pool"]
+        assert [e["action"] for e in pool_events] == ["created"]
 
     def test_warm_is_a_noop_without_a_persistent_pool(self):
         serial = PoolDispatcher(0)
@@ -142,7 +143,7 @@ class TestFullStreamDeterminism:
             pooled.last_run_events, skip
         )
         assert serial.last_run_stats.pools_created == 0
-        assert serial.last_run_stats.pool_reuses == 0
+        assert not any(e["kind"] == "pool" for e in serial.last_run_events)
 
     def test_shuffled_full_stream_with_caches(self, monkeypatch, tmp_path):
         # Same shuffle with both on-disk caches in play: the cold run's

@@ -110,7 +110,6 @@ class TestDispatchEquivalence:
         runs = engine.analyze(names)
         assert _full_signature(reference) == _full_signature(runs)
         assert engine.last_run_stats.pools_created == 0
-        assert engine.last_run_stats.pool_reuses == 0
         assert not any(event["kind"] == "pool" for event in engine.last_run_events)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -163,6 +162,7 @@ class TestDispatchEquivalence:
             pinned.granularity,
         ) == ("streaming", False, True, True, "auto")
         assert PortendConfig(solver_backend="default").solver_backend == "default"
+        assert EngineOptions(cache_max_entries=None).cache_max_entries is None
         # Left out of the cache key, so existing cache directories keep hitting.
         assert "solver_backend" not in PortendConfig().classification_fingerprint()
         # The removed environment variables that used to select a backend
@@ -173,6 +173,13 @@ class TestDispatchEquivalence:
         assert PortendConfig().solver_backend == "default"
 
 
+    def test_cache_entry_bound_is_rejected(self):
+        # The caches keep no entry bound: the field stays pinned to None.
+        for bound in (0, 3):
+            with pytest.raises(ValueError, match="cache_max_entries"):
+                EngineOptions(cache_max_entries=bound)
+
+
 class TestPoolLifecycle:
     def test_streaming_builds_one_pool_per_run_and_reuses_it(self):
         engine = AnalysisEngine(options=EngineOptions(parallel=2))
@@ -180,7 +187,8 @@ class TestPoolLifecycle:
         # One ProcessPoolExecutor construction for the whole run; every
         # later dispatch reuses it.
         assert engine.last_run_stats.pools_created == 1
-        assert engine.last_run_stats.pool_reuses >= 1
+        pool_events = [e for e in engine.last_run_events if e["kind"] == "pool"]
+        assert [e["action"] for e in pool_events] == ["created"]
 
     def test_serial_run_builds_no_pool(self):
         # Pin parallel=0: the option's default honors REPRO_PARALLEL, and
@@ -188,7 +196,7 @@ class TestPoolLifecycle:
         engine = AnalysisEngine(options=EngineOptions(parallel=0))
         engine.analyze(["RW"])
         assert engine.last_run_stats.pools_created == 0
-        assert engine.last_run_stats.pool_reuses == 0
+        assert not any(e["kind"] == "pool" for e in engine.last_run_events)
 
 
 class TestWorkerCacheAccounting:
