@@ -539,10 +539,14 @@ class ClassificationCache(_DirectoryCache):
         """Delete ``program``'s classification files of an older layout.
 
         A version-1 file holds one race and no ``entries``: no key reaches
-        it again, and nothing else ever deletes it.  Files of the
-        current layout stay, whatever config they were written for.
+        it again, and nothing else ever deletes it.  Nor does anything read
+        the ``<file>.json.hits`` hit-count sidecars older versions wrote
+        beside each file, so they go too.  Files of the current layout
+        stay, whatever config they were written for.
         """
         pattern = self._prefix(program) + "[0-9a-f]" * 16 + ".json"
+        for sidecar in self.cache_dir.glob(pattern + ".hits"):
+            sidecar.unlink(missing_ok=True)
         for path in self.cache_dir.glob(pattern):
             if path == written:
                 continue

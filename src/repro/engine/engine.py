@@ -41,6 +41,7 @@ import itertools
 import os
 import shutil
 import time
+import weakref
 from concurrent.futures import wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -238,6 +239,12 @@ class AnalysisEngine:
         #: once here so a malformed plan fails loudly at construction, and
         #: shipped to pool workers through the dispatcher's initializer args
         self._fault_spec = resolve_fault_plan(self.options.fault_plan)
+        if self._fault_spec is not None and self._fault_spec["temporary"]:
+            # An engine that never runs never reaches _finish_run's removal
+            # of an inline plan's ledger: remove it when the engine goes.
+            weakref.finalize(
+                self, shutil.rmtree, self._fault_spec["claims_dir"], ignore_errors=True
+            )
         #: owns the run's persistent pool and the supervision layer (respawn
         #: / retry / quarantine / deadlines); pool-lifecycle events land on
         #: the engine's logger

@@ -15,6 +15,7 @@ and forked multi-path states.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -78,6 +79,25 @@ _BINOP_TOKENS: Dict[str, Op] = {
     "^": Op.BXOR,
     "<<": Op.SHL,
     ">>": Op.SHR,
+}
+
+#: the operators whose result on two ``int`` operands is plain Python
+#: arithmetic (C semantics at unbounded width, comparisons as 0/1); the
+#: rest -- division, modulo, shifts and the short-circuit pair -- keep
+#: their crash checks in ``_apply_binop``
+_INT_BINOPS: Dict[str, Callable[[int, int], int]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "==": lambda left, right: 1 if left == right else 0,
+    "!=": lambda left, right: 1 if left != right else 0,
+    "<": lambda left, right: 1 if left < right else 0,
+    "<=": lambda left, right: 1 if left <= right else 0,
+    ">": lambda left, right: 1 if left > right else 0,
+    ">=": lambda left, right: 1 if left >= right else 0,
+    "&": operator.and_,
+    "|": operator.or_,
+    "^": operator.xor,
 }
 
 _UNOP_TOKENS: Dict[str, Op] = {"!": Op.NOT, "-": Op.NEG}
@@ -201,8 +221,16 @@ class Executor:
             tid = state.current_tid
             thread = state.threads.get(tid)
             stmt = None
-            if thread is not None and thread.status is ThreadStatus.RUNNABLE:
-                stmt = thread.next_statement()
+            if thread is not None and thread.status is ThreadStatus.RUNNABLE and thread.frames:
+                # ThreadState.next_statement, inlined: this fetch runs
+                # before every step.
+                control = thread.frames[-1].control
+                if control:
+                    top = control[-1]
+                    if type(top) is LoopEntry:
+                        stmt = top.stmt
+                    elif top.index < len(top.stmts):
+                        stmt = top.stmts[top.index]
             if stmt is None:
                 reason: Optional[str] = "blocked"
             elif type(stmt) in _SYNC_TYPES or thread.pending_reacquire is not None:
@@ -333,6 +361,16 @@ class Executor:
         if listeners.step_listeners:
             listeners.on_step(state, tid, stmt.pc)
         if state.outcome is None:
+            # Most steps leave a loop or a block with statements left on
+            # top: only a block that ran out (or a finished frame) needs
+            # _normalize.
+            frames = state.threads[tid].frames
+            if frames:
+                control = frames[-1].control
+                if control:
+                    top = control[-1]
+                    if type(top) is LoopEntry or top.index < len(top.stmts):
+                        return forks
             self._normalize(state, tid, listeners)
         return forks
 
@@ -744,8 +782,8 @@ class Executor:
     def _normalize(self, state, tid: int, listeners) -> None:
         """Pop exhausted blocks and perform implicit returns.
 
-        Returns at once when the top control entry is a loop or a block with
-        statements left, which is the case after most steps.
+        ``_execute_step`` calls it only when the top control entry is
+        neither a loop nor a block with statements left.
         """
         thread = state.threads[tid]
         while thread.frames:
@@ -902,6 +940,12 @@ class Executor:
             return self._apply_binop(expr.op, left, right)
         left = self._eval(state, tid, expr.left, stmt, listeners)
         right = self._eval(state, tid, expr.right, stmt, listeners)
+        # Two exact ints (a bool takes the general path) need no symbolic
+        # constructor and no simplifier for the operators in _INT_BINOPS.
+        if type(left) is int and type(right) is int:
+            apply = _INT_BINOPS.get(expr.op)
+            if apply is not None:
+                return apply(left, right)
         if expr.op in ("/", "%") and not is_symbolic(right) and int(right) == 0:
             raise ProgramCrash(CrashKind.DIVISION_BY_ZERO, "division by zero")
         if expr.op in ("/", "%") and is_symbolic(right):

@@ -157,7 +157,8 @@ class Memory:
             raise ProgramCrash(
                 CrashKind.INVALID_POINTER, f"write to undeclared global {name!r}"
             )
-        self._own_globals()
+        if not self._globals_owned:
+            self._own_globals()
         self._globals[name] = value
 
     # ----------------------------------------------------------------- arrays

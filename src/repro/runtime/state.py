@@ -184,6 +184,10 @@ class ExecutionState:
     def frame_mut(self, tid: int, index: int = -1) -> Frame:
         """The thread's frame at ``index`` (default: the top one), privately
         owned: safe to mutate."""
+        thread = self.threads[tid]
+        frame = thread.frames[index]
+        if thread.version == self.cow_version and frame.version == thread.version:
+            return frame
         thread = self.thread_mut(tid)
         frame = thread.frames[index]
         if frame.version != thread.version:

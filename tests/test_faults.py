@@ -17,6 +17,7 @@ bytes: each is a miss, so the run re-records and re-classifies with
 unchanged verdicts, and rewrites the files a later warm run is served from.
 """
 
+import gc
 import json
 import os
 import shutil
@@ -693,6 +694,21 @@ class TestFaultRecovery:
         assert _full_signature(runs) == _full_signature(again)
         assert again[0].stats.faults_injected == 0
         assert ledgers() == before
+
+    def test_inline_plan_ledger_of_an_engine_never_run_is_removed(
+        self, monkeypatch, tmp_path
+    ):
+        # Construction resolves the plan and makes its ledger; an engine
+        # that is dropped before it ever runs removes it too.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        plan = json.dumps(
+            {"faults": [{"op": "malformed", "stage": "classify", "workload": "RW"}]}
+        )
+        engine = AnalysisEngine(options=EngineOptions(parallel=2, fault_plan=plan))
+        assert [p.name[:13] for p in tmp_path.iterdir()] == ["repro-faults-"]
+        del engine
+        gc.collect()
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith("repro-faults-")]
 
     def test_env_defaults_feed_the_options(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", '{"faults": []}')

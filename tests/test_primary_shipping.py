@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import Portend, PortendConfig
 from repro.engine import AnalysisEngine, EngineOptions
+from repro.engine.cache import ClassificationCache
 from repro.explore.paths import MultiPathExplorer
 from repro.workloads import all_workload_names, load_workload
 from repro.workloads.stress import build_stress, build_stress_deep
@@ -202,3 +203,20 @@ class TestCacheLifecycle:
         engine = AnalysisEngine(options=EngineOptions(cache_dir=cache_dir))
         engine.analyze(["bbuf"])
         assert engine.last_run_stats.classifications_computed == 0
+
+    def test_store_drops_the_programs_old_hits_sidecars(self, tmp_path):
+        # Older versions kept a "<file>.json.hits" hit counter beside each
+        # cache file.  Nothing reads one now and cache-info does not list
+        # it, so a store deletes its program's sidecars; the cache files
+        # themselves, and other programs' sidecars, stay.
+        cache = ClassificationCache(tmp_path)
+        live = cache.store("bbuf", "a" * 64, {})
+        sidecar = tmp_path / (live.name + ".hits")
+        sidecar.write_text("3")
+        other = tmp_path / "RW-cls-0123456789abcdef.json.hits"
+        other.write_text("1")
+
+        written = cache.store("bbuf", "b" * 64, {})
+        assert not sidecar.exists()
+        assert live.exists() and written.exists()
+        assert other.exists()

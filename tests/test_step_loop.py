@@ -1,21 +1,32 @@
 """Differential tests of the interpreter's step loop (:mod:`repro.runtime.executor`).
 
 ``Executor.run`` keeps the current thread without consulting the scheduler
-unless the next statement is a preemption point, resolves statements through
-a type table, normalises the control stack only when a block ran out, and
-calls ``on_step`` only for listeners that override it.  The oracle here is
-the loop it replaced, kept in :class:`OracleExecutor` with only its calls
-into the statement handlers adapted to their current signatures: it asks for
-a preemption reason before every step, peeks the statement twice, resolves
-statements and expressions through ``isinstance`` chains, normalises after
-every step and fans ``on_step`` out to every listener.  Both loops must give:
+unless the next statement is a preemption point, reads that statement
+inline, resolves statements through a type table, normalises the control
+stack only when a block ran out, computes ``int``/``int`` arithmetic without
+the symbolic constructors, and calls ``on_step`` only for listeners that
+override it.  The oracle here is the loop it replaced, kept in
+:class:`OracleExecutor` with only its calls into the statement handlers
+adapted to their current signatures: it asks for a preemption reason before
+every step, peeks the statement twice, resolves statements and expressions
+through ``isinstance`` chains, builds every binary operation through
+``make_binary`` and ``simplify``, normalises after every step and fans
+``on_step`` out to every listener.  Both loops must give:
 
 * the same verdict for every race of the serial registry, and the same
   summed interpreter counters;
 * the same ``RunResult`` (status, steps, stuck reason, forks), final state
   and listener callbacks in the same order, for recordings, replays with
   watched pcs, ``stop_before``/``stop_after`` runs, controlled runs that get
-  stuck or run out of budget, and symbolic runs that fork.
+  stuck or run out of budget, and symbolic runs that fork;
+* the same value or the same crash for every binary operator over a grid of
+  ints (past 2**31 too) and bools, through the same calls into the general
+  path for every operand pair the ``int`` fast path does not take.
+
+The oracle shares ``ExecutionState.frame_mut`` and ``Memory.store_global``
+with the live loop, so a change to what those copy would move both sides
+alike; the registry test therefore also pins the serial counts (157,174
+statements, 9,807 copy-on-write copies, 57 spin cutoffs).
 """
 
 import pytest
@@ -33,7 +44,13 @@ from repro.runtime.errors import (
     RetrySignal,
 )
 from repro.runtime.counters import InterpCounters
-from repro.runtime.executor import Executor, RunResult, RunStatus
+from repro.runtime.executor import (
+    _BINOP_TOKENS,
+    _INT_BINOPS,
+    Executor,
+    RunResult,
+    RunStatus,
+)
 from repro.runtime.listeners import ExecutionListener, ListenerGroup
 from repro.runtime.memory import MemoryLocation
 from repro.runtime.scheduler import (
@@ -44,6 +61,8 @@ from repro.runtime.scheduler import (
     RoundRobinPolicy,
 )
 from repro.runtime.threadstate import BlockEntry, LoopEntry
+from repro.symex.expr import is_symbolic, make_binary, sym_ne
+from repro.symex.simplify import simplify
 from repro.workloads import all_workload_names, load_workload
 
 
@@ -323,6 +342,26 @@ class OracleExecutor(Executor):
             CrashKind.INVALID_POINTER, f"cannot evaluate expression {expr!r}"
         )
 
+    def _eval_binop(self, state, tid, expr, stmt, listeners):
+        if expr.op in ("&&", "||"):
+            left = self._eval(state, tid, expr.left, stmt, listeners)
+            if not is_symbolic(left):
+                if expr.op == "&&" and left == 0:
+                    return 0
+                if expr.op == "||" and left != 0:
+                    return 1
+                right = self._eval(state, tid, expr.right, stmt, listeners)
+                return self._apply_binop(expr.op, 1 if left != 0 else 0, right)
+            right = self._eval(state, tid, expr.right, stmt, listeners)
+            return self._apply_binop(expr.op, left, right)
+        left = self._eval(state, tid, expr.left, stmt, listeners)
+        right = self._eval(state, tid, expr.right, stmt, listeners)
+        if expr.op in ("/", "%") and not is_symbolic(right) and int(right) == 0:
+            raise ProgramCrash(CrashKind.DIVISION_BY_ZERO, "division by zero")
+        if expr.op in ("/", "%") and is_symbolic(right):
+            state.path_condition.add(sym_ne(right, 0))
+        return self._apply_binop(expr.op, left, right)
+
 
 #: the methods the oracle replaces; patching them onto Executor makes every
 #: executor the pipeline builds run the replaced loop
@@ -334,6 +373,7 @@ _ORACLE_METHODS = (
     "_dispatch",
     "_normalize",
     "_eval",
+    "_eval_binop",
 )
 
 
@@ -372,7 +412,11 @@ def test_serial_registry_matches_the_replaced_loop(monkeypatch):
     assert len(rows) == 385
     assert rows == oracle_rows
     assert counters == oracle_counters
-    assert counters["statements"] > 0 and counters["spin_cutoffs"] == 57
+    # The oracle shares ExecutionState.frame_mut and Memory.store_global with
+    # the live loop, so only pinned figures show a change in what they copy.
+    assert counters["statements"] == 157174
+    assert counters["cow_copies"] == 9807
+    assert counters["spin_cutoffs"] == 57
 
 
 # ------------------------------------------------------------- direct runs
@@ -668,3 +712,77 @@ def test_record_replay_and_symbolic_runs_of_workloads(name):
             program, lambda executor: _explore_view(executor, symbolic=tuple(inputs), limit=12)
         )
         assert view["counters"]["forks"] > 0
+
+
+# ------------------------------------------------------------ int fast path
+
+#: negatives, 0, 1, small positives and values past 32 and 64 bits
+_INT_GRID = (-(2**64) - 3, -(2**31) - 1, -7, -1, 0, 1, 2, 5, 31, 2**31 + 5, 2**40 + 1)
+
+
+class _BinopBench:
+    """One executor and state for evaluating ``a <op> b`` over locals; every
+    call into ``_apply_binop`` (the general path) is recorded."""
+
+    def __init__(self, executor_class=Executor):
+        b = ProgramBuilder("binops")
+        b.function("main").nop()
+        self.executor = executor_class(b.build())
+        self.state = self.executor.initial_state()
+        self.general = []
+        apply_binop = self.executor._apply_binop
+
+        def spy(token, left, right):
+            self.general.append(token)
+            return apply_binop(token, left, right)
+
+        self.executor._apply_binop = spy
+
+    def eval(self, token, left, right):
+        self.state.frame_mut(0).locals.update(a=left, b=right)
+        expr = ast.BinOp(token, local("a"), local("b"))
+        stmt = self.state.threads[0].next_statement()
+        return self.executor._eval_binop(self.state, 0, expr, stmt, ListenerGroup([]))
+
+    def outcome(self, token, left, right):
+        """The value, or the crash's (kind, message)."""
+        try:
+            value = self.eval(token, left, right)
+        except ProgramCrash as crash:
+            return ("crash", crash.kind, crash.message)
+        return (type(value), value)
+
+
+@pytest.mark.parametrize("token", sorted(_INT_BINOPS))
+def test_int_fast_path_matches_the_symbolic_constructors(token):
+    bench = _BinopBench()
+    for left in _INT_GRID:
+        for right in _INT_GRID:
+            value = bench.eval(token, left, right)
+            expected = simplify(make_binary(_BINOP_TOKENS[token], left, right))
+            assert type(value) is int and value == expected, (left, token, right)
+    assert bench.general == []
+
+
+@pytest.mark.parametrize("token", sorted(_BINOP_TOKENS))
+def test_bools_and_crashing_operators_take_the_general_path(token):
+    new, old = _BinopBench(), _BinopBench(OracleExecutor)
+    cases = [(True, 3), (2, False), (True, True), (False, 0)]
+    if token not in _INT_BINOPS:
+        cases += [(left, right) for left in _INT_GRID for right in (-2, -1, 0, 1, 3)]
+    for left, right in cases:
+        assert new.outcome(token, left, right) == old.outcome(token, left, right)
+    # the same calls into the general path as the oracle's _eval_binop
+    assert new.general == old.general and new.general
+
+
+def test_division_and_negative_shift_still_crash():
+    bench = _BinopBench()
+    for token in ("/", "%"):
+        assert bench.outcome(token, 7, 0) == (
+            "crash", CrashKind.DIVISION_BY_ZERO, "division by zero"
+        )
+    for token in ("<<", ">>"):
+        assert bench.outcome(token, 7, -1) == (
+            "crash", CrashKind.DIVISION_BY_ZERO, "negative shift amount"
+        )
