@@ -8,7 +8,8 @@
   persistent pool, and :class:`PoolSupervisor`, the retry / respawn /
   quarantine layer every drain runs under,
 * :mod:`repro.engine.tasks` -- the pool's one work item
-  (``ClassificationTask``), its picklable worker entry point, and the pool
+  (``ClassificationTask``), the run's spool of pickled trace contexts
+  (``ContextSpool``), its picklable worker entry point, and the pool
   initializer that installs each worker's lifetime solver-cache state,
 * :mod:`repro.engine.cache` -- the on-disk trace cache keyed by
   ``(program, inputs, config)`` and the classification cache keyed by

@@ -257,6 +257,17 @@ class _DirectoryCache:
         """How many results one parsed file holds."""
         return 1
 
+    def _file_pattern(self, program: str) -> str:
+        """A glob matching ``program``'s ``<prefix><16 hex>.json`` files
+        (each cache names its own ``_prefix``)."""
+        return self._prefix(program) + "[0-9a-f]" * 16 + ".json"
+
+    def _drop_sidecars(self, program: str) -> None:
+        """Delete the ``<file>.json.hits`` hit-count sidecars older versions
+        wrote beside ``program``'s files: nothing reads or lists them."""
+        for sidecar in self.cache_dir.glob(self._file_pattern(program) + ".hits"):
+            sidecar.unlink(missing_ok=True)
+
     def info(self) -> List[Dict]:
         """Per-file metadata: file, kind, age, entries, size."""
         now = time.time()
@@ -356,9 +367,13 @@ class TraceCache(_DirectoryCache):
         )
         return digest.hexdigest()
 
-    def _path(self, program: str, key: str) -> Path:
+    @staticmethod
+    def _prefix(program: str) -> str:
         safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in program)
-        return self.cache_dir / f"{safe}-{key[:16]}.json"
+        return f"{safe}-"
+
+    def _path(self, program: str, key: str) -> Path:
+        return self.cache_dir / f"{self._prefix(program)}{key[:16]}.json"
 
     # -------------------------------------------------------------- load/store
 
@@ -393,13 +408,14 @@ class TraceCache(_DirectoryCache):
         program_fingerprint: str = "",
     ) -> Path:
         """Persist a recorded trace (as ``ExecutionTrace.to_dict``); returns
-        the cache file path."""
+        the cache file path.  Drops the program's old ``.hits`` sidecars."""
         key = self.key(program, inputs, config, program_fingerprint)
         path = self._path(program, key)
         payload = json.dumps(
             {"key": key, "stored_at": time.time(), "trace": trace.to_dict()}
         )
         _atomic_write_json(self.cache_dir, path, payload)
+        self._drop_sidecars(program)
         return path
 
 
@@ -544,10 +560,8 @@ class ClassificationCache(_DirectoryCache):
         beside each file, so they go too.  Files of the current layout
         stay, whatever config they were written for.
         """
-        pattern = self._prefix(program) + "[0-9a-f]" * 16 + ".json"
-        for sidecar in self.cache_dir.glob(pattern + ".hits"):
-            sidecar.unlink(missing_ok=True)
-        for path in self.cache_dir.glob(pattern):
+        self._drop_sidecars(program)
+        for path in self.cache_dir.glob(self._file_pattern(program)):
             if path == written:
                 continue
             try:

@@ -13,7 +13,7 @@ run's :class:`~repro.engine.events.EventLogger`, which folds into the
 when the run finishes.  Without a pool -- a serial run, a pool that cannot
 be built -- the same drain runs over a :class:`PoolSupervisor` whose pool
 is None, which executes every submitted chunk in the driving process; a
-chunk whose payloads do not pickle is submitted ``inline`` and runs there
+chunk whose context does not pickle is submitted ``inline`` and runs there
 too.
 
 The engine cuts each workload's races into chunks by one static rule
@@ -66,7 +66,6 @@ merge in task order, never completion order.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
@@ -228,7 +227,7 @@ class PoolSupervisor:
         """Queue one chunk; its assembled outputs come back under ``tag``.
 
         ``inline`` runs the chunk in the driving process even when a pool is
-        up (its payloads do not pickle)."""
+        up (its context does not pickle)."""
         key = self._next_key
         self._next_key += 1
         self._tags[key] = tag
@@ -656,12 +655,3 @@ class PoolDispatcher:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-
-
-def picklable(*objects) -> bool:
-    """Whether the payload can ship to a worker (e.g. lambda predicates can't)."""
-    try:
-        pickle.dumps(objects)
-    except Exception:  # noqa: BLE001 - any pickling failure means serial
-        return False
-    return True

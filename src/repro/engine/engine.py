@@ -50,11 +50,16 @@ from repro.core.alternate import reset_replay_memo
 from repro.core.categories import ClassifiedRace
 from repro.core.config import PortendConfig
 from repro.engine.cache import ClassificationCache, TraceCache
-from repro.engine.dispatch import PoolDispatcher, env_int, picklable
+from repro.engine.dispatch import PoolDispatcher, env_int
 from repro.engine.events import EventLogger, make_event, write_events
 from repro.engine.faults import FaultPlan, resolve_fault_plan
 from repro.engine.stats import EngineStats
-from repro.engine.tasks import ClassificationTask, execute_task
+from repro.engine.tasks import (
+    ClassificationTask,
+    ContextSpool,
+    execute_task,
+    reset_context_memo,
+)
 from repro.explore.paths import reset_explore_memo
 from repro.record_replay.recorder import record_program_trace
 from repro.record_replay.trace import ExecutionTrace
@@ -62,7 +67,7 @@ from repro.symex.solver import reset_worker_caches
 from repro.workloads import Workload, all_workloads, load_workload
 
 #: monotonic source of trace tokens -- process-unique, never reused, so
-#: in-driver task execution can never be served a stale memoized trace
+#: in-driver task execution can never be served a stale memoized context
 _TRACE_TOKENS = itertools.count()
 
 
@@ -272,6 +277,7 @@ class AnalysisEngine:
         stream.  Enforced here so back-to-back runs in one process can never
         bleed counters or warm solver state into each other."""
         reset_worker_caches()
+        reset_context_memo()
         reset_replay_memo()
         reset_explore_memo()
         # Snapshot the claim ledger so only faults fired *during this run*
@@ -355,14 +361,19 @@ class AnalysisEngine:
         (``run.stats`` / ``engine.last_run_stats``).
         """
         self._begin_run(workloads)
+        spool = ContextSpool()
         try:
             # Eager warm-up: pool construction + worker spin-up overlap the
             # cache probes and the first recording instead of delaying the
             # first real task.
             self._dispatcher.warm()
-            runs = self._stream_pipeline(workloads)
+            runs = self._stream_pipeline(workloads, spool)
         finally:
-            self._dispatcher.shutdown()
+            # No worker of the run reads the spool once its pool is down.
+            try:
+                self._dispatcher.shutdown()
+            finally:
+                spool.remove()
             stats = self._finish_run()
         for run in runs:
             run.stats = stats
@@ -370,7 +381,9 @@ class AnalysisEngine:
 
     # ------------------------------------------------------------ full stream
 
-    def _stream_pipeline(self, workloads: Sequence[Workload]) -> List[EngineRun]:
+    def _stream_pipeline(
+        self, workloads: Sequence[Workload], spool: ContextSpool
+    ) -> List[EngineRun]:
         """The run-wide scheduler: the driver records, the pool classifies.
 
         The trace cache is probed for every workload first.  The drain
@@ -382,19 +395,21 @@ class AnalysisEngine:
 
         Without a pool -- a serial run or a pool that cannot be built --
         the drain runs over a supervisor with no pool, which executes every
-        chunk in the driving process; a workload whose stage-3 payloads do
-        not pickle runs that way on a pooled run too.  Nothing is emitted
-        into the event stream until the drain finishes, and the replay
-        walks workloads in batch order and races in trace order, so the
-        merged stream is structurally bit-identical across completion
-        interleavings -- and verdicts are bit-identical to a serial run
-        because every task is deterministic and results are consumed keyed
-        by ``(index, race_id)``, never in completion order.  Cache files,
+        chunk in the driving process on the driver's own trace and program
+        objects; a workload whose context does not pickle runs that way on
+        a pooled run too.  Nothing is emitted into the event stream until
+        the drain finishes, and the replay walks workloads in batch order
+        and races in trace order, so the merged stream is structurally
+        bit-identical across completion interleavings -- and verdicts are
+        bit-identical to a serial run because every task is deterministic
+        and results are consumed keyed by ``(index, race_id)``, never in
+        completion order.  Cache files,
         though, are written during the drain: a trace when it is recorded,
         a workload's one classification file when its last missed race
-        lands.  Payloads carry the recorded trace and the config as objects;
-        only the cache files encode them.  Program fingerprints are memoised
-        per object.
+        lands.  A pooled workload's context (trace, config, program,
+        predicates) is pickled once into ``spool`` and its payloads carry
+        only the file's path; only the cache files use the dict format.
+        Program fingerprints are memoised per object.
         """
         fingerprints = [
             TraceCache.program_fingerprint(workload.program) for workload in workloads
@@ -411,10 +426,12 @@ class AnalysisEngine:
                 trace_hits[index] = cached is not None
                 if cached is not None:
                     recordings[index] = _Recording(workload, cached, 0.0, True)
-        return self._stream_drain(pool, workloads, fingerprints, recordings, trace_hits)
+        return self._stream_drain(
+            pool, spool, workloads, fingerprints, recordings, trace_hits
+        )
 
     def _stream_drain(
-        self, pool, workloads, fingerprints, recordings, trace_hits
+        self, pool, spool, workloads, fingerprints, recordings, trace_hits
     ) -> List[EngineRun]:
         """Record the trace-cache misses, drive the classification drain,
         then replay the canonical event stream and merge (see
@@ -425,7 +442,6 @@ class AnalysisEngine:
         count = len(workloads)
 
         slots: List[Dict[int, ClassifiedRace]] = [{} for _ in range(count)]
-        contexts: List[Optional[Dict]] = [None] * count
         #: per-workload classification-cache probe results, trace order
         cls_hits: List[Set[int]] = [set() for _ in range(count)]
         #: file key -> what its one load served: a workload listed twice
@@ -483,11 +499,6 @@ class AnalysisEngine:
             predicates = list(workload.predicates)
             if self.options.use_semantic_predicates:
                 predicates += list(workload.semantic_predicates)
-            context = {
-                "predicates": tuple(predicates),
-                "program_fingerprint": fingerprints[index],
-            }
-            contexts[index] = context
             races = recording.trace.races
             if self.classification_cache is None:
                 misses = [race.race_id for race in races]
@@ -521,15 +532,26 @@ class AnalysisEngine:
                 return
             race_misses[index] = misses
             unlanded[index] = len(misses)
-            # The token lets task executors share one copy of the trace.
-            context["trace_token"] = f"{os.getpid()}:{next(_TRACE_TOKENS)}"
-            # A closure-bearing workload does not pickle: its stage 3 runs
-            # in the driver.
-            inline = pool is None or not picklable(
-                workload.program, context["predicates"]
-            )
+            context = {
+                "trace": recording.trace,
+                "config": self.config,
+                "program": workload.program,
+                "predicates": tuple(predicates),
+            }
+            # Pooled payloads name the context's one spool file; a
+            # closure-bearing context does not pickle, so its stage 3 runs
+            # in the driver on the driver's objects.
+            path = None if pool is None else spool.write(context)
+            # The token lets task executors share one copy of the context.
+            token = f"{os.getpid()}:{next(_TRACE_TOKENS)}"
             payloads = [
-                self._task_payload(recordings, contexts, index, race_id)
+                ClassificationTask(
+                    workload=workload.name,
+                    race_id=race_id,
+                    trace_token=token,
+                    program_fingerprint=fingerprints[index],
+                    **context,
+                ).to_payload(path)
                 for race_id in misses
             ]
             size = _chunk_size(len(payloads), workers)
@@ -538,7 +560,7 @@ class AnalysisEngine:
                     execute_task,
                     payloads[start : start + size],
                     tag=(index, start, misses[start : start + size]),
-                    inline=inline,
+                    inline=path is None,
                 )
 
         # Trace-cached workloads need no recording: their stage-3 work
@@ -637,17 +659,3 @@ class AnalysisEngine:
                 )
             )
         return runs
-
-    def _task_payload(self, recordings, contexts, index: int, race_id: int) -> Dict:
-        """Build one stage-3 :class:`ClassificationTask` payload."""
-        return ClassificationTask(
-            workload=recordings[index].workload.name,
-            race_id=race_id,
-            trace=recordings[index].trace,
-            config=self.config,
-            program=recordings[index].workload.program,
-            predicates=contexts[index]["predicates"],
-            trace_token=contexts[index]["trace_token"],
-            program_fingerprint=contexts[index]["program_fingerprint"],
-        ).to_payload()
-

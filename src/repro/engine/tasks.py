@@ -5,12 +5,28 @@ The pool runs one task kind: a :class:`ClassificationTask` classifies one
 (pipeline stage 3).  Recording and detection run in the driving process
 (see :mod:`repro.engine.engine`).
 
-Task payloads are dicts of the objects a classification reads: the
-recorded :class:`~repro.record_replay.trace.ExecutionTrace`, the
+Every race of one recorded trace is classified against the same *context*:
+the :class:`~repro.record_replay.trace.ExecutionTrace`, the
 :class:`~repro.core.config.PortendConfig`, the program and its predicates.
+A task payload names its race (``workload``, ``race_id``), its trace
+(``trace_token``) and its program (``program_fingerprint``), and reaches its
+context one of two ways:
+
+* **inline** -- the payload holds the driver's own context objects.  Serial
+  runs, and workloads whose context does not pickle (a lambda predicate),
+  run their chunks in the driving process this way: nothing is pickled and
+  no file is written.
+* **spooled** -- the payload holds only the path (``spool``) of the one file
+  the driver pickled the context into (:class:`ContextSpool`, once per trace
+  per run).  The executing process loads it at most once per token into
+  :data:`_CONTEXTS`, so every chunk of a trace on one worker classifies
+  against one trace and one program object, and the per-trace replay and
+  search memos of :mod:`repro.core.alternate` and :mod:`repro.explore.paths`
+  (keyed by object identity) hit across those chunks.
+
 A task returns its :class:`~repro.core.categories.ClassifiedRace`.  Pickle
-is the only codec, paid only when a chunk crosses into a pool worker; the
-dict format of traces and verdicts belongs to :mod:`repro.engine.cache`.
+is the only codec, paid once per pooled trace; the dict format of traces and
+verdicts belongs to :mod:`repro.engine.cache`.
 
 Every worker entry point is deterministic: every random decision during
 classification derives from
@@ -20,7 +36,12 @@ produces the same result no matter which process runs it.
 
 from __future__ import annotations
 
+import os
+import pickle
+import shutil
+import tempfile
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
@@ -44,71 +65,115 @@ class ClassificationTask:
     config: PortendConfig
     program: object
     predicates: tuple
-    #: parent-assigned token identifying this trace; tasks sharing a token
-    #: carry the same recording, letting the executing process use one copy
-    #: of it (see :func:`_resolve_trace`)
+    #: parent-assigned token identifying this trace's context; tasks sharing
+    #: a token share one context, which the executing process loads once
+    #: (see :func:`_spooled_context`)
     trace_token: Optional[str] = None
     #: program content hash; when present the executing process attaches its
     #: solver to the worker-lifetime cache of this program (see
     #: :func:`repro.symex.solver.worker_solver_cache`)
     program_fingerprint: str = ""
 
-    def to_payload(self) -> Dict:
-        payload = {
-            "workload": self.workload,
-            "race_id": self.race_id,
-            "trace": self.trace,
-            "config": self.config,
-            "program": self.program,
-            "predicates": list(self.predicates),
-        }
+    def to_payload(self, spool: Optional[str] = None) -> Dict:
+        """The task's payload: inline, or naming the ``spool`` file that
+        holds its context (then ``trace_token`` must be set)."""
+        payload = {"workload": self.workload, "race_id": self.race_id}
         if self.trace_token is not None:
             payload["trace_token"] = self.trace_token
         if self.program_fingerprint:
             payload["program_fingerprint"] = self.program_fingerprint
+        if spool is not None:
+            payload["spool"] = spool
+        else:
+            payload.update(
+                trace=self.trace,
+                config=self.config,
+                program=self.program,
+                predicates=list(self.predicates),
+            )
         return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "ClassificationTask":
+        """The task of ``payload``, its context loaded from the spool when
+        the payload names one."""
+        context = payload
+        if "spool" in payload:
+            context = _spooled_context(payload["trace_token"], payload["spool"])
         return cls(
             workload=payload["workload"],
             race_id=payload["race_id"],
-            trace=payload["trace"],
-            config=payload["config"],
-            program=payload["program"],
-            predicates=tuple(payload["predicates"]),
+            trace=context["trace"],
+            config=context["config"],
+            program=context["program"],
+            predicates=tuple(context["predicates"]),
             trace_token=payload.get("trace_token"),
             program_fingerprint=payload.get("program_fingerprint", ""),
         )
 
 
-#: executing-process memo of traces, keyed by trace token.  Classification
-#: reads traces but never mutates them (the serial facade already shares
-#: one ExecutionTrace across every race it classifies), so the race tasks
-#: of one workload can share one copy.  Bounded because serial runs execute
-#: tasks in the long-lived driving process.
-_TRACE_MEMO: Dict[str, ExecutionTrace] = {}
-_TRACE_MEMO_LIMIT = 4
+class ContextSpool:
+    """One run's spooled contexts: each pooled trace's context pickled once,
+    into one file of a ``repro-spool-*`` temp dir made on the first write.
 
-
-def _resolve_trace(task) -> ExecutionTrace:
-    """The first copy of the task's trace this process saw, per trace token.
-
-    Each pooled chunk unpickles its own copy of the trace.  The replay-pass
-    memo of :mod:`repro.core.alternate` (keyed by trace identity) and the
-    shared-search memo of :mod:`repro.explore.paths` only hit across the
-    chunks of one workload if every chunk classifies against one copy.
+    The engine removes the dir (:meth:`remove`) once the run's pool has shut
+    down, whether or not the drain raised.
     """
-    token = task.trace_token
-    if token is None:
-        return task.trace
-    cached = _TRACE_MEMO.get(token)
-    if cached is not None:
-        return cached
-    if len(_TRACE_MEMO) >= _TRACE_MEMO_LIMIT:
-        _TRACE_MEMO.clear()
-    _TRACE_MEMO[token] = task.trace
-    return task.trace
+
+    def __init__(self) -> None:
+        #: the run's spool dir; None until the first context is written
+        self.path: Optional[str] = None
+        self._files = 0
+
+    def write(self, context: Mapping) -> Optional[str]:
+        """Pickle ``context`` into a new spool file and return its path;
+        None when it does not pickle (e.g. a lambda predicate), so its
+        tasks run inline in the driving process."""
+        try:
+            blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, AttributeError, TypeError):
+            return None
+        if self.path is None:
+            self.path = tempfile.mkdtemp(prefix="repro-spool-")
+        self._files += 1
+        path = os.path.join(self.path, f"{self._files}.pkl")
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        return path
+
+    def remove(self) -> None:
+        if self.path is not None:
+            shutil.rmtree(self.path, ignore_errors=True)
+            self.path = None
+
+
+#: executing-process LRU memo of spooled contexts, keyed by trace token.
+#: Classification reads a context but never mutates it (the serial facade
+#: already shares one ExecutionTrace across every race it classifies), so
+#: every chunk of one trace that lands on a process shares the one copy this
+#: memo loaded.  Bounded because quarantined and downgraded chunks load
+#: contexts in the long-lived driving process too.
+_CONTEXTS: "OrderedDict[str, Dict]" = OrderedDict()
+_CONTEXTS_LIMIT = 4
+
+
+def reset_context_memo() -> None:
+    """Forget every loaded context (a new run, a fresh worker)."""
+    _CONTEXTS.clear()
+
+
+def _spooled_context(token: str, path: str) -> Dict:
+    """The context of trace ``token``, read from ``path`` on first use."""
+    context = _CONTEXTS.get(token)
+    if context is None:
+        with open(path, "rb") as handle:
+            context = pickle.load(handle)
+        if len(_CONTEXTS) >= _CONTEXTS_LIMIT:
+            _CONTEXTS.popitem(last=False)
+        _CONTEXTS[token] = context
+    else:
+        _CONTEXTS.move_to_end(token)
+    return context
 
 
 def _build_portend(task):
@@ -136,7 +201,7 @@ def pool_worker_initializer(fault_spec: Optional[Mapping] = None) -> None:
     """Runs once in each fresh pool worker process.
 
     Installs clean worker-lifetime state: the solver memos of
-    :mod:`repro.symex.solver`, this module's trace memo, the replay-pass
+    :mod:`repro.symex.solver`, this module's context memo, the replay-pass
     memo of :mod:`repro.core.alternate` and the shared-search memo of
     :mod:`repro.explore.paths` all start empty,
     so nothing leaks between engine runs that happen to recycle a worker
@@ -154,7 +219,7 @@ def pool_worker_initializer(fault_spec: Optional[Mapping] = None) -> None:
 
     reset_worker_caches()
     install_fault_plan(dict(fault_spec) if fault_spec else None)
-    _TRACE_MEMO.clear()
+    reset_context_memo()
     reset_replay_memo()
     reset_explore_memo()
 
@@ -196,16 +261,17 @@ def execute_task(payload: Mapping) -> Dict:
     """
     from repro.engine.faults import maybe_inject_fault
 
-    task = ClassificationTask.from_payload(payload)
-    if maybe_inject_fault("classify", task.workload, race=task.race_id) == "malformed":
+    workload, race_id = payload["workload"], payload["race_id"]
+    if maybe_inject_fault("classify", workload, race=race_id) == "malformed":
         return {"malformed": True}
-    trace = _resolve_trace(task)
-    identity = {"stage": "classify", "workload": task.workload, "race": task.race_id}
+    identity = {"stage": "classify", "workload": workload, "race": race_id}
     start = make_event("task_start", **identity)
     started = time.perf_counter()
+    # Loading a spooled context is part of the task's measured time.
+    task = ClassificationTask.from_payload(payload)
     portend = _build_portend(task)
-    race = trace.race_by_id(task.race_id)
-    classified = portend.classify_race(trace, race)
+    race = task.trace.race_by_id(race_id)
+    classified = portend.classify_race(task.trace, race)
     # Each task builds one fresh solver and executor: each snapshot is the
     # task's delta.
     events = [

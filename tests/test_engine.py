@@ -2,6 +2,7 @@
 
 import json
 import os
+import tempfile
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.core import Portend, PortendConfig, SemanticPredicate
 from repro.core.categories import ClassifiedRace
 from repro.engine import AnalysisEngine, EngineOptions, TraceCache, execute_task
 from repro.engine.dispatch import PoolSupervisor
+from repro.engine.tasks import ClassificationTask, ContextSpool, reset_context_memo
 from repro.experiments.runner import analyze_workload
 from repro.record_replay.trace import ExecutionTrace
 from repro.symex.expr import (
@@ -240,6 +242,134 @@ def _spy_submits_and_recordings(monkeypatch):
     monkeypatch.setattr(PoolSupervisor, "submit", spy_submit)
     monkeypatch.setattr(engine_module, "record_program_trace", spy_record)
     return submitted, recorded, timeline
+
+
+def _spool_dirs():
+    return sorted(
+        name
+        for name in os.listdir(tempfile.gettempdir())
+        if name.startswith("repro-spool-")
+    )
+
+
+class TestContextSpool:
+    """A pooled run pickles each trace's context once, into a run-scoped
+    ``repro-spool-*`` dir; its payloads carry only the file's path."""
+
+    def test_pooled_payloads_name_the_spool_file(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        payloads = []
+        submit = PoolSupervisor.submit
+
+        def spy_submit(self, worker, chunk, tag, inline=False):
+            payloads.extend(chunk)
+            return submit(self, worker, chunk, tag, inline=inline)
+
+        monkeypatch.setattr(PoolSupervisor, "submit", spy_submit)
+        AnalysisEngine(options=EngineOptions(parallel=2)).analyze(["bbuf", "RW"])
+        assert payloads
+        assert {frozenset(payload) for payload in payloads} == {
+            frozenset(
+                {"workload", "race_id", "trace_token", "program_fingerprint", "spool"}
+            )
+        }
+        # One file per trace, shared by every chunk of that trace.
+        files = {payload["workload"]: set() for payload in payloads}
+        for payload in payloads:
+            files[payload["workload"]].add((payload["trace_token"], payload["spool"]))
+        assert all(len(pairs) == 1 for pairs in files.values())
+        assert len({pairs.pop() for pairs in files.values()}) == 2
+        assert _spool_dirs() == []
+
+    def test_serial_run_writes_no_spool(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        writes = []
+        write = ContextSpool.write
+
+        def spy_write(self, context):
+            writes.append(context)
+            return write(self, context)
+
+        monkeypatch.setattr(ContextSpool, "write", spy_write)
+        AnalysisEngine(options=EngineOptions(parallel=0)).analyze(["bbuf", "RW"])
+        assert writes == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pooled_run_removes_its_spool(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        seen = []
+        write = ContextSpool.write
+
+        def spy_write(self, context):
+            path = write(self, context)
+            seen.append(_spool_dirs())
+            return path
+
+        monkeypatch.setattr(ContextSpool, "write", spy_write)
+        AnalysisEngine(options=EngineOptions(parallel=2)).analyze(["bbuf", "RW"])
+        assert [len(dirs) for dirs in seen] == [1, 1]
+        assert _spool_dirs() == []
+
+    def test_drain_that_raises_removes_its_spool(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+        def broken_wait(*_args, **_kwargs):
+            assert len(_spool_dirs()) == 1
+            raise RuntimeError("drain failed")
+
+        monkeypatch.setattr(engine_module, "wait", broken_wait)
+        engine = AnalysisEngine(options=EngineOptions(parallel=2))
+        with pytest.raises(RuntimeError, match="drain failed"):
+            engine.analyze(["bbuf", "RW"])
+        assert _spool_dirs() == []
+
+    def test_a_process_loads_each_context_once(self, tmp_path, monkeypatch):
+        # Every chunk of a trace on one process classifies against the one
+        # trace and program object the memo loaded from the spool.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        workload, _portend, trace = _record_trace("RW")
+        context = {
+            "trace": trace,
+            "config": PortendConfig(),
+            "program": workload.program,
+            "predicates": tuple(workload.predicates),
+        }
+        spool = ContextSpool()
+        path = spool.write(context)
+        payloads = [
+            ClassificationTask(
+                workload="RW", race_id=race.race_id, trace_token="t", **context
+            ).to_payload(path)
+            for race in trace.races
+        ]
+        reset_context_memo()
+        try:
+            first = ClassificationTask.from_payload(payloads[0])
+            spool.remove()
+            for payload in payloads:
+                task = ClassificationTask.from_payload(payload)
+                assert task.trace is first.trace
+                assert task.program is first.program
+                assert execute_task(payload)["classified"].race.race_id == task.race_id
+        finally:
+            reset_context_memo()
+        assert first.trace is not trace
+
+    def test_chunks_of_a_trace_share_one_search_per_worker(self):
+        # Each pooled chunk used to unpickle its own program copy, and the
+        # shared search is keyed by program identity, so every chunk
+        # rebuilt its trace's search: 60 forks on stress_deep, 90 on the
+        # mixed batch.  Now each of the 2 workers builds it at most once.
+        for names, forks in (
+            (["stress_deep"], 15),
+            (["bbuf", "stress_deep", "ctrace"], 21),
+        ):
+            serial = AnalysisEngine(options=EngineOptions(parallel=0))
+            serial.analyze(names)
+            assert serial.last_run_stats.interp_forks == forks
+            pooled = AnalysisEngine(options=EngineOptions(parallel=2))
+            pooled.analyze(names)
+            assert pooled.last_run_stats.interp_forks <= 2 * forks
 
 
 class TestTraceCache:

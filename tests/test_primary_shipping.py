@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import Portend, PortendConfig
 from repro.engine import AnalysisEngine, EngineOptions
-from repro.engine.cache import ClassificationCache
+from repro.engine.cache import ClassificationCache, TraceCache
 from repro.explore.paths import MultiPathExplorer
 from repro.workloads import all_workload_names, load_workload
 from repro.workloads.stress import build_stress, build_stress_deep
@@ -220,3 +220,25 @@ class TestCacheLifecycle:
         assert not sidecar.exists()
         assert live.exists() and written.exists()
         assert other.exists()
+
+    def test_trace_store_drops_the_programs_old_hits_sidecars(self, tmp_path):
+        # Trace files had the same sidecars.  A trace store deletes its
+        # program's, and leaves the classification files' and other
+        # programs' sidecars to their own stores.
+        workload = load_workload("RW")
+        trace = Portend(workload.program).record(workload.inputs)
+        cache = TraceCache(tmp_path)
+        config = PortendConfig()
+        old = cache.store("RW", {"x": 1}, config, trace)
+        sidecar = tmp_path / (old.name + ".hits")
+        sidecar.write_text("3")
+        classification = tmp_path / "RW-cls-0123456789abcdef.json.hits"
+        classification.write_text("2")
+        other = tmp_path / "bbuf-0123456789abcdef.json.hits"
+        other.write_text("1")
+
+        written = cache.store("RW", dict(workload.inputs), config, trace)
+        assert written != old
+        assert not sidecar.exists()
+        assert old.exists() and written.exists()
+        assert classification.exists() and other.exists()
