@@ -11,11 +11,14 @@ stage:
   (trace, effective inputs, race-point locator mode, step budget,
   predicates, loop bound): one :class:`ReplayPolicy` run stops at every race's
   pre-race and post-race points, and the completed primary is shared by all
-  races and by both classifier stages.  A small per-process memo keeps the
-  last few such passes.  A pass that does not complete within the step
-  budget falls back, for that key, to :func:`replay_primary_per_race`, the
-  per-race replay with its exact per-phase budget; that function is also
-  the test oracle the shared pass is checked against.
+  races and by both classifier stages.  A per-process memo keeps the passes
+  of the last trace, as many as one race replays (the recorded inputs,
+  then up to Mp multi-path primaries), so a race's input vectors cannot
+  evict each other.  A pass that does not
+  complete within the step budget falls back, for that key, to
+  :func:`replay_primary_per_race`, the per-race replay with its exact
+  per-phase budget; that function is also the test oracle the shared pass
+  is checked against.
 * :func:`run_alternate` primes a new execution with the pre-race checkpoint
   and enforces the alternate ordering of the racing accesses by preempting
   the thread that performed the first access and forcing the other racing
@@ -198,13 +201,15 @@ def replay_primary_per_race(
     predicates: Sequence[SemanticPredicate] = (),
     max_steps: Optional[int] = None,
     use_steps: bool = True,
+    primaries: int = 1,
 ) -> PrimaryReplay:
     """Replay the primary for one race alone, from the initial state.
 
     Each of the three phases (to the pre-race point, to the post-race
     point, to completion) gets the full step budget.  This is the fallback
     of :func:`replay_primary` and the oracle its shared pass is tested
-    against.
+    against; it takes the same arguments, and keeps nothing, so
+    ``primaries`` is unused.
     """
     inputs = _effective_inputs(trace, concrete_inputs)
     locator = RacePointLocator(race, use_steps=use_steps)
@@ -280,8 +285,6 @@ class _ReplayBook:
     access is a synchronisation statement) take it too.
     """
 
-    #: held so the ``id(trace)`` in the memo key cannot be reused
-    trace: ExecutionTrace
     final_state: Optional[ExecutionState]
     diverged: bool
     steps: int
@@ -371,7 +374,6 @@ def _replay_book(
         else:
             break
     return _ReplayBook(
-        trace=trace,
         final_state=state if state.outcome is not None else None,
         diverged=policy.diverged,
         steps=state.step_count,
@@ -379,12 +381,30 @@ def _replay_book(
     )
 
 
-#: executing-process memo of replay passes, most recently used last.  Serial
-#: runs, engine tasks (which share one ExecutionTrace per trace token) and
-#: the baselines all hit it without plumbing; bounded because serial runs
-#: execute in the long-lived driving process.
-_REPLAY_MEMO: "OrderedDict[tuple, _ReplayBook]" = OrderedDict()
-_REPLAY_MEMO_LIMIT = 4
+@dataclass
+class _TraceReplays:
+    """The replay passes of one trace, most recently used last.
+
+    Keyed by (effective inputs, locator mode, budget, predicates, loop
+    bound); at most ``limit`` of them, one race's working set.
+    """
+
+    #: held so the ``id(trace)`` memo key cannot be reused
+    trace: ExecutionTrace
+    limit: int
+    passes: "OrderedDict[tuple, _ReplayBook]" = field(default_factory=OrderedDict)
+
+
+#: executing-process memo of replay passes by trace, most recently used
+#: last.  Serial runs, engine tasks (which share one ExecutionTrace per
+#: trace token) and the baselines all hit it without plumbing; bounded
+#: because serial runs execute in the long-lived driving process.
+_REPLAY_MEMO: "OrderedDict[int, _TraceReplays]" = OrderedDict()
+#: the number of traces the memo keeps.  Every process classifies a trace's
+#: races one after another (the driver serially, a pool worker chunk by
+#: chunk), so more traces build no pass fewer on the registry and only hold
+#: memory: 2 or 4 raised a pooled worker's peak RSS by 1-2.5 MiB.
+_REPLAY_MEMO_LIMIT = 1
 
 
 def reset_replay_memo() -> None:
@@ -401,31 +421,44 @@ def replay_primary(
     predicates: Sequence[SemanticPredicate] = (),
     max_steps: Optional[int] = None,
     use_steps: bool = True,
+    primaries: int = 1,
 ) -> PrimaryReplay:
     """Replay the primary execution, taking pre-race and post-race checkpoints.
 
     The replay pass is shared with every other race of ``trace`` replayed
     under the same inputs, locator mode, budget, predicates and loop bound;
-    the result equals :func:`replay_primary_per_race`'s.
+    the result equals :func:`replay_primary_per_race`'s.  ``primaries`` is
+    the number of multi-path primaries (Mp, §3.3) the caller replays per
+    race: the memo keeps that many passes of ``trace``, plus the recorded
+    inputs' one.
     """
     inputs = _effective_inputs(trace, concrete_inputs)
     budget = max_steps or executor.config.max_steps
+    replays = _REPLAY_MEMO.get(id(trace))
+    if replays is None:
+        replays = _TraceReplays(trace, primaries + 1)
+        if len(_REPLAY_MEMO) >= _REPLAY_MEMO_LIMIT:
+            _REPLAY_MEMO.popitem(last=False)
+        _REPLAY_MEMO[id(trace)] = replays
+    else:
+        _REPLAY_MEMO.move_to_end(id(trace))
+        replays.limit = max(replays.limit, primaries + 1)
     key = (
-        id(trace),
         tuple(sorted(inputs.items())),
         use_steps,
         budget,
         tuple(predicate.name for predicate in predicates),
         executor.config.max_loop_iterations,
     )
-    book = _REPLAY_MEMO.get(key)
-    if book is None or book.trace is not trace:
+    passes = replays.passes
+    book = passes.get(key)
+    if book is None:
         book = _replay_book(executor, trace, inputs, predicates, budget, use_steps)
-        if len(_REPLAY_MEMO) >= _REPLAY_MEMO_LIMIT:
-            _REPLAY_MEMO.popitem(last=False)
-        _REPLAY_MEMO[key] = book
+        if len(passes) >= replays.limit:
+            passes.popitem(last=False)
+        passes[key] = book
     else:
-        _REPLAY_MEMO.move_to_end(key)
+        passes.move_to_end(key)
     found = book.points.get(_race_points(race)) if book.final_state is not None else None
     if found is None:
         return replay_primary_per_race(

@@ -106,6 +106,7 @@ def analyze_primary_path(
         predicates=predicates,
         max_steps=config.max_steps_per_execution,
         use_steps=same_inputs,
+        primaries=config.effective_mp(),
     )
     if outcome_is_spec_violation(primary_replay.outcome):
         violated(

@@ -95,6 +95,7 @@ def single_classify(
         race,
         predicates=predicates,
         max_steps=config.max_steps_per_execution,
+        primaries=config.effective_mp(),
     )
 
     if not primary.reached_race:

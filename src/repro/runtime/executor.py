@@ -282,10 +282,7 @@ class Executor:
         reason: str,
     ) -> Optional[int]:
         """Ask the policy at a preemption point; commit and count its choice."""
-        runnable = state.runnable_tids()
-        if not runnable:
-            return None
-        chosen = policy.choose(state, runnable, current, reason)
+        chosen = policy.choose(state, current, reason)
         if chosen is None:
             return None
         if reason in ("sync", "blocked"):

@@ -11,6 +11,16 @@ racing accesses".  The executor consults a :class:`SchedulePolicy` at every
   under analysis (``reason="watched"``), or the previous statement executed by
   the thread was watched (``reason="after-watched"``).
 
+A decision does not list the runnable threads first: each policy probes only
+the tids it needs in ``state.threads`` (tids are dense, from 0, and threads
+are never removed).  Round-robin takes the next runnable tid after the
+current one, cyclically; a replay tries the recorded tid; a controlled run
+tries its forced, then its preferred thread, and hands its forbidden set to
+the wrapped policy as ``skip``, the tids to treat as not runnable.  Only the
+random choice and the stuck paths list every thread.  When no thread is
+runnable, every policy returns None without side effects: no recorded
+decision is consumed, nothing is marked stuck and no random number is drawn.
+
 Recording runs use :class:`RoundRobinPolicy`; replays use
 :class:`ReplayPolicy`; Portend's analyses wrap either in a
 :class:`ControlledPolicy` to steer the executions toward the primary or the
@@ -20,11 +30,37 @@ alternate ordering of the racing accesses.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import AbstractSet, List, Optional, Sequence, Set, TYPE_CHECKING
+
+from repro.runtime.threadstate import ThreadStatus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.state import ExecutionState
+
+_RUNNABLE = ThreadStatus.RUNNABLE
+_WATCHED = ("watched", "after-watched")
+_NO_SKIP: AbstractSet[int] = frozenset()
+
+
+def _runnable(state: "ExecutionState", tid: Optional[int], skip: AbstractSet[int]) -> bool:
+    """Whether ``tid`` names a runnable thread outside ``skip``."""
+    thread = state.threads.get(tid)
+    return thread is not None and thread.status is _RUNNABLE and tid not in skip
+
+
+def _next_runnable(state: "ExecutionState", start: int, skip: AbstractSet[int]) -> Optional[int]:
+    """The first runnable tid outside ``skip`` at or after ``start``,
+    wrapping around to 0; None when there is none."""
+    threads = state.threads
+    count = len(threads)
+    for tid in range(start, count):
+        if threads[tid].status is _RUNNABLE and tid not in skip:
+            return tid
+    for tid in range(min(start, count)):
+        if threads[tid].status is _RUNNABLE and tid not in skip:
+            return tid
+    return None
 
 
 @dataclass(frozen=True)
@@ -47,11 +83,13 @@ class SchedulePolicy:
     def choose(
         self,
         state: "ExecutionState",
-        runnable: Sequence[int],
         current: Optional[int],
         reason: str,
+        skip: AbstractSet[int] = _NO_SKIP,
     ) -> Optional[int]:
-        """Return the tid to schedule, or None if no choice can be made."""
+        """Return the runnable tid outside ``skip`` to schedule, or None if
+        no choice can be made (always None, without side effects, when no
+        such thread exists)."""
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -67,29 +105,21 @@ class RoundRobinPolicy(SchedulePolicy):
     (watched points only matter to ControlledPolicy).
     """
 
-    def choose(self, state, runnable, current, reason) -> Optional[int]:
-        if not runnable:
-            return None
-        if reason in ("watched", "after-watched") and current in runnable:
+    def choose(self, state, current, reason, skip=_NO_SKIP) -> Optional[int]:
+        if reason in _WATCHED and _runnable(state, current, skip):
             return current
         if current is None or current not in state.threads:
-            return min(runnable)
-        ordered = sorted(runnable)
-        for tid in ordered:
-            if tid > current:
-                return tid
-        return ordered[0]
+            return _next_runnable(state, 0, skip)
+        return _next_runnable(state, current + 1, skip)
 
 
 class CooperativePolicy(SchedulePolicy):
     """Keep the current thread running until it blocks or finishes."""
 
-    def choose(self, state, runnable, current, reason) -> Optional[int]:
-        if not runnable:
-            return None
-        if current in runnable:
+    def choose(self, state, current, reason, skip=_NO_SKIP) -> Optional[int]:
+        if _runnable(state, current, skip):
             return current
-        return min(runnable)
+        return _next_runnable(state, 0, skip)
 
 
 class RandomPolicy(SchedulePolicy):
@@ -107,10 +137,11 @@ class RandomPolicy(SchedulePolicy):
     def reset(self) -> None:
         self.rng = random.Random(self.seed)
 
-    def choose(self, state, runnable, current, reason) -> Optional[int]:
+    def choose(self, state, current, reason, skip=_NO_SKIP) -> Optional[int]:
+        runnable = state.runnable_tids(skip)
         if not runnable:
             return None
-        return self.rng.choice(sorted(runnable))
+        return self.rng.choice(runnable)
 
 
 class ReplayPolicy(SchedulePolicy):
@@ -143,29 +174,35 @@ class ReplayPolicy(SchedulePolicy):
     def remaining(self) -> int:
         return len(self.decisions) - self.cursor
 
-    def choose(self, state, runnable, current, reason) -> Optional[int]:
-        if not runnable:
-            return None
-        if reason in ("watched", "after-watched"):
+    def choose(self, state, current, reason, skip=_NO_SKIP) -> Optional[int]:
+        if reason in _WATCHED:
             # Watched preemption points are introduced by the analysis and are
             # not part of the recorded trace: keep the current thread.
-            if current in runnable:
+            if _runnable(state, current, skip):
                 return current
-            return self.fallback.choose(state, runnable, current, reason)
+            return self.fallback.choose(state, current, reason, skip)
         if self.cursor < len(self.decisions):
             decision = self.decisions[self.cursor]
-            self.cursor += 1
-            if decision.tid in runnable:
+            if _runnable(state, decision.tid, skip):
+                self.cursor += 1
                 return decision.tid
+            # The fallback answers None exactly when no thread is runnable;
+            # only then is the decision left unconsumed.
+            choice = self.fallback.choose(state, current, reason, skip)
+            if choice is None:
+                return None
             # The decision is consumed and the replay diverges permanently,
             # even when the recorded tid is merely blocked right now; keep
             # the skipped decision and the reason so the multi-path explorer
             # (§3.3) can report *why* a path was pruned.
+            self.cursor += 1
             self.skipped_decisions.append(decision)
             self._mark_diverged(state, self._describe_unrunnable(state, decision))
-            return self.fallback.choose(state, runnable, current, reason)
-        self._mark_diverged(state, "recorded schedule exhausted")
-        return self.fallback.choose(state, runnable, current, reason)
+            return choice
+        choice = self.fallback.choose(state, current, reason, skip)
+        if choice is not None:
+            self._mark_diverged(state, "recorded schedule exhausted")
+        return choice
 
     def _describe_unrunnable(self, state, decision: ScheduleDecision) -> str:
         thread = getattr(state, "threads", {}).get(decision.tid)
@@ -238,24 +275,26 @@ class ControlledPolicy(SchedulePolicy):
 
     # ----------------------------------------------------------------- choice
 
-    def choose(self, state, runnable, current, reason) -> Optional[int]:
-        allowed = [tid for tid in runnable if tid not in self.forbidden]
+    def choose(self, state, current, reason, skip=_NO_SKIP) -> Optional[int]:
+        forbidden = self.forbidden | skip if skip else self.forbidden
         if self.forced is not None:
-            if self.forced in allowed:
+            if _runnable(state, self.forced, forbidden):
                 return self.forced
             # The thread we must run is blocked or forbidden: scheduling is
             # stuck; Algorithm 1 detects this via timeout / deadlock checks.
-            self.stuck = True
-            self.stuck_reason = f"forced thread {self.forced} not runnable"
-            return None
-        if not allowed:
-            if runnable:
-                self.stuck = True
-                self.stuck_reason = "all runnable threads are forbidden"
-            return None
-        if self.preferred is not None and self.preferred in allowed:
+            return self._stuck(state, skip, f"forced thread {self.forced} not runnable")
+        if self.preferred is not None and _runnable(state, self.preferred, forbidden):
             return self.preferred
-        choice = self.base.choose(state, allowed, current if current in allowed else None, reason)
-        if choice is None or choice not in allowed:
-            return allowed[0] if allowed else None
+        if not _runnable(state, current, forbidden):
+            current = None
+        choice = self.base.choose(state, current, reason, forbidden)
+        if choice is None:
+            return self._stuck(state, skip, "all runnable threads are forbidden")
         return choice
+
+    def _stuck(self, state, skip: AbstractSet[int], why: str) -> None:
+        """No allowed thread runs: stuck, unless no thread is runnable at all."""
+        if state.runnable_tids(skip):
+            self.stuck = True
+            self.stuck_reason = why
+        return None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 from repro.lang.program import Program
 from repro.runtime.counters import InterpCounters
@@ -216,15 +216,18 @@ class ExecutionState:
     def finished(self) -> bool:
         return self.outcome is not None
 
-    def runnable_tids(self) -> List[int]:
-        # Inlined status check: this scan sits on the scheduler's per-step
-        # path for every preemption decision, where the ``is_runnable``
-        # property call per thread is measurable on many-thread states.
+    def runnable_tids(self, skip: AbstractSet[int] = frozenset()) -> List[int]:
+        """The runnable tids outside ``skip``, ascending.
+
+        Scheduling decisions do not call this (each policy probes only the
+        tids it needs); the random choice and the stuck and deadlock checks
+        do.
+        """
         runnable = ThreadStatus.RUNNABLE
         return [
             tid
             for tid, thread in self.threads.items()
-            if thread.status is runnable
+            if thread.status is runnable and tid not in skip
         ]
 
     def blocked_tids(self) -> List[int]:

@@ -9,6 +9,7 @@ from repro.lang.program import ProgramError
 from repro.runtime.errors import CrashKind, OutcomeKind
 from repro.runtime.executor import Executor, RunStatus
 from repro.runtime.scheduler import RandomPolicy, ReplayPolicy, RoundRobinPolicy
+from repro.runtime.threadstate import ThreadStatus
 from repro.workloads import all_workload_names, load_workload
 
 
@@ -420,6 +421,11 @@ class TestReplayDivergenceDiagnostics:
         def __init__(self, blocked=False, finished=False):
             self.is_blocked = blocked
             self.is_finished = finished
+            self.status = (
+                ThreadStatus.BLOCKED if blocked
+                else ThreadStatus.FINISHED if finished
+                else ThreadStatus.RUNNABLE
+            )
 
     class _State:
         def __init__(self, threads, step_count=5):
@@ -436,7 +442,7 @@ class TestReplayDivergenceDiagnostics:
         # kept, so the multi-path explorer can say why a path was pruned.
         policy = ReplayPolicy([self._decision(tid=1, index=4)])
         state = self._State({0: self._Thread(), 1: self._Thread(blocked=True)})
-        chosen = policy.choose(state, runnable=[0], current=0, reason="sync")
+        chosen = policy.choose(state, current=0, reason="sync")
         assert chosen == 0
         assert policy.diverged
         assert policy.divergence_step == state.step_count
@@ -447,16 +453,16 @@ class TestReplayDivergenceDiagnostics:
     def test_finished_and_missing_tids_have_distinct_reasons(self):
         policy = ReplayPolicy([self._decision(tid=1), self._decision(tid=9, index=1)])
         state = self._State({0: self._Thread(), 1: self._Thread(finished=True)})
-        policy.choose(state, runnable=[0], current=0, reason="sync")
+        policy.choose(state, current=0, reason="sync")
         assert "finished" in policy.divergence_reason
         fresh = ReplayPolicy([self._decision(tid=9)])
-        fresh.choose(state, runnable=[0], current=0, reason="sync")
+        fresh.choose(state, current=0, reason="sync")
         assert "not yet created" in fresh.divergence_reason
 
     def test_exhausted_trace_reason_and_reset(self):
         policy = ReplayPolicy([])
         state = self._State({0: self._Thread()})
-        policy.choose(state, runnable=[0], current=0, reason="sync")
+        policy.choose(state, current=0, reason="sync")
         assert policy.diverged
         assert policy.divergence_reason == "recorded schedule exhausted"
         policy.reset()

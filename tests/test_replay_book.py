@@ -14,7 +14,11 @@ state, exactly as every race used to, and is the oracle here:
 * **hazards** -- a step budget too small for the pass takes the per-race
   fallback and yields the verdicts of per-race replay, classification never
   mutates the shared final state, alternates count their statements on the
-  executor that runs them, and fresh pool workers start with an empty memo.
+  executor that runs them, and fresh pool workers start with an empty memo;
+* **bounds** -- the memo keeps the passes of its last ``_REPLAY_MEMO_LIMIT``
+  traces, of each one race's working set (its Mp primaries plus the
+  recorded inputs), so a serial ``stress_deep`` pass builds each of its 6
+  passes once.
 """
 
 
@@ -29,6 +33,7 @@ from repro.core.alternate import (
 )
 from repro.core.config import PortendConfig
 from repro.core.portend import Portend
+from repro.engine import AnalysisEngine, EngineOptions
 from repro.engine.tasks import pool_worker_initializer
 from repro.lang.ast import SYNC_STMTS, add, eq, glob, local
 from repro.lang.builder import ProgramBuilder
@@ -228,7 +233,11 @@ class TestSharedPassHazards:
         monkeypatch.setattr(alternate, "replay_primary_per_race", counting)
         assert _classified(portend, trace) == expected
         assert set(fallbacks) == {race.race_id for race in trace.races}
-        assert all(book.final_state is None for book in alternate._REPLAY_MEMO.values())
+        assert all(
+            book.final_state is None
+            for replays in alternate._REPLAY_MEMO.values()
+            for book in replays.passes.values()
+        )
 
     def test_semantic_classification_matches_per_race_replay(self, monkeypatch):
         _workload, portend, trace = _portend("fmm", semantic=True)
@@ -265,14 +274,44 @@ class TestSharedPassHazards:
         assert runner.executor.counters.statements > 0
 
     def test_memo_is_bounded(self):
-        _workload, portend, trace = _portend("bbuf")
+        # The memo keeps the last _REPLAY_MEMO_LIMIT traces and, of each,
+        # one race's working set: its primaries plus the recorded inputs.
+        workload, portend, trace = _portend("bbuf")
         race = trace.races[0]
-        for value in range(alternate._REPLAY_MEMO_LIMIT + 3):
-            replay_primary(
-                portend.executor, portend.program, trace, race,
-                concrete_inputs={"quiet_producers": value}, use_steps=False,
-            )
-        assert len(alternate._REPLAY_MEMO) == alternate._REPLAY_MEMO_LIMIT
+        for primaries in (1, 3):
+            for value in range(primaries + 4):
+                replay_primary(
+                    portend.executor, portend.program, trace, race,
+                    concrete_inputs={"quiet_producers": value}, use_steps=False,
+                    primaries=primaries,
+                )
+            assert len(alternate._REPLAY_MEMO[id(trace)].passes) == primaries + 1
+        traces = [trace] + [
+            portend.record(inputs=dict(workload.inputs))
+            for _ in range(alternate._REPLAY_MEMO_LIMIT + 1)
+        ]
+        for other in traces:
+            replay_primary(portend.executor, portend.program, other, other.races[0])
+        kept = traces[-alternate._REPLAY_MEMO_LIMIT:]
+        assert list(alternate._REPLAY_MEMO) == [id(other) for other in kept]
+        assert all(len(replays.passes) == 1 for replays in alternate._REPLAY_MEMO.values())
+
+    def test_a_races_input_vectors_do_not_evict_each_other(self, monkeypatch):
+        # Every stress_deep race replays the recorded inputs and 5 multi-path
+        # primaries, the same 6 vectors for all 12 races: one pass each.  A
+        # memo that cycles them rebuilds 6 passes per race (72).
+        built = []
+        build = alternate._replay_book
+
+        def counting(executor, trace, *args):
+            built.append(trace.program)
+            return build(executor, trace, *args)
+
+        monkeypatch.setattr(alternate, "_replay_book", counting)
+        AnalysisEngine(options=EngineOptions(parallel=0)).analyze_workloads(
+            [load_workload("stress_deep")]
+        )
+        assert built == ["stress_deep"] * 6
 
     def test_pool_worker_initializer_empties_the_memo(self):
         _workload, portend, trace = _portend("RW")

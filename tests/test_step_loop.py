@@ -25,8 +25,8 @@ through ``isinstance`` chains, builds every binary operation through
 
 The oracle shares ``ExecutionState.frame_mut`` and ``Memory.store_global``
 with the live loop, so a change to what those copy would move both sides
-alike; the registry test therefore also pins the serial counts (157,174
-statements, 9,807 copy-on-write copies, 57 spin cutoffs).
+alike; the registry test therefore also pins the serial counts (153,907
+statements, 7,233 copy-on-write copies, 57 spin cutoffs).
 """
 
 import pytest
@@ -156,7 +156,7 @@ class OracleExecutor(Executor):
         runnable = state.runnable_tids()
         if not runnable:
             return None
-        chosen = policy.choose(state, runnable, current, reason)
+        chosen = policy.choose(state, current, reason)
         if chosen is None:
             return None
         if reason in ("sync", "blocked"):
@@ -414,8 +414,8 @@ def test_serial_registry_matches_the_replaced_loop(monkeypatch):
     assert counters == oracle_counters
     # The oracle shares ExecutionState.frame_mut and Memory.store_global with
     # the live loop, so only pinned figures show a change in what they copy.
-    assert counters["statements"] == 157174
-    assert counters["cow_copies"] == 9807
+    assert counters["statements"] == 153907
+    assert counters["cow_copies"] == 7233
     assert counters["spin_cutoffs"] == 57
 
 
