@@ -28,7 +28,9 @@ stage:
   analysis, §3.4).  An enforcement run whose state repeats (the forced
   thread spinning on a flag only the preempted thread can set) is cut short
   at the repeat and fast-forwarded to the state the full budget would reach
-  (:class:`_SpinCutoff`).
+  (:class:`_SpinCutoff`).  Given one race's :data:`EnforcementMemo`, every
+  alternate of a checkpoint shares one enforcement and runs its post-race
+  schedule on a clone of the enforced state.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from repro.lang import ast
 from repro.lang.program import Program
 from repro.record_replay.trace import ExecutionTrace
 from repro.runtime.errors import ExecutionOutcome, OutcomeKind
-from repro.runtime.executor import Executor, RunStatus
+from repro.runtime.executor import Executor, RunResult, RunStatus
 from repro.runtime.listeners import ExecutionListener, MemoryAccess
 from repro.runtime.scheduler import (
     ControlledPolicy,
@@ -731,43 +733,45 @@ class _SpinCutoff:
         return skipped
 
 
-def run_alternate(
+@dataclass
+class _Enforced:
+    """An enforced alternate ordering, kept in an :data:`EnforcementMemo`."""
+
+    #: held so the ``id(checkpoint)`` memo key cannot be reused
+    checkpoint: ExecutionState
+    #: the state right after the forced thread's racing access; never
+    #: mutated, every alternate runs on a clone of it
+    state: ExecutionState
+    seen_pc: Optional[int]
+
+
+#: One race's enforced alternate orderings, by ``(id(pre-race checkpoint),
+#: timeout_steps)``.  ``classify_race`` makes one per race and drops it with
+#: the race: a replay pass shares a checkpoint between the races that stop
+#: at the same pre-race point, so the memo must not outlive one race.
+EnforcementMemo = Dict[Tuple[int, int], _Enforced]
+
+
+def _enforce(
     executor: Executor,
-    program: Program,
-    trace: ExecutionTrace,
     race: RaceReport,
-    primary: PrimaryReplay,
+    checkpoint: ExecutionState,
     timeout_steps: int,
-    post_race_policy: Optional[SchedulePolicy] = None,
-    predicates: Sequence[SemanticPredicate] = (),
-    capture_post_race_snapshot: bool = False,
-) -> AlternateResult:
-    """Enforce the alternate ordering of the racing accesses and run onwards.
+    listeners: List[ExecutionListener],
+) -> Tuple[ExecutionState, _RaceAccessWatcher, RunResult]:
+    """Run a clone of ``checkpoint`` until the forced thread's racing access.
 
-    ``primary`` must have been produced by :func:`replay_primary` (its
-    pre-race checkpoint seeds the alternate).  ``timeout_steps`` bounds the
-    enforcement and the post-race execution; callers take it from
-    :func:`enforcement_budget`.  An enforcement run that starts repeating
-    its state is cut short and fast-forwarded (:class:`_SpinCutoff`): the
-    result equals the one the full ``timeout_steps`` would give, final
-    state included.
+    Returns the state, the watcher that saw (or did not see) that access and
+    the last run's result.  An enforcement run that starts repeating its
+    state is cut short and fast-forwarded (:class:`_SpinCutoff`).
     """
-    if primary.pre_race_checkpoint is None:
-        return AlternateResult(
-            status=AlternateStatus.RACE_NOT_REACHED,
-            state=primary.final_state,
-            pre_race_checkpoint=None,
-        )
-
     first, second = race.first, race.second
-    state = primary.pre_race_checkpoint.clone()
+    state = checkpoint.clone()
     # The checkpoint may come from a replay pass another task's executor
     # ran: count this alternate's statements on the executor running it.
     state.attach_counters(executor.counters)
-    listeners = _spec_listeners(predicates)
     watcher = _RaceAccessWatcher(race, second.tid)
-    locator = RacePointLocator(race, use_steps=False)
-    watched = locator.watched_pcs()
+    watched = RacePointLocator(race, use_steps=False).watched_pcs()
 
     # Enforce the alternate order: preempt the thread that performed the
     # first racing access and let the other racing thread run (Algorithm 1,
@@ -803,38 +807,92 @@ def run_alternate(
             watched_pcs=watched,
             stop_after=stop_after_enforced,
         )
+    return state, watcher, result
 
-    if not watcher.seen:
-        if state.outcome is not None:
-            # The alternate terminated (crash, deadlock, ...) before the
-            # forced thread reached its racing access; the classifier will
-            # inspect the outcome directly (a deadlock or crash here is a
-            # specification violation caused by the attempted reordering).
-            return AlternateResult(
-                status=AlternateStatus.COMPLETED,
-                state=state,
-                pre_race_checkpoint=primary.pre_race_checkpoint,
-                steps=state.step_count,
-            )
-        if result.status is RunStatus.SCHEDULING_STUCK:
-            cycle = state.sync.find_lock_cycle(state.blocked_reasons())
-            return AlternateResult(
-                status=AlternateStatus.STUCK,
-                state=state,
-                pre_race_checkpoint=primary.pre_race_checkpoint,
-                lock_cycle=cycle,
-                timeout_diagnosis=None,
-                steps=state.step_count,
-            )
-        # Step budget exhausted while the forced thread spins: diagnose.
-        diagnosis = diagnose_timeout(program, state, spinning_tid=second.tid)
+
+def run_alternate(
+    executor: Executor,
+    program: Program,
+    trace: ExecutionTrace,
+    race: RaceReport,
+    primary: PrimaryReplay,
+    timeout_steps: int,
+    post_race_policy: Optional[SchedulePolicy] = None,
+    predicates: Sequence[SemanticPredicate] = (),
+    capture_post_race_snapshot: bool = False,
+    enforced: Optional[EnforcementMemo] = None,
+) -> AlternateResult:
+    """Enforce the alternate ordering of the racing accesses and run onwards.
+
+    ``primary`` must have been produced by :func:`replay_primary` (its
+    pre-race checkpoint seeds the alternate).  ``timeout_steps`` bounds the
+    enforcement and the post-race execution; callers take it from
+    :func:`enforcement_budget`.  An enforcement run that starts repeating
+    its state is cut short and fast-forwarded (:class:`_SpinCutoff`): the
+    result equals the one the full ``timeout_steps`` would give, final
+    state included.
+
+    The alternates of one checkpoint differ only after the race: the
+    enforcement is the same deterministic run, and only the post-race
+    policy changes.  With an ``enforced`` memo (one race's, see
+    :data:`EnforcementMemo`) the first alternate of a checkpoint and budget
+    keeps its enforced state, if the forced thread reached its racing
+    access, and every alternate of that checkpoint runs its release and
+    continuation on a clone of it.  The result is the one a run without the
+    memo gives; ``steps`` still counts the enforcement.
+    """
+    checkpoint = primary.pre_race_checkpoint
+    if checkpoint is None:
         return AlternateResult(
-            status=AlternateStatus.TIMEOUT,
-            state=state,
-            pre_race_checkpoint=primary.pre_race_checkpoint,
-            timeout_diagnosis=diagnosis,
-            steps=state.step_count,
+            status=AlternateStatus.RACE_NOT_REACHED,
+            state=primary.final_state,
+            pre_race_checkpoint=None,
         )
+
+    listeners = _spec_listeners(predicates)
+    key = (id(checkpoint), timeout_steps)
+    kept = enforced.get(key) if enforced is not None else None
+    if kept is not None:
+        # A checker that fired ended the state, so a fresh one carries on
+        # exactly as the enforcement's own would.
+        state, seen_pc = kept.state.clone(), kept.seen_pc
+    else:
+        state, watcher, result = _enforce(executor, race, checkpoint, timeout_steps, listeners)
+        if not watcher.seen:
+            if state.outcome is not None:
+                # The alternate terminated (crash, deadlock, ...) before the
+                # forced thread reached its racing access; the classifier will
+                # inspect the outcome directly (a deadlock or crash here is a
+                # specification violation caused by the attempted reordering).
+                return AlternateResult(
+                    status=AlternateStatus.COMPLETED,
+                    state=state,
+                    pre_race_checkpoint=checkpoint,
+                    steps=state.step_count,
+                )
+            if result.status is RunStatus.SCHEDULING_STUCK:
+                cycle = state.sync.find_lock_cycle(state.blocked_reasons())
+                return AlternateResult(
+                    status=AlternateStatus.STUCK,
+                    state=state,
+                    pre_race_checkpoint=checkpoint,
+                    lock_cycle=cycle,
+                    timeout_diagnosis=None,
+                    steps=state.step_count,
+                )
+            # Step budget exhausted while the forced thread spins: diagnose.
+            diagnosis = diagnose_timeout(program, state, spinning_tid=race.second.tid)
+            return AlternateResult(
+                status=AlternateStatus.TIMEOUT,
+                state=state,
+                pre_race_checkpoint=checkpoint,
+                timeout_diagnosis=diagnosis,
+                steps=state.step_count,
+            )
+        seen_pc = watcher.seen_pc
+        if enforced is not None:
+            enforced[key] = _Enforced(checkpoint, state, seen_pc)
+            state = state.clone()
 
     # The alternate ordering was enforced; release the scheduler.
     snapshot = None
@@ -843,15 +901,15 @@ def run_alternate(
         # "state immediately after the race" is comparable with the primary's
         # post-race snapshot (this is what the Record/Replay-Analyzer
         # baseline diffs).
-        follower = _RaceAccessWatcher(race, first.tid)
+        follower = _RaceAccessWatcher(race, race.first.tid)
         release = ControlledPolicy(RoundRobinPolicy())
-        release.force(first.tid)
+        release.force(race.first.tid)
         executor.run(
             state,
             policy=release,
             listeners=listeners + [follower],
             max_steps=min(timeout_steps, 5_000),
-            watched_pcs=watched,
+            watched_pcs=RacePointLocator(race, use_steps=False).watched_pcs(),
             stop_after=lambda s, t, st: follower.seen,
         )
         snapshot = state.memory.snapshot()
@@ -869,9 +927,9 @@ def run_alternate(
     return AlternateResult(
         status=AlternateStatus.COMPLETED,
         state=state,
-        pre_race_checkpoint=primary.pre_race_checkpoint,
+        pre_race_checkpoint=checkpoint,
         post_race_snapshot=snapshot,
-        enforced_pc=watcher.seen_pc,
+        enforced_pc=seen_pc,
         steps=state.step_count,
     )
 

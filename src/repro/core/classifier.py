@@ -12,6 +12,17 @@
    compares outputs symbolically;
 3. the race is classified "k-witness harmless" with k = Mp × Ma only if every
    explored combination produced equivalent behaviour.
+
+Every alternate of a race starts from a pre-race checkpoint and enforces
+the same alternate ordering before its post-race schedule (round-robin for
+Algorithm 1, Ma seeded schedules per primary path for Algorithm 2) takes
+over.  ``classify_race`` makes one enforcement memo per race and hands it to
+both stages: each (checkpoint, budget) pair is enforced once, and every
+alternate of it continues from a clone of the enforced state.  Algorithm 1's
+alternate and the Ma alternates of a primary path that replays the recorded
+inputs share a checkpoint; other primaries have their own.  The memo lives
+for one ``classify_race`` call, because the replay pass hands one checkpoint
+to every race that stops at the same pre-race point.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from __future__ import annotations
 import time
 from typing import Optional, Sequence
 
+from repro.core.alternate import EnforcementMemo
 from repro.core.categories import ClassifiedRace, RaceClass
 from repro.core.config import PortendConfig
 from repro.core.multi_path import classify_multipath
@@ -42,7 +54,12 @@ def classify_race(
     config = config or PortendConfig()
     started = time.perf_counter()
 
-    single = single_classify(executor, program, trace, race, config, predicates=predicates)
+    # The race's enforcement memo: every alternate of one pre-race checkpoint
+    # enforces the ordering once.  It dies with this call.
+    enforced: EnforcementMemo = {}
+    single = single_classify(
+        executor, program, trace, race, config, predicates=predicates, enforced=enforced
+    )
     analysis_steps = single.primary.steps
     if single.alternate is not None:
         analysis_steps += single.alternate.steps
@@ -66,7 +83,9 @@ def classify_race(
             stage="single-pre/single-post",
         )
 
-    multi = classify_multipath(executor, program, trace, race, config, predicates=predicates)
+    multi = classify_multipath(
+        executor, program, trace, race, config, predicates=predicates, enforced=enforced
+    )
     evidence = multi.evidence
     if evidence.spec_violation_kind or evidence.output_difference or evidence.notes:
         evidence.post_race_states_differ = single.evidence.post_race_states_differ

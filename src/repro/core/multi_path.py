@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.alternate import (
     AlternateStatus,
+    EnforcementMemo,
     enforcement_budget,
     replay_primary,
     run_alternate,
@@ -68,13 +69,16 @@ def analyze_primary_path(
     path: PrimaryPath,
     result: MultiPathResult,
     predicates: Sequence[SemanticPredicate] = (),
+    enforced: Optional[EnforcementMemo] = None,
 ) -> None:
     """Analyze one primary path: replay it, run its Ma alternates, and fold
     what they show into ``result``.
 
     Stops at the path's first specification violation, leaving
     ``result.verdict`` at ``SPEC_VIOLATED``; the first output difference
-    folded into ``result`` supplies its evidence.
+    folded into ``result`` supplies its evidence.  The Ma alternates share
+    one enforcement through ``enforced``, the race's memo (see
+    :func:`run_alternate`).
     """
     evidence = result.evidence
 
@@ -136,6 +140,7 @@ def analyze_primary_path(
             timeout_steps,
             post_race_policy=policy,
             predicates=predicates,
+            enforced=enforced,
         )
         if alternate.status in (AlternateStatus.TIMEOUT, AlternateStatus.STUCK):
             if alternate.timeout_diagnosis == "infinite-loop" or alternate.lock_cycle:
@@ -192,11 +197,13 @@ def classify_multipath(
     race: RaceReport,
     config: PortendConfig,
     predicates: Sequence[SemanticPredicate] = (),
+    enforced: Optional[EnforcementMemo] = None,
 ) -> MultiPathResult:
     """Run the multi-path (and optionally multi-schedule) analysis for a race.
 
     Explore the primaries once, then fold them into one result in path
-    order, stopping at the first specification violation.
+    order, stopping at the first specification violation.  ``enforced`` is
+    the race's enforcement memo, handed to every path.
     """
     explorer = MultiPathExplorer.for_config(executor, program, trace, race, config)
     primaries = explorer.explore()
@@ -207,7 +214,15 @@ def classify_multipath(
     )
     for path in primaries:
         analyze_primary_path(
-            executor, program, trace, race, config, path, result, predicates=predicates
+            executor,
+            program,
+            trace,
+            race,
+            config,
+            path,
+            result,
+            predicates=predicates,
+            enforced=enforced,
         )
         if result.verdict is RaceClass.SPEC_VIOLATED:
             break

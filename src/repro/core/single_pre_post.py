@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence
 from repro.core.alternate import (
     AlternateResult,
     AlternateStatus,
+    EnforcementMemo,
     PrimaryReplay,
     enforcement_budget,
     replay_primary,
@@ -81,11 +82,13 @@ def single_classify(
     race: RaceReport,
     config: PortendConfig,
     predicates: Sequence[SemanticPredicate] = (),
+    enforced: Optional[EnforcementMemo] = None,
 ) -> SinglePrePostResult:
     """Run Algorithm 1 (singleClassify) for one race.
 
     Returns a verdict among ``SPEC_VIOLATED``, ``OUTPUT_DIFFERS``,
-    ``SINGLE_ORDERING`` and the intermediate ``OUTPUT_SAME``.
+    ``SINGLE_ORDERING`` and the intermediate ``OUTPUT_SAME``.  ``enforced``
+    is the race's enforcement memo (see :func:`run_alternate`).
     """
     evidence = ClassificationEvidence()
     primary = replay_primary(
@@ -117,6 +120,7 @@ def single_classify(
         post_race_policy=RoundRobinPolicy(),
         predicates=predicates,
         capture_post_race_snapshot=True,
+        enforced=enforced,
     )
 
     if primary.post_race_snapshot is not None and alternate.post_race_snapshot is not None:

@@ -141,6 +141,10 @@ class _Checked:
         # A random post-race policy carries RNG state: give the reference
         # its own copy so that both runs draw the same schedule.
         reference_kwargs["post_race_policy"] = copy.deepcopy(kwargs.get("post_race_policy"))
+        # The reference enforces from the checkpoint itself: with the race's
+        # enforcement memo it would leave its full-budget state for the
+        # checked run to clone.
+        reference_kwargs["enforced"] = None
         reference = _full_budget(self.monkeypatch, executor, *args, **reference_kwargs)
         before = executor.counters.spin_cutoffs
         result = run_alternate(executor, *args, **kwargs)
