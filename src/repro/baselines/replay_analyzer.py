@@ -32,7 +32,6 @@ from repro.detection.race_report import RaceReport
 from repro.lang.program import Program
 from repro.record_replay.trace import ExecutionTrace
 from repro.runtime.executor import Executor
-from repro.runtime.scheduler import RoundRobinPolicy
 
 
 class ReplayAnalyzerVerdict(enum.Enum):
@@ -98,8 +97,6 @@ class RecordReplayAnalyzer:
             race,
             primary,
             enforcement_budget(self.timeout_factor, primary.steps, self.max_steps),
-            post_race_policy=RoundRobinPolicy(),
-            capture_post_race_snapshot=True,
         )
 
         if alternate.status is not AlternateStatus.COMPLETED or alternate.post_race_snapshot is None:
@@ -114,7 +111,9 @@ class RecordReplayAnalyzer:
                 alternate_steps=alternate.steps,
             )
 
-        states_differ = primary.post_race_snapshot != alternate.post_race_snapshot
+        states_differ = not primary.post_race_snapshot.same_snapshot(
+            alternate.post_race_snapshot
+        )
         if outcome_is_spec_violation(alternate.outcome):
             states_differ = True
         verdict = (

@@ -5,9 +5,11 @@ stage:
 
 * :func:`replay_primary` returns the recorded trace's replay (optionally with
   different concrete inputs) with the checkpoints of one race: the state at
-  its pre-race point, the memory right after its post-race point, and the
-  completed execution -- lines 1-4 of Algorithm 1.  Only those checkpoints
-  differ between the races of a trace, so the trace is replayed *once* per
+  its pre-race point, the memory right after its post-race point (a
+  copy-on-write clone, frozen only if a comparison needs it, see
+  :meth:`Memory.same_snapshot`), and the completed execution -- lines 1-4
+  of Algorithm 1.  Only those checkpoints differ between the races of a
+  trace, so the trace is replayed *once* per
   (trace, effective inputs, race-point locator mode, step budget,
   predicates, loop bound): one :class:`ReplayPolicy` run stops at every race's
   pre-race and post-race points, and the completed primary is shared by all
@@ -23,21 +25,24 @@ stage:
   and enforces the alternate ordering of the racing accesses by preempting
   the thread that performed the first access and forcing the other racing
   thread to run -- lines 5-7 of Algorithm 1 -- then lets the execution
-  continue under a configurable post-race schedule policy (round-robin for
-  the deterministic single-post analysis, random for multi-schedule
-  analysis, §3.4).  An enforcement run whose state repeats (the forced
-  thread spinning on a flag only the preempted thread can set) is cut short
-  at the repeat and fast-forwarded to the state the full budget would reach
+  continue under a post-race schedule: the single-post schedule (the
+  preempted thread is released to make its racing access, then
+  round-robin), which Algorithm 1 runs and which is the first of
+  Algorithm 2's Ma schedules, or a seeded random policy for the others
+  (§3.4).  An enforcement run whose state repeats (the forced thread
+  spinning on a flag only the preempted thread can set) is cut short at the
+  repeat and fast-forwarded to the state the full budget would reach
   (:class:`_SpinCutoff`).  Given one race's :data:`EnforcementMemo`, every
   alternate of a checkpoint shares one enforcement and runs its post-race
-  schedule on a clone of the enforced state.
+  schedule on a clone of the enforced state, and the single-post alternate
+  runs once.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.spec import SemanticPredicate, SpecChecker, diagnose_timeout
@@ -48,6 +53,7 @@ from repro.record_replay.trace import ExecutionTrace
 from repro.runtime.errors import ExecutionOutcome, OutcomeKind
 from repro.runtime.executor import Executor, RunResult, RunStatus
 from repro.runtime.listeners import ExecutionListener, MemoryAccess
+from repro.runtime.memory import Memory
 from repro.runtime.scheduler import (
     ControlledPolicy,
     ReplayPolicy,
@@ -133,14 +139,15 @@ class _RaceAccessWatcher(ExecutionListener):
 class PrimaryReplay:
     """The primary execution, replayed to completion with checkpoints.
 
-    ``final_state`` and ``pre_race_checkpoint`` may be shared with other
-    races of the same trace (see :func:`replay_primary`): read them or clone
-    them, never mutate them.
+    ``final_state``, ``pre_race_checkpoint`` and ``post_race_snapshot`` (a
+    copy-on-write clone of the memory right after the second racing access)
+    may be shared with other races of the same trace (see
+    :func:`replay_primary`): read them or clone them, never mutate them.
     """
 
     final_state: ExecutionState
     pre_race_checkpoint: Optional[ExecutionState]
-    post_race_snapshot: Optional[Tuple]
+    post_race_snapshot: Optional[Memory]
     reached_race: bool
     diverged: bool
     steps: int
@@ -161,12 +168,17 @@ class AlternateStatus(enum.Enum):
 
 @dataclass
 class AlternateResult:
-    """One alternate execution: enforcement status plus final state."""
+    """One alternate execution: enforcement status plus final state.
+
+    ``post_race_snapshot`` is set by the single-post schedule only: the
+    memory right after the release (see :func:`run_alternate`), a
+    copy-on-write clone to read, never to mutate.
+    """
 
     status: AlternateStatus
     state: ExecutionState
     pre_race_checkpoint: Optional[ExecutionState]
-    post_race_snapshot: Optional[Tuple] = None
+    post_race_snapshot: Optional[Memory] = None
     timeout_diagnosis: Optional[str] = None
     lock_cycle: Optional[List[int]] = None
     enforced_pc: Optional[int] = None
@@ -245,7 +257,7 @@ def replay_primary_per_race(
             stop_after=locator.stop_after_second_access(),
         )
         if result.status is RunStatus.STOPPED_AFTER:
-            snapshot = state.memory.snapshot()
+            snapshot = state.memory.clone()
 
     # Phase 3: run to completion.
     if state.outcome is None:
@@ -279,7 +291,8 @@ def _race_points(race: RaceReport) -> _RacePoints:
 @dataclass
 class _ReplayBook:
     """One replay pass of a trace: the shared primary plus every race's
-    ``(pre-race checkpoint, post-race snapshot)``.
+    ``(pre-race checkpoint, post-race memory)``, the memory a copy-on-write
+    clone.
 
     ``final_state`` is None when the pass did not complete within the step
     budget; every race of the key then takes the per-race fallback.  Races
@@ -369,7 +382,7 @@ def _replay_book(
                 points[key][0] = checkpoint
                 post.setdefault((key[3], key[4]), []).append(key)
         elif result.status is RunStatus.STOPPED_AFTER:
-            snapshot = state.memory.snapshot()
+            snapshot = state.memory.clone()
             settle(post, (hits[0][3], hits[0][4]))
             for key in hits:
                 points[key][1] = snapshot
@@ -743,6 +756,9 @@ class _Enforced:
     #: mutated, every alternate runs on a clone of it
     state: ExecutionState
     seen_pc: Optional[int]
+    #: the single-post alternate, once run; its final state is never
+    #: mutated, every request for it gets a clone
+    single_post: Optional[AlternateResult] = None
 
 
 #: One race's enforced alternate orderings, by ``(id(pre-race checkpoint),
@@ -810,6 +826,51 @@ def _enforce(
     return state, watcher, result
 
 
+def _run_post_race(
+    executor: Executor,
+    race: RaceReport,
+    state: ExecutionState,
+    post_race_policy: Optional[SchedulePolicy],
+    listeners: List[ExecutionListener],
+    timeout_steps: int,
+) -> Optional[Memory]:
+    """Run an enforced alternate on to its end under its post-race schedule.
+
+    ``post_race_policy`` None is the single-post schedule: the release
+    forces the preempted thread to make its own racing access, and the
+    memory right after that access is returned (a copy-on-write clone) for
+    comparison with the primary's post-race memory.  The release is a fresh
+    run, and the scheduler is consulted only at preemption points, so the
+    enforced thread first runs on from its racing access to its next
+    preemption point: the memory is not the one immediately after the
+    race.  Round-robin continues from there.  Any other policy continues
+    from the enforced state directly, and None is returned.
+    """
+    snapshot = None
+    if post_race_policy is None and state.outcome is None:
+        follower = _RaceAccessWatcher(race, race.first.tid)
+        release = ControlledPolicy(RoundRobinPolicy())
+        release.force(race.first.tid)
+        executor.run(
+            state,
+            policy=release,
+            listeners=listeners + [follower],
+            max_steps=min(timeout_steps, 5_000),
+            watched_pcs=RacePointLocator(race, use_steps=False).watched_pcs(),
+            stop_after=lambda s, t, st: follower.seen,
+        )
+        snapshot = state.memory.clone()
+    if state.outcome is None:
+        executor.run(
+            state,
+            policy=post_race_policy or RoundRobinPolicy(),
+            listeners=listeners,
+            max_steps=timeout_steps,
+            watched_pcs=frozenset(),
+        )
+    return snapshot
+
+
 def run_alternate(
     executor: Executor,
     program: Program,
@@ -819,7 +880,6 @@ def run_alternate(
     timeout_steps: int,
     post_race_policy: Optional[SchedulePolicy] = None,
     predicates: Sequence[SemanticPredicate] = (),
-    capture_post_race_snapshot: bool = False,
     enforced: Optional[EnforcementMemo] = None,
 ) -> AlternateResult:
     """Enforce the alternate ordering of the racing accesses and run onwards.
@@ -832,14 +892,25 @@ def run_alternate(
     result equals the one the full ``timeout_steps`` would give, final
     state included.
 
+    ``post_race_policy`` None (the default) is the single-post schedule of
+    Algorithm 1, also the first of Algorithm 2's Ma schedules: the release
+    lets the preempted thread make its racing access, the memory after it
+    becomes ``post_race_snapshot`` (a copy-on-write clone, compared through
+    :meth:`Memory.same_snapshot`), and round-robin continues.  Any other
+    policy continues from the enforced state (see :func:`_run_post_race`).
+
     The alternates of one checkpoint differ only after the race: the
     enforcement is the same deterministic run, and only the post-race
-    policy changes.  With an ``enforced`` memo (one race's, see
+    schedule changes.  With an ``enforced`` memo (one race's, see
     :data:`EnforcementMemo`) the first alternate of a checkpoint and budget
     keeps its enforced state, if the forced thread reached its racing
     access, and every alternate of that checkpoint runs its release and
-    continuation on a clone of it.  The result is the one a run without the
-    memo gives; ``steps`` still counts the enforcement.
+    continuation on a clone of it.  The entry also keeps the single-post
+    result: a second single-post request for the same checkpoint and budget
+    (Algorithm 2's first alternate of the recorded inputs' path repeats
+    Algorithm 1's) executes nothing and gets that result with a clone of
+    its final state.  The result is the one a run without the memo gives;
+    ``steps`` still counts the enforcement.
     """
     checkpoint = primary.pre_race_checkpoint
     if checkpoint is None:
@@ -852,6 +923,8 @@ def run_alternate(
     listeners = _spec_listeners(predicates)
     key = (id(checkpoint), timeout_steps)
     kept = enforced.get(key) if enforced is not None else None
+    if kept is not None and post_race_policy is None and kept.single_post is not None:
+        return replace(kept.single_post, state=kept.single_post.state.clone())
     if kept is not None:
         # A checker that fired ended the state, so a fresh one carries on
         # exactly as the enforcement's own would.
@@ -891,40 +964,14 @@ def run_alternate(
             )
         seen_pc = watcher.seen_pc
         if enforced is not None:
-            enforced[key] = _Enforced(checkpoint, state, seen_pc)
+            kept = enforced[key] = _Enforced(checkpoint, state, seen_pc)
             state = state.clone()
 
     # The alternate ordering was enforced; release the scheduler.
-    snapshot = None
-    if capture_post_race_snapshot and state.outcome is None:
-        # Let the preempted thread perform its own racing access so that the
-        # "state immediately after the race" is comparable with the primary's
-        # post-race snapshot (this is what the Record/Replay-Analyzer
-        # baseline diffs).
-        follower = _RaceAccessWatcher(race, race.first.tid)
-        release = ControlledPolicy(RoundRobinPolicy())
-        release.force(race.first.tid)
-        executor.run(
-            state,
-            policy=release,
-            listeners=listeners + [follower],
-            max_steps=min(timeout_steps, 5_000),
-            watched_pcs=RacePointLocator(race, use_steps=False).watched_pcs(),
-            stop_after=lambda s, t, st: follower.seen,
-        )
-        snapshot = state.memory.snapshot()
-
-    if state.outcome is None:
-        continuation = post_race_policy or RoundRobinPolicy()
-        executor.run(
-            state,
-            policy=continuation,
-            listeners=listeners,
-            max_steps=timeout_steps,
-            watched_pcs=frozenset(),
-        )
-
-    return AlternateResult(
+    snapshot = _run_post_race(
+        executor, race, state, post_race_policy, listeners, timeout_steps
+    )
+    alternate = AlternateResult(
         status=AlternateStatus.COMPLETED,
         state=state,
         pre_race_checkpoint=checkpoint,
@@ -932,4 +979,7 @@ def run_alternate(
         enforced_pc=seen_pc,
         steps=state.step_count,
     )
-
+    if kept is not None and post_race_policy is None:
+        kept.single_post = alternate
+        return replace(alternate, state=state.clone())
+    return alternate

@@ -4,7 +4,11 @@ For every primary path found by the :class:`repro.explore.paths.MultiPathExplore
 (up to Mp paths that follow the recorded schedule and exercise the race), the
 analysis generates the corresponding alternate executions under Ma different
 post-race schedules, watches for specification violations, and compares the
-alternates' concrete outputs against the primary's symbolic outputs.
+alternates' concrete outputs against the primary's symbolic outputs.  The
+first schedule of every path is Algorithm 1's single-post schedule (see
+:func:`repro.explore.schedules.alternate_schedule_policies`); on the path
+that replays the recorded inputs it is Algorithm 1's own alternate, which
+the race's enforcement memo returns without executing a statement.
 
 :func:`classify_multipath` explores the primaries once and hands them, in
 path order, to :func:`analyze_primary_path`, which folds each path straight
@@ -78,7 +82,8 @@ def analyze_primary_path(
     ``result.verdict`` at ``SPEC_VIOLATED``; the first output difference
     folded into ``result`` supplies its evidence.  The Ma alternates share
     one enforcement through ``enforced``, the race's memo (see
-    :func:`run_alternate`).
+    :func:`run_alternate`), and the first, single-post one is Algorithm 1's
+    alternate when the path's checkpoint and budget are Algorithm 1's.
     """
     evidence = result.evidence
 

@@ -33,7 +33,6 @@ from repro.lang.program import Program
 from repro.record_replay.trace import ExecutionTrace
 from repro.runtime.errors import ExecutionOutcome, OutcomeKind
 from repro.runtime.executor import Executor
-from repro.runtime.scheduler import RoundRobinPolicy
 
 
 @dataclass
@@ -87,8 +86,14 @@ def single_classify(
     """Run Algorithm 1 (singleClassify) for one race.
 
     Returns a verdict among ``SPEC_VIOLATED``, ``OUTPUT_DIFFERS``,
-    ``SINGLE_ORDERING`` and the intermediate ``OUTPUT_SAME``.  ``enforced``
-    is the race's enforcement memo (see :func:`run_alternate`).
+    ``SINGLE_ORDERING`` and the intermediate ``OUTPUT_SAME``.  The
+    alternate runs the single-post schedule (see :func:`run_alternate`): the
+    preempted thread is released to make its racing access, and the memory
+    after that release is compared with the primary's post-race memory for
+    the evidence's ``post_race_states_differ``.  The release takes effect
+    only at the enforced thread's next preemption point, so that memory is
+    not the state immediately after the race.  ``enforced`` is the race's
+    enforcement memo, which keeps this alternate for Algorithm 2.
     """
     evidence = ClassificationEvidence()
     primary = replay_primary(
@@ -117,15 +122,13 @@ def single_classify(
         enforcement_budget(
             config.timeout_factor, primary.steps, config.max_steps_per_execution
         ),
-        post_race_policy=RoundRobinPolicy(),
         predicates=predicates,
-        capture_post_race_snapshot=True,
         enforced=enforced,
     )
 
     if primary.post_race_snapshot is not None and alternate.post_race_snapshot is not None:
-        evidence.post_race_states_differ = (
-            primary.post_race_snapshot != alternate.post_race_snapshot
+        evidence.post_race_states_differ = not primary.post_race_snapshot.same_snapshot(
+            alternate.post_race_snapshot
         )
 
     # Case (a)/(b) of Algorithm 1: the alternate ordering cannot be enforced.

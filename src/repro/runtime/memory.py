@@ -12,11 +12,11 @@ KLEE inside Cloud9").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.lang.program import Program
 from repro.runtime.errors import CrashKind, ProgramCrash
-from repro.symex.expr import Value, is_symbolic
+from repro.symex.expr import SymExpr, Value, is_symbolic
 
 
 @dataclass(frozen=True)
@@ -248,12 +248,15 @@ class Memory:
     # -------------------------------------------------------------- snapshots
 
     def snapshot(self) -> Tuple:
-        """A hashable snapshot of the concrete shared state.
+        """A hashable, frozen image of the concrete shared state.
 
-        Used by the Record/Replay-Analyzer baseline, which compares the
-        memory state of the primary and alternate executions right after the
-        race.  Symbolic cells are rendered by repr so that two snapshots are
-        equal only when they agree structurally.
+        Globals and arrays by name, heap objects by id with their freed flag
+        (not the allocation counter).  Symbolic cells are rendered by repr,
+        so two snapshots are equal only when they agree structurally.  The
+        post-race memories that Algorithm 1's evidence and the
+        Record/Replay-Analyzer baseline diff are compared through
+        :meth:`same_snapshot`, which builds snapshots only when a cheaper
+        comparison cannot decide.
         """
         def freeze(value: Value):
             return value if not is_symbolic(value) else ("sym", repr(value))
@@ -268,6 +271,33 @@ class Memory:
             for oid, obj in sorted(self._heap.items())
         )
         return globals_part, arrays_part, heap_part
+
+    def same_snapshot(self, other: "Memory") -> bool:
+        """``self.snapshot() == other.snapshot()``, usually without either.
+
+        Copy-on-write clones share their untouched containers, so comparing
+        the globals, the arrays and the heap objects directly is cheap, and
+        equal containers mean equal snapshots as long as no cell is
+        symbolic: a symbolic expression compares structurally, and a bool
+        leaf equals an int leaf whose repr differs (``x + True`` and
+        ``x + 1``).  Every other answer falls back to the snapshots.
+        """
+        if (
+            self._globals == other._globals
+            and self._arrays == other._arrays
+            and self._heap == other._heap
+            and not any(isinstance(value, SymExpr) for value in self._cells())
+        ):
+            return True
+        return self.snapshot() == other.snapshot()
+
+    def _cells(self) -> Iterator[Value]:
+        """Every cell: globals, then arrays, then heap objects."""
+        yield from self._globals.values()
+        for cells in self._arrays.values():
+            yield from cells
+        for obj in self._heap.values():
+            yield from obj.cells
 
     def key(self) -> Tuple:
         """An equality-comparable image of the whole memory.

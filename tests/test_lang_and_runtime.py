@@ -8,8 +8,10 @@ from repro.lang.ast import add, arr, div, eq, ge, glob, heap, local, logical_not
 from repro.lang.program import ProgramError
 from repro.runtime.errors import CrashKind, OutcomeKind
 from repro.runtime.executor import Executor, RunStatus
+from repro.runtime.memory import Memory
 from repro.runtime.scheduler import RandomPolicy, ReplayPolicy, RoundRobinPolicy
 from repro.runtime.threadstate import ThreadStatus
+from repro.symex.expr import BinExpr, Op, SymVar
 from repro.workloads import all_workload_names, load_workload
 
 
@@ -488,3 +490,99 @@ class TestReplayDivergenceDiagnostics:
         )
         explorer.explore()
         assert len(explorer.prune_reasons) == explorer.states_pruned
+
+
+class TestPostRaceMemoryComparison:
+    """``Memory.same_snapshot`` answers exactly ``snapshot() ==``: cheaply
+    when the containers compare equal and every cell is concrete, through
+    the snapshots otherwise."""
+
+    @pytest.fixture
+    def snapshots(self, monkeypatch):
+        calls = []
+        frozen = Memory.snapshot
+
+        def counted(memory):
+            calls.append(memory)
+            return frozen(memory)
+
+        monkeypatch.setattr(Memory, "snapshot", counted)
+        return calls
+
+    @staticmethod
+    def _memory():
+        b = ProgramBuilder("memories")
+        b.global_var("x", 0)
+        b.global_var("y", 0)
+        b.array("a", 3)
+        b.function("main").ret()
+        return Memory(b.build())
+
+    @staticmethod
+    def _agree(left, right, snapshots):
+        expected = left.snapshot() == right.snapshot()
+        del snapshots[:]
+        assert left.same_snapshot(right) == expected
+        assert right.same_snapshot(left) == expected
+        return expected
+
+    def test_clones_sharing_containers_compare_without_snapshots(self, snapshots):
+        memory = self._memory()
+        memory.store_global("x", 3)
+        clone = memory.clone()
+        assert clone._globals is memory._globals
+        assert self._agree(memory, clone, snapshots)
+        assert snapshots == []
+
+    def test_one_differing_int(self, snapshots):
+        memory = self._memory()
+        clone = memory.clone()
+        clone.store_global("y", 1)
+        assert not self._agree(memory, clone, snapshots)
+
+    def test_true_equals_one(self, snapshots):
+        memory, other = self._memory(), self._memory()
+        memory.store_global("x", True)
+        other.store_global("x", 1)
+        assert self._agree(memory, other, snapshots)
+        assert snapshots == []
+
+    def test_arrays(self, snapshots):
+        memory, other = self._memory(), self._memory()
+        memory.store_array("a", 2, 5)
+        other.store_array("a", 2, 5)
+        assert self._agree(memory, other, snapshots)
+        other.store_array("a", 1, 5)
+        assert not self._agree(memory, other, snapshots)
+
+    def test_freed_heap_objects(self, snapshots):
+        memory = self._memory()
+        pointer = memory.malloc(2)
+        memory.store_heap(pointer, 1, 4)
+        clone = memory.clone()
+        clone.free(pointer)
+        assert not self._agree(memory, clone, snapshots)
+        memory.free(pointer)
+        assert self._agree(memory, clone, snapshots)
+
+    def test_symbolic_cells_with_equal_reprs_fall_back(self, snapshots):
+        # Structurally different, printed alike: the containers differ, and
+        # the snapshots (which render symbolic cells by repr) agree.
+        x, z = SymVar("x", 0, 1), SymVar("z", 0, 1)
+        xy, yz = SymVar("x:[0,1]) + SymVar(y", 0, 1), SymVar("y:[0,1]) * SymVar(z", 0, 1)
+        memory, other = self._memory(), self._memory()
+        memory.store_global("x", BinExpr(Op.MUL, xy, z))
+        other.store_global("x", BinExpr(Op.ADD, x, yz))
+        assert memory._globals != other._globals
+        assert self._agree(memory, other, snapshots)
+        assert snapshots
+
+    def test_symbolic_cells_that_compare_equal_still_take_the_snapshots(self, snapshots):
+        # A bool leaf equals an int leaf, but prints differently.
+        x = SymVar("x", 0, 1)
+        memory, other = self._memory(), self._memory()
+        memory.store_global("x", BinExpr(Op.ADD, x, True))
+        other.store_global("x", BinExpr(Op.ADD, x, 1))
+        assert memory._globals == other._globals
+        assert not self._agree(memory, other, snapshots)
+        assert snapshots

@@ -38,6 +38,7 @@ from repro.engine.tasks import pool_worker_initializer
 from repro.lang.ast import SYNC_STMTS, add, eq, glob, local
 from repro.lang.builder import ProgramBuilder
 from repro.workloads import all_workload_names, load_workload
+from test_spin_cutoff import _frozen
 
 
 @pytest.fixture(autouse=True)
@@ -69,7 +70,7 @@ def _replay_view(replay):
         replay.reached_race,
         replay.steps,
         replay.diverged,
-        replay.post_race_snapshot,
+        _frozen(replay.post_race_snapshot),
         None if checkpoint is None else _state_view(checkpoint),
         _state_view(replay.final_state),
     )

@@ -68,6 +68,11 @@ def _frame_view(frame):
     )
 
 
+def _frozen(memory):
+    """A post-race memory compared by value: its frozen snapshot."""
+    return None if memory is None else memory.snapshot()
+
+
 def _state_view(state):
     """Every field of an execution state."""
     threads = tuple(
@@ -113,7 +118,7 @@ def _result_view(result):
         result.status,
         _state_view(result.state),
         id(result.pre_race_checkpoint),
-        result.post_race_snapshot,
+        _frozen(result.post_race_snapshot),
         result.timeout_diagnosis,
         result.lock_cycle,
         result.enforced_pc,

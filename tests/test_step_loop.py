@@ -25,8 +25,8 @@ through ``isinstance`` chains, builds every binary operation through
 
 The oracle shares ``ExecutionState.frame_mut`` and ``Memory.store_global``
 with the live loop, so a change to what those copy would move both sides
-alike; the registry test therefore also pins the serial counts (125,958
-statements, 10,061 copy-on-write copies, 57 spin cutoffs).
+alike; the registry test therefore also pins the serial counts (98,316
+statements, 9,096 copy-on-write copies, 57 spin cutoffs).
 """
 
 import pytest
@@ -414,8 +414,8 @@ def test_serial_registry_matches_the_replaced_loop(monkeypatch):
     assert counters == oracle_counters
     # The oracle shares ExecutionState.frame_mut and Memory.store_global with
     # the live loop, so only pinned figures show a change in what they copy.
-    assert counters["statements"] == 125958
-    assert counters["cow_copies"] == 10061
+    assert counters["statements"] == 98316
+    assert counters["cow_copies"] == 9096
     assert counters["spin_cutoffs"] == 57
 
 
