@@ -7,19 +7,14 @@
   [55] style classification: statically recognise ad-hoc synchronisation
   (busy-wait loops on the racing variable) and mark those races harmless;
   everything else is left unclassified.
-* :mod:`repro.baselines.heuristic` -- DataCollider [29] style heuristics
-  (statistics counters, redundant writes, ...), provided for completeness.
 """
 
 from repro.baselines.replay_analyzer import RecordReplayAnalyzer, ReplayAnalyzerVerdict
 from repro.baselines.adhoc_detector import AdHocSyncDetector, AdHocVerdict
-from repro.baselines.heuristic import HeuristicClassifier, HeuristicVerdict
 
 __all__ = [
     "RecordReplayAnalyzer",
     "ReplayAnalyzerVerdict",
     "AdHocSyncDetector",
     "AdHocVerdict",
-    "HeuristicClassifier",
-    "HeuristicVerdict",
 ]

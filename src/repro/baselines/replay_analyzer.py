@@ -11,8 +11,8 @@ after the race in the primary and the alternate interleavings:
 * post-race states identical ⇒ **likely harmless**.
 
 The implementation reuses Portend's record/replay machinery
-(:mod:`repro.core.alternate`) but none of its multi-path/multi-schedule or
-symbolic-output analysis.
+(:mod:`repro.core.alternate`, one enforcement memo per race) but none of
+its multi-path/multi-schedule or symbolic-output analysis.
 """
 
 from __future__ import annotations
@@ -97,6 +97,8 @@ class RecordReplayAnalyzer:
             race,
             primary,
             enforcement_budget(self.timeout_factor, primary.steps, self.max_steps),
+            # the race's enforcement memo, as ``classify_race`` makes one
+            enforced={},
         )
 
         if alternate.status is not AlternateStatus.COMPLETED or alternate.post_race_snapshot is None:

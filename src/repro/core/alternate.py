@@ -16,11 +16,11 @@ stage:
   races and by both classifier stages.  A per-process memo keeps the passes
   of the last trace, as many as one race replays (the recorded inputs,
   then up to Mp multi-path primaries), so a race's input vectors cannot
-  evict each other.  A pass that does not
-  complete within the step budget falls back, for that key, to
-  :func:`replay_primary_per_race`, the per-race replay with its exact
-  per-phase budget; that function is also the test oracle the shared pass
-  is checked against.
+  evict each other.  A race the pass cannot answer (its first access is a
+  synchronisation statement, or the pass did not complete within the step
+  budget) takes :func:`replay_primary_per_race`, the per-race replay with
+  its exact per-phase budget; that function is also the test oracle the
+  shared pass is checked against.
 * :func:`run_alternate` primes a new execution with the pre-race checkpoint
   and enforces the alternate ordering of the racing accesses by preempting
   the thread that performed the first access and forcing the other racing
@@ -32,10 +32,11 @@ stage:
   (§3.4).  An enforcement run whose state repeats (the forced thread
   spinning on a flag only the preempted thread can set) is cut short at the
   repeat and fast-forwarded to the state the full budget would reach
-  (:class:`_SpinCutoff`).  Given one race's :data:`EnforcementMemo`, every
-  alternate of a checkpoint shares one enforcement and runs its post-race
-  schedule on a clone of the enforced state, and the single-post alternate
-  runs once.
+  (:class:`_SpinCutoff`).  Every caller hands in the race's
+  :data:`EnforcementMemo`: every alternate of a checkpoint shares one
+  enforcement and runs its post-race schedule on a clone of the enforced
+  state, and the single-post alternate runs once.  A fresh memo per call
+  enforces every alternate from its checkpoint.
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ class _RaceAccessWatcher(ExecutionListener):
         self.tid = tid
         self.access_names = frozenset((race.location.name,))
         self.seen = False
-        self.seen_pc: Optional[int] = None
 
     def _same_variable(self, access: MemoryAccess) -> bool:
         location = self.race.location
@@ -132,7 +132,6 @@ class _RaceAccessWatcher(ExecutionListener):
             return
         if self._same_variable(access):
             self.seen = True
-            self.seen_pc = access.pc
 
 
 @dataclass
@@ -149,7 +148,6 @@ class PrimaryReplay:
     pre_race_checkpoint: Optional[ExecutionState]
     post_race_snapshot: Optional[Memory]
     reached_race: bool
-    diverged: bool
     steps: int
 
     @property
@@ -177,11 +175,9 @@ class AlternateResult:
 
     status: AlternateStatus
     state: ExecutionState
-    pre_race_checkpoint: Optional[ExecutionState]
     post_race_snapshot: Optional[Memory] = None
     timeout_diagnosis: Optional[str] = None
     lock_cycle: Optional[List[int]] = None
-    enforced_pc: Optional[int] = None
     steps: int = 0
 
     @property
@@ -221,9 +217,15 @@ def replay_primary_per_race(
 
     Each of the three phases (to the pre-race point, to the post-race
     point, to completion) gets the full step budget.  This is the fallback
-    of :func:`replay_primary` and the oracle its shared pass is tested
-    against; it takes the same arguments, and keeps nothing, so
-    ``primaries`` is unused.
+    of :func:`replay_primary`, and it does fire: for a race whose first
+    access is a synchronisation statement, which the shared pass cannot
+    stop before without consuming a second recorded decision
+    (``test_sync_first_access_leaves_other_races_on_the_recorded_schedule``),
+    for every race of a pass that exhausts the step budget before the
+    program ends (``test_small_budget_falls_back_with_per_race_verdicts``),
+    and for a race outside ``trace.races``.  It is also the oracle the
+    shared pass is tested against; it takes the same arguments, and keeps
+    nothing, so ``primaries`` is unused.
     """
     inputs = _effective_inputs(trace, concrete_inputs)
     locator = RacePointLocator(race, use_steps=use_steps)
@@ -273,7 +275,6 @@ def replay_primary_per_race(
         pre_race_checkpoint=pre_race,
         post_race_snapshot=snapshot,
         reached_race=reached_race,
-        diverged=policy.diverged,
         steps=state.step_count,
     )
 
@@ -301,7 +302,6 @@ class _ReplayBook:
     """
 
     final_state: Optional[ExecutionState]
-    diverged: bool
     steps: int
     points: Dict[_RacePoints, List]
 
@@ -390,7 +390,6 @@ def _replay_book(
             break
     return _ReplayBook(
         final_state=state if state.outcome is not None else None,
-        diverged=policy.diverged,
         steps=state.step_count,
         points=points,
     )
@@ -492,7 +491,6 @@ def replay_primary(
         pre_race_checkpoint=checkpoint,
         post_race_snapshot=snapshot,
         reached_race=checkpoint is not None,
-        diverged=book.diverged,
         steps=book.steps,
     )
 
@@ -755,16 +753,16 @@ class _Enforced:
     #: the state right after the forced thread's racing access; never
     #: mutated, every alternate runs on a clone of it
     state: ExecutionState
-    seen_pc: Optional[int]
     #: the single-post alternate, once run; its final state is never
     #: mutated, every request for it gets a clone
     single_post: Optional[AlternateResult] = None
 
 
 #: One race's enforced alternate orderings, by ``(id(pre-race checkpoint),
-#: timeout_steps)``.  ``classify_race`` makes one per race and drops it with
-#: the race: a replay pass shares a checkpoint between the races that stop
-#: at the same pre-race point, so the memo must not outlive one race.
+#: timeout_steps)``.  ``classify_race`` and the Record/Replay-Analyzer
+#: baseline make one per race and drop it with the race: a replay pass
+#: shares a checkpoint between the races that stop at the same pre-race
+#: point, so the memo must not outlive one race.
 EnforcementMemo = Dict[Tuple[int, int], _Enforced]
 
 
@@ -880,7 +878,8 @@ def run_alternate(
     timeout_steps: int,
     post_race_policy: Optional[SchedulePolicy] = None,
     predicates: Sequence[SemanticPredicate] = (),
-    enforced: Optional[EnforcementMemo] = None,
+    *,
+    enforced: EnforcementMemo,
 ) -> AlternateResult:
     """Enforce the alternate ordering of the racing accesses and run onwards.
 
@@ -901,35 +900,25 @@ def run_alternate(
 
     The alternates of one checkpoint differ only after the race: the
     enforcement is the same deterministic run, and only the post-race
-    schedule changes.  With an ``enforced`` memo (one race's, see
-    :data:`EnforcementMemo`) the first alternate of a checkpoint and budget
-    keeps its enforced state, if the forced thread reached its racing
-    access, and every alternate of that checkpoint runs its release and
-    continuation on a clone of it.  The entry also keeps the single-post
-    result: a second single-post request for the same checkpoint and budget
-    (Algorithm 2's first alternate of the recorded inputs' path repeats
-    Algorithm 1's) executes nothing and gets that result with a clone of
-    its final state.  The result is the one a run without the memo gives;
-    ``steps`` still counts the enforcement.
+    schedule changes.  ``enforced`` is the race's memo (see
+    :data:`EnforcementMemo`): the first alternate of a checkpoint and
+    budget keeps its enforced state, if the forced thread reached its
+    racing access, and every alternate of that checkpoint runs its release
+    and continuation on a clone of it.  The entry also keeps the
+    single-post result: a second single-post request for the same
+    checkpoint and budget (Algorithm 2's first alternate of the recorded
+    inputs' path repeats Algorithm 1's) executes nothing and gets that
+    result with a clone of its final state.  The result does not depend on
+    what the memo held; ``steps`` still counts the enforcement.
     """
     checkpoint = primary.pre_race_checkpoint
     if checkpoint is None:
-        return AlternateResult(
-            status=AlternateStatus.RACE_NOT_REACHED,
-            state=primary.final_state,
-            pre_race_checkpoint=None,
-        )
+        return AlternateResult(status=AlternateStatus.RACE_NOT_REACHED, state=primary.final_state)
 
     listeners = _spec_listeners(predicates)
     key = (id(checkpoint), timeout_steps)
-    kept = enforced.get(key) if enforced is not None else None
-    if kept is not None and post_race_policy is None and kept.single_post is not None:
-        return replace(kept.single_post, state=kept.single_post.state.clone())
-    if kept is not None:
-        # A checker that fired ended the state, so a fresh one carries on
-        # exactly as the enforcement's own would.
-        state, seen_pc = kept.state.clone(), kept.seen_pc
-    else:
+    kept = enforced.get(key)
+    if kept is None:
         state, watcher, result = _enforce(executor, race, checkpoint, timeout_steps, listeners)
         if not watcher.seen:
             if state.outcome is not None:
@@ -938,19 +927,14 @@ def run_alternate(
                 # inspect the outcome directly (a deadlock or crash here is a
                 # specification violation caused by the attempted reordering).
                 return AlternateResult(
-                    status=AlternateStatus.COMPLETED,
-                    state=state,
-                    pre_race_checkpoint=checkpoint,
-                    steps=state.step_count,
+                    status=AlternateStatus.COMPLETED, state=state, steps=state.step_count
                 )
             if result.status is RunStatus.SCHEDULING_STUCK:
                 cycle = state.sync.find_lock_cycle(state.blocked_reasons())
                 return AlternateResult(
                     status=AlternateStatus.STUCK,
                     state=state,
-                    pre_race_checkpoint=checkpoint,
                     lock_cycle=cycle,
-                    timeout_diagnosis=None,
                     steps=state.step_count,
                 )
             # Step budget exhausted while the forced thread spins: diagnose.
@@ -958,28 +942,27 @@ def run_alternate(
             return AlternateResult(
                 status=AlternateStatus.TIMEOUT,
                 state=state,
-                pre_race_checkpoint=checkpoint,
                 timeout_diagnosis=diagnosis,
                 steps=state.step_count,
             )
-        seen_pc = watcher.seen_pc
-        if enforced is not None:
-            kept = enforced[key] = _Enforced(checkpoint, state, seen_pc)
-            state = state.clone()
+        kept = enforced[key] = _Enforced(checkpoint, state)
+    elif post_race_policy is None and kept.single_post is not None:
+        return replace(kept.single_post, state=kept.single_post.state.clone())
 
-    # The alternate ordering was enforced; release the scheduler.
+    # The alternate ordering was enforced; release the scheduler on a clone.
+    # A checker that fired ended the state, so a fresh one carries on
+    # exactly as the enforcement's own would.
+    state = kept.state.clone()
     snapshot = _run_post_race(
         executor, race, state, post_race_policy, listeners, timeout_steps
     )
     alternate = AlternateResult(
         status=AlternateStatus.COMPLETED,
         state=state,
-        pre_race_checkpoint=checkpoint,
         post_race_snapshot=snapshot,
-        enforced_pc=seen_pc,
         steps=state.step_count,
     )
-    if kept is not None and post_race_policy is None:
+    if post_race_policy is None:
         kept.single_post = alternate
         return replace(alternate, state=state.clone())
     return alternate

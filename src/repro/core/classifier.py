@@ -18,16 +18,17 @@ the same alternate ordering before its post-race schedule takes over: the
 single-post schedule (release the preempted thread, then round-robin) for
 Algorithm 1 and for the first of Algorithm 2's Ma schedules per primary
 path, seeded random schedules for the others.  ``classify_race`` makes one
-enforcement memo per race and hands it to both stages: each (checkpoint,
-budget) pair is enforced once, every alternate of it continues from a clone
-of the enforced state, and its single-post alternate runs once.  Algorithm
-1's alternate and the Ma alternates of a primary path that replays the
-recorded inputs share a checkpoint, so that path's first alternate is
-Algorithm 1's, handed back with a clone of its final state; other primaries
-have their own checkpoints.  The post-race memories Algorithm 1 compares
-are copy-on-write clones, frozen only when they differ as containers.  The
-memo lives for one ``classify_race`` call, because the replay pass hands one
-checkpoint to every race that stops at the same pre-race point.
+enforcement memo per race and hands it to both stages, which require it:
+each (checkpoint, budget) pair is enforced once, every alternate of it
+continues from a clone of the enforced state, and its single-post
+alternate runs once.  Algorithm 1's alternate and the Ma alternates of a
+primary path that replays the recorded inputs share a checkpoint, so that
+path's first alternate is Algorithm 1's, handed back with a clone of its
+final state; other primaries have their own checkpoints.  The post-race
+memories Algorithm 1 compares are copy-on-write clones, frozen only when
+they differ as containers.  The memo lives for one ``classify_race`` call,
+because the replay pass hands one checkpoint to every race that stops at
+the same pre-race point.
 """
 
 from __future__ import annotations

@@ -73,7 +73,8 @@ def analyze_primary_path(
     path: PrimaryPath,
     result: MultiPathResult,
     predicates: Sequence[SemanticPredicate] = (),
-    enforced: Optional[EnforcementMemo] = None,
+    *,
+    enforced: EnforcementMemo,
 ) -> None:
     """Analyze one primary path: replay it, run its Ma alternates, and fold
     what they show into ``result``.
@@ -202,7 +203,8 @@ def classify_multipath(
     race: RaceReport,
     config: PortendConfig,
     predicates: Sequence[SemanticPredicate] = (),
-    enforced: Optional[EnforcementMemo] = None,
+    *,
+    enforced: EnforcementMemo,
 ) -> MultiPathResult:
     """Run the multi-path (and optionally multi-schedule) analysis for a race.
 

@@ -81,7 +81,8 @@ def single_classify(
     race: RaceReport,
     config: PortendConfig,
     predicates: Sequence[SemanticPredicate] = (),
-    enforced: Optional[EnforcementMemo] = None,
+    *,
+    enforced: EnforcementMemo,
 ) -> SinglePrePostResult:
     """Run Algorithm 1 (singleClassify) for one race.
 

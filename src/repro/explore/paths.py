@@ -21,9 +21,11 @@ that notes, per state, where every race of ``trace.races`` was reached.
 Each :meth:`MultiPathExplorer.explore` walks that record with its own
 cursor.  A state nobody has popped yet runs on the walking explorer's
 executor (its statements and solver queries count there); a state another
-explorer ran is read as it is.  Primaries, counts and prune reasons equal
-:meth:`MultiPathExplorer.explore_per_race`'s -- the per-race search, kept
-as the fallback for races outside ``trace.races`` and as the test oracle.
+explorer ran is read as it is.  A race outside ``trace.races`` (a
+hand-built report) walks a fresh search of its own, memoised nowhere,
+whose tracker watches that race only.  Primaries, counts and prune
+reasons equal those of a breadth-first search run for the race alone
+(the oracle of ``tests/test_shared_explore.py``).
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ class _SharedSearch:
 
     ``popped[i]`` is the ``i``-th state the search popped.  The explorer
     that first needs state ``i`` runs it on its own executor; every other
-    explorer reads the result.
+    explorer reads the result.  The tracker watches ``races``.
     """
 
     def __init__(
@@ -170,11 +172,12 @@ class _SharedSearch:
         program: Program,
         initial: ExecutionState,
         max_steps: int,
+        races: Sequence[RaceReport],
     ) -> None:
         #: held so the ids in the memo key cannot be reused
         self.trace = trace
         self.program = program
-        self.tracker = _RaceReachedTracker(trace.races)
+        self.tracker = _RaceReachedTracker(races)
         self.max_steps = max_steps
         self.frontier: Deque[ExecutionState] = deque([initial])
         self.popped: List[_Popped] = []
@@ -293,13 +296,10 @@ class MultiPathExplorer:
     def explore(self) -> List[PrimaryPath]:
         """Run the exploration and return the retained primary paths.
 
-        The search is the trace's shared one (see :meth:`_shared_search`);
-        this race walks it with its own cursor and stop rules, so the result
-        equals :meth:`explore_per_race`'s.
+        This race walks its search (see :meth:`_search`) with its own
+        cursor and stop rules.
         """
-        search = self._shared_search()
-        if search is None:
-            return self.explore_per_race()
+        search = self._search()
         primaries: List[PrimaryPath] = []
         index = 0
         while len(primaries) < self.max_primaries and self.states_explored < self.max_states:
@@ -310,34 +310,12 @@ class MultiPathExplorer:
             self._consider(popped, primaries)
         return primaries
 
-    def explore_per_race(self) -> List[PrimaryPath]:
-        """Run this race's breadth-first search alone, from the initial state.
-
-        Every state runs on this explorer's executor under a tracker that
-        watches this race only.  This is the fallback of :meth:`explore`
-        for races outside ``trace.races`` and the oracle its shared search
-        is tested against.
-        """
-        tracker = _RaceReachedTracker([self.race])
-        worklist: Deque[ExecutionState] = deque(
-            [self._initial_state(self.symbolic_input_names())]
-        )
-        primaries: List[PrimaryPath] = []
-        while worklist and len(primaries) < self.max_primaries:
-            if self.states_explored >= self.max_states:
-                break
-            popped, forks = _run_popped(
-                self.executor, self.trace, worklist.popleft(), tracker, self.max_steps_per_state
-            )
-            worklist.extend(forks)
-            self._consider(popped, primaries)
-        return primaries
-
     # -------------------------------------------------------------- internals
 
-    def _shared_search(self) -> Optional[_SharedSearch]:
-        """The memoised search of this explorer's trace, or None when the
-        race is not one of ``trace.races`` (a hand-built report).
+    def _search(self) -> _SharedSearch:
+        """The memoised search of this explorer's trace or, when the race is
+        not one of ``trace.races`` (a hand-built report), a fresh search
+        that watches this race only and is memoised nowhere.
 
         Keyed by everything a run reads: the trace and program, the
         symbolic inputs, the per-state step bound and the executor and
@@ -348,6 +326,13 @@ class MultiPathExplorer:
         """
         executor = self.executor
         symbolic_names = self.symbolic_input_names()
+
+        def fresh(races: Sequence[RaceReport]) -> _SharedSearch:
+            initial = self._initial_state(symbolic_names)
+            return _SharedSearch(
+                self.trace, executor.program, initial, self.max_steps_per_state, races
+            )
+
         key = (
             id(self.trace),
             id(executor.program),
@@ -357,19 +342,19 @@ class MultiPathExplorer:
             executor.solver.max_assignments,
         )
         search = _EXPLORE_MEMO.get(key)
+        watches = (
+            search.tracker.watches
+            if search is not None
+            else frozenset(map(_watch, self.trace.races))
+        )
+        if _watch(self.race) not in watches:
+            return fresh([self.race])
         if search is None or search.broken:
-            search = _SharedSearch(
-                self.trace,
-                executor.program,
-                self._initial_state(symbolic_names),
-                self.max_steps_per_state,
-            )
+            search = fresh(self.trace.races)
             if key not in _EXPLORE_MEMO and len(_EXPLORE_MEMO) >= _EXPLORE_MEMO_LIMIT:
                 _EXPLORE_MEMO.popitem(last=False)
             _EXPLORE_MEMO[key] = search
         _EXPLORE_MEMO.move_to_end(key)
-        if _watch(self.race) not in search.tracker.watches:
-            return None
         return search
 
     def _consider(self, popped: _Popped, primaries: List[PrimaryPath]) -> None:

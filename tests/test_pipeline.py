@@ -188,6 +188,7 @@ class TestMergePathVerdicts:
             SimpleNamespace(concrete_inputs={"n": 0}, decisions=[]),
             SimpleNamespace(race_id=1, first=access, second=access),
             PortendConfig(),
+            enforced={},
         )
         return result, ran
 

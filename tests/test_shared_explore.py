@@ -2,7 +2,7 @@
 
 :meth:`MultiPathExplorer.explore` walks one lazily extended breadth-first
 search per (trace, program, symbolic inputs, step bound, executor and solver
-configuration); :meth:`MultiPathExplorer.explore_per_race` runs one race's
+configuration); :func:`explore_per_race` runs one race's breadth-first
 search alone, exactly as every race used to, and is the oracle here:
 
 * **equivalence** -- for every registry race whose single stage needs paths,
@@ -14,23 +14,25 @@ search alone, exactly as every race used to, and is the oracle here:
   queries (a state another explorer ran issues none);
 * **hazards** -- prune reasons number states by pop order, so they do not
   depend on process history; statements count on the executor that runs
-  them; a race outside ``trace.races`` takes the per-race search; the memo
-  is bounded and starts empty in every engine run and pool worker.
+  them; a race outside ``trace.races`` walks a search of its own, memoised
+  nowhere, and classifies as with the oracle; the memo is bounded and
+  starts empty in every engine run and pool worker.
 """
 
 import dataclasses
 import random
+from collections import deque
 
 import pytest
 
 from repro.core import Portend, PortendConfig
 from repro.core.categories import RaceClass
-from repro.core.classifier import single_classify
+from repro.core.classifier import classify_race, single_classify
 from repro.engine import AnalysisEngine, EngineOptions
 from repro.engine.tasks import pool_worker_initializer
 from repro.explore import paths
 from repro.explore.paths import MultiPathExplorer, reset_explore_memo
-from repro.lang.ast import eq, glob, local
+from repro.lang.ast import add, eq, glob, local, lt
 from repro.lang.builder import ProgramBuilder
 from repro.runtime.executor import Executor
 from repro.symex.solver import Solver, WorkerSolverCache
@@ -59,7 +61,7 @@ def path_races():
             for race in trace.races
             if single_classify(
                 portend.executor, portend.program, trace, race, config,
-                predicates=portend.predicates,
+                predicates=portend.predicates, enforced={},
             ).verdict is RaceClass.OUTPUT_SAME
         ]
         if races:
@@ -76,14 +78,33 @@ def _explorer(workload, trace, race, config, solver=None):
     )
 
 
-def _shared_only(explorer):
-    """The explorer, with the per-race fallback of ``explore`` disabled."""
+def explore_per_race(explorer):
+    """The oracle: ``explorer``'s race searched alone, breadth first from the
+    initial state, every state run on the explorer's executor under a
+    tracker that watches this race only."""
+    tracker = paths._RaceReachedTracker([explorer.race])
+    worklist = deque([explorer._initial_state(explorer.symbolic_input_names())])
+    primaries = []
+    while worklist and len(primaries) < explorer.max_primaries:
+        if explorer.states_explored >= explorer.max_states:
+            break
+        popped, forks = paths._run_popped(
+            explorer.executor,
+            explorer.trace,
+            worklist.popleft(),
+            tracker,
+            explorer.max_steps_per_state,
+        )
+        worklist.extend(forks)
+        explorer._consider(popped, primaries)
+    return primaries
 
-    def fallback():
-        raise AssertionError(f"race {explorer.race.race_id} left the shared search")
 
-    explorer.explore_per_race = fallback
-    return explorer
+def _walked_the_memo(trace):
+    """Assert that the trace's races walked one memoised search."""
+    (search,) = paths._EXPLORE_MEMO.values()
+    assert search.trace is trace
+    assert search.tracker.watches == {paths._watch(race) for race in trace.races}
 
 
 def _primary(path):
@@ -131,11 +152,12 @@ class TestSharedSearchEquivalence:
         for workload, trace, races in path_races:
             reset_explore_memo()
             for race in _ordered(races, order):
-                shared = _shared_only(_explorer(workload, trace, race, config))
+                shared = _explorer(workload, trace, race, config)
                 oracle = _explorer(workload, trace, race, config)
                 assert _view(shared, shared.explore()) == _view(
-                    oracle, oracle.explore_per_race()
+                    oracle, explore_per_race(oracle)
                 ), (workload.name, race.race_id)
+            _walked_the_memo(trace)
 
     @pytest.mark.parametrize("order", ["forward", "shuffled"])
     def test_solver_queries_match_per_race_search(self, path_races, order):
@@ -153,9 +175,9 @@ class TestSharedSearchEquivalence:
                     solver = Solver(shared_cache=cache)
                     explorer = _explorer(workload, trace, race, config, solver=solver)
                     if side == "shared":
-                        _shared_only(explorer).explore()
+                        explorer.explore()
                     else:
-                        explorer.explore_per_race()
+                        explore_per_race(explorer)
                     stats[side] = solver.stats
                 shared, oracle = stats["shared"], stats["oracle"]
                 where = (workload.name, race.race_id)
@@ -163,6 +185,7 @@ class TestSharedSearchEquivalence:
                 assert shared.enumerated_assignments == oracle.enumerated_assignments, where
                 assert shared.unknown_answers == oracle.unknown_answers, where
                 assert shared.queries <= oracle.queries, where
+            _walked_the_memo(trace)
 
 
 def _moded_writer():
@@ -184,6 +207,45 @@ def _moded_writer():
     main.output("stdout", [glob("x")])
     main.ret()
     return b.build()
+
+
+def _looped_writers():
+    """Two writers that each add to ``x`` four times under the symbolic
+    ``mode``, yielding between adds: swapping a race's accesses still gives
+    a race the alternate can enforce, one that multi-path analysis
+    explores."""
+    b = ProgramBuilder("looped_writers")
+    b.global_var("mode", 0)
+    b.global_var("x", 0)
+    writer = b.function("writer")
+    writer.assign(local("i"), 0)
+    with writer.while_(lt(local("i"), 4)):
+        with writer.if_(eq(glob("mode"), 1)):
+            writer.assign(glob("x"), add(glob("x"), 1))
+        writer.yield_()
+        writer.assign(local("i"), add(local("i"), 1))
+    writer.ret()
+    main = b.function("main")
+    main.input("m", "mode", 0, 1, default=1)
+    main.assign(glob("mode"), local("m"))
+    main.spawn("t1", "writer")
+    main.spawn("t2", "writer")
+    main.join(local("t1"))
+    main.join(local("t2"))
+    main.output("stdout", [glob("x")])
+    main.ret()
+    return b.build()
+
+
+def _swapped_race():
+    """The looped writers' workload, trace and race, and that race with its
+    accesses swapped: a report outside the trace."""
+    workload = Workload(name="looped_writers", program=_looped_writers(), inputs={"mode": 1})
+    trace = Portend(workload.program).record(workload.inputs)
+    (race,) = trace.races
+    swapped = dataclasses.replace(race, first=race.second, second=race.first)
+    assert paths._watch(swapped) != paths._watch(race)
+    return workload, trace, race, swapped
 
 
 def _verdicts(runs):
@@ -244,27 +306,43 @@ class TestSharedSearchHazards:
         assert first.executor.counters.statements == ran
         assert third.executor.counters.statements > 0
 
-    def test_race_outside_the_trace_takes_the_per_race_search(self, monkeypatch):
-        workload = load_workload("bbuf")
-        portend = Portend(workload.program)
-        trace = portend.record(workload.inputs)
-        race = trace.races[0]
-        swapped = dataclasses.replace(race, first=race.second, second=race.first)
-        assert paths._watch(swapped) not in {paths._watch(r) for r in trace.races}
-        expected_explorer = _explorer(workload, trace, swapped, PortendConfig())
-        expected = _view(expected_explorer, expected_explorer.explore_per_race())
+    def test_race_outside_the_trace_takes_the_per_race_search(self):
+        workload, trace, race, swapped = _swapped_race()
+        oracle = _explorer(workload, trace, swapped, PortendConfig())
+        expected = _view(oracle, explore_per_race(oracle))
+        assert expected[0] and expected[2]
 
-        fallbacks = []
-        per_race = MultiPathExplorer.explore_per_race
-
-        def counting(explorer):
-            fallbacks.append(explorer.race)
-            return per_race(explorer)
-
-        monkeypatch.setattr(MultiPathExplorer, "explore_per_race", counting)
+        _explorer(workload, trace, race, PortendConfig()).explore()
+        (search,) = paths._EXPLORE_MEMO.values()
+        memo, popped = dict(paths._EXPLORE_MEMO), len(search.popped)
         explorer = _explorer(workload, trace, swapped, PortendConfig())
         assert _view(explorer, explorer.explore()) == expected
-        assert fallbacks == [swapped]
+        # It ran every state on its own executor, as the oracle did, and
+        # neither extended a memoised search nor added one.
+        ran = explorer.executor.counters.statements
+        assert ran == oracle.executor.counters.statements > 0
+        assert paths._EXPLORE_MEMO == memo and len(search.popped) == popped
+
+    def test_race_outside_the_trace_classifies_as_with_the_oracle(self, monkeypatch):
+        workload, trace, _race, swapped = _swapped_race()
+        portend = Portend(workload.program)
+
+        def classified():
+            item = classify_race(portend.executor, portend.program, trace, swapped)
+            return {k: v for k, v in item.to_dict().items() if k != "analysis_seconds"}
+
+        result = classified()
+        explored = []
+
+        def oracle(explorer):
+            explored.append(explorer.race)
+            return explore_per_race(explorer)
+
+        monkeypatch.setattr(MultiPathExplorer, "explore", oracle)
+        assert classified() == result
+        assert explored == [swapped]
+        assert result["stage"] == "multi-path/multi-schedule"
+        assert not paths._EXPLORE_MEMO
 
     def test_search_whose_run_raised_is_rebuilt(self, monkeypatch):
         workload = load_workload("bbuf")
@@ -283,7 +361,7 @@ class TestSharedSearchHazards:
         assert Executor.run is run
         shared = _explorer(workload, trace, race, PortendConfig())
         oracle = _explorer(workload, trace, race, PortendConfig())
-        assert _view(shared, shared.explore()) == _view(oracle, oracle.explore_per_race())
+        assert _view(shared, shared.explore()) == _view(oracle, explore_per_race(oracle))
 
     def test_memo_is_bounded(self):
         workload = load_workload("bbuf")

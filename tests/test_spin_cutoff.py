@@ -117,11 +117,9 @@ def _result_view(result):
     return (
         result.status,
         _state_view(result.state),
-        id(result.pre_race_checkpoint),
         _frozen(result.post_race_snapshot),
         result.timeout_diagnosis,
         result.lock_cycle,
-        result.enforced_pc,
         result.steps,
     )
 
@@ -149,7 +147,7 @@ class _Checked:
         # The reference enforces from the checkpoint itself: with the race's
         # enforcement memo it would leave its full-budget state for the
         # checked run to clone.
-        reference_kwargs["enforced"] = None
+        reference_kwargs["enforced"] = {}
         reference = _full_budget(self.monkeypatch, executor, *args, **reference_kwargs)
         before = executor.counters.spin_cutoffs
         result = run_alternate(executor, *args, **kwargs)
@@ -303,9 +301,11 @@ def _alternate_pair(
         if race.location.name == "data" and race.second.tid != race.first.tid
     ]
     primary = replay_primary(executor, program, trace, race)
-    reference = _full_budget(monkeypatch, executor, program, trace, race, primary, budget)
+    reference = _full_budget(
+        monkeypatch, executor, program, trace, race, primary, budget, enforced={}
+    )
     before = executor.counters.spin_cutoffs
-    result = run_alternate(executor, program, trace, race, primary, budget)
+    result = run_alternate(executor, program, trace, race, primary, budget, enforced={})
     assert _result_view(result) == _result_view(reference)
     return primary, result, executor.counters.spin_cutoffs - before
 
