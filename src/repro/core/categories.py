@@ -93,9 +93,15 @@ class ClassificationEvidence:
 
 @dataclass
 class ClassifiedRace:
-    """The result of classifying one distinct race."""
+    """The result of classifying one distinct race.
 
-    race: RaceReport
+    ``race`` is the report of the trace the race was detected in.  A verdict
+    that crosses a process or a cache file travels without it (``race`` is
+    None there) and gets the trace's own report back on arrival: a race has
+    one encoding, the one in its trace.
+    """
+
+    race: Optional[RaceReport]
     classification: RaceClass
     k: int = 0
     paths_explored: int = 0
@@ -122,8 +128,8 @@ class ClassifiedRace:
     # ---------------------------------------------------------- serialization
 
     def to_dict(self) -> Dict:
-        return {
-            "race": self.race.to_dict(),
+        """The verdict's dict, with a ``race`` key unless ``race`` is None."""
+        data = {
             "classification": self.classification.value,
             "k": self.k,
             "paths_explored": self.paths_explored,
@@ -135,11 +141,16 @@ class ClassifiedRace:
             "paths_pruned": self.paths_pruned,
             "prune_reasons": list(self.prune_reasons),
         }
+        if self.race is None:
+            return data
+        return {"race": self.race.to_dict(), **data}
 
     @classmethod
-    def from_dict(cls, data: Dict) -> "ClassifiedRace":
+    def from_dict(cls, data: Dict, race: Optional[RaceReport] = None) -> "ClassifiedRace":
+        """The verdict of ``data``; a dict without a ``race`` key takes
+        ``race``, the report of the trace it was classified against."""
         return cls(
-            race=RaceReport.from_dict(data["race"]),
+            race=race if "race" not in data else RaceReport.from_dict(data["race"]),
             classification=RaceClass(data["classification"]),
             k=data["k"],
             paths_explored=data["paths_explored"],

@@ -16,7 +16,9 @@ Both halves of the pipeline are deterministic, so both are cacheable:
   knob (``race_seed``'s base seed, the Mp/Ma limits, the ablation switches,
   the predicate mode): any config change invalidates cached verdicts rather
   than silently serving stale classifications.  One file holds all the
-  races of one workload run; each race is an entry with its own key.
+  races of one workload run; each race is an entry with its own key.  An
+  entry holds the verdict without its race: the race is already encoded in
+  the trace, and a load hands each verdict the recording's own report.
 
 Both caches take and return objects; this module is the only one that
 turns traces and verdicts into dicts and back.  Each cache mixes a format
@@ -40,19 +42,26 @@ import json
 import os
 import time
 import weakref
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.categories import ClassifiedRace
 from repro.core.config import PortendConfig
+from repro.detection.race_report import RaceReport
 from repro.record_replay.trace import ExecutionTrace
 
 #: bump when the serialized trace layout changes incompatibly
 TRACE_FORMAT_VERSION = 1
 
 #: bump when the serialized ClassifiedRace layout changes incompatibly
-#: (2: one file per workload run, one entry per race)
-CLASSIFICATION_FORMAT_VERSION = 2
+#: (2: one file per workload run, one entry per race; 3: entries without
+#: their race, the version written first in each file)
+CLASSIFICATION_FORMAT_VERSION = 3
+
+#: how every classification file of the current layout begins (the version
+#: is its first key), so a store tells layouts apart without parsing files
+_CLASSIFICATION_HEAD = f'{{"version": {CLASSIFICATION_FORMAT_VERSION}, '.encode("utf-8")
 
 #: the :class:`Program` declarations a program fingerprint covers; the
 #: derived maps ``finalize()`` computes from them are not hashed
@@ -423,7 +432,9 @@ class ClassificationCache(_DirectoryCache):
     """Directory-backed cache of classified races (the pipeline's back half).
 
     One file per workload run, ``<program>-cls-<file key>.json``, holds
-    ``{"key", "stored_at", "entries": {race_id: {"key", "classified"}}}``.
+    ``{"version", "key", "stored_at", "entries": {race_id: {"key",
+    "classified"}}}``, where ``classified`` is the verdict's dict without
+    its ``race``.
     The file key (:meth:`file_key`) covers everything a classification
     depends on except the race: the program *content* (fingerprint, so
     what-if variants sharing a registry name never collide), the inputs, the
@@ -502,13 +513,14 @@ class ClassificationCache(_DirectoryCache):
     # -------------------------------------------------------------- load/store
 
     def load(
-        self, program: str, file_key: str, race_ids: Sequence[int]
+        self, program: str, file_key: str, races: Sequence[RaceReport]
     ) -> Optional[Dict[int, ClassifiedRace]]:
-        """Serve the races ``race_ids`` from the file keyed ``file_key``.
+        """Serve ``races``, one recording's reports, from the file keyed
+        ``file_key``.
 
-        Returns race id -> decoded race for every entry whose
-        :meth:`entry_key` matches, or None when the file is missing or
-        corrupt or serves no race.
+        Returns race id -> decoded verdict, holding that recording's report,
+        for every entry whose :meth:`entry_key` matches, or None when the
+        file is missing or corrupt or serves no race.
         """
         path = self._path(program, file_key)
         served: Dict[int, ClassifiedRace] = {}
@@ -518,12 +530,14 @@ class ClassificationCache(_DirectoryCache):
             if data.get("key") != file_key:
                 raise ValueError("cache key mismatch")
             entries = data["entries"]
-            for race_id in race_ids:
-                entry = entries.get(str(race_id))
+            for race in races:
+                entry = entries.get(str(race.race_id))
                 if entry is not None and entry.get("key") == self.entry_key(
-                    file_key, race_id
+                    file_key, race.race_id
                 ):
-                    served[race_id] = ClassifiedRace.from_dict(entry["classified"])
+                    served[race.race_id] = ClassifiedRace.from_dict(
+                        entry["classified"], race
+                    )
         except Exception:  # noqa: BLE001 - any unreadable file is a miss
             # Corrupt, stale, or hand-edited files must never crash the run;
             # the engine simply re-classifies (and overwrites the file).
@@ -534,41 +548,47 @@ class ClassificationCache(_DirectoryCache):
         self, program: str, file_key: str, races: Dict[int, ClassifiedRace]
     ) -> Path:
         """Persist one workload run's races (race id -> ``ClassifiedRace``)
-        as one file, each entry under its :meth:`entry_key`; returns the
-        cache file path."""
+        as one file, each entry under its :meth:`entry_key` and without its
+        race (the trace holds it); returns the cache file path."""
         path = self._path(program, file_key)
         entries = {
             str(race_id): {
                 "key": self.entry_key(file_key, race_id),
-                "classified": races[race_id].to_dict(),
+                "classified": replace(races[race_id], race=None).to_dict(),
             }
             for race_id in sorted(races)
         }
         payload = json.dumps(
-            {"key": file_key, "stored_at": time.time(), "entries": entries}
+            {
+                "version": CLASSIFICATION_FORMAT_VERSION,
+                "key": file_key,
+                "stored_at": time.time(),
+                "entries": entries,
+            }
         )
         _atomic_write_json(self.cache_dir, path, payload)
         self._drop_old_layouts(program, path)
         return path
 
     def _drop_old_layouts(self, program: str, written: Path) -> None:
-        """Delete ``program``'s classification files of an older layout.
+        """Delete ``program``'s classification files of another layout.
 
-        A version-1 file holds one race and no ``entries``: no key reaches
-        it again, and nothing else ever deletes it.  Nor does anything read
-        the ``<file>.json.hits`` hit-count sidecars older versions wrote
-        beside each file, so they go too.  Files of the current layout
-        stay, whatever config they were written for.
+        Every key covers the format version, so no key reaches a file of
+        another version again, and nothing else ever deletes it.  Nor does
+        anything read the ``<file>.json.hits`` hit-count sidecars older
+        versions wrote beside each file, so they go too.  Only each file's
+        head is read: a file of the current layout begins with
+        :data:`_CLASSIFICATION_HEAD` and stays, whatever config it was
+        written for.
         """
         self._drop_sidecars(program)
         for path in self.cache_dir.glob(self._file_pattern(program)):
             if path == written:
                 continue
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    data = json.load(handle)
-                if isinstance(data, dict) and "entries" in data:
-                    continue
-                path.unlink()
-            except (OSError, ValueError):
+                with open(path, "rb") as handle:
+                    head = handle.read(len(_CLASSIFICATION_HEAD))
+            except OSError:
                 continue
+            if head != _CLASSIFICATION_HEAD:
+                path.unlink(missing_ok=True)

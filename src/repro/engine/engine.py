@@ -43,12 +43,13 @@ import shutil
 import time
 import weakref
 from concurrent.futures import wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.alternate import reset_replay_memo
 from repro.core.categories import ClassifiedRace
 from repro.core.config import PortendConfig
+from repro.detection.race_report import RaceReport
 from repro.engine.cache import ClassificationCache, TraceCache
 from repro.engine.dispatch import PoolDispatcher, env_int
 from repro.engine.events import EventLogger, make_event, write_events
@@ -409,6 +410,8 @@ class AnalysisEngine:
         lands.  A pooled workload's context (trace, config, program,
         predicates) is pickled once into ``spool`` and its payloads carry
         only the file's path; only the cache files use the dict format.
+        Verdicts come back without their race: each lands on the report of
+        the driver's own trace, so no race is pickled or encoded twice.
         Program fingerprints are memoised per object.
         """
         fingerprints = [
@@ -453,6 +456,9 @@ class AnalysisEngine:
         file_keys: List[str] = [""] * count
         unlanded: List[int] = [0] * count
         race_misses: List[List[int]] = [[] for _ in range(count)]
+        #: per opened recording: race id -> the trace's own report, which
+        #: each landed verdict gets back (tasks return it without its race)
+        race_maps: List[Dict[int, RaceReport]] = [{} for _ in range(count)]
 
         #: per recorded workload: its record task events
         recorded: Dict[int, List[Dict]] = {}
@@ -500,6 +506,7 @@ class AnalysisEngine:
             if self.options.use_semantic_predicates:
                 predicates += list(workload.semantic_predicates)
             races = recording.trace.races
+            race_maps[index] = {race.race_id: race for race in races}
             if self.classification_cache is None:
                 misses = [race.race_id for race in races]
             else:
@@ -514,9 +521,7 @@ class AnalysisEngine:
                 file_keys[index] = file_key
                 if file_key not in opened:
                     opened[file_key] = (
-                        self.classification_cache.load(
-                            workload.name, file_key, [race.race_id for race in races]
-                        )
+                        self.classification_cache.load(workload.name, file_key, races)
                         or {}
                     )
                 served = opened[file_key]
@@ -526,6 +531,10 @@ class AnalysisEngine:
                     if hit is None:
                         misses.append(race.race_id)
                         continue
+                    if hit.race is not race:
+                        # Another copy of the workload opened the file: its
+                        # verdict takes this copy's own report.
+                        hit = replace(hit, race=race)
                     slots[index][race.race_id] = hit
                     cls_hits[index].add(race.race_id)
             if not misses:
@@ -577,7 +586,9 @@ class AnalysisEngine:
             for (index, start, chunk_misses), chunk_outputs in supervisor.wait_some():
                 for race_id, item in zip(chunk_misses, chunk_outputs):
                     race_events[(index, race_id)] = item.get("events")
-                    slots[index][race_id] = item["classified"]
+                    classified = item["classified"]
+                    classified.race = race_maps[index][race_id]
+                    slots[index][race_id] = classified
                 # Count races, not chunks: the file is written once, when
                 # the workload's last missed race lands.
                 unlanded[index] -= len(chunk_misses)

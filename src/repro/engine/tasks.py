@@ -24,9 +24,11 @@ context one of two ways:
   search memos of :mod:`repro.core.alternate` and :mod:`repro.explore.paths`
   (keyed by object identity) hit across those chunks.
 
-A task returns its :class:`~repro.core.categories.ClassifiedRace`.  Pickle
-is the only codec, paid once per pooled trace; the dict format of traces and
-verdicts belongs to :mod:`repro.engine.cache`.
+A task returns its :class:`~repro.core.categories.ClassifiedRace` without
+the race (``race`` is None), serial, inline or pooled alike: the driver
+already holds the trace's report and re-attaches it as the chunk lands.
+Pickle is the only codec, paid once per pooled trace; the dict format of
+traces and verdicts belongs to :mod:`repro.engine.cache`.
 
 Every worker entry point is deterministic: every random decision during
 classification derives from
@@ -255,8 +257,9 @@ def execute_task(payload: Mapping) -> Dict:
     """Classify one race of a workload (worker entry point).
 
     Module-level so :class:`concurrent.futures.ProcessPoolExecutor` can
-    pickle it.  Returns the :class:`~repro.core.categories.ClassifiedRace`
-    plus the task's events, whose ``solver_stats``/``interp_stats``
+    pickle it.  Returns the :class:`~repro.core.categories.ClassifiedRace`,
+    its race detached (the driver holds the trace's own report), plus the
+    task's events, whose ``solver_stats``/``interp_stats``
     snapshots the driving process folds into ``repro.engine.stats``.
     """
     from repro.engine.faults import maybe_inject_fault
@@ -272,6 +275,7 @@ def execute_task(payload: Mapping) -> Dict:
     portend = _build_portend(task)
     race = task.trace.race_by_id(race_id)
     classified = portend.classify_race(task.trace, race)
+    classified.race = None
     # Each task builds one fresh solver and executor: each snapshot is the
     # task's delta.
     events = [

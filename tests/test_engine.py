@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
 
@@ -346,11 +347,15 @@ class TestContextSpool:
         try:
             first = ClassificationTask.from_payload(payloads[0])
             spool.remove()
-            for payload in payloads:
+            for payload, race in zip(payloads, trace.races):
                 task = ClassificationTask.from_payload(payload)
                 assert task.trace is first.trace
                 assert task.program is first.program
-                assert execute_task(payload)["classified"].race.race_id == task.race_id
+                # The verdict comes back without its race, and it is the
+                # verdict of the payload's race.
+                classified = execute_task(payload)["classified"]
+                assert classified.race is None
+                assert _verdict(classified) == _verdict(_portend.classify_race(trace, race))
         finally:
             reset_context_memo()
         assert first.trace is not trace
@@ -613,71 +618,90 @@ class TestProgramFingerprint:
         assert public == set(PROGRAM_FIELDS)
 
 
+def _verdict(classified):
+    """A verdict's dict without its race and its wall-clock seconds."""
+    data = replace(classified, race=None).to_dict()
+    del data["analysis_seconds"]
+    return data
+
+
 def _classify_first_race(name):
-    """Run the classify entry point on ``name``'s first race."""
+    """Run the classify entry point on ``name``'s first race; returns the
+    trace and the worker's verdict, re-attached to the trace's report as
+    the driver does."""
     workload, _portend, trace = _record_trace(name)
-    race_id = trace.races[0].race_id
+    race = trace.races[0]
     output = execute_task(
         {
             "workload": name,
-            "race_id": race_id,
+            "race_id": race.race_id,
             "trace": trace,
             "config": PortendConfig(),
             "program": workload.program,
             "predicates": list(workload.predicates),
         }
     )
-    return race_id, output["classified"]
+    classified = output["classified"]
+    assert isinstance(classified, ClassifiedRace) and classified.race is None
+    classified.race = race
+    return trace, classified
 
 
 class TestCacheStores:
     def test_classification_entry_is_the_worker_dict(self, tmp_path):
         # The worker returns its ClassifiedRace; the cache alone writes its
-        # dict, under the race's entry key, and decodes it on load.
+        # dict, without the race, under the race's entry key, and decodes
+        # it on load onto the recording's own report.
         from repro.engine import ClassificationCache
 
-        race_id, classified = _classify_first_race("bbuf")
-        assert isinstance(classified, ClassifiedRace)
+        trace, classified = _classify_first_race("bbuf")
+        race = trace.races[0]
         cache = ClassificationCache(tmp_path)
-        path = cache.store("bbuf", "f" * 64, {race_id: classified})
-        entry = json.loads(path.read_text())["entries"][str(race_id)]
+        path = cache.store("bbuf", "f" * 64, {race.race_id: classified})
+        entry = json.loads(path.read_text())["entries"][str(race.race_id)]
         assert entry == {
-            "key": ClassificationCache.entry_key("f" * 64, race_id),
-            "classified": classified.to_dict(),
+            "key": ClassificationCache.entry_key("f" * 64, race.race_id),
+            "classified": replace(classified, race=None).to_dict(),
         }
-        loaded = cache.load("bbuf", "f" * 64, [race_id])
-        assert list(loaded) == [race_id]
-        assert loaded[race_id].to_dict() == classified.to_dict()
+        assert "race" not in entry["classified"]
+        loaded = cache.load("bbuf", "f" * 64, [race])
+        assert list(loaded) == [race.race_id]
+        assert loaded[race.race_id].race is race
+        assert loaded[race.race_id].to_dict() == classified.to_dict()
 
     def test_entry_with_another_race_key_is_a_miss(self, tmp_path):
         from repro.engine import ClassificationCache
 
-        race_id, classified = _classify_first_race("RW")
+        trace, classified = _classify_first_race("RW")
+        race = trace.races[0]
+        other = replace(race, race_id=race.race_id + 1)
         cache = ClassificationCache(tmp_path)
-        path = cache.store("RW", "f" * 64, {race_id: classified})
+        path = cache.store("RW", "f" * 64, {race.race_id: classified})
         # The file key matches, the race's own key does not: no entry served.
         data = json.loads(path.read_text())
-        data["entries"][str(race_id)]["key"] = "x" * 64
+        data["entries"][str(race.race_id)]["key"] = "x" * 64
         path.write_text(json.dumps(data))
-        assert cache.load("RW", "f" * 64, [race_id]) is None
+        assert cache.load("RW", "f" * 64, [race]) is None
         # A race the file does not hold is a miss beside one it serves.
-        cache.store("RW", "f" * 64, {race_id: classified})
-        loaded = cache.load("RW", "f" * 64, [race_id, race_id + 1])
-        assert list(loaded) == [race_id]
+        cache.store("RW", "f" * 64, {race.race_id: classified})
+        loaded = cache.load("RW", "f" * 64, [race, other])
+        assert list(loaded) == [race.race_id]
 
     def test_classification_loads_only_read(self, tmp_path):
         # A hit, a partial hit and a miss all leave the file as stored: no
         # sidecar, no rewrite, no refreshed mtime.
         from repro.engine import ClassificationCache
 
-        race_id, classified = _classify_first_race("RW")
+        trace, classified = _classify_first_race("RW")
+        race = trace.races[0]
+        other = replace(race, race_id=race.race_id + 1)
         cache = ClassificationCache(tmp_path)
-        path = cache.store("RW", "f" * 64, {race_id: classified})
+        path = cache.store("RW", "f" * 64, {race.race_id: classified})
         before = (path.read_bytes(), path.stat().st_mtime_ns)
-        assert list(cache.load("RW", "f" * 64, [race_id])) == [race_id]
-        assert list(cache.load("RW", "f" * 64, [race_id, race_id + 1])) == [race_id]
-        assert cache.load("RW", "f" * 64, [race_id + 1]) is None
-        assert cache.load("RW", "e" * 64, [race_id]) is None
+        assert list(cache.load("RW", "f" * 64, [race])) == [race.race_id]
+        assert list(cache.load("RW", "f" * 64, [race, other])) == [race.race_id]
+        assert cache.load("RW", "f" * 64, [other]) is None
+        assert cache.load("RW", "e" * 64, [race]) is None
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         assert (path.read_bytes(), path.stat().st_mtime_ns) == before
 
@@ -708,6 +732,12 @@ class TestCacheStores:
         runs = engine.analyze(["bbuf", "bbuf"])
         assert [run.classifications_cached for run in runs] == [5, 5]
         assert engine.last_run_stats.classifications_computed == 2
+        # Each copy recorded its own trace, and each verdict, served or
+        # computed, holds its own copy's report.
+        assert runs[0].result.trace is not runs[1].result.trace
+        for run in runs:
+            for item in run.result.classified:
+                assert item.race is run.result.trace.race_by_id(item.race.race_id)
 
 
 def _newest_first_engine(monkeypatch, tmp_path):

@@ -29,7 +29,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.engine import AnalysisEngine, EngineOptions
-from repro.core import PortendConfig
+from repro.core import Portend, PortendConfig
 from repro.core.categories import ClassifiedRace, RaceClass
 from repro.engine.dispatch import (
     PoolDispatcher,
@@ -50,6 +50,7 @@ from repro.engine.faults import (
 from repro.engine.tasks import ClassificationTask, execute_task
 from repro.record_replay.recorder import record_program_trace
 from repro.workloads import load_workload
+from test_engine import _verdict
 from test_streaming import _DeferredPool, _full_signature
 
 #: small two-workload batch: one single-stage-heavy, one multi-path
@@ -306,7 +307,8 @@ class TestValidateWorkerOutput:
     def test_real_worker_outputs_pass_validation(self):
         # The classify entry point, driven with the payloads the engine
         # builds (the program attached, the trace recorded as the driver
-        # records it), returns what the boundary accepts.
+        # records it), returns what the boundary accepts: the verdict of
+        # the payload's race, without the race.
         config = PortendConfig()
         workload = load_workload("RW")
         trace, _seconds = record_program_trace(
@@ -324,7 +326,11 @@ class TestValidateWorkerOutput:
             ).to_payload()
             output = execute_task(classify_payload)
             validate_worker_output("classify", classify_payload, output)
-            assert output["classified"].race.race_id == race.race_id
+            assert output["classified"].race is None
+            expected = Portend(
+                workload.program, config=config, predicates=workload.predicates
+            ).classify_race(trace, race)
+            assert _verdict(output["classified"]) == _verdict(expected)
 
     def test_serial_dispatch_validates_at_the_boundary(self):
         # Without a pool the supervisor runs each chunk in the driver at
@@ -342,12 +348,8 @@ def _good_worker(payload):
 
 
 def _classified_rw_race():
-    """A ClassifiedRace of the worker's shape: RW's first race."""
-    workload = load_workload("RW")
-    trace, _seconds = record_program_trace(
-        workload.program, concrete_inputs=dict(workload.inputs)
-    )
-    return ClassifiedRace(race=trace.races[0], classification=RaceClass.K_WITNESS_HARMLESS)
+    """A ClassifiedRace of the worker's shape: a verdict without its race."""
+    return ClassifiedRace(race=None, classification=RaceClass.K_WITNESS_HARMLESS)
 
 
 def _bad_worker(payload):
