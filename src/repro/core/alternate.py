@@ -554,8 +554,6 @@ class _Sample:
     key: tuple
     #: ``(step_count, preemption_points, context_switches)``
     totals: Tuple[int, int, int]
-    #: ``ThreadState.steps`` per thread, in thread order
-    thread_steps: Tuple[int, ...]
     #: ``LoopEntry.iterations`` per loop entry, in thread/frame/control order
     loops: Tuple[int, ...]
     #: the sampled frame's concrete induction locals, ``(name, value)``
@@ -580,7 +578,7 @@ class _SpinCutoff:
     ``stop_before`` predicate.  Before a loop condition whose iteration
     count is a power of two (from :data:`_FIRST_SAMPLE` on) it keys the
     whole state, leaving out only what grows without steering anything:
-    ``step_count``, per-thread ``steps``, ``LoopEntry.iterations``,
+    ``step_count``, ``LoopEntry.iterations``,
     ``preemption_points``, ``context_switches`` and the sampled loop's
     concrete induction locals.  Symbolic values compare structurally, the
     output/input logs by length (they only grow), SpecChecker state is part
@@ -691,7 +689,6 @@ class _SpinCutoff:
             iterations=count,
             key=key,
             totals=(state.step_count, state.preemption_points, state.context_switches),
-            thread_steps=tuple(thread.steps for thread in state.threads.values()),
             loops=tuple(loops),
             induction=counted,
         )
@@ -723,9 +720,7 @@ class _SpinCutoff:
             advance(then, now) for then, now in zip(previous.totals, current.totals)
         )
         loops = iter(zip(previous.loops, current.loops))
-        for other, then, now in zip(list(state.threads), previous.thread_steps, current.thread_steps):
-            if now != then:
-                state.thread_mut(other).steps = advance(then, now)
+        for other in list(state.threads):
             for index, frame in enumerate(list(state.threads[other].frames)):
                 for position, entry in enumerate(frame.control):
                     if type(entry) is not LoopEntry:

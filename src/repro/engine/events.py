@@ -31,7 +31,8 @@ kind                         fields
                              snapshot
                              (``statements``, ``forks``, ``cow_copies``,
                              ``spin_cutoffs``, ``steps_skipped``,
-                             ``accesses`` -- the ``MemoryAccess`` events
+                             ``accesses`` and ``sync_events`` -- the
+                             ``MemoryAccess`` and ``SyncEvent`` events
                              built for listeners; one per task; a counter
                              an older log lacks folds as 0)
 ``pool``                     ``action`` (created/downgraded; an older
@@ -116,7 +117,13 @@ EVENT_KINDS = (
 
 #: the ``InterpCounters`` fields an ``interp_stats`` event carries
 _INTERP_COUNTERS = (
-    "statements", "forks", "cow_copies", "spin_cutoffs", "steps_skipped", "accesses"
+    "statements",
+    "forks",
+    "cow_copies",
+    "spin_cutoffs",
+    "steps_skipped",
+    "accesses",
+    "sync_events",
 )
 
 Event = Dict[str, object]
@@ -435,7 +442,8 @@ def render_events_info(events: Sequence[Event]) -> str:
         f"cow_copies={interpreter['cow_copies']} "
         f"spin_cutoffs={interpreter['spin_cutoffs']} "
         f"steps_skipped={interpreter['steps_skipped']} "
-        f"accesses={interpreter['accesses']}"
+        f"accesses={interpreter['accesses']} "
+        f"sync_events={interpreter['sync_events']}"
     )
     lines.append("")
     lines.append(summary["stats"])

@@ -66,6 +66,8 @@ class EngineStats:
     interp_steps_skipped: int = 0
     #: ``MemoryAccess`` events built for the listeners that asked for them
     interp_accesses: int = 0
+    #: ``SyncEvent`` events built for the listeners that override ``on_sync``
+    interp_sync_events: int = 0
     #: task executions re-submitted after a worker crash, deadline expiry,
     #: or malformed result (supervision layer)
     task_retries: int = 0
@@ -119,6 +121,7 @@ class EngineStats:
         self.interp_spin_cutoffs += payload.get("spin_cutoffs", 0)
         self.interp_steps_skipped += payload.get("steps_skipped", 0)
         self.interp_accesses += payload.get("accesses", 0)
+        self.interp_sync_events += payload.get("sync_events", 0)
 
     def summary(self) -> str:
         return (
@@ -138,6 +141,7 @@ class EngineStats:
             f"spin cutoffs={self.interp_spin_cutoffs}, "
             f"steps skipped={self.interp_steps_skipped}, "
             f"interp accesses={self.interp_accesses}, "
+            f"interp sync events={self.interp_sync_events}, "
             f"task retries={self.task_retries}, "
             f"pool respawns={self.pool_respawns}, "
             f"tasks quarantined={self.tasks_quarantined}, "

@@ -17,10 +17,16 @@ class InterpCounters:
     """Statements executed, state forks, COW materializations, the
     alternate-enforcement spin cutoffs (runs cut short at a repeated state,
     and the steps they skipped instead of interpreting), and the
-    ``MemoryAccess`` events built for the runs' listeners."""
+    ``MemoryAccess`` and ``SyncEvent`` events built for the runs' listeners."""
 
     __slots__ = (
-        "statements", "forks", "cow_copies", "spin_cutoffs", "steps_skipped", "accesses"
+        "statements",
+        "forks",
+        "cow_copies",
+        "spin_cutoffs",
+        "steps_skipped",
+        "accesses",
+        "sync_events",
     )
 
     def __init__(self) -> None:
@@ -33,6 +39,7 @@ class InterpCounters:
         self.spin_cutoffs = 0
         self.steps_skipped = 0
         self.accesses = 0
+        self.sync_events = 0
 
     def to_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}

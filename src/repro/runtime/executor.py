@@ -81,14 +81,31 @@ _BINOP_TOKENS: Dict[str, Op] = {
     ">>": Op.SHR,
 }
 
+
+def _int_div(left: int, right: int) -> int:
+    """C division of two ints: truncation toward zero, a crash on zero."""
+    if right == 0:
+        raise ProgramCrash(CrashKind.DIVISION_BY_ZERO, "division by zero")
+    quotient = abs(left) // abs(right)
+    return quotient if (left >= 0) == (right >= 0) else -quotient
+
+
+def _int_mod(left: int, right: int) -> int:
+    """C remainder of two ints: the sign of ``left``, a crash on zero."""
+    return left - right * _int_div(left, right)
+
+
 #: the operators whose result on two ``int`` operands is plain Python
-#: arithmetic (C semantics at unbounded width, comparisons as 0/1); the
-#: rest -- division, modulo, shifts and the short-circuit pair -- keep
-#: their crash checks in ``_apply_binop``
+#: arithmetic (C semantics at unbounded width, comparisons as 0/1, division
+#: truncating toward zero with the same crash on a zero divisor); the rest
+#: -- shifts and the short-circuit pair -- keep their crash checks in
+#: ``_apply_binop``
 _INT_BINOPS: Dict[str, Callable[[int, int], int]] = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
+    "/": _int_div,
+    "%": _int_mod,
     "==": lambda left, right: 1 if left == right else 0,
     "!=": lambda left, right: 1 if left != right else 0,
     "<": lambda left, right: 1 if left < right else 0,
@@ -287,7 +304,8 @@ class Executor:
             return None
         if reason in ("sync", "blocked"):
             state.preemption_points += 1
-            listeners.on_schedule(state, chosen, current, reason)
+            if listeners.schedule_listeners:
+                listeners.on_schedule(state, chosen, current, reason)
         if chosen != current:
             state.context_switches += 1
         state.current_tid = chosen
@@ -336,7 +354,6 @@ class Executor:
         forks: Optional[List[ExecutionState]] = None
 
         state.step_count += 1
-        state.threads[tid].steps += 1
         state.counters.statements += 1
 
         try:
@@ -453,10 +470,7 @@ class Executor:
             if tid in mutex.waiters:
                 mutex.waiters.remove(tid)
             thread.held_mutexes.append(stmt.mutex)
-            listeners.on_sync(
-                state,
-                SyncEvent(tid, "lock", stmt.mutex, stmt.pc, state.step_count),
-            )
+            self._emit_sync(state, listeners, tid, "lock", stmt.mutex, stmt.pc)
             return
         if mutex.owner == tid:
             raise ProgramCrash(
@@ -480,12 +494,12 @@ class Executor:
         if stmt.mutex in thread.held_mutexes:
             thread.held_mutexes.remove(stmt.mutex)
         self._wake_mutex_waiters(state, stmt.mutex)
-        listeners.on_sync(
-            state, SyncEvent(tid, "unlock", stmt.mutex, stmt.pc, state.step_count)
-        )
+        self._emit_sync(state, listeners, tid, "unlock", stmt.mutex, stmt.pc)
 
     def _wake_mutex_waiters(self, state: ExecutionState, mutex_name: str) -> None:
-        for other_tid, other in list(state.threads.items()):
+        # thread_mut only replaces existing keys, so the dict cannot change
+        # size under this loop.
+        for other_tid, other in state.threads.items():
             if not other.is_blocked or other.blocked_on is None:
                 continue
             kind, target = other.blocked_on
@@ -509,16 +523,12 @@ class Executor:
         self._wake_mutex_waiters(state, stmt.mutex)
         # The mutex release inside cond_wait creates the same happens-before
         # edge as an explicit unlock; publish it so the race detector sees it.
-        listeners.on_sync(
-            state, SyncEvent(tid, "unlock", stmt.mutex, stmt.pc, state.step_count)
-        )
+        self._emit_sync(state, listeners, tid, "unlock", stmt.mutex, stmt.pc)
         condvar.waiters.append(tid)
         thread.status = ThreadStatus.BLOCKED
         thread.blocked_on = ("cond", stmt.cond)
         thread.pending_reacquire = stmt.mutex
-        listeners.on_sync(
-            state, SyncEvent(tid, "cond_wait", stmt.cond, stmt.pc, state.step_count)
-        )
+        self._emit_sync(state, listeners, tid, "cond_wait", stmt.cond, stmt.pc)
 
     def _exec_cond_signal(self, state, tid, stmt, listeners) -> None:
         broadcast = type(stmt) is ast.CondBroadcast
@@ -536,10 +546,7 @@ class Executor:
                 waiter.status = ThreadStatus.RUNNABLE
                 waiter.blocked_on = None
         kind = "cond_broadcast" if broadcast else "cond_signal"
-        listeners.on_sync(
-            state,
-            SyncEvent(tid, kind, stmt.cond, stmt.pc, state.step_count, peer=tuple(to_wake)),
-        )
+        self._emit_sync(state, listeners, tid, kind, stmt.cond, stmt.pc, tuple(to_wake))
 
     def _attempt_reacquire(self, state, thread: ThreadState, listeners) -> None:
         """Reacquire the mutex released by ``cond_wait`` once woken."""
@@ -547,16 +554,12 @@ class Executor:
         assert mutex_name is not None
         mutex = state.sync.mutex(mutex_name)
         state.step_count += 1
-        thread.steps += 1
         if mutex.owner is None:
             mutex = state.sync.mutex_mut(mutex_name)
             mutex.owner = thread.tid
             thread.held_mutexes.append(mutex_name)
             thread.pending_reacquire = None
-            listeners.on_sync(
-                state,
-                SyncEvent(thread.tid, "lock", mutex_name, 0, state.step_count),
-            )
+            self._emit_sync(state, listeners, thread.tid, "lock", mutex_name, 0)
         else:
             thread.status = ThreadStatus.BLOCKED
             thread.blocked_on = ("mutex-reacquire", mutex_name)
@@ -575,37 +578,31 @@ class Executor:
                     other = state.thread_mut(other_tid)
                     other.status = ThreadStatus.RUNNABLE
                     other.blocked_on = None
-            listeners.on_sync(
-                state,
-                SyncEvent(
-                    tid, "barrier_release", stmt.barrier, stmt.pc, state.step_count,
-                    peer=released,
-                ),
+            self._emit_sync(
+                state, listeners, tid, "barrier_release", stmt.barrier, stmt.pc, released
             )
             return
         thread.status = ThreadStatus.BLOCKED
         thread.blocked_on = ("barrier", stmt.barrier)
-        listeners.on_sync(
-            state,
-            SyncEvent(tid, "barrier_wait", stmt.barrier, stmt.pc, state.step_count),
-        )
+        self._emit_sync(state, listeners, tid, "barrier_wait", stmt.barrier, stmt.pc)
 
     def _exec_spawn(self, state, tid, stmt: ast.Spawn, listeners) -> None:
         function = self.program.function(stmt.function)
-        values = [self._eval(state, tid, arg, stmt, listeners) for arg in stmt.args]
-        if len(values) > len(function.params):
-            raise ProgramCrash(
-                CrashKind.INVALID_SYNC,
-                f"spawn of {stmt.function!r} with too many arguments",
-            )
-        args = {name: 0 for name in function.params}
-        for name, value in zip(function.params, values):
-            args[name] = value
+        args: Dict[str, Value] = {}
+        if stmt.args or function.params:
+            values = [self._eval(state, tid, arg, stmt, listeners) for arg in stmt.args]
+            if len(values) > len(function.params):
+                raise ProgramCrash(
+                    CrashKind.INVALID_SYNC,
+                    f"spawn of {stmt.function!r} with too many arguments",
+                )
+            args = {name: 0 for name in function.params}
+            for name, value in zip(function.params, values):
+                args[name] = value
         child = state.add_thread(stmt.function, args, call_label=stmt.label)
         state.frame_mut(tid).locals[stmt.target] = child.tid
-        listeners.on_sync(
-            state,
-            SyncEvent(tid, "spawn", stmt.function, stmt.pc, state.step_count, peer=(child.tid,)),
+        self._emit_sync(
+            state, listeners, tid, "spawn", stmt.function, stmt.pc, (child.tid,)
         )
 
     def _exec_join(self, state, tid, stmt: ast.Join, listeners) -> None:
@@ -617,10 +614,7 @@ class Executor:
             raise ProgramCrash(CrashKind.INVALID_SYNC, f"join on unknown thread {target}")
         other = state.thread(target)
         if other.is_finished:
-            listeners.on_sync(
-                state,
-                SyncEvent(tid, "join", str(target), stmt.pc, state.step_count, peer=(target,)),
-            )
+            self._emit_sync(state, listeners, tid, "join", str(target), stmt.pc, (target,))
             return
         thread = state.thread_mut(tid)
         thread.status = ThreadStatus.BLOCKED
@@ -765,16 +759,15 @@ class Executor:
         # Wake joiners.  ``blocked_on`` is None for almost every thread, so
         # testing it first keeps this scan -- O(threads) per thread exit --
         # to one attribute load and a failed comparison in the common case.
+        # thread_mut only replaces existing keys, so the dict cannot change
+        # size under this loop.
         join_key = ("join", thread.tid)
-        for other_tid, other in list(state.threads.items()):
+        for other_tid, other in state.threads.items():
             if other.blocked_on == join_key and other.is_blocked:
                 other = state.thread_mut(other_tid)
                 other.status = ThreadStatus.RUNNABLE
                 other.blocked_on = None
-        listeners.on_sync(
-            state,
-            SyncEvent(thread.tid, "exit", thread.entry_function, 0, state.step_count),
-        )
+        self._emit_sync(state, listeners, thread.tid, "exit", thread.entry_function, 0)
 
     def _normalize(self, state, tid: int, listeners) -> None:
         """Pop exhausted blocks and perform implicit returns.
@@ -1084,6 +1077,22 @@ class Executor:
             step=state.step_count,
         )
         listeners.on_access(state, access)
+
+    @staticmethod
+    def _emit_sync(
+        state: ExecutionState,
+        listeners: ListenerGroup,
+        tid: int,
+        kind: str,
+        target: str,
+        pc: int,
+        peer: Optional[Tuple[int, ...]] = None,
+    ) -> None:
+        """Publish one synchronisation event, built only when a listener of
+        the run overrides ``on_sync``."""
+        if listeners.sync_listeners:
+            state.counters.sync_events += 1
+            listeners.on_sync(state, SyncEvent(tid, kind, target, pc, state.step_count, peer))
 
     def _record_crash(
         self, state: ExecutionState, tid: int, stmt: ast.Stmt, crash: ProgramCrash

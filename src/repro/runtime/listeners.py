@@ -15,12 +15,21 @@ specification checker want every access; the classification runs watch one
 or a few racing locations, and most runs watch none.  A listener that needs
 the accessing thread's stack reads it from the state in
 :meth:`ExecutionListener.on_access`.
+
+Step, synchronisation and scheduling events are folded the same way: a
+:class:`ListenerGroup` lists once, when it is built, the members whose class
+overrides :meth:`ExecutionListener.on_step`, :meth:`~ExecutionListener.on_sync`
+or :meth:`~ExecutionListener.on_schedule`, and the executor skips the call --
+and for synchronisation the :class:`SyncEvent` itself -- when that list is
+empty.  Only the happens-before detector reads sync events and only the trace
+recorder reads scheduling decisions, so a run that records nothing builds no
+sync event and makes no scheduling callback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.runtime.memory import MemoryLocation
 
@@ -113,23 +122,29 @@ class ListenerGroup(ExecutionListener):
 
     ``access_names`` is the fold of the members' interest: ``None`` when any
     member wants every access, else the union of their declared names.
-    Access events go only to the members that override ``on_access``, and
-    step events only to those that override ``on_step``: the executor skips
-    the per-step call altogether when ``step_listeners`` is empty.
+    Access, step, sync and schedule events go only to the members that
+    override the matching callback: the executor skips the per-step call when
+    ``step_listeners`` is empty, and builds no ``SyncEvent`` and makes no
+    ``on_schedule`` call when ``sync_listeners`` or ``schedule_listeners`` is.
     """
 
     def __init__(self, listeners: Sequence[ExecutionListener] = ()) -> None:
         self.listeners = list(listeners)
-        self.step_listeners = [
-            listener
-            for listener in self.listeners
-            if type(listener).on_step is not ExecutionListener.on_step
-        ]
-        self._access_listeners = [
-            listener
-            for listener in self.listeners
-            if type(listener).on_access is not ExecutionListener.on_access
-        ]
+        self.step_listeners: List[ExecutionListener] = []
+        self.sync_listeners: List[ExecutionListener] = []
+        self.schedule_listeners: List[ExecutionListener] = []
+        self._access_listeners: List[ExecutionListener] = []
+        base = ExecutionListener
+        for listener in self.listeners:
+            kind = type(listener)
+            if kind.on_step is not base.on_step:
+                self.step_listeners.append(listener)
+            if kind.on_sync is not base.on_sync:
+                self.sync_listeners.append(listener)
+            if kind.on_schedule is not base.on_schedule:
+                self.schedule_listeners.append(listener)
+            if kind.on_access is not base.on_access:
+                self._access_listeners.append(listener)
         names: Optional[FrozenSet[str]] = frozenset()
         for listener in self._access_listeners:
             if listener.access_names is None:
@@ -147,11 +162,11 @@ class ListenerGroup(ExecutionListener):
             listener.on_access(state, access)
 
     def on_sync(self, state, event) -> None:
-        for listener in self.listeners:
+        for listener in self.sync_listeners:
             listener.on_sync(state, event)
 
     def on_schedule(self, state, chosen_tid, previous_tid, reason) -> None:
-        for listener in self.listeners:
+        for listener in self.schedule_listeners:
             listener.on_schedule(state, chosen_tid, previous_tid, reason)
 
     def on_output(self, state, record) -> None:

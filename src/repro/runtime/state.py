@@ -106,14 +106,17 @@ class ExecutionState:
     # ------------------------------------------------------------------ setup
 
     def add_thread(self, function: str, args: Dict[str, Value], call_label: str = "") -> ThreadState:
-        """Create a new thread running ``function`` with bound arguments."""
+        """Create a new thread running ``function`` with bound arguments.
+
+        ``args`` becomes the new frame's locals: callers hand over a dict
+        they do not keep.
+        """
         tid = self.next_tid
         self.next_tid += 1
-        body = self.program.function(function).body
         frame = Frame(
             function=function,
-            locals=dict(args),
-            control=[BlockEntry(tuple(body), 0)],
+            locals=args,
+            control=[BlockEntry(self.program.function(function).body, 0)],
             call_label=call_label,
             version=self.cow_version,
         )

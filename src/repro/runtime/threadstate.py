@@ -107,7 +107,6 @@ class ThreadState:
     blocked_on: Optional[Tuple[str, object]] = None
     pending_reacquire: Optional[str] = None
     held_mutexes: List[str] = field(default_factory=list)
-    steps: int = 0
     result: Optional[Value] = None
     #: copy-on-write epoch: owned by a state iff == that state's cow_version
     version: int = 0
@@ -121,7 +120,6 @@ class ThreadState:
             blocked_on=self.blocked_on,
             pending_reacquire=self.pending_reacquire,
             held_mutexes=list(self.held_mutexes),
-            steps=self.steps,
             result=self.result,
             version=self.version,
         )
@@ -142,7 +140,6 @@ class ThreadState:
             blocked_on=self.blocked_on,
             pending_reacquire=self.pending_reacquire,
             held_mutexes=list(self.held_mutexes),
-            steps=self.steps,
             result=self.result,
             version=version,
         )

@@ -155,8 +155,9 @@ class TestFoldSemantics:
                 spin_cutoffs=2,
                 steps_skipped=900,
                 accesses=12,
+                sync_events=4,
             ),
-            # written before the access counter existed
+            # written before the access and sync-event counters existed
             make_event(
                 "interp_stats",
                 statements=7,
@@ -177,7 +178,10 @@ class TestFoldSemantics:
         assert stats.interp_spin_cutoffs == 2
         assert stats.interp_steps_skipped == 900
         assert stats.interp_accesses == 12
-        assert "spin cutoffs=2, steps skipped=900, interp accesses=12" in stats.summary()
+        assert stats.interp_sync_events == 4
+        assert (
+            "spin cutoffs=2, steps skipped=900, interp accesses=12, interp sync events=4"
+        ) in stats.summary()
         assert summarize_events(events)["interpreter"] == {
             "tasks": 4,
             "statements": 62,
@@ -186,10 +190,11 @@ class TestFoldSemantics:
             "spin_cutoffs": 2,
             "steps_skipped": 900,
             "accesses": 12,
+            "sync_events": 4,
         }
         assert (
             "interpreter counters: tasks=4 statements=62 forks=3 cow_copies=4 "
-            "spin_cutoffs=2 steps_skipped=900 accesses=12"
+            "spin_cutoffs=2 steps_skipped=900 accesses=12 sync_events=4"
         ) in render_events_info(events).splitlines()
 
     def test_lifecycle_events_fold_to_nothing(self):
@@ -444,8 +449,9 @@ class TestCLI:
         assert "by kind:" in out
 
     def test_stats_line_accesses_equal_the_events_info_sum(self, tmp_path, capsys):
-        # The stats line folds every interp_stats counter, accesses
-        # included, so it reports what events-info prints for the same log.
+        # The stats line folds every interp_stats counter, accesses and
+        # sync events included, so it reports what events-info prints for
+        # the same log.
         from repro.experiments.__main__ import main
 
         path = str(tmp_path / "cli.jsonl")
@@ -453,10 +459,13 @@ class TestCLI:
         stats_line = capsys.readouterr().out.strip().splitlines()[-1]
         assert main(["events-info", "--events", path]) == 0
         info = capsys.readouterr().out
-        folded = re.search(r"interp accesses=(\d+)", stats_line)
-        summed = re.search(r"^interpreter counters: .* accesses=(\d+)$", info, re.M)
+        folded = re.search(r"interp accesses=(\d+), interp sync events=(\d+)", stats_line)
+        summed = re.search(
+            r"^interpreter counters: .* accesses=(\d+) sync_events=(\d+)$", info, re.M
+        )
         assert folded and summed
         assert int(folded.group(1)) == int(summed.group(1)) > 0
+        assert int(folded.group(2)) == int(summed.group(2))
 
     def test_events_file_truncated_per_invocation(self, tmp_path):
         from repro.experiments.__main__ import main

@@ -182,7 +182,8 @@ class TestCopyOnWrite:
         for tid in tids[1:]:
             assert clone.threads[tid] is state.threads[tid]
         # The parent's view of the copied thread is untouched.
-        assert state.threads[target].steps == thread.steps
+        thread.held_mutexes.append("only-in-the-clone")
+        assert "only-in-the-clone" not in state.threads[target].held_mutexes
 
     def test_frame_mut_materializes_one_frame(self):
         _, state = _running_state()

@@ -83,7 +83,6 @@ def _state_view(state):
             thread.blocked_on,
             thread.pending_reacquire,
             tuple(thread.held_mutexes),
-            thread.steps,
             thread.result,
             tuple(_frame_view(frame) for frame in thread.frames),
         )
