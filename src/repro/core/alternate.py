@@ -10,17 +10,17 @@ stage:
   :meth:`Memory.same_snapshot`), and the completed execution -- lines 1-4
   of Algorithm 1.  Only those checkpoints differ between the races of a
   trace, so the trace is replayed *once* per
-  (trace, effective inputs, race-point locator mode, step budget,
+  (trace, program, effective inputs, race-point locator mode, step budget,
   predicates, loop bound): one :class:`ReplayPolicy` run stops at every race's
   pre-race and post-race points, and the completed primary is shared by all
-  races and by both classifier stages.  A per-process memo keeps the passes
-  of the last trace, as many as one race replays (the recorded inputs,
-  then up to Mp multi-path primaries), so a race's input vectors cannot
-  evict each other.  A race the pass cannot answer (its first access is a
-  synchronisation statement, or the pass did not complete within the step
-  budget) takes :func:`replay_primary_per_race`, the per-race replay with
-  its exact per-phase budget; that function is also the test oracle the
-  shared pass is checked against.
+  races and by both classifier stages.  The passes live in the process's
+  :func:`~repro.record_replay.memo.trace_memo`, as many as one race replays
+  (the recorded inputs, then up to Mp multi-path primaries), so a race's
+  input vectors cannot evict each other.  A race the pass cannot answer
+  (its first access is a synchronisation statement, or the pass did not
+  complete within the step budget) takes :func:`replay_primary_per_race`,
+  the per-race replay with its exact per-phase budget; that function is
+  also the test oracle the shared pass is checked against.
 * :func:`run_alternate` primes a new execution with the pre-race checkpoint
   and enforces the alternate ordering of the racing accesses by preempting
   the thread that performed the first access and forcing the other racing
@@ -42,14 +42,14 @@ stage:
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.spec import SemanticPredicate, SpecChecker, diagnose_timeout
 from repro.detection.race_report import RaceReport
 from repro.lang import ast
 from repro.lang.program import Program
+from repro.record_replay.memo import trace_memo
 from repro.record_replay.trace import ExecutionTrace
 from repro.runtime.errors import ExecutionOutcome, OutcomeKind
 from repro.runtime.executor import Executor, RunResult, RunStatus
@@ -395,37 +395,6 @@ def _replay_book(
     )
 
 
-@dataclass
-class _TraceReplays:
-    """The replay passes of one trace, most recently used last.
-
-    Keyed by (effective inputs, locator mode, budget, predicates, loop
-    bound); at most ``limit`` of them, one race's working set.
-    """
-
-    #: held so the ``id(trace)`` memo key cannot be reused
-    trace: ExecutionTrace
-    limit: int
-    passes: "OrderedDict[tuple, _ReplayBook]" = field(default_factory=OrderedDict)
-
-
-#: executing-process memo of replay passes by trace, most recently used
-#: last.  Serial runs, engine tasks (which share one ExecutionTrace per
-#: trace token) and the baselines all hit it without plumbing; bounded
-#: because serial runs execute in the long-lived driving process.
-_REPLAY_MEMO: "OrderedDict[int, _TraceReplays]" = OrderedDict()
-#: the number of traces the memo keeps.  Every process classifies a trace's
-#: races one after another (the driver serially, a pool worker chunk by
-#: chunk), so more traces build no pass fewer on the registry and only hold
-#: memory: 2 or 4 raised a pooled worker's peak RSS by 1-2.5 MiB.
-_REPLAY_MEMO_LIMIT = 1
-
-
-def reset_replay_memo() -> None:
-    """Forget every replay pass (pool workers and each engine run start empty)."""
-    _REPLAY_MEMO.clear()
-
-
 def replay_primary(
     executor: Executor,
     program: Program,
@@ -440,23 +409,17 @@ def replay_primary(
     """Replay the primary execution, taking pre-race and post-race checkpoints.
 
     The replay pass is shared with every other race of ``trace`` replayed
-    under the same inputs, locator mode, budget, predicates and loop bound;
-    the result equals :func:`replay_primary_per_race`'s.  ``primaries`` is
-    the number of multi-path primaries (Mp, §3.3) the caller replays per
-    race: the memo keeps that many passes of ``trace``, plus the recorded
-    inputs' one.
+    on the executor's program under the same inputs, locator mode, budget,
+    predicates and loop bound; the result equals
+    :func:`replay_primary_per_race`'s.  ``primaries`` is the number of
+    multi-path primaries (Mp, §3.3) the caller replays per race: the memo
+    keeps the largest such number of passes any caller asked for, plus the
+    recorded inputs' one.
     """
     inputs = _effective_inputs(trace, concrete_inputs)
     budget = max_steps or executor.config.max_steps
-    replays = _REPLAY_MEMO.get(id(trace))
-    if replays is None:
-        replays = _TraceReplays(trace, primaries + 1)
-        if len(_REPLAY_MEMO) >= _REPLAY_MEMO_LIMIT:
-            _REPLAY_MEMO.popitem(last=False)
-        _REPLAY_MEMO[id(trace)] = replays
-    else:
-        _REPLAY_MEMO.move_to_end(id(trace))
-        replays.limit = max(replays.limit, primaries + 1)
+    memo = trace_memo(trace, executor.program)
+    memo.replay_limit = max(memo.replay_limit, primaries + 1)
     key = (
         tuple(sorted(inputs.items())),
         use_steps,
@@ -464,11 +427,11 @@ def replay_primary(
         tuple(predicate.name for predicate in predicates),
         executor.config.max_loop_iterations,
     )
-    passes = replays.passes
+    passes = memo.replays
     book = passes.get(key)
     if book is None:
         book = _replay_book(executor, trace, inputs, predicates, budget, use_steps)
-        if len(passes) >= replays.limit:
+        if len(passes) >= memo.replay_limit:
             passes.popitem(last=False)
         passes[key] = book
     else:

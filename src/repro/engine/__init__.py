@@ -10,7 +10,8 @@
 * :mod:`repro.engine.tasks` -- the pool's one work item
   (``ClassificationTask``), the run's spool of pickled trace contexts
   (``ContextSpool``), its picklable worker entry point, and the pool
-  initializer that installs each worker's lifetime solver-cache state,
+  initializer that starts each worker with no context and no per-trace
+  memo,
 * :mod:`repro.engine.cache` -- the on-disk trace cache keyed by
   ``(program, inputs, config)`` and the classification cache keyed by
   ``(program, inputs, config, race_id)`` plus the predicate mode,

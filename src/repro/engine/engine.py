@@ -46,7 +46,6 @@ from concurrent.futures import wait
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.alternate import reset_replay_memo
 from repro.core.categories import ClassifiedRace
 from repro.core.config import PortendConfig
 from repro.detection.race_report import RaceReport
@@ -61,10 +60,9 @@ from repro.engine.tasks import (
     execute_task,
     reset_context_memo,
 )
-from repro.explore.paths import reset_explore_memo
+from repro.record_replay.memo import reset_trace_memo
 from repro.record_replay.recorder import record_program_trace
 from repro.record_replay.trace import ExecutionTrace
-from repro.symex.solver import reset_worker_caches
 from repro.workloads import Workload, all_workloads, load_workload
 
 #: monotonic source of trace tokens -- process-unique, never reused, so
@@ -274,13 +272,12 @@ class AnalysisEngine:
     # ------------------------------------------------------------ run context
 
     def _begin_run(self, workloads: Sequence[Workload]) -> None:
-        """Open a per-run context: fresh worker-lifetime caches, fresh event
-        stream.  Enforced here so back-to-back runs in one process can never
-        bleed counters or warm solver state into each other."""
-        reset_worker_caches()
+        """Open a per-run context: no loaded context, no per-trace memo, a
+        fresh event stream.  Enforced here so back-to-back runs in one
+        process can never bleed counters or warm solver state into each
+        other."""
         reset_context_memo()
-        reset_replay_memo()
-        reset_explore_memo()
+        reset_trace_memo()
         # Snapshot the claim ledger so only faults fired *during this run*
         # replay as events at run finish.
         self._fault_claims_baseline: Sequence[str] = ()
@@ -355,8 +352,8 @@ class AnalysisEngine:
         classifies one workload while the driver records the next.  Serial
         runs go through the same drain with no pool.
 
-        The driving process's worker-lifetime solver caches start fresh per
-        run (pool workers get the same via the pool initializer), so runs
+        The driving process's per-trace memo starts fresh per run (pool
+        workers get the same via the pool initializer), so runs
         cannot observe each other's warm state; likewise the event stream is
         per-run, folded into a stats view when the run finishes
         (``run.stats`` / ``engine.last_run_stats``).
@@ -558,7 +555,6 @@ class AnalysisEngine:
                     workload=workload.name,
                     race_id=race_id,
                     trace_token=token,
-                    program_fingerprint=fingerprints[index],
                     **context,
                 ).to_payload(path)
                 for race_id in misses

@@ -70,8 +70,9 @@ know are ignored, and so are kinds it does not know, so logs written by
 older versions still load and fold: solver events that carry a
 ``backend`` name, ``primary`` events, a ``run_start`` with a
 ``granularity``, ``plan``/``path`` task events, ``record`` task submits,
-``stage_overlap`` events with or without a channel, and the per-query
-``solver_query`` events and their ``events_truncated`` cap marker, all of
+``stage_overlap`` events with or without a channel, the per-query
+``solver_query`` events and their ``events_truncated`` cap marker, and the
+worker-lifetime cache-hit count of older ``solver_stats`` events, all of
 which fold to nothing.
 
 Determinism: each worker task returns its events in its result payload;
@@ -80,9 +81,10 @@ order of races -- never in future-completion order, so the merged stream
 is structurally bit-identical across completion interleavings: same
 events, same order, same identity fields.  The
 nondeterministic residue is the ``ts``/``seconds`` timestamps and work
-*attribution*: whether a query hit the shared worker-lifetime cache, and
+*attribution*: which task's query filled a shared solver-memo entry, and
 which task ran a state of a shared search or replay pass, depends on which
-task a pool executed first, so per-task solver and interpreter counters do
+worker ran which chunk of a trace and in what order (a worker keeps the
+memo of one trace only), so per-task solver and interpreter counters do
 too.  Verdicts do not.
 """
 

@@ -46,9 +46,6 @@ class EngineStats:
     solver_cache_misses: int = 0
     #: concrete assignments enumerated by the bounded solver
     solver_assignments_enumerated: int = 0
-    #: the subset of solver cache hits served from a worker-lifetime entry
-    #: written by an earlier task of the same process
-    worker_cache_hits: int = 0
     #: wall-clock seconds spent inside solver queries (aggregated)
     solver_seconds: float = 0.0
     #: ProcessPoolExecutor constructions (streaming: one per engine run)
@@ -102,7 +99,6 @@ class EngineStats:
         self.solver_cache_hits += payload.get("cache_hits", 0)
         self.solver_cache_misses += payload.get("cache_misses", 0)
         self.solver_assignments_enumerated += payload.get("enumerated_assignments", 0)
-        self.worker_cache_hits += payload.get("worker_cache_hits", 0)
         self.solver_seconds += payload.get("seconds", 0.0)
 
     def absorb_interp(self, payload) -> None:
@@ -133,7 +129,6 @@ class EngineStats:
             f"(cache hits={self.solver_cache_hits}, "
             f"misses={self.solver_cache_misses}), "
             f"solver assignments enumerated={self.solver_assignments_enumerated}, "
-            f"worker-cache hits={self.worker_cache_hits}, "
             f"pools created={self.pools_created}, "
             f"interp statements={self.interp_statements}, "
             f"interp forks={self.interp_forks}, "

@@ -8,9 +8,8 @@ The pool runs one task kind: a :class:`ClassificationTask` classifies one
 Every race of one recorded trace is classified against the same *context*:
 the :class:`~repro.record_replay.trace.ExecutionTrace`, the
 :class:`~repro.core.config.PortendConfig`, the program and its predicates.
-A task payload names its race (``workload``, ``race_id``), its trace
-(``trace_token``) and its program (``program_fingerprint``), and reaches its
-context one of two ways:
+A task payload names its race (``workload``, ``race_id``) and its trace
+(``trace_token``), and reaches its context one of two ways:
 
 * **inline** -- the payload holds the driver's own context objects.  Serial
   runs, and workloads whose context does not pickle (a lambda predicate),
@@ -18,11 +17,11 @@ context one of two ways:
   no file is written.
 * **spooled** -- the payload holds only the path (``spool``) of the one file
   the driver pickled the context into (:class:`ContextSpool`, once per trace
-  per run).  The executing process loads it at most once per token into
-  :data:`_CONTEXTS`, so every chunk of a trace on one worker classifies
-  against one trace and one program object, and the per-trace replay and
-  search memos of :mod:`repro.core.alternate` and :mod:`repro.explore.paths`
-  (keyed by object identity) hit across those chunks.
+  per run).  The executing process keeps the last context it loaded, so
+  consecutive chunks of a trace on one worker classify against one trace
+  and one program object, and the process's
+  :func:`~repro.record_replay.memo.trace_memo` (keyed by object identity)
+  hits across those chunks.
 
 A task returns its :class:`~repro.core.categories.ClassifiedRace` without
 the race (``race`` is None), serial, inline or pooled alike: the driver
@@ -43,13 +42,14 @@ import pickle
 import shutil
 import tempfile
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import PortendConfig
 from repro.engine.events import make_event
+from repro.record_replay.memo import reset_trace_memo, trace_memo
 from repro.record_replay.trace import ExecutionTrace
+from repro.symex.solver import Solver
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,8 @@ class ClassificationTask:
     program: object
     predicates: tuple
     #: parent-assigned token identifying this trace's context; tasks sharing
-    #: a token share one context, which the executing process loads once
-    #: (see :func:`_spooled_context`)
+    #: a token share one context (see :func:`_spooled_context`)
     trace_token: Optional[str] = None
-    #: program content hash; when present the executing process attaches its
-    #: solver to the worker-lifetime cache of this program (see
-    #: :func:`repro.symex.solver.worker_solver_cache`)
-    program_fingerprint: str = ""
 
     def to_payload(self, spool: Optional[str] = None) -> Dict:
         """The task's payload: inline, or naming the ``spool`` file that
@@ -82,8 +77,6 @@ class ClassificationTask:
         payload = {"workload": self.workload, "race_id": self.race_id}
         if self.trace_token is not None:
             payload["trace_token"] = self.trace_token
-        if self.program_fingerprint:
-            payload["program_fingerprint"] = self.program_fingerprint
         if spool is not None:
             payload["spool"] = spool
         else:
@@ -110,7 +103,6 @@ class ClassificationTask:
             program=context["program"],
             predicates=tuple(context["predicates"]),
             trace_token=payload.get("trace_token"),
-            program_fingerprint=payload.get("program_fingerprint", ""),
         )
 
 
@@ -149,51 +141,42 @@ class ContextSpool:
             self.path = None
 
 
-#: executing-process LRU memo of spooled contexts, keyed by trace token.
+#: the executing process's last spooled context, as ``(token, context)``.
 #: Classification reads a context but never mutates it (the serial facade
 #: already shares one ExecutionTrace across every race it classifies), so
-#: every chunk of one trace that lands on a process shares the one copy this
-#: memo loaded.  Bounded because quarantined and downgraded chunks load
-#: contexts in the long-lived driving process too.
-_CONTEXTS: "OrderedDict[str, Dict]" = OrderedDict()
-_CONTEXTS_LIMIT = 4
+#: the chunks of one trace that land on a process one after another share
+#: the one copy loaded here.
+_CONTEXT: Optional[Tuple[str, Dict]] = None
 
 
 def reset_context_memo() -> None:
-    """Forget every loaded context (a new run, a fresh worker)."""
-    _CONTEXTS.clear()
+    """Forget the loaded context (a new run, a fresh worker)."""
+    global _CONTEXT
+    _CONTEXT = None
 
 
 def _spooled_context(token: str, path: str) -> Dict:
-    """The context of trace ``token``, read from ``path`` on first use."""
-    context = _CONTEXTS.get(token)
-    if context is None:
+    """The context of trace ``token``, read from ``path`` unless it is the
+    one loaded last."""
+    global _CONTEXT
+    if _CONTEXT is None or _CONTEXT[0] != token:
         with open(path, "rb") as handle:
-            context = pickle.load(handle)
-        if len(_CONTEXTS) >= _CONTEXTS_LIMIT:
-            _CONTEXTS.popitem(last=False)
-        _CONTEXTS[token] = context
-    else:
-        _CONTEXTS.move_to_end(token)
-    return context
+            _CONTEXT = (token, pickle.load(handle))
+    return _CONTEXT[1]
 
 
 def _build_portend(task):
-    """A per-task Portend whose solver joins the worker-lifetime cache.
+    """A per-task Portend whose fresh solver shares its trace's memo.
 
-    Every task still gets a fresh solver (so its ``solver_stats`` event is
-    the task's delta).  When the payload names a program fingerprint the
-    solver's memo dicts are the process-shared ones for that program:
-    identical constraint-set queries across the races and primary paths of
-    one workload hit warm entries instead of re-enumerating.
+    A fresh solver keeps the task's ``solver_stats`` event equal to the
+    task's delta; its memo dicts are those of the process's
+    :func:`~repro.record_replay.memo.trace_memo`, so identical
+    constraint-set queries across the races and primary paths of one trace
+    hit warm entries instead of re-enumerating.
     """
     from repro.core.portend import Portend
-    from repro.symex.solver import Solver, worker_solver_cache
 
-    shared = None
-    if task.program_fingerprint:
-        shared = worker_solver_cache(task.program_fingerprint)
-    solver = Solver(shared_cache=shared)
+    solver = Solver(memo=trace_memo(task.trace, task.program).solver)
     return Portend(
         task.program, config=task.config, predicates=list(task.predicates), solver=solver
     )
@@ -202,11 +185,9 @@ def _build_portend(task):
 def pool_worker_initializer(fault_spec: Optional[Mapping] = None) -> None:
     """Runs once in each fresh pool worker process.
 
-    Installs clean worker-lifetime state: the solver memos of
-    :mod:`repro.symex.solver`, this module's context memo, the replay-pass
-    memo of :mod:`repro.core.alternate` and the shared-search memo of
-    :mod:`repro.explore.paths` all start empty,
-    so nothing leaks between engine runs that happen to recycle a worker
+    Installs clean worker-lifetime state: this module's context slot and
+    the :func:`~repro.record_replay.memo.trace_memo` start empty, so
+    nothing leaks between engine runs that happen to recycle a worker
     (``fork`` start methods inherit the parent's module state).
 
     When a fault plan is active (``--fault-plan`` / ``REPRO_FAULT_PLAN``),
@@ -214,16 +195,11 @@ def pool_worker_initializer(fault_spec: Optional[Mapping] = None) -> None:
     faults fire in pool workers and never in the driving process -- the
     quarantine / serial paths stay fault-free by construction.
     """
-    from repro.core.alternate import reset_replay_memo
     from repro.engine.faults import install_fault_plan
-    from repro.explore.paths import reset_explore_memo
-    from repro.symex.solver import reset_worker_caches
 
-    reset_worker_caches()
     install_fault_plan(dict(fault_spec) if fault_spec else None)
     reset_context_memo()
-    reset_replay_memo()
-    reset_explore_memo()
+    reset_trace_memo()
 
 
 def execute_noop_task(payload: Mapping) -> Dict:

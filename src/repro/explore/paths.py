@@ -15,8 +15,8 @@ model) that drives the program down that path.
 **One search per trace.**  The breadth-first search does not depend on the
 race: a race only decides which completed states become its primaries and
 when its walk stops (``max_primaries``, ``max_states``).  So each process
-keeps one lazily extended search per trace (:class:`_SharedSearch`, in a
-4-entry LRU memo emptied by :func:`reset_explore_memo`), with one tracker
+keeps one lazily extended search per trace (:class:`_SharedSearch`, in the
+``searches`` of :func:`repro.record_replay.memo.trace_memo`), with one tracker
 that notes, per state, where every race of ``trace.races`` was reached.
 Each :meth:`MultiPathExplorer.explore` walks that record with its own
 cursor.  A state nobody has popped yet runs on the walking explorer's
@@ -30,12 +30,13 @@ reasons equal those of a breadth-first search run for the race alone
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import astuple, dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.detection.race_report import RaceReport
 from repro.lang.program import Program
+from repro.record_replay.memo import trace_memo
 from repro.record_replay.trace import ExecutionTrace
 from repro.runtime.errors import ExecutionOutcome
 from repro.runtime.executor import Executor, RunStatus
@@ -169,14 +170,11 @@ class _SharedSearch:
     def __init__(
         self,
         trace: ExecutionTrace,
-        program: Program,
         initial: ExecutionState,
         max_steps: int,
         races: Sequence[RaceReport],
     ) -> None:
-        #: held so the ids in the memo key cannot be reused
         self.trace = trace
-        self.program = program
         self.tracker = _RaceReachedTracker(races)
         self.max_steps = max_steps
         self.frontier: Deque[ExecutionState] = deque([initial])
@@ -203,17 +201,6 @@ class _SharedSearch:
         self.frontier.extend(forks)
         self.popped.append(popped)
         return popped
-
-
-#: executing-process memo of shared searches, most recently used last;
-#: bounded because serial runs execute in the long-lived driving process
-_EXPLORE_MEMO: "OrderedDict[tuple, _SharedSearch]" = OrderedDict()
-_EXPLORE_MEMO_LIMIT = 4
-
-
-def reset_explore_memo() -> None:
-    """Forget every shared search (pool workers and each engine run start empty)."""
-    _EXPLORE_MEMO.clear()
 
 
 class MultiPathExplorer:
@@ -317,7 +304,9 @@ class MultiPathExplorer:
         not one of ``trace.races`` (a hand-built report), a fresh search
         that watches this race only and is memoised nowhere.
 
-        Keyed by everything a run reads: the trace and program, the
+        The search lives in the trace's
+        :func:`~repro.record_replay.memo.trace_memo` (so it is kept per
+        trace and program), keyed by everything else a run reads: the
         symbolic inputs, the per-state step bound and the executor and
         solver configuration (the loop bound, and the solver's assignment
         budget, since its UNKNOWN answers decide forks).  The stop rules
@@ -329,19 +318,16 @@ class MultiPathExplorer:
 
         def fresh(races: Sequence[RaceReport]) -> _SharedSearch:
             initial = self._initial_state(symbolic_names)
-            return _SharedSearch(
-                self.trace, executor.program, initial, self.max_steps_per_state, races
-            )
+            return _SharedSearch(self.trace, initial, self.max_steps_per_state, races)
 
+        searches = trace_memo(self.trace, executor.program).searches
         key = (
-            id(self.trace),
-            id(executor.program),
             tuple(symbolic_names),
             self.max_steps_per_state,
             astuple(executor.config),
             executor.solver.max_assignments,
         )
-        search = _EXPLORE_MEMO.get(key)
+        search = searches.get(key)
         watches = (
             search.tracker.watches
             if search is not None
@@ -350,11 +336,7 @@ class MultiPathExplorer:
         if _watch(self.race) not in watches:
             return fresh([self.race])
         if search is None or search.broken:
-            search = fresh(self.trace.races)
-            if key not in _EXPLORE_MEMO and len(_EXPLORE_MEMO) >= _EXPLORE_MEMO_LIMIT:
-                _EXPLORE_MEMO.popitem(last=False)
-            _EXPLORE_MEMO[key] = search
-        _EXPLORE_MEMO.move_to_end(key)
+            search = searches[key] = fresh(self.trace.races)
         return search
 
     def _consider(self, popped: _Popped, primaries: List[PrimaryPath]) -> None:

@@ -32,21 +32,14 @@ cache is deterministic: a hit returns bit-identically what the miss
 computed, so cached and uncached runs classify identically (asserted by the
 test suite).
 
-On top of the per-instance memo, the module keeps **worker-lifetime** cache
-state (:class:`WorkerSolverCache`, keyed by program content fingerprint via
-:func:`worker_solver_cache`).  A solver constructed with ``shared_cache``
-reads and writes that shared state instead of a private dict, so the many
-short-lived solvers of one worker process -- the engine builds one per
-dispatched task -- share warm entries across the races and primary paths of
-one workload.  Hits on entries written by an *earlier* solver of the same
-process are counted separately (``SolverStats.worker_cache_hits``); the
-engine's pool initializer resets the state per worker, and the engine
-resets it in the driving process at the start of each batch run.  Sharing
-is safe for the same reason caching is: a warm hit returns bit-identically
-what the miss would have computed.
-
-Both tiers live only as long as their process: nothing is persisted to
-disk, so every engine run starts from empty solver caches.
+A solver built with a :class:`SolverMemo` reads and writes that memo's
+dicts instead of private ones.  The engine builds one fresh solver per task
+on the memo of the task's trace (see :mod:`repro.record_replay.memo`), so
+the races and primary paths of one trace share warm entries while each
+task's stats stay its own delta.  Sharing is safe for the same reason
+caching is: a warm hit returns bit-identically what the miss would have
+computed.  Nothing is persisted to disk, so every engine run starts from
+empty solver memos.
 """
 
 from __future__ import annotations
@@ -92,9 +85,6 @@ class SolverStats:
     cache_hits: int = 0
     #: queries that had to run the narrowing/enumeration machinery
     cache_misses: int = 0
-    #: the subset of ``cache_hits`` served from an entry written by an
-    #: earlier solver of the same process (worker-lifetime cache sharing)
-    worker_cache_hits: int = 0
     #: wall-clock seconds spent inside solver queries
     seconds: float = 0.0
 
@@ -105,7 +95,6 @@ class SolverStats:
         self.unknown_answers = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        self.worker_cache_hits = 0
         self.seconds = 0.0
 
     def to_dict(self) -> Dict[str, int]:
@@ -117,7 +106,6 @@ class SolverStats:
             "unknown_answers": self.unknown_answers,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "worker_cache_hits": self.worker_cache_hits,
             "seconds": self.seconds,
         }
 
@@ -136,60 +124,17 @@ def set_cache_enabled_default(enabled: bool) -> bool:
     return previous
 
 
-# ----------------------------------------------------- worker-lifetime cache
-
-
 @dataclass
-class WorkerSolverCache:
-    """Process-lifetime solver memo shared by the solvers of one program.
+class SolverMemo:
+    """The memo dicts of one or more solvers, keyed as :meth:`Solver.check`
+    and :meth:`Solver.value_range` key them."""
 
-    The entry dicts use the same keys as a private solver memo; values are
-    tagged with the attachment id of the solver that wrote them, so a later
-    solver can tell a warm cross-task hit from a hit on its own entry.
-    """
-
-    #: frozenset(constraints) -> (owner, verdict, model)
-    check: Dict[frozenset, Tuple[int, "SolverResult", Optional[Dict[str, int]]]] = field(
+    #: frozenset(constraints) -> (verdict, model)
+    check: Dict[frozenset, Tuple[SolverResult, Optional[Dict[str, int]]]] = field(
         default_factory=dict
     )
-    #: (frozenset(constraints), expr) -> (owner, (lo, hi) or None)
-    ranges: Dict[Tuple[frozenset, "Value"], Tuple[int, object]] = field(
-        default_factory=dict
-    )
-    #: solvers that have attached so far (also the next owner id)
-    attachments: int = 0
-
-
-#: per-process shared caches, keyed by program content fingerprint
-#: (insertion order doubles as recency order: lookups re-insert)
-_WORKER_CACHES: Dict[str, WorkerSolverCache] = {}
-
-#: distinct program fingerprints kept warm per process before evicting;
-#: comfortably above the full Table-1-plus-synthetics batch so one
-#: ``experiments all`` run never thrashes its own working set
-_WORKER_CACHE_LIMIT = 16
-
-
-def worker_solver_cache(fingerprint: str) -> WorkerSolverCache:
-    """The worker-lifetime cache for one program (created on first use).
-
-    Bounded LRU: every lookup refreshes the fingerprint's recency, and a
-    new fingerprint beyond the bound evicts only the least-recently-used
-    program's state -- interleaved tasks of a multi-program batch keep
-    their hot entries.
-    """
-    state = _WORKER_CACHES.pop(fingerprint, None)
-    if state is None:
-        if len(_WORKER_CACHES) >= _WORKER_CACHE_LIMIT:
-            _WORKER_CACHES.pop(next(iter(_WORKER_CACHES)))
-        state = WorkerSolverCache()
-    _WORKER_CACHES[fingerprint] = state
-    return state
-
-
-def reset_worker_caches() -> None:
-    """Drop all worker-lifetime cache state (pool initializer / run start)."""
-    _WORKER_CACHES.clear()
+    #: (frozenset(constraints), expr) -> (lo, hi) or None
+    ranges: Dict[Tuple[frozenset, Value], object] = field(default_factory=dict)
 
 
 @dataclass
@@ -211,33 +156,25 @@ _RANGE_MISS = object()
 class Solver:
     """Complete-on-bounded-domains satisfiability and model generation."""
 
-    #: entries per memo before it is cleared (per-solver, so effectively
-    #: per-exploration; clearing only costs future hits)
+    #: entries per memo before it is cleared (clearing only costs future hits)
     CACHE_LIMIT = 65_536
 
     def __init__(
         self,
         max_assignments: int = 200_000,
         enable_cache: Optional[bool] = None,
-        shared_cache: Optional[WorkerSolverCache] = None,
+        memo: Optional[SolverMemo] = None,
     ) -> None:
         self.max_assignments = max_assignments
         self.stats = SolverStats()
         self.enable_cache = (
             CACHE_ENABLED_DEFAULT if enable_cache is None else bool(enable_cache)
         )
-        #: constraint-set fingerprint -> (owner, verdict, model); shared by
-        #: every query kind that funnels into :meth:`check`
-        self._check_cache: Dict[frozenset, Tuple[int, SolverResult, Optional[Dict[str, int]]]] = {}
-        #: (constraint-set fingerprint, expr) -> (owner, (lo, hi) or None)
-        self._range_cache: Dict[Tuple[frozenset, Value], Tuple[int, object]] = {}
-        #: id tagged onto entries this solver writes; 0 for a private memo
-        self._cache_owner = 0
-        if shared_cache is not None and self.enable_cache:
-            shared_cache.attachments += 1
-            self._cache_owner = shared_cache.attachments
-            self._check_cache = shared_cache.check
-            self._range_cache = shared_cache.ranges
+        if memo is None or not self.enable_cache:
+            memo = SolverMemo()
+        #: shared by every query kind that funnels into :meth:`check`
+        self._check_cache = memo.check
+        self._range_cache = memo.ranges
 
     # ------------------------------------------------------------------ API
 
@@ -251,9 +188,7 @@ class Solver:
             cached = self._check_cache.get(key)
             if cached is not None:
                 self.stats.cache_hits += 1
-                owner, verdict, model = cached
-                if owner != self._cache_owner:
-                    self.stats.worker_cache_hits += 1
+                verdict, model = cached
                 self.stats.seconds += time.perf_counter() - started
                 # Hand out a copy: callers may mutate the model dict.
                 return verdict, (dict(model) if model is not None else None)
@@ -262,11 +197,7 @@ class Solver:
         if key is not None:
             if len(self._check_cache) >= self.CACHE_LIMIT:
                 self._check_cache.clear()
-            self._check_cache[key] = (
-                self._cache_owner,
-                verdict,
-                dict(model) if model is not None else None,
-            )
+            self._check_cache[key] = (verdict, dict(model) if model is not None else None)
         self.stats.seconds += time.perf_counter() - started
         return verdict, model
 
@@ -359,17 +290,14 @@ class Solver:
             cached = self._range_cache.get(key, _RANGE_MISS)
             if cached is not _RANGE_MISS:
                 self.stats.cache_hits += 1
-                owner, result = cached
-                if owner != self._cache_owner:
-                    self.stats.worker_cache_hits += 1
                 self.stats.seconds += time.perf_counter() - started
-                return result
+                return cached
             self.stats.cache_misses += 1
         result = self._value_range_uncached(constraints, expr)
         if key is not None:
             if len(self._range_cache) >= self.CACHE_LIMIT:
                 self._range_cache.clear()
-            self._range_cache[key] = (self._cache_owner, result)
+            self._range_cache[key] = result
         self.stats.seconds += time.perf_counter() - started
         return result
 

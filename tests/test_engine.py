@@ -270,9 +270,7 @@ class TestContextSpool:
         AnalysisEngine(options=EngineOptions(parallel=2)).analyze(["bbuf", "RW"])
         assert payloads
         assert {frozenset(payload) for payload in payloads} == {
-            frozenset(
-                {"workload", "race_id", "trace_token", "program_fingerprint", "spool"}
-            )
+            frozenset({"workload", "race_id", "trace_token", "spool"})
         }
         # One file per trace, shared by every chunk of that trace.
         files = {payload["workload"]: set() for payload in payloads}

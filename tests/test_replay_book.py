@@ -1,7 +1,8 @@
 """Tests for the shared primary replay of :mod:`repro.core.alternate`.
 
 :func:`replay_primary` answers every race of a trace from one replay pass
-per (trace, effective inputs, locator mode, budget, predicates, loop bound);
+per (trace, program, effective inputs, locator mode, budget, predicates,
+loop bound);
 :func:`replay_primary_per_race` replays one race alone from the initial
 state, exactly as every race used to, and is the oracle here:
 
@@ -14,11 +15,11 @@ state, exactly as every race used to, and is the oracle here:
 * **hazards** -- a step budget too small for the pass takes the per-race
   fallback and yields the verdicts of per-race replay, classification never
   mutates the shared final state, alternates count their statements on the
-  executor that runs them, and fresh pool workers start with an empty memo;
-* **bounds** -- the memo keeps the passes of its last ``_REPLAY_MEMO_LIMIT``
-  traces, of each one race's working set (its Mp primaries plus the
-  recorded inputs), so a serial ``stress_deep`` pass builds each of its 6
-  passes once.
+  executor that runs them, a pass of one program never answers a race
+  replayed on another, and fresh pool workers start with an empty memo;
+* **bounds** -- the memo keeps the passes of one (trace, program) pair,
+  one race's working set (its Mp primaries plus the recorded inputs), so a
+  serial ``stress_deep`` pass builds each of its 6 passes once.
 """
 
 
@@ -28,7 +29,6 @@ from repro.core import alternate
 from repro.core.alternate import (
     replay_primary,
     replay_primary_per_race,
-    reset_replay_memo,
     run_alternate,
 )
 from repro.core.config import PortendConfig
@@ -37,15 +37,18 @@ from repro.engine import AnalysisEngine, EngineOptions
 from repro.engine.tasks import pool_worker_initializer
 from repro.lang.ast import SYNC_STMTS, add, eq, glob, local
 from repro.lang.builder import ProgramBuilder
+from repro.record_replay import memo
+from repro.record_replay.memo import reset_trace_memo, trace_memo
 from repro.workloads import all_workload_names, load_workload
+from repro.workloads.memcached import build_memcached
 from test_spin_cutoff import _frozen
 
 
 @pytest.fixture(autouse=True)
 def _empty_memo():
-    reset_replay_memo()
+    reset_trace_memo()
     yield
-    reset_replay_memo()
+    reset_trace_memo()
 
 
 def _state_view(state):
@@ -229,20 +232,17 @@ class TestSharedPassHazards:
             fallbacks.append(args[3].race_id)
             return replay_primary_per_race(*args, **kwargs)
 
-        reset_replay_memo()
+        reset_trace_memo()
         monkeypatch.setattr(alternate, "replay_primary_per_race", counting)
         assert _classified(portend, trace) == expected
         assert set(fallbacks) == {race.race_id for race in trace.races}
-        assert all(
-            book.final_state is None
-            for replays in alternate._REPLAY_MEMO.values()
-            for book in replays.passes.values()
-        )
+        books = trace_memo(trace, portend.program).replays.values()
+        assert books and all(book.final_state is None for book in books)
 
     def test_semantic_classification_matches_per_race_replay(self, monkeypatch):
         _workload, portend, trace = _portend("fmm", semantic=True)
         expected = _per_race_classification(monkeypatch, portend, trace)
-        reset_replay_memo()
+        reset_trace_memo()
         assert _classified(portend, trace) == expected
 
     def test_classification_leaves_shared_final_state_alone(self):
@@ -274,8 +274,8 @@ class TestSharedPassHazards:
         assert runner.executor.counters.statements > 0
 
     def test_memo_is_bounded(self):
-        # The memo keeps the last _REPLAY_MEMO_LIMIT traces and, of each,
-        # one race's working set: its primaries plus the recorded inputs.
+        # The memo keeps one (trace, program) pair and, of it, one race's
+        # working set: its primaries plus the recorded inputs.
         workload, portend, trace = _portend("bbuf")
         race = trace.races[0]
         for primaries in (1, 3):
@@ -285,16 +285,35 @@ class TestSharedPassHazards:
                     concrete_inputs={"quiet_producers": value}, use_steps=False,
                     primaries=primaries,
                 )
-            assert len(alternate._REPLAY_MEMO[id(trace)].passes) == primaries + 1
-        traces = [trace] + [
-            portend.record(inputs=dict(workload.inputs))
-            for _ in range(alternate._REPLAY_MEMO_LIMIT + 1)
-        ]
-        for other in traces:
-            replay_primary(portend.executor, portend.program, other, other.races[0])
-        kept = traces[-alternate._REPLAY_MEMO_LIMIT:]
-        assert list(alternate._REPLAY_MEMO) == [id(other) for other in kept]
-        assert all(len(replays.passes) == 1 for replays in alternate._REPLAY_MEMO.values())
+            assert len(trace_memo(trace, portend.program).replays) == primaries + 1
+        other = portend.record(inputs=dict(workload.inputs))
+        replay_primary(portend.executor, portend.program, other, other.races[0])
+        assert memo._CURRENT.trace is other
+        assert len(memo._CURRENT.replays) == 1
+
+    def test_pass_of_another_program_is_not_served(self):
+        # A what-if variant classified against the same trace: its races
+        # must replay on its own program, not take the first program's pass.
+        _workload, portend, trace = _portend("memcached")
+        variant = Portend(
+            build_memcached(remove_slab_lock=True).program,
+            config=portend.config,
+            predicates=portend.predicates,
+        )
+        for race in trace.races:
+            replay_primary(portend.executor, portend.program, trace, race)
+        differs = 0
+        for race in trace.races:
+            shared = replay_primary(variant.executor, variant.program, trace, race)
+            oracle = replay_primary_per_race(
+                variant.executor, variant.program, trace, race
+            )
+            assert _replay_view(shared) == _replay_view(oracle), race.race_id
+            first = replay_primary_per_race(
+                portend.executor, portend.program, trace, race
+            )
+            differs += _replay_view(first) != _replay_view(oracle)
+        assert differs > 0
 
     def test_a_races_input_vectors_do_not_evict_each_other(self, monkeypatch):
         # Every stress_deep race replays the recorded inputs and 5 multi-path
@@ -316,6 +335,6 @@ class TestSharedPassHazards:
     def test_pool_worker_initializer_empties_the_memo(self):
         _workload, portend, trace = _portend("RW")
         replay_primary(portend.executor, portend.program, trace, trace.races[0])
-        assert alternate._REPLAY_MEMO
+        assert memo._CURRENT.replays
         pool_worker_initializer()
-        assert not alternate._REPLAY_MEMO
+        assert memo._CURRENT is None

@@ -2,25 +2,28 @@
 
 :meth:`MultiPathExplorer.explore` walks one lazily extended breadth-first
 search per (trace, program, symbolic inputs, step bound, executor and solver
-configuration); :func:`explore_per_race` runs one race's breadth-first
+configuration), kept in the process's trace memo; :func:`explore_per_race` runs one race's breadth-first
 search alone, exactly as every race used to, and is the oracle here:
 
 * **equivalence** -- for every registry race whose single stage needs paths,
   the shared walk yields the oracle's primaries, state counts and prune
   reasons, whichever race extends the search first, also under the tightest
   stop rules (``max_states=1``, ``max_primaries=1``);
-* **solver cost** -- on a worker cache, each explorer misses, enumerates
+* **solver cost** -- on a shared solver memo, each explorer misses, enumerates
   and answers UNKNOWN exactly as the oracle does, and issues no more
   queries (a state another explorer ran issues none);
 * **hazards** -- prune reasons number states by pop order, so they do not
   depend on process history; statements count on the executor that runs
   them; a race outside ``trace.races`` walks a search of its own, memoised
-  nowhere, and classifies as with the oracle; the memo is bounded and
-  starts empty in every engine run and pool worker.
+  nowhere, and classifies as with the oracle; the memo holds one trace's
+  searches, so a trace classified before is unreachable, and it starts
+  empty in every engine run and pool worker.
 """
 
 import dataclasses
+import gc
 import random
+import weakref
 from collections import deque
 
 import pytest
@@ -29,21 +32,24 @@ from repro.core import Portend, PortendConfig
 from repro.core.categories import RaceClass
 from repro.core.classifier import classify_race, single_classify
 from repro.engine import AnalysisEngine, EngineOptions
+from repro.engine import tasks
 from repro.engine.tasks import pool_worker_initializer
 from repro.explore import paths
-from repro.explore.paths import MultiPathExplorer, reset_explore_memo
+from repro.explore.paths import MultiPathExplorer
 from repro.lang.ast import add, eq, glob, local, lt
 from repro.lang.builder import ProgramBuilder
+from repro.record_replay import memo
+from repro.record_replay.memo import reset_trace_memo
 from repro.runtime.executor import Executor
-from repro.symex.solver import Solver, WorkerSolverCache
+from repro.symex.solver import Solver, SolverMemo
 from repro.workloads import Workload, all_workload_names, load_workload
 
 
 @pytest.fixture(autouse=True)
 def _empty_memo():
-    reset_explore_memo()
+    reset_trace_memo()
     yield
-    reset_explore_memo()
+    reset_trace_memo()
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +108,8 @@ def explore_per_race(explorer):
 
 def _walked_the_memo(trace):
     """Assert that the trace's races walked one memoised search."""
-    (search,) = paths._EXPLORE_MEMO.values()
+    assert memo._CURRENT.trace is trace
+    (search,) = memo._CURRENT.searches.values()
     assert search.trace is trace
     assert search.tracker.watches == {paths._watch(race) for race in trace.races}
 
@@ -150,7 +157,7 @@ class TestSharedSearchEquivalence:
     )
     def test_every_path_race_matches_per_race_search(self, path_races, config, order):
         for workload, trace, races in path_races:
-            reset_explore_memo()
+            reset_trace_memo()
             for race in _ordered(races, order):
                 shared = _explorer(workload, trace, race, config)
                 oracle = _explorer(workload, trace, race, config)
@@ -161,18 +168,18 @@ class TestSharedSearchEquivalence:
 
     @pytest.mark.parametrize("order", ["forward", "shuffled"])
     def test_solver_queries_match_per_race_search(self, path_races, order):
-        # Both sides attach every explorer's solver to one worker cache
-        # each, as pool tasks do.  The oracle re-runs every state per race,
+        # Both sides build every explorer's solver on one solver memo each,
+        # as engine tasks do.  The oracle re-runs every state per race,
         # so its repeated queries are cache hits; the shared walk does not
         # issue them.  The work the solver does is the same race by race.
         config = PortendConfig()
         for workload, trace, races in path_races:
-            reset_explore_memo()
-            caches = {"shared": WorkerSolverCache(), "oracle": WorkerSolverCache()}
+            reset_trace_memo()
+            memos = {"shared": SolverMemo(), "oracle": SolverMemo()}
             for race in _ordered(races, order):
                 stats = {}
-                for side, cache in caches.items():
-                    solver = Solver(shared_cache=cache)
+                for side, solver_memo in memos.items():
+                    solver = Solver(memo=solver_memo)
                     explorer = _explorer(workload, trace, race, config, solver=solver)
                     if side == "shared":
                         explorer.explore()
@@ -264,7 +271,7 @@ class TestSharedSearchHazards:
         config = PortendConfig()
         reasons = []
         for _ in range(2):
-            reset_explore_memo()
+            reset_trace_memo()
             explorer = MultiPathExplorer.for_config(
                 portend.executor, portend.program, trace, race, config
             )
@@ -313,15 +320,16 @@ class TestSharedSearchHazards:
         assert expected[0] and expected[2]
 
         _explorer(workload, trace, race, PortendConfig()).explore()
-        (search,) = paths._EXPLORE_MEMO.values()
-        memo, popped = dict(paths._EXPLORE_MEMO), len(search.popped)
+        searches = memo._CURRENT.searches
+        (search,) = searches.values()
+        kept, popped = dict(searches), len(search.popped)
         explorer = _explorer(workload, trace, swapped, PortendConfig())
         assert _view(explorer, explorer.explore()) == expected
         # It ran every state on its own executor, as the oracle did, and
         # neither extended a memoised search nor added one.
         ran = explorer.executor.counters.statements
         assert ran == oracle.executor.counters.statements > 0
-        assert paths._EXPLORE_MEMO == memo and len(search.popped) == popped
+        assert memo._CURRENT.searches == kept and len(search.popped) == popped
 
     def test_race_outside_the_trace_classifies_as_with_the_oracle(self, monkeypatch):
         workload, trace, _race, swapped = _swapped_race()
@@ -342,7 +350,7 @@ class TestSharedSearchHazards:
         assert classified() == result
         assert explored == [swapped]
         assert result["stage"] == "multi-path/multi-schedule"
-        assert not paths._EXPLORE_MEMO
+        assert not memo._CURRENT.searches
 
     def test_search_whose_run_raised_is_rebuilt(self, monkeypatch):
         workload = load_workload("bbuf")
@@ -363,29 +371,44 @@ class TestSharedSearchHazards:
         oracle = _explorer(workload, trace, race, PortendConfig())
         assert _view(shared, shared.explore()) == _view(oracle, explore_per_race(oracle))
 
-    def test_memo_is_bounded(self):
+    def test_a_trace_classified_before_is_unreachable(self):
+        # One process classifies a race of trace A, then one of trace B:
+        # A's trace, replay passes and search must go with it.
         workload = load_workload("bbuf")
-        portend = Portend(workload.program)
-        for _ in range(paths._EXPLORE_MEMO_LIMIT + 2):
-            trace = portend.record(workload.inputs)
-            _explorer(workload, trace, trace.races[0], PortendConfig()).explore()
-        assert len(paths._EXPLORE_MEMO) == paths._EXPLORE_MEMO_LIMIT
+        portend = Portend(workload.program, predicates=workload.predicates)
+        first = portend.record(workload.inputs)
+        portend.classify_race(first, first.races[0])
+        kept = memo._CURRENT
+        assert kept.trace is first and kept.replays and kept.searches
+        refs = [
+            weakref.ref(held)
+            for held in (first, *kept.replays.values(), *kept.searches.values())
+        ]
+        del kept
+        second = portend.record(workload.inputs)
+        portend.classify_race(second, second.races[0])
+        del first
+        gc.collect()
+        assert memo._CURRENT.trace is second
+        assert [ref() for ref in refs] == [None] * len(refs)
 
     def test_back_to_back_engine_runs_start_empty(self):
         engine = AnalysisEngine(options=EngineOptions(parallel=0))
         engine.analyze(["bbuf"])
-        assert paths._EXPLORE_MEMO
-        stale = object()
-        paths._EXPLORE_MEMO["stale"] = stale
-        engine.analyze(["bbuf"])
-        assert "stale" not in paths._EXPLORE_MEMO
-        assert len(paths._EXPLORE_MEMO) == 1
+        assert len(memo._CURRENT.searches) == 1
+        tasks._CONTEXT = ("stale", {})
+        # A run with nothing to classify still drops what the last one left.
+        engine.analyze_workloads([])
+        assert memo._CURRENT is None
+        assert tasks._CONTEXT is None
 
     def test_pool_worker_initializer_empties_the_memo(self):
         workload = load_workload("RW")
         portend = Portend(workload.program)
         trace = portend.record(workload.inputs)
         _explorer(workload, trace, trace.races[0], PortendConfig()).explore()
-        assert paths._EXPLORE_MEMO
+        assert memo._CURRENT.searches
+        tasks._CONTEXT = ("stale", {})
         pool_worker_initializer()
-        assert not paths._EXPLORE_MEMO
+        assert memo._CURRENT is None
+        assert tasks._CONTEXT is None

@@ -30,7 +30,6 @@ from repro.core import alternate
 from repro.core.alternate import (
     AlternateStatus,
     replay_primary,
-    reset_replay_memo,
     run_alternate,
 )
 from repro.core.config import PortendConfig
@@ -38,6 +37,7 @@ from repro.core.portend import Portend
 from repro.lang import ast
 from repro.lang.ast import add, eq, glob, local, logical_and, ne
 from repro.lang.builder import ProgramBuilder
+from repro.record_replay.memo import reset_trace_memo
 from repro.runtime.errors import OutcomeKind
 from repro.runtime.executor import Executor, ExecutorConfig
 from repro.runtime.threadstate import LoopEntry
@@ -47,9 +47,9 @@ from test_step_loop import use_oracle_loop
 
 @pytest.fixture(autouse=True)
 def _empty_memo():
-    reset_replay_memo()
+    reset_trace_memo()
     yield
-    reset_replay_memo()
+    reset_trace_memo()
 
 
 def _frame_view(frame):

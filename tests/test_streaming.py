@@ -2,8 +2,8 @@
 
 Covers the one scheduler: bit-equivalence of pooled and serial runs
 (including under adversarially shuffled future-completion order), the
-persistent-pool lifecycle counters, worker-lifetime solver-cache
-accounting, and the ``stress_harmful`` workload.
+persistent-pool lifecycle counters, the solver memo the tasks of one
+trace share, and the ``stress_harmful`` workload.
 """
 
 import random
@@ -14,11 +14,7 @@ import pytest
 from repro.core.config import PortendConfig
 from repro.engine import AnalysisEngine, EngineOptions, PoolDispatcher
 from repro.symex.expr import SymVar, make_binary, Op
-from repro.symex.solver import (
-    Solver,
-    reset_worker_caches,
-    worker_solver_cache,
-)
+from repro.symex.solver import Solver, SolverMemo
 from repro.workloads import all_workload_names, load_workload
 from repro.workloads.stress import build_stress, build_stress_harmful
 
@@ -37,7 +33,7 @@ def _structural(events, skip=()):
 
     Pool bookkeeping and the run's configuration event go, and so do
     timestamps and measured seconds.  Solver and interpreter snapshots keep
-    only their kind: whether a query hit the shared worker cache, and which
+    only their kind: which task filled a shared solver-memo entry, and which
     task ran a state of a shared search or replay pass, depends on which task
     ran first.  Chunk decisions replay in (workload, chunk start) order with
     sizes from a static rule, so they stay.  ``skip`` names more kinds to
@@ -199,67 +195,62 @@ class TestPoolLifecycle:
         assert not any(e["kind"] == "pool" for e in engine.last_run_events)
 
 
-class TestWorkerCacheAccounting:
+class TestSharedSolverMemo:
     def _constraints(self):
         x = SymVar("wcx", 0, 10)
         return [make_binary(Op.GE, x, 3), make_binary(Op.LT, x, 7)]
 
-    def test_cross_solver_hit_counts_as_worker_cache_hit(self):
-        reset_worker_caches()
-        shared = worker_solver_cache("prog-a")
-        first = Solver(shared_cache=shared)
+    def test_second_solver_on_the_memo_hits_with_the_same_verdict(self):
+        memo = SolverMemo()
+        first = Solver(memo=memo)
         verdict_first = first.check(self._constraints())
-        assert first.stats.worker_cache_hits == 0
+        assert first.stats.cache_misses == 1
 
-        second = Solver(shared_cache=shared)
+        second = Solver(memo=memo)
         verdict_second = second.check(self._constraints())
         assert verdict_second == verdict_first  # warm hit is bit-identical
         assert second.stats.cache_hits == 1
-        assert second.stats.worker_cache_hits == 1
+        assert second.stats.cache_misses == 0
 
-    def test_own_entry_hit_is_not_a_worker_cache_hit(self):
-        reset_worker_caches()
-        solver = Solver(shared_cache=worker_solver_cache("prog-b"))
-        solver.check(self._constraints())
-        solver.check(self._constraints())
-        assert solver.stats.cache_hits == 1
-        assert solver.stats.worker_cache_hits == 0
-
-    def test_fingerprints_do_not_share_entries(self):
-        reset_worker_caches()
-        first = Solver(shared_cache=worker_solver_cache("prog-c"))
+    def test_another_memo_shares_nothing(self):
+        first = Solver(memo=SolverMemo())
         first.check(self._constraints())
-        other = Solver(shared_cache=worker_solver_cache("prog-d"))
+        other = Solver(memo=SolverMemo())
         other.check(self._constraints())
         assert other.stats.cache_hits == 0
 
-    def test_disabled_cache_ignores_shared_state(self):
-        reset_worker_caches()
-        shared = worker_solver_cache("prog-e")
-        warm = Solver(shared_cache=shared)
+    def test_disabled_cache_ignores_the_memo(self):
+        memo = SolverMemo()
+        warm = Solver(memo=memo)
         warm.check(self._constraints())
-        cold = Solver(enable_cache=False, shared_cache=shared)
+        cold = Solver(enable_cache=False, memo=memo)
         cold.check(self._constraints())
+        cold.value_range(self._constraints(), SymVar("wcx", 0, 10))
         assert cold.stats.cache_hits == 0
-        assert cold.stats.worker_cache_hits == 0
+        assert len(memo.check) == 1 and not memo.ranges
 
-    def test_engine_counts_worker_cache_hits(self):
-        # The races of one stress trace issue identical constraint-set
-        # queries; with the worker-lifetime cache the later tasks hit
-        # entries the earlier tasks wrote -- even on the serial path, which
-        # runs the same task code in the driving process.
+    def test_serial_stress_deep_tasks_share_the_memo(self):
+        # The 12 races of stress_deep issue many identical constraint-set
+        # queries; every task's fresh solver reads and writes the memo of
+        # the trace, so later tasks hit what earlier ones wrote.  With a
+        # private memo per task the same run misses 347 times and enumerates
+        # 3,744 assignments.
         serial = EngineOptions(parallel=0)  # pin against REPRO_PARALLEL
 
-        def worker_cache_hits():
+        def solver_counts():
             engine = AnalysisEngine(options=serial)
-            engine.analyze_workloads([build_stress(races=6)])
-            return engine.last_run_stats.worker_cache_hits
+            engine.analyze_workloads([load_workload("stress_deep")])
+            stats = engine.last_run_stats
+            return (
+                stats.solver_queries,
+                stats.solver_cache_misses,
+                stats.solver_assignments_enumerated,
+            )
 
-        serial_hits = worker_cache_hits()
-        assert serial_hits > 0
-        # Each run starts from clean worker-lifetime state, so an identical
-        # second run reports identical accounting.
-        assert worker_cache_hits() == serial_hits
+        assert solver_counts() == (1108, 61, 532)
+        # Each run starts from an empty memo, so an identical second run
+        # reports identical accounting.
+        assert solver_counts() == (1108, 61, 532)
 
 
 class TestStressHarmful:
