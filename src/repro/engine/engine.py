@@ -409,11 +409,18 @@ class AnalysisEngine:
         only the file's path; only the cache files use the dict format.
         Verdicts come back without their race: each lands on the report of
         the driver's own trace, so no race is pickled or encoded twice.
-        Program fingerprints are memoised per object.
+        Only the caches read a program's fingerprint, so a workload's is
+        computed when a cache first asks for it, and a run without a cache
+        computes none (they are also memoised per program object).
         """
-        fingerprints = [
-            TraceCache.program_fingerprint(workload.program) for workload in workloads
-        ]
+        #: per workload: its program's fingerprint, once a cache asked for it
+        digests: List[Optional[str]] = [None] * len(workloads)
+
+        def fingerprint(index: int) -> str:
+            if digests[index] is None:
+                digests[index] = TraceCache.program_fingerprint(workloads[index].program)
+            return digests[index]
+
         pool = self._dispatcher.acquire() if workloads else None
         recordings: List[Optional[_Recording]] = [None] * len(workloads)
         #: per-workload trace-cache probe result; None = cache disabled
@@ -421,17 +428,17 @@ class AnalysisEngine:
         if self.cache is not None:
             for index, workload in enumerate(workloads):
                 cached = self.cache.load(
-                    workload.name, workload.inputs, self.config, fingerprints[index]
+                    workload.name, workload.inputs, self.config, fingerprint(index)
                 )
                 trace_hits[index] = cached is not None
                 if cached is not None:
                     recordings[index] = _Recording(workload, cached, 0.0, True)
         return self._stream_drain(
-            pool, spool, workloads, fingerprints, recordings, trace_hits
+            pool, spool, workloads, fingerprint, recordings, trace_hits
         )
 
     def _stream_drain(
-        self, pool, spool, workloads, fingerprints, recordings, trace_hits
+        self, pool, spool, workloads, fingerprint, recordings, trace_hits
     ) -> List[EngineRun]:
         """Record the trace-cache misses, drive the classification drain,
         then replay the canonical event stream and merge (see
@@ -483,7 +490,7 @@ class AnalysisEngine:
             )
             if self.cache is not None:
                 self.cache.store(
-                    workload.name, workload.inputs, self.config, trace, fingerprints[index]
+                    workload.name, workload.inputs, self.config, trace, fingerprint(index)
                 )
             recordings[index] = _Recording(workload, trace, detection_seconds, False)
             finished = make_event(
@@ -511,7 +518,7 @@ class AnalysisEngine:
                     workload.name,
                     workload.inputs,
                     self.config,
-                    fingerprints[index],
+                    fingerprint(index),
                     self.options.use_semantic_predicates,
                     ClassificationCache.predicate_fingerprint(predicates),
                 )

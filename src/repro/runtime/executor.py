@@ -122,6 +122,10 @@ _UNOP_TOKENS: Dict[str, Op] = {"!": Op.NOT, "-": Op.NEG}
 #: the statement types that are always preemption points (§3.1)
 _SYNC_TYPES = frozenset(ast.SYNC_STMTS)
 
+#: read before every step; an enum member lookup on the class costs far more
+#: than a module global
+_RUNNABLE = ThreadStatus.RUNNABLE
+
 
 class RunStatus(enum.Enum):
     """Why a call to :meth:`Executor.run` returned."""
@@ -238,7 +242,7 @@ class Executor:
             tid = state.current_tid
             thread = state.threads.get(tid)
             stmt = None
-            if thread is not None and thread.status is ThreadStatus.RUNNABLE and thread.frames:
+            if thread is not None and thread.status is _RUNNABLE and thread.frames:
                 # ThreadState.next_statement, inlined: this fetch runs
                 # before every step.
                 control = thread.frames[-1].control
@@ -347,8 +351,14 @@ class Executor:
 
         ``stmt`` is the thread's next statement: the ``while`` of a
         ``LoopEntry`` on top of the control stack, else the block's next one.
+        An ``Assign`` -- most executed statements -- runs here in place.
         """
-        frame = state.frame_mut(tid)
+        # ExecutionState.frame_mut's fast path, inlined: the top frame is
+        # owned when the thread and the frame carry the state's epoch.
+        thread = state.threads[tid]
+        frame = thread.frames[-1]
+        if thread.version != state.cow_version or frame.version != thread.version:
+            frame = state.frame_mut(tid)
         assert frame.control, "thread has nothing to execute"
         top = frame.control[-1]
         forks: Optional[List[ExecutionState]] = None
@@ -363,12 +373,38 @@ class Executor:
                 index = top.index
                 assert type(top) is BlockEntry and top.stmts[index] is stmt
                 top.index = index + 1
-                try:
-                    forks = _HANDLERS.get(type(stmt), Executor._exec_unsupported)(
-                        self, state, tid, stmt, listeners
-                    )
-                except RetrySignal:
-                    top.index = index
+                if type(stmt) is ast.Assign:
+                    value = stmt.value
+                    if type(value) is ast.Const:
+                        value = value.value
+                    else:
+                        value = self._eval(state, tid, value, stmt, listeners)
+                    target = stmt.target
+                    kind = type(target)
+                    if kind is ast.LocalRef:
+                        frame.locals[target.name] = value
+                    elif kind is ast.GlobalRef:
+                        name = target.name
+                        state.memory.store_global(name, value)
+                        names = listeners.access_names
+                        if names is None or name in names:
+                            self._emit_access(
+                                state, tid, MemoryLocation("global", name), True, stmt, listeners
+                            )
+                    else:
+                        self._store(state, tid, target, value, stmt, listeners)
+                    # An assignment leaves the control stack as it was: with
+                    # statements left in the block there is nothing to
+                    # normalise.
+                    if index + 1 < len(top.stmts) and not listeners.step_listeners:
+                        return None
+                else:
+                    try:
+                        forks = _HANDLERS.get(type(stmt), Executor._exec_unsupported)(
+                            self, state, tid, stmt, listeners
+                        )
+                    except RetrySignal:
+                        top.index = index
         except ProgramCrash as crash:
             self._record_crash(state, tid, stmt, crash)
 
@@ -433,11 +469,8 @@ class Executor:
     # ------------------------------------------------------------- statements
 
     # Every handler takes (state, tid, stmt, listeners) and returns the
-    # states it forked, if any; _HANDLERS maps each statement type to one.
-
-    def _exec_assign(self, state, tid, stmt: ast.Assign, listeners) -> None:
-        value = self._eval(state, tid, stmt.value, stmt, listeners)
-        self._store(state, tid, stmt.target, value, stmt, listeners)
+    # states it forked, if any; _HANDLERS maps each statement type but
+    # Assign, which _execute_step runs in place, to one.
 
     def _exec_if(self, state, tid, stmt: ast.If, listeners) -> List[ExecutionState]:
         cond = self._eval(state, tid, stmt.cond, stmt, listeners)
@@ -970,18 +1003,9 @@ class Executor:
         stmt: ast.Stmt,
         listeners: ListenerGroup,
     ) -> None:
+        """Store to an array or heap cell; ``_execute_step`` stores locals
+        and globals itself."""
         kind = type(target)
-        if kind is ast.LocalRef:
-            state.frame_mut(tid).locals[target.name] = value
-            return
-        if kind is ast.GlobalRef:
-            state.memory.store_global(target.name, value)
-            names = listeners.access_names
-            if names is None or target.name in names:
-                self._emit_access(
-                    state, tid, MemoryLocation("global", target.name), True, stmt, listeners
-                )
-            return
         if kind is ast.ArrayRef:
             index = self._eval(state, tid, target.index, stmt, listeners)
             index = self._check_array_index(state, target.name, index)
@@ -1035,7 +1059,7 @@ class Executor:
         if not is_symbolic(value):
             return int(value)
         constraints = list(state.path_condition.constraints)
-        model = self.solver.get_model(constraints + [])
+        model = self.solver.get_model(constraints)
         if model is None:
             raise ProgramCrash(
                 CrashKind.INVALID_POINTER, f"cannot concretise symbolic {what}"
@@ -1111,7 +1135,6 @@ class Executor:
 
 #: statement type -> its handler (statement classes are never subclassed)
 _HANDLERS: Dict[type, Callable[..., Optional[List[ExecutionState]]]] = {
-    ast.Assign: Executor._exec_assign,
     ast.If: Executor._exec_if,
     ast.While: Executor._exec_while,
     ast.Lock: Executor._exec_lock,

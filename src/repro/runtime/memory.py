@@ -181,7 +181,7 @@ class Memory:
 
     def _check_bounds(self, name: str, index: int) -> None:
         size = self.array_size(name)
-        if not isinstance(index, int) or isinstance(index, bool) and False:
+        if not isinstance(index, int):
             raise ProgramCrash(
                 CrashKind.OUT_OF_BOUNDS, f"non-integer index into array {name!r}"
             )

@@ -558,6 +558,44 @@ class TestProgramFingerprint:
             first[1].result.classified
         ) == _classification_signature(second[1].result.classified)
 
+    @staticmethod
+    def _count_fingerprints(monkeypatch):
+        """Record the program of every ``TraceCache.program_fingerprint`` call."""
+        calls = []
+        original = TraceCache.program_fingerprint
+
+        def counting(program):
+            calls.append(program)
+            return original(program)
+
+        monkeypatch.setattr(TraceCache, "program_fingerprint", staticmethod(counting))
+        return calls
+
+    def test_a_run_without_a_cache_fingerprints_no_program(self, monkeypatch):
+        calls = self._count_fingerprints(monkeypatch)
+        batch = [load_workload(name) for name in ("RW", "bbuf", "ctrace")]
+        runs = AnalysisEngine(options=EngineOptions(parallel=0)).analyze_workloads(batch)
+        assert all(run.result.classified for run in runs)
+        assert calls == []
+
+    def test_a_cached_run_fingerprints_each_program_once(self, monkeypatch, tmp_path):
+        batch = [load_workload(name) for name in ("RW", "bbuf")]
+        # the digests the trace keys must carry, taken before counting
+        digests = [TraceCache.program_fingerprint(w.program) for w in batch]
+        calls = self._count_fingerprints(monkeypatch)
+        options = EngineOptions(parallel=0, cache_dir=str(tmp_path))
+        AnalysisEngine(options=options).analyze_workloads(batch)
+        assert calls == [w.program for w in batch]
+        cache = TraceCache(str(tmp_path))
+        config = PortendConfig()
+        for workload, digest in zip(batch, digests):
+            key = TraceCache.key(workload.name, workload.inputs, config, digest)
+            assert cache._path(workload.name, key).exists()
+        engine = AnalysisEngine(options=options)
+        rerun = engine.analyze_workloads([load_workload(w.name) for w in batch])
+        assert all(run.trace_cached for run in rerun)
+        assert engine.last_run_stats.classifications_computed == 0
+
     def test_mutating_a_global_yields_a_fresh_digest(self):
         program = load_workload("RW").program
         before = TraceCache.program_fingerprint(program)

@@ -2,16 +2,19 @@
 
 ``Executor.run`` keeps the current thread without consulting the scheduler
 unless the next statement is a preemption point, reads that statement
-inline, resolves statements through a type table, normalises the control
-stack only when a block ran out, computes ``int``/``int`` arithmetic without
-the symbolic constructors, and calls ``on_step`` only for listeners that
-override it.  The oracle here is the loop it replaced, kept in
+inline, runs an ``Assign`` in place and every other statement through a type
+table, normalises the control stack only when a block ran out (an assign
+with statements left in its block returns at once), computes ``int``/``int``
+arithmetic without the symbolic constructors, and calls ``on_step`` only for
+listeners that override it.  The oracle here is the loop it replaced, kept in
 :class:`OracleExecutor` with only its calls into the statement handlers
 adapted to their current signatures: it asks for a preemption reason before
 every step, peeks the statement twice, resolves statements and expressions
-through ``isinstance`` chains, builds every binary operation through
-``make_binary`` and ``simplify``, normalises after every step and fans
-``on_step`` out to every listener.  Both loops must give:
+through ``isinstance`` chains, runs an assign through ``_exec_assign`` (a
+local written through ``frame_mut``, a global through its own store), builds
+every binary operation through ``make_binary`` and ``simplify``, normalises
+after every step and fans ``on_step`` out to every listener.  Both loops
+must give:
 
 * the same verdict for every race of the serial registry, and the same
   summed interpreter counters;
@@ -19,6 +22,13 @@ through ``isinstance`` chains, builds every binary operation through
   and listener callbacks in the same order, for recordings, replays with
   watched pcs, ``stop_before``/``stop_after`` runs, controlled runs that get
   stuck or run out of budget, and symbolic runs that fork;
+* the same for an assign of every target kind (local, global, array, heap)
+  and value kind (const, local, global, binary operation, symbolic input),
+  mid-block, at the end of a block and of a ``while`` body, with and
+  without an ``on_step`` listener and stopped right after it; for its
+  crashes (an undeclared global, an undefined local, an array index out of
+  bounds); and for an assign right after ``state.clone()``, which writes
+  the clone only;
 * the same value or the same crash for every binary operator over a grid of
   ints (past 2**31 too, negatives included, division and remainder by zero
   too) and bools, through the same calls into the general path for every
@@ -266,6 +276,23 @@ class OracleExecutor(Executor):
             )
         return []
 
+    def _exec_assign(self, state, tid, stmt, listeners):
+        """The replaced handler, with the local and global stores the live
+        ``_store`` no longer makes."""
+        value = self._eval(state, tid, stmt.value, stmt, listeners)
+        target = stmt.target
+        if isinstance(target, ast.LocalRef):
+            state.frame_mut(tid).locals[target.name] = value
+        elif isinstance(target, ast.GlobalRef):
+            state.memory.store_global(target.name, value)
+            names = listeners.access_names
+            if names is None or target.name in names:
+                self._emit_access(
+                    state, tid, MemoryLocation("global", target.name), True, stmt, listeners
+                )
+        else:
+            self._store(state, tid, target, value, stmt, listeners)
+
     def _normalize(self, state, tid, listeners):
         thread = state.thread(tid)
         while thread.frames:
@@ -371,6 +398,7 @@ _ORACLE_METHODS = (
     "_preemption_reason",
     "_execute_step",
     "_dispatch",
+    "_exec_assign",
     "_normalize",
     "_eval",
     "_eval_binop",
@@ -422,14 +450,11 @@ def test_serial_registry_matches_the_replaced_loop(monkeypatch):
 # ------------------------------------------------------------- direct runs
 
 
-class _EventLog(ExecutionListener):
-    """Every callback, in order, with the step it arrived at."""
+class _CallbackLog(ExecutionListener):
+    """Every callback but ``on_step``, in order."""
 
     def __init__(self):
         self.events = []
-
-    def on_step(self, state, tid, pc):
-        self.events.append(("step", tid, pc, state.step_count))
 
     def on_access(self, state, access):
         self.events.append(("access", access))
@@ -450,6 +475,13 @@ class _EventLog(ExecutionListener):
         self.events.append(("finish", state.outcome))
 
 
+class _EventLog(_CallbackLog):
+    """Every callback, in order, with the step it arrived at."""
+
+    def on_step(self, state, tid, pc):
+        self.events.append(("step", tid, pc, state.step_count))
+
+
 class _Nothing(ExecutionListener):
     """Overrides nothing: it must change nothing about the run it joins."""
 
@@ -463,6 +495,10 @@ def _state_view(state):
         "threads": [
             (tid, thread.status, thread.blocked_on, thread.result)
             for tid, thread in state.threads.items()
+        ],
+        "locals": [
+            [dict(frame.locals) for frame in thread.frames]
+            for thread in state.threads.values()
         ],
         "output_log": list(state.output_log),
         "input_log": list(state.input_log),
@@ -712,6 +748,138 @@ def test_record_replay_and_symbolic_runs_of_workloads(name):
             program, lambda executor: _explore_view(executor, symbolic=tuple(inputs), limit=12)
         )
         assert view["counters"]["forks"] > 0
+
+
+# ---------------------------------------------------------- in-place assign
+
+_TARGETS = {
+    "local": local("y"),
+    "global": glob("g"),
+    "array": arr("cells", 1),
+    "heap": heap(local("p"), 2),
+}
+_VALUES = {
+    "const": 7,
+    "local": local("x"),
+    "global": glob("h"),
+    "binop": add(local("x"), glob("h")),
+    "symbolic": ast.InputRef("n"),
+}
+_POSITIONS = ("mid_block", "block_end", "loop_end")
+
+
+def _assign_program(target, value, position):
+    """``target = value`` (label ``a``) in the middle of a block, as the last
+    statement of an ``if`` body, or as the last of a ``while`` body; then an
+    output of every location an assign can write."""
+    b = ProgramBuilder("assign")
+    b.global_var("g", 1)
+    b.global_var("h", 4)
+    b.global_var("gone", 0)
+    b.array("cells", 3)
+    main = b.function("main")
+    main.input("n", "n", lo=0, hi=9)
+    main.assign(local("x"), 5)
+    main.assign(local("y"), 0)
+    main.malloc("p", 3)
+    if position == "mid_block":
+        main.assign(target, value, label="a")
+        main.nop()
+    elif position == "block_end":
+        with main.if_(1):
+            main.assign(target, value, label="a")
+    else:
+        main.assign(local("i"), 0)
+        with main.while_(lt(local("i"), 2)):
+            main.assign(local("i"), add(local("i"), 1))
+            main.assign(target, value, label="a")
+    main.output("out", [local("y"), glob("g"), arr("cells", 1), heap(local("p"), 2)])
+    main.ret()
+    program = b.build()
+    # Validation rejects a store to an undeclared global, so the crash case
+    # drops its global only after the program is built.
+    del program.globals["gone"]
+    return program
+
+
+def _assign_view(executor, program, symbolic, mode):
+    """One run of an assign program in ``mode``: ``plain`` (no listener
+    overrides ``on_step``), ``on_step``, or ``stop_after`` (the assign is a
+    watched pc and the run stops right after it)."""
+    log = _EventLog() if mode == "on_step" else _CallbackLog()
+    kwargs = {}
+    if mode == "stop_after":
+        pc = _pc(program, "a")
+        kwargs = {
+            "watched_pcs": frozenset({pc}),
+            "stop_after": lambda state, tid, stmt: stmt.pc == pc,
+        }
+    state = executor.initial_state(concrete_inputs={"n": 3}, symbolic_inputs=symbolic)
+    result = executor.run(state, listeners=[log], **kwargs)
+    return {
+        "result": _result_view(result),
+        "events": log.events,
+        "counters": executor.counters.to_dict(),
+    }
+
+
+@pytest.mark.parametrize("value", sorted(_VALUES))
+@pytest.mark.parametrize("target", sorted(_TARGETS))
+def test_in_place_assign_matches_the_replaced_handler(target, value):
+    symbolic = ("n",) if value == "symbolic" else ()
+    for position in _POSITIONS:
+        program = _assign_program(_TARGETS[target], _VALUES[value], position)
+        for mode in ("plain", "on_step", "stop_after"):
+            view = _both(
+                program, lambda executor: _assign_view(executor, program, symbolic, mode)
+            )
+            status = view["result"]["status"]
+            if mode == "stop_after":
+                assert status is RunStatus.STOPPED_AFTER
+            else:
+                assert status is RunStatus.COMPLETED
+                assert view["result"]["state"]["outcome"].kind is OutcomeKind.DONE
+                assert len(view["result"]["state"]["output_log"]) == 1
+
+
+@pytest.mark.parametrize(
+    "target, value, kind, message",
+    [
+        (glob("gone"), 1, CrashKind.INVALID_POINTER, "write to undeclared global 'gone'"),
+        (local("y"), local("undefined"), CrashKind.INVALID_POINTER, "read of undefined local"),
+        (arr("cells", 9), 1, CrashKind.OUT_OF_BOUNDS, "index 9 out of bounds"),
+    ],
+    ids=["undeclared_global", "undefined_local", "array_out_of_bounds"],
+)
+def test_in_place_assign_crashes_as_the_replaced_handler(target, value, kind, message):
+    for position in _POSITIONS:
+        program = _assign_program(target, value, position)
+        for mode in ("plain", "on_step"):
+            view = _both(program, lambda executor: _assign_view(executor, program, (), mode))
+            crash = view["result"]["state"]["outcome"].crash
+            assert crash.kind is kind and message in crash.message
+            assert crash.pc == _pc(program, "a")
+
+
+@pytest.mark.parametrize("target", sorted(_TARGETS))
+def test_in_place_assign_after_a_clone_writes_the_clone_only(target):
+    program = _assign_program(_TARGETS[target], add(local("x"), 1), "mid_block")
+    pc = _pc(program, "a")
+
+    def drive(executor):
+        state = executor.initial_state(concrete_inputs={"n": 3})
+        executor.run(state, stop_before=lambda s, tid, stmt: stmt.pc == pc)
+        before = _state_view(state)
+        clone = state.clone()
+        result = executor.run(clone, stop_after=lambda s, tid, stmt: stmt.pc == pc)
+        assert result.status is RunStatus.STOPPED_AFTER
+        assert _state_view(state) == before
+        after = _state_view(clone)
+        assert (after["locals"], after["memory"]) != (before["locals"], before["memory"])
+        return _result_view(result), executor.counters.to_dict()
+
+    _view, counters = _both(program, drive)
+    assert counters["cow_copies"] > 0
 
 
 # ------------------------------------------------------------ int fast path
