@@ -11,15 +11,16 @@ after the race in the primary and the alternate interleavings:
 * post-race states identical ⇒ **likely harmless**.
 
 The implementation reuses Portend's record/replay machinery
-(:mod:`repro.core.alternate`, one enforcement memo per race) but none of
-its multi-path/multi-schedule or symbolic-output analysis.
+(:mod:`repro.core.alternate`, one enforcement memo per race and one trace
+memo per trace) but none of its multi-path/multi-schedule or
+symbolic-output analysis.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.core.alternate import (
     AlternateStatus,
@@ -30,6 +31,7 @@ from repro.core.alternate import (
 from repro.core.spec import outcome_is_spec_violation
 from repro.detection.race_report import RaceReport
 from repro.lang.program import Program
+from repro.record_replay.memo import TraceMemo
 from repro.record_replay.trace import ExecutionTrace
 from repro.runtime.executor import Executor
 
@@ -70,15 +72,21 @@ class RecordReplayAnalyzer:
         self.executor = executor or Executor(self.program)
         self.timeout_factor = timeout_factor
         self.max_steps = max_steps
+        #: the trace classified last and its memo: the races of one trace
+        #: share its replay pass, and another trace gets a fresh memo
+        self._memo: Optional[Tuple[ExecutionTrace, TraceMemo]] = None
 
     def classify(self, trace: ExecutionTrace, race: RaceReport) -> ReplayAnalysis:
         """Classify one race by replaying and diffing post-race states."""
+        if self._memo is None or self._memo[0] is not trace:
+            self._memo = (trace, TraceMemo())
         primary = replay_primary(
             self.executor,
             self.program,
             trace,
             race,
             max_steps=self.max_steps,
+            memo=self._memo[1],
         )
         if not primary.reached_race or primary.post_race_snapshot is None:
             # The analyzer cannot even reproduce the race: it conservatively

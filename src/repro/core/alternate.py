@@ -13,14 +13,15 @@ stage:
   (trace, program, effective inputs, race-point locator mode, step budget,
   predicates, loop bound): one :class:`ReplayPolicy` run stops at every race's
   pre-race and post-race points, and the completed primary is shared by all
-  races and by both classifier stages.  The passes live in the process's
-  :func:`~repro.record_replay.memo.trace_memo`, as many as one race replays
-  (the recorded inputs, then up to Mp multi-path primaries), so a race's
-  input vectors cannot evict each other.  A race the pass cannot answer
-  (its first access is a synchronisation statement, or the pass did not
-  complete within the step budget) takes :func:`replay_primary_per_race`,
-  the per-race replay with its exact per-phase budget; that function is
-  also the test oracle the shared pass is checked against.
+  races and by both classifier stages.  The passes live in the trace's
+  :class:`~repro.record_replay.memo.TraceMemo`, a required argument, as
+  many as one race replays (the recorded inputs, then up to Mp multi-path
+  primaries), so a race's input vectors cannot evict each other.  A race
+  the pass cannot answer (its first access is a synchronisation statement,
+  or the pass did not complete within the step budget) takes
+  :func:`replay_primary_per_race`, the per-race replay with its exact
+  per-phase budget; that function is also the test oracle the shared pass
+  is checked against.
 * :func:`run_alternate` primes a new execution with the pre-race checkpoint
   and enforces the alternate ordering of the racing accesses by preempting
   the thread that performed the first access and forcing the other racing
@@ -49,7 +50,7 @@ from repro.core.spec import SemanticPredicate, SpecChecker, diagnose_timeout
 from repro.detection.race_report import RaceReport
 from repro.lang import ast
 from repro.lang.program import Program
-from repro.record_replay.memo import trace_memo
+from repro.record_replay.memo import TraceMemo
 from repro.record_replay.trace import ExecutionTrace
 from repro.runtime.errors import ExecutionOutcome, OutcomeKind
 from repro.runtime.executor import Executor, RunResult, RunStatus
@@ -211,7 +212,6 @@ def replay_primary_per_race(
     predicates: Sequence[SemanticPredicate] = (),
     max_steps: Optional[int] = None,
     use_steps: bool = True,
-    primaries: int = 1,
 ) -> PrimaryReplay:
     """Replay the primary for one race alone, from the initial state.
 
@@ -224,8 +224,7 @@ def replay_primary_per_race(
     for every race of a pass that exhausts the step budget before the
     program ends (``test_small_budget_falls_back_with_per_race_verdicts``),
     and for a race outside ``trace.races``.  It is also the oracle the
-    shared pass is tested against; it takes the same arguments, and keeps
-    nothing, so ``primaries`` is unused.
+    shared pass is tested against.  It keeps nothing, so it takes no memo.
     """
     inputs = _effective_inputs(trace, concrete_inputs)
     locator = RacePointLocator(race, use_steps=use_steps)
@@ -405,20 +404,22 @@ def replay_primary(
     max_steps: Optional[int] = None,
     use_steps: bool = True,
     primaries: int = 1,
+    *,
+    memo: TraceMemo,
 ) -> PrimaryReplay:
     """Replay the primary execution, taking pre-race and post-race checkpoints.
 
-    The replay pass is shared with every other race of ``trace`` replayed
-    on the executor's program under the same inputs, locator mode, budget,
+    The replay pass is shared, through ``memo``, with every other race of
+    ``trace`` replayed under the same inputs, locator mode, budget,
     predicates and loop bound; the result equals
-    :func:`replay_primary_per_race`'s.  ``primaries`` is the number of
-    multi-path primaries (Mp, §3.3) the caller replays per race: the memo
-    keeps the largest such number of passes any caller asked for, plus the
-    recorded inputs' one.
+    :func:`replay_primary_per_race`'s.  ``memo`` is the memo of ``trace``
+    classified against the executor's program, and only of that pair.
+    ``primaries`` is the number of multi-path primaries (Mp, §3.3) the
+    caller replays per race: the memo keeps the largest such number of
+    passes any caller asked for, plus the recorded inputs' one.
     """
     inputs = _effective_inputs(trace, concrete_inputs)
     budget = max_steps or executor.config.max_steps
-    memo = trace_memo(trace, executor.program)
     memo.replay_limit = max(memo.replay_limit, primaries + 1)
     key = (
         tuple(sorted(inputs.items())),

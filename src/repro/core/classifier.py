@@ -28,7 +28,8 @@ final state; other primaries have their own checkpoints.  The post-race
 memories Algorithm 1 compares are copy-on-write clones, frozen only when
 they differ as containers.  The memo lives for one ``classify_race`` call,
 because the replay pass hands one checkpoint to every race that stops at
-the same pre-race point.
+the same pre-race point.  The trace's memo (replay passes, shared searches)
+outlives the race: the caller passes it in, and both stages require it.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.core.single_pre_post import single_classify
 from repro.core.spec import SemanticPredicate
 from repro.detection.race_report import RaceReport
 from repro.lang.program import Program
+from repro.record_replay.memo import TraceMemo
 from repro.record_replay.trace import ExecutionTrace
 from repro.runtime.executor import Executor
 
@@ -55,8 +57,14 @@ def classify_race(
     race: RaceReport,
     config: Optional[PortendConfig] = None,
     predicates: Sequence[SemanticPredicate] = (),
+    *,
+    memo: TraceMemo,
 ) -> ClassifiedRace:
-    """Classify one distinct race into the four-category taxonomy."""
+    """Classify one distinct race into the four-category taxonomy.
+
+    ``memo`` is the memo of ``trace`` classified against ``program``,
+    shared with the trace's other races.
+    """
     config = config or PortendConfig()
     started = time.perf_counter()
 
@@ -64,7 +72,8 @@ def classify_race(
     # enforces the ordering once.  It dies with this call.
     enforced: EnforcementMemo = {}
     single = single_classify(
-        executor, program, trace, race, config, predicates=predicates, enforced=enforced
+        executor, program, trace, race, config,
+        predicates=predicates, enforced=enforced, memo=memo,
     )
     analysis_steps = single.primary.steps
     if single.alternate is not None:
@@ -90,7 +99,8 @@ def classify_race(
         )
 
     multi = classify_multipath(
-        executor, program, trace, race, config, predicates=predicates, enforced=enforced
+        executor, program, trace, race, config,
+        predicates=predicates, enforced=enforced, memo=memo,
     )
     evidence = multi.evidence
     if evidence.spec_violation_kind or evidence.output_difference or evidence.notes:

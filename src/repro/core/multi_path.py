@@ -44,6 +44,7 @@ from repro.detection.race_report import RaceReport
 from repro.explore.paths import MultiPathExplorer, PrimaryPath
 from repro.explore.schedules import alternate_schedule_policies
 from repro.lang.program import Program
+from repro.record_replay.memo import TraceMemo
 from repro.record_replay.trace import ExecutionTrace
 from repro.runtime.executor import Executor
 
@@ -75,6 +76,7 @@ def analyze_primary_path(
     predicates: Sequence[SemanticPredicate] = (),
     *,
     enforced: EnforcementMemo,
+    memo: TraceMemo,
 ) -> None:
     """Analyze one primary path: replay it, run its Ma alternates, and fold
     what they show into ``result``.
@@ -84,7 +86,8 @@ def analyze_primary_path(
     folded into ``result`` supplies its evidence.  The Ma alternates share
     one enforcement through ``enforced``, the race's memo (see
     :func:`run_alternate`), and the first, single-post one is Algorithm 1's
-    alternate when the path's checkpoint and budget are Algorithm 1's.
+    alternate when the path's checkpoint and budget are Algorithm 1's.  The
+    path's primary replays through ``memo``, the trace's memo.
     """
     evidence = result.evidence
 
@@ -117,6 +120,7 @@ def analyze_primary_path(
         max_steps=config.max_steps_per_execution,
         use_steps=same_inputs,
         primaries=config.effective_mp(),
+        memo=memo,
     )
     if outcome_is_spec_violation(primary_replay.outcome):
         violated(
@@ -205,14 +209,18 @@ def classify_multipath(
     predicates: Sequence[SemanticPredicate] = (),
     *,
     enforced: EnforcementMemo,
+    memo: TraceMemo,
 ) -> MultiPathResult:
     """Run the multi-path (and optionally multi-schedule) analysis for a race.
 
     Explore the primaries once, then fold them into one result in path
     order, stopping at the first specification violation.  ``enforced`` is
-    the race's enforcement memo, handed to every path.
+    the race's enforcement memo and ``memo`` the trace's, both handed to
+    every path.
     """
-    explorer = MultiPathExplorer.for_config(executor, program, trace, race, config)
+    explorer = MultiPathExplorer.for_config(
+        executor, program, trace, race, config, memo=memo
+    )
     primaries = explorer.explore()
     result = MultiPathResult(
         paths_explored=len(primaries),
@@ -230,6 +238,7 @@ def classify_multipath(
             result,
             predicates=predicates,
             enforced=enforced,
+            memo=memo,
         )
         if result.verdict is RaceClass.SPEC_VIOLATED:
             break

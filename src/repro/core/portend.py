@@ -26,6 +26,7 @@ from repro.core.spec import SemanticPredicate
 from repro.detection.happens_before import HappensBeforeDetector
 from repro.detection.race_report import RaceReport, cluster_races
 from repro.lang.program import Program
+from repro.record_replay.memo import TraceMemo
 from repro.record_replay.recorder import record_execution
 from repro.record_replay.trace import ExecutionTrace
 from repro.runtime.executor import Executor, ExecutorConfig
@@ -145,18 +146,29 @@ class Portend:
         :meth:`repro.engine.AnalysisEngine.analyze_workloads` with
         ``EngineOptions(parallel=N)``; per-race RNG seeding
         (``PortendConfig.race_seed``) makes that result bit-identical to
-        this one.
+        this one.  The races share one :class:`TraceMemo`, which goes with
+        the call.
         """
         selected = list(races) if races is not None else list(trace.races)
         result = PortendResult(program=self.program.name, trace=trace)
+        memo = TraceMemo()
         started = time.perf_counter()
         for race in selected:
-            result.classified.append(self.classify_race(trace, race))
+            result.classified.append(self.classify_race(trace, race, memo=memo))
         result.classification_seconds = time.perf_counter() - started
         return result
 
-    def classify_race(self, trace: ExecutionTrace, race: RaceReport) -> ClassifiedRace:
-        """Classify a single distinct race."""
+    def classify_race(
+        self,
+        trace: ExecutionTrace,
+        race: RaceReport,
+        memo: Optional[TraceMemo] = None,
+    ) -> ClassifiedRace:
+        """Classify a single distinct race.
+
+        ``memo`` is the trace's memo, shared with the other races of
+        ``trace`` classified on this Portend; a fresh one when None.
+        """
         return classify_race(
             self.executor,
             self.program,
@@ -164,6 +176,7 @@ class Portend:
             race,
             config=self.config,
             predicates=self.predicates,
+            memo=TraceMemo() if memo is None else memo,
         )
 
     # -------------------------------------------------------------- pipeline

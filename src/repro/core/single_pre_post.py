@@ -30,6 +30,7 @@ from repro.core.output_comparison import compare_concrete
 from repro.core.spec import SemanticPredicate, outcome_is_spec_violation
 from repro.detection.race_report import RaceReport
 from repro.lang.program import Program
+from repro.record_replay.memo import TraceMemo
 from repro.record_replay.trace import ExecutionTrace
 from repro.runtime.errors import ExecutionOutcome, OutcomeKind
 from repro.runtime.executor import Executor
@@ -83,6 +84,7 @@ def single_classify(
     predicates: Sequence[SemanticPredicate] = (),
     *,
     enforced: EnforcementMemo,
+    memo: TraceMemo,
 ) -> SinglePrePostResult:
     """Run Algorithm 1 (singleClassify) for one race.
 
@@ -94,7 +96,8 @@ def single_classify(
     the evidence's ``post_race_states_differ``.  The release takes effect
     only at the enforced thread's next preemption point, so that memory is
     not the state immediately after the race.  ``enforced`` is the race's
-    enforcement memo, which keeps this alternate for Algorithm 2.
+    enforcement memo, which keeps this alternate for Algorithm 2, and
+    ``memo`` the trace's memo, which keeps the primary's replay pass.
     """
     evidence = ClassificationEvidence()
     primary = replay_primary(
@@ -105,6 +108,7 @@ def single_classify(
         predicates=predicates,
         max_steps=config.max_steps_per_execution,
         primaries=config.effective_mp(),
+        memo=memo,
     )
 
     if not primary.reached_race:

@@ -7,11 +7,11 @@
 * :mod:`repro.engine.dispatch` -- :class:`PoolDispatcher`, the run-lifetime
   persistent pool, and :class:`PoolSupervisor`, the retry / respawn /
   quarantine layer every drain runs under,
-* :mod:`repro.engine.tasks` -- the pool's one work item
-  (``ClassificationTask``), the run's spool of pickled trace contexts
-  (``ContextSpool``), its picklable worker entry point, and the pool
-  initializer that starts each worker with no context and no per-trace
-  memo,
+* :mod:`repro.engine.tasks` -- what every race of a trace is classified
+  against (``TraceContext``, which owns the trace's memo), the run's spool
+  of pickled contexts (``ContextSpool``), the picklable worker entry point
+  that classifies one race, and the pool initializer that starts each
+  worker with no loaded context,
 * :mod:`repro.engine.cache` -- the on-disk trace cache keyed by
   ``(program, inputs, config)`` and the classification cache keyed by
   ``(program, inputs, config, race_id)`` plus the predicate mode,
@@ -36,7 +36,7 @@ from repro.engine.events import (
 )
 from repro.engine.faults import FaultPlan, resolve_fault_plan
 from repro.engine.stats import EngineStats
-from repro.engine.tasks import ClassificationTask, execute_task, pool_worker_initializer
+from repro.engine.tasks import TraceContext, execute_task, pool_worker_initializer
 
 __all__ = [
     "AnalysisEngine",
@@ -51,7 +51,7 @@ __all__ = [
     "PoolDispatcher",
     "TraceCache",
     "ClassificationCache",
-    "ClassificationTask",
+    "TraceContext",
     "execute_task",
     "pool_worker_initializer",
     "EngineStats",

@@ -12,11 +12,13 @@ pipeline in three stages:
   so it needs no pool: it runs while the pool starts.
 * **Stage 2 -- detect.** Race detection runs inline with the recording (the
   happens-before detector is an execution listener).
-* **Stage 3 -- classify.** One
-  :class:`~repro.engine.tasks.ClassificationTask` classifies a whole race
-  with ``Portend.classify_race`` -- the same call a serial facade run
-  makes.  The :class:`~repro.engine.cache.ClassificationCache` is this
-  stage's backing store: warm re-runs skip classification entirely.
+* **Stage 3 -- classify.** One task
+  (:func:`~repro.engine.tasks.execute_task`) classifies a whole race with
+  ``Portend.classify_race`` -- the same call a serial facade run makes --
+  against its trace's :class:`~repro.engine.tasks.TraceContext`, whose
+  memo every race of the trace shares.  The
+  :class:`~repro.engine.cache.ClassificationCache` is this stage's backing
+  store: warm re-runs skip classification entirely.
 
 Every batch runs through one scheduler, the full-stream drain
 (:meth:`AnalysisEngine._stream_drain`): classify chunks share one
@@ -37,7 +39,6 @@ worker count or completion order.
 
 from __future__ import annotations
 
-import itertools
 import os
 import shutil
 import time
@@ -55,19 +56,14 @@ from repro.engine.events import EventLogger, make_event, write_events
 from repro.engine.faults import FaultPlan, resolve_fault_plan
 from repro.engine.stats import EngineStats
 from repro.engine.tasks import (
-    ClassificationTask,
     ContextSpool,
+    TraceContext,
     execute_task,
     reset_context_memo,
 )
-from repro.record_replay.memo import reset_trace_memo
 from repro.record_replay.recorder import record_program_trace
 from repro.record_replay.trace import ExecutionTrace
 from repro.workloads import Workload, all_workloads, load_workload
-
-#: monotonic source of trace tokens -- process-unique, never reused, so
-#: in-driver task execution can never be served a stale memoized context
-_TRACE_TOKENS = itertools.count()
 
 
 def _chunk_size(count: int, workers: int) -> int:
@@ -272,12 +268,11 @@ class AnalysisEngine:
     # ------------------------------------------------------------ run context
 
     def _begin_run(self, workloads: Sequence[Workload]) -> None:
-        """Open a per-run context: no loaded context, no per-trace memo, a
+        """Open a per-run context: no loaded context (so no trace memo), a
         fresh event stream.  Enforced here so back-to-back runs in one
         process can never bleed counters or warm solver state into each
         other."""
         reset_context_memo()
-        reset_trace_memo()
         # Snapshot the claim ledger so only faults fired *during this run*
         # replay as events at run finish.
         self._fault_claims_baseline: Sequence[str] = ()
@@ -352,11 +347,11 @@ class AnalysisEngine:
         classifies one workload while the driver records the next.  Serial
         runs go through the same drain with no pool.
 
-        The driving process's per-trace memo starts fresh per run (pool
-        workers get the same via the pool initializer), so runs
-        cannot observe each other's warm state; likewise the event stream is
-        per-run, folded into a stats view when the run finishes
-        (``run.stats`` / ``engine.last_run_stats``).
+        Every trace's context, and with it its memo, is made for this run
+        (the driver's and each pool worker's loaded-context slot start
+        empty), so runs cannot observe each other's warm state; likewise
+        the event stream is per-run, folded into a stats view when the run
+        finishes (``run.stats`` / ``engine.last_run_stats``).
         """
         self._begin_run(workloads)
         spool = ContextSpool()
@@ -545,25 +540,17 @@ class AnalysisEngine:
                 return
             race_misses[index] = misses
             unlanded[index] = len(misses)
-            context = {
-                "trace": recording.trace,
-                "config": self.config,
-                "program": workload.program,
-                "predicates": tuple(predicates),
-            }
+            context = TraceContext(
+                recording.trace, self.config, workload.program, tuple(predicates)
+            )
             # Pooled payloads name the context's one spool file; a
             # closure-bearing context does not pickle, so its stage 3 runs
-            # in the driver on the driver's objects.
+            # in the driver on the driver's objects.  Either way every
+            # chunk of the trace in one process shares one context's memo.
             path = None if pool is None else spool.write(context)
-            # The token lets task executors share one copy of the context.
-            token = f"{os.getpid()}:{next(_TRACE_TOKENS)}"
+            where = {"context": context} if path is None else {"spool": path}
             payloads = [
-                ClassificationTask(
-                    workload=workload.name,
-                    race_id=race_id,
-                    trace_token=token,
-                    **context,
-                ).to_payload(path)
+                {"workload": workload.name, "race_id": race_id, **where}
                 for race_id in misses
             ]
             size = _chunk_size(len(payloads), workers)

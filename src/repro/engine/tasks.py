@@ -1,33 +1,35 @@
 """Work items for the parallel analysis engine.
 
-The pool runs one task kind: a :class:`ClassificationTask` classifies one
+The pool runs one task kind: :func:`execute_task` classifies one
 ``(workload, race)`` unit end to end with ``Portend.classify_race``
 (pipeline stage 3).  Recording and detection run in the driving process
 (see :mod:`repro.engine.engine`).
 
-Every race of one recorded trace is classified against the same *context*:
-the :class:`~repro.record_replay.trace.ExecutionTrace`, the
-:class:`~repro.core.config.PortendConfig`, the program and its predicates.
-A task payload names its race (``workload``, ``race_id``) and its trace
-(``trace_token``), and reaches its context one of two ways:
+Every race of one recorded trace is classified against the same
+:class:`TraceContext`: the :class:`~repro.record_replay.trace.ExecutionTrace`,
+the :class:`~repro.core.config.PortendConfig`, the program and its
+predicates, plus the :class:`~repro.record_replay.memo.TraceMemo` the
+trace's races share (replay passes, searches, the tasks' solver memo).  A
+task payload names its race (``workload``, ``race_id``) and reaches its
+context one of two ways:
 
-* **inline** -- the payload holds the driver's own context objects.  Serial
-  runs, and workloads whose context does not pickle (a lambda predicate),
-  run their chunks in the driving process this way: nothing is pickled and
-  no file is written.
-* **spooled** -- the payload holds only the path (``spool``) of the one file
-  the driver pickled the context into (:class:`ContextSpool`, once per trace
-  per run).  The executing process keeps the last context it loaded, so
-  consecutive chunks of a trace on one worker classify against one trace
-  and one program object, and the process's
-  :func:`~repro.record_replay.memo.trace_memo` (keyed by object identity)
-  hits across those chunks.
+* **inline** -- ``{"workload", "race_id", "context"}``: the payload holds the
+  driver's own context.  Serial runs, and workloads whose context does not
+  pickle (a lambda predicate), run their chunks in the driving process this
+  way: nothing is pickled and no file is written.
+* **spooled** -- ``{"workload", "race_id", "spool"}``: the payload holds only
+  the path of the one file the driver pickled the context into
+  (:class:`ContextSpool`, once per trace per run).  The executing process
+  keeps the last context it loaded, keyed by that path, so consecutive
+  chunks of a trace on one worker classify against one context and share
+  its memo.
 
-A task returns its :class:`~repro.core.categories.ClassifiedRace` without
-the race (``race`` is None), serial, inline or pooled alike: the driver
-already holds the trace's report and re-attaches it as the chunk lands.
-Pickle is the only codec, paid once per pooled trace; the dict format of
-traces and verdicts belongs to :mod:`repro.engine.cache`.
+A context never pickles its memo: an unpickled context starts with an
+empty one.  A task returns its :class:`~repro.core.categories.ClassifiedRace`
+without the race (``race`` is None), serial, inline or pooled alike: the
+driver already holds the trace's report and re-attaches it as the chunk
+lands.  Pickle is the only codec, paid once per pooled trace; the dict
+format of traces and verdicts belongs to :mod:`repro.engine.cache`.
 
 Every worker entry point is deterministic: every random decision during
 classification derives from
@@ -42,68 +44,41 @@ import pickle
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import PortendConfig
 from repro.engine.events import make_event
-from repro.record_replay.memo import reset_trace_memo, trace_memo
+from repro.lang.program import Program
+from repro.record_replay.memo import TraceMemo
 from repro.record_replay.trace import ExecutionTrace
 from repro.symex.solver import Solver
 
 
-@dataclass(frozen=True)
-class ClassificationTask:
-    """One (workload, race) classification work item.
+@dataclass
+class TraceContext:
+    """What every race of one recorded trace is classified against.
 
-    The task always carries the program it classifies: the batch may
-    contain what-if variants like ``build_memcached(remove_slab_lock=True)``
-    whose program differs from the registry build under the same name.
+    The program is always carried: the batch may contain what-if variants
+    like ``build_memcached(remove_slab_lock=True)`` whose program differs
+    from the registry build under the same name.  ``memo`` is the shared
+    work of this trace on this program; it is never pickled.
     """
 
-    workload: str
-    race_id: int
     trace: ExecutionTrace
     config: PortendConfig
-    program: object
+    program: Program
     predicates: tuple
-    #: parent-assigned token identifying this trace's context; tasks sharing
-    #: a token share one context (see :func:`_spooled_context`)
-    trace_token: Optional[str] = None
+    memo: TraceMemo = field(default_factory=TraceMemo, repr=False, compare=False)
 
-    def to_payload(self, spool: Optional[str] = None) -> Dict:
-        """The task's payload: inline, or naming the ``spool`` file that
-        holds its context (then ``trace_token`` must be set)."""
-        payload = {"workload": self.workload, "race_id": self.race_id}
-        if self.trace_token is not None:
-            payload["trace_token"] = self.trace_token
-        if spool is not None:
-            payload["spool"] = spool
-        else:
-            payload.update(
-                trace=self.trace,
-                config=self.config,
-                program=self.program,
-                predicates=list(self.predicates),
-            )
-        return payload
+    def __getstate__(self) -> Dict:
+        state = dict(self.__dict__)
+        del state["memo"]
+        return state
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "ClassificationTask":
-        """The task of ``payload``, its context loaded from the spool when
-        the payload names one."""
-        context = payload
-        if "spool" in payload:
-            context = _spooled_context(payload["trace_token"], payload["spool"])
-        return cls(
-            workload=payload["workload"],
-            race_id=payload["race_id"],
-            trace=context["trace"],
-            config=context["config"],
-            program=context["program"],
-            predicates=tuple(context["predicates"]),
-            trace_token=payload.get("trace_token"),
-        )
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state)
+        self.memo = TraceMemo()
 
 
 class ContextSpool:
@@ -119,7 +94,7 @@ class ContextSpool:
         self.path: Optional[str] = None
         self._files = 0
 
-    def write(self, context: Mapping) -> Optional[str]:
+    def write(self, context: TraceContext) -> Optional[str]:
         """Pickle ``context`` into a new spool file and return its path;
         None when it does not pickle (e.g. a lambda predicate), so its
         tasks run inline in the driving process."""
@@ -141,12 +116,11 @@ class ContextSpool:
             self.path = None
 
 
-#: the executing process's last spooled context, as ``(token, context)``.
-#: Classification reads a context but never mutates it (the serial facade
-#: already shares one ExecutionTrace across every race it classifies), so
-#: the chunks of one trace that land on a process one after another share
-#: the one copy loaded here.
-_CONTEXT: Optional[Tuple[str, Dict]] = None
+#: the executing process's last spooled context, as ``(spool path,
+#: context)``.  Classification reads a context's trace, config and program
+#: but never mutates them, so the chunks of one trace that land on a process
+#: one after another share the one copy loaded here, and its memo.
+_CONTEXT: Optional[Tuple[str, TraceContext]] = None
 
 
 def reset_context_memo() -> None:
@@ -155,40 +129,23 @@ def reset_context_memo() -> None:
     _CONTEXT = None
 
 
-def _spooled_context(token: str, path: str) -> Dict:
-    """The context of trace ``token``, read from ``path`` unless it is the
-    one loaded last."""
+def _spooled_context(path: str) -> TraceContext:
+    """The context spooled at ``path``, read unless it is the one loaded
+    last (a path is unique within a run)."""
     global _CONTEXT
-    if _CONTEXT is None or _CONTEXT[0] != token:
+    if _CONTEXT is None or _CONTEXT[0] != path:
         with open(path, "rb") as handle:
-            _CONTEXT = (token, pickle.load(handle))
+            _CONTEXT = (path, pickle.load(handle))
     return _CONTEXT[1]
-
-
-def _build_portend(task):
-    """A per-task Portend whose fresh solver shares its trace's memo.
-
-    A fresh solver keeps the task's ``solver_stats`` event equal to the
-    task's delta; its memo dicts are those of the process's
-    :func:`~repro.record_replay.memo.trace_memo`, so identical
-    constraint-set queries across the races and primary paths of one trace
-    hit warm entries instead of re-enumerating.
-    """
-    from repro.core.portend import Portend
-
-    solver = Solver(memo=trace_memo(task.trace, task.program).solver)
-    return Portend(
-        task.program, config=task.config, predicates=list(task.predicates), solver=solver
-    )
 
 
 def pool_worker_initializer(fault_spec: Optional[Mapping] = None) -> None:
     """Runs once in each fresh pool worker process.
 
-    Installs clean worker-lifetime state: this module's context slot and
-    the :func:`~repro.record_replay.memo.trace_memo` start empty, so
-    nothing leaks between engine runs that happen to recycle a worker
-    (``fork`` start methods inherit the parent's module state).
+    Installs clean worker-lifetime state: this module's context slot (and
+    with it the loaded context's memo) starts empty, so nothing leaks
+    between engine runs that happen to recycle a worker (``fork`` start
+    methods inherit the parent's module state).
 
     When a fault plan is active (``--fault-plan`` / ``REPRO_FAULT_PLAN``),
     ``fault_spec`` is its resolved spec; it is installed *only here*, so
@@ -199,7 +156,6 @@ def pool_worker_initializer(fault_spec: Optional[Mapping] = None) -> None:
 
     install_fault_plan(dict(fault_spec) if fault_spec else None)
     reset_context_memo()
-    reset_trace_memo()
 
 
 def execute_noop_task(payload: Mapping) -> Dict:
@@ -238,6 +194,7 @@ def execute_task(payload: Mapping) -> Dict:
     task's events, whose ``solver_stats``/``interp_stats``
     snapshots the driving process folds into ``repro.engine.stats``.
     """
+    from repro.core.portend import Portend
     from repro.engine.faults import maybe_inject_fault
 
     workload, race_id = payload["workload"], payload["race_id"]
@@ -247,10 +204,20 @@ def execute_task(payload: Mapping) -> Dict:
     start = make_event("task_start", **identity)
     started = time.perf_counter()
     # Loading a spooled context is part of the task's measured time.
-    task = ClassificationTask.from_payload(payload)
-    portend = _build_portend(task)
-    race = task.trace.race_by_id(race_id)
-    classified = portend.classify_race(task.trace, race)
+    if "context" in payload:
+        context = payload["context"]
+    else:
+        context = _spooled_context(payload["spool"])
+    # A fresh solver on the context's solver memo: its stats are the task's
+    # delta, while the trace's earlier races and paths leave warm entries.
+    portend = Portend(
+        context.program,
+        config=context.config,
+        predicates=context.predicates,
+        solver=Solver(memo=context.memo.solver),
+    )
+    trace = context.trace
+    classified = portend.classify_race(trace, trace.race_by_id(race_id), memo=context.memo)
     classified.race = None
     # Each task builds one fresh solver and executor: each snapshot is the
     # task's delta.

@@ -74,9 +74,9 @@ def plain_interpretation_statements(workload: Workload) -> int:
     """Statements one plain run of the program interprets.
 
     Table 4 prints this beside the plain run's seconds, so a per-race cost
-    can be read in steps too: seconds per race are amortised by the
-    per-process replay and search memos (the first race of a trace pays
-    them), steps are not.
+    can be read in steps too: seconds per race are amortised by the trace's
+    shared replay and search memo (the first race of a trace pays for it),
+    steps are not.
     """
     executor = Executor(workload.program)
     executor.run(executor.initial_state(concrete_inputs=workload.inputs))

@@ -1,8 +1,8 @@
 """Table 4: classification time per program (avg/min/max) vs plain interpretation.
 
 Steps are printed beside seconds: a race's ``analysis_seconds`` is amortised
-by the per-process replay and search memos (the first race of a trace pays
-them); its ``analysis_steps`` and the plain run's statement count are not.
+by the trace's shared replay and search memo (the first race of a trace
+pays for it); its ``analysis_steps`` and the plain run's statement count are not.
 """
 
 from __future__ import annotations

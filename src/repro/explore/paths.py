@@ -14,10 +14,11 @@ model) that drives the program down that path.
 
 **One search per trace.**  The breadth-first search does not depend on the
 race: a race only decides which completed states become its primaries and
-when its walk stops (``max_primaries``, ``max_states``).  So each process
-keeps one lazily extended search per trace (:class:`_SharedSearch`, in the
-``searches`` of :func:`repro.record_replay.memo.trace_memo`), with one tracker
-that notes, per state, where every race of ``trace.races`` was reached.
+when its walk stops (``max_primaries``, ``max_states``).  So the trace's
+memo keeps one lazily extended search (:class:`_SharedSearch`, in the
+``searches`` of the :class:`~repro.record_replay.memo.TraceMemo` every
+explorer is built with), with one tracker that notes, per state, where
+every race of ``trace.races`` was reached.
 Each :meth:`MultiPathExplorer.explore` walks that record with its own
 cursor.  A state nobody has popped yet runs on the walking explorer's
 executor (its statements and solver queries count there); a state another
@@ -36,7 +37,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.detection.race_report import RaceReport
 from repro.lang.program import Program
-from repro.record_replay.memo import trace_memo
+from repro.record_replay.memo import TraceMemo
 from repro.record_replay.trace import ExecutionTrace
 from repro.runtime.errors import ExecutionOutcome
 from repro.runtime.executor import Executor, RunStatus
@@ -217,11 +218,15 @@ class MultiPathExplorer:
         max_states: int = 256,
         max_steps_per_state: int = 200_000,
         symbolic_input_limit: int = 2,
+        *,
+        memo: TraceMemo,
     ) -> None:
         self.executor = executor
         self.program = program
         self.trace = trace
         self.race = race
+        #: the memo of ``trace`` classified against the executor's program
+        self.memo = memo
         self.solver = solver or executor.solver
         self.max_primaries = max_primaries
         self.max_states = max_states
@@ -243,6 +248,8 @@ class MultiPathExplorer:
         race: RaceReport,
         config,
         max_primaries: Optional[int] = None,
+        *,
+        memo: TraceMemo,
     ) -> "MultiPathExplorer":
         """Build an explorer from a :class:`PortendConfig`.
 
@@ -263,6 +270,7 @@ class MultiPathExplorer:
             max_states=config.max_explored_states,
             max_steps_per_state=config.max_steps_per_execution,
             symbolic_input_limit=config.symbolic_inputs,
+            memo=memo,
         )
 
     # -------------------------------------------------------------- symbolic
@@ -304,9 +312,8 @@ class MultiPathExplorer:
         not one of ``trace.races`` (a hand-built report), a fresh search
         that watches this race only and is memoised nowhere.
 
-        The search lives in the trace's
-        :func:`~repro.record_replay.memo.trace_memo` (so it is kept per
-        trace and program), keyed by everything else a run reads: the
+        The search lives in the explorer's memo (so it is kept per trace
+        and program), keyed by everything else a run reads: the
         symbolic inputs, the per-state step bound and the executor and
         solver configuration (the loop bound, and the solver's assignment
         budget, since its UNKNOWN answers decide forks).  The stop rules
@@ -320,7 +327,7 @@ class MultiPathExplorer:
             initial = self._initial_state(symbolic_names)
             return _SharedSearch(self.trace, initial, self.max_steps_per_state, races)
 
-        searches = trace_memo(self.trace, executor.program).searches
+        searches = self.memo.searches
         key = (
             tuple(symbolic_names),
             self.max_steps_per_state,

@@ -40,11 +40,13 @@ from repro.runtime.memory import MemoryLocation
 from repro.runtime.scheduler import RoundRobinPolicy, SchedulePolicy
 from repro.runtime.state import ExecutionState, InputRecord, OutputRecord
 from repro.runtime.threadstate import (
+    BLOCKED,
+    FINISHED,
+    RUNNABLE,
     BlockEntry,
     Frame,
     LoopEntry,
     ThreadState,
-    ThreadStatus,
 )
 from repro.symex.expr import (
     Op,
@@ -121,10 +123,6 @@ _UNOP_TOKENS: Dict[str, Op] = {"!": Op.NOT, "-": Op.NEG}
 
 #: the statement types that are always preemption points (§3.1)
 _SYNC_TYPES = frozenset(ast.SYNC_STMTS)
-
-#: read before every step; an enum member lookup on the class costs far more
-#: than a module global
-_RUNNABLE = ThreadStatus.RUNNABLE
 
 
 class RunStatus(enum.Enum):
@@ -242,7 +240,7 @@ class Executor:
             tid = state.current_tid
             thread = state.threads.get(tid)
             stmt = None
-            if thread is not None and thread.status is _RUNNABLE and thread.frames:
+            if thread is not None and thread.status is RUNNABLE and thread.frames:
                 # ThreadState.next_statement, inlined: this fetch runs
                 # before every step.
                 control = thread.frames[-1].control
@@ -511,7 +509,7 @@ class Executor:
             )
         if tid not in mutex.waiters:
             mutex.waiters.append(tid)
-        thread.status = ThreadStatus.BLOCKED
+        thread.status = BLOCKED
         thread.blocked_on = ("mutex", stmt.mutex)
         raise RetrySignal()
 
@@ -538,7 +536,7 @@ class Executor:
             kind, target = other.blocked_on
             if target == mutex_name and kind in ("mutex", "mutex-reacquire"):
                 other = state.thread_mut(other_tid)
-                other.status = ThreadStatus.RUNNABLE
+                other.status = RUNNABLE
                 other.blocked_on = None
 
     def _exec_cond_wait(self, state, tid, stmt: ast.CondWait, listeners) -> None:
@@ -558,7 +556,7 @@ class Executor:
         # edge as an explicit unlock; publish it so the race detector sees it.
         self._emit_sync(state, listeners, tid, "unlock", stmt.mutex, stmt.pc)
         condvar.waiters.append(tid)
-        thread.status = ThreadStatus.BLOCKED
+        thread.status = BLOCKED
         thread.blocked_on = ("cond", stmt.cond)
         thread.pending_reacquire = stmt.mutex
         self._emit_sync(state, listeners, tid, "cond_wait", stmt.cond, stmt.pc)
@@ -576,7 +574,7 @@ class Executor:
             mutex = state.sync.mutex(mutex_name) if mutex_name else None
             waiter.blocked_on = ("mutex-reacquire", mutex_name)
             if mutex is None or mutex.owner is None:
-                waiter.status = ThreadStatus.RUNNABLE
+                waiter.status = RUNNABLE
                 waiter.blocked_on = None
         kind = "cond_broadcast" if broadcast else "cond_signal"
         self._emit_sync(state, listeners, tid, kind, stmt.cond, stmt.pc, tuple(to_wake))
@@ -594,7 +592,7 @@ class Executor:
             thread.pending_reacquire = None
             self._emit_sync(state, listeners, thread.tid, "lock", mutex_name, 0)
         else:
-            thread.status = ThreadStatus.BLOCKED
+            thread.status = BLOCKED
             thread.blocked_on = ("mutex-reacquire", mutex_name)
 
     def _exec_barrier(self, state, tid, stmt: ast.BarrierWait, listeners) -> None:
@@ -609,13 +607,13 @@ class Executor:
                 other = state.thread(other_tid)
                 if other.is_blocked and other.blocked_on == ("barrier", stmt.barrier):
                     other = state.thread_mut(other_tid)
-                    other.status = ThreadStatus.RUNNABLE
+                    other.status = RUNNABLE
                     other.blocked_on = None
             self._emit_sync(
                 state, listeners, tid, "barrier_release", stmt.barrier, stmt.pc, released
             )
             return
-        thread.status = ThreadStatus.BLOCKED
+        thread.status = BLOCKED
         thread.blocked_on = ("barrier", stmt.barrier)
         self._emit_sync(state, listeners, tid, "barrier_wait", stmt.barrier, stmt.pc)
 
@@ -650,7 +648,7 @@ class Executor:
             self._emit_sync(state, listeners, tid, "join", str(target), stmt.pc, (target,))
             return
         thread = state.thread_mut(tid)
-        thread.status = ThreadStatus.BLOCKED
+        thread.status = BLOCKED
         thread.blocked_on = ("join", target)
         raise RetrySignal()
 
@@ -786,7 +784,7 @@ class Executor:
         """Finish ``thread`` (must be privately owned) and wake its joiners."""
         if thread.is_finished:
             return
-        thread.status = ThreadStatus.FINISHED
+        thread.status = FINISHED
         thread.blocked_on = None
         thread.frames = []
         # Wake joiners.  ``blocked_on`` is None for almost every thread, so
@@ -798,7 +796,7 @@ class Executor:
         for other_tid, other in state.threads.items():
             if other.blocked_on == join_key and other.is_blocked:
                 other = state.thread_mut(other_tid)
-                other.status = ThreadStatus.RUNNABLE
+                other.status = RUNNABLE
                 other.blocked_on = None
         self._emit_sync(state, listeners, thread.tid, "exit", thread.entry_function, 0)
 

@@ -33,12 +33,11 @@ import random
 from dataclasses import dataclass
 from typing import AbstractSet, List, Optional, Sequence, Set, TYPE_CHECKING
 
-from repro.runtime.threadstate import ThreadStatus
+from repro.runtime.threadstate import RUNNABLE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.state import ExecutionState
 
-_RUNNABLE = ThreadStatus.RUNNABLE
 _WATCHED = ("watched", "after-watched")
 _NO_SKIP: AbstractSet[int] = frozenset()
 
@@ -46,7 +45,7 @@ _NO_SKIP: AbstractSet[int] = frozenset()
 def _runnable(state: "ExecutionState", tid: Optional[int], skip: AbstractSet[int]) -> bool:
     """Whether ``tid`` names a runnable thread outside ``skip``."""
     thread = state.threads.get(tid)
-    return thread is not None and thread.status is _RUNNABLE and tid not in skip
+    return thread is not None and thread.status is RUNNABLE and tid not in skip
 
 
 def _next_runnable(state: "ExecutionState", start: int, skip: AbstractSet[int]) -> Optional[int]:
@@ -55,10 +54,10 @@ def _next_runnable(state: "ExecutionState", start: int, skip: AbstractSet[int]) 
     threads = state.threads
     count = len(threads)
     for tid in range(start, count):
-        if threads[tid].status is _RUNNABLE and tid not in skip:
+        if threads[tid].status is RUNNABLE and tid not in skip:
             return tid
     for tid in range(min(start, count)):
-        if threads[tid].status is _RUNNABLE and tid not in skip:
+        if threads[tid].status is RUNNABLE and tid not in skip:
             return tid
     return None
 

@@ -20,7 +20,7 @@ from repro.runtime.counters import InterpCounters
 from repro.runtime.errors import ExecutionOutcome
 from repro.runtime.memory import Memory
 from repro.runtime.sync import SyncState
-from repro.runtime.threadstate import BlockEntry, Frame, ThreadState, ThreadStatus
+from repro.runtime.threadstate import RUNNABLE, BlockEntry, Frame, ThreadState
 from repro.symex.expr import SymVar, Value, render
 from repro.symex.path_condition import PathCondition
 
@@ -226,11 +226,10 @@ class ExecutionState:
         tids it needs); the random choice and the stuck and deadlock checks
         do.
         """
-        runnable = ThreadStatus.RUNNABLE
         return [
             tid
             for tid, thread in self.threads.items()
-            if thread.status is runnable and tid not in skip
+            if thread.status is RUNNABLE and tid not in skip
         ]
 
     def blocked_tids(self) -> List[int]:

@@ -16,6 +16,13 @@ class ThreadStatus(enum.Enum):
     FINISHED = "finished"
 
 
+#: the members as module globals, which the interpreter and scheduler read
+#: on every step: looking a member up on the enum class costs far more
+RUNNABLE = ThreadStatus.RUNNABLE
+BLOCKED = ThreadStatus.BLOCKED
+FINISHED = ThreadStatus.FINISHED
+
+
 @dataclass
 class BlockEntry:
     """A statement block being executed; ``index`` points at the next stmt."""
@@ -103,7 +110,7 @@ class ThreadState:
     tid: int
     entry_function: str
     frames: List[Frame] = field(default_factory=list)
-    status: ThreadStatus = ThreadStatus.RUNNABLE
+    status: ThreadStatus = RUNNABLE
     blocked_on: Optional[Tuple[str, object]] = None
     pending_reacquire: Optional[str] = None
     held_mutexes: List[str] = field(default_factory=list)
@@ -148,15 +155,15 @@ class ThreadState:
 
     @property
     def is_runnable(self) -> bool:
-        return self.status is ThreadStatus.RUNNABLE
+        return self.status is RUNNABLE
 
     @property
     def is_finished(self) -> bool:
-        return self.status is ThreadStatus.FINISHED
+        return self.status is FINISHED
 
     @property
     def is_blocked(self) -> bool:
-        return self.status is ThreadStatus.BLOCKED
+        return self.status is BLOCKED
 
     def current_frame(self) -> Optional[Frame]:
         return self.frames[-1] if self.frames else None

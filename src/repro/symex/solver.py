@@ -34,12 +34,12 @@ test suite).
 
 A solver built with a :class:`SolverMemo` reads and writes that memo's
 dicts instead of private ones.  The engine builds one fresh solver per task
-on the memo of the task's trace (see :mod:`repro.record_replay.memo`), so
-the races and primary paths of one trace share warm entries while each
-task's stats stay its own delta.  Sharing is safe for the same reason
-caching is: a warm hit returns bit-identically what the miss would have
-computed.  Nothing is persisted to disk, so every engine run starts from
-empty solver memos.
+on the solver memo its trace's context owns (see
+:class:`repro.engine.tasks.TraceContext`), so the races and primary paths
+of one trace share warm entries while each task's stats stay its own
+delta.  Sharing is safe for the same reason caching is: a warm hit returns
+bit-identically what the miss would have computed.  Nothing is persisted
+to disk, so every engine run starts from empty solver memos.
 """
 
 from __future__ import annotations

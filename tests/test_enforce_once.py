@@ -22,8 +22,10 @@ from repro.core import Portend, alternate, classifier
 from repro.core.alternate import enforcement_budget, replay_primary, run_alternate
 from repro.core.multi_path import analyze_primary_path, classify_multipath
 from repro.core.single_pre_post import single_classify
+from repro.explore.paths import MultiPathExplorer
 from repro.lang import ProgramBuilder
 from repro.lang.ast import add, glob, local
+from repro.record_replay.memo import TraceMemo
 from repro.runtime.scheduler import RandomPolicy
 from repro.workloads.registry import load_workload
 
@@ -328,7 +330,7 @@ def test_single_post_entry_does_not_serve_another_budget():
     trace = portend.record(inputs=dict(workload.inputs))
     race = trace.races[0]
     executor = portend.executor
-    primary = replay_primary(executor, portend.program, trace, race)
+    primary = replay_primary(executor, portend.program, trace, race, memo=TraceMemo())
     budget = enforcement_budget(5, primary.steps, 200_000)
     memo = {}
 
@@ -352,17 +354,45 @@ def test_single_post_entry_does_not_serve_another_budget():
     assert _state_view(fresh.state) == _state_view(first.state)
 
 
+def _required_keyword(stage, name):
+    parameter = inspect.signature(stage).parameters[name]
+    return (
+        parameter.kind is inspect.Parameter.KEYWORD_ONLY
+        and parameter.default is inspect.Parameter.empty
+    )
+
+
 def test_every_stage_requires_the_race_memo():
-    # One library path per stage: the memo is a required keyword argument,
-    # so no caller can reach a memo-less branch by leaving it out.
+    # One library path per stage: the race's memo and the trace's memo are
+    # required keyword arguments, so no caller can reach a memo-less branch
+    # (or a memo found in process state) by leaving one out.
     for stage in (run_alternate, single_classify, classify_multipath, analyze_primary_path):
-        parameter = inspect.signature(stage).parameters["enforced"]
-        assert parameter.default is inspect.Parameter.empty, stage.__name__
+        assert _required_keyword(stage, "enforced"), stage.__name__
+    for stage in (
+        replay_primary,
+        MultiPathExplorer.__init__,
+        MultiPathExplorer.for_config,
+        single_classify,
+        classify_multipath,
+        analyze_primary_path,
+        classifier.classify_race,
+    ):
+        assert _required_keyword(stage, "memo"), stage.__qualname__
     workload = load_workload("bbuf")
     portend = Portend(workload.program, predicates=list(workload.predicates))
     trace = portend.record(inputs=dict(workload.inputs))
     race = trace.races[0]
-    primary = replay_primary(portend.executor, portend.program, trace, race)
+    before = portend.executor.counters.statements
+    try:
+        replay_primary(portend.executor, portend.program, trace, race)
+    except TypeError as error:
+        assert "memo" in str(error)
+    else:
+        raise AssertionError("replay_primary ran without the trace's memo")
+    assert portend.executor.counters.statements == before
+    primary = replay_primary(
+        portend.executor, portend.program, trace, race, memo=TraceMemo()
+    )
     budget = enforcement_budget(5, primary.steps, 200_000)
     before = portend.executor.counters.statements
     try:

@@ -1,8 +1,11 @@
 """Tests for the parallel batch analysis engine and the serialization layer."""
 
+import gc
 import json
 import os
+import pickle
 import tempfile
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -12,7 +15,13 @@ from repro.core import Portend, PortendConfig, SemanticPredicate
 from repro.core.categories import ClassifiedRace
 from repro.engine import AnalysisEngine, EngineOptions, TraceCache, execute_task
 from repro.engine.dispatch import PoolSupervisor
-from repro.engine.tasks import ClassificationTask, ContextSpool, reset_context_memo
+from repro.engine import tasks
+from repro.engine.tasks import (
+    ContextSpool,
+    TraceContext,
+    execute_payload_chunk,
+    reset_context_memo,
+)
 from repro.experiments.runner import analyze_workload
 from repro.record_replay.trace import ExecutionTrace
 from repro.symex.expr import (
@@ -270,12 +279,12 @@ class TestContextSpool:
         AnalysisEngine(options=EngineOptions(parallel=2)).analyze(["bbuf", "RW"])
         assert payloads
         assert {frozenset(payload) for payload in payloads} == {
-            frozenset({"workload", "race_id", "trace_token", "spool"})
+            frozenset({"workload", "race_id", "spool"})
         }
         # One file per trace, shared by every chunk of that trace.
         files = {payload["workload"]: set() for payload in payloads}
         for payload in payloads:
-            files[payload["workload"]].add((payload["trace_token"], payload["spool"]))
+            files[payload["workload"]].add(payload["spool"])
         assert all(len(pairs) == 1 for pairs in files.values())
         assert len({pairs.pop() for pairs in files.values()}) == 2
         assert _spool_dirs() == []
@@ -324,39 +333,110 @@ class TestContextSpool:
 
     def test_a_process_loads_each_context_once(self, tmp_path, monkeypatch):
         # Every chunk of a trace on one process classifies against the one
-        # trace and program object the memo loaded from the spool.
+        # context the slot loaded from the spool.
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         workload, _portend, trace = _record_trace("RW")
-        context = {
-            "trace": trace,
-            "config": PortendConfig(),
-            "program": workload.program,
-            "predicates": tuple(workload.predicates),
-        }
         spool = ContextSpool()
-        path = spool.write(context)
+        path = spool.write(
+            TraceContext(trace, PortendConfig(), workload.program, tuple(workload.predicates))
+        )
         payloads = [
-            ClassificationTask(
-                workload="RW", race_id=race.race_id, trace_token="t", **context
-            ).to_payload(path)
+            {"workload": "RW", "race_id": race.race_id, "spool": path}
             for race in trace.races
         ]
         reset_context_memo()
         try:
-            first = ClassificationTask.from_payload(payloads[0])
+            first = tasks._spooled_context(path)
             spool.remove()
             for payload, race in zip(payloads, trace.races):
-                task = ClassificationTask.from_payload(payload)
-                assert task.trace is first.trace
-                assert task.program is first.program
                 # The verdict comes back without its race, and it is the
                 # verdict of the payload's race.
                 classified = execute_task(payload)["classified"]
+                assert tasks._CONTEXT == (path, first)
                 assert classified.race is None
                 assert _verdict(classified) == _verdict(_portend.classify_race(trace, race))
         finally:
             reset_context_memo()
         assert first.trace is not trace
+
+    def test_a_context_never_pickles_its_memo(self):
+        workload, _portend, trace = _record_trace("bbuf")
+        context = TraceContext(
+            trace, PortendConfig(), workload.program, tuple(workload.predicates)
+        )
+        before = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
+        execute_task(
+            {"workload": "bbuf", "race_id": trace.races[0].race_id, "context": context}
+        )
+        assert context.memo.replays and context.memo.searches
+        assert pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL) == before
+        loaded = pickle.loads(before)
+        assert loaded.memo is not context.memo
+        assert not loaded.memo.replays and not loaded.memo.searches
+        assert not loaded.memo.solver.check and not loaded.memo.solver.ranges
+
+    def test_spooled_chunks_of_a_trace_share_the_loaded_contexts_memo(
+        self, tmp_path, monkeypatch
+    ):
+        # Two chunks of one trace back to back in one process execute what
+        # one chunk of both races does: the second reuses the replay
+        # passes and search the first left in the loaded context's memo.
+        # A chunk of another trace's spool then replaces the context, and
+        # the first one's passes and search go with it.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        spool = ContextSpool()
+
+        def spooled(name):
+            workload, _portend, trace = _record_trace(name)
+            path = spool.write(
+                TraceContext(
+                    trace, PortendConfig(), workload.program, tuple(workload.predicates)
+                )
+            )
+            return [
+                {"workload": name, "race_id": race.race_id, "spool": path}
+                for race in trace.races
+            ]
+
+        def statements(payloads):
+            outputs = execute_payload_chunk(execute_task, payloads)
+            return sum(
+                event["statements"]
+                for output in outputs
+                for event in output["events"]
+                if event["kind"] == "interp_stats"
+            )
+
+        bbuf, whole, alone, rw = spooled("bbuf"), spooled("bbuf"), spooled("bbuf"), spooled("RW")
+        half = len(bbuf) // 2
+        assert half > 0
+        reset_context_memo()
+        try:
+            split = statements(bbuf[:half])
+            second_half = statements(bbuf[half:])
+            loaded = tasks._CONTEXT[1]
+            assert loaded.memo.replays and loaded.memo.searches
+            refs = [
+                weakref.ref(held)
+                for held in (
+                    loaded,
+                    loaded.trace,
+                    loaded.memo,
+                    *loaded.memo.replays.values(),
+                    *loaded.memo.searches.values(),
+                )
+            ]
+            del loaded
+            statements(rw)
+            gc.collect()
+            assert [ref() for ref in refs] == [None] * len(refs)
+            assert split + second_half == statements(whole)
+            # The sharing is real: the second half alone, on a context of
+            # its own, executes more.
+            assert statements(alone[half:]) > second_half
+        finally:
+            reset_context_memo()
+            spool.remove()
 
     def test_chunks_of_a_trace_share_one_search_per_worker(self):
         # Each pooled chunk used to unpickle its own program copy, and the
@@ -667,16 +747,8 @@ def _classify_first_race(name):
     the driver does."""
     workload, _portend, trace = _record_trace(name)
     race = trace.races[0]
-    output = execute_task(
-        {
-            "workload": name,
-            "race_id": race.race_id,
-            "trace": trace,
-            "config": PortendConfig(),
-            "program": workload.program,
-            "predicates": list(workload.predicates),
-        }
-    )
+    context = TraceContext(trace, PortendConfig(), workload.program, tuple(workload.predicates))
+    output = execute_task({"workload": name, "race_id": race.race_id, "context": context})
     classified = output["classified"]
     assert isinstance(classified, ClassifiedRace) and classified.race is None
     classified.race = race

@@ -47,7 +47,7 @@ from repro.engine.faults import (
     maybe_inject_fault,
     resolve_fault_plan,
 )
-from repro.engine.tasks import ClassificationTask, execute_task
+from repro.engine.tasks import TraceContext, execute_task
 from repro.record_replay.recorder import record_program_trace
 from repro.workloads import load_workload
 from test_engine import _verdict
@@ -315,15 +315,9 @@ class TestValidateWorkerOutput:
             workload.program, concrete_inputs=dict(workload.inputs)
         )
         assert trace.races
+        context = TraceContext(trace, config, workload.program, tuple(workload.predicates))
         for race in trace.races:
-            classify_payload = ClassificationTask(
-                workload="RW",
-                race_id=race.race_id,
-                trace=trace,
-                config=config,
-                program=workload.program,
-                predicates=tuple(workload.predicates),
-            ).to_payload()
+            classify_payload = {"workload": "RW", "race_id": race.race_id, "context": context}
             output = execute_task(classify_payload)
             validate_worker_output("classify", classify_payload, output)
             assert output["classified"].race is None

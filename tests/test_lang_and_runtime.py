@@ -476,6 +476,7 @@ class TestReplayDivergenceDiagnostics:
         from repro.core import Portend
         from repro.core.config import PortendConfig
         from repro.explore.paths import MultiPathExplorer
+        from repro.record_replay.memo import TraceMemo
         from repro.workloads import load_workload
 
         workload = load_workload("bbuf")
@@ -487,6 +488,7 @@ class TestReplayDivergenceDiagnostics:
             trace,
             trace.races[0],
             max_primaries=PortendConfig().mp,
+            memo=TraceMemo(),
         )
         explorer.explore()
         assert len(explorer.prune_reasons) == explorer.states_pruned

@@ -18,6 +18,7 @@ from repro.engine import (
     TraceCache,
 )
 from repro.explore.paths import MultiPathExplorer
+from repro.record_replay.memo import TraceMemo
 from repro.runtime.errors import ExecutionOutcome, OutcomeKind
 from repro.workloads import all_workload_names, load_workload
 from repro.workloads.stress import build_stress
@@ -87,8 +88,9 @@ class TestExplorePrimaryPrefix:
         trace = portend.record(workload.inputs)
         race = trace.races[0]
         config = PortendConfig()
+        memo = TraceMemo()
         explorer = MultiPathExplorer.for_config(
-            portend.executor, portend.program, trace, race, config
+            portend.executor, portend.program, trace, race, config, memo=memo
         )
         full = explorer.explore()
         assert len(full) > 1
@@ -100,6 +102,7 @@ class TestExplorePrimaryPrefix:
                 race,
                 config,
                 max_primaries=index + 1,
+                memo=memo,
             ).explore()
             assert len(prefix) == index + 1
             found = prefix[index]
@@ -116,10 +119,11 @@ class TestExplorePrimaryPrefix:
         trace = portend.record(workload.inputs)
         race = trace.races[0]
         config = PortendConfig()
+        memo = TraceMemo()
 
         def explore(**limits):
             return MultiPathExplorer.for_config(
-                portend.executor, portend.program, trace, race, config, **limits
+                portend.executor, portend.program, trace, race, config, memo=memo, **limits
             ).explore()
 
         full = explore()
@@ -189,6 +193,7 @@ class TestMergePathVerdicts:
             SimpleNamespace(race_id=1, first=access, second=access),
             PortendConfig(),
             enforced={},
+            memo=TraceMemo(),
         )
         return result, ran
 

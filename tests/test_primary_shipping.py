@@ -14,6 +14,7 @@ from repro.core import Portend, PortendConfig
 from repro.engine import AnalysisEngine, EngineOptions
 from repro.engine.cache import ClassificationCache, TraceCache
 from repro.explore.paths import MultiPathExplorer
+from repro.record_replay.memo import TraceMemo
 from repro.workloads import all_workload_names, load_workload
 from repro.workloads.stress import build_stress, build_stress_deep
 
@@ -90,7 +91,8 @@ class TestStressDeepWorkload:
         trace = portend.record(workload.inputs)
         config = PortendConfig()
         explorer = MultiPathExplorer.for_config(
-            portend.executor, portend.program, trace, trace.races[0], config
+            portend.executor, portend.program, trace, trace.races[0], config,
+            memo=TraceMemo(),
         )
         primaries = explorer.explore()
         # The branch chain yields more feasible paths than the Mp budget.

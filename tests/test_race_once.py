@@ -19,8 +19,8 @@ from repro.core import PortendConfig
 from repro.engine import AnalysisEngine, ClassificationCache, EngineOptions
 from repro.engine.cache import CLASSIFICATION_FORMAT_VERSION
 from repro.engine.tasks import (
-    ClassificationTask,
     ContextSpool,
+    TraceContext,
     execute_payload_chunk,
     execute_task,
     reset_context_memo,
@@ -53,12 +53,7 @@ def _context(name):
     trace, _seconds = record_program_trace(
         workload.program, concrete_inputs=dict(workload.inputs)
     )
-    return {
-        "trace": trace,
-        "config": PortendConfig(),
-        "program": workload.program,
-        "predicates": tuple(workload.predicates),
-    }
+    return TraceContext(trace, PortendConfig(), workload.program, tuple(workload.predicates))
 
 
 #: the classes of a race's report; none of them may cross back from a task
@@ -68,10 +63,8 @@ _REPORT_CLASSES = {"RaceReport", "RaceInstance", "AccessInfo", "StackEntry"}
 class TestWorkerOutputs:
     def test_a_task_output_carries_no_race(self):
         context = _context("bbuf")
-        for race in context["trace"].races:
-            payload = ClassificationTask(
-                workload="bbuf", race_id=race.race_id, **context
-            ).to_payload()
+        for race in context.trace.races:
+            payload = {"workload": "bbuf", "race_id": race.race_id, "context": context}
             output = execute_task(payload)
             assert output["classified"].race is None
             names = _pickled_classes(output)
@@ -88,10 +81,8 @@ class TestWorkerOutputs:
         spool = ContextSpool()
         path = spool.write(context)
         payloads = [
-            ClassificationTask(
-                workload="bbuf", race_id=race.race_id, trace_token="t", **context
-            ).to_payload(path)
-            for race in context["trace"].races
+            {"workload": "bbuf", "race_id": race.race_id, "spool": path}
+            for race in context.trace.races
         ]
         reset_context_memo()
         try:

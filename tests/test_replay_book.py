@@ -16,15 +16,22 @@ state, exactly as every race used to, and is the oracle here:
   fallback and yields the verdicts of per-race replay, classification never
   mutates the shared final state, alternates count their statements on the
   executor that runs them, a pass of one program never answers a race
-  replayed on another, and fresh pool workers start with an empty memo;
-* **bounds** -- the memo keeps the passes of one (trace, program) pair,
-  one race's working set (its Mp primaries plus the recorded inputs), so a
-  serial ``stress_deep`` pass builds each of its 6 passes once.
+  replayed on another (each pair has its own context, and so its own
+  memo), and fresh pool workers start with no loaded context;
+* **bounds** -- a memo keeps one race's working set of passes (its Mp
+  primaries plus the recorded inputs), so a serial ``stress_deep`` pass
+  builds each of its 6 passes once;
+* **no process memo** -- the memo is an argument, so the facade's serial
+  pass executes the engine's serial statement count, and no module of
+  ``repro`` keeps a memo in a global.
 """
 
+import ast
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import alternate
 from repro.core.alternate import (
     replay_primary,
@@ -34,21 +41,19 @@ from repro.core.alternate import (
 from repro.core.config import PortendConfig
 from repro.core.portend import Portend
 from repro.engine import AnalysisEngine, EngineOptions
-from repro.engine.tasks import pool_worker_initializer
+from repro.engine import tasks
+from repro.engine.tasks import (
+    ContextSpool,
+    TraceContext,
+    execute_task,
+    pool_worker_initializer,
+)
 from repro.lang.ast import SYNC_STMTS, add, eq, glob, local
 from repro.lang.builder import ProgramBuilder
-from repro.record_replay import memo
-from repro.record_replay.memo import reset_trace_memo, trace_memo
-from repro.workloads import all_workload_names, load_workload
+from repro.record_replay.memo import TraceMemo
+from repro.workloads import all_workload_names, all_workloads, load_workload
 from repro.workloads.memcached import build_memcached
 from test_spin_cutoff import _frozen
-
-
-@pytest.fixture(autouse=True)
-def _empty_memo():
-    reset_trace_memo()
-    yield
-    reset_trace_memo()
 
 
 def _state_view(state):
@@ -90,6 +95,7 @@ def _portend(name, interp="tree", semantic=False):
 
 
 def _assert_matches_oracle(portend, trace, inputs=None, use_steps=True):
+    memo = TraceMemo()
     for race in trace.races:
         kwargs = dict(
             concrete_inputs=inputs,
@@ -97,7 +103,9 @@ def _assert_matches_oracle(portend, trace, inputs=None, use_steps=True):
             max_steps=portend.config.max_steps_per_execution,
             use_steps=use_steps,
         )
-        shared = replay_primary(portend.executor, portend.program, trace, race, **kwargs)
+        shared = replay_primary(
+            portend.executor, portend.program, trace, race, memo=memo, **kwargs
+        )
         oracle = replay_primary_per_race(
             portend.executor, portend.program, trace, race, **kwargs
         )
@@ -112,11 +120,17 @@ def _classified(portend, trace):
     ]
 
 
+def _replay_alone(*args, memo, primaries, **kwargs):
+    """:func:`replay_primary_per_race` at a stage's call site: it keeps no
+    passes, so it takes no memo and no working-set size."""
+    return replay_primary_per_race(*args, **kwargs)
+
+
 def _per_race_classification(monkeypatch, portend, trace):
     """Classify with every stage replaying each race alone."""
     with monkeypatch.context() as patch:
-        patch.setattr("repro.core.single_pre_post.replay_primary", replay_primary_per_race)
-        patch.setattr("repro.core.multi_path.replay_primary", replay_primary_per_race)
+        patch.setattr("repro.core.single_pre_post.replay_primary", _replay_alone)
+        patch.setattr("repro.core.multi_path.replay_primary", _replay_alone)
         return _classified(portend, trace)
 
 
@@ -165,10 +179,11 @@ class TestSharedPassEquivalence:
         assert len(trace.races) == 2
 
         _assert_matches_oracle(portend, trace, inputs={"gate": 0}, use_steps=False)
+        memo = TraceMemo()
         reached = [
             replay_primary(
                 portend.executor, portend.program, trace, race,
-                concrete_inputs={"gate": 0}, use_steps=False,
+                concrete_inputs={"gate": 0}, use_steps=False, memo=memo,
             ).reached_race
             for race in trace.races
         ]
@@ -232,33 +247,45 @@ class TestSharedPassHazards:
             fallbacks.append(args[3].race_id)
             return replay_primary_per_race(*args, **kwargs)
 
-        reset_trace_memo()
+        memos = []
+        classify_race = Portend.classify_race
+
+        def keeping(self, trace, race, memo=None):
+            memos.append(memo)
+            return classify_race(self, trace, race, memo=memo)
+
         monkeypatch.setattr(alternate, "replay_primary_per_race", counting)
+        monkeypatch.setattr(Portend, "classify_race", keeping)
         assert _classified(portend, trace) == expected
         assert set(fallbacks) == {race.race_id for race in trace.races}
-        books = trace_memo(trace, portend.program).replays.values()
+        # One memo for the call's races, holding only passes that fell back.
+        (memo,) = {id(memo): memo for memo in memos}.values()
+        books = memo.replays.values()
         assert books and all(book.final_state is None for book in books)
 
     def test_semantic_classification_matches_per_race_replay(self, monkeypatch):
         _workload, portend, trace = _portend("fmm", semantic=True)
         expected = _per_race_classification(monkeypatch, portend, trace)
-        reset_trace_memo()
         assert _classified(portend, trace) == expected
 
     def test_classification_leaves_shared_final_state_alone(self):
         _workload, portend, trace = _portend("pbzip2")
         first, second = trace.races[0], trace.races[1]
+        memo = TraceMemo()
         replay = replay_primary(
             portend.executor, portend.program, trace, first,
             predicates=portend.predicates,
             max_steps=portend.config.max_steps_per_execution,
+            memo=memo,
         )
         before = _replay_view(replay)
-        portend.classify_trace(trace)
+        for race in trace.races:
+            portend.classify_race(trace, race, memo=memo)
         again = replay_primary(
             portend.executor, portend.program, trace, second,
             predicates=portend.predicates,
             max_steps=portend.config.max_steps_per_execution,
+            memo=memo,
         )
         assert again.final_state is replay.final_state
         assert _replay_view(replay) == before
@@ -266,7 +293,9 @@ class TestSharedPassHazards:
     def test_alternate_counts_on_the_running_executor(self):
         _workload, builder, trace = _portend("RW")
         race = trace.races[0]
-        primary = replay_primary(builder.executor, builder.program, trace, race)
+        primary = replay_primary(
+            builder.executor, builder.program, trace, race, memo=TraceMemo()
+        )
         runner = Portend(builder.program)
         built = builder.executor.counters.statements
         run_alternate(runner.executor, runner.program, trace, race, primary, 1_000, enforced={})
@@ -274,37 +303,57 @@ class TestSharedPassHazards:
         assert runner.executor.counters.statements > 0
 
     def test_memo_is_bounded(self):
-        # The memo keeps one (trace, program) pair and, of it, one race's
-        # working set: its primaries plus the recorded inputs.
+        # A memo keeps one race's working set of passes: its primaries plus
+        # the recorded inputs.
         workload, portend, trace = _portend("bbuf")
         race = trace.races[0]
+        memo = TraceMemo()
         for primaries in (1, 3):
             for value in range(primaries + 4):
                 replay_primary(
                     portend.executor, portend.program, trace, race,
                     concrete_inputs={"quiet_producers": value}, use_steps=False,
-                    primaries=primaries,
+                    primaries=primaries, memo=memo,
                 )
-            assert len(trace_memo(trace, portend.program).replays) == primaries + 1
-        other = portend.record(inputs=dict(workload.inputs))
-        replay_primary(portend.executor, portend.program, other, other.races[0])
-        assert memo._CURRENT.trace is other
-        assert len(memo._CURRENT.replays) == 1
+            assert len(memo.replays) == primaries + 1
+        # Another trace's context has a memo of its own.
+        other = TraceContext(
+            portend.record(inputs=dict(workload.inputs)),
+            portend.config,
+            portend.program,
+            tuple(portend.predicates),
+        )
+        replay_primary(
+            portend.executor, portend.program, other.trace, other.trace.races[0],
+            memo=other.memo,
+        )
+        assert len(other.memo.replays) == 1
+        assert len(memo.replays) == 4
 
     def test_pass_of_another_program_is_not_served(self):
-        # A what-if variant classified against the same trace: its races
-        # must replay on its own program, not take the first program's pass.
+        # A what-if variant classified against the same trace: its context
+        # is another (trace, program) pair, so its races replay on its own
+        # program, never from the first program's pass.
         _workload, portend, trace = _portend("memcached")
         variant = Portend(
             build_memcached(remove_slab_lock=True).program,
             config=portend.config,
             predicates=portend.predicates,
         )
+        contexts = [
+            TraceContext(trace, runner.config, runner.program, tuple(runner.predicates))
+            for runner in (portend, variant)
+        ]
         for race in trace.races:
-            replay_primary(portend.executor, portend.program, trace, race)
+            replay_primary(
+                portend.executor, portend.program, trace, race, memo=contexts[0].memo
+            )
+        assert contexts[0].memo.replays and not contexts[1].memo.replays
         differs = 0
         for race in trace.races:
-            shared = replay_primary(variant.executor, variant.program, trace, race)
+            shared = replay_primary(
+                variant.executor, variant.program, trace, race, memo=contexts[1].memo
+            )
             oracle = replay_primary_per_race(
                 variant.executor, variant.program, trace, race
             )
@@ -332,9 +381,56 @@ class TestSharedPassHazards:
         )
         assert built == ["stress_deep"] * 6
 
-    def test_pool_worker_initializer_empties_the_memo(self):
-        _workload, portend, trace = _portend("RW")
-        replay_primary(portend.executor, portend.program, trace, trace.races[0])
-        assert memo._CURRENT.replays
-        pool_worker_initializer()
-        assert memo._CURRENT is None
+    def test_pool_worker_initializer_empties_the_memo(self, tmp_path, monkeypatch):
+        # A worker's memo is that of its loaded context: the initializer
+        # drops the context, and a reload starts with an empty memo.
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        workload, portend, trace = _portend("RW")
+        spool = ContextSpool()
+        path = spool.write(
+            TraceContext(trace, portend.config, portend.program, tuple(portend.predicates))
+        )
+        payload = {"workload": "RW", "race_id": trace.races[0].race_id, "spool": path}
+        try:
+            execute_task(payload)
+            loaded = tasks._CONTEXT[1]
+            assert tasks._CONTEXT[0] == path and loaded.memo.replays
+            pool_worker_initializer()
+            assert tasks._CONTEXT is None
+            assert not tasks._spooled_context(path).memo.replays
+        finally:
+            tasks.reset_context_memo()
+            spool.remove()
+
+
+class TestNoProcessMemo:
+    def test_facade_executes_the_serial_pin(self):
+        # Each classify_trace call shares one memo among its races, exactly
+        # as the engine's serial drain shares its context's.
+        statements = 0
+        for workload in all_workloads():
+            portend = Portend(workload.program, predicates=workload.predicates)
+            trace = portend.record(inputs=dict(workload.inputs))
+            before = portend.executor.counters.statements
+            portend.classify_trace(trace)
+            statements += portend.executor.counters.statements - before
+        assert statements == 10_872
+
+    def test_the_only_process_globals(self):
+        # The trace's shared work travels with its context: the only state
+        # a process keeps across calls is the fault plan, the loaded
+        # spooled context and the solver's cache default.
+        root = Path(repro.__file__).parent
+        assigned = set()
+        for path in sorted(root.rglob("*.py")):
+            module = ".".join(path.relative_to(root).with_suffix("").parts)
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Global):
+                    assigned.update(f"{module}.{name}" for name in node.names)
+        assert assigned == {
+            "engine.faults._ACTIVE",
+            "engine.tasks._CONTEXT",
+            "symex.solver.CACHE_ENABLED_DEFAULT",
+        }

@@ -1,9 +1,10 @@
 """Tests for the shared multi-path search of :mod:`repro.explore.paths`.
 
 :meth:`MultiPathExplorer.explore` walks one lazily extended breadth-first
-search per (trace, program, symbolic inputs, step bound, executor and solver
-configuration), kept in the process's trace memo; :func:`explore_per_race` runs one race's breadth-first
-search alone, exactly as every race used to, and is the oracle here:
+search per (symbolic inputs, step bound, executor and solver configuration),
+kept in the trace memo the explorer is built with;
+:func:`explore_per_race` runs one race's breadth-first search alone, exactly
+as every race used to, and is the oracle here:
 
 * **equivalence** -- for every registry race whose single stage needs paths,
   the shared walk yields the oracle's primaries, state counts and prune
@@ -15,9 +16,9 @@ search alone, exactly as every race used to, and is the oracle here:
 * **hazards** -- prune reasons number states by pop order, so they do not
   depend on process history; statements count on the executor that runs
   them; a race outside ``trace.races`` walks a search of its own, memoised
-  nowhere, and classifies as with the oracle; the memo holds one trace's
-  searches, so a trace classified before is unreachable, and it starts
-  empty in every engine run and pool worker.
+  nowhere, and classifies as with the oracle; a memo belongs to the call or
+  context that made it, so a trace classified before is unreachable, and
+  nothing of it survives into the next engine run or a fresh pool worker.
 """
 
 import dataclasses
@@ -32,24 +33,17 @@ from repro.core import Portend, PortendConfig
 from repro.core.categories import RaceClass
 from repro.core.classifier import classify_race, single_classify
 from repro.engine import AnalysisEngine, EngineOptions
+from repro.engine import engine as engine_module
 from repro.engine import tasks
-from repro.engine.tasks import pool_worker_initializer
+from repro.engine.tasks import ContextSpool, TraceContext, pool_worker_initializer
 from repro.explore import paths
 from repro.explore.paths import MultiPathExplorer
 from repro.lang.ast import add, eq, glob, local, lt
 from repro.lang.builder import ProgramBuilder
-from repro.record_replay import memo
-from repro.record_replay.memo import reset_trace_memo
+from repro.record_replay.memo import TraceMemo
 from repro.runtime.executor import Executor
 from repro.symex.solver import Solver, SolverMemo
 from repro.workloads import Workload, all_workload_names, load_workload
-
-
-@pytest.fixture(autouse=True)
-def _empty_memo():
-    reset_trace_memo()
-    yield
-    reset_trace_memo()
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +56,13 @@ def path_races():
         workload = load_workload(name)
         portend = Portend(workload.program, predicates=workload.predicates)
         trace = portend.record(workload.inputs)
+        memo = TraceMemo()
         races = [
             race
             for race in trace.races
             if single_classify(
                 portend.executor, portend.program, trace, race, config,
-                predicates=portend.predicates, enforced={},
+                predicates=portend.predicates, enforced={}, memo=memo,
             ).verdict is RaceClass.OUTPUT_SAME
         ]
         if races:
@@ -76,11 +71,12 @@ def path_races():
     return cases
 
 
-def _explorer(workload, trace, race, config, solver=None):
-    """An explorer on a fresh executor, as each engine task builds one."""
+def _explorer(workload, trace, race, config, memo, solver=None):
+    """An explorer on a fresh executor and the trace's ``memo``, as each
+    engine task builds one."""
     portend = Portend(workload.program, config=config, solver=solver)
     return MultiPathExplorer.for_config(
-        portend.executor, portend.program, trace, race, config
+        portend.executor, portend.program, trace, race, config, memo=memo
     )
 
 
@@ -106,10 +102,9 @@ def explore_per_race(explorer):
     return primaries
 
 
-def _walked_the_memo(trace):
-    """Assert that the trace's races walked one memoised search."""
-    assert memo._CURRENT.trace is trace
-    (search,) = memo._CURRENT.searches.values()
+def _walked_the_memo(memo, trace):
+    """Assert that the trace's races walked one search, memoised in ``memo``."""
+    (search,) = memo.searches.values()
     assert search.trace is trace
     assert search.tracker.watches == {paths._watch(race) for race in trace.races}
 
@@ -157,14 +152,14 @@ class TestSharedSearchEquivalence:
     )
     def test_every_path_race_matches_per_race_search(self, path_races, config, order):
         for workload, trace, races in path_races:
-            reset_trace_memo()
+            memo = TraceMemo()
             for race in _ordered(races, order):
-                shared = _explorer(workload, trace, race, config)
-                oracle = _explorer(workload, trace, race, config)
+                shared = _explorer(workload, trace, race, config, memo)
+                oracle = _explorer(workload, trace, race, config, TraceMemo())
                 assert _view(shared, shared.explore()) == _view(
                     oracle, explore_per_race(oracle)
                 ), (workload.name, race.race_id)
-            _walked_the_memo(trace)
+            _walked_the_memo(memo, trace)
 
     @pytest.mark.parametrize("order", ["forward", "shuffled"])
     def test_solver_queries_match_per_race_search(self, path_races, order):
@@ -174,13 +169,16 @@ class TestSharedSearchEquivalence:
         # issue them.  The work the solver does is the same race by race.
         config = PortendConfig()
         for workload, trace, races in path_races:
-            reset_trace_memo()
+            memo = TraceMemo()
             memos = {"shared": SolverMemo(), "oracle": SolverMemo()}
             for race in _ordered(races, order):
                 stats = {}
                 for side, solver_memo in memos.items():
                     solver = Solver(memo=solver_memo)
-                    explorer = _explorer(workload, trace, race, config, solver=solver)
+                    explorer = _explorer(
+                        workload, trace, race, config,
+                        memo if side == "shared" else TraceMemo(), solver=solver,
+                    )
                     if side == "shared":
                         explorer.explore()
                     else:
@@ -192,7 +190,7 @@ class TestSharedSearchEquivalence:
                 assert shared.enumerated_assignments == oracle.enumerated_assignments, where
                 assert shared.unknown_answers == oracle.unknown_answers, where
                 assert shared.queries <= oracle.queries, where
-            _walked_the_memo(trace)
+            _walked_the_memo(memo, trace)
 
 
 def _moded_writer():
@@ -271,9 +269,8 @@ class TestSharedSearchHazards:
         config = PortendConfig()
         reasons = []
         for _ in range(2):
-            reset_trace_memo()
             explorer = MultiPathExplorer.for_config(
-                portend.executor, portend.program, trace, race, config
+                portend.executor, portend.program, trace, race, config, memo=TraceMemo()
             )
             explorer.explore()
             reasons.append(explorer.prune_reasons)
@@ -301,42 +298,47 @@ class TestSharedSearchHazards:
         portend = Portend(workload.program)
         trace = portend.record(workload.inputs)
         race = trace.races[0]
-        first = _explorer(workload, trace, race, PortendConfig(mp=1))
+        memo = TraceMemo()
+        first = _explorer(workload, trace, race, PortendConfig(mp=1), memo)
         first.explore()
         ran = first.executor.counters.statements
         assert ran > 0
-        second = _explorer(workload, trace, race, PortendConfig(mp=1))
+        second = _explorer(workload, trace, race, PortendConfig(mp=1), memo)
         second.explore()
         assert second.executor.counters.statements == 0
-        third = _explorer(workload, trace, race, PortendConfig())
+        third = _explorer(workload, trace, race, PortendConfig(), memo)
         third.explore()
         assert first.executor.counters.statements == ran
         assert third.executor.counters.statements > 0
 
     def test_race_outside_the_trace_takes_the_per_race_search(self):
         workload, trace, race, swapped = _swapped_race()
-        oracle = _explorer(workload, trace, swapped, PortendConfig())
+        oracle = _explorer(workload, trace, swapped, PortendConfig(), TraceMemo())
         expected = _view(oracle, explore_per_race(oracle))
         assert expected[0] and expected[2]
 
-        _explorer(workload, trace, race, PortendConfig()).explore()
-        searches = memo._CURRENT.searches
+        memo = TraceMemo()
+        _explorer(workload, trace, race, PortendConfig(), memo).explore()
+        searches = memo.searches
         (search,) = searches.values()
         kept, popped = dict(searches), len(search.popped)
-        explorer = _explorer(workload, trace, swapped, PortendConfig())
+        explorer = _explorer(workload, trace, swapped, PortendConfig(), memo)
         assert _view(explorer, explorer.explore()) == expected
         # It ran every state on its own executor, as the oracle did, and
         # neither extended a memoised search nor added one.
         ran = explorer.executor.counters.statements
         assert ran == oracle.executor.counters.statements > 0
-        assert memo._CURRENT.searches == kept and len(search.popped) == popped
+        assert memo.searches == kept and len(search.popped) == popped
 
     def test_race_outside_the_trace_classifies_as_with_the_oracle(self, monkeypatch):
         workload, trace, _race, swapped = _swapped_race()
         portend = Portend(workload.program)
+        memo = TraceMemo()
 
         def classified():
-            item = classify_race(portend.executor, portend.program, trace, swapped)
+            item = classify_race(
+                portend.executor, portend.program, trace, swapped, memo=memo
+            )
             return {k: v for k, v in item.to_dict().items() if k != "analysis_seconds"}
 
         result = classified()
@@ -350,7 +352,7 @@ class TestSharedSearchHazards:
         assert classified() == result
         assert explored == [swapped]
         assert result["stage"] == "multi-path/multi-schedule"
-        assert not memo._CURRENT.searches
+        assert not memo.searches
 
     def test_search_whose_run_raised_is_rebuilt(self, monkeypatch):
         workload = load_workload("bbuf")
@@ -362,53 +364,88 @@ class TestSharedSearchHazards:
         def failing(self, *args, **kwargs):
             raise RuntimeError("injected")
 
+        memo = TraceMemo()
         with monkeypatch.context() as patch:
             patch.setattr(Executor, "run", failing)
             with pytest.raises(RuntimeError):
-                _explorer(workload, trace, race, PortendConfig()).explore()
+                _explorer(workload, trace, race, PortendConfig(), memo).explore()
         assert Executor.run is run
-        shared = _explorer(workload, trace, race, PortendConfig())
-        oracle = _explorer(workload, trace, race, PortendConfig())
+        (broken,) = memo.searches.values()
+        assert broken.broken
+        shared = _explorer(workload, trace, race, PortendConfig(), memo)
+        oracle = _explorer(workload, trace, race, PortendConfig(), TraceMemo())
         assert _view(shared, shared.explore()) == _view(oracle, explore_per_race(oracle))
 
-    def test_a_trace_classified_before_is_unreachable(self):
-        # One process classifies a race of trace A, then one of trace B:
-        # A's trace, replay passes and search must go with it.
+    def test_a_trace_classified_before_is_unreachable(self, monkeypatch):
+        # The facade's memo goes with its classify_trace call: once the
+        # caller drops trace A, its trace, replay passes and search go too,
+        # while a later call on trace B builds its own.
         workload = load_workload("bbuf")
         portend = Portend(workload.program, predicates=workload.predicates)
+        memos = []
+        classify_race = Portend.classify_race
+
+        def noting(self, trace, race, memo=None):
+            memos.append(memo)
+            return classify_race(self, trace, race, memo=memo)
+
+        monkeypatch.setattr(Portend, "classify_race", noting)
         first = portend.record(workload.inputs)
-        portend.classify_race(first, first.races[0])
-        kept = memo._CURRENT
-        assert kept.trace is first and kept.replays and kept.searches
+        portend.classify_trace(first, first.races[:1])
+        (kept,) = memos
+        assert kept.replays and kept.searches
         refs = [
             weakref.ref(held)
-            for held in (first, *kept.replays.values(), *kept.searches.values())
+            for held in (first, kept, *kept.replays.values(), *kept.searches.values())
         ]
-        del kept
+        del kept, first
+        memos.clear()
         second = portend.record(workload.inputs)
-        portend.classify_race(second, second.races[0])
-        del first
+        portend.classify_trace(second, second.races[:1])
+        assert memos[0].searches
         gc.collect()
-        assert memo._CURRENT.trace is second
         assert [ref() for ref in refs] == [None] * len(refs)
 
-    def test_back_to_back_engine_runs_start_empty(self):
+    def test_back_to_back_engine_runs_start_empty(self, monkeypatch):
+        # Every context (and so every memo) of a run is the run's own: none
+        # outlives it, and a run with nothing to classify still drops the
+        # loaded context the last one left.
+        made = []
+
+        class Noted(TraceContext):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(engine_module, "TraceContext", Noted)
         engine = AnalysisEngine(options=EngineOptions(parallel=0))
         engine.analyze(["bbuf"])
-        assert len(memo._CURRENT.searches) == 1
-        tasks._CONTEXT = ("stale", {})
-        # A run with nothing to classify still drops what the last one left.
+        gc.collect()
+        assert len(made) == 1 and made[0]() is None
+        tasks._CONTEXT = ("stale", TraceContext(None, None, None, ()))
         engine.analyze_workloads([])
-        assert memo._CURRENT is None
         assert tasks._CONTEXT is None
 
-    def test_pool_worker_initializer_empties_the_memo(self):
+    def test_pool_worker_initializer_empties_the_memo(self, tmp_path, monkeypatch):
+        # A worker's searches live in its loaded context's memo: the
+        # initializer drops the context, and a reload starts empty.
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         workload = load_workload("RW")
-        portend = Portend(workload.program)
-        trace = portend.record(workload.inputs)
-        _explorer(workload, trace, trace.races[0], PortendConfig()).explore()
-        assert memo._CURRENT.searches
-        tasks._CONTEXT = ("stale", {})
-        pool_worker_initializer()
-        assert memo._CURRENT is None
-        assert tasks._CONTEXT is None
+        trace = Portend(workload.program).record(workload.inputs)
+        spool = ContextSpool()
+        path = spool.write(TraceContext(trace, PortendConfig(), workload.program, ()))
+        try:
+            context = tasks._spooled_context(path)
+            _explorer(
+                workload, context.trace, context.trace.races[0], PortendConfig(),
+                context.memo,
+            ).explore()
+            assert tasks._CONTEXT[1].memo.searches
+            pool_worker_initializer()
+            assert tasks._CONTEXT is None
+            assert not tasks._spooled_context(path).memo.searches
+        finally:
+            tasks.reset_context_memo()
+            spool.remove()

@@ -37,19 +37,12 @@ from repro.core.portend import Portend
 from repro.lang import ast
 from repro.lang.ast import add, eq, glob, local, logical_and, ne
 from repro.lang.builder import ProgramBuilder
-from repro.record_replay.memo import reset_trace_memo
+from repro.record_replay.memo import TraceMemo
 from repro.runtime.errors import OutcomeKind
 from repro.runtime.executor import Executor, ExecutorConfig
 from repro.runtime.threadstate import LoopEntry
 from repro.workloads import all_workload_names, load_workload
 from test_step_loop import use_oracle_loop
-
-
-@pytest.fixture(autouse=True)
-def _empty_memo():
-    reset_trace_memo()
-    yield
-    reset_trace_memo()
 
 
 def _frame_view(frame):
@@ -299,7 +292,7 @@ def _alternate_pair(
         for race in trace.races
         if race.location.name == "data" and race.second.tid != race.first.tid
     ]
-    primary = replay_primary(executor, program, trace, race)
+    primary = replay_primary(executor, program, trace, race, memo=TraceMemo())
     reference = _full_budget(
         monkeypatch, executor, program, trace, race, primary, budget, enforced={}
     )
